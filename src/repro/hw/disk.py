@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional, Tuple
 
 from repro.metrics import Metrics
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment, Event, Timeout
 from repro.sim.resources import Resource
 from repro.hw.params import DiskParams
 
@@ -38,17 +38,16 @@ class Disk:
         self.bytes_written = 0
         self.busy_time = 0.0
 
-    def _sequential(self, file_id: object, offset: int) -> bool:
-        return self._head == (file_id, offset)
-
     def io(self, file_id: object, offset: int, nbytes: int,
            write: bool) -> Generator[Event, Any, None]:
         """Process body for one disk operation."""
         if nbytes <= 0:
             return
-        with self._resource.request() as req:
+        resource = self._resource
+        req = resource.request()
+        try:
             yield req
-            sequential = self._sequential(file_id, offset)
+            sequential = self._head == (file_id, offset)
             duration = self.params.io_time(nbytes, sequential)
             faults = self.env.faults
             if faults is not None:
@@ -62,7 +61,7 @@ class Disk:
                         raise DiskFault(
                             f"{self.node_name}: injected disk error")
                     duration *= action[1]
-            yield self.env.timeout(duration)
+            yield Timeout(self.env, duration)
             self._head = (file_id, offset + nbytes)
             self.busy_time += duration
             if not sequential:
@@ -70,16 +69,19 @@ class Disk:
             if write:
                 self.writes += 1
                 self.bytes_written += nbytes
+                ops_key, bytes_key = "disk.writes", "disk.bytes_written"
             else:
                 self.reads += 1
                 self.bytes_read += nbytes
-            if self.metrics is not None:
-                kind = "write" if write else "read"
-                self.metrics.add(f"disk.{kind}s")
-                self.metrics.add(f"disk.bytes_{'written' if write else 'read'}",
-                                 nbytes)
+                ops_key, bytes_key = "disk.reads", "disk.bytes_read"
+            metrics = self.metrics
+            if metrics is not None:
+                metrics.add(ops_key)
+                metrics.add(bytes_key, nbytes)
                 if not sequential:
-                    self.metrics.add("disk.seeks")
+                    metrics.add("disk.seeks")
+        finally:
+            resource.release(req)
 
     def read(self, file_id: object, offset: int,
              nbytes: int) -> Generator[Event, Any, None]:

@@ -17,11 +17,11 @@ documented limitation (DESIGN.md §6).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Iterable, Optional
 
 from repro.metrics import Metrics
-from repro.sim.engine import Environment, Event
-from repro.sim.resources import Resource
+from repro.sim.engine import Environment, Event, Timeout
+from repro.sim.resources import Resource, Store
 from repro.hw.params import NetworkParams
 
 
@@ -54,29 +54,49 @@ def _apply_link_fault(env: Environment, action: tuple, src: NIC, dst: NIC,
     elif kind == "delay":
         yield env.timeout(action[1])
     elif kind == "dup":
-        yield from _transfer_timed(env, src, dst, nbytes, None)
+        yield from _wire(env, src, dst, (nbytes,))
 
 
-def _transfer_timed(env: Environment, src: NIC, dst: NIC, nbytes: int,
-                    metrics: Optional[Metrics],
-                    ) -> Generator[Event, Any, None]:
-    """The fault-free wire movement shared by :func:`transfer`/:func:`stream`."""
-    if src is dst:
-        # Loopback (e.g. a client co-located with an I/O server): charge
-        # only the per-message overhead, no wire time.
-        yield env.timeout(src.params.per_message)
-        return
+def _wire(env: Environment, src: NIC, dst: NIC, sizes: Iterable[int],
+          inbox: Optional[Store] = None, outbox: Optional[Store] = None,
+          ) -> Generator[Event, Any, None]:
+    """The fault-free wire movement of one message after another.
+
+    :func:`transfer` moves a single message; as the wire stage of
+    :func:`stream` it moves a message's segments, taking a token from
+    ``inbox`` before each (the sender's CPU goes first) or putting one on
+    ``outbox`` after it (the receiver's CPU follows).  All segments run
+    in this one generator: per segment it costs the events docs/PERF.md
+    lists ("The events of one streamed segment") and no generator of its
+    own.
+    """
+    loopback = src is dst
+    per_message = src.params.per_message
+    latency = src.params.latency
     bandwidth = min(src.params.bandwidth, dst.params.bandwidth)
-    occupancy = src.params.per_message + nbytes / bandwidth
-    with src.tx.request() as tx_req:
-        yield tx_req
-        with dst.rx.request() as rx_req:
-            yield rx_req
-            yield env.timeout(occupancy)
-    yield env.timeout(src.params.latency)
-    if metrics is not None:
-        metrics.record_tx(src.node_name, nbytes)
-        metrics.record_rx(dst.node_name, nbytes)
+    tx, rx = src.tx, dst.rx
+    for size in sizes:
+        if inbox is not None:
+            yield inbox.get()
+        if loopback:
+            # Loopback (e.g. a client co-located with an I/O server):
+            # charge only the per-message overhead, no wire time.
+            yield Timeout(env, per_message)
+        else:
+            tx_req = tx.request()
+            try:
+                yield tx_req
+                rx_req = rx.request()
+                try:
+                    yield rx_req
+                    yield Timeout(env, per_message + size / bandwidth)
+                finally:
+                    rx.release(rx_req)
+            finally:
+                tx.release(tx_req)
+            yield Timeout(env, latency)
+        if outbox is not None:
+            outbox.put(None)
 
 
 def transfer(env: Environment, src: NIC, dst: NIC, nbytes: int,
@@ -92,7 +112,10 @@ def transfer(env: Environment, src: NIC, dst: NIC, nbytes: int,
         action = faults.link_action(src, dst, nbytes)
         if action is not None:
             yield from _apply_link_fault(env, action, src, dst, nbytes)
-    yield from _transfer_timed(env, src, dst, nbytes, metrics)
+    yield from _wire(env, src, dst, (nbytes,))
+    if metrics is not None:
+        metrics.record_tx(src.node_name, nbytes)
+        metrics.record_rx(dst.node_name, nbytes)
 
 
 def stream(env: Environment, src: NIC, dst: NIC, nbytes: int,
@@ -126,37 +149,16 @@ def stream(env: Environment, src: NIC, dst: NIC, nbytes: int,
     if nbytes % segment:
         sizes.append(nbytes % segment)
 
-    from repro.sim.resources import Store  # local import to avoid a cycle
-
     queue = Store(env)
-
-    def wire_stage():
-        for size in sizes:
-            yield from _transfer_timed(env, src, dst, size, None)
-            queue.put(size)
-
-    def cpu_stage():
-        for _ in sizes:
-            size = yield queue.get()
-            yield from cpu.process_bytes(size)
-
     if cpu_at == "dst":
-        stages = [env.process(wire_stage()), env.process(cpu_stage())]
+        stages = [_wire(env, src, dst, sizes, outbox=queue),
+                  cpu.process_stream(sizes, inbox=queue)]
     elif cpu_at == "src":
-        def src_cpu_stage():
-            for size in sizes:
-                yield from cpu.process_bytes(size)
-                queue.put(size)
-
-        def src_wire_stage():
-            for _ in sizes:
-                size = yield queue.get()
-                yield from _transfer_timed(env, src, dst, size, None)
-
-        stages = [env.process(src_cpu_stage()), env.process(src_wire_stage())]
+        stages = [cpu.process_stream(sizes, outbox=queue),
+                  _wire(env, src, dst, sizes, inbox=queue)]
     else:
         raise ValueError(f"cpu_at must be 'src' or 'dst', got {cpu_at!r}")
-    yield env.all_of(stages)
+    yield env.all_of([env.process(stage) for stage in stages])
     if metrics is not None:
         metrics.record_tx(src.node_name, nbytes)
         metrics.record_rx(dst.node_name, nbytes)

@@ -20,14 +20,12 @@ RAID5 = 1.2x RAID0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigError
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     """One stripe-unit-contained fragment of a logical range."""
 
     server: int
@@ -36,18 +34,50 @@ class Piece:
     length: int
 
 
-@dataclass(frozen=True)
 class ServerRange:
-    """A server's single contiguous share of a logical range."""
+    """A server's single contiguous share of a logical range.
 
-    server: int
-    local_start: int
-    local_end: int
-    pieces: tuple  # tuple[Piece, ...] in ascending logical order
+    A local byte maps back to exactly one logical byte, so the share is
+    fully described by its local interval; the unit-grain :attr:`pieces`
+    are derived from it on first use (extent-mode writes never ask).
+    """
+
+    __slots__ = ("server", "local_start", "local_end", "_layout", "_pieces")
+
+    def __init__(self, server: int, local_start: int, local_end: int,
+                 layout: "StripeLayout") -> None:
+        self.server = server
+        self.local_start = local_start
+        self.local_end = local_end
+        self._layout = layout
+        self._pieces: Optional[Tuple[Piece, ...]] = None
 
     @property
     def length(self) -> int:
         return self.local_end - self.local_start
+
+    def logical_bounds(self) -> Tuple[int, int]:
+        """Logical offset of the share's first byte, and one past its last."""
+        to_logical = self._layout.logical_of_local
+        return (to_logical(self.server, self.local_start),
+                to_logical(self.server, self.local_end - 1) + 1)
+
+    @property
+    def pieces(self) -> Tuple[Piece, ...]:
+        """The share's unit-grain fragments in ascending logical order."""
+        pieces = self._pieces
+        if pieces is None:
+            unit, server, end = self._layout.unit, self.server, self.local_end
+            to_logical = self._layout.logical_of_local
+            out = []
+            cursor = self.local_start
+            while cursor < end:
+                take = min(unit - cursor % unit, end - cursor)
+                out.append(Piece(server, to_logical(server, cursor), cursor,
+                                 take))
+                cursor += take
+            pieces = self._pieces = tuple(out)
+        return pieces
 
 
 class StripeLayout:
@@ -80,41 +110,39 @@ class StripeLayout:
 
     def pieces(self, offset: int, length: int) -> List[Piece]:
         """Unit-grain fragments of ``[offset, offset+length)``."""
-        out: List[Piece] = []
-        cursor = offset
-        end = offset + length
-        while cursor < end:
-            block = cursor // self.unit
-            intra = cursor - block * self.unit
-            take = min(self.unit - intra, end - cursor)
-            out.append(Piece(
-                server=self.server_of_block(block),
-                logical_offset=cursor,
-                local_offset=self.local_offset_of_block(block) + intra,
-                length=take,
-            ))
-            cursor += take
-        return out
+        return sorted((p for sr in self.map_range(offset, length)
+                       for p in sr.pieces), key=lambda p: p.logical_offset)
 
     def map_range(self, offset: int, length: int) -> List[ServerRange]:
         """Per-server contiguous shares of a logical range.
 
         Sorted by server id; each server appears at most once because its
-        fragments are consecutive in its local file.
+        fragments are consecutive in its local file.  Computed per server
+        from the first and last block it holds, not per stripe unit.
         """
-        by_server: dict[int, List[Piece]] = {}
-        for piece in self.pieces(offset, length):
-            by_server.setdefault(piece.server, []).append(piece)
+        if length <= 0:
+            return []
+        unit, n = self.unit, self.n
+        end = offset + length
+        first, head = divmod(offset, unit)
+        last, tail = divmod(end - 1, unit)
         out: List[ServerRange] = []
-        for server in sorted(by_server):
-            plist = by_server[server]
-            local_start = plist[0].local_offset
-            local_end = plist[-1].local_offset + plist[-1].length
-            if local_end - local_start != sum(p.length for p in plist):
-                raise AssertionError(
-                    "per-server fragments not contiguous — layout bug")
-            out.append(ServerRange(server, local_start, local_end,
-                                   tuple(plist)))
+        covered = 0
+        for server in range(n):
+            lo_block = first + (server - first) % n
+            if lo_block > last:
+                continue
+            hi_block = last - (last - server) % n
+            local_start = (lo_block // n) * unit
+            if lo_block == first:
+                local_start += head
+            local_end = (hi_block // n) * unit + (
+                tail + 1 if hi_block == last else unit)
+            covered += local_end - local_start
+            out.append(ServerRange(server, local_start, local_end, self))
+        if covered != length:
+            raise AssertionError(
+                "per-server fragments not contiguous — layout bug")
         return out
 
     # ------------------------------------------------------------------

@@ -118,6 +118,12 @@ class RedundancyScheme(ABC):
     def _gather(self, payload: Payload, base_offset: int,
                 sr: ServerRange) -> Payload:
         """The bytes of ``payload`` destined for one server, in local order."""
+        if payload.is_virtual:
+            # Extent mode: only the length travels, but the share must
+            # still lie inside the payload (``slice`` raises otherwise).
+            lo, hi = sr.logical_bounds()
+            payload.slice(lo - base_offset, hi - base_offset)
+            return Payload.virtual(sr.length)
         parts = []
         at = 0
         for p in sr.pieces:

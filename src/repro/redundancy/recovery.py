@@ -29,6 +29,7 @@ from typing import Any, Generator, List
 from repro.errors import ConfigError, ServerFailed
 from repro.pvfs import messages as msg
 from repro.pvfs.iod import IOD
+from repro.pvfs.layout import ServerRange
 from repro.sim.engine import Event
 from repro.storage.payload import Payload
 
@@ -173,7 +174,7 @@ def _rebuild_file(system, client, iod: IOD,
     scheme_obj = client.scheme_for(meta)
     for start in range(0, local_size, chunk):
         length = min(chunk, local_size - start)
-        sr = _pieces_for_local(lay, index, start, length)
+        sr = ServerRange(index, start, start + length, lay)
         if scheme == "raid1":
             payload = yield from scheme_obj.degraded_read(client, meta, sr)
         else:
@@ -197,25 +198,6 @@ def _rebuild_file(system, client, iod: IOD,
     # ---- overflow region + tables (Hybrid) -------------------------------
     if scheme == "hybrid":
         yield from _rebuild_overflow(system, client, iod, name)
-
-
-def _pieces_for_local(lay, server: int, local_start: int, length: int):
-    """A ServerRange-shaped view of a failed server's local byte range."""
-    from repro.pvfs.layout import Piece, ServerRange
-
-    pieces: List[Piece] = []
-    cursor = local_start
-    end = local_start + length
-    while cursor < end:
-        row, intra = divmod(cursor, lay.unit)
-        take = min(lay.unit - intra, end - cursor)
-        pieces.append(Piece(
-            server=server,
-            logical_offset=(row * lay.n + server) * lay.unit + intra,
-            local_offset=cursor,
-            length=take))
-        cursor += take
-    return ServerRange(server, local_start, end, tuple(pieces))
 
 
 def _rebuild_parity(system, client, iod: IOD,

@@ -26,14 +26,17 @@ Every simulated byte of every figure funnels through this module, so the
 scheduling and dispatch paths trade a little repetition for constant
 factors:
 
-* ``_schedule`` is inlined at its call sites (``succeed``/``fail``,
-  :class:`Timeout`, process resumption) — one attribute walk and a
-  ``heappush`` instead of a method call per event.
+* Scheduling is inlined wherever an event is triggered
+  (``succeed``/``fail``, :class:`Timeout`, process resumption, resource
+  grants) — one attribute walk and a ``heappush`` instead of a method
+  call per event.
 * The dispatch loops in :meth:`Environment.run` inline :meth:`Environment.step`
   and skip the callback loop entirely for callback-less events (the
   :class:`Timeout` fast lane).
-* :meth:`Process._resume_interrupt` detaches from the awaited event by
-  tombstoning its recorded callback slot (``callbacks[i] = None``) in
+* A :class:`Process` binds ``_resume`` once (``_resume_cb``) and
+  subscribes with that one object: no bound method is built per yield,
+  and :meth:`Process._resume_interrupt` can find its subscription by
+  identity and tombstone the recorded slot (``callbacks[i] = None``) in
   O(1) instead of an O(n) ``list.remove`` scan; callback lists are
   append-only everywhere else, so recorded indices stay valid.
 * Scheduling/dispatch counters cost nothing: ``_seq`` already counts
@@ -246,7 +249,7 @@ class Timeout(Event):
     """An event that fires ``delay`` after creation.
 
     Construction is the single hottest allocation in the simulator, so the
-    ``Event.__init__`` chain and ``_schedule`` are inlined; a Timeout is
+    ``Event.__init__`` chain and the heap push are inlined; a Timeout is
     born triggered, and when nothing ever waits on it the dispatch loop
     skips its (empty) callback list entirely.
     """
@@ -273,7 +276,7 @@ class Initialize(Event):
 
     def __init__(self, env: "Environment", process: "Process") -> None:
         self.env = env
-        self.callbacks = [process._resume]
+        self.callbacks = [process._resume_cb]
         self._value = None
         self._ok = True
         self._defused = False
@@ -284,7 +287,8 @@ class Initialize(Event):
 class Process(Event):
     """A running generator; also an event that fires on termination."""
 
-    __slots__ = ("_generator", "_target", "_target_index", "name")
+    __slots__ = ("_generator", "_target", "_target_index", "_resume_cb",
+                 "name")
 
     def __init__(self, env: "Environment",
                  generator: Generator[Event, Any, Any],
@@ -295,6 +299,8 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self._target_index: int = -1
+        #: the one callback object this process ever subscribes with
+        self._resume_cb: Optional[Callable[[Event], None]] = self._resume
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
 
@@ -329,13 +335,8 @@ class Process(Event):
             callbacks = target.callbacks
             if callbacks is not None:
                 i = self._target_index
-                if 0 <= i < len(callbacks) and callbacks[i] is self._resume:
+                if 0 <= i < len(callbacks) and callbacks[i] is self._resume_cb:
                     callbacks[i] = None
-                else:  # pragma: no cover - defensive
-                    try:
-                        callbacks.remove(self._resume)
-                    except ValueError:
-                        pass
         self._target = None
         self._resume(event)
 
@@ -353,36 +354,33 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                env._seq = seq = env._seq + 1
-                heappush(env._heap, (env._now, NORMAL, seq, self))
-                break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
-                env._seq = seq = env._seq + 1
-                heappush(env._heap, (env._now, NORMAL, seq, self))
-                break
-
-            if not isinstance(next_target, Event):
+            else:
+                if isinstance(next_target, Event):
+                    if next_target.env is not env:
+                        raise SimulationError(
+                            "event from a different environment")
+                    callbacks = next_target.callbacks
+                    if callbacks is None:
+                        # Already done: resume immediately with its value.
+                        event = next_target
+                        continue
+                    self._target_index = len(callbacks)
+                    callbacks.append(self._resume_cb)
+                    self._target = next_target
+                    break
                 generator.close()
                 self._ok = False
                 self._value = SimulationError(
                     f"process {self.name!r} yielded {next_target!r}, "
                     "which is not an Event")
-                env._seq = seq = env._seq + 1
-                heappush(env._heap, (env._now, NORMAL, seq, self))
-                break
-            if next_target.env is not env:
-                raise SimulationError("event from a different environment")
-
-            callbacks = next_target.callbacks
-            if callbacks is None:
-                # Already done: resume immediately with its value.
-                event = next_target
-                continue
-            callbacks.append(self._resume)
-            self._target = next_target
-            self._target_index = len(callbacks) - 1
+            # Terminated: fire as an event (and stop being a reference
+            # cycle through the cached bound method).
+            self._resume_cb = None
+            env._seq = seq = env._seq + 1
+            heappush(env._heap, (env._now, NORMAL, seq, self))
             break
         env._active = None
 
@@ -505,10 +503,6 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling / running ----------------------------------------------
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
-
     def peek(self) -> float:
         """Time of the next event, or ``inf`` when the heap is empty."""
         return self._heap[0][0] if self._heap else float("inf")

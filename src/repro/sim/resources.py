@@ -12,23 +12,30 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional
+from heapq import heappush
+from typing import Any, Deque, Generator, List
 
 from repro.errors import SimulationError
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import _PENDING, NORMAL, Environment, Event
 
 
 class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource",)
+    __slots__ = ("resource", "_queued_at")
 
     def __init__(self, env: Environment, resource: "Resource") -> None:
-        super().__init__(env)
-        self.resource = resource
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self.resource = resource  # ``_queued_at`` is set only on queueing
 
     # Context-manager protocol so processes can write
-    # ``with res.request() as req: yield req``.
+    # ``with res.request() as req: yield req``.  Hot holds (NIC, CPU,
+    # disk) spell out ``try``/``finally`` instead: same release, no
+    # ``__enter__``/``__exit__`` frames per hold.
     def __enter__(self) -> "Request":
         return self
 
@@ -49,7 +56,6 @@ class Resource:
         # Cumulative statistics for utilization reporting.
         self.total_waits: int = 0
         self.total_wait_time: float = 0.0
-        self._wait_started: dict[Request, float] = {}
 
     @property
     def count(self) -> int:
@@ -57,13 +63,18 @@ class Resource:
         return len(self.users)
 
     def request(self) -> Request:
-        req = Request(self.env, self)
-        if len(self.users) < self.capacity and not self.queue:
-            self.users.append(req)
-            req.succeed()
+        env = self.env
+        req = Request(env, self)
+        users = self.users
+        if len(users) < self.capacity and not self.queue:
+            users.append(req)
+            # ``req.succeed()`` inlined (a fresh request is untriggered)
+            req._value = None
+            env._seq = seq = env._seq + 1
+            heappush(env._heap, (env._now, NORMAL, seq, req))
         else:
             self.total_waits += 1
-            self._wait_started[req] = self.env.now
+            req._queued_at = env._now
             self.queue.append(req)
         return req
 
@@ -73,20 +84,27 @@ class Resource:
         Releasing a queued (never granted) request cancels it; releasing an
         unknown request is an error.
         """
-        if request in self.users:
-            self.users.remove(request)
-        else:
+        users = self.users
+        queue = self.queue
+        try:
+            users.remove(request)
+        except ValueError:
             try:
-                self.queue.remove(request)
-                self._wait_started.pop(request, None)
-                return
+                queue.remove(request)
             except ValueError:
                 raise SimulationError("release of a request not held or queued")
-        while self.queue and len(self.users) < self.capacity:
-            nxt = self.queue.popleft()
-            self.total_wait_time += self.env.now - self._wait_started.pop(nxt)
-            self.users.append(nxt)
-            nxt.succeed()
+            return
+        env = self.env
+        while queue and len(users) < self.capacity:
+            nxt = queue.popleft()
+            self.total_wait_time += env._now - nxt._queued_at
+            users.append(nxt)
+            # ``nxt.succeed()`` inlined, double-trigger check included
+            if nxt._value is not _PENDING:
+                raise SimulationError(f"{nxt!r} already triggered")
+            nxt._value = None
+            env._seq = seq = env._seq + 1
+            heappush(env._heap, (env._now, NORMAL, seq, nxt))
 
     def held(self, duration: float) -> Generator[Event, Any, None]:
         """Convenience process body: hold one slot for ``duration``.

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.pvfs.layout import StripeLayout
+from repro.pvfs.layout import ServerRange, StripeLayout
+from repro.redundancy.base import make_scheme
+from repro.storage.payload import Payload
 
 UNIT = 64
 
@@ -156,6 +158,78 @@ def test_map_range_partitions_bytes(n, unit, offset, length):
         assert lo == cursor
         cursor = hi
     assert cursor == offset + length or length == 0
+
+
+def reference_pieces(unit, n, offset, length):
+    """Byte-at-a-time striping: ``(server, logical, local, length)``
+    fragments, merged while they stay inside one stripe unit."""
+    out = []
+    for logical in range(offset, offset + length):
+        block, intra = divmod(logical, unit)
+        server, local = block % n, (block // n) * unit + intra
+        if out and intra:
+            out[-1] = (*out[-1][:3], out[-1][3] + 1)
+        else:
+            out.append((server, logical, local, 1))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 128), st.integers(0, 4096),
+       st.integers(0, 2048))
+def test_map_range_and_pieces_match_the_per_byte_reference(n, unit, offset,
+                                                           length):
+    lay = StripeLayout(unit, n)
+    reference = reference_pieces(unit, n, offset, length)
+    assert [tuple(p) for p in lay.pieces(offset, length)] == reference
+
+    ranges = lay.map_range(offset, length)
+    assert [r.server for r in ranges] == sorted({p[0] for p in reference})
+    for r in ranges:
+        mine = [p for p in reference if p[0] == r.server]
+        # built on demand, in logical order, and cached
+        assert [tuple(p) for p in r.pieces] == mine
+        assert r.pieces is r.pieces
+        # one contiguous local interval
+        assert r.local_start == mine[0][2]
+        assert r.local_end == mine[-1][2] + mine[-1][3]
+        assert r.length == sum(p[3] for p in mine)
+        assert r.logical_bounds() == (mine[0][1], mine[-1][1] + mine[-1][3])
+
+
+class TestGather:
+    """``RedundancyScheme._gather``: one server's bytes of a write."""
+
+    lay = StripeLayout(UNIT, 4)
+    scheme = make_scheme("raid0", config=None)
+
+    def test_virtual_payload_keeps_only_the_length(self):
+        for sr in self.lay.map_range(100, 700):
+            out = self.scheme._gather(Payload.virtual(700), 100, sr)
+            assert out.is_virtual and out.length == sr.length
+
+    @pytest.mark.parametrize("payload", [Payload.virtual(699),
+                                         Payload.pattern(699, seed=3)])
+    def test_share_outside_the_payload_is_rejected(self, payload):
+        # 700 bytes mapped, 699 supplied: the share holding the last byte
+        # reaches past the payload, real bytes or not.
+        shares = self.lay.map_range(100, 700)
+        with pytest.raises(ValueError):
+            for sr in shares:
+                self.scheme._gather(payload, 100, sr)
+        # and a share that starts before the payload's base offset
+        with pytest.raises(ValueError):
+            self.scheme._gather(payload, 100 + UNIT,
+                                ServerRange(1, 0, UNIT, self.lay))
+
+    def test_content_matches_the_logical_bytes(self):
+        payload = Payload.pattern(700, seed=5)
+        for sr in self.lay.map_range(100, 700):
+            expected = b"".join(
+                payload.to_bytes()[p.logical_offset - 100:
+                                   p.logical_offset - 100 + p.length]
+                for p in sr.pieces)
+            assert self.scheme._gather(payload, 100, sr).to_bytes() == expected
 
 
 @settings(max_examples=200, deadline=None)

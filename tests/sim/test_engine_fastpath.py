@@ -98,6 +98,44 @@ class TestInterruptTombstone:
         assert sorted(woken) == [("a", "go"), ("b", "interrupted"),
                                  ("c", "go")]
 
+    def test_interrupt_tombstones_the_slot_in_place(self, env):
+        """The detach is literally ``callbacks[i] = None``: the list keeps
+        its length, so the later subscriber's recorded index stays valid
+        and its own interrupt tombstones too.  Relies on the process
+        subscribing with one cached bound method: a fresh ``self._resume``
+        is a new object each time and never matches by identity."""
+        trigger = env.event()
+        woken = []
+
+        def waiter(name):
+            try:
+                woken.append((name, (yield trigger)))
+            except Interrupt:
+                woken.append((name, "interrupted"))
+                yield env.timeout(10.0)
+
+        first = env.process(waiter("first"))
+        second = env.process(waiter("second"))
+        third = env.process(waiter("third"))
+        env.run(until=0)  # the three Initialize events: all subscribed
+        assert len(trigger.callbacks) == 3
+
+        first.interrupt()
+        env.run(until=0)
+        assert trigger.callbacks[0] is None
+        assert len(trigger.callbacks) == 3
+        assert trigger.callbacks[second._target_index] is second._resume_cb
+
+        second.interrupt()
+        env.run(until=0)
+        assert trigger.callbacks[:2] == [None, None]
+        assert len(trigger.callbacks) == 3
+
+        trigger.succeed("go")
+        env.run()
+        assert woken == [("first", "interrupted"), ("second", "interrupted"),
+                         ("third", "go")]
+
     def test_interrupt_delivered_at_current_time(self, env):
         times = []
 

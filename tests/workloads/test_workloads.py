@@ -91,12 +91,16 @@ class TestBTIO:
         assert result.extra["nprocs"] == 4
 
     def test_overwrite_slower_than_initial_for_raid5(self):
-        initial = btio_benchmark(make_system("raid5", clients=4, scale=0.02),
-                                 "A", scale=0.02, overwrite=False)
-        over = btio_benchmark(make_system("raid5", clients=4, scale=0.02),
-                              "A", scale=0.02, overwrite=True)
+        # Nine ranks: Class A on four writes whole stripes only, so there
+        # is no read-modify-write for a cold cache to slow down.
+        fresh = make_system("raid5", clients=9, scale=0.05)
+        initial = btio_benchmark(fresh, "A", scale=0.05, overwrite=False)
+        cold = make_system("raid5", clients=9, scale=0.05)
+        over = btio_benchmark(cold, "A", scale=0.05, overwrite=True)
         # Cold-cache read-modify-write hits disk: must be slower.
-        assert over.write_bandwidth < initial.write_bandwidth
+        assert fresh.metrics.get("disk.reads") == 0
+        assert cold.metrics.get("disk.reads") > 0
+        assert over.write_bandwidth < 0.99 * initial.write_bandwidth
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ConfigError):
