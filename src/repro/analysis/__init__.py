@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import importlib
 import weakref
-from typing import Any, Iterable, List, Tuple
+from contextlib import contextmanager
+from typing import (Any, Callable, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 
 class SanitizerRegistry:
@@ -72,27 +74,25 @@ class SanitizerRegistry:
 # ----------------------------------------------------------------------
 #: mode name -> implementing module; every module exposes the same
 #: ``install() / uninstall() / installed() / drain_reports()`` surface.
+#: Listed in attribution order: a lock-protocol violation points closest
+#: to the root cause, and a mutated shared buffer is the cause of
+#: whatever parity mismatch it induces downstream.
 SANITIZER_MODULES = {
     "lock": "repro.analysis.locksan",
-    "parity": "repro.analysis.paritysan",
     "buf": "repro.analysis.bufsan",
+    "parity": "repro.analysis.paritysan",
 }
 
 
-def sanitize_modes(sanitize: "str | bool | None") -> Tuple[str, ...]:
-    """Decode a ``--sanitize`` value into a tuple of mode names.
-
-    Accepts the CLI strings ``"lock"`` / ``"parity"`` / ``"buf"`` /
-    ``"all"`` plus the legacy booleans (``True`` meant LockSan only).
-    """
+def sanitize_modes(sanitize: Optional[str]) -> Tuple[str, ...]:
+    """Decode a ``--sanitize`` value (``lock`` / ``parity`` / ``buf`` /
+    ``all``; falsy means none) into a tuple of mode names."""
     if not sanitize:
         return ()
-    if sanitize is True:
-        return ("lock",)
     if sanitize == "all":
         return tuple(sorted(SANITIZER_MODULES))
     if sanitize in SANITIZER_MODULES:
-        return (str(sanitize),)
+        return (sanitize,)
     raise ValueError(f"unknown sanitize mode {sanitize!r} "
                      f"(expected {'|'.join(sorted(SANITIZER_MODULES))}|all)")
 
@@ -102,24 +102,36 @@ def sanitizer_module(mode: str):
     return importlib.import_module(SANITIZER_MODULES[mode])
 
 
-def install_sanitizers(modes: Iterable[str]) -> None:
-    for mode in modes:
-        module = sanitizer_module(mode)
-        if not module.installed():
-            module.install()
+@contextmanager
+def sanitizer_scope(modes: Iterable[str],
+                    ) -> Iterator[Callable[[], List[Tuple[str, Any]]]]:
+    """Run a block under the given sanitizer modes.
 
+    Installs the requested modes that are not already installed (so a
+    ``CSAR_*SAN=1`` harness or an enclosing scope keeps its own), drops
+    whatever reports predate the block, and yields ``drain``: each call
+    returns the reports made since the last one as ``(tool, report)``
+    pairs in attribution order — LockSan, then BufSan, then ParitySan —
+    with ``tool`` the ``locksan`` / ``bufsan`` / ``paritysan`` label of a
+    ``failure_kind``.  On exit it uninstalls exactly what it installed,
+    which also closes the sanitizers built meanwhile.
+    """
+    modules = [sanitizer_module(mode) for mode in SANITIZER_MODULES
+               if mode in modes]
+    owned = [module for module in modules if not module.installed()]
+    for module in owned:
+        module.install()
 
-def uninstall_sanitizers(modes: Iterable[str]) -> None:
-    for mode in modes:
-        sanitizer_module(mode).uninstall()
+    def drain() -> List[Tuple[str, Any]]:
+        return [(module.__name__.rpartition(".")[2], report)
+                for module in modules for report in module.drain_reports()]
 
-
-def drain_sanitizer_reports(modes: Iterable[str]) -> List[Any]:
-    """Sweep reports (in mode order) across the given sanitizer kinds."""
-    out: List[Any] = []
-    for mode in modes:
-        out.extend(sanitizer_module(mode).drain_reports())
-    return out
+    try:
+        drain()
+        yield drain
+    finally:
+        for module in owned:
+            module.uninstall()
 
 
 from repro.analysis.bufsan import BufSan, BufSanReport  # noqa: E402
@@ -143,14 +155,12 @@ __all__ = [
     "SanitizerRegistry",
     "all_codes",
     "drain_reports",
-    "drain_sanitizer_reports",
     "format_json",
     "format_text",
-    "install_sanitizers",
     "lint_file",
     "lint_paths",
     "lint_source",
     "sanitize_modes",
     "sanitizer_module",
-    "uninstall_sanitizers",
+    "sanitizer_scope",
 ]

@@ -55,7 +55,8 @@ except ImportError:  # stdlib fallback, same 64-bit width
     def _digest(data: bytes) -> str:
         return hashlib.blake2b(data, digest_size=8).hexdigest()
 
-#: Every live sanitizer; the payload capture hook fans out to these.
+#: Every live sanitizer; the payload capture hook fans out to the ones
+#: still open.
 _REGISTRY = SanitizerRegistry("bufsan")
 
 
@@ -144,7 +145,7 @@ class BufSan:
     def on_capture(self, payload: Any, arr: Any, kind: str) -> None:
         """A payload captured ``arr``: fingerprint it, and verify any
         earlier capture of the same array object first."""
-        if self._closed or arr.size == 0:
+        if arr.size == 0:
             return
         key = id(arr)
         entry = self._tracked.get(key)
@@ -188,7 +189,13 @@ class BufSan:
 
     def on_run_complete(self) -> None:
         self._check_all("run-complete")
+        self.close()
+
+    def close(self) -> None:
+        """Stop observing captures and let go of the tracked buffers
+        (the reports stay until they are drained)."""
         self._closed = True
+        self._tracked.clear()
 
     def on_recovery(self, index: int) -> None:
         self._check_all(f"post-recovery(server {index})")
@@ -227,7 +234,8 @@ def _on_payload_capture(payload: Any, arr: Any, kind: str) -> None:
     """The :func:`repro.storage.payload.set_capture_hook` target: fan a
     capture out to every live, still-open sanitizer."""
     for sanitizer in _REGISTRY.live():
-        sanitizer.on_capture(payload, arr, kind)
+        if not sanitizer._closed:
+            sanitizer.on_capture(payload, arr, kind)
 
 
 def install(strict: bool = False, per_write: bool = False) -> None:
@@ -242,12 +250,20 @@ def install(strict: bool = False, per_write: bool = False) -> None:
 
 
 def uninstall() -> None:
-    """Stop sanitizing new Environments and observing captures."""
+    """Stop sanitizing new Environments and observing captures, and
+    close every sanitizer still open (those built since :func:`install`).
+
+    An environment with a background flusher never drains, so nothing
+    else would close its sanitizer: it would go on fingerprinting the
+    next run's captures until the cycle collector freed it.
+    """
     from repro.sim import engine
     from repro.storage import payload
 
     engine.set_bufsan_factory(None)
     payload.set_capture_hook(None)
+    for sanitizer in _REGISTRY.live():
+        sanitizer.close()
 
 
 def installed() -> bool:

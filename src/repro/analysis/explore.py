@@ -469,45 +469,30 @@ def _run_schedule(scen: Scenario, tie_breaker) \
 
     Returns ``(violation_or_None, decisions)``.
     """
-    from repro.analysis import bufsan, locksan, paritysan
+    from repro.analysis import SANITIZER_MODULES, sanitizer_scope
     from repro.sim import engine
 
+    violation: Optional[Violation] = None
     engine.set_tie_breaker_factory(lambda: tie_breaker)
-    locksan.install()
-    bufsan.install()
-    paritysan.install()
     try:
-        locksan.drain_reports()
-        bufsan.drain_reports()
-        paritysan.drain_reports()
-        violation: Optional[Violation] = None
-        try:
-            scen.run()
-        except (ReproError, AssertionError) as exc:
-            violation = Violation(type(exc).__name__, str(exc))
-        lock_reports = locksan.drain_reports()
-        buf_reports = bufsan.drain_reports()
-        parity_reports = paritysan.drain_reports()
-        for r in lock_reports:
-            if r.kind == "order-inversion":
-                _WITNESSES.append({"file": r.file, "group": r.group,
-                                   "held_group": r.held_group})
+        with sanitizer_scope(SANITIZER_MODULES) as drain:
+            try:
+                scen.run()
+            except (ReproError, AssertionError) as exc:
+                violation = Violation(type(exc).__name__, str(exc))
+            reports = drain()
     finally:
         engine.set_tie_breaker_factory(None)
-        locksan.uninstall()
-        bufsan.uninstall()
-        paritysan.uninstall()
-    if violation is None and lock_reports:
-        r = lock_reports[0]
-        violation = Violation(f"locksan:{r.kind}", r.format())
-    # BufSan outranks ParitySan: a mutated shared buffer is the root
-    # cause of whatever parity mismatch it induces downstream.
-    if violation is None and buf_reports:
-        r = buf_reports[0]
-        violation = Violation(f"bufsan:{r.kind}", r.format())
-    if violation is None and parity_reports:
-        r = parity_reports[0]
-        violation = Violation(f"paritysan:{r.kind}", r.format())
+    for tool, r in reports:
+        if tool == "locksan" and r.kind == "order-inversion":
+            _WITNESSES.append({"file": r.file, "group": r.group,
+                               "held_group": r.held_group})
+    # The scope's order is the attribution order: LockSan, then BufSan
+    # (a mutated shared buffer is the root cause of whatever parity
+    # mismatch it induces downstream), then ParitySan.
+    if violation is None and reports:
+        tool, r = reports[0]
+        violation = Violation(f"{tool}:{r.kind}", r.format())
     return violation, tuple(tie_breaker.decisions)
 
 

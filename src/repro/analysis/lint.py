@@ -70,6 +70,7 @@ import ast
 import io
 import json
 import os
+import re
 import tokenize
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -981,11 +982,18 @@ def lint_paths(paths: Iterable[str],
 BASELINE_SCHEMA_VERSION = 1
 
 
+#: a ``path.py:LINE`` location inside a message (a witness-chain hop)
+_MESSAGE_LINE = re.compile(r"(\.py):\d+")
+
+
 def baseline_key(finding: Finding) -> Tuple[str, str, str]:
     """Baseline identity: location-line-free so mere drift in line
-    numbers does not resurrect a baselined finding, and witness-free so
-    dynamic-witness availability does not churn the file."""
-    return (finding.path, finding.code, finding.message)
+    numbers does not resurrect a baselined finding — neither the
+    finding's own line nor the ``file.py:LINE`` hops of the witness
+    chain its message quotes — and witness-free so dynamic-witness
+    availability does not churn the file."""
+    return (finding.path, finding.code,
+            _MESSAGE_LINE.sub(r"\1", finding.message))
 
 
 def write_baseline(findings: List[Finding], path: str) -> None:

@@ -9,7 +9,6 @@
     csar-repro run all --scale 0.05 --sanitize=all
     csar-repro run all --jobs 4
     csar-repro profile fig7a
-    csar-repro bench --quick --check
     csar-repro lint src --format=json
     csar-repro lint src --format=sarif > lint.sarif
     csar-repro lint src --write-baseline tools/lint_baseline.json
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import List, Optional
 
 from repro.errors import ConfigError
@@ -45,88 +43,22 @@ def _cmd_list() -> int:
     return 0
 
 
-def _emit_table(exp_id: str, table, wall: float, effective: float,
-                chart: bool, csv_dir: Optional[str],
-                sanitizer_reports: List[str]) -> int:
-    """Print one experiment's results; returns 1 if reports failed it."""
-    status = 0
-    print(table.format())
-    if chart:
-        from repro.util.charts import chart_table
-        print()
-        print(chart_table(table))
-    print(f"(scale {effective:g}, {wall:.1f}s wall)\n")
-    for report in sanitizer_reports:
-        print(f"{exp_id}: {report}", file=sys.stderr)
-        status = 1
-    if csv_dir is not None:
-        import os
-        os.makedirs(csv_dir, exist_ok=True)
-        out_path = os.path.join(csv_dir, f"{exp_id}.csv")
-        with open(out_path, "w") as fp:
-            fp.write(table.to_csv())
-        print(f"wrote {out_path}\n")
-    return status
-
-
 def _cmd_run(ids: List[str], scale: Optional[float],
              csv_dir: Optional[str] = None, chart: bool = False,
              sanitize: Optional[str] = None, jobs: int = 1) -> int:
-    from repro.analysis import (drain_sanitizer_reports, install_sanitizers,
-                                sanitize_modes, sanitizer_module,
-                                uninstall_sanitizers)
+    """Run experiments through the sweep runner, printing each table as
+    soon as its point (and every point before it) has finished."""
+    from repro.perf.runner import SweepPoint, run_sweep
 
     if ids == ["all"]:
         ids = sorted(REGISTRY)
-    if jobs > 1:
-        return _cmd_run_parallel(ids, scale, csv_dir, chart, sanitize, jobs)
-    modes = sanitize_modes(sanitize)
-    # Only uninstall what this run installed, so an already-installed
-    # sanitizer (e.g. a CSAR_*SAN=1 test harness) survives the command.
-    owned = tuple(m for m in modes if not sanitizer_module(m).installed())
-    install_sanitizers(owned)
-    status = 0
     try:
-        for exp_id in ids:
-            try:
-                exp = get_experiment(exp_id)
-            except ConfigError as err:
-                print(f"error: {err}", file=sys.stderr)
-                return 2
-            effective = exp.default_scale if scale is None else scale
-            t0 = time.time()
-            try:
-                table = exp.run(scale=effective)
-            except Exception as err:
-                print(f"error: experiment {exp_id} failed: "
-                      f"{type(err).__name__}: {err}", file=sys.stderr)
-                status = 1
-                continue
-            wall = time.time() - t0
-            reports = [r.format()
-                       for r in drain_sanitizer_reports(modes)]
-            status |= _emit_table(exp_id, table, wall, effective, chart,
-                                  csv_dir, reports)
-    finally:
-        uninstall_sanitizers(owned)
-    return status
-
-
-def _cmd_run_parallel(ids: List[str], scale: Optional[float],
-                      csv_dir: Optional[str], chart: bool,
-                      sanitize: Optional[str], jobs: int) -> int:
-    """Fan independent experiments across a process pool (--jobs N)."""
-    from repro.perf.runner import SweepPoint, run_sweep
-
-    points = []
-    for exp_id in ids:
-        try:
-            exp = get_experiment(exp_id)
-        except ConfigError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        effective = exp.default_scale if scale is None else scale
-        points.append(SweepPoint(exp_id=exp_id, scale=effective))
+        experiments = [get_experiment(exp_id) for exp_id in ids]
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    points = [SweepPoint(exp.id, exp.default_scale if scale is None else scale)
+              for exp in experiments]
     status = 0
     for result in run_sweep(points, jobs=jobs, sanitize=sanitize):
         exp_id = result.point.exp_id
@@ -136,63 +68,36 @@ def _cmd_run_parallel(ids: List[str], scale: Optional[float],
                   f"{type(err).__name__}: {err}", file=sys.stderr)
             status = 1
             continue
-        status |= _emit_table(exp_id, result.table, result.wall,
-                              result.point.scale, chart, csv_dir,
-                              result.sanitizer_reports)
+        print(result.table.format())
+        if chart:
+            from repro.util.charts import chart_table
+            print()
+            print(chart_table(result.table))
+        print(f"(scale {result.point.scale:g}, {result.wall:.1f}s wall)\n")
+        for report in result.sanitizer_reports:
+            print(f"{exp_id}: {report}", file=sys.stderr)
+            status = 1
+        if csv_dir is not None:
+            import os
+            os.makedirs(csv_dir, exist_ok=True)
+            out_path = os.path.join(csv_dir, f"{exp_id}.csv")
+            with open(out_path, "w") as fp:
+                fp.write(result.table.to_csv())
+            print(f"wrote {out_path}\n")
     return status
 
 
 def _cmd_profile(exp_id: str, scale: Optional[float], top: int,
-                 sort: str, bench_mode: bool = False) -> int:
-    from repro.perf.profiler import profile_bench, profile_experiment
+                 sort: str) -> int:
+    from repro.perf.profiler import profile_experiment
 
     try:
-        if bench_mode:
-            report = profile_bench(exp_id, top=top, sort=sort)
-        else:
-            report, _table = profile_experiment(exp_id, scale=scale, top=top,
-                                                sort=sort)
+        report, _table = profile_experiment(exp_id, scale=scale, top=top,
+                                            sort=sort)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(report)
-    return 0
-
-
-def _cmd_bench(json_path: str, note: str, quick: bool, check: bool,
-               threshold: float,
-               scenarios: Optional[List[str]] = None) -> int:
-    from repro.perf import bench
-
-    names: Optional[List[str]] = None
-    if scenarios:
-        names = [n for n in scenarios if n in bench.SCENARIOS]
-        for n in scenarios:
-            if n not in bench.SCENARIOS:
-                print(f"warning: unknown scenario {n!r} skipped "
-                      f"(known: {', '.join(bench.SCENARIOS)})",
-                      file=sys.stderr)
-    data = bench.load(json_path)
-    baseline = bench.baseline_run(data)
-    results = bench.run_scenarios(names, repeats=2 if quick else 5)
-    print(bench.format_results(results, baseline))
-    if not results:
-        # Nothing ran (every requested name was unknown): nothing to
-        # record or check, but the misuse should not pass silently.
-        return 2
-    bench.append_run(results, path=json_path, note=note, quick=quick)
-    print(f"\nappended run to {json_path} "
-          f"({len(data['runs']) + 1} runs recorded)")
-    if check and baseline is not None:
-        failures = bench.check_regression(baseline, results, threshold)
-        if failures:
-            for name, base_s, new_s, slowdown in failures:
-                print(f"regression: {name}: {base_s * 1000:.2f} ms -> "
-                      f"{new_s * 1000:.2f} ms "
-                      f"(+{slowdown:.0%} > {threshold:.0%})",
-                      file=sys.stderr)
-            return 1
-        print(f"no regression vs baseline (threshold {threshold:.0%})")
     return 0
 
 
@@ -440,45 +345,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "'all' = every sanitizer")
     run_p.add_argument("--jobs", type=int, default=1,
                        help="run independent experiments across N worker "
-                            "processes (default 1: classic sequential "
-                            "runner; results always print in submission "
-                            "order)")
+                            "processes (default 1: in this process; "
+                            "results always print in submission order)")
     profile_p = sub.add_parser(
         "profile", help="run one experiment under cProfile with kernel "
                         "event/dispatch counters")
-    profile_p.add_argument("experiment",
-                           help="experiment id (see 'list'), or a bench "
-                                "scenario name with --bench")
-    profile_p.add_argument("--bench", action="store_true",
-                           help="profile a micro-benchmark scenario from "
-                                "'csar-repro bench' instead of an "
-                                "experiment")
+    profile_p.add_argument("experiment", help="experiment id (see 'list')")
     profile_p.add_argument("--scale", type=float, default=None,
                            help="data-volume scale factor")
     profile_p.add_argument("--top", type=int, default=20,
                            help="number of profile rows (default 20)")
     profile_p.add_argument("--sort", default="cumulative",
                            help="pstats sort key (default: cumulative)")
-    bench_p = sub.add_parser(
-        "bench", help="run the simulator micro-benchmarks and append "
-                      "results to the perf-trajectory file")
-    bench_p.add_argument("scenarios", nargs="*", default=None,
-                         help="scenario names to run (default: all); "
-                              "unknown names are skipped with a warning")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="2 repeats per scenario instead of 5")
-    bench_p.add_argument("--json", default="BENCH_simulator.json",
-                         dest="json_path",
-                         help="trajectory file (default: "
-                              "BENCH_simulator.json)")
-    bench_p.add_argument("--note", default="",
-                         help="free-form label recorded with the run")
-    bench_p.add_argument("--check", action="store_true",
-                         help="exit 1 if any scenario regresses more than "
-                              "--threshold vs the last recorded run")
-    bench_p.add_argument("--threshold", type=float, default=0.30,
-                         help="regression threshold for --check "
-                              "(default 0.30 = 30%%)")
     report_p = sub.add_parser(
         "report", help="run the paper-claim checklist and print verdicts")
     report_p.add_argument("--scale", type=float, default=None,
@@ -605,10 +483,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             args.list_scenarios, args.witness_path)
     if args.command == "profile":
         return _cmd_profile(args.experiment, args.scale, args.top,
-                            args.sort, args.bench)
-    if args.command == "bench":
-        return _cmd_bench(args.json_path, args.note, args.quick,
-                          args.check, args.threshold, args.scenarios)
+                            args.sort)
     return _cmd_run(args.ids, args.scale, args.csv_dir, args.chart,
                     args.sanitize, args.jobs)
 

@@ -83,8 +83,7 @@ class FaultInjector:
             raise FaultPlanError(
                 f"plan was sampled for {plan.num_servers} servers, "
                 f"system has {system.config.num_servers}")
-        if plan.needs_timeout and \
-                getattr(system.config, "rpc_timeout", None) is None:
+        if plan.needs_timeout and system.config.rpc_timeout is None:
             raise FaultPlanError(
                 "plan drops messages, which strands RPCs forever unless "
                 "CSARConfig.rpc_timeout is set")

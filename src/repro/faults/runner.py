@@ -257,50 +257,36 @@ def run_plan(plan: FaultPlan, inject=None) -> ChaosResult:
     the workload starts — the hook the verify-the-verifier tests use to
     swap in :mod:`repro.analysis.seeded_bugs` schemes.
     """
-    from repro.analysis import bufsan, locksan, paritysan
+    from repro.analysis import SANITIZER_MODULES, sanitizer_scope
     from repro.csar.system import System
 
-    locksan.install()
-    bufsan.install()
-    paritysan.install()
+    failure_kind: Optional[str] = None
+    failure: Optional[str] = None
+    data: Dict[str, Any] = {"diffs": [], "outcomes": [],
+                            "contents": {}, "fired": []}
     _injector.install(plan)
     try:
-        locksan.drain_reports()
-        bufsan.drain_reports()
-        paritysan.drain_reports()
-        failure_kind: Optional[str] = None
-        failure: Optional[str] = None
-        data: Dict[str, Any] = {"diffs": [], "outcomes": [],
-                                "contents": {}, "fired": []}
-        try:
-            system = System(_chaos_config(plan))
-            if inject is not None:
-                inject(system)
-            data = _drive(plan, system)
-        except (ReproError, AssertionError) as exc:
-            failure_kind = f"exception:{type(exc).__name__}"
-            failure = str(exc)
-        lock_reports = locksan.drain_reports()
-        buf_reports = bufsan.drain_reports()
-        parity_reports = paritysan.drain_reports()
+        with sanitizer_scope(SANITIZER_MODULES) as drain:
+            try:
+                system = System(_chaos_config(plan))
+                if inject is not None:
+                    inject(system)
+                data = _drive(plan, system)
+            except (ReproError, AssertionError) as exc:
+                failure_kind = f"exception:{type(exc).__name__}"
+                failure = str(exc)
+            reports = drain()
     finally:
         _injector.uninstall()
-        locksan.uninstall()
-        bufsan.uninstall()
-        paritysan.uninstall()
 
     # Attribution priority mirrors the explorer: an exception beats a
-    # LockSan report beats BufSan beats ParitySan beats a differential
-    # mismatch (the sanitizers point closer to the root cause).
-    if failure_kind is None and lock_reports:
-        failure_kind = f"locksan:{lock_reports[0].kind}"
-        failure = lock_reports[0].format()
-    if failure_kind is None and buf_reports:
-        failure_kind = f"bufsan:{buf_reports[0].kind}"
-        failure = buf_reports[0].format()
-    if failure_kind is None and parity_reports:
-        failure_kind = f"paritysan:{parity_reports[0].kind}"
-        failure = parity_reports[0].format()
+    # sanitizer report (the scope hands them back LockSan, then BufSan,
+    # then ParitySan) beats a differential mismatch — the sanitizers
+    # point closer to the root cause.
+    if failure_kind is None and reports:
+        tool, report = reports[0]
+        failure_kind = f"{tool}:{report.kind}"
+        failure = report.format()
     if failure_kind is None and data["diffs"]:
         failure_kind = "differential"
         failure = "; ".join(data["diffs"][:4])

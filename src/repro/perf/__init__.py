@@ -1,24 +1,24 @@
-"""Performance layer: parallel sweeps, profiling, and the bench harness.
+"""Performance layer: parallel sweeps and profiling.
 
-Three pieces, all riding on the deterministic event kernel:
+Two pieces, both riding on the deterministic event kernel (the benchmark
+of record is ``bench/`` at the repo root, outside the package):
 
 * :mod:`repro.perf.runner` — fan independent experiment sweep points
   across a process pool (``csar-repro run --jobs N``) with deterministic
   result ordering and merged kernel counters;
 * :mod:`repro.perf.profiler` — ``csar-repro profile``: cProfile plus the
-  kernel's free event/dispatch counters, per environment;
-* :mod:`repro.perf.bench` — ``csar-repro bench``: the simulator's own
-  micro-benchmarks, appended to ``BENCH_simulator.json`` to seed the
-  repo's perf trajectory.
+  kernel's free event/dispatch counters, per environment.
 """
 
 from repro.perf.runner import (SweepPoint, SweepPointError, SweepResult,
-                               merge_counters, run_sweep)
+                               collecting_environments, merge_counters,
+                               run_sweep)
 
 __all__ = [
     "SweepPoint",
     "SweepPointError",
     "SweepResult",
+    "collecting_environments",
     "merge_counters",
     "run_sweep",
 ]

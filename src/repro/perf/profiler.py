@@ -1,9 +1,10 @@
 """``csar-repro profile``: cProfile one experiment plus kernel counters.
 
-Wraps an experiment run in :mod:`cProfile` and, through the engine's
-environment-observer hook, collects the free scheduling/dispatch
-counters of every :class:`~repro.sim.engine.Environment` the experiment
-creates (one per simulated system/phase).  The counters cost nothing in
+Wraps an experiment run in :mod:`cProfile` and, through
+:func:`~repro.perf.runner.collecting_environments`, collects the free
+scheduling/dispatch counters of every
+:class:`~repro.sim.engine.Environment` the experiment creates (one per
+simulated system/phase).  The counters cost nothing in
 the kernel — ``scheduled`` is the heap sequence number the engine keeps
 anyway and ``dispatched`` is derived from it — so profiling answers both
 "where does the wall clock go?" and "how many events did that cost?".
@@ -14,35 +15,22 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.experiments import ExpTable, get_experiment
-from repro.sim import engine
+from repro.perf.runner import collecting_environments
 
 
-def _profile_call(func, title: str, top: int, sort: str):
-    """Run ``func`` under cProfile + the env-observer; returns (report,
-    func's return value)."""
-    envs: List[engine.Environment] = []
-    previous = engine.env_observer()
+def profile_experiment(exp_id: str, scale: Optional[float] = None,
+                       top: int = 20,
+                       sort: str = "cumulative") -> Tuple[str, ExpTable]:
+    """Run one experiment under cProfile; returns (report text, table)."""
+    exp = get_experiment(exp_id)
+    effective = exp.default_scale if scale is None else scale
+    with collecting_environments() as envs, cProfile.Profile() as profiler:
+        table = exp.run(scale=effective)
 
-    def observer(env: engine.Environment) -> None:
-        envs.append(env)
-        if previous is not None:
-            previous(env)
-
-    engine.set_env_observer(observer)
-    profiler = cProfile.Profile()
-    try:
-        profiler.enable()
-        try:
-            result = func()
-        finally:
-            profiler.disable()
-    finally:
-        engine.set_env_observer(previous)
-
-    lines = [f"== profile: {title} ==", ""]
+    lines = [f"== profile: {exp_id} (scale {effective:g}) ==", ""]
     lines.append("-- kernel counters (one environment per simulated "
                  "system/phase) --")
     total_scheduled = total_dispatched = 0
@@ -64,34 +52,4 @@ def _profile_call(func, title: str, top: int, sort: str):
     stats.sort_stats(sort).print_stats(top)
     lines.append(f"-- cProfile (top {top} by {sort}) --")
     lines.append(buffer.getvalue().rstrip())
-    return "\n".join(lines), result
-
-
-def profile_experiment(exp_id: str, scale: Optional[float] = None,
-                       top: int = 20,
-                       sort: str = "cumulative") -> Tuple[str, ExpTable]:
-    """Run one experiment under cProfile; returns (report text, table)."""
-    exp = get_experiment(exp_id)
-    effective = exp.default_scale if scale is None else scale
-    return _profile_call(lambda: exp.run(scale=effective),
-                         f"{exp_id} (scale {effective:g})", top, sort)
-
-
-def profile_bench(name: str, top: int = 20,
-                  sort: str = "cumulative") -> str:
-    """Run one bench scenario (``repro.perf.bench``) under cProfile.
-
-    The scenario runs once unprofiled first so module-level fixtures
-    (cached payloads, RNG blocks) are built outside the measurement —
-    the profile shows the steady-state cost the ``--check`` gate tracks.
-    """
-    from repro.errors import ConfigError
-    from repro.perf import bench
-
-    scenario = bench.SCENARIOS.get(name)
-    if scenario is None:
-        raise ConfigError(f"unknown bench scenario {name!r}; known: "
-                          f"{', '.join(bench.SCENARIOS)}")
-    scenario.func()  # warm fixtures
-    report, _value = _profile_call(scenario.func, f"bench:{name}", top, sort)
-    return report
+    return "\n".join(lines), table

@@ -5,7 +5,7 @@ fully deterministic simulation, so points are embarrassingly parallel:
 each worker process runs exactly one simulation at a time and produces
 the same tables it would produce sequentially.  :func:`run_sweep` fans
 points across a :class:`~concurrent.futures.ProcessPoolExecutor` and
-returns results **in submission order** regardless of completion order,
+yields results **in submission order** regardless of completion order,
 so ``--jobs 4`` output is byte-identical to ``--jobs 1`` (modulo wall
 clock, which is reported but not part of any table).
 
@@ -21,10 +21,12 @@ import multiprocessing
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.experiments import ExpTable, get_experiment
+from repro.sim import engine
 
 
 @dataclass(frozen=True)
@@ -95,39 +97,48 @@ def _portable_exception(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _run_point(point: SweepPoint,
-               sanitize: "str | bool | None" = False) -> SweepResult:
-    """Execute one point in the current process (the worker body)."""
-    from repro.analysis import (drain_sanitizer_reports, install_sanitizers,
-                                sanitize_modes)
-    from repro.sim import engine
+@contextmanager
+def collecting_environments() -> Iterator[List[engine.Environment]]:
+    """Collect every :class:`Environment` created inside the block.
 
-    modes = sanitize_modes(sanitize)
-    # Workers keep sanitizers installed for their lifetime: a fork-started
-    # worker runs many points, and install() is idempotent per mode.
-    install_sanitizers(modes)
-
-    envs: List[object] = []
+    Chains to whatever observer was installed before and puts it back on
+    exit, so collectors nest (``csar-repro profile`` inside a harness
+    that counts environments itself).
+    """
+    envs: List[engine.Environment] = []
     previous = engine.env_observer()
 
-    def observer(env) -> None:
+    def observer(env: engine.Environment) -> None:
         envs.append(env)
         if previous is not None:
             previous(env)
 
     engine.set_env_observer(observer)
+    try:
+        yield envs
+    finally:
+        engine.set_env_observer(previous)
+
+
+def _run_point(point: SweepPoint,
+               sanitize: Optional[str] = None) -> SweepResult:
+    """Execute one point in the current process (the worker body)."""
+    from repro.analysis import sanitize_modes, sanitizer_scope
+
     table: Optional[ExpTable] = None
     error: Optional[BaseException] = None
-    t0 = time.perf_counter()
-    try:
-        exp = get_experiment(point.exp_id)
-        effective = exp.default_scale if point.scale is None else point.scale
-        table = exp.run(scale=effective)
-    except Exception as exc:
-        error = _portable_exception(exc)
-    finally:
+    with sanitizer_scope(sanitize_modes(sanitize)) as drain, \
+            collecting_environments() as envs:
+        t0 = time.perf_counter()
+        try:
+            exp = get_experiment(point.exp_id)
+            effective = (exp.default_scale if point.scale is None
+                         else point.scale)
+            table = exp.run(scale=effective)
+        except Exception as exc:
+            error = _portable_exception(exc)
         wall = time.perf_counter() - t0
-        engine.set_env_observer(previous)
+        reports = [report.format() for _tool, report in drain()]
 
     counters: Dict[str, float] = {
         "environments": float(len(envs)),
@@ -140,8 +151,6 @@ def _run_point(point: SweepPoint,
         counters["events_scheduled"] += stats["scheduled"]
         counters["events_dispatched"] += stats["dispatched"]
         counters["sim_time"] += stats["now"]
-
-    reports = [r.format() for r in drain_sanitizer_reports(modes)]
     return SweepResult(point=point, table=table, wall=wall,
                        counters=counters, error=error,
                        sanitizer_reports=reports)
@@ -157,39 +166,42 @@ def _mp_context():
 
 
 def run_sweep(points: Sequence[SweepPoint], jobs: int = 1,
-              sanitize: "str | bool | None" = False) -> List[SweepResult]:
-    """Run every point; results in submission order.
+              sanitize: Optional[str] = None) -> Iterator[SweepResult]:
+    """Run every point; yields each result, in submission order, as soon
+    as it (and every point before it) has finished.
 
-    ``jobs <= 1`` runs sequentially in-process (identical to the classic
-    runner); ``jobs > 1`` fans out over a process pool.  Unknown
-    experiment ids raise :class:`~repro.errors.ConfigError` up front,
-    before any worker is spawned.
+    ``jobs <= 1`` (or a single point) runs in-process, one point per
+    ``next()``; ``jobs > 1`` fans out over a process pool.  Unknown
+    experiment ids raise :class:`~repro.errors.ConfigError` here, before
+    anything runs or any worker is spawned.
     """
     points = list(points)
     for point in points:
         get_experiment(point.exp_id)  # validate early; raises ConfigError
     if jobs <= 1 or len(points) <= 1:
-        return [_run_point(point, sanitize) for point in points]
+        return (_run_point(point, sanitize) for point in points)
+    return _pool_sweep(points, jobs, sanitize)
 
-    results: List[SweepResult] = []
-    workers = min(jobs, len(points))
-    with ProcessPoolExecutor(max_workers=workers,
+
+def _pool_sweep(points: List[SweepPoint], jobs: int,
+                sanitize: Optional[str]) -> Iterator[SweepResult]:
+    """The ``jobs > 1`` half of :func:`run_sweep`: submit every point,
+    then yield the futures' results in submission order."""
+    with ProcessPoolExecutor(max_workers=min(jobs, len(points)),
                              mp_context=_mp_context()) as pool:
         futures = [pool.submit(_run_point, point, sanitize)
                    for point in points]
         for point, future in zip(points, futures):
             try:
-                results.append(future.result())
+                yield future.result()
             except BaseException as exc:
                 # The worker process died outright (BrokenProcessPool,
                 # unpicklable payload, ...): surface it on its point.
-                results.append(SweepResult(
-                    point=point, table=None, wall=0.0,
-                    error=_portable_exception(exc)))
-    return results
+                yield SweepResult(point=point, table=None, wall=0.0,
+                                  error=_portable_exception(exc))
 
 
-def merge_counters(results: Sequence[SweepResult]) -> Dict[str, float]:
+def merge_counters(results: Iterable[SweepResult]) -> Dict[str, float]:
     """Sum kernel counters across points, plus ok/failed point counts."""
     merged: Dict[str, float] = {"points_ok": 0.0, "points_failed": 0.0,
                                 "wall_seconds": 0.0}

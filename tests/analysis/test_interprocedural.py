@@ -137,6 +137,28 @@ class TestBaseline:
         assert new == []
         assert suppressed == len(findings)
 
+    def test_baseline_keys_survive_a_shifted_witness_chain(self, tmp_path):
+        # The messages quote `file.py:LINE` for every hop of a witness
+        # chain; one blank line on top of each file moves all of them
+        # (and the findings themselves) without changing what is wrong.
+        import shutil
+
+        tree = tmp_path / "fixtures"
+        shutil.copytree(IP_FIXTURES, tree)
+        findings = lint.lint_paths([str(tree)], interprocedural=True)
+        assert any(".py:" in f.message for f in findings)
+        path = str(tmp_path / "baseline.json")
+        lint.write_baseline(findings, path)
+        for source in tree.rglob("*.py"):
+            source.write_text("\n" + source.read_text())
+        shifted = lint.lint_paths([str(tree)], interprocedural=True)
+        assert [f.line for f in shifted] == [f.line + 1 for f in findings]
+        assert [f.message for f in shifted] != [f.message for f in findings]
+        new, suppressed = lint.apply_baseline(
+            shifted, lint.load_baseline(path))
+        assert new == []
+        assert suppressed == len(findings)
+
     def test_new_findings_are_not_suppressed(self, tmp_path):
         path = str(tmp_path / "baseline.json")
         findings = self.findings()

@@ -180,6 +180,9 @@ def test_torn_write_persists_a_prefix_and_crashes():
         assert not np.array_equal(got, want)
 
 
+# The restarted server's stale disk breaks the mirror until a rebuild —
+# which is the point of the quarantine, and a ParitySan report.
+@pytest.mark.paritysan_expected
 def test_restart_crash_restarts_but_stays_suspected():
     system = make_system(plan_of(
         FaultSpec("restart_crash", 1, Trigger("time", 0.0005),

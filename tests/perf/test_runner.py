@@ -2,8 +2,9 @@
 
 The load-bearing guarantees: a parallel sweep is *bit-identical* to the
 sequential one (tables, CSV, kernel counters), results come back in
-submission order, and a worker crash surfaces the original experiment
-exception labeled with its point.
+submission order as they finish, a worker crash surfaces the original
+experiment exception labeled with its point, and an in-process sweep
+leaves the caller's sanitizers as it found them.
 """
 
 import pytest
@@ -23,8 +24,8 @@ POINTS = [
 
 class TestDeterminism:
     def test_jobs4_bit_identical_to_jobs1(self):
-        sequential = run_sweep(POINTS, jobs=1)
-        parallel = run_sweep(POINTS, jobs=4)
+        sequential = list(run_sweep(POINTS, jobs=1))
+        parallel = list(run_sweep(POINTS, jobs=4))
         assert len(sequential) == len(parallel) == len(POINTS)
         for seq, par in zip(sequential, parallel):
             assert seq.ok and par.ok
@@ -39,6 +40,28 @@ class TestDeterminism:
     def test_results_in_submission_order(self):
         results = run_sweep(POINTS, jobs=4)
         assert [r.point for r in results] == POINTS
+
+    def test_in_process_sweep_yields_each_point_as_it_finishes(
+            self, monkeypatch):
+        # `csar-repro run all` prints table by table: a point runs when
+        # its result is asked for, not before.
+        from repro.experiments.base import REGISTRY, Experiment, ExpTable
+
+        ran = []
+
+        def make(name):
+            def run(scale=None):
+                ran.append(name)
+                return ExpTable(name, name, ["col"])
+            return Experiment(name, name, run)
+
+        for name in ("first", "second"):
+            monkeypatch.setitem(REGISTRY, name, make(name))
+        results = run_sweep([SweepPoint("first"), SweepPoint("second")])
+        assert ran == []
+        assert next(results).point.exp_id == "first"
+        assert ran == ["first"]
+        assert [r.point.exp_id for r in results] == ["second"]
 
     def test_sequential_matches_direct_experiment_run(self):
         from repro.experiments import get_experiment
@@ -71,7 +94,7 @@ class TestErrorSurfacing:
     def test_worker_crash_surfaces_original_exception_with_label(
             self, failing_experiment):
         points = [SweepPoint("fig1"), SweepPoint("boom", scale=0.5)]
-        results = run_sweep(points, jobs=2)
+        results = list(run_sweep(points, jobs=2))
         assert results[0].ok
         failed = results[1]
         assert not failed.ok
@@ -86,7 +109,7 @@ class TestErrorSurfacing:
 
     def test_failure_does_not_poison_other_points(self, failing_experiment):
         points = [SweepPoint("boom"), SweepPoint("fig1"), SweepPoint("fig2")]
-        results = run_sweep(points, jobs=2)
+        results = list(run_sweep(points, jobs=2))
         assert [r.ok for r in results] == [False, True, True]
         merged = merge_counters(results)
         assert merged["points_failed"] == 1
@@ -106,6 +129,45 @@ class TestErrorSurfacing:
     def test_raise_error_is_noop_on_success(self):
         result = SweepResult(point=SweepPoint("fig1"), table=None, wall=0.0)
         result.raise_error()  # must not raise
+
+
+class TestSanitizerScope:
+    """``run_sweep`` must not leak sanitizers into its caller."""
+
+    @staticmethod
+    def installed():
+        from repro.analysis import SANITIZER_MODULES, sanitizer_module
+        from repro.storage import payload
+
+        state = {mode: sanitizer_module(mode).installed()
+                 for mode in SANITIZER_MODULES}
+        state["capture_hook"] = payload._capture_hook is not None
+        return state
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_in_process_sweep_leaves_nothing_installed(self, jobs):
+        # A single point runs in-process whatever --jobs says.
+        before = self.installed()
+        [result] = run_sweep([SweepPoint("fig1")], jobs=jobs,
+                             sanitize="all")
+        assert result.ok
+        assert self.installed() == before
+
+    def test_preinstalled_sanitizer_survives_the_sweep(self):
+        from repro.analysis import paritysan
+
+        if paritysan.installed():  # the CSAR_PARITYSAN=1 harness case
+            list(run_sweep([SweepPoint("fig1")], sanitize="all"))
+            assert paritysan.installed()
+            return
+        paritysan.install()
+        try:
+            before = self.installed()
+            list(run_sweep([SweepPoint("fig1")], sanitize="all"))
+            assert self.installed() == before
+            assert paritysan.installed()
+        finally:
+            paritysan.uninstall()
 
 
 class TestLabels:
