@@ -28,21 +28,47 @@ from contextlib import contextmanager
 from typing import (Any, Callable, Iterable, Iterator, List, Optional,
                     Tuple)
 
+from repro.sim import engine
+
 
 class SanitizerRegistry:
-    """Weak-ref registry of the live instances of one sanitizer kind.
+    """One sanitizer kind: its installation and its live instances.
 
-    LockSan, ParitySan, and BufSan each keep one module-level registry:
-    instances register themselves at construction, and
-    ``drain_reports()`` sweeps reports across every live instance
-    without threading them through.  Drains keep live sanitizers
-    registered (their Environments may keep running), so reports made
-    after a drain are still seen; dead ones are swept out.
+    LockSan, ParitySan, and BufSan each keep one module-level registry
+    and export its bound methods as the module's ``install() /
+    uninstall() / installed() / drain_reports()``.  Installing attaches
+    the kind to the engine's ambient registry, so every new Environment
+    builds ``sanitizer(env, strict=...)`` — which subscribes itself to
+    its probes — and keeps it as ``env.<key>``; ``switch(on)``, when
+    given, runs after every install / uninstall.  Instances register
+    themselves weakly at construction, so a drain sweeps reports across
+    every live one without threading them through, and keeps them
+    registered (their Environments may keep running): reports made
+    after a drain are still seen.
     """
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    def __init__(self, key: str, sanitizer: Callable[..., Any],
+                 switch: Optional[Callable[[bool], None]] = None) -> None:
+        self.key = key
+        self.sanitizer = sanitizer
+        self._switch = switch
         self._active: List["weakref.ref[Any]"] = []
+
+    def install(self, strict: bool = False) -> None:
+        """Sanitize every Environment created from now on."""
+        engine.attach(self.key,
+                      lambda env: self.sanitizer(env, strict=strict))
+        if self._switch is not None:
+            self._switch(True)
+
+    def uninstall(self) -> None:
+        """Stop sanitizing new Environments."""
+        engine.detach(self.key)
+        if self._switch is not None:
+            self._switch(False)
+
+    def installed(self) -> bool:
+        return engine.attached(self.key) is not None
 
     def register(self, sanitizer: Any) -> None:
         self._active.append(weakref.ref(sanitizer))

@@ -11,8 +11,9 @@ and ParitySan checks redundancy *state*; BufSan checks buffer
 
 When installed (:func:`install`, the CLI's ``run --sanitize=buf``, or
 ``CSAR_BUFSAN=1`` honored by the test suite's ``conftest``), every new
-:class:`~repro.sim.engine.Environment` gets a :class:`BufSan` as
-``env.bufsan``, and :func:`repro.storage.payload.set_capture_hook`
+:class:`~repro.sim.engine.Environment` builds a :class:`BufSan` (kept as
+``env.bufsan``) that subscribes itself to the sync-point probes below
+(:mod:`repro.probes`), and :func:`repro.storage.payload.set_capture_hook`
 routes every buffer capture here.  At the moment a
 :class:`~repro.storage.payload.Payload` (or rope segment, or
 materialized rope cache) captures an array, BufSan fingerprints its
@@ -22,10 +23,9 @@ re-verified
 * immediately, whenever the **same array object is captured again** —
   this catches scratch-buffer reuse at the exact process and sim-time
   of the mutating write;
-* at the same sync points ParitySan uses: ``on_quiescent()`` from
-  ``System.run``, ``on_run_complete()`` when the event heap drains,
-  ``on_recovery(index)`` after a rebuild, and (with ``per_write=True``)
-  whenever the in-flight write count returns to zero.
+* at the sync points ParitySan also uses: ``system.quiescent`` from
+  ``System.run``, ``run.complete`` when the event heap drains, and
+  ``recovery.done`` after a rebuild.
 
 Any mismatch means some code thawed (``flags.writeable = True``) or
 otherwise mutated a buffer after sharing it — exactly what the static
@@ -54,10 +54,6 @@ try:  # pragma: no cover - exercised only where xxhash is installed
 except ImportError:  # stdlib fallback, same 64-bit width
     def _digest(data: bytes) -> str:
         return hashlib.blake2b(data, digest_size=8).hexdigest()
-
-#: Every live sanitizer; the payload capture hook fans out to the ones
-#: still open.
-_REGISTRY = SanitizerRegistry("bufsan")
 
 
 @dataclass(frozen=True)
@@ -103,33 +99,26 @@ class _Tracked:
 class BufSan:
     """Per-:class:`Environment` buffer-identity sanitizer."""
 
-    def __init__(self, strict: bool = False,
-                 per_write: bool = False) -> None:
+    def __init__(self, env: Any, strict: bool = False) -> None:
+        self.env = env
         self.strict = strict
-        self.per_write = per_write
         self.reports: List[BufSanReport] = []
-        self._system: Optional[Any] = None
-        self._inflight = 0
         self._closed = False
         #: id(array) -> tracking entry (weakref keeps buffers collectable)
         self._tracked: Dict[int, _Tracked] = {}
         #: total payload-captured bytes fingerprinted (cost accounting)
         self.bytes_fingerprinted = 0
         _REGISTRY.register(self)
+        env.subscribe("system.quiescent", self.on_quiescent)
+        env.subscribe("run.complete", self.on_run_complete)
+        env.subscribe("recovery.done", self.on_recovery)
 
     # ------------------------------------------------------------------
-    def attach(self, system: Any) -> None:
-        """Called by :class:`System` so drift can be attributed to the
-        simulation clock and active process."""
-        self._system = system
-
     def _context(self) -> Tuple[Optional[str], Optional[float]]:
-        system = self._system
-        if system is None:
-            return (None, None)
-        env = system.env
-        proc = env.active_process
-        return (proc.name if proc is not None else None, env.now)
+        """The active process and the simulation clock, which is what a
+        drift is attributed to."""
+        proc = self.env.active_process
+        return (proc.name if proc is not None else None, self.env.now)
 
     def _report(self, kind: str, message: str, sync_point: str,
                 captured: Tuple[Optional[str], Optional[float]]) -> None:
@@ -200,14 +189,6 @@ class BufSan:
     def on_recovery(self, index: int) -> None:
         self._check_all(f"post-recovery(server {index})")
 
-    def on_write_start(self, name: str) -> None:
-        self._inflight += 1
-
-    def on_write_complete(self, name: str) -> None:
-        self._inflight -= 1
-        if self.per_write and self._inflight == 0:
-            self._check_all(f"post-write({name})")
-
     # ------------------------------------------------------------------
     def _check_all(self, sync_point: str) -> None:
         """Re-verify every live tracked buffer.
@@ -238,40 +219,27 @@ def _on_payload_capture(payload: Any, arr: Any, kind: str) -> None:
             sanitizer.on_capture(payload, arr, kind)
 
 
-def install(strict: bool = False, per_write: bool = False) -> None:
-    """Attach a fresh BufSan to every Environment created from now on
-    and start observing payload captures."""
-    from repro.sim import engine
-    from repro.storage import payload
-
-    engine.set_bufsan_factory(
-        lambda: BufSan(strict=strict, per_write=per_write))
-    payload.set_capture_hook(_on_payload_capture)
-
-
-def uninstall() -> None:
-    """Stop sanitizing new Environments and observing captures, and
-    close every sanitizer still open (those built since :func:`install`).
+def _observe_captures(on: bool) -> None:
+    """Start observing payload captures with :func:`install`; with
+    :func:`uninstall` stop, and close every sanitizer still open (those
+    built since the install).
 
     An environment with a background flusher never drains, so nothing
     else would close its sanitizer: it would go on fingerprinting the
     next run's captures until the cycle collector freed it.
     """
-    from repro.sim import engine
     from repro.storage import payload
 
-    engine.set_bufsan_factory(None)
-    payload.set_capture_hook(None)
-    for sanitizer in _REGISTRY.live():
-        sanitizer.close()
+    payload.set_capture_hook(_on_payload_capture if on else None)
+    if not on:
+        for sanitizer in _REGISTRY.live():
+            sanitizer.close()
 
 
-def installed() -> bool:
-    from repro.sim import engine
-
-    return engine.bufsan_factory() is not None
-
-
-def drain_reports() -> List[BufSanReport]:
-    """Collect (and clear) reports from every live sanitizer."""
-    return _REGISTRY.drain()
+#: Every live sanitizer (the capture hook fans out to the ones still
+#: open), and the module's installation surface.
+_REGISTRY = SanitizerRegistry("bufsan", BufSan, switch=_observe_captures)
+install = _REGISTRY.install
+uninstall = _REGISTRY.uninstall
+installed = _REGISTRY.installed
+drain_reports = _REGISTRY.drain

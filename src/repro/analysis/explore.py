@@ -5,7 +5,7 @@ in scheduling order.  Real clusters enjoy no such courtesy — message
 arrivals race — so a protocol bug that only manifests under an unlucky
 interleaving can hide behind the default schedule forever.  This module
 drives the engine's tie-break hook
-(:func:`repro.sim.engine.set_tie_breaker_factory`) to search over those
+(``repro.sim.engine.attach("_tie_breaker", ...)``) to search over those
 interleavings:
 
 * **dfs** — bounded systematic exploration.  Run once with default
@@ -473,7 +473,7 @@ def _run_schedule(scen: Scenario, tie_breaker) \
     from repro.sim import engine
 
     violation: Optional[Violation] = None
-    engine.set_tie_breaker_factory(lambda: tie_breaker)
+    engine.attach("_tie_breaker", lambda env: tie_breaker)
     try:
         with sanitizer_scope(SANITIZER_MODULES) as drain:
             try:
@@ -482,7 +482,7 @@ def _run_schedule(scen: Scenario, tie_breaker) \
                 violation = Violation(type(exc).__name__, str(exc))
             reports = drain()
     finally:
-        engine.set_tie_breaker_factory(None)
+        engine.detach("_tie_breaker")
     for tool, r in reports:
         if tool == "locksan" and r.kind == "order-inversion":
             _WITNESSES.append({"file": r.file, "group": r.group,

@@ -2,15 +2,17 @@
 
 When installed (:func:`install`, the CLI's ``run --sanitize``, or the
 ``CSAR_LOCKSAN=1`` environment variable honored by the test suite's
-``conftest``), every new :class:`~repro.sim.engine.Environment` gets a
-:class:`LockSan` instance attached as ``env.sanitizer``.  The lock
-primitives then report into it:
+``conftest``), every new :class:`~repro.sim.engine.Environment` builds a
+:class:`LockSan` (kept as ``env.sanitizer``) that subscribes itself to
+the lock probes (:mod:`repro.probes`); the lock primitives name no tool:
 
-* :class:`~repro.sim.resources.FifoLock` reports raw request / grant /
-  release transitions — the basis of the *leak* check (locks still held
-  when :meth:`Environment.run` drains the event heap);
-* :class:`~repro.redundancy.locks.ParityLockTable` reports protocol
-  events keyed by ``xid`` with ``(file, group)`` labels — the basis of
+* :class:`~repro.sim.resources.FifoLock` announces raw request /
+  release transitions (``lock.*``) — the basis of the *leak* check
+  (locks still held when :meth:`Environment.run` drains the event heap,
+  ``run.complete``);
+* :class:`~repro.redundancy.locks.ParityLockTable` announces protocol
+  events keyed by ``xid`` with ``(file, group)`` labels
+  (``parity_lock.*``) — the basis of
   the *lock-order inversion* check (acquiring group *g₂ < g₁* while
   holding *g₁* on the same file), the *wait-for cycle* check (true
   deadlock, raised as :class:`DeadlockError` with the process names
@@ -35,12 +37,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.analysis import SanitizerRegistry
 from repro.errors import DeadlockError, LockSanError
-
-#: Every live sanitizer; lets the CLI and the pytest hook sweep reports
-#: across many Environments without threading the instances through.
-#: Drains keep live sanitizers registered, so reports made after a
-#: drain are still seen.
-_REGISTRY = SanitizerRegistry("locksan")
 
 _Key = Tuple[str, int]  # (file, parity group)
 
@@ -68,15 +64,15 @@ class LockSanReport:
 class LockSan:
     """Per-:class:`Environment` lock-protocol sanitizer."""
 
-    def __init__(self, strict: bool = False,
+    def __init__(self, env: Any, strict: bool = False,
                  raise_on_deadlock: bool = True) -> None:
+        self.env = env
         self.strict = strict
         self.raise_on_deadlock = raise_on_deadlock
         self.reports: List[LockSanReport] = []
         # -- xid-keyed protocol state (ParityLockTable) ----------------
         #: xid -> {(file, group): (acquiring process, sim-time acquired)}
-        self._held_by_xid: Dict[int, Dict[_Key,
-                                          Tuple[str, Optional[float]]]] = {}
+        self._held_by_xid: Dict[int, Dict[_Key, Tuple[str, float]]] = {}
         #: (file, group) -> xid currently holding the parity lock
         self._holder: Dict[_Key, int] = {}
         #: (file, group) -> xids queued FIFO behind the holder
@@ -94,6 +90,19 @@ class LockSan:
         #: lock -> (file, group) label, registered by ParityLockTable
         self._labels: Dict[int, _Key] = {}
         _REGISTRY.register(self)
+        env.subscribe("lock.request", self.on_lock_request)
+        env.subscribe("lock.release", self.on_lock_released)
+        env.subscribe("parity_lock.new", self.label_lock)
+        env.subscribe("parity_lock.wait", self.on_wait)
+        env.subscribe("parity_lock.cancel", self.on_cancel)
+        env.subscribe("parity_lock.acquired", self.on_acquired)
+        env.subscribe("parity_lock.released", self.on_released)
+        env.subscribe("parity_lock.double_release", self.on_double_release)
+        env.subscribe("run.complete", self.on_run_complete)
+
+    def _proc_name(self) -> str:
+        proc = self.env.active_process
+        return proc.name if proc is not None else "<main>"
 
     # ------------------------------------------------------------------
     # reporting
@@ -116,6 +125,17 @@ class LockSan:
         """Attach ``(file, group)`` so leak reports can name the lock."""
         self._labels[id(lock)] = (file, group)
 
+    def on_lock_request(self, lock: Any, request: Any) -> None:
+        proc_name = self._proc_name()
+        if request.triggered:
+            self.on_lock_granted(lock, request, proc_name)
+        else:
+            # Grants happen inside a release(); record the hold when
+            # the grant event is processed, before the waiting
+            # process resumes (its callback was not yet appended).
+            request.callbacks.append(
+                lambda _ev: self.on_lock_granted(lock, request, proc_name))
+
     def on_lock_granted(self, lock: Any, request: Any,
                         proc_name: str) -> None:
         if id(request) in self._dead_requests:
@@ -134,11 +154,10 @@ class LockSan:
     # ------------------------------------------------------------------
     # ParityLockTable instrumentation (xid-keyed protocol checks)
     # ------------------------------------------------------------------
-    def on_wait(self, file: str, group: int, xid: int,
-                proc_name: str) -> None:
+    def on_wait(self, file: str, group: int, xid: int) -> None:
         """``xid`` queued behind the holder of ``(file, group)``."""
         key = (file, group)
-        self._proc_of_xid[xid] = proc_name
+        self._proc_of_xid[xid] = self._proc_name()
         self._waiters.setdefault(key, []).append(xid)
         self._waiting_on[xid] = key
         cycle = self._find_cycle(xid)
@@ -157,8 +176,7 @@ class LockSan:
             if self.raise_on_deadlock and not self.strict:
                 raise DeadlockError(report.format())
 
-    def on_cancel(self, file: str, group: int, xid: int,
-                  proc_name: str) -> None:
+    def on_cancel(self, file: str, group: int, xid: int) -> None:
         """``xid``'s queued acquire was interrupted and cancelled."""
         key = (file, group)
         waiters = self._waiters.get(key, [])
@@ -166,10 +184,9 @@ class LockSan:
             waiters.remove(xid)
         self._waiting_on.pop(xid, None)
 
-    def on_acquired(self, file: str, group: int, xid: int,
-                    proc_name: str, now: Optional[float] = None) -> None:
+    def on_acquired(self, file: str, group: int, xid: int) -> None:
         key = (file, group)
-        self._proc_of_xid[xid] = proc_name
+        proc_name = self._proc_of_xid[xid] = self._proc_name()
         waiters = self._waiters.get(key, [])
         if xid in waiters:
             waiters.remove(xid)
@@ -185,7 +202,7 @@ class LockSan:
                     file=file, group=group,
                     processes=(proc_name, holder_proc),
                     held_group=other_group)
-        held[key] = (proc_name, now)
+        held[key] = (proc_name, self.env.now)
         self._holder[key] = xid
 
     def on_released(self, file: str, group: int, xid: int) -> None:
@@ -198,13 +215,12 @@ class LockSan:
         if self._holder.get(key) == xid:
             del self._holder[key]
 
-    def on_double_release(self, file: str, group: int, xid: int,
-                          proc_name: str) -> None:
+    def on_double_release(self, file: str, group: int, xid: int) -> None:
         self._report(
             "double-release",
             f"xid {xid} released parity lock {file}:{group} it does not "
             "hold",
-            file=file, group=group, processes=(proc_name,))
+            file=file, group=group, processes=(self._proc_name(),))
 
     def _held_summary(self, cycle: List[int]) -> str:
         """Per-participant held locks (with acquisition sim-times) for
@@ -217,8 +233,7 @@ class LockSan:
                 parts.append(f"{name}(xid {xid}) holds nothing")
                 continue
             locks = ", ".join(
-                f"{f}:{g}" + ("" if when is None
-                              else f" (acquired t={when:.6g})")
+                f"{f}:{g} (acquired t={when:.6g})"
                 for (f, g), (_proc, when) in sorted(held.items()))
             parts.append(f"{name}(xid {xid}) holds [{locks}]")
         return "held: " + "; ".join(parts)
@@ -266,7 +281,7 @@ class LockSan:
         return dfs(start)
 
     # ------------------------------------------------------------------
-    # teardown (wired into Environment.run when the heap drains)
+    # teardown (``run.complete``: Environment.run drained the heap)
     # ------------------------------------------------------------------
     def on_run_complete(self) -> None:
         """Report every lock still held — a leaked lock can never be
@@ -287,29 +302,10 @@ class LockSan:
         self._lock_owner.clear()
 
 
-# ----------------------------------------------------------------------
-# global installation
-# ----------------------------------------------------------------------
-def install(strict: bool = False) -> None:
-    """Attach a fresh LockSan to every Environment created from now on."""
-    from repro.sim import engine
-
-    engine.set_sanitizer_factory(lambda: LockSan(strict=strict))
-
-
-def uninstall() -> None:
-    """Stop sanitizing new Environments."""
-    from repro.sim import engine
-
-    engine.set_sanitizer_factory(None)
-
-
-def installed() -> bool:
-    from repro.sim import engine
-
-    return engine.sanitizer_factory() is not None
-
-
-def drain_reports() -> List[LockSanReport]:
-    """Collect (and clear) reports from every live sanitizer."""
-    return _REGISTRY.drain()
+#: Every live sanitizer; lets the CLI and the pytest hook sweep reports
+#: across many Environments without threading the instances through.
+_REGISTRY = SanitizerRegistry("sanitizer", LockSan)
+install = _REGISTRY.install
+uninstall = _REGISTRY.uninstall
+installed = _REGISTRY.installed
+drain_reports = _REGISTRY.drain

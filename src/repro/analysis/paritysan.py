@@ -4,11 +4,12 @@ LockSan (:mod:`repro.analysis.locksan`) checks the *protocol*; ParitySan
 checks the *state* the protocol exists to protect.  When installed
 (:func:`install`, the CLI's ``run --sanitize=parity``, or the
 ``CSAR_PARITYSAN=1`` environment variable honored by the test suite's
-``conftest``), every new :class:`~repro.sim.engine.Environment` gets a
-:class:`ParitySan` attached as ``env.paritysan`` and each
-:class:`~repro.csar.system.System` registers itself via :meth:`attach`.
+``conftest``), every new :class:`~repro.sim.engine.Environment` builds a
+:class:`ParitySan` (kept as ``env.paritysan``) that subscribes itself to
+the sync-point probes below (:mod:`repro.probes`); production code
+announces them and names no tool.
 
-At configurable sync points it asserts:
+At those sync points it asserts:
 
 * **parity == XOR of live stripe blocks** for RAID5/Hybrid files (and
   mirror equality for RAID1) — reusing the offline scrub's oracles,
@@ -17,24 +18,25 @@ At configurable sync points it asserts:
   structural :meth:`~repro.redundancy.overflow.OverflowTable.check_invariants`
   self-check on every overflow and overflow-mirror table (content mode
   not required);
-* **post-recovery / post-scrub consistency** — a hook at the end of
+* **post-recovery / post-scrub consistency** — at the end of
   :func:`~repro.redundancy.recovery.rebuild_server` and after every
   :func:`~repro.redundancy.scrub.scrub` pass.
 
-Sync points and their callers:
+Sync points, by probe:
 
 ========================  ==============================================
-``on_quiescent()``        ``System.run()`` after the awaited processes
+``system.built``          ``System.__init__`` is done: :meth:`attach`
+                          lets the checks reach cluster state
+``system.quiescent``      ``System.run()`` after the awaited processes
                           finish (the primary check; background flushers
                           keep the heap alive, so full drains are rare)
-``on_run_complete()``     ``Environment.run`` when the heap drains
-``on_recovery(index)``    end of ``rebuild_server``
-``on_scrub(name, i)``     every offline scrub pass (records the scrub's
+``run.complete``          ``Environment.run`` when the heap drains
+``recovery.done``         end of ``rebuild_server``
+``scrub.done``            every offline scrub pass (records the scrub's
                           own findings as violations)
-``on_write_start/
-on_write_complete``       around each top-level redundancy write; with
-                          ``per_write=True`` a full check runs whenever
-                          the in-flight count returns to zero
+``write.start`` /
+``write.complete``        around each top-level redundancy write: the
+                          count of writes in flight
 ========================  ==============================================
 
 Checks are skipped while writes are in flight or any server is failed —
@@ -51,10 +53,6 @@ from typing import Any, List, Optional
 
 from repro.analysis import SanitizerRegistry
 from repro.errors import ParitySanError
-
-#: Every live sanitizer; drains sweep reports but keep the sanitizer
-#: registered, so reports made after a drain are still seen.
-_REGISTRY = SanitizerRegistry("paritysan")
 
 
 @dataclass(frozen=True)
@@ -75,18 +73,24 @@ class ParitySanReport:
 class ParitySan:
     """Per-:class:`Environment` redundancy-invariant sanitizer."""
 
-    def __init__(self, strict: bool = False,
-                 per_write: bool = False) -> None:
+    def __init__(self, env: Any, strict: bool = False) -> None:
         self.strict = strict
-        self.per_write = per_write
         self.reports: List[ParitySanReport] = []
         self._system: Optional[Any] = None
         self._inflight = 0
         _REGISTRY.register(self)
+        env.subscribe("system.built", self.attach)
+        env.subscribe("system.quiescent", self.on_quiescent)
+        env.subscribe("run.complete", self.on_run_complete)
+        env.subscribe("recovery.done", self.on_recovery)
+        env.subscribe("scrub.done", self.on_scrub)
+        env.subscribe("write.start", self.on_write_start)
+        env.subscribe("write.complete", self.on_write_complete)
 
     # ------------------------------------------------------------------
     def attach(self, system: Any) -> None:
-        """Called by :class:`System` so checks can reach cluster state."""
+        """A :class:`System` was built on this environment: checks can
+        now reach cluster state."""
         self._system = system
 
     def _report(self, kind: str, message: str, file: Optional[str],
@@ -117,8 +121,6 @@ class ParitySan:
 
     def on_write_complete(self, name: str) -> None:
         self._inflight -= 1
-        if self.per_write and self._inflight == 0:
-            self._check_all(f"post-write({name})")
 
     # ------------------------------------------------------------------
     # the checks
@@ -170,31 +172,9 @@ class ParitySan:
                                      sync_point)
 
 
-# ----------------------------------------------------------------------
-# global installation
-# ----------------------------------------------------------------------
-def install(strict: bool = False, per_write: bool = False) -> None:
-    """Attach a fresh ParitySan to every Environment created from now
-    on."""
-    from repro.sim import engine
-
-    engine.set_paritysan_factory(
-        lambda: ParitySan(strict=strict, per_write=per_write))
-
-
-def uninstall() -> None:
-    """Stop sanitizing new Environments."""
-    from repro.sim import engine
-
-    engine.set_paritysan_factory(None)
-
-
-def installed() -> bool:
-    from repro.sim import engine
-
-    return engine.paritysan_factory() is not None
-
-
-def drain_reports() -> List[ParitySanReport]:
-    """Collect (and clear) reports from every live sanitizer."""
-    return _REGISTRY.drain()
+#: Every live sanitizer, and the module's installation surface.
+_REGISTRY = SanitizerRegistry("paritysan", ParitySan)
+install = _REGISTRY.install
+uninstall = _REGISTRY.uninstall
+installed = _REGISTRY.installed
+drain_reports = _REGISTRY.drain

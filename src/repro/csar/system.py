@@ -57,12 +57,7 @@ class System:
         if config.background_flusher:
             for node in self.server_nodes:
                 node.cache.start_flusher()
-        if self.env.paritysan is not None:
-            self.env.paritysan.attach(self)
-        if self.env.bufsan is not None:
-            self.env.bufsan.attach(self)
-        if self.env.faults is not None:
-            self.env.faults.attach(self)
+        self.env.emit("system.built", self)
 
     # ------------------------------------------------------------------
     # running
@@ -81,12 +76,9 @@ class System:
             raise ConfigError("System.run() needs at least one process")
         done = self.env.all_of(procs)
         values = self.env.run(until=done)
-        if self.env.paritysan is not None:
-            # The awaited processes finished and nothing user-visible is
-            # in flight: the redundancy invariants must hold right now.
-            self.env.paritysan.on_quiescent()
-        if self.env.bufsan is not None:
-            self.env.bufsan.on_quiescent()
+        # The awaited processes finished and nothing user-visible is
+        # in flight: the redundancy invariants must hold right now.
+        self.env.emit("system.quiescent")
         return values[-1] if len(values) == 1 else values
 
     def timed(self, *processes) -> tuple[float, Any]:

@@ -10,11 +10,12 @@ The package has three layers:
   through the same ``schema_version``-guarded JSON convention as the
   explorer's ``.sched`` files.
 * :mod:`repro.faults.injector` — the runtime that arms a plan inside a
-  simulation.  It is installed through the engine's factory-hook idiom
-  (:func:`repro.sim.engine.set_fault_factory`) so the engine never
-  imports this package; hook points in ``hw.link``, ``hw.disk``,
-  ``storage.blockfile``, ``pvfs.iod`` and the redundancy schemes
-  consult ``env.faults`` when present and cost nothing when not.
+  simulation.  It is installed through the engine's ambient registry
+  (:func:`repro.sim.engine.attach`) and subscribes itself to the
+  protocol-step probes (:mod:`repro.probes`), so nothing it injects
+  into imports this package; the three places where a fault is a
+  decision (``hw.link``, ``hw.disk``, ``storage.localfs``) query
+  ``env.faults`` and cost one ``None``-check when no plan is armed.
 * :mod:`repro.faults.runner` — the chaos campaign behind
   ``csar-repro chaos``: samples plans, runs content-mode workloads
   under all three sanitizers, and checks the differential oracle plus
@@ -30,7 +31,7 @@ from repro.faults.plan import (
     load_plan,
     sample_plan,
 )
-from repro.faults.injector import FaultInjector, fault_step, install, uninstall
+from repro.faults.injector import FaultInjector, install, uninstall
 
 __all__ = [
     "PLAN_SCHEMA_VERSION",
@@ -39,7 +40,6 @@ __all__ = [
     "FaultSpec",
     "Trigger",
     "FaultInjector",
-    "fault_step",
     "install",
     "uninstall",
     "load_plan",

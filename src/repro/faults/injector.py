@@ -1,20 +1,25 @@
 """The fault-injection runtime.
 
-A :class:`FaultInjector` is built per :class:`~repro.sim.engine.Environment`
-through the engine's factory hook (:func:`install` /
-:func:`repro.sim.engine.set_fault_factory`) and armed against a
-:class:`~repro.csar.system.System` by ``System.__init__`` calling
-:meth:`FaultInjector.attach`.  Hook points consult it:
+While installed (:func:`install`), every new
+:class:`~repro.sim.engine.Environment` builds a :class:`FaultInjector`
+through the engine's ambient registry and keeps it as ``env.faults``.
+The injector *hears* the probes it subscribes to (:mod:`repro.probes`):
+
+* ``system.built`` arms the plan against the
+  :class:`~repro.csar.system.System` (:meth:`FaultInjector.attach`);
+* each named protocol step (:data:`repro.faults.plan.STEP_NAMES`) fires
+  its step-triggered faults synchronously at exactly that point
+  (:meth:`on_step`);
+
+and is *asked*, as ``env.faults``, where a fault is a decision the
+caller must act on, which no notification can return:
 
 * :func:`repro.hw.link.transfer` / ``stream`` call :meth:`link_action`
   per message (drop / delay / duplicate);
 * :meth:`repro.hw.disk.Disk.io` calls :meth:`disk_action` per operation
   (slow down, or inject an EIO that panics the serving daemon);
-* :meth:`repro.storage.blockfile.BlockFile.write` calls the module-level
-  torn-write hook (truncate the payload, then panic the server);
-* protocol code calls :func:`fault_step` at named steps (see
-  :data:`repro.faults.plan.STEP_NAMES`), which fires step-triggered
-  faults synchronously at exactly that point;
+* :class:`repro.storage.localfs.LocalFS` calls :meth:`torn_action` per
+  block-file write (persist a prefix, then panic the server);
 * the chaos runner calls :meth:`note_op` before each workload op.
 
 Crash semantics: a fired crash calls :meth:`IODaemon.fail`, which
@@ -30,30 +35,21 @@ clock, no unseeded randomness, so a plan replays bit-identically.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from functools import partial
+from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.errors import FaultPlanError
-from repro.faults.plan import FaultPlan, FaultSpec
+from repro.errors import DiskFault, FaultPlanError
+from repro.faults.plan import STEP_NAMES, FaultPlan, FaultSpec
 from repro.sim import engine as _engine
-from repro.storage import blockfile as _blockfile
-
-#: The injector of the most recently attached System.  Chaos runs are
-#: sequential (one live System at a time), so a single slot suffices;
-#: the blockfile torn-write hook routes through it because a
-#: :class:`BlockFile` holds no environment reference.
-_CURRENT: Optional["FaultInjector"] = None
-
-#: The plan new environments will arm, while installed.
-_installed_plan: Optional[FaultPlan] = None
 
 
 class FaultInjector:
     """Armed fault plan + live trigger state for one environment."""
 
-    def __init__(self, plan: Optional[FaultPlan]) -> None:
+    def __init__(self, env, plan: Optional[FaultPlan]) -> None:
         self.plan = plan
         self.system = None
-        self.env = None
+        self.env = env
         #: ``(sim_time, kind, server)`` log of every fired fault — part
         #: of the chaos determinism digest.
         self.fired: List[Tuple[float, str, int]] = []
@@ -66,16 +62,16 @@ class FaultInjector:
         self._nic_owner: Dict[int, int] = {}
         self._disk_owner: Dict[int, int] = {}
         self.restarted: set = set()
+        env.subscribe("system.built", self.attach)
+        for name in STEP_NAMES:
+            env.subscribe(name, partial(self.on_step, name))
 
     # ------------------------------------------------------------------
     # arming
     # ------------------------------------------------------------------
     def attach(self, system) -> None:
         """Arm the plan against a freshly built :class:`System`."""
-        global _CURRENT
         self.system = system
-        self.env = system.env
-        _CURRENT = self
         plan = self.plan
         if plan is None:
             return
@@ -115,7 +111,7 @@ class FaultInjector:
             self._fire(spec)
 
     def on_step(self, name: str, server: Optional[int] = None) -> None:
-        """A named protocol step was reached (see :func:`fault_step`)."""
+        """The named protocol step's probe was emitted."""
         count = self._step_counts.get(name, 0) + 1
         self._step_counts[name] = count
         pending = self._pending_steps.get(name)
@@ -227,18 +223,14 @@ class FaultInjector:
             return ("error",)
         return None
 
-    def torn_action(self, block, offset: int, payload):
-        """Torn-write decision for one block-file write, or ``None``.
+    def torn_action(self, owner: Optional[int], payload):
+        """Torn-write decision for one block-file write on server
+        ``owner``, or ``None``.
 
         Returns ``(truncated_payload_or_None, exception)``: the block
         file persists only the prefix, then raises — and the owning
         server is panicked, so the write is never acknowledged.
         """
-        if not self._torn_active:
-            return None
-        owner = getattr(block, "owner", None)
-        if owner is None:
-            return None
         for spec in self._torn_active:
             if spec.server != owner:
                 continue
@@ -246,8 +238,6 @@ class FaultInjector:
             keep = int(payload.length * spec.frac)
             self.fired.append((self.env.now, spec.kind, spec.server))
             self._crash(owner)
-            from repro.errors import DiskFault
-
             torn = payload.slice(0, keep) if keep else None
             return (torn, DiskFault(
                 f"torn write on iod{owner}: {keep}/{payload.length} bytes "
@@ -256,41 +246,17 @@ class FaultInjector:
 
 
 # ---------------------------------------------------------------------------
-# step hook (called from protocol code)
-# ---------------------------------------------------------------------------
-def fault_step(env, name: str, server: Optional[int] = None) -> None:
-    """Announce a named protocol step; a no-op unless a plan is armed."""
-    faults = env.faults
-    if faults is not None:
-        faults.on_step(name, server)
-
-
-def _torn_dispatch(block, offset, payload):
-    injector = _CURRENT
-    if injector is None:
-        return None
-    return injector.torn_action(block, offset, payload)
-
-
-# ---------------------------------------------------------------------------
 # install / uninstall
 # ---------------------------------------------------------------------------
 def install(plan: Optional[FaultPlan]) -> None:
     """Arm ``plan`` for every subsequently created environment."""
-    global _installed_plan
-    _installed_plan = plan
-    _engine.set_fault_factory(lambda: FaultInjector(_installed_plan))
-    _blockfile.set_torn_hook(_torn_dispatch)
+    _engine.attach("faults", lambda env: FaultInjector(env, plan))
 
 
 def uninstall() -> None:
-    """Remove the injector factory and the blockfile hook."""
-    global _installed_plan, _CURRENT
-    _installed_plan = None
-    _CURRENT = None
-    _engine.set_fault_factory(None)
-    _blockfile.set_torn_hook(None)
+    """Stop arming new environments."""
+    _engine.detach("faults")
 
 
 def installed() -> bool:
-    return _engine.fault_factory() is not None
+    return _engine.attached("faults") is not None

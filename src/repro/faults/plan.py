@@ -46,6 +46,7 @@ from random import Random
 from typing import Iterable, Optional, Sequence
 
 from repro.errors import FaultPlanError
+from repro.probes import PROBES
 
 PLAN_SCHEMA_VERSION = 1
 
@@ -62,22 +63,11 @@ FAULT_KINDS = (
 
 TRIGGER_KINDS = ("time", "op", "step")
 
-#: Named protocol steps that accept ``step`` triggers.  Client-side
-#: steps bracket the RAID5 read-modify-write and the Hybrid overflow
-#: write; the ``iod.*`` steps fire server-side (with ``server`` set to
-#: the serving daemon) so a crash can land between a home overflow
-#: append and its mirror copy.
-STEP_NAMES = frozenset({
-    "raid5.rmw.before_parity_read",
-    "raid5.rmw.after_parity_read",
-    "raid5.rmw.before_writeback",
-    "raid5.rmw.after_writeback",
-    "raid5.full_stripe.before_write",
-    "hybrid.overflow.before_write",
-    "hybrid.overflow.after_write",
-    "iod.overflow.before_append",
-    "iod.overflow.after_append",
-})
+#: Named protocol steps that accept ``step`` triggers: the protocol-step
+#: probes of the registry (:mod:`repro.probes`, which describes them).
+STEP_NAMES = frozenset(
+    name for name in PROBES
+    if name.startswith(("raid5.", "hybrid.", "iod.")))
 
 _LINK_KINDS = ("link_drop", "link_delay", "link_dup")
 _DISK_KINDS = ("disk_slow", "disk_error")

@@ -42,8 +42,6 @@ class PVFSClient:
         self._handles: Dict[str, FileMeta] = {}
         #: route operations through the mounted kernel module (Section 6.6)
         self.via_kernel_module = False
-        #: optional :class:`~repro.util.trace.TraceRecorder`
-        self.tracer = None
         #: servers this client has seen fail — reads skip them and go
         #: straight to reconstruction (fail-fast); cleared on rebuild
         self.suspected: set = set()
@@ -395,9 +393,8 @@ class PVFSClient:
         meta = self._handles.get(name)
         open_proc = None if meta is not None else self.env.process(
             self._open_guarded(name))
-        if self.tracer is not None:
-            self.tracer.record(self.index, "write", name, offset,
-                               payload.length)
+        self.env.emit("client.op", self.index, "write", name, offset,
+                      payload.length)
         if self.via_kernel_module:
             yield from self.node.cpu.kernel_module_crossing()
         if open_proc is not None:
@@ -420,8 +417,7 @@ class PVFSClient:
 
     def read(self, name: str, offset: int,
              length: int) -> Generator[Event, Any, Payload]:
-        if self.tracer is not None:
-            self.tracer.record(self.index, "read", name, offset, length)
+        self.env.emit("client.op", self.index, "read", name, offset, length)
         if self.via_kernel_module:
             yield from self.node.cpu.kernel_module_crossing()
         meta = self._handles.get(name)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Tuple
 
 from repro.errors import DiskFault, ProtocolError, ServerFailed
-from repro.faults.injector import fault_step
 from repro.hw.link import stream, transfer
 from repro.hw.node import Node
 from repro.metrics import Metrics
@@ -299,7 +298,7 @@ class IOD:
             name = ovf_file(request.file)
         # Named crash points for the fault matrix: a failure here leaves
         # the overflow append torn between the table and its mirror.
-        fault_step(self.env, "iod.overflow.before_append", self.index)
+        self.env.emit("iod.overflow.before_append", self.index)
         if self.failed:
             raise ServerFailed(f"iod{self.index} crashed")
         cursor = 0
@@ -313,7 +312,7 @@ class IOD:
         # One vectored local write: the scattered append slots charge the
         # cache in a single pass and the slices land without flattening.
         yield from self.fs.write_gather(name, parts)
-        fault_step(self.env, "iod.overflow.after_append", self.index)
+        self.env.emit("iod.overflow.after_append", self.index)
         if self.failed:
             raise ServerFailed(f"iod{self.index} crashed")
         self.metrics.add("hybrid.overflow_write_bytes", cursor)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Tuple
 
-from repro.faults.injector import fault_step
 from repro.pvfs import messages as msg
 from repro.pvfs.layout import ServerRange
 from repro.redundancy import base
@@ -58,7 +57,7 @@ class Hybrid(Raid5):
     def _write_overflow(self, client, meta, start: int, payload: Payload,
                         ) -> Generator[Event, Any, None]:
         """RAID1-style partial-stripe write into overflow + mirror."""
-        fault_step(client.env, "hybrid.overflow.before_write", None)
+        client.env.emit("hybrid.overflow.before_write", None)
         n = meta.layout.n
         calls: List = []
         targets: List[int] = []
@@ -78,7 +77,7 @@ class Hybrid(Raid5):
         # Degraded mode: home and mirror are different nodes, so one
         # failed server still leaves one current copy of every byte.
         yield from self._tolerant_parallel(client, targets, calls)
-        fault_step(client.env, "hybrid.overflow.after_write", None)
+        client.env.emit("hybrid.overflow.after_write", None)
 
     @staticmethod
     def _local_ranges(sr: ServerRange) -> Tuple[Tuple[int, int], ...]:

@@ -37,9 +37,6 @@ class ParityLockTable:
         self.acquisitions = 0
         self.contended_acquisitions = 0
         self.total_wait_time = 0.0
-        # The sanitizer is fixed for the environment's lifetime; bind it
-        # once so unsanitized acquires/releases never consult the hooks.
-        self._san = env.sanitizer
 
     def _lock(self, file: str, group: int) -> FifoLock:
         key = (file, group)
@@ -47,13 +44,8 @@ class ParityLockTable:
         if lock is None:
             lock = FifoLock(self.env)
             self._locks[key] = lock
-            if self._san is not None:
-                self._san.label_lock(lock, file, group)
+            self.env.emit("parity_lock.new", lock, file, group)
         return lock
-
-    def _proc_name(self) -> str:
-        proc = self.env.active_process
-        return proc.name if proc is not None else "<main>"
 
     # ------------------------------------------------------------------
     def acquire(self, file: str, group: int,
@@ -68,44 +60,38 @@ class ParityLockTable:
         lock = self._lock(file, group)
         contended = lock.locked
         t0 = self.env.now
-        san = self._san
+        emit = self.env.emit
         request = lock.request()
         try:
-            if san is not None and not request.triggered:
-                san.on_wait(file, group, xid, self._proc_name())
+            if not request.triggered:
+                emit("parity_lock.wait", file, group, xid)
             yield request
         except BaseException:
             # Interrupted (or killed) while queued: cancel the request so
             # the lock is not leaked; if the grant raced ahead of the
             # interrupt, this releases the just-granted slot instead.
             lock.release(request)
-            if san is not None:
-                san.on_cancel(file, group, xid, self._proc_name())
+            emit("parity_lock.cancel", file, group, xid)
             raise
         self.acquisitions += 1
         if contended:
             self.contended_acquisitions += 1
         self.total_wait_time += self.env.now - t0
         self._held[key] = request
-        if san is not None:
-            san.on_acquired(file, group, xid, self._proc_name(),
-                            now=self.env.now)
+        emit("parity_lock.acquired", file, group, xid)
 
     def release(self, file: str, group: int, xid: int) -> None:
         """Release after the parity write; no-op when locking is off."""
         if not self.enabled:
             return
-        san = self._san
         request = self._held.pop((file, group, xid), None)
         if request is None:
-            if san is not None:
-                san.on_double_release(file, group, xid, self._proc_name())
+            self.env.emit("parity_lock.double_release", file, group, xid)
             raise LockProtocolError(
                 f"xid {xid} released parity lock {file}:{group} "
                 "it does not hold")
         request.resource.release(request)
-        if san is not None:
-            san.on_released(file, group, xid)
+        self.env.emit("parity_lock.released", file, group, xid)
 
     def crash(self) -> None:
         """Server crash: forget every held lock.
@@ -114,25 +100,24 @@ class ParityLockTable:
         process (the parity read) and released by another (the parity
         write) — so no live process "owns" it and interrupting handlers
         cannot free it.  On a fail-stop crash the server's lock state
-        simply ceases to exist: drop every held entry (telling the
-        sanitizer, so LockSan sees a release rather than a leak) and
-        drop the lock objects.  Queued *waiters* are handler processes
-        of this same server; :meth:`IOD.fail` interrupts them, and
-        :meth:`acquire`'s cancellation path cleans each queued request
-        out of its (now orphaned) lock.
+        simply ceases to exist: drop every held entry (announcing the
+        releases, so a lock sanitizer sees a release rather than a
+        leak) and drop the lock objects.  Queued *waiters* are handler
+        processes of this same server; :meth:`IOD.fail` interrupts
+        them, and :meth:`acquire`'s cancellation path cleans each
+        queued request out of its (now orphaned) lock.
         """
         if not self.enabled:
             self._held.clear()
             self._locks.clear()
             return
-        san = self._san
+        emit = self.env.emit
         for (file, group, xid), request in list(self._held.items()):
             del self._held[(file, group, xid)]
-            if san is not None:
-                # Both ledgers: the protocol-level hold and the raw
-                # FifoLock grant that feeds the leak sweep.
-                san.on_released(file, group, xid)
-                san.on_lock_released(request.resource, request)
+            # Both ledgers: the protocol-level hold and the raw
+            # FifoLock grant that feeds the leak sweep.
+            emit("parity_lock.released", file, group, xid)
+            emit("lock.release", request.resource, request)
         self._locks.clear()
 
     # ------------------------------------------------------------------

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import ServerFailed
-from repro.faults.injector import fault_step
 from repro.pvfs import messages as msg
 from repro.pvfs.layout import ServerRange
 from repro.redundancy import base
@@ -43,22 +42,15 @@ class Raid5(base.RedundancyScheme):
     # ------------------------------------------------------------------
     def write(self, client, meta, offset: int,
               payload: Payload) -> Generator[Event, Any, None]:
-        paritysan = client.env.paritysan
-        bufsan = client.env.bufsan
-        if paritysan is not None:
-            paritysan.on_write_start(meta.name)
-        if bufsan is not None:
-            bufsan.on_write_start(meta.name)
+        emit = client.env.emit
+        emit("write.start", meta.name)
         try:
             if self.config.strict_locking and self.config.locking:
                 yield from self._strict_write(client, meta, offset, payload)
             else:
                 yield from self._write_inner(client, meta, offset, payload)
         finally:
-            if paritysan is not None:
-                paritysan.on_write_complete(meta.name)
-            if bufsan is not None:
-                bufsan.on_write_complete(meta.name)
+            emit("write.complete", meta.name)
 
     def _rmw_unlock(self, own_lock: bool) -> bool:
         """Whether the RMW's closing ParityWriteReq releases the group
@@ -173,7 +165,7 @@ class Raid5(base.RedundancyScheme):
                 meta, start, payload.length,
                 {server: req for server, req in data_requests},
                 parity_requests)
-        fault_step(client.env, "raid5.full_stripe.before_write", None)
+        client.env.emit("raid5.full_stripe.before_write", None)
         calls = [client.rpc(client.iods[s], r) for s, r in data_requests]
         targets = [s for s, _r in data_requests]
         calls += [client.rpc(client.iods[s], r)
@@ -245,7 +237,7 @@ class Raid5(base.RedundancyScheme):
         own_lock = not (self.config.strict_locking and self.config.locking)
         if gate is not None:
             yield gate
-        fault_step(client.env, "raid5.rmw.before_parity_read", p_server)
+        client.env.emit("raid5.rmw.before_parity_read", p_server)
         try:
             parity_response = yield from client.rpc(
                 client.iods[p_server],
@@ -271,7 +263,7 @@ class Raid5(base.RedundancyScheme):
             if not parity_read_done.triggered:
                 parity_read_done.succeed()
 
-        fault_step(client.env, "raid5.rmw.after_parity_read", p_server)
+        client.env.emit("raid5.rmw.after_parity_read", p_server)
         outcomes = yield old_data_proc
         old_chunks = []
         old_errors: List[Optional[Exception]] = [e for _v, e in outcomes]
@@ -311,7 +303,7 @@ class Raid5(base.RedundancyScheme):
                           if new_parity.is_virtual
                           else Payload.zeros(intra_hi - intra_lo))
 
-        fault_step(client.env, "raid5.rmw.before_writeback", p_server)
+        client.env.emit("raid5.rmw.before_writeback", p_server)
         calls = [client.rpc(client.iods[sr.server], msg.WriteReq(
                     meta.name, kind="data", offset=sr.local_start,
                     payload=self._gather(new_data, lo, sr), xid=xid))
@@ -327,7 +319,7 @@ class Raid5(base.RedundancyScheme):
         yield from self._writeback_outcome(
             client, meta, group, ranges, old_errors, old_chunks,
             new_data, lo, (intra_lo, intra_hi), wb_outcomes, xid)
-        fault_step(client.env, "raid5.rmw.after_writeback", p_server)
+        client.env.emit("raid5.rmw.after_writeback", p_server)
 
     def _writeback_outcome(self, client, meta, group: int, ranges,
                            old_errors, old_chunks, new_data: Payload,

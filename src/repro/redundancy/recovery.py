@@ -133,10 +133,7 @@ def rebuild_server(system, index: int,
         for c in system.clients:
             c.suspected.discard(index)
     system.metrics.add("failures.rebuilt")
-    if system.env.paritysan is not None:
-        system.env.paritysan.on_recovery(index)
-    if system.env.bufsan is not None:
-        system.env.bufsan.on_recovery(index)
+    system.env.emit("recovery.done", index)
 
 
 def _reset_local_overflow(system, iod: IOD, name: str) -> None:

@@ -217,6 +217,5 @@ def scrub(system, name: str) -> List[str]:
             + check_overflow_mirrors(system, name)
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
-    if system.env.paritysan is not None:
-        system.env.paritysan.on_scrub(name, issues)
+    system.env.emit("scrub.done", name, issues)
     return issues

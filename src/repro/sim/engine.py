@@ -52,98 +52,38 @@ from heapq import heappush
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from repro.errors import SimulationError
+from repro.probes import PROBES
 
-#: Optional factory installed by :func:`repro.analysis.locksan.install`;
-#: called once per new :class:`Environment` to build its sanitizer.
-#: Kept as a module-level hook so the engine never imports the analysis
-#: package (which imports the engine).
-_sanitizer_factory: Optional[Callable[[], Any]] = None
-
-
-def set_sanitizer_factory(factory: Optional[Callable[[], Any]]) -> None:
-    """Install (or, with ``None``, remove) the sanitizer factory."""
-    global _sanitizer_factory
-    _sanitizer_factory = factory
+#: The ambient registry: ``key -> build``.  Every new
+#: :class:`Environment` hangs ``build(env)`` on itself as attribute
+#: ``key`` — how a sanitizer, a fault injector or the explorer's
+#: tie-breaker gets into environments that code it does not control
+#: creates.  What is built subscribes itself to the probes it wants
+#: (:meth:`Environment.subscribe`), so the engine never imports a tool.
+_attached: Dict[str, Callable[["Environment"], Any]] = {}
 
 
-def sanitizer_factory() -> Optional[Callable[[], Any]]:
-    return _sanitizer_factory
+def attach(key: str, build: Callable[["Environment"], Any]) -> None:
+    """Build ``key`` for every Environment created from now on."""
+    _attached[key] = build
 
 
-#: Optional factory installed by :func:`repro.analysis.paritysan.install`;
-#: called once per new :class:`Environment` to build its parity-invariant
-#: sanitizer (kept separate from the lock sanitizer so the two can be
-#: enabled independently).
-_paritysan_factory: Optional[Callable[[], Any]] = None
+def detach(key: str) -> None:
+    """Stop building ``key``; a no-op when it is not attached."""
+    _attached.pop(key, None)
 
 
-def set_paritysan_factory(factory: Optional[Callable[[], Any]]) -> None:
-    """Install (or, with ``None``, remove) the ParitySan factory."""
-    global _paritysan_factory
-    _paritysan_factory = factory
-
-
-def paritysan_factory() -> Optional[Callable[[], Any]]:
-    return _paritysan_factory
-
-
-#: Optional factory installed by :func:`repro.analysis.bufsan.install`;
-#: called once per new :class:`Environment` to build its buffer-identity
-#: sanitizer (independent of the lock and parity sanitizers).
-_bufsan_factory: Optional[Callable[[], Any]] = None
-
-
-def set_bufsan_factory(factory: Optional[Callable[[], Any]]) -> None:
-    """Install (or, with ``None``, remove) the BufSan factory."""
-    global _bufsan_factory
-    _bufsan_factory = factory
-
-
-def bufsan_factory() -> Optional[Callable[[], Any]]:
-    return _bufsan_factory
-
-
-#: Optional factory installed by :func:`repro.faults.injector.install`;
-#: called once per new :class:`Environment` to build its fault injector
-#: (:mod:`repro.faults`).  Same engine-never-imports-the-hook idiom as
-#: the sanitizer factories: hook points elsewhere consult
-#: ``env.faults`` and cost one ``None``-check when no plan is armed.
-_fault_factory: Optional[Callable[[], Any]] = None
-
-
-def set_fault_factory(factory: Optional[Callable[[], Any]]) -> None:
-    """Install (or, with ``None``, remove) the fault-injector factory."""
-    global _fault_factory
-    _fault_factory = factory
-
-
-def fault_factory() -> Optional[Callable[[], Any]]:
-    return _fault_factory
-
-
-#: Optional factory for a tie-break scheduler (schedule exploration,
-#: :mod:`repro.analysis.explore`): called once per new
-#: :class:`Environment`; the returned object's ``choose(when, priority,
-#: events)`` picks which same-``(time, priority)`` event to dispatch
-#: next.  ``None`` (the default) keeps the deterministic seq order and
-#: the zero-overhead dispatch loops.
-_tie_breaker_factory: Optional[Callable[[], Any]] = None
-
-
-def set_tie_breaker_factory(factory: Optional[Callable[[], Any]]) -> None:
-    """Install (or, with ``None``, remove) the tie-breaker factory."""
-    global _tie_breaker_factory
-    _tie_breaker_factory = factory
-
-
-def tie_breaker_factory() -> Optional[Callable[[], Any]]:
-    return _tie_breaker_factory
+def attached(key: str) -> Optional[Callable[["Environment"], Any]]:
+    """The builder attached under ``key``, or ``None``."""
+    return _attached.get(key)
 
 
 #: Optional callback invoked with every new :class:`Environment`; used by
-#: ``csar-repro profile`` to aggregate kernel counters across the
-#: environments an experiment creates.  Costs one ``None``-check per
-#: Environment construction (never per event).
+#: ``csar-repro profile`` and ``bench/run.py`` to aggregate kernel
+#: counters across the environments an experiment creates.  Not a probe:
+#: "an environment was created" cannot be subscribed to on an
+#: environment.  Costs one ``None``-check per Environment construction
+#: (never per event).
 _env_observer: Optional[Callable[["Environment"], None]] = None
 
 
@@ -449,31 +389,29 @@ class AnyOf(Condition):
 
 
 class Environment:
-    """Holds the clock, the event heap, and process bookkeeping."""
+    """Holds the clock, the event heap, process bookkeeping and the
+    probe table."""
+
+    #: Fault injector (:mod:`repro.faults`), queried where a fault is a
+    #: decision (``link_action`` / ``disk_action`` / ``torn_action``);
+    #: ``None`` unless a plan is armed.
+    faults: Optional[Any] = None
+    #: Tie-break scheduler for schedule exploration
+    #: (:mod:`repro.analysis.explore`): ``choose(when, priority,
+    #: events)`` picks which same-``(time, priority)`` event to dispatch
+    #: next.  ``None`` keeps the deterministic seq order and the
+    #: zero-overhead dispatch loops.
+    _tie_breaker: Optional[Any] = None
 
     def __init__(self) -> None:
         self._now: float = 0.0
         self._heap: List[tuple] = []
         self._seq: int = 0
         self._active: Optional[Process] = None
-        #: LockSan (or compatible) sanitizer; ``None`` unless installed.
-        self.sanitizer: Optional[Any] = (
-            _sanitizer_factory() if _sanitizer_factory is not None else None)
-        #: ParitySan (or compatible) invariant sanitizer.
-        self.paritysan: Optional[Any] = (
-            _paritysan_factory() if _paritysan_factory is not None else None)
-        #: BufSan (or compatible) buffer-identity sanitizer.
-        self.bufsan: Optional[Any] = (
-            _bufsan_factory() if _bufsan_factory is not None else None)
-        #: Fault injector (:mod:`repro.faults`); ``None`` unless a plan
-        #: is armed.
-        self.faults: Optional[Any] = (
-            _fault_factory() if _fault_factory is not None else None)
-        #: Tie-break scheduler for schedule exploration; ``None`` keeps
-        #: deterministic seq order.
-        self._tie_breaker: Optional[Any] = (
-            _tie_breaker_factory() if _tie_breaker_factory is not None
-            else None)
+        #: probe name -> subscribers (see :mod:`repro.probes`)
+        self._probes: Dict[str, List[Callable[..., None]]] = {}
+        for key, build in _attached.items():
+            setattr(self, key, build(self))
         if _env_observer is not None:
             _env_observer(self)
 
@@ -484,6 +422,26 @@ class Environment:
     @property
     def active_process(self) -> Optional[Process]:
         return self._active
+
+    # -- probes -----------------------------------------------------------
+    def probe(self, name: str) -> List[Callable[..., None]]:
+        """The live subscriber list of ``name``: later subscribers
+        appear in it, so a per-grant site may cache it and test its
+        truth instead of calling :meth:`emit`."""
+        if name not in PROBES:
+            raise SimulationError(f"unknown probe {name!r}")
+        return self._probes.setdefault(name, [])
+
+    def subscribe(self, name: str, fn: Callable[..., None]) -> None:
+        """Call ``fn(*args)`` at every ``emit(name, *args)``."""
+        self.probe(name).append(fn)
+
+    def emit(self, name: str, *args: Any) -> None:
+        """Announce a named point; one dict miss while nobody listens."""
+        subscribers = self._probes.get(name)
+        if subscribers:
+            for fn in subscribers:
+                fn(*args)
 
     # -- factories --------------------------------------------------------
     def event(self) -> Event:
@@ -599,12 +557,7 @@ class Environment:
         if not heap:
             # The heap drained: nothing can ever release a held lock or
             # patch a stripe now, so leaks/inconsistencies are final.
-            if self.sanitizer is not None:
-                self.sanitizer.on_run_complete()
-            if self.paritysan is not None:
-                self.paritysan.on_run_complete()
-            if self.bufsan is not None:
-                self.bufsan.on_run_complete()
+            self.emit("run.complete")
         return None
 
     # -- schedule exploration ---------------------------------------------
@@ -681,10 +634,5 @@ class Environment:
         if deadline != float("inf"):
             self._now = deadline
         if not heap:
-            if self.sanitizer is not None:
-                self.sanitizer.on_run_complete()
-            if self.paritysan is not None:
-                self.paritysan.on_run_complete()
-            if self.bufsan is not None:
-                self.bufsan.on_run_complete()
+            self.emit("run.complete")
         return None

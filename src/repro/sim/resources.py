@@ -120,44 +120,34 @@ class Resource:
 class FifoLock(Resource):
     """A mutual-exclusion lock with FIFO fairness.
 
-    When a sanitizer is attached to the environment (see
-    :mod:`repro.analysis.locksan`), every request/grant/release is
-    reported so held locks can be tracked and leaks detected at the end
-    of the run.  The sanitizer is fixed for an environment's lifetime
-    (installed in ``Environment.__init__``), so it is bound once at lock
-    construction: unsanitized runs take the plain :class:`Resource` path
-    with zero extra lookups per acquire/release.
+    Every request and release is announced on the ``lock.request`` /
+    ``lock.release`` probes, which is how a lock sanitizer tracks held
+    locks and finds leaks at the end of the run.  These are per-grant
+    sites, so the two live subscriber lists are bound once at lock
+    construction: while nobody listens a request or release costs one
+    truth test on top of the plain :class:`Resource` path.
     """
 
     def __init__(self, env: Environment) -> None:
         super().__init__(env, capacity=1)
-        self._san = env.sanitizer
+        self._on_request = env.probe("lock.request")
+        self._on_release = env.probe("lock.release")
 
     @property
     def locked(self) -> bool:
         return bool(self.users)
 
     def request(self) -> Request:
-        san = self._san
-        if san is None:
-            return Resource.request(self)
         req = Resource.request(self)
-        proc = self.env.active_process
-        name = proc.name if proc is not None else "<main>"
-        if req.triggered:
-            san.on_lock_granted(self, req, name)
-        else:
-            # Grants happen inside a release(); record the hold when
-            # the grant event is processed, before the waiting
-            # process resumes (its callback was not yet appended).
-            req.callbacks.append(
-                lambda _ev: san.on_lock_granted(self, req, name))
+        if self._on_request:
+            for fn in self._on_request:
+                fn(self, req)
         return req
 
     def release(self, request: Request) -> None:
-        san = self._san
-        if san is not None:
-            san.on_lock_released(self, request)
+        if self._on_release:
+            for fn in self._on_release:
+                fn(self, request)
         Resource.release(self, request)
 
 

@@ -23,21 +23,6 @@ from repro.util.intervals import ExtentMap
 #: Content page size: allocation and copy granularity of the store.
 _PAGE = 1 << 20
 
-#: Optional torn-write interceptor installed by
-#: :func:`repro.faults.injector.install`.  Called as ``hook(block,
-#: offset, payload)``; returns ``None`` (no fault) or ``(prefix,
-#: exception)`` — the write persists only ``prefix`` (possibly
-#: ``None``), then raises, modeling a torn partial write.  Module-level
-#: like the payload capture hook, because a BlockFile holds no
-#: environment reference.
-_torn_hook = None
-
-
-def set_torn_hook(hook) -> None:
-    """Install (or, with ``None``, remove) the torn-write interceptor."""
-    global _torn_hook
-    _torn_hook = hook
-
 
 class BlockFile:
     """Sparse byte store with allocation tracking.
@@ -51,9 +36,6 @@ class BlockFile:
         self.content_mode = content_mode
         self.allocated = ExtentMap()
         self._pages: Dict[int, np.ndarray] = {}
-        #: Index of the I/O server this file lives on (``None`` outside
-        #: a daemon); lets the fault injector target torn writes.
-        self.owner = None
 
     # ------------------------------------------------------------------
     @property
@@ -103,16 +85,7 @@ class BlockFile:
         """
         if offset < 0:
             raise ValueError(f"negative offset {offset}")
-        abort = None
-        if _torn_hook is not None:
-            tear = _torn_hook(self, offset, payload)
-            if tear is not None:
-                payload, abort = tear
-                if payload is None:
-                    raise abort
         if payload.length == 0:
-            if abort is not None:
-                raise abort
             return
         end = offset + payload.length
         self.allocated.add(offset, end)
@@ -129,8 +102,6 @@ class BlockFile:
                 cursor = lo + seg.size
             if end > cursor:
                 self._zero(cursor, end)
-        if abort is not None:
-            raise abort
 
     def read(self, offset: int, length: int) -> Payload:
         if offset < 0 or length < 0:

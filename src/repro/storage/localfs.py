@@ -39,8 +39,8 @@ class LocalFS:
         self.content_mode = content_mode
         self.write_buffering = write_buffering
         self.files: Dict[str, BlockFile] = {}
-        #: Owning I/O server index (set by the daemon); stamped onto
-        #: every block file so fault injection can target this server.
+        #: Owning I/O server index (set by the daemon), so an injected
+        #: torn write can target this server.
         self.owner = None
 
     # ------------------------------------------------------------------
@@ -50,7 +50,6 @@ class LocalFS:
             if not create:
                 raise FileNotFound(f"{self.node.name}:{name}")
             f = BlockFile(name, self.content_mode)
-            f.owner = self.owner
             self.files[name] = f
         return f
 
@@ -75,6 +74,20 @@ class LocalFS:
         chunk = self.node.profile.net_chunk
         return list(range(offset + chunk, offset + length, chunk))
 
+    def _land(self, f: BlockFile, offset: int, payload: Payload) -> None:
+        """Store ``payload`` in ``f`` — unless an armed torn-write fault
+        (see :mod:`repro.faults`) decides that only a prefix persists
+        (possibly nothing) and the write then raises."""
+        faults = self.node.env.faults
+        if faults is not None:
+            tear = faults.torn_action(self.owner, payload)
+            if tear is not None:
+                prefix, abort = tear
+                if prefix is not None:
+                    f.write(offset, prefix)
+                raise abort
+        f.write(offset, payload)
+
     def write(self, name: str, offset: int, payload: Payload,
               ) -> Generator[Event, Any, None]:
         """Timed write; creates the file if needed."""
@@ -85,7 +98,7 @@ class LocalFS:
         yield from self.node.cache.write(
             self._file_id(name), offset, end, f.allocated,
             cut_points=self._cut_points(offset, payload.length))
-        f.write(offset, payload)
+        self._land(f, offset, payload)
 
     def write_gather(self, name: str,
                      parts: List[tuple[int, Payload]],
@@ -104,7 +117,7 @@ class LocalFS:
         yield from self.node.cache.write_many(
             self._file_id(name), ranges, f.allocated, cut_points)
         for off, p in parts:
-            f.write(off, p)
+            self._land(f, off, p)
 
     def read(self, name: str, offset: int, length: int,
              ) -> Generator[Event, Any, Payload]:

@@ -157,8 +157,7 @@ class TraceRecorder:
     def __init__(self, system) -> None:
         self.system = system
         self.trace = Trace()
-        for client in system.clients:
-            client.tracer = self
+        system.env.subscribe("client.op", self.record)
 
     def record(self, client: int, op: str, file: str, offset: int,
                length: int) -> None:
@@ -167,6 +166,5 @@ class TraceRecorder:
             offset=offset, length=length))
 
     def detach(self) -> Trace:
-        for client in self.system.clients:
-            client.tracer = None
+        self.system.env.probe("client.op").remove(self.record)
         return self.trace

@@ -29,7 +29,7 @@ class TestEngineTieBreak:
         # Flip only the first tie (the two process-start events) and keep
         # defaults after: "b" starts first, so its timeout fires first.
         tb = explore.ForcedTieBreaker((1,))
-        engine.set_tie_breaker_factory(lambda: tb)
+        engine.attach("_tie_breaker", lambda env: tb)
         try:
             env = Environment()
             order = []
@@ -42,7 +42,7 @@ class TestEngineTieBreak:
             env.process(proc("b"))
             env.run()
         finally:
-            engine.set_tie_breaker_factory(None)
+            engine.detach("_tie_breaker")
         assert order == ["b", "a"]
         assert tb.decisions[0] == (2, 1)
 
@@ -56,7 +56,7 @@ class TestEngineTieBreak:
                 decisions.append(len(events))
                 return 0
 
-        engine.set_tie_breaker_factory(Recorder)
+        engine.attach("_tie_breaker", lambda env: Recorder())
         try:
             env = Environment()
             env.timeout(1.0)
@@ -64,12 +64,12 @@ class TestEngineTieBreak:
             env.timeout(1.0)
             env.run()
         finally:
-            engine.set_tie_breaker_factory(None)
+            engine.detach("_tie_breaker")
         assert decisions == []
 
     def test_explored_run_same_result_as_default_when_forced_default(self):
         tb = explore.ForcedTieBreaker(())
-        engine.set_tie_breaker_factory(lambda: tb)
+        engine.attach("_tie_breaker", lambda env: tb)
         try:
             env = Environment()
             order = []
@@ -82,7 +82,7 @@ class TestEngineTieBreak:
             env.process(proc("b"))
             env.run()
         finally:
-            engine.set_tie_breaker_factory(None)
+            engine.detach("_tie_breaker")
         assert order == ["a", "b"]
 
 

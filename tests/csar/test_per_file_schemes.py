@@ -77,6 +77,8 @@ class TestPerFileSchemes:
         with pytest.raises(DataLoss):
             read_file(system, "scratch", exposed.length)
 
+    # Flips mirror bytes on purpose: the scrub's finding is a report.
+    @pytest.mark.paritysan_expected
     def test_scrub_uses_file_scheme(self):
         system = make_system(default="raid5")
         span = system.layout.group_span

@@ -248,3 +248,36 @@ def test_install_is_inert_without_a_system():
     run_write_read(System(CSARConfig(
         scheme="raid1", num_servers=5, num_clients=1, stripe_unit=UNIT,
         content_mode=True)))
+
+
+@pytest.mark.parametrize("victim", ["built_first", "built_last"])
+def test_torn_write_tears_in_its_own_system(victim):
+    """Each system's injector tears that system's writes, whichever
+    other System is alive: the consult goes through ``node.env.faults``,
+    not through "the injector of the most recently built System"."""
+    plan = plan_of(FaultSpec("torn_write", 1, Trigger("op", 0), frac=0.5))
+    unit = 64 * UNIT
+    config = dict(scheme="raid0", stripe_unit=unit)
+    first, last = make_system(plan, **config), make_system(plan, **config)
+    system, bystander = (first, last) if victim == "built_first" \
+        else (last, first)
+    client = system.client()
+    data = Payload.pattern(4 * unit, seed=5)  # 256 KiB: a unit on iod0..3
+
+    def driver():
+        yield from client.create("f")
+        system.env.faults.note_op(0)
+        with pytest.raises(ServerFailed):
+            yield from client.write("f", 0, data)
+
+    system.run(driver())
+    # Armed, then consumed by the write it tore.
+    assert [k for _t, k, _s in system.env.faults.fired] == \
+        ["torn_write", "torn_write"]
+    assert bystander.env.faults.fired == []
+    assert system.iods[1].failed and not bystander.iods[1].failed
+    # iod1 was sent one unit and persisted exactly ``frac`` of it.
+    local = system.iods[1].fs.files["f.data"]
+    assert local.size == int(unit * 0.5)
+    assert local.read(0, local.size).to_bytes() == \
+        data.slice(unit, unit + local.size).to_bytes()

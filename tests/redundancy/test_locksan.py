@@ -24,7 +24,8 @@ pytestmark = pytest.mark.locksan_expected
 @pytest.fixture
 def env():
     e = Environment()
-    e.sanitizer = LockSan()
+    # Under CSAR_LOCKSAN=1 the environment already built its sanitizer.
+    e.sanitizer = getattr(e, "sanitizer", None) or LockSan(e)
     return e
 
 
@@ -121,7 +122,7 @@ class TestInversion:
         assert reports(env) == []
 
     def test_strict_mode_raises_on_inversion(self, env):
-        env.sanitizer = LockSan(strict=True)
+        env.sanitizer = LockSan(env, strict=True)
         table = ParityLockTable(env)
 
         def proc():

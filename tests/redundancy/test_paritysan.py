@@ -21,11 +21,18 @@ UNIT = 4 * KiB
 @pytest.fixture
 def sanitized():
     """Install ParitySan for the test, restoring whatever was there."""
-    prev = engine.paritysan_factory()
+    prev = engine.attached("paritysan")
     paritysan.install()
     yield
-    engine.set_paritysan_factory(prev)
+    _restore(prev)
     paritysan.drain_reports()
+
+
+def _restore(prev):
+    if prev is None:
+        engine.detach("paritysan")
+    else:
+        engine.attach("paritysan", prev)
 
 
 def make_system(scheme, **kw):
@@ -60,12 +67,12 @@ class TestReports:
         assert report.format() == "ParitySan[parity] at quiescent: boom"
 
     def test_install_round_trip(self):
-        prev = engine.paritysan_factory()
+        prev = engine.attached("paritysan")
         try:
             paritysan.install()
             assert paritysan.installed()
         finally:
-            engine.set_paritysan_factory(prev)
+            _restore(prev)
         assert paritysan.installed() == (prev is not None)
 
 
@@ -107,7 +114,7 @@ class TestDetection:
     def test_strict_mode_raises(self):
         system = make_system("raid5")
         populate(system)
-        san = ParitySan(strict=True)
+        san = ParitySan(system.env, strict=True)
         san.attach(system)
         corrupt(system.iods[5].fs.files[red_file("f")])
         with pytest.raises(ParitySanError):
@@ -171,8 +178,8 @@ class TestExploredSchedules:
     @pytest.mark.parametrize("scheme", ["raid5", "hybrid"])
     def test_rebuild_clean_under_random_ties(self, sanitized, scheme):
         for seed in range(3):
-            engine.set_tie_breaker_factory(
-                lambda seed=seed: RandomTieBreaker(seed))
+            engine.attach("_tie_breaker",
+                          lambda env, seed=seed: RandomTieBreaker(seed))
             try:
                 system = make_system(scheme)
                 populate(system)
@@ -182,25 +189,25 @@ class TestExploredSchedules:
                 # on_recovery already checked; scrub double-checks.
                 assert scrub.scrub(system, "f") == []
             finally:
-                engine.set_tie_breaker_factory(None)
+                engine.detach("_tie_breaker")
             assert paritysan.drain_reports() == [], \
                 f"{scheme} rebuild dirty under tie seed {seed}"
 
     def test_scrub_clean_under_random_ties(self, sanitized):
         for seed in range(3):
-            engine.set_tie_breaker_factory(
-                lambda seed=seed: RandomTieBreaker(seed))
+            engine.attach("_tie_breaker",
+                          lambda env, seed=seed: RandomTieBreaker(seed))
             try:
                 system = make_system("hybrid")
                 populate(system)
                 assert scrub.scrub(system, "f") == []
             finally:
-                engine.set_tie_breaker_factory(None)
+                engine.detach("_tie_breaker")
             assert paritysan.drain_reports() == [], \
                 f"scrub dirty under tie seed {seed}"
 
     def test_buggy_scheme_still_caught_under_random_ties(self, sanitized):
-        engine.set_tie_breaker_factory(lambda: RandomTieBreaker(1))
+        engine.attach("_tie_breaker", lambda env: RandomTieBreaker(1))
         try:
             config = CSARConfig(scheme="hybrid", num_servers=4,
                                 num_clients=1, stripe_unit=1024,
@@ -219,6 +226,6 @@ class TestExploredSchedules:
 
             system.run(body())
         finally:
-            engine.set_tie_breaker_factory(None)
+            engine.detach("_tie_breaker")
         reports = paritysan.drain_reports()
         assert any(r.kind == "parity" for r in reports)

@@ -22,5 +22,5 @@ def test_api_docs_cover_the_public_surface():
                    "class MPIFile", "class H5File", "def rebuild_server",
                    "def online_scrub", "def reclaim_file",
                    "class FileLinter", "class LockSan", "class Rule",
-                   "def lint_paths", "def set_sanitizer_factory"):
+                   "def lint_paths", "def attach"):
         assert symbol in text, f"{symbol} missing from docs/API.md"

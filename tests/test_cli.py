@@ -98,9 +98,9 @@ class TestSanitize:
     def test_sanitize_restores_prior_factory(self):
         from repro.sim import engine
 
-        before = engine.sanitizer_factory()
+        before = engine.attached("sanitizer")
         main(["run", "fig2", "--sanitize"])
-        assert engine.sanitizer_factory() is before
+        assert engine.attached("sanitizer") is before
 
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
