@@ -145,7 +145,7 @@ class BufSan:
             entry.captured = self._context()
             return
         if arr.flags.writeable:
-            # Payload.__init__/_from_segments freeze before this hook
+            # Payload/SegmentedPayload.__init__ freeze before this hook
             # runs, so a writable capture means a caller bypassed the
             # freeze path entirely.
             self._report("writable-capture",

@@ -306,15 +306,14 @@ class FileLinter:
         return "redundancy" in parts
 
     def _is_bufflow_scoped(self) -> bool:
-        """CSAR013–015 apply to the zero-copy data path: ``redundancy``/
-        ``pvfs`` modules, ``analysis`` (sanitizers, seeded bugs), and the
-        payload rope itself.  ``storage``/``hw``/``sim`` internals own
-        their private page buffers by construction and stay out of
-        scope."""
+        """CSAR013–015 apply wherever payload bytes travel or rest:
+        ``redundancy``/``pvfs`` modules, ``analysis`` (sanitizers,
+        seeded bugs) and ``storage`` — the payload rope, and the block
+        store that keeps the written payloads' own arrays.  ``hw``/
+        ``sim`` never hold content and stay out of scope."""
         parts = os.path.normpath(self.path).split(os.sep)
-        return (any(part in ("redundancy", "pvfs", "analysis")
-                    for part in parts)
-                or os.path.basename(self.path) == "payload.py")
+        return any(part in ("redundancy", "pvfs", "analysis", "storage")
+                   for part in parts)
 
     def _is_hot_scoped(self) -> bool:
         """CSAR006 applies only to ``hw``/``sim`` hot-path modules."""

@@ -106,12 +106,16 @@ class IOD:
                 proc.interrupt(ServerFailed(f"iod{self.index} crashed"))
         self.locks.crash()
 
+    def wipe(self) -> None:
+        """Forget the disk: every local file and overflow table."""
+        self.fs.files.clear()
+        self.overflow.clear()
+        self.overflow_mirror.clear()
+
     def repair(self, wipe: bool = True) -> None:
         """Bring the server back, optionally with a fresh (empty) disk."""
         if wipe:
-            self.fs.files.clear()
-            self.overflow.clear()
-            self.overflow_mirror.clear()
+            self.wipe()
         self.failed = False
 
     # ------------------------------------------------------------------

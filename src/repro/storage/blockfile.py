@@ -5,23 +5,24 @@ redundancy (mirror or parity) file, and under the Hybrid scheme the
 overflow files.  ``BlockFile`` is purely functional state; all timing goes
 through the :class:`repro.hw.cache.PageCache` in :class:`repro.storage.localfs.LocalFS`.
 
-Content is stored in fixed-size pages allocated on first touch, like the
-sparse files it models: a streaming append never copies old data (the
-contiguous-buffer representation spent more time growing the buffer than
-landing bytes), holes cost nothing, and page allocation is lazy calloc.
+Content is an extent rope: sorted, disjoint frozen views of the very
+buffers the written payloads captured, so a write copies no byte and
+holes (never written, punched, or the gaps of a scattered payload) are
+simply absent and read back as zeros.  The store therefore *aliases*
+caller buffers: it relies on :class:`~repro.storage.payload.Payload`'s
+freeze and never writes a stored array in place, and a stored view keeps
+its whole source buffer alive.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from bisect import bisect_left, bisect_right
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.storage.payload import Payload
+from repro.storage.payload import Payload, Segment
 from repro.util.intervals import ExtentMap
-
-#: Content page size: allocation and copy granularity of the store.
-_PAGE = 1 << 20
 
 
 class BlockFile:
@@ -35,7 +36,11 @@ class BlockFile:
         self.name = name
         self.content_mode = content_mode
         self.allocated = ExtentMap()
-        self._pages: Dict[int, np.ndarray] = {}
+        #: The content rope: ``_views[i]`` holds the bytes at
+        #: ``[_starts[i], _starts[i] + _views[i].size)``; ascending,
+        #: disjoint, non-empty, read-only.
+        self._starts: List[int] = []
+        self._views: List[np.ndarray] = []
 
     # ------------------------------------------------------------------
     @property
@@ -48,40 +53,35 @@ class BlockFile:
         """What ``du`` would report (ignoring holes)."""
         return self.allocated.total()
 
-    def _page(self, index: int) -> np.ndarray:
-        page = self._pages.get(index)
-        if page is None:
-            page = self._pages[index] = np.zeros(_PAGE, dtype=np.uint8)
-        return page
-
-    def _store(self, lo: int, arr: np.ndarray) -> None:
-        """Copy ``arr`` into the page store at byte offset ``lo``."""
-        cursor, apos, end = lo, 0, lo + arr.size
-        while cursor < end:
-            index, intra = divmod(cursor, _PAGE)
-            take = min(_PAGE - intra, end - cursor)
-            self._page(index)[intra: intra + take] = arr[apos: apos + take]
-            cursor += take
-            apos += take
-
-    def _zero(self, lo: int, hi: int) -> None:
-        """Zero ``[lo, hi)`` without allocating untouched pages."""
-        cursor = lo
-        while cursor < hi:
-            index, intra = divmod(cursor, _PAGE)
-            take = min(_PAGE - intra, hi - cursor)
-            page = self._pages.get(index)
-            if page is not None:
-                page[intra: intra + take] = 0
-            cursor += take
+    def _splice(self, lo: int, hi: int,
+                segments: Sequence[Segment] = ()) -> None:
+        """Replace the content of ``[lo, hi)`` by ``segments`` (absolute
+        offsets inside it), clipping the two straddling views into
+        sub-views."""
+        starts, views = self._starts, self._views
+        i = bisect_right(starts, lo) - 1
+        if i < 0 or starts[i] + views[i].size <= lo:
+            i += 1
+        j = bisect_left(starts, hi, i)
+        new = list(segments)
+        if i < j:
+            head_at, head = starts[i], views[i]
+            tail_at, tail = starts[j - 1], views[j - 1]
+            if head_at < lo:
+                new.insert(0, (head_at, head[: lo - head_at]))
+            if tail_at + tail.size > hi:
+                new.append((hi, tail[hi - tail_at:]))
+        starts[i:j] = [at for at, _view in new]
+        views[i:j] = [view for _at, view in new]
 
     # ------------------------------------------------------------------
     def write(self, offset: int, payload: Payload) -> None:
         """Store ``payload`` at ``offset``.
 
-        Consumes the payload segment-wise, so scatter-gathered writes
-        land without ever flattening; gaps between segments are written
-        as zeros (they are part of the payload's content).
+        Keeps the payload's own segment arrays, so neither flat nor
+        scatter-gathered writes are ever copied; gaps between segments
+        are zeros (they are part of the payload's content) and are
+        stored as holes in the rope.
         """
         if offset < 0:
             raise ValueError(f"negative offset {offset}")
@@ -93,15 +93,9 @@ class BlockFile:
             if payload.is_virtual:
                 raise ValueError(
                     f"virtual payload written to content-mode file {self.name}")
-            cursor = offset
-            for at, seg in payload.iter_segments():
-                lo = offset + at
-                if lo > cursor:
-                    self._zero(cursor, lo)
-                self._store(lo, seg)
-                cursor = lo + seg.size
-            if end > cursor:
-                self._zero(cursor, end)
+            self._splice(offset, end, [
+                (offset + at, seg)
+                for at, seg in payload.iter_segments() if seg.size])
 
     def read(self, offset: int, length: int) -> Payload:
         if offset < 0 or length < 0:
@@ -109,31 +103,31 @@ class BlockFile:
         if not self.content_mode:
             return Payload.virtual(length)
         end = offset + length
-        out = np.zeros(length, dtype=np.uint8)
-        cursor = offset
-        while cursor < end:
-            index, intra = divmod(cursor, _PAGE)
-            take = min(_PAGE - intra, end - cursor)
-            page = self._pages.get(index)
-            if page is not None:
-                out[cursor - offset: cursor - offset + take] = \
-                    page[intra: intra + take]
-            cursor += take
-        # Mask out holes so punched/stale page content never leaks.
-        for gap_start, gap_end in self.allocated.gaps_iter(offset, end):
-            out[gap_start - offset: gap_end - offset] = 0
-        return Payload(length, out)
+        starts, views = self._starts, self._views
+        segments: List[Segment] = []
+        for i in range(max(bisect_right(starts, offset) - 1, 0),
+                       bisect_left(starts, end)):
+            at, view = starts[i], views[i]
+            lo, hi = max(at, offset), min(at + view.size, end)
+            if hi - lo == view.size:
+                # The stored array itself: BufSan then checks it against
+                # the fingerprint taken when it was written.
+                segments.append((lo - offset, view))
+            elif lo < hi:
+                segments.append((lo - offset, view[lo - at: hi - at]))
+        return Payload.from_segments(length, segments)
 
     def punch_hole(self, offset: int, length: int) -> None:
         """Deallocate a range (used by the overflow reclaimer)."""
         self.allocated.remove(offset, offset + length)
-        if self.content_mode:
-            self._zero(offset, offset + length)
+        if self.content_mode and length > 0:
+            self._splice(offset, offset + length)
 
     def truncate(self) -> None:
         """Drop all contents."""
         self.allocated.clear()
-        self._pages.clear()
+        self._starts.clear()
+        self._views.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = "content" if self.content_mode else "extent"

@@ -110,6 +110,24 @@ class Payload:
     def virtual(cls, length: int) -> "Payload":
         return cls(length, None)
 
+    @staticmethod
+    def from_segments(length: int, segments: Sequence[Segment]) -> "Payload":
+        """The cheapest payload of ``length`` over ``segments``.
+
+        ``segments`` are ascending, disjoint ``(offset, uint8-array)``
+        pieces (validated); uncovered gaps are zeros.  One segment that
+        covers everything is a plain view, more than ``_MAX_SEGMENTS``
+        are flattened into one buffer, anything else is a rope.
+        """
+        if len(segments) == 1:
+            at, seg = segments[0]
+            if at == 0 and seg.size == length:
+                return Payload(length, seg)
+        rope = SegmentedPayload(length, segments)
+        if len(segments) > _MAX_SEGMENTS:
+            return Payload(length, rope._writable_copy())
+        return rope
+
     @classmethod
     def pattern(cls, length: int, seed: int) -> "Payload":
         """Deterministic pseudo-random content, for end-to-end data checks."""
@@ -184,7 +202,7 @@ class Payload:
         segments = list(self.iter_segments())
         segments.extend((self.length + at, seg)
                         for at, seg in other.iter_segments())
-        return _from_segments(self.length + other.length, segments)
+        return Payload.from_segments(self.length + other.length, segments)
 
     @staticmethod
     def xor(parts: Sequence["Payload"], length: int) -> "Payload":
@@ -224,7 +242,7 @@ class Payload:
             segments.extend((at + s_at, seg)
                             for s_at, seg in piece.iter_segments())
             prev_end = at + piece.length
-        return _from_segments(length, segments)
+        return Payload.from_segments(length, segments)
 
     def xor_at(self, at: int, other: "Payload") -> "Payload":
         """A copy with ``other`` XOR-ed into the region starting at ``at``.
@@ -264,7 +282,7 @@ class Payload:
         segments.extend((at + s_at, seg) for s_at, seg in
                         patch.iter_segments())
         segments.extend(_clipped(self.iter_segments(), end, self.length))
-        return _from_segments(new_len, segments)
+        return Payload.from_segments(new_len, segments)
 
 
 class SegmentedPayload(Payload):
@@ -323,19 +341,13 @@ class SegmentedPayload(Payload):
         else:
             yield from self._segments
 
-    def _writable_copy(self) -> np.ndarray:
-        buf = np.zeros(self.length, dtype=np.uint8)
-        for at, seg in self.iter_segments():
-            buf[at: at + seg.size] = seg
-        return buf
-
     def slice(self, start: int, end: int) -> "Payload":
         if not (0 <= start <= end <= self.length):
             raise ValueError(
                 f"slice [{start},{end}) outside payload of {self.length}")
         if self._data is not None:
             return Payload(end - start, self._data[start:end])
-        return _from_segments(
+        return Payload.from_segments(
             end - start, list(_clipped(self._segments, start, end, -start)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -355,17 +367,3 @@ def _clipped(segments, start: int, end: int,
         lo = max(at, start)
         hi = min(seg_end, end)
         yield (lo + shift, seg[lo - at: hi - at])
-
-
-def _from_segments(length: int, segments: List[Segment]) -> Payload:
-    """The cheapest payload holding ``segments`` (ascending, disjoint)."""
-    if len(segments) == 1:
-        at, seg = segments[0]
-        if at == 0 and seg.size == length:
-            return Payload(length, seg)
-    if len(segments) > _MAX_SEGMENTS:
-        buf = np.zeros(length, dtype=np.uint8)
-        for at, seg in segments:
-            buf[at: at + seg.size] = seg
-        return Payload(length, buf)
-    return SegmentedPayload(length, segments)

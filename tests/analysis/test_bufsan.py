@@ -84,6 +84,35 @@ class TestSeededBugTraps:
         assert reports
         assert {r.kind for r in reports} == {"fingerprint-drift"}
 
+    def test_rot_in_a_stored_block_drifts_at_the_next_sync_point(
+            self, sanitizer):
+        # Bytes at rest are covered: the block store keeps the arrays
+        # the written payloads captured, so they stay fingerprinted.
+        system = System(CSARConfig(
+            scheme="raid1", num_servers=4, num_clients=1, stripe_unit=1024,
+            content_mode=True, background_flusher=False))
+        client = system.client()
+
+        def body():
+            yield from client.create("f")
+            yield from client.write("f", 0, Payload.pattern(4096, seed=1))
+
+        system.run(body())
+        stored = system.iods[0].fs.files["f.data"].read(0, 1024).data
+        assert sanitizer.drain_reports() == []
+        if stored.base is not None:  # a view thaws only after its owner
+            stored.base.flags.writeable = True
+        stored.flags.writeable = True
+        stored[0] ^= 0xFF
+
+        def idle():
+            yield system.env.timeout(0)
+
+        system.run(idle())
+        reports = sanitizer.drain_reports()
+        assert reports
+        assert {r.kind for r in reports} == {"fingerprint-drift"}
+
     def test_reports_drain_once(self, sanitizer):
         _run_partial_overwrite(seeded_bugs.ThawedViewRaid5, "raid5")
         assert sanitizer.drain_reports()

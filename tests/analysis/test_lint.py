@@ -120,6 +120,14 @@ class TestRuleEdges:
             source, path="src/repro/redundancy/x.py")
         assert [f.code for f in findings] == ["CSAR004"]
 
+    def test_buffer_rules_follow_the_bytes_into_storage(self):
+        # The block store keeps payload arrays, so CSAR013-015 cover
+        # ``storage/``; ``hw`` holds no content and stays out of scope.
+        source = (FIXTURES / "storage" / "store_inplace.py").read_text()
+        assert lint.lint_source(source, path="src/repro/hw/x.py") == []
+        findings = lint.lint_source(source, path="src/repro/storage/x.py")
+        assert [f.code for f in findings] == ["CSAR013"]
+
     def test_enable_filter(self):
         source = (
             "def p(env) -> 'Generator[Event, Any, None]':\n"

@@ -7,6 +7,9 @@ scheme returns exactly the bytes written and converges to a scrub-clean
 state after repair.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +117,33 @@ class TestReplaceServer:
         assert system.iods[2] is not old_iod
         assert system.iods[2].failed
         assert not system.iods[2].fs.files
+
+    def test_replaced_daemon_releases_its_dead_disk(self):
+        # The old daemon sits in a reference cycle (its dispatch process
+        # and the event heap), so only the cycle collector frees *it*;
+        # its files must be gone as soon as the hardware is replaced.
+        system = make_system("hybrid")
+        client = system.client()
+
+        def work():
+            yield from client.create("f")
+            yield from client.write("f", 0, Payload.pattern(2 * SPAN, seed=1))
+            yield from client.write("f", 100, Payload.pattern(UNIT, seed=2))
+
+        system.run(work())
+        system.fail_server(2)
+        old_iod = system.iods[2]
+        assert old_iod.overflow or old_iod.overflow_mirror
+        gc.collect()
+        gc.disable()
+        try:
+            files = [weakref.ref(f) for f in old_iod.fs.files.values()]
+            assert sum(f().allocated_bytes for f in files) > 0
+            system.replace_server(2)
+            assert [f() for f in files] == [None] * len(files)
+            assert not old_iod.overflow and not old_iod.overflow_mirror
+        finally:
+            gc.enable()
 
     def test_clients_route_to_replacement_after_rebuild(self):
         system = make_system("hybrid")
