@@ -5,9 +5,12 @@ objective and leaves recovery unevaluated.  This experiment completes the
 story: time to rebuild a failed server as a function of stored data, per
 scheme, plus the degraded-read penalty while the failure is outstanding.
 
-Expected mechanics: RAID1 rebuilds by copying its mirror (cheap, two
-servers involved); RAID5/Hybrid must read *every* surviving server to
-re-XOR each lost block (the classic parity-rebuild tax), and Hybrid adds
+Mechanics: RAID1 rebuilds by copying its mirror — two servers involved,
+and the one source's per-byte CPU sets the pace; RAID5/Hybrid must read
+*every* surviving server to re-XOR each lost block (the classic
+parity-rebuild tax: five times the bytes), but the survivors stream in
+parallel, one coalesced read each per chunk, so the rebuild is bound by
+their CPUs together and ends sooner than the mirror copy; Hybrid adds
 the overflow replay.
 """
 
@@ -60,6 +63,8 @@ def run(scale: float = 1.0) -> ExpTable:
             row.append(elapsed)
         row.extend([degraded, normal])
         table.add_row(*row)
-    table.notes.append("RAID1 copies its mirror; parity schemes read "
-                       "every survivor to re-XOR each lost block")
+    table.notes.append("RAID1 copies its mirror, one stream bound by one "
+                       "server's CPU; parity schemes read every survivor "
+                       "to re-XOR each lost block, 5x the bytes in five "
+                       "parallel streams")
     return table

@@ -3,9 +3,10 @@
 Each node owns a :class:`NIC` with independent transmit and receive
 resources (Myrinet is full duplex).  A message transfer:
 
-1. acquires the sender's TX slot, then the receiver's RX slot (TX and RX
-   are disjoint pools, so the two-step acquisition cannot deadlock);
-2. holds both for ``per_message + nbytes / min(tx_bw, rx_bw)``;
+1. acquires the sender's TX slot, then takes its turn on the receiver's
+   RX side (TX and RX are disjoint, so the two steps cannot deadlock);
+2. occupies the RX side for ``per_message + nbytes / min(tx_bw, rx_bw)``
+   once it is free, keeping the TX slot until the end of that occupancy;
 3. delivers after one additional one-way ``latency``.
 
 Saturation behaviour is what matters for the paper's figures: many flows
@@ -17,16 +18,22 @@ documented limitation (DESIGN.md §6).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Generator, Optional
 
 from repro.metrics import Metrics
 from repro.sim.engine import Environment, Event, Timeout
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import FifoServer, Request, Resource
 from repro.hw.params import NetworkParams
 
 
 class NIC:
-    """A full-duplex network attachment for one node."""
+    """A full-duplex network attachment for one node.
+
+    The sender learns how long it keeps its TX side only when the
+    receiver takes the message, so ``tx`` is a :class:`Resource`; the
+    receiver's occupancy is known by then, so ``rx`` is a queue-free
+    :class:`FifoServer`.
+    """
 
     def __init__(self, env: Environment, node_name: str,
                  params: NetworkParams) -> None:
@@ -34,7 +41,7 @@ class NIC:
         self.node_name = node_name
         self.params = params
         self.tx = Resource(env, capacity=1)
-        self.rx = Resource(env, capacity=1)
+        self.rx = FifoServer(env)
 
 
 def _apply_link_fault(env: Environment, action: tuple, src: NIC, dst: NIC,
@@ -54,49 +61,32 @@ def _apply_link_fault(env: Environment, action: tuple, src: NIC, dst: NIC,
     elif kind == "delay":
         yield env.timeout(action[1])
     elif kind == "dup":
-        yield from _wire(env, src, dst, (nbytes,))
+        yield from _wire(env, src, dst, nbytes)
 
 
-def _wire(env: Environment, src: NIC, dst: NIC, sizes: Iterable[int],
-          inbox: Optional[Store] = None, outbox: Optional[Store] = None,
-          ) -> Generator[Event, Any, None]:
-    """The fault-free wire movement of one message after another.
+def _wire(env: Environment, src: NIC, dst: NIC,
+          nbytes: int) -> Generator[Event, Any, None]:
+    """The fault-free wire movement of one message.
 
-    :func:`transfer` moves a single message; as the wire stage of
-    :func:`stream` it moves a message's segments, taking a token from
-    ``inbox`` before each (the sender's CPU goes first) or putting one on
-    ``outbox`` after it (the receiver's CPU follows).  All segments run
-    in this one generator: per segment it costs the events docs/PERF.md
-    lists ("The events of one streamed segment") and no generator of its
-    own.
+    An interrupted waiter withdraws its queued TX claim or frees its TX
+    slot; an RX occupancy already placed stands (the receiver still
+    takes the bytes it accepted).
     """
-    loopback = src is dst
-    per_message = src.params.per_message
-    latency = src.params.latency
-    bandwidth = min(src.params.bandwidth, dst.params.bandwidth)
-    tx, rx = src.tx, dst.rx
-    for size in sizes:
-        if inbox is not None:
-            yield inbox.get()
-        if loopback:
-            # Loopback (e.g. a client co-located with an I/O server):
-            # charge only the per-message overhead, no wire time.
-            yield Timeout(env, per_message)
-        else:
-            tx_req = tx.request()
-            try:
-                yield tx_req
-                rx_req = rx.request()
-                try:
-                    yield rx_req
-                    yield Timeout(env, per_message + size / bandwidth)
-                finally:
-                    rx.release(rx_req)
-            finally:
-                tx.release(tx_req)
-            yield Timeout(env, latency)
-        if outbox is not None:
-            outbox.put(None)
+    params = src.params
+    if src is dst:
+        # Loopback (e.g. a client co-located with an I/O server):
+        # charge only the per-message overhead, no wire time.
+        yield Timeout(env, params.per_message)
+        return
+    tx = src.tx
+    tx_req = tx.request()
+    try:
+        yield tx_req
+        yield dst.rx.hold(params.per_message + nbytes / min(
+            params.bandwidth, dst.params.bandwidth))
+    finally:
+        tx.release(tx_req)
+    yield Timeout(env, params.latency)
 
 
 def transfer(env: Environment, src: NIC, dst: NIC, nbytes: int,
@@ -112,10 +102,123 @@ def transfer(env: Environment, src: NIC, dst: NIC, nbytes: int,
         action = faults.link_action(src, dst, nbytes)
         if action is not None:
             yield from _apply_link_fault(env, action, src, dst, nbytes)
-    yield from _wire(env, src, dst, (nbytes,))
+    yield from _wire(env, src, dst, nbytes)
     if metrics is not None:
         metrics.record_tx(src.node_name, nbytes)
         metrics.record_rx(dst.node_name, nbytes)
+
+
+class _Stream:
+    """One streamed message in flight: a wire stage and a CPU stage.
+
+    Each stage takes the segments in order, one at a time.  The stage
+    that goes first (the sender's CPU, or the wire when the receiver's
+    CPU handles the bytes) starts its next segment as soon as it ends
+    one; the other may start segment *i* once the first has ended it, so
+    ``sent - computed`` (or the reverse) is the count of segments handed
+    over and not yet taken up.  Both stages are chains of continuations
+    on the three events per segment docs/PERF.md lists ("The events of
+    one streamed segment"); ``done`` fires when the second stage ends
+    the last segment.
+    """
+
+    __slots__ = ("env", "tx", "rx", "cpu", "done", "cpu_leads", "loopback",
+                 "per_message", "latency", "occupancy", "last_occupancy",
+                 "cpu_time", "last_cpu_time", "last", "sent", "computed",
+                 "_follower_idle", "_tx_req")
+
+    def __init__(self, env: Environment, src: NIC, dst: NIC, nbytes: int,
+                 cpu, cpu_leads: bool) -> None:
+        params = src.params
+        segment = params.segment
+        full, tail = divmod(nbytes, segment)
+        bandwidth = min(params.bandwidth, dst.params.bandwidth)
+        byte_rate = cpu.params.byte_rate
+        self.env = env
+        self.tx = src.tx
+        self.rx = dst.rx
+        self.cpu = cpu
+        self.done = Event(env)
+        self.cpu_leads = cpu_leads
+        self.loopback = src is dst
+        self.per_message = params.per_message
+        self.latency = params.latency
+        self.occupancy = params.per_message + segment / bandwidth
+        self.cpu_time = segment / byte_rate
+        #: index of the last segment: the short tail, or a full one
+        self.last = full if tail else full - 1
+        self.last_occupancy = params.per_message + (tail or segment) / bandwidth
+        self.last_cpu_time = (tail or segment) / byte_rate
+        #: segments that have arrived / that the CPU has handled
+        self.sent = self.computed = 0
+        self._follower_idle = True
+        self._tx_req: Optional[Request] = None
+        if cpu_leads:
+            self._compute()
+        else:
+            self._send()
+
+    # -- wire stage: TX slot, RX occupancy, latency -----------------------
+    def _send(self) -> None:
+        if self.loopback:
+            # no wire time, only the per-message overhead
+            Timeout(self.env, self.per_message).callbacks.append(
+                self._arrived)
+        else:
+            self.tx.request(self._receive)
+
+    def _receive(self, tx_req: Request) -> None:
+        """The sender's TX side is ours: occupy the receiver's RX."""
+        self._tx_req = tx_req
+        self.rx.hold(self.last_occupancy if self.sent == self.last
+                     else self.occupancy).callbacks.append(self._sent)
+
+    def _sent(self, _hold: Event) -> None:
+        """End of the occupancy: the TX slot goes straight to the next
+        flow waiting for it; the segment arrives one latency later."""
+        self.tx.release(self._tx_req)
+        Timeout(self.env, self.latency).callbacks.append(self._arrived)
+
+    def _arrived(self, _event: Event) -> None:
+        self.sent = sent = self.sent + 1
+        if self.cpu_leads:
+            if sent > self.last:
+                self.done.succeed()
+            elif self.computed > sent:
+                self._send()
+            else:
+                self._follower_idle = True
+        else:
+            if sent <= self.last:
+                self._send()
+            if self._follower_idle:
+                self._follower_idle = False
+                self._compute()
+
+    # -- CPU stage: one timed hold per segment ----------------------------
+    def _compute(self) -> None:
+        self.cpu.server.hold(
+            self.last_cpu_time if self.computed == self.last
+            else self.cpu_time).callbacks.append(self._computed)
+
+    def _computed(self, _hold: Event) -> None:
+        computed = self.computed
+        self.cpu.busy_time += (self.last_cpu_time if computed == self.last
+                               else self.cpu_time)
+        self.computed = computed = computed + 1
+        if self.cpu_leads:
+            if computed <= self.last:
+                self._compute()
+            if self._follower_idle:
+                self._follower_idle = False
+                self._send()
+        else:
+            if computed > self.last:
+                self.done.succeed()
+            elif self.sent > computed:
+                self._compute()
+            else:
+                self._follower_idle = True
 
 
 def stream(env: Environment, src: NIC, dst: NIC, nbytes: int,
@@ -144,21 +247,9 @@ def stream(env: Environment, src: NIC, dst: NIC, nbytes: int,
         action = faults.link_action(src, dst, nbytes)
         if action is not None:
             yield from _apply_link_fault(env, action, src, dst, nbytes)
-    segment = src.params.segment
-    sizes = [segment] * (nbytes // segment)
-    if nbytes % segment:
-        sizes.append(nbytes % segment)
-
-    queue = Store(env)
-    if cpu_at == "dst":
-        stages = [_wire(env, src, dst, sizes, outbox=queue),
-                  cpu.process_stream(sizes, inbox=queue)]
-    elif cpu_at == "src":
-        stages = [cpu.process_stream(sizes, outbox=queue),
-                  _wire(env, src, dst, sizes, inbox=queue)]
-    else:
+    if cpu_at not in ("src", "dst"):
         raise ValueError(f"cpu_at must be 'src' or 'dst', got {cpu_at!r}")
-    yield env.all_of([env.process(stage) for stage in stages])
+    yield _Stream(env, src, dst, nbytes, cpu, cpu_at == "src").done
     if metrics is not None:
         metrics.record_tx(src.node_name, nbytes)
         metrics.record_rx(dst.node_name, nbytes)

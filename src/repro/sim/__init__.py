@@ -15,7 +15,7 @@ from repro.sim.engine import (
     Process,
     Timeout,
 )
-from repro.sim.resources import FifoLock, Resource, Store
+from repro.sim.resources import FifoLock, FifoServer, Resource, Store
 
 __all__ = [
     "AllOf",
@@ -26,6 +26,7 @@ __all__ = [
     "Process",
     "Timeout",
     "Resource",
+    "FifoServer",
     "FifoLock",
     "Store",
 ]

@@ -1,19 +1,28 @@
 """Shared-resource primitives built on the event kernel.
 
-* :class:`Resource` — ``capacity`` slots with a strict FIFO wait queue.
-  Modeled after SimPy's but simplified: requests are events; use them as
-  context managers inside processes for exception safety.
+* :class:`Resource` — ``capacity`` slots with a strict FIFO wait queue,
+  for holds whose length the holder only learns once it has the slot
+  (a NIC's TX side, a disk, a lock).  Requests are events; use them as
+  context managers inside processes for exception safety, or pass a
+  continuation to be called at the grant.
+* :class:`FifoServer` — a FIFO single server for holds whose length is
+  known on arrival (a NIC's RX side, a CPU).  It keeps no queue: job *n*
+  departs at ``max(arrival_n, departure_{n-1}) + service_n`` (Lindley's
+  recursion), so a hold is one event, at its end, however long the line.
 * :class:`FifoLock` — a ``Resource`` of capacity 1 with lock vocabulary;
   the parity-block lock manager builds on it.
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``;
   used as message queues between clients and I/O daemons.
+
+Both servers are FIFO by request time; requests made at the same instant
+are served in the order they were made, which is dispatch order.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Deque, Generator, List
+from typing import Any, Callable, Deque, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import _PENDING, NORMAL, Environment, Event
@@ -22,7 +31,7 @@ from repro.sim.engine import _PENDING, NORMAL, Environment, Event
 class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource", "_queued_at")
+    __slots__ = ("resource", "_queued_at", "_then")
 
     def __init__(self, env: Environment, resource: "Resource") -> None:
         self.env = env
@@ -30,11 +39,12 @@ class Request(Event):
         self._value = _PENDING
         self._ok = True
         self._defused = False
-        self.resource = resource  # ``_queued_at`` is set only on queueing
+        # ``_queued_at`` and ``_then`` are set only on queueing
+        self.resource = resource
 
     # Context-manager protocol so processes can write
-    # ``with res.request() as req: yield req``.  Hot holds (NIC, CPU,
-    # disk) spell out ``try``/``finally`` instead: same release, no
+    # ``with res.request() as req: yield req``.  Hot holds (NIC, disk)
+    # spell out ``try``/``finally`` instead: same release, no
     # ``__enter__``/``__exit__`` frames per hold.
     def __enter__(self) -> "Request":
         return self
@@ -62,19 +72,31 @@ class Resource:
         """Number of slots currently held."""
         return len(self.users)
 
-    def request(self) -> Request:
+    def request(self, then: Optional[Callable[[Request], None]] = None,
+                ) -> Request:
+        """Claim a slot.
+
+        A free slot is granted on the spot: the request comes back
+        already processed, so a process that yields it carries on
+        without an event.  Otherwise the claim queues, and the
+        :meth:`release` that frees its slot wakes the process waiting on
+        it — or, when a continuation ``then`` was given, calls
+        ``then(request)`` there and then (as this method does for a
+        slot granted on the spot) and schedules nothing.
+        """
         env = self.env
         req = Request(env, self)
         users = self.users
         if len(users) < self.capacity and not self.queue:
             users.append(req)
-            # ``req.succeed()`` inlined (a fresh request is untriggered)
             req._value = None
-            env._seq = seq = env._seq + 1
-            heappush(env._heap, (env._now, NORMAL, seq, req))
+            req.callbacks = None
+            if then is not None:
+                then(req)
         else:
             self.total_waits += 1
             req._queued_at = env._now
+            req._then = then
             self.queue.append(req)
         return req
 
@@ -99,22 +121,68 @@ class Resource:
             nxt = queue.popleft()
             self.total_wait_time += env._now - nxt._queued_at
             users.append(nxt)
-            # ``nxt.succeed()`` inlined, double-trigger check included
             if nxt._value is not _PENDING:
                 raise SimulationError(f"{nxt!r} already triggered")
             nxt._value = None
-            env._seq = seq = env._seq + 1
-            heappush(env._heap, (env._now, NORMAL, seq, nxt))
+            then = nxt._then
+            if then is None:
+                # ``nxt.succeed()`` inlined: wake the waiting process
+                env._seq = seq = env._seq + 1
+                heappush(env._heap, (env._now, NORMAL, seq, nxt))
+            else:
+                nxt.callbacks = nxt._then = None
+                then(nxt)
 
-    def held(self, duration: float) -> Generator[Event, Any, None]:
-        """Convenience process body: hold one slot for ``duration``.
 
-        ``yield from resource.held(t)`` acquires, waits ``t``, releases —
-        the common pattern for NIC and disk occupancy.
-        """
-        with self.request() as req:
-            yield req
-            yield self.env.timeout(duration)
+class Hold(Event):
+    """The end of one timed hold on a :class:`FifoServer`: born
+    triggered and scheduled at the absolute time ``end``."""
+
+    __slots__ = ()
+
+    def __init__(self, env: Environment, end: float) -> None:
+        # ``Event.__init__`` and the push inlined, as for ``Timeout``
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._defused = False
+        env._seq = seq = env._seq + 1
+        heappush(env._heap, (end, NORMAL, seq, self))
+
+
+class FifoServer:
+    """A FIFO single server for holds whose length is known on arrival.
+
+    No queue is kept: a hold starts when every hold placed before it has
+    ended, so its end is known the moment it is placed.  A placed hold
+    stands — there is nothing to withdraw, the server stays busy until
+    its end whether or not anybody still waits for it.
+    """
+
+    def __init__(self, env: Environment) -> None:
+        self.env = env
+        #: when the last hold placed so far ends
+        self.free_at: float = 0.0
+        # Cumulative statistics for utilization reporting.
+        self.total_waits: int = 0
+        self.total_wait_time: float = 0.0
+
+    def hold(self, duration: float) -> Hold:
+        """Occupy the server for ``duration`` once it is this caller's
+        turn; the event fires at the end of the hold."""
+        if duration < 0:
+            raise SimulationError(f"negative hold duration {duration}")
+        env = self.env
+        start = self.free_at
+        now = env._now
+        if start > now:
+            self.total_waits += 1
+            self.total_wait_time += start - now
+        else:
+            start = now
+        self.free_at = end = start + duration
+        return Hold(env, end)
 
 
 class FifoLock(Resource):
