@@ -48,12 +48,16 @@ def test_recovery_extension(benchmark, repro_scale):
     table = run_experiment(benchmark, "ext-recovery", repro_scale or 0.25)
     for row in table.rows:
         (_mb, raid1_t, raid5_t, hybrid_t, degraded, normal) = row
-        # Parity rebuild reads every survivor: at least as costly as the
-        # mirror copy, and rebuild time grows with data volume.
-        assert raid5_t >= 0.95 * raid1_t
+        # The mirror copy comes from one server, whose CPU handles every
+        # byte in turn; parity rebuild moves five times the bytes, but
+        # from five survivors streaming in parallel (one coalesced read
+        # per survivor and chunk), so it ends sooner -- never 5x sooner.
+        assert raid1_t / 5 < raid5_t < 1.05 * raid1_t
         assert hybrid_t >= 0.95 * raid5_t
         # Degraded reads pay the reconstruction tax but stay available.
         assert normal < degraded < 20 * normal
+    _mb, raid1_t, raid5_t = table.rows[-1][:3]
+    assert raid5_t < 0.9 * raid1_t  # at volume the parallel survivors win
     times = table.column("hybrid_rebuild_s")
     assert times == sorted(times)
 

@@ -64,6 +64,13 @@ def _apply_link_fault(env: Environment, action: tuple, src: NIC, dst: NIC,
         yield from _wire(env, src, dst, nbytes)
 
 
+def _occupancy(src: NIC, dst: NIC, nbytes: int) -> float:
+    """How long ``nbytes`` occupy ``dst``'s RX side (and ``src``'s TX)."""
+    params = src.params
+    return params.per_message + nbytes / min(params.bandwidth,
+                                             dst.params.bandwidth)
+
+
 def _wire(env: Environment, src: NIC, dst: NIC,
           nbytes: int) -> Generator[Event, Any, None]:
     """The fault-free wire movement of one message.
@@ -82,8 +89,7 @@ def _wire(env: Environment, src: NIC, dst: NIC,
     tx_req = tx.request()
     try:
         yield tx_req
-        yield dst.rx.hold(params.per_message + nbytes / min(
-            params.bandwidth, dst.params.bandwidth))
+        yield dst.rx.hold(_occupancy(src, dst, nbytes))
     finally:
         tx.release(tx_req)
     yield Timeout(env, params.latency)
@@ -132,7 +138,6 @@ class _Stream:
         params = src.params
         segment = params.segment
         full, tail = divmod(nbytes, segment)
-        bandwidth = min(params.bandwidth, dst.params.bandwidth)
         byte_rate = cpu.params.byte_rate
         self.env = env
         self.tx = src.tx
@@ -143,11 +148,11 @@ class _Stream:
         self.loopback = src is dst
         self.per_message = params.per_message
         self.latency = params.latency
-        self.occupancy = params.per_message + segment / bandwidth
+        self.occupancy = _occupancy(src, dst, segment)
         self.cpu_time = segment / byte_rate
         #: index of the last segment: the short tail, or a full one
         self.last = full if tail else full - 1
-        self.last_occupancy = params.per_message + (tail or segment) / bandwidth
+        self.last_occupancy = _occupancy(src, dst, tail or segment)
         self.last_cpu_time = (tail or segment) / byte_rate
         #: segments that have arrived / that the CPU has handled
         self.sent = self.computed = 0

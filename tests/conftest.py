@@ -83,3 +83,29 @@ def _zero_reports_fixture(harness):
 _locksan_zero_reports = _zero_reports_fixture(_HARNESSES[0])
 _paritysan_zero_reports = _zero_reports_fixture(_HARNESSES[1])
 _bufsan_zero_reports = _zero_reports_fixture(_HARNESSES[2])
+
+
+@pytest.fixture
+def tx_claims(monkeypatch):
+    """``tx_claims()`` lists every NIC built during the test whose TX
+    side is still held or queued for once each of their environments has
+    run on for a simulated second (in-flight messages land in
+    milliseconds; only a leaked slot or a dead claim is left by then)."""
+    from repro.hw.link import NIC
+
+    built = []
+    init = NIC.__init__
+
+    def recording_init(nic, *args, **kwargs):
+        init(nic, *args, **kwargs)
+        built.append(nic)
+
+    monkeypatch.setattr(NIC, "__init__", recording_init)
+
+    def claims(settle: float = 1.0):
+        for env in {id(nic.env): nic.env for nic in built}.values():
+            env.run(until=env.now + settle)
+        return [(nic.node_name, nic.tx.count, len(nic.tx.queue))
+                for nic in built if nic.tx.count or nic.tx.queue]
+
+    return claims

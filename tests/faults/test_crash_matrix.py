@@ -3,7 +3,8 @@
 Each cell crashes one server at one named step inside the RAID5
 partial-stripe read-modify-write or the Hybrid overflow write, recovers
 the cluster, and asserts the durability invariant: acknowledged bytes
-survive.  The real schemes must pass every cell.
+survive.  The real schemes must pass every cell, and — the interrupt
+rule of DESIGN.md §6 — leave no NIC's TX side held or queued for.
 """
 
 import pytest
@@ -14,17 +15,19 @@ VICTIMS = tuple(range(5))
 
 
 @pytest.mark.parametrize("step, nth", MATRIX_STEPS["raid5"])
-def test_raid5_survives_a_crash_at_every_step(step, nth):
+def test_raid5_survives_a_crash_at_every_step(step, nth, tx_claims):
     for victim in VICTIMS:
         cell = run_cell("raid5", step, nth, victim)
         assert cell.ok, cell.format()
+        assert tx_claims() == [], cell.format()
 
 
 @pytest.mark.parametrize("step, nth", MATRIX_STEPS["hybrid"])
-def test_hybrid_survives_a_crash_at_every_step(step, nth):
+def test_hybrid_survives_a_crash_at_every_step(step, nth, tx_claims):
     for victim in VICTIMS:
         cell = run_cell("hybrid", step, nth, victim)
         assert cell.ok, cell.format()
+        assert tx_claims() == [], cell.format()
 
 
 def test_the_matrix_covers_every_rmw_and_overflow_step():

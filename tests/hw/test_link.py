@@ -5,7 +5,7 @@ import pytest
 from repro.hw.link import NIC, transfer
 from repro.hw.params import NetworkParams
 from repro.metrics import Metrics
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt
 from repro.units import MBps
 
 
@@ -119,3 +119,79 @@ class TestTransfer:
         p = env.process(proc())
         with pytest.raises(ValueError):
             env.run(until=p)
+
+
+class TestInterruptRule:
+    """An interrupted waiter withdraws its queued TX claim or frees its
+    TX slot, exactly once; an RX occupancy already placed stands."""
+
+    @staticmethod
+    def sender(env, src, dst, nbytes, log):
+        try:
+            yield from transfer(env, src, dst, nbytes)
+        except Interrupt:
+            log.append(("interrupted", env.now))
+        else:
+            log.append(("done", env.now))
+
+    def test_queued_claim_is_withdrawn(self, env):
+        src, d1, d2 = (make_nic(env, n) for n in ("src", "d1", "d2"))
+        log = []
+        env.process(self.sender(env, src, d1, 10_000_000, log))  # 0.1 s
+        victim = env.process(self.sender(env, src, d2, 10_000_000, log))
+        env.run(until=0.05)
+        assert src.tx.count == 1 and len(src.tx.queue) == 1
+        victim.interrupt("crash")
+        env.run(until=0.06)
+        assert log == [("interrupted", 0.05)]
+        assert src.tx.count == 1 and not src.tx.queue  # claim gone
+        env.run()
+        # the holder's release found nobody to grant: the slot is free
+        assert src.tx.count == 0 and not src.tx.queue
+        assert d2.rx.free_at == 0.0  # the victim never reached the wire
+
+    def test_held_slot_is_freed_once_and_the_occupancy_stands(self, env):
+        src, dst, other = (make_nic(env, n) for n in ("src", "dst", "other"))
+        log = []
+        victim = env.process(self.sender(env, src, dst, 10_000_000, log))
+        env.run(until=0.05)
+        assert src.tx.count == 1
+        occupied_until = dst.rx.free_at
+        assert occupied_until == pytest.approx(0.1 + 1e-5)
+        victim.interrupt("crash")
+        # the sender's TX side is free at once ...
+        env.process(self.sender(env, src, other, 1_000_000, log))
+        # ... but the receiver still takes the bytes it accepted
+        env.process(self.sender(env, other, dst, 1_000_000, log))
+        env.run()
+        assert log == [
+            ("interrupted", 0.05),
+            ("done", pytest.approx(0.05 + 0.01 + 1e-5 + 1e-4)),
+            ("done", pytest.approx(occupied_until + 0.01 + 1e-5 + 1e-4)),
+        ]
+        assert src.tx.count == 0 and not src.tx.queue
+        assert dst.rx.total_waits == 1
+
+    def test_interrupt_between_grant_and_resume_frees_the_slot(self, env):
+        """The holder's release schedules the victim's grant; the
+        interrupt (urgent) lands before the victim resumes, and the slot
+        it was just given goes on to the next in line."""
+        src, d1, d2, d3 = (make_nic(env, n) for n in ("s", "d1", "d2", "d3"))
+        occupancy = 1e-5 + 1_000_000 / (100 * MBps)
+        log = []
+        env.process(self.sender(env, src, d1, 1_000_000, log))
+        victim = env.process(self.sender(env, src, d2, 1_000_000, log))
+        env.process(self.sender(env, src, d3, 1_000_000, log))
+
+        def crasher():
+            yield env.timeout(occupancy)  # fires right after the release
+            assert src.tx.users[0].triggered and victim.is_alive
+            victim.interrupt("crash")
+
+        env.process(crasher())
+        env.run()
+        assert log == [("interrupted", occupancy),
+                       ("done", pytest.approx(occupancy + 1e-4)),
+                       ("done", pytest.approx(2 * occupancy + 1e-4))]
+        assert src.tx.count == 0 and not src.tx.queue
+        assert d2.rx.free_at == 0.0

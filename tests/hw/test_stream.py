@@ -6,7 +6,7 @@ from repro.hw.cpu import Cpu
 from repro.hw.link import NIC, stream
 from repro.hw.params import CpuParams, NetworkParams
 from repro.metrics import Metrics
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt
 from repro.units import MBps
 
 
@@ -131,3 +131,23 @@ class TestCpu:
         cpu = make_cpu(env, "n")
         run_timed(env, cpu.process_bytes(20_000_000))
         assert cpu.busy_time == pytest.approx(1.0)
+
+    def test_interrupted_cost_stands_and_is_charged_once(self, env):
+        cpu = make_cpu(env, "n")
+
+        def victim():
+            yield from cpu.request_processing()  # 1e-4 s
+
+        def bystander():
+            yield env.timeout(4e-5)
+            proc.interrupt("crash")
+            yield from cpu.request_processing()
+            return env.now
+
+        proc = env.process(victim())
+        after = env.process(bystander())
+        with pytest.raises(Interrupt):
+            env.run(until=proc)
+        # the processor still does the work it accepted, then ours
+        assert env.run(until=after) == pytest.approx(2e-4)
+        assert cpu.busy_time == pytest.approx(2e-4)

@@ -200,6 +200,90 @@ class TestFailureBehaviour:
         assert response.payload.to_bytes() == b"x"
 
 
+class TestCrashUnderLoad:
+    """``IOD.fail()`` interrupts the handlers in flight.  Whatever a
+    handler was waiting for, no TX slot stays held or queued, the client
+    is told at once, and timed holds already placed stand."""
+
+    @staticmethod
+    def start_rpc(system, iod, request, client=0):
+        def work():
+            try:
+                return (yield from system.client(client).rpc(iod, request))
+            except ServerFailed as exc:
+                return exc
+
+        return system.env.process(work())
+
+    @staticmethod
+    def step_until(system, condition):
+        while not condition():
+            assert system.env.now < 1.0, "never happened"
+            system.env.step()
+
+    def test_crash_inside_request_processing(self, tx_claims):
+        system = make_system()
+        iod, env = system.iods[0], system.env
+        cpu = iod.node.cpu
+        call = self.start_rpc(system, iod, msg.FsyncReq("f"))
+        self.step_until(system, lambda: cpu.server.free_at > env.now)
+        crashed_at, busy_until = env.now, cpu.server.free_at
+        iod.fail()
+        assert isinstance(env.run(until=call), ServerFailed)
+        assert env.now == crashed_at  # the client did not wait
+        assert cpu.server.free_at == busy_until  # the cost stands
+        assert tx_claims() == []
+        assert cpu.busy_time == pytest.approx(busy_until - crashed_at)
+
+    def test_crash_inside_the_reply_transfer(self, tx_claims):
+        system = make_system()
+        iod, env = system.iods[0], system.env
+        tx = iod.node.nic.tx
+        call = self.start_rpc(system, iod, msg.FsyncReq("f"))
+        self.step_until(system, lambda: tx.count == 1)  # header-only reply
+        rx = system.client().node.nic.rx
+        occupied_until = rx.free_at
+        assert occupied_until > env.now
+        iod.fail()
+        assert isinstance(env.run(until=call), ServerFailed)
+        assert tx.count == 0 and not tx.queue  # freed at the interrupt
+        assert rx.free_at == occupied_until  # the occupancy stands
+        assert tx_claims() == []
+
+    def test_crash_with_a_reply_queued_on_tx(self, tx_claims):
+        system = make_system(num_clients=2)
+        iod, env = system.iods[0], system.env
+        tx = iod.node.nic.tx
+        # a streamed reply keeps the TX side busy segment by segment; a
+        # second request, handled while the first segment is on the CPU,
+        # has its header-only reply ready just as that segment takes TX
+        calls = [self.start_rpc(system, iod, msg.ReadReq(
+            "f", kind="data", offset=0, length=512 * KiB))]
+        env.run(until=0.005)
+        calls.append(self.start_rpc(system, iod, msg.FsyncReq("f"), client=1))
+        self.step_until(system, lambda: tx.queue)
+        assert tx.count == 1 and tx.queue[0].callbacks  # a process waits
+        iod.fail()
+        for call in calls:
+            assert isinstance(env.run(until=call), ServerFailed)
+        # the queued claim is withdrawn; the segment on the wire stays
+        assert tx.count == 1 and not tx.queue
+        assert tx_claims() == []
+
+    def test_crash_under_a_streamed_reply(self, tx_claims):
+        """A data-bearing reply is a pipeline, not a waiter: it runs to
+        its end and gives its TX slot back itself."""
+        system = make_system()
+        iod, env = system.iods[0], system.env
+        tx = iod.node.nic.tx
+        call = self.start_rpc(system, iod, msg.ReadReq(
+            "f", kind="data", offset=0, length=512 * KiB))
+        self.step_until(system, lambda: tx.count == 1)
+        iod.fail()
+        assert isinstance(env.run(until=call), ServerFailed)
+        assert tx_claims() == []
+
+
 class TestMaintenance:
     def test_fsync_flushes_all_local_files(self):
         system = make_system()

@@ -124,7 +124,8 @@ class TestCachedListsAreLive:
         first, queued = lock.request(), lock.request()
         assert (type(first), first.triggered, queued.triggered) == \
             (type(plain.request()), True, False)
-        assert first.callbacks == [] and queued.callbacks == []
+        # granted on the spot: born processed, nothing subscribed to either
+        assert first.processed and queued.callbacks == []
         lock.release(first)
         assert queued.triggered and lock.users == [queued]
 

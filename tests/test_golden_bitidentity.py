@@ -186,12 +186,13 @@ SCENARIOS = {
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_simulation_is_bit_identical_to_the_recorded_run(name):
+def test_simulation_is_bit_identical_to_the_recorded_run(name, tx_claims):
     with open(GOLDEN, encoding="utf-8") as fp:
         expected = json.load(fp)[name]
     # through JSON, so dict key types and int/float spelling match
     got = json.loads(json.dumps(SCENARIOS[name]()))
     assert got == expected
+    assert tx_claims() == []  # no TX slot outlives the run
 
 
 if __name__ == "__main__":
