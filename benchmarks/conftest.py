@@ -1,37 +1,20 @@
-"""Shared plumbing for the figure/table benchmarks.
-
-Every benchmark runs one experiment end to end (simulation included) via
-``benchmark.pedantic(..., rounds=1)`` — the meaningful numbers are the
-*simulated* bandwidths inside the returned table, which each test then
-checks against the paper's qualitative claims; the pytest-benchmark
-timing records how long the reproduction itself takes to run.
-
-Scales are chosen so the full suite finishes in a few minutes; pass
-``--repro-scale`` to override (1.0 = paper-size data volumes).
-"""
+"""Each experiment runs once per session, at its default scale (the
+scale ``docs/results/experiments.json`` was recorded at; ``csar-repro
+report --scale`` is the way to try another)."""
 
 import pytest
 
-
-def pytest_addoption(parser):
-    parser.addoption("--repro-scale", type=float, default=None,
-                     help="override the data-volume scale of every "
-                          "figure/table benchmark (1.0 = paper size)")
+from repro.experiments import get_experiment
 
 
-@pytest.fixture
-def repro_scale(request):
-    return request.config.getoption("--repro-scale")
+@pytest.fixture(scope="session")
+def table_of():
+    tables = {}
 
+    def run(exp_id):
+        if exp_id not in tables:
+            exp = get_experiment(exp_id)
+            tables[exp_id] = exp.run(scale=exp.default_scale)
+        return tables[exp_id]
 
-def run_experiment(benchmark, exp_id, scale):
-    """Run one registered experiment under the benchmark fixture."""
-    from repro.experiments import get_experiment
-
-    exp = get_experiment(exp_id)
-    effective = exp.default_scale if scale is None else scale
-    table = benchmark.pedantic(exp.run, kwargs={"scale": effective},
-                               rounds=1, iterations=1)
-    print()
-    print(table.format())
-    return table
+    return run

@@ -9,6 +9,8 @@
     csar-repro run all --scale 0.05 --sanitize=all
     csar-repro run all --jobs 4
     csar-repro profile fig7a
+    csar-repro report --ledger docs/results/experiments.json
+    csar-repro report --diff old.json docs/results/experiments.json
     csar-repro lint src --format=json
     csar-repro lint src --format=sarif > lint.sarif
     csar-repro lint src --write-baseline tools/lint_baseline.json
@@ -270,12 +272,13 @@ def _cmd_lint(paths: List[str], fmt: str, list_rules: bool,
         if not os.path.exists(path):
             print(f"error: no such path: {path}", file=sys.stderr)
             return 2
+    for kind, given in (("baseline", baseline_path),
+                        ("witness", witness_path)):
+        if given is not None and not os.path.exists(given):
+            print(f"error: no such {kind} file: {given}", file=sys.stderr)
+            return 2
     witnesses = None
     if witness_path is not None:
-        if not os.path.exists(witness_path):
-            print(f"error: no such witness file: {witness_path}",
-                  file=sys.stderr)
-            return 2
         witnesses = lint.load_witnesses(witness_path)
     enable = lint.enabled_codes_from_pyproject()
     findings = lint.lint_paths(paths, enable=enable,
@@ -288,12 +291,7 @@ def _cmd_lint(paths: List[str], fmt: str, list_rules: bool,
               f"{write_baseline_path}")
         return 0
     suppressed = 0
-    if baseline_path is not None:
-        if not os.path.exists(baseline_path):
-            print(f"error: no such baseline file: {baseline_path}",
-                  file=sys.stderr)
-            return 2
-    else:
+    if baseline_path is None:
         # Auto-baseline: [tool.csar-lint] baseline in pyproject.toml,
         # silently skipped when the file is absent (e.g. a fresh clone
         # linting before the baseline has been generated).
@@ -361,6 +359,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "report", help="run the paper-claim checklist and print verdicts")
     report_p.add_argument("--scale", type=float, default=None,
                           help="data-volume scale factor")
+    report_p.add_argument("--ledger", default=None, metavar="FILE",
+                          help="also run the table-only experiments and "
+                               "write every table and claim value to FILE "
+                               "(docs/results/experiments.json is the "
+                               "committed one, at the default scales)")
+    report_p.add_argument("--diff", nargs=2, default=None,
+                          metavar=("OLD", "NEW"),
+                          help="run nothing: list every claim value, "
+                               "verdict and table cell that differs "
+                               "between two ledger files (exit 1 if any)")
     explore_p = sub.add_parser(
         "explore", help="systematically explore event schedules for "
                         "protocol violations (see docs/ANALYSIS.md)")
@@ -464,8 +472,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "report":
         from repro.experiments.report import run_report
 
-        text, ok = run_report(scale=args.scale)
-        print(text)
+        text, ok = run_report(scale=args.scale, ledger_path=args.ledger,
+                              diff=args.diff)
+        if text:
+            print(text)
         return 0 if ok else 1
     if args.command == "lint":
         return _cmd_lint(args.paths, args.fmt, args.list_rules,

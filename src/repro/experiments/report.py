@@ -1,159 +1,146 @@
-"""One-shot reproduction report: run experiments, check the paper's
-claims, emit a verdict table.
+"""``csar-repro report``: measure every claim of ``claims.py``.
 
-``python -m repro report`` runs a claim checklist distilled from
-EXPERIMENTS.md — the same qualitative assertions the benchmark suite
-makes, packaged as a single human-readable artifact.  Each claim is a
-named predicate over one experiment's table, so the output reads::
-
-    [PASS] fig3: locking overhead within 10-35% (paper ~20%)    21%
-    [PASS] fig4b: RAID1 == Hybrid on one-block writes           0.0% apart
-    ...
-
-Use ``--scale`` to trade fidelity for speed; claims are scale-robust by
-design (orderings and ratios, not absolute MB/s).
+One ledger — ``{"experiments": tables, "claims": measured values}`` — is
+built by running each experiment once; the printed verdicts, the
+committed ``docs/results/experiments.json`` (``--ledger``) and
+``--diff`` between two such files are all views of it.  The ledger holds
+simulated numbers only (no wall times, no table notes), so writing it
+twice gives the same bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+import json
+import math
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.experiments.base import ExpTable, get_experiment
+from repro.experiments.base import REGISTRY, ExpTable, get_experiment
+from repro.experiments.claims import CLAIMS, Claim
 
-
-@dataclass(frozen=True)
-class Claim:
-    """One checkable statement from the paper, bound to an experiment."""
-
-    experiment: str
-    description: str
-    check: Callable[[ExpTable], Tuple[bool, str]]
+Ledger = Dict[str, Dict[str, dict]]
 
 
-def _fig3(table: ExpTable) -> Tuple[bool, str]:
-    nolock = table.cell("R5 NO LOCK", "bandwidth_mbps")
-    raid5 = table.cell("RAID5", "bandwidth_mbps")
-    overhead = (nolock - raid5) / nolock
-    return 0.10 < overhead < 0.35, f"{overhead * 100:.0f}%"
+def _finite(bound: float) -> Optional[float]:
+    return bound if math.isfinite(bound) else None
 
 
-def _fig4a_raid1_half(table: ExpTable) -> Tuple[bool, str]:
-    ratios = [table.cell(n, "raid1") / table.cell(n, "raid0")
-              for n in (2, 4, 6)]
-    ok = all(0.42 <= r <= 0.58 for r in ratios)
-    return ok, "raid1/raid0 = " + ", ".join(f"{r:.2f}" for r in ratios)
+def build_ledger(claims: Sequence[Claim], scale: Optional[float] = None,
+                 also: Iterable[str] = ()) -> Ledger:
+    """Run every claim's experiment (and those in ``also``) once each, at
+    its default scale unless ``scale`` is given, and measure the claims."""
+    tables: Dict[str, ExpTable] = {}
+    ledger: Ledger = {"experiments": {}, "claims": {}}
+    for exp_id in [c.experiment for c in claims] + sorted(also):
+        if exp_id in tables:
+            continue
+        exp = get_experiment(exp_id)
+        used = exp.default_scale if scale is None else scale
+        table = tables[exp_id] = exp.run(scale=used)
+        ledger["experiments"][exp_id] = {
+            "title": table.title, "scale": used,
+            "headers": table.headers, "rows": table.rows}
+    for claim in claims:
+        value = claim.value(tables[claim.experiment])
+        ledger["claims"][claim.id] = {
+            "experiment": claim.experiment, "measured": value,
+            "lo": _finite(claim.lo), "hi": _finite(claim.hi),
+            "status": claim.status, "verdict": claim.verdict(value)}
+    return ledger
 
 
-def _fig4a_hybrid_is_raid5(table: ExpTable) -> Tuple[bool, str]:
-    gaps = [abs(table.cell(n, "hybrid") - table.cell(n, "raid5"))
-            / table.cell(n, "raid5") for n in (4, 6, 7)]
-    return max(gaps) < 0.02, f"max gap {max(gaps) * 100:.1f}%"
+def load_ledger(path: str) -> Ledger:
+    with open(path) as fp:
+        return json.load(fp)
 
 
-def _fig4b_raid1_eq_hybrid(table: ExpTable) -> Tuple[bool, str]:
-    gap = abs(table.cell(6, "hybrid") - table.cell(6, "raid1")) \
-        / table.cell(6, "raid1")
-    return gap < 0.02, f"{gap * 100:.1f}% apart"
+def _moved(old: object, new: object) -> bool:
+    if isinstance(old, float) and isinstance(new, float):
+        return not math.isclose(old, new, rel_tol=1e-9, abs_tol=0.0)
+    return old != new
 
 
-def _fig4b_raid5_half(table: ExpTable) -> Tuple[bool, str]:
-    ratio = table.cell(6, "raid5") / table.cell(6, "raid1")
-    return ratio < 0.7, f"raid5/raid1 = {ratio:.2f}"
+def _change(old: object, new: object) -> str:
+    if not (isinstance(old, float) and isinstance(new, float)):
+        return f"{old} -> {new}"
+    pct = f" ({(new - old) / abs(old):+.2%})" if old else ""
+    return f"{old:.6g} -> {new:.6g}{pct}"
 
 
-def _fig5a_reads_equal(table: ExpTable) -> Tuple[bool, str]:
-    worst = 0.0
-    for row in table.rows:
-        _c, raid0, raid1, raid5, hybrid = row
-        for v in (raid1, raid5, hybrid):
-            worst = max(worst, abs(v - raid0) / raid0)
-    return worst < 0.02, f"max deviation {worst * 100:.2f}%"
+def diff_table(exp_id: str, old: dict, new: dict) -> List[str]:
+    """Every cell that differs between two recordings of one table."""
+    if (old["headers"], len(old["rows"])) != (new["headers"],
+                                              len(new["rows"])):
+        return [f"table {exp_id}: shape changed"]
+    return [f"table {exp_id} [{row_a[0]}, {header}]: {_change(x, y)}"
+            for row_a, row_b in zip(old["rows"], new["rows"])
+            for header, x, y in zip(old["headers"], row_a, row_b)
+            if _moved(x, y)]
 
 
-def _fig6b_raid5_collapse(table: ExpTable) -> Tuple[bool, str]:
-    drop = table.cell(25, "raid5") / table.cell(4, "raid5")
-    below_raid1 = table.cell(25, "raid5") < 1.1 * table.cell(25, "raid1")
-    return drop < 0.55 and below_raid1, \
-        f"raid5 falls to {drop * 100:.0f}% of its 4-proc value"
-
-
-def _fig7a_raid1_collapse(table: ExpTable) -> Tuple[bool, str]:
-    ratios = [table.cell(p, "raid1") / table.cell(p, "raid5")
-              for p in (4, 9, 16, 25)]
-    return max(ratios) < 0.65, \
-        f"raid1/raid5 = {min(ratios):.2f}-{max(ratios):.2f}"
-
-
-def _fig8_hybrid_best(table: ExpTable) -> Tuple[bool, str]:
-    worst = 0.0
-    for row in table.rows:
-        _app, _r0, raid1, raid5, hybrid = row
-        worst = max(worst, hybrid / min(raid1, raid5))
-    return worst <= 1.15, f"hybrid ≤ {worst:.2f}x the best alternative"
-
-
-def _table2_exact_ratios(table: ExpTable) -> Tuple[bool, str]:
-    for row in table.rows:
-        _label, raid0, raid1, raid5, _hybrid = row
-        if abs(raid1 / raid0 - 2.0) > 0.02 or abs(raid5 / raid0 - 1.2) > 0.04:
-            return False, f"off at {_label}"
-    return True, "raid1 = 2.00x, raid5 = 1.20x everywhere"
-
-
-def _table2_hybrid_signatures(table: ExpTable) -> Tuple[bool, str]:
-    hf = table.cell("Hartree-Fock", "hybrid") \
-        / table.cell("Hartree-Fock", "raid1")
-    flash = table.cell("FLASH 4p 64K", "hybrid") \
-        / table.cell("FLASH 4p 64K", "raid1")
-    btio_a = abs(table.cell("BTIO Class A", "hybrid")
-                 - table.cell("BTIO Class A", "raid5"))
-    ok = abs(hf - 1.0) < 0.01 and flash > 1.0 and btio_a < 0.01
-    return ok, (f"HF = {hf:.2f}x raid1, FLASH-64K = {flash:.2f}x raid1, "
-                "Class A hybrid == raid5")
-
-
-CLAIMS: List[Claim] = [
-    Claim("fig3", "locking overhead within 10-35% (paper ~20%)", _fig3),
-    Claim("fig4a", "RAID1 ≈ half of RAID0 (2x bytes, one link)",
-          _fig4a_raid1_half),
-    Claim("fig4a", "Hybrid ≡ RAID5 on full-stripe writes",
-          _fig4a_hybrid_is_raid5),
-    Claim("fig4b", "RAID1 ≡ Hybrid on one-block writes",
-          _fig4b_raid1_eq_hybrid),
-    Claim("fig4b", "RAID5 pays the RMW round trip (≤ 0.7x RAID1)",
-          _fig4b_raid5_half),
-    Claim("fig5a", "reads identical across schemes", _fig5a_reads_equal),
-    Claim("fig6b", "cold-cache overwrite collapses RAID5 below RAID1",
-          _fig6b_raid5_collapse),
-    Claim("fig7a", "Class C overflows caches under RAID1's 2x bytes",
-          _fig7a_raid1_collapse),
-    Claim("fig8", "Hybrid ≈ best of RAID1/RAID5 on every application",
-          _fig8_hybrid_best),
-    Claim("table2", "storage ratios exact (2.0x / 1.2x)",
-          _table2_exact_ratios),
-    Claim("table2", "Hybrid signatures: HF = RAID1, FLASH-64K > RAID1, "
-                    "Class A = RAID5", _table2_hybrid_signatures),
-]
+def diff_ledgers(old: Ledger, new: Ledger) -> List[str]:
+    """Every claim value, verdict or status and every table cell that
+    differs between two ledgers (numbers: by more than 1e-9 relative)."""
+    lines: List[str] = []
+    for cid in sorted(old["claims"].keys() | new["claims"].keys()):
+        a, b = old["claims"].get(cid), new["claims"].get(cid)
+        if a is None or b is None:
+            lines.append(f"claim {cid}: {'added' if a is None else 'removed'}")
+            continue
+        flips = [f"{key} {a[key]} -> {b[key]}"
+                 for key in ("verdict", "status") if a[key] != b[key]]
+        if _moved(a["measured"], b["measured"]) or flips:
+            lines.append(f"claim {cid}: "
+                         + _change(a["measured"], b["measured"])
+                         + "".join(f"; {flip}" for flip in flips))
+    for exp_id in sorted(old["experiments"].keys()
+                         | new["experiments"].keys()):
+        a = old["experiments"].get(exp_id)
+        b = new["experiments"].get(exp_id)
+        if a is None or b is None:
+            lines.append(f"table {exp_id}: "
+                         f"{'added' if a is None else 'removed'}")
+        else:
+            lines.extend(diff_table(exp_id, a, b))
+    return lines
 
 
 def run_report(scale: Optional[float] = None,
-               claims: List[Claim] = CLAIMS) -> Tuple[str, bool]:
-    """Run every claim's experiment (once each) and render the report."""
-    tables: Dict[str, ExpTable] = {}
-    lines: List[str] = ["# Reproduction verification report", ""]
+               claims: Optional[Sequence[Claim]] = None,
+               ledger_path: Optional[str] = None,
+               diff: Optional[Tuple[str, str]] = None) -> Tuple[str, bool]:
+    """``csar-repro report``'s one entry: ``(text, ok)``.
+
+    With ``diff`` no simulation runs: the two ledger files are compared
+    and ``ok`` means "nothing moved".  Otherwise each claim prints its
+    verdict, measured value, interval and distance to the nearer bound;
+    ``ok`` means every verdict agrees with the claim's recorded status.
+    ``ledger_path`` additionally runs the table-only experiments and
+    writes the whole ledger there.
+    """
+    if diff is not None:
+        lines = diff_ledgers(*map(load_ledger, diff))
+        return "\n".join(lines), not lines
+    claims = CLAIMS if claims is None else claims
+    ledger = build_ledger(claims, scale,
+                          also=REGISTRY if ledger_path is not None else ())
+    lines = ["# Reproduction verification report", ""]
     all_ok = True
     for claim in claims:
-        if claim.experiment not in tables:
-            exp = get_experiment(claim.experiment)
-            effective = exp.default_scale if scale is None else scale
-            tables[claim.experiment] = exp.run(scale=effective)
-        ok, detail = claim.check(tables[claim.experiment])
-        all_ok &= ok
-        verdict = "PASS" if ok else "FAIL"
-        lines.append(f"[{verdict}] {claim.experiment}: "
-                     f"{claim.description}  —  {detail}")
-    lines.append("")
-    lines.append("overall: " + ("ALL CLAIMS REPRODUCED" if all_ok
-                                else "SOME CLAIMS FAILED"))
+        entry = ledger["claims"][claim.id]
+        all_ok &= entry["verdict"] in ("PASS", "GAP")
+        paper = "" if claim.paper_value is None \
+            else f" (paper {claim.paper_value:g})"
+        lines.append(
+            f"[{entry['verdict']}] {claim.id}: {entry['measured']:.4g} in "
+            f"({claim.lo:.7g}, {claim.hi:.7g}), margin "
+            f"{claim.margin(entry['measured']):.3g}  —  "
+            f"{claim.paper}{paper}")
+    lines += ["", "overall: " + (
+        "EVERY CLAIM STANDS AS RECORDED" if all_ok
+        else "SOME CLAIMS FAILED (or a gap closed: update claims.py)")]
+    if ledger_path is not None:
+        with open(ledger_path, "w") as fp:
+            json.dump(ledger, fp, indent=1, sort_keys=True)
+            fp.write("\n")
+        lines.append(f"wrote {ledger_path}")
     return "\n".join(lines), all_ok

@@ -67,20 +67,25 @@ def _rows(scale: float):
     ]
 
 
+def _row(label: str, clients: int, unit: int, sys_scale: float,
+         runner: Callable) -> list:
+    """One table row: MB stored under each scheme after the workload."""
+    row: list = [label]
+    for scheme in SCHEMES:
+        system = build(scheme=scheme, clients=clients, stripe_unit=unit,
+                       scale=sys_scale)
+        file_name = runner(system)
+        row.append(system.storage_report(file_name)["total"] / 1e6)
+    return row
+
+
 @register("table2", "Storage requirement per scheme (MB)",
           default_scale=0.05)
 def run(scale: float = 0.05) -> ExpTable:
     table = ExpTable("table2", "Storage requirement (MB of local files)",
                      ["benchmark"] + list(SCHEMES))
-    for label, clients, unit, sys_scale, runner in _rows(scale):
-        row: list = [label]
-        for scheme in SCHEMES:
-            system = build(scheme=scheme, clients=clients, stripe_unit=unit,
-                           scale=sys_scale)
-            file_name = runner(system)
-            report = system.storage_report(file_name)
-            row.append(report["total"] / 1e6)
-        table.add_row(*row)
+    for spec in _rows(scale):
+        table.add_row(*_row(*spec))
     table.notes.append("expected at 6 iods: RAID1 = 2.0x RAID0, "
                        "RAID5 = 1.2x; Hybrid workload-dependent")
     return table

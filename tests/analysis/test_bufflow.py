@@ -182,20 +182,17 @@ class TestSeededBugRegression:
     def test_intra_pass_reports_nothing(self):
         assert lint.lint_paths([str(SEEDED)]) == []
 
-    def test_old_rules_cannot_see_them_even_interprocedurally(self, spans):
-        findings = lint.lint_paths([str(REPO_ROOT / "src")],
-                                   enable=OLD_CODES,
-                                   interprocedural=True)
-        hits = [f for f in findings
-                if f.path.endswith("seeded_bugs.py")
+    def test_old_rules_cannot_see_them_even_interprocedurally(
+            self, spans, src_findings):
+        hits = [f for f in src_findings
+                if f.code in OLD_CODES and f.path.endswith("seeded_bugs.py")
                 and any(self._within(f, span) for span in spans.values())]
         assert hits == []
 
-    def test_bufflow_rules_catch_both_with_chains(self, spans):
-        findings = lint.lint_paths([str(REPO_ROOT / "src")],
-                                   enable=BUF_CODES,
-                                   interprocedural=True)
-        seeded = [f for f in findings if f.path.endswith("seeded_bugs.py")]
+    def test_bufflow_rules_catch_both_with_chains(self, spans,
+                                                  src_findings):
+        seeded = [f for f in src_findings if f.code in BUF_CODES
+                  and f.path.endswith("seeded_bugs.py")]
         assert {f.code for f in seeded} == BUF_CODES
 
         thawed = [f for f in seeded
@@ -213,10 +210,9 @@ class TestSeededBugRegression:
         for finding in thawed + leak:
             assert "->" in finding.message  # the witness call chain
 
-    def test_every_seeded_finding_is_baselined(self, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        baseline = lint.load_baseline("tools/lint_baseline.json")
-        findings = lint.lint_paths(["src"], interprocedural=True)
-        new, suppressed = lint.apply_baseline(findings, baseline)
+    def test_every_seeded_finding_is_baselined(self, src_findings):
+        baseline = lint.load_baseline(
+            str(REPO_ROOT / "tools" / "lint_baseline.json"))
+        new, suppressed = lint.apply_baseline(list(src_findings), baseline)
         assert new == []
         assert suppressed >= 4  # the two buffer bugs' four findings

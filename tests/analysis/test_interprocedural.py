@@ -56,10 +56,9 @@ class TestSeededBugRegression:
     def test_intra_pass_misses_the_helper_release_leak(self):
         assert lint.lint_paths([str(SEEDED)]) == []
 
-    def test_interprocedural_pass_catches_it(self):
-        findings = lint.lint_paths([str(REPO_ROOT / "src")],
-                                   interprocedural=True)
-        seeded = [f for f in findings if f.path.endswith("seeded_bugs.py")]
+    def test_interprocedural_pass_catches_it(self, src_findings):
+        seeded = [f for f in src_findings
+                  if f.path.endswith("seeded_bugs.py")]
         codes = {f.code for f in seeded}
         assert "CSAR010" in codes  # HelperReleaseRaid5's leaked lease
         assert "CSAR011" in codes  # DescendingLockRaid5's loop
@@ -67,24 +66,28 @@ class TestSeededBugRegression:
         assert "_take_lease" in leak.message
         assert "->" in leak.message  # the witness call chain
 
-    def test_repo_src_still_clean_intra(self):
-        assert lint.lint_paths([str(REPO_ROOT / "src")]) == []
+    def test_repo_src_still_clean_intra(self, src_findings_intra):
+        assert src_findings_intra == ()
 
 
 class TestWitnessCrossReference:
-    def test_every_locksan_inversion_is_part_of_a_static_cycle(self):
+    def test_every_locksan_inversion_is_part_of_a_static_cycle(
+            self, src_findings):
         # Acceptance gate: run the seeded-bug suite, collect every
         # LockSan order-inversion, and require CSAR011 to name each one
-        # as the dynamic witness of a static cycle.
+        # as the dynamic witness of a static cycle.  The cycles live in
+        # the seeded-bug module, so that file is linted with the
+        # witnesses; the src-wide pass must report the same cycles.
         explore.drain_witnesses()
         for scen in explore.smoke_scenarios():
             explore.explore(scen.name, budget=16)
         witnesses = explore.drain_witnesses()
         assert witnesses, "seeded-bug suite produced no order-inversions"
-        findings = lint.lint_paths([str(REPO_ROOT / "src")],
-                                   interprocedural=True,
+        findings = lint.lint_paths([str(SEEDED)], interprocedural=True,
                                    witnesses=witnesses)
         cycles = [f for f in findings if f.code == "CSAR011"]
+        assert [f.line for f in cycles] == [
+            f.line for f in src_findings if f.code == "CSAR011"]
         for witness in witnesses:
             note = (f"held group {witness['held_group']} while acquiring "
                     f"group {witness['group']}")
@@ -174,13 +177,12 @@ class TestBaseline:
         with pytest.raises(ValueError):
             lint.load_baseline(str(path))
 
-    def test_repo_baseline_covers_the_seeded_bugs(self, monkeypatch):
+    def test_repo_baseline_covers_the_seeded_bugs(self, src_findings):
         # The committed baseline is exactly why `csar-repro lint src`
         # exits 0 while the seeded-bug modules deliberately trip rules.
-        monkeypatch.chdir(REPO_ROOT)
-        entries = lint.load_baseline("tools/lint_baseline.json")
-        findings = lint.lint_paths(["src"], interprocedural=True)
-        assert {lint.baseline_key(f) for f in findings} == entries
+        entries = lint.load_baseline(
+            str(REPO_ROOT / "tools" / "lint_baseline.json"))
+        assert {lint.baseline_key(f) for f in src_findings} == entries
 
 
 class TestDeduplication:
@@ -224,18 +226,21 @@ class TestSarif:
 
 class TestCli:
     def test_default_lint_is_interprocedural_and_baselined(
-            self, capsys, monkeypatch):
+            self, capsys, monkeypatch, lint_src_stub):
         from repro.cli import main
 
         monkeypatch.chdir(REPO_ROOT)
         assert main(["lint", "src"]) == 0
+        assert lint_src_stub == [True]
         assert "suppressed" in capsys.readouterr().out
 
-    def test_no_interprocedural_flag(self, capsys, monkeypatch):
+    def test_no_interprocedural_flag(self, capsys, monkeypatch,
+                                     lint_src_stub):
         from repro.cli import main
 
         monkeypatch.chdir(REPO_ROOT)
         assert main(["lint", "src", "--no-interprocedural"]) == 0
+        assert lint_src_stub == [False]
 
     def test_write_then_consume_baseline(self, capsys, monkeypatch,
                                          tmp_path):
@@ -250,19 +255,24 @@ class TestCli:
                      "--baseline", baseline]) == 0
         assert "suppressed" in capsys.readouterr().out
 
-    def test_missing_baseline_exits_two(self, capsys, monkeypatch):
+    def _missing_input(self, flag, capsys, monkeypatch):
+        """A missing --baseline/--witnesses file is rejected up front."""
         from repro.cli import main
 
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["lint", "src", "--baseline", "no/such.json"]) == 2
-        assert "baseline" in capsys.readouterr().err
+        def no_lint(*args, **kwargs):
+            raise AssertionError("linted before checking its inputs")
+
+        monkeypatch.setattr(lint, "lint_paths", no_lint)
+        assert main(["lint", str(IP_FIXTURES), flag, "no/such.json"]) == 2
+        return capsys.readouterr().err
+
+    def test_missing_baseline_exits_two(self, capsys, monkeypatch):
+        assert "no such baseline file" in self._missing_input(
+            "--baseline", capsys, monkeypatch)
 
     def test_missing_witness_file_exits_two(self, capsys, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["lint", "src", "--witnesses", "no/such.json"]) == 2
-        assert "witness" in capsys.readouterr().err
+        assert "no such witness file" in self._missing_input(
+            "--witnesses", capsys, monkeypatch)
 
     def test_sarif_format(self, capsys, monkeypatch, tmp_path):
         from repro.cli import main

@@ -63,9 +63,9 @@ class TestFixtureRoundTrip:
 
 
 class TestCleanTree:
-    def test_repo_src_lints_clean(self):
-        findings = lint.lint_paths([str(REPO_ROOT / "src")])
-        assert findings == [], lint.format_text(findings)
+    def test_repo_src_lints_clean(self, src_findings_intra):
+        assert src_findings_intra == (), \
+            lint.format_text(list(src_findings_intra))
 
     def test_pyproject_registry_matches_rules(self):
         enable = lint.enabled_codes_from_pyproject(str(REPO_ROOT))
@@ -176,8 +176,11 @@ class TestCli:
     def test_lint_clean_tree_exits_zero(self, capsys, monkeypatch):
         from repro.cli import main
 
+        # The one real `csar-repro lint src` of the suite: whole-program
+        # by default, clean modulo the auto-applied committed baseline.
         monkeypatch.chdir(REPO_ROOT)
         assert main(["lint", "src"]) == 0
+        assert "suppressed" in capsys.readouterr().out
 
     def test_lint_fixture_tree_exits_one(self, capsys, monkeypatch):
         from repro.cli import main
