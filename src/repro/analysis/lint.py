@@ -435,7 +435,7 @@ class FileLinter:
                              caller) -> None:
         if token.handoff:
             # No local release at all: the callee hands the lock to the
-            # surrounding message protocol (e.g. the iod dispatch loop).
+            # surrounding message protocol (e.g. the iod request handlers).
             return
         call = token.call
         desc = ast.unparse(call.func)

@@ -47,8 +47,8 @@ class CSARConfig:
     scale: float = 1.0
     #: run servers' background writeback daemons
     background_flusher: bool = True
-    #: per-RPC deadline in sim seconds; ``None`` (the default) keeps the
-    #: legacy wait-forever RPC path bit-identical.  Set it to survive
+    #: per-RPC deadline in sim seconds; ``None`` (the default) sets none,
+    #: and an RPC waits for its reply however long.  Set it to survive
     #: silent message loss: a timed-out server is treated as failed
     #: (:class:`~repro.errors.RpcTimeout` is a ``ServerFailed``), so
     #: reads fail over to the scheme's degraded path

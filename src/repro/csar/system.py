@@ -126,8 +126,8 @@ class System:
                   write_buffering=self.config.write_buffering,
                   locking=self.config.locking)
         iod.fail()
-        # The dead daemon outlives this call (its dispatch process and
-        # the event heap hold each other); its disk must not.
+        # The dead daemon may outlive this call (a handler or a message
+        # in flight still holds it); its disk must not.
         self.iods[index].wipe()
         self.server_nodes[index] = node
         self.iods[index] = iod

@@ -15,17 +15,6 @@ class SimulationError(ReproError):
     """A discrete-event simulation invariant was violated."""
 
 
-class ProcessInterrupt(ReproError):
-    """Raised inside a simulation process that was interrupted.
-
-    Carries the ``cause`` given to :meth:`repro.sim.engine.Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class ConfigError(ReproError):
     """Invalid configuration (stripe geometry, hardware profile, workload)."""
 

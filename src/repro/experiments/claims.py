@@ -308,8 +308,12 @@ CLAIMS: List[Claim] = [
           "RAID5 stores 1.2x RAID0 at 6 iods", _ratio("raid5", "raid0"),
           1.164, 1.236, 1.2),
     Claim("table2-hybrid-at-least-raid5", "table2",
-          "Hybrid never stores less than RAID5",
-          _ratio("raid5", "hybrid"), 0.0, 1.001),
+          "Hybrid never stores less than RAID5: more on every row with "
+          "partial-stripe writes (BTIO Class A writes whole stripes only, "
+          "the equality table2-classA-hybrid-is-raid5 pins)",
+          lambda t: [t.cell(k, "hybrid") / t.cell(k, "raid5")
+                     for k in t.column("benchmark") if k != "BTIO Class A"],
+          1.0, inf),
     Claim("table2-hybrid-bounded", "table2",
           "Hybrid is bounded by RAID1 plus overflow fragmentation",
           _ratio("hybrid", "raid0"), 0.0, 2.6),

@@ -18,7 +18,7 @@ documented limitation (DESIGN.md §6).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.metrics import Metrics
 from repro.sim.engine import Environment, Event, Timeout
@@ -44,26 +44,6 @@ class NIC:
         self.rx = FifoServer(env)
 
 
-def _apply_link_fault(env: Environment, action: tuple, src: NIC, dst: NIC,
-                      nbytes: int) -> Generator[Event, Any, None]:
-    """Apply an injected message fault (see :mod:`repro.faults`).
-
-    ``drop`` parks forever — the message silently never arrives, and
-    only a client RPC timeout rescues the waiter.  ``delay`` stalls the
-    message before it takes the wire.  ``dup`` sends the bytes across
-    the wire twice (the duplicate burns occupancy; end-to-end
-    duplicate *delivery* is exercised by retry-after-delay instead,
-    since retried idempotent RPCs really do arrive twice).
-    """
-    kind = action[0]
-    if kind == "drop":
-        yield env.event()  # black hole: nothing ever triggers this
-    elif kind == "delay":
-        yield env.timeout(action[1])
-    elif kind == "dup":
-        yield from _wire(env, src, dst, nbytes)
-
-
 def _occupancy(src: NIC, dst: NIC, nbytes: int) -> float:
     """How long ``nbytes`` occupy ``dst``'s RX side (and ``src``'s TX)."""
     params = src.params
@@ -71,51 +51,48 @@ def _occupancy(src: NIC, dst: NIC, nbytes: int) -> float:
                                              dst.params.bandwidth)
 
 
-def _wire(env: Environment, src: NIC, dst: NIC,
-          nbytes: int) -> Generator[Event, Any, None]:
-    """The fault-free wire movement of one message.
-
-    An interrupted waiter withdraws its queued TX claim or frees its TX
-    slot; an RX occupancy already placed stands (the receiver still
-    takes the bytes it accepted).
-    """
-    params = src.params
-    if src is dst:
-        # Loopback (e.g. a client co-located with an I/O server):
-        # charge only the per-message overhead, no wire time.
-        yield Timeout(env, params.per_message)
-        return
-    tx = src.tx
-    tx_req = tx.request()
-    try:
-        yield tx_req
-        yield dst.rx.hold(_occupancy(src, dst, nbytes))
-    finally:
-        tx.release(tx_req)
-    yield Timeout(env, params.latency)
-
-
 def transfer(env: Environment, src: NIC, dst: NIC, nbytes: int,
              metrics: Optional[Metrics] = None) -> Generator[Event, Any, None]:
     """Process body: move ``nbytes`` from ``src``'s node to ``dst``'s node.
 
-    Use as ``yield env.process(transfer(...))`` or ``yield from transfer(...)``.
+    Unlike :func:`send`, the waiting process owns the message's TX claim:
+    interrupting it withdraws a queued claim or frees a held slot, while
+    an RX occupancy already placed stands (the receiver still takes the
+    bytes it accepted) — an iod crashing inside its header-only reply.
+    Link faults act as in :func:`send`.  Use as ``yield from
+    transfer(...)``.
     """
     if nbytes < 0:
         raise ValueError(f"negative transfer size {nbytes}")
     faults = env.faults
-    if faults is not None:
-        action = faults.link_action(src, dst, nbytes)
-        if action is not None:
-            yield from _apply_link_fault(env, action, src, dst, nbytes)
-    yield from _wire(env, src, dst, nbytes)
+    action = (None if faults is None
+              else faults.link_action(src, dst, nbytes)) or ("",)
+    if action[0] == "drop":
+        yield env.event()  # black hole: nothing ever triggers this
+    elif action[0] == "delay":
+        yield Timeout(env, action[1])
+    params = src.params
+    for _copy in range(2 if action[0] == "dup" else 1):
+        if src is dst:
+            # Loopback (e.g. a client co-located with an I/O server):
+            # charge only the per-message overhead, no wire time.
+            yield Timeout(env, params.per_message)
+            continue
+        tx = src.tx
+        tx_req = tx.request()
+        try:
+            yield tx_req
+            yield dst.rx.hold(_occupancy(src, dst, nbytes))
+        finally:
+            tx.release(tx_req)
+        yield Timeout(env, params.latency)
     if metrics is not None:
         metrics.record_tx(src.node_name, nbytes)
         metrics.record_rx(dst.node_name, nbytes)
 
 
 class _Stream:
-    """One streamed message in flight: a wire stage and a CPU stage.
+    """One message in flight: a wire stage and a CPU stage.
 
     Each stage takes the segments in order, one at a time.  The stage
     that goes first (the sender's CPU, or the wire when the receiver's
@@ -124,40 +101,49 @@ class _Stream:
     ``sent - computed`` (or the reverse) is the count of segments handed
     over and not yet taken up.  Both stages are chains of continuations
     on the three events per segment docs/PERF.md lists ("The events of
-    one streamed segment"); ``done`` fires when the second stage ends
-    the last segment.
+    one RPC"); ``then()`` is called when the second stage ends the last
+    segment.  Without a ``cpu`` the message is the wire stage alone,
+    moving as one piece.
     """
 
-    __slots__ = ("env", "tx", "rx", "cpu", "done", "cpu_leads", "loopback",
+    __slots__ = ("env", "tx", "rx", "cpu", "then", "cpu_leads", "loopback",
                  "per_message", "latency", "occupancy", "last_occupancy",
                  "cpu_time", "last_cpu_time", "last", "sent", "computed",
                  "_follower_idle", "_tx_req")
 
     def __init__(self, env: Environment, src: NIC, dst: NIC, nbytes: int,
-                 cpu, cpu_leads: bool) -> None:
+                 cpu, cpu_leads: bool, then: Callable[[], None]) -> None:
         params = src.params
-        segment = params.segment
-        full, tail = divmod(nbytes, segment)
-        byte_rate = cpu.params.byte_rate
         self.env = env
         self.tx = src.tx
         self.rx = dst.rx
         self.cpu = cpu
-        self.done = Event(env)
-        self.cpu_leads = cpu_leads
+        self.then = then
         self.loopback = src is dst
         self.per_message = params.per_message
         self.latency = params.latency
+        #: segments that have arrived / that the CPU has handled
+        self.sent = self.computed = 0
+        self._follower_idle = True
+        self._tx_req: Optional[Request] = None
+        if cpu is None:
+            # one piece whose CPU stage is done: it ends on arrival
+            self.cpu_leads = True
+            self.last = 0
+            self.computed = 1
+            self.last_occupancy = _occupancy(src, dst, nbytes)
+            self._send()
+            return
+        segment = params.segment
+        full, tail = divmod(nbytes, segment)
+        byte_rate = cpu.params.byte_rate
+        self.cpu_leads = cpu_leads
         self.occupancy = _occupancy(src, dst, segment)
         self.cpu_time = segment / byte_rate
         #: index of the last segment: the short tail, or a full one
         self.last = full if tail else full - 1
         self.last_occupancy = _occupancy(src, dst, tail or segment)
         self.last_cpu_time = (tail or segment) / byte_rate
-        #: segments that have arrived / that the CPU has handled
-        self.sent = self.computed = 0
-        self._follower_idle = True
-        self._tx_req: Optional[Request] = None
         if cpu_leads:
             self._compute()
         else:
@@ -188,7 +174,7 @@ class _Stream:
         self.sent = sent = self.sent + 1
         if self.cpu_leads:
             if sent > self.last:
-                self.done.succeed()
+                self.then()
             elif self.computed > sent:
                 self._send()
             else:
@@ -219,42 +205,70 @@ class _Stream:
                 self._send()
         else:
             if computed > self.last:
-                self.done.succeed()
+                self.then()
             elif self.sent > computed:
                 self._compute()
             else:
                 self._follower_idle = True
 
 
+def send(env: Environment, src: NIC, dst: NIC, nbytes: int,
+         then: Callable[[], None], metrics: Optional[Metrics] = None,
+         cpu=None, cpu_at: str = "dst") -> None:
+    """Start moving one message; ``then()`` is called once it has arrived.
+
+    The message is a chain of continuations, not a process: with a
+    ``cpu`` (a :class:`~repro.hw.cpu.Cpu`) it is a :class:`_Stream`
+    whose per-byte handling on the receiving (``cpu_at='dst'``) or
+    sending (``cpu_at='src'``) node overlaps the wire, segment by
+    segment; without one it moves in one piece.  An injected link fault
+    applies to the whole message: ``drop`` never calls ``then``,
+    ``delay`` stalls the message before it takes the wire, and ``dup``
+    moves its bytes across the wire once more first (the duplicate burns
+    occupancy; duplicate *delivery* is what a retried RPC does).
+    """
+    if nbytes < 0:
+        raise ValueError(f"negative transfer size {nbytes}")
+    if cpu_at not in ("src", "dst"):
+        raise ValueError(f"cpu_at must be 'src' or 'dst', got {cpu_at!r}")
+    if metrics is not None:
+        arrived = then
+
+        def then() -> None:
+            metrics.record_tx(src.node_name, nbytes)
+            metrics.record_rx(dst.node_name, nbytes)
+            arrived()
+
+    def start() -> None:
+        _Stream(env, src, dst, nbytes, cpu if nbytes else None,
+                cpu_at == "src", then)
+
+    faults = env.faults
+    action = None if faults is None else faults.link_action(src, dst, nbytes)
+    if action is None:
+        start()
+    elif action[0] == "delay":
+        Timeout(env, action[1]).callbacks.append(lambda _timeout: start())
+    elif action[0] == "dup":
+        _Stream(env, src, dst, nbytes, None, True, start)
+    # ``drop``: a black hole, only a client RPC deadline rescues the waiter
+
+
 def stream(env: Environment, src: NIC, dst: NIC, nbytes: int,
            metrics: Optional[Metrics] = None, cpu=None, cpu_at: str = "dst",
            ) -> Generator[Event, Any, None]:
-    """Move ``nbytes`` in segments, overlapping wire and per-byte CPU time.
+    """Process body: :func:`send` a message and wait for it to arrive.
 
     Large messages are sent in NIC-segment-sized pieces so (a) concurrent
     flows through one NIC interleave fairly, approximating TCP
-    multiplexing, and (b) the per-byte data-handling cost (``cpu``, a
-    :class:`~repro.hw.cpu.Cpu`) of the receiving (``cpu_at='dst'``) or
-    sending (``cpu_at='src'``) node pipelines with the wire time, the way
-    a real server processes a socket while more data is in flight.  The
+    multiplexing, and (b) the per-byte data-handling cost of the
+    receiving or sending node pipelines with the wire time, the way a
+    real server processes a socket while more data is in flight.  The
     slower of the two stages sets the steady-state rate — this is what
     lets aggregate PVFS bandwidth scale with I/O servers until the client
-    link saturates (Figure 4a).
+    link saturates (Figure 4a).  Interrupting the waiting process leaves
+    the message in flight.
     """
-    if nbytes <= 0 or cpu is None:
-        yield from transfer(env, src, dst, nbytes, metrics)
-        return
-    # One fault consult per *message*: the segment loop below moves
-    # pieces of a single logical transfer, so drop/delay/dup apply to
-    # the whole message, not per segment.
-    faults = env.faults
-    if faults is not None:
-        action = faults.link_action(src, dst, nbytes)
-        if action is not None:
-            yield from _apply_link_fault(env, action, src, dst, nbytes)
-    if cpu_at not in ("src", "dst"):
-        raise ValueError(f"cpu_at must be 'src' or 'dst', got {cpu_at!r}")
-    yield _Stream(env, src, dst, nbytes, cpu, cpu_at == "src").done
-    if metrics is not None:
-        metrics.record_tx(src.node_name, nbytes)
-        metrics.record_rx(dst.node_name, nbytes)
+    done = Event(env)
+    send(env, src, dst, nbytes, done.succeed, metrics, cpu, cpu_at)
+    yield done

@@ -12,16 +12,17 @@ PVFS code.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from random import Random
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError, RpcTimeout, ServerFailed
-from repro.hw.link import stream, transfer
+from repro.hw.link import send
 from repro.hw.node import Node
 from repro.metrics import Metrics
 from repro.pvfs import messages as msg
 from repro.pvfs.manager import FileMeta, Manager
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment, Event, Process, Timeout
 from repro.storage.payload import Payload
 
 
@@ -57,41 +58,27 @@ class PVFSClient:
     def next_xid(self) -> int:
         return next(self._xids)
 
-    def rpc(self, target, request) -> Generator[Event, Any, Any]:
-        """Send ``request`` to an iod or the manager; return its response.
+    def rpc(self, target: msg.Server, request) -> "_Call":
+        """Send ``request`` to an iod or the manager: ``yield from`` the
+        call for its response, or hand it to :meth:`parallel` /
+        :meth:`try_parallel` as one item.
 
         Payload-bearing requests stream: the server's per-byte data
-        handling overlaps the transfer, as over a real socket.  Raises the
-        server-reported error, so callers see
-        :class:`~repro.errors.ServerFailed` and friends as exceptions.
+        handling overlaps the transfer, as over a real socket.  The
+        server-reported error is raised; a ``ServerFailed`` makes the
+        client suspect the server.  With ``config.rpc_timeout`` set every
+        attempt has a deadline, and a timeout is an
+        :class:`~repro.errors.RpcTimeout` — a ``ServerFailed`` — so an
+        unresponsive server rides the failover of a crashed one (reads
+        reconstruct, tolerant writes go degraded).  Only idempotent
+        requests are retried, after a bounded, jittered backoff, and a
+        suspected server fails fast without touching the wire until a
+        rebuild clears the suspicion.
         """
         config = self.scheme.config
-        if getattr(config, "rpc_timeout", None) is not None \
-                and hasattr(target, "failed"):
-            return (yield from self._rpc_hardened(target, request, config))
-        wire = request.wire_size()
-        if wire > msg.HEADER and hasattr(target, "failed") and not target.failed:
-            yield from stream(self.env, self.node.nic, target.node.nic,
-                              wire, self.metrics, cpu=target.node.cpu,
-                              cpu_at="dst")
-        else:
-            yield from transfer(self.env, self.node.nic, target.node.nic,
-                                wire, self.metrics)
-        done = self.env.event()
-        target.inbox.put((request, self.node.nic, done))
-        response = yield done
-        error = getattr(response, "error", None)
-        if error is not None:
-            from repro.errors import ServerFailed
+        return _Call(self, target, request, config.rpc_timeout,
+                     config.rpc_retries if self._idempotent(request) else 0)
 
-            if isinstance(error, ServerFailed) and hasattr(target, "index"):
-                self.suspected.add(target.index)
-            raise error
-        return response
-
-    # ------------------------------------------------------------------
-    # hardened RPC: deadlines, bounded backoff, failover
-    # ------------------------------------------------------------------
     @staticmethod
     def _idempotent(request) -> bool:
         """May this request be safely delivered more than once?
@@ -111,106 +98,21 @@ class PVFSClient:
             return not request.lock
         return False
 
-    def _rpc_attempt(self, target, request,
-                     ) -> Generator[Event, Any,
-                                    Tuple[Any, Optional[Exception]]]:
-        """One send + reply wait as a spawnable process.
+    def parallel(self, items: List) -> Generator[Event, Any, List[Any]]:
+        """Run RPCs and generators concurrently; fail fast on the first
+        error."""
+        return (yield _Join(self.env, items, collect=False).done)
 
-        Never raises: the hardened path races this against a deadline,
-        and an abandoned attempt that fails later must not poison the
-        run with an unobserved event failure.
-        """
-        try:
-            wire = request.wire_size()
-            if wire > msg.HEADER and not target.failed:
-                yield from stream(self.env, self.node.nic, target.node.nic,
-                                  wire, self.metrics, cpu=target.node.cpu,
-                                  cpu_at="dst")
-            else:
-                yield from transfer(self.env, self.node.nic, target.node.nic,
-                                    wire, self.metrics)
-            done = self.env.event()
-            target.inbox.put((request, self.node.nic, done))
-            response = yield done
-        except ReproError as exc:
-            return (None, exc)
-        error = getattr(response, "error", None)
-        if error is not None:
-            return (None, error)
-        return (response, None)
-
-    def _rpc_hardened(self, target, request, config,
-                      ) -> Generator[Event, Any, Any]:
-        """RPC with a per-request deadline and bounded retry.
-
-        Timeouts surface as :class:`~repro.errors.RpcTimeout` — a
-        :class:`ServerFailed` — so an unresponsive server rides the
-        same failover machinery as a crashed one: it joins
-        ``self.suspected``, reads reconstruct around it through the
-        scheme's degraded path, and tolerant writes record a degraded
-        write instead of blocking forever.  Suspected servers fail
-        fast without touching the wire; the suspicion is cleared only
-        by a rebuild, so a restarted-but-stale server is quarantined
-        until recovery has made it consistent.
-        """
-        if target.index in self.suspected:
-            self.metrics.add("client.failfast_rpcs")
-            raise ServerFailed(f"iod{target.index} suspected")
-        retries = config.rpc_retries if self._idempotent(request) else 0
-        attempt = 0
-        while True:
-            proc = self.env.process(self._rpc_attempt(target, request),
-                                    name=f"client{self.index}.rpc")
-            deadline = self.env.timeout(config.rpc_timeout)
-            yield self.env.any_of([proc, deadline])
-            if proc.triggered:
-                response, error = proc.value
-                if error is None:
-                    return response
-                if isinstance(error, ServerFailed):
-                    self.suspected.add(target.index)
-                raise error
-            # Deadline hit: the attempt is abandoned (a late reply is
-            # consumed by the guarded process and discarded).
-            self.metrics.add("client.rpc_timeouts")
-            if attempt >= retries:
-                self.suspected.add(target.index)
-                raise RpcTimeout(
-                    f"iod{target.index} did not answer "
-                    f"{type(request).__name__} within "
-                    f"{config.rpc_timeout:g}s "
-                    f"({attempt + 1} attempt(s))")
-            backoff = min(config.rpc_backoff_cap,
-                          config.rpc_backoff_base * (2 ** attempt))
-            yield self.env.timeout(
-                backoff + self._retry_rng.uniform(0.0, backoff))
-            attempt += 1
-
-    def parallel(self, gens: List) -> Generator[Event, Any, List[Any]]:
-        """Run generators concurrently; fail fast on the first error."""
-        procs = [self.env.process(g) for g in gens]
-        values = yield self.env.all_of(procs)
-        return values
-
-    def try_parallel(self, gens: List,
+    def try_parallel(self, items: List,
                      ) -> Generator[Event, Any, List[Tuple[Any, Optional[Exception]]]]:
-        """Run generators concurrently, collecting per-item outcomes.
+        """Run RPCs and generators concurrently, collecting per-item
+        outcomes.
 
-        Returns ``(value, None)`` or ``(None, error)`` per generator, in
+        Returns ``(value, None)`` or ``(None, error)`` per item, in
         order.  Needed by degraded reads, which must learn *which* server
         failed rather than aborting wholesale.
         """
-
-        def guard(gen):
-            try:
-                value = yield from gen
-            except ReproError as exc:
-                return (None, exc)
-            return (value, None)
-
-        procs = [self.env.process(guard(g)) for g in gens]
-        outcomes = yield self.env.all_of(procs)
-        return outcomes
+        return (yield _Join(self.env, items, collect=True).done)
 
     # ------------------------------------------------------------------
     # per-server request coalescing
@@ -364,19 +266,6 @@ class PVFSClient:
             meta = self._handles[name] = response.meta
         return meta
 
-    def _open_guarded(self, name: str,
-                      ) -> Generator[Event, Any,
-                                     Tuple[Optional[FileMeta],
-                                           Optional[Exception]]]:
-        """:meth:`open` as a spawnable process: returns ``(meta, error)``
-        instead of raising, so a pipelined open can run concurrently with
-        work that must not be torn down by its failure."""
-        try:
-            meta = yield from self.open(name)
-        except ReproError as exc:
-            return (None, exc)
-        return (meta, None)
-
     def unlink(self, name: str) -> Generator[Event, Any, None]:
         yield from self.rpc(self.manager, msg.MgrUnlink(name))
         self._handles.pop(name, None)
@@ -391,16 +280,15 @@ class PVFSClient:
         # cannot speculate past the open — placement depends on the
         # file's scheme, which only the open reveals.
         meta = self._handles.get(name)
-        open_proc = None if meta is not None else self.env.process(
-            self._open_guarded(name))
+        if meta is None:
+            opening = self.rpc(self.manager, msg.MgrOpen(name))
+            opened = opening.start()
         self.env.emit("client.op", self.index, "write", name, offset,
                       payload.length)
         if self.via_kernel_module:
             yield from self.node.cpu.kernel_module_crossing()
-        if open_proc is not None:
-            meta, error = yield open_proc
-            if error is not None:
-                raise error
+        if meta is None:
+            meta = self._handles[name] = opening.settle((yield opened)).meta
         # Register with the cluster write ledger so an online rebuild
         # sees this write: re-copy the file after it settles, and hold
         # the rebuilt server offline until in-flight writes drain.
@@ -441,40 +329,198 @@ class PVFSClient:
         meta is awaited and the read retried through the scheme, which
         knows how to reconstruct.
         """
-        open_proc = self.env.process(self._open_guarded(name))
+        opening = self.rpc(self.manager, msg.MgrOpen(name))
+        opened = opening.start()
         ranges = self.manager.layout.map_range(offset, length)
-
-        def fetch(sr):
-            if sr.server in self.suspected:
-                self.metrics.add("client.failfast_reads")
-                raise ServerFailed(f"iod{sr.server} suspected")
-            response = yield from self.rpc(
-                self.iods[sr.server],
-                msg.ReadReq(name, kind="data", offset=sr.local_start,
-                            length=sr.length, xid=self.next_xid()))
-            return response
-
-        outcomes = yield from self.try_parallel([fetch(sr) for sr in ranges])
-        meta, open_error = yield open_proc
-        if open_error is not None:
-            raise open_error
-        parts: List[Tuple[int, Payload]] = []
-        for sr, (response, error) in zip(ranges, outcomes):
+        outcomes = yield from self.read_shares(name, ranges)
+        meta = self._handles[name] = opening.settle((yield opened)).meta
+        for _response, error in outcomes:
             if error is not None:
                 if not isinstance(error, ServerFailed):
                     raise error
                 return (yield from self.scheme_for(meta).read(
                     self, meta, offset, length))
+        return self.assemble(offset, length, ranges,
+                             [response.payload for response, _ in outcomes])
+
+    def read_shares(self, name: str, ranges: Sequence,
+                    ) -> Generator[Event, Any,
+                                   List[Tuple[Any, Optional[Exception]]]]:
+        """Read each server's share of a striped range concurrently.
+
+        Returns ``(response, error)`` per :class:`ServerRange`, in order.
+        A server this client suspects fails fast: its share is a
+        ``ServerFailed`` at once, and no message is sent.
+        """
+        skip = [sr.server in self.suspected for sr in ranges]
+        if any(skip):
+            self.metrics.add("client.failfast_reads", sum(skip))
+        outcomes = iter((yield from self.try_parallel([
+            self.rpc(self.iods[sr.server], msg.ReadReq(
+                name, kind="data", offset=sr.local_start, length=sr.length,
+                xid=self.next_xid()))
+            for sr, failed in zip(ranges, skip) if not failed])))
+        return [(None, ServerFailed(f"iod{sr.server} suspected")) if failed
+                else next(outcomes) for sr, failed in zip(ranges, skip)]
+
+    @staticmethod
+    def assemble(offset: int, length: int, ranges: Sequence,
+                 shares: Sequence[Payload]) -> Payload:
+        """The logical bytes ``[offset, offset + length)`` from each
+        server's share (a payload over its ``ServerRange``)."""
+        parts: List[Tuple[int, Payload]] = []
+        for sr, share in zip(ranges, shares):
             for p in sr.pieces:
                 local = p.local_offset - sr.local_start
                 parts.append((p.logical_offset - offset,
-                              response.payload.slice(local,
-                                                     local + p.length)))
+                              share.slice(local, local + p.length)))
         return Payload.assemble(length, parts)
 
     def fsync(self, name: str) -> Generator[Event, Any, None]:
         """Flush the file's local files on every I/O server."""
-        meta = yield from self.open(name)
-        del meta
+        yield from self.open(name)
         yield from self.parallel([
             self.rpc(iod, msg.FsyncReq(name)) for iod in self.iods])
+
+
+class _Call:
+    """One RPC: a chain of continuations from request to reply.
+
+    :meth:`start` sends the request (:func:`~repro.hw.link.send`), whose
+    arrival hands it to the target's ``deliver``; the server's reply
+    completes the returned event, which always succeeds — with the
+    response, or one carrying the client-side error that :meth:`settle`
+    raises.  Under a deadline a ``Timeout`` callback abandons an attempt
+    (still delivered and handled; its late reply is discarded) and
+    retries an idempotent request after backoff.
+    """
+
+    __slots__ = ("client", "target", "request", "timeout", "retries",
+                 "done", "attempt")
+
+    def __init__(self, client: PVFSClient, target: msg.Server, request,
+                 timeout: Optional[float], retries: int) -> None:
+        self.client = client
+        self.target = target
+        self.request = request
+        self.timeout = timeout
+        self.retries = retries
+
+    def __iter__(self) -> Generator[Event, Any, Any]:
+        return self.settle((yield self.start()))
+
+    def start(self) -> Event:
+        """Send the first attempt; raises ``ServerFailed`` instead when
+        the target is suspected under a deadline."""
+        client = self.client
+        if self.timeout is not None and self.target.index in client.suspected:
+            client.metrics.add("client.failfast_rpcs")
+            raise ServerFailed(f"{self.target.node.name} suspected")
+        self.done = Event(client.env)
+        self.attempt = 0
+        self._send()
+        return self.done
+
+    def settle(self, response) -> Any:
+        """The response, or its error raised (suspecting the server on a
+        ``ServerFailed``)."""
+        error = response.error
+        if error is None:
+            return response
+        if isinstance(error, ServerFailed) and self.target.index is not None:
+            self.client.suspected.add(self.target.index)
+        raise error
+
+    def _send(self, _backoff: Optional[Event] = None) -> None:
+        client, target, request = self.client, self.target, self.request
+        wire = request.wire_size()
+        envelope = (request, client.node.nic,
+                    partial(self._replied, self.attempt))
+        send(client.env, client.node.nic, target.node.nic, wire,
+             partial(target.deliver, envelope), client.metrics,
+             cpu=(target.node.cpu if wire > msg.HEADER and not target.failed
+                  else None))
+        if self.timeout is not None:
+            Timeout(client.env, self.timeout).callbacks.append(
+                partial(self._expired, self.attempt))
+
+    def _replied(self, attempt: int, response) -> None:
+        if attempt == self.attempt:  # else abandoned: discard the reply
+            self.done.succeed(response)
+
+    def _expired(self, attempt: int, _deadline: Event) -> None:
+        if attempt != self.attempt or self.done.triggered:
+            return  # answered in time
+        client = self.client
+        client.metrics.add("client.rpc_timeouts")
+        self.attempt = attempt = attempt + 1  # abandon this attempt
+        if attempt > self.retries:
+            self.done.succeed(msg.Response(error=RpcTimeout(
+                f"{self.target.node.name} did not answer "
+                f"{type(self.request).__name__} within {self.timeout:g}s "
+                f"({attempt} attempt(s))")))
+            return
+        config = client.scheme.config
+        backoff = min(config.rpc_backoff_cap,
+                      config.rpc_backoff_base * (2 ** (attempt - 1)))
+        Timeout(client.env, backoff + client._retry_rng.uniform(
+            0.0, backoff)).callbacks.append(self._send)
+
+
+class _Join:
+    """Concurrent items joined by a count of outcomes still to come.
+
+    An RPC (:class:`_Call`) is started as a chain and its reply counted
+    in; any other generator runs as a process.  With ``collect``,
+    ``done`` carries ``(value, error)`` per item, in order — a
+    :class:`~repro.errors.ReproError` is an outcome, anything else fails
+    the join.  Without, ``done`` carries the values and fails on the
+    first error, as ``AllOf`` does; later failures are defused.
+    """
+
+    __slots__ = ("done", "outcomes", "left", "collect")
+
+    def __init__(self, env: Environment, items: List, collect: bool) -> None:
+        self.done = Event(env)
+        self.outcomes: List[Any] = [None] * len(items)
+        self.left = len(items)
+        self.collect = collect
+        if not items:
+            self.done.succeed([])
+        for i, item in enumerate(items):
+            if type(item) is _Call:
+                try:
+                    item.start().callbacks.append(
+                        partial(self._replied, i, item))
+                except ServerFailed as exc:
+                    self._count(i, None, exc)
+            else:
+                Process(env, item).callbacks.append(partial(self._ended, i))
+
+    def _replied(self, i: int, call: _Call, reply: Event) -> None:
+        try:
+            value = call.settle(reply.value)
+        except Exception as exc:
+            self._count(i, None, exc)
+        else:
+            self._count(i, value, None)
+
+    def _ended(self, i: int, proc: Process) -> None:
+        if proc.ok:
+            self._count(i, proc.value, None)
+        else:
+            proc.defused()
+            self._count(i, None, proc.value)
+
+    def _count(self, i: int, value: Any, error: Optional[BaseException],
+               ) -> None:
+        if self.done.triggered:
+            return  # the join has failed already
+        if error is not None and not (self.collect
+                                      and isinstance(error, ReproError)):
+            self.done.fail(error)
+            return
+        self.outcomes[i] = (value, error) if self.collect else value
+        self.left -= 1
+        if not self.left:
+            self.done.succeed(self.outcomes)

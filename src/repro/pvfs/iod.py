@@ -9,10 +9,9 @@ Per PVFS file ``f`` an iod keeps up to four local files:
 * ``f.ovfm`` — Hybrid overflow *mirror*, holding copies of the previous
   server's overflow appends.
 
-The daemon runs a dispatch loop over an inbox; every request is handled in
-its own simulation process so independent requests proceed concurrently
-while the parity-lock table serializes conflicting read-modify-writes
-(Section 5.1).
+Every request a client delivers is handled in its own simulation process,
+so independent requests proceed concurrently while the parity-lock table
+serializes conflicting read-modify-writes (Section 5.1).
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from repro.metrics import Metrics
 from repro.pvfs import messages as msg
 from repro.redundancy.locks import ParityLockTable
 from repro.redundancy.overflow import OverflowTable
-from repro.sim.engine import Environment, Event, Interrupt
-from repro.sim.resources import Store
+from repro.sim.engine import Environment, Event, Interrupt, Process
 from repro.storage.localfs import LocalFS
 from repro.storage.payload import Payload
 
@@ -50,7 +48,7 @@ def ovfm_file(name: str, origin: int) -> str:
     return f"{name}.ovfm{origin}"
 
 
-class IOD:
+class IOD(msg.Server):
     """One I/O daemon bound to one cluster node."""
 
     def __init__(self, env: Environment, index: int, node: Node,
@@ -73,12 +71,10 @@ class IOD:
         self.overflow: Dict[str, OverflowTable] = {}
         #: overflow mirror tables: (file, origin server) -> table
         self.overflow_mirror: Dict[Tuple[str, int], OverflowTable] = {}
-        self.inbox = Store(env)
         self.failed = False
         #: an online rebuild is staging this server's state; an injected
         #: restart must not flip ``failed`` back mid-rebuild
         self.rebuilding = False
-        self._server_proc = env.process(self._serve(), name=f"iod{index}")
 
     # ------------------------------------------------------------------
     # failure injection
@@ -119,22 +115,18 @@ class IOD:
         self.failed = False
 
     # ------------------------------------------------------------------
-    # dispatch loop
+    # request handling
     # ------------------------------------------------------------------
-    def _serve(self) -> Generator[Event, Any, None]:
-        while True:
-            envelope = yield self.inbox.get()
-            proc = self.env.process(self._handle(envelope),
-                                    name=f"iod{self.index}.handler")
-            if proc.is_alive:
-                self._inflight.add(proc)
-                proc.callbacks.append(self._retire)
+    def deliver(self, envelope: msg.Envelope) -> None:
+        """Take one request off the wire: a handler process serves it, so
+        independent requests proceed concurrently."""
+        proc = Process(self.env, self._handle(envelope),
+                       name=f"iod{self.index}.handler")
+        self._inflight.add(proc)
+        proc.callbacks.append(self._inflight.discard)
 
-    def _retire(self, proc) -> None:
-        self._inflight.discard(proc)
-
-    def _handle(self, envelope) -> Generator[Event, Any, None]:
-        request, reply_nic, done = envelope
+    def _handle(self, envelope: msg.Envelope) -> Generator[Event, Any, None]:
+        request, reply_nic, reply = envelope
         try:
             if self.failed:
                 response = msg.Response(error=ServerFailed(
@@ -151,21 +143,22 @@ class IOD:
                     response = msg.Response(error=ServerFailed(str(exc)))
             reply_bytes = (request.reply_size() if response.error is None
                            else msg.HEADER)
+            # The handler owns its reply: a crash interrupts it inside
+            # the transfer (a data-bearing reply streams, its per-byte
+            # send cost overlapping the wire).
             if reply_bytes > msg.HEADER:
-                # Data-bearing reply: per-byte send cost overlaps the wire.
                 yield from stream(self.env, self.node.nic, reply_nic,
                                   reply_bytes, self.metrics,
                                   cpu=self.node.cpu, cpu_at="src")
             else:
                 yield from transfer(self.env, self.node.nic, reply_nic,
                                     reply_bytes, self.metrics)
-            done.succeed(response)
         except Interrupt:
             # The daemon crashed under this request: the client sees the
             # connection drop immediately rather than waiting forever.
-            if not done.triggered:
-                done.succeed(msg.Response(error=ServerFailed(
-                    f"iod{self.index} crashed mid-request")))
+            response = msg.Response(error=ServerFailed(
+                f"iod{self.index} crashed mid-request"))
+        reply(response)
 
     def _dispatch(self, request: msg.Request,
                   ) -> Generator[Event, Any, msg.Response]:
@@ -216,13 +209,11 @@ class IOD:
         kind = "data" if request.kind == "inplace" else request.kind
         name = self._local_name(request, kind)
         start, length = request.offset, request.length
-        if request.kind != "data":
-            # "inplace" bypasses overflow resolution: parity always covers
-            # the in-place data, so reconstruction must read it raw.
-            payload = yield from self.fs.read(name, start, length)
-            return msg.Response(payload=payload)
         table = self.overflow.get(request.file)
-        if table is None or not table.covered.overlap(start, start + length):
+        # "inplace" bypasses overflow resolution: parity always covers the
+        # in-place data, so reconstruction must read it raw.
+        if request.kind != "data" or table is None \
+                or not table.covered.overlap(start, start + length):
             payload = yield from self.fs.read(name, start, length)
             return msg.Response(payload=payload)
         # Hybrid resolution: latest copy may live in the overflow region.
@@ -326,11 +317,7 @@ class IOD:
                         ) -> Generator[Event, Any, msg.Response]:
         start, end = request.offset, request.offset + request.length
         table = self.overflow_mirror.get((request.file, request.origin))
-        if table is None:
-            payload = (Payload.sparse(request.length) if self.fs.content_mode
-                       else Payload.virtual(request.length))
-            return msg.Response(payload=payload, ranges=())
-        _gaps, reads = table.resolve(start, end)
+        reads = () if table is None else table.resolve(start, end)[1]
         base = (Payload.sparse(request.length) if self.fs.content_mode
                 else Payload.virtual(request.length))
         name = ovfm_file(request.file, request.origin)

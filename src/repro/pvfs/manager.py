@@ -18,7 +18,7 @@ from repro.metrics import Metrics
 from repro.pvfs import messages as msg
 from repro.pvfs.layout import StripeLayout
 from repro.sim.engine import Environment, Event
-from repro.sim.resources import Store
+from repro.sim.resources import Resource
 
 
 @dataclass
@@ -81,8 +81,8 @@ class WriteLedger:
         return event
 
 
-class Manager:
-    """The metadata daemon."""
+class Manager(msg.Server):
+    """The metadata daemon: one request at a time, in arrival order."""
 
     def __init__(self, env: Environment, node: Node, metrics: Metrics,
                  layout: StripeLayout, scheme: str) -> None:
@@ -93,12 +93,17 @@ class Manager:
         self.scheme = scheme
         self.files: Dict[str, FileMeta] = {}
         self.write_ledger = WriteLedger()
-        self.inbox = Store(env)
-        env.process(self._serve(), name="manager")
+        self._turn = Resource(env)
 
-    def _serve(self) -> Generator[Event, Any, None]:
-        while True:
-            request, reply_nic, done = yield self.inbox.get()
+    def deliver(self, envelope: msg.Envelope) -> None:
+        """Take one request off the wire; it is served once every request
+        delivered before it has been answered."""
+        self.env.process(self._handle(envelope), name="manager")
+
+    def _handle(self, envelope: msg.Envelope) -> Generator[Event, Any, None]:
+        request, reply_nic, reply = envelope
+        with self._turn.request() as turn:
+            yield turn
             yield from self.node.cpu.request_processing()
             try:
                 result = self._dispatch(request)
@@ -107,7 +112,7 @@ class Manager:
                 result, error = None, exc
             yield from transfer(self.env, self.node.nic, reply_nic,
                                 request.reply_size(), self.metrics)
-            done.succeed(msg.MgrResponse(meta=result, error=error))
+        reply(msg.MgrResponse(meta=result, error=error))
 
     def _dispatch(self, request) -> FileMeta | None:
         if isinstance(request, msg.MgrCreate):

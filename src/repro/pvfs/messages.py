@@ -3,14 +3,20 @@
 Requests are typed dataclasses; ``wire_size()`` is the number of bytes the
 message occupies on the network (a fixed header plus any payload).  The
 manager protocol (create/open/unlink) uses its own small message types.
+Both daemons are a :class:`Server`: a request arrives as an ``Envelope``,
+and the server answers through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.storage.payload import Payload
+
+if TYPE_CHECKING:
+    from repro.hw.link import NIC
+    from repro.hw.node import Node
 
 #: Fixed per-message header: request ids, file handle, offsets, flags.
 HEADER = 64
@@ -237,3 +243,26 @@ class MgrUnlink:
 
     def reply_size(self) -> int:
         return HEADER
+
+
+# ---------------------------------------------------------------------------
+# the server side of an RPC
+# ---------------------------------------------------------------------------
+#: a request as a server takes it off the wire: ``(request, reply_nic,
+#: reply)``; ``reply(response)`` answers once the reply has crossed the
+#: wire to ``reply_nic``
+Envelope = Tuple[Any, "NIC", Callable[[Any], None]]
+
+
+class Server:
+    """What a client RPC needs of a daemon: an I/O daemon or the manager."""
+
+    #: the I/O server number a client suspects when it fails (not the
+    #: manager's); a failed server's node does no per-byte work
+    index: Optional[int] = None
+    failed: bool = False
+    node: "Node"
+
+    def deliver(self, envelope: Envelope) -> None:
+        """Take one request off the wire."""
+        raise NotImplementedError

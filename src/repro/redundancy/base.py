@@ -43,35 +43,19 @@ class RedundancyScheme(ABC):
     def read(self, client, meta, offset: int,
              length: int) -> Generator[Event, Any, Payload]:
         ranges = meta.layout.map_range(offset, length)
-
-        def fetch(sr):
-            if sr.server in client.suspected:
-                # Fail-fast: the client already saw this server fail, so
-                # it reconstructs without re-trying the dead node.
-                client.metrics.add("client.failfast_reads")
-                raise ServerFailed(f"iod{sr.server} suspected")
-            response = yield from client.rpc(
-                client.iods[sr.server],
-                msg.ReadReq(meta.name, kind="data", offset=sr.local_start,
-                            length=sr.length, xid=client.next_xid()))
-            return response
-
-        outcomes = yield from client.try_parallel(
-            [fetch(sr) for sr in ranges])
-        parts: List[Tuple[int, Payload]] = []
+        outcomes = yield from client.read_shares(meta.name, ranges)
+        shares: List[Payload] = []
         for sr, (response, error) in zip(ranges, outcomes):
-            if error is not None:
-                if not isinstance(error, ServerFailed):
-                    raise error
-                client.metrics.add("client.degraded_reads")
-                piece_payload = yield from self.degraded_read(client, meta, sr)
-            else:
-                piece_payload = response.payload
-            for p in sr.pieces:
-                local = p.local_offset - sr.local_start
-                parts.append((p.logical_offset - offset,
-                              piece_payload.slice(local, local + p.length)))
-        return Payload.assemble(length, parts)
+            if error is None:
+                shares.append(response.payload)
+                continue
+            # A failed (or suspected: fail-fast) server's share is
+            # reconstructed from the survivors.
+            if not isinstance(error, ServerFailed):
+                raise error
+            client.metrics.add("client.degraded_reads")
+            shares.append((yield from self.degraded_read(client, meta, sr)))
+        return client.assemble(offset, length, ranges, shares)
 
     @abstractmethod
     def degraded_read(self, client, meta,

@@ -1,25 +1,23 @@
 """A small SimPy-like discrete-event simulation kernel.
 
 Generator functions are simulation *processes*; they ``yield`` events
-(timeouts, other processes, resource requests, condition events) and are
+(timeouts, other processes, resource requests, ``AllOf`` joins) and are
 resumed when those events trigger.  The kernel is deterministic: events
 scheduled for the same instant fire in schedule order.
 """
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
     Process,
     Timeout,
 )
-from repro.sim.resources import FifoLock, FifoServer, Resource, Store
+from repro.sim.resources import FifoLock, FifoServer, Resource
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Interrupt",
@@ -28,5 +26,4 @@ __all__ = [
     "Resource",
     "FifoServer",
     "FifoLock",
-    "Store",
 ]

@@ -325,8 +325,9 @@ class Process(Event):
         env._active = None
 
 
-class Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf`."""
+class AllOf(Event):
+    """Succeeds with the events' values, in order, once all have
+    succeeded; fails on the first failure (later ones are defused)."""
 
     __slots__ = ("_events", "_remaining")
 
@@ -342,20 +343,8 @@ class Condition(Event):
                 self._check(ev)
             else:
                 ev.callbacks.append(self._check)
-        if not self._events and not self.triggered:
-            self.succeed(self._collect())
-
-    def _collect(self) -> List[Any]:
-        return [ev._value for ev in self._events if ev.triggered]
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(Condition):
-    """Succeeds when all events have succeeded; fails on the first failure."""
-
-    __slots__ = ()
+        if not self._events:
+            self.succeed([])
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -368,24 +357,7 @@ class AllOf(Condition):
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed(self._collect())
-
-
-class AnyOf(Condition):
-    """Succeeds as soon as one event succeeds (fails on first failure)."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event._defused = True
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self.succeed(event._value)
+            self.succeed([ev._value for ev in self._events])
 
 
 class Environment:
@@ -456,9 +428,6 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling / running ----------------------------------------------
     def peek(self) -> float:

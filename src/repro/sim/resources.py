@@ -11,8 +11,6 @@
   recursion), so a hold is one event, at its end, however long the line.
 * :class:`FifoLock` — a ``Resource`` of capacity 1 with lock vocabulary;
   the parity-block lock manager builds on it.
-* :class:`Store` — an unbounded FIFO of items with blocking ``get``;
-  used as message queues between clients and I/O daemons.
 
 Both servers are FIFO by request time; requests made at the same instant
 are served in the order they were made, which is dispatch order.
@@ -22,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Callable, Deque, List, Optional
+from typing import Callable, Deque, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import _PENDING, NORMAL, Environment, Event
@@ -217,35 +215,3 @@ class FifoLock(Resource):
             for fn in self._on_release:
                 fn(self, request)
         Resource.release(self, request)
-
-
-class StoreGet(Event):
-    __slots__ = ()
-
-
-class Store:
-    """Unbounded FIFO message queue with blocking ``get``."""
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[StoreGet] = deque()
-
-    def put(self, item: Any) -> None:
-        """Deposit an item (never blocks; the store is unbounded)."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self.items.append(item)
-
-    def get(self) -> StoreGet:
-        """An event that fires with the next item."""
-        ev = StoreGet(self.env)
-        if self.items:
-            ev.succeed(self.items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def __len__(self) -> int:
-        return len(self.items)

@@ -3,7 +3,7 @@
 ``repro.hw.link.stream`` moves a message through queue-free FIFO servers
 and continuation chains, three events per segment.  The model it must
 still *be* is the one below — every NIC side and CPU a ``Resource``
-whose grant is an event, one generator per stage, a ``Store`` of tokens
+whose grant is an event, one generator per stage, a queue of tokens
 between the stages, seven events per segment.  It is kept here as the
 reference, not in ``src/``.
 
@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.hw.cpu import Cpu
 from repro.hw.link import NIC, stream
 from repro.hw.params import CpuParams, NetworkParams
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 SEGMENT = 1000
 NODES = ("a", "b", "c")
@@ -66,6 +66,28 @@ class RefResource:
             self.user.succeed()
 
 
+class RefTokens:
+    """Segments handed from one stage to the next, an event per hand-off."""
+
+    def __init__(self, env):
+        self.env, self.items, self.getters = env, 0, deque()
+
+    def put(self):
+        if self.getters:
+            self.getters.popleft().succeed()
+        else:
+            self.items += 1
+
+    def get(self):
+        ev = self.env.event()
+        if self.items:
+            self.items -= 1
+            ev.succeed()
+        else:
+            self.getters.append(ev)
+        return ev
+
+
 class RefNode:
     def __init__(self, env, byte_rate):
         self.tx, self.rx, self.cpu = (RefResource(env) for _ in range(3))
@@ -88,7 +110,7 @@ def ref_wire(env, src, dst, sizes, inbox=None, outbox=None):
             src.tx.release(tx_req)
             yield env.timeout(NETWORK.latency)
         if outbox is not None:
-            outbox.put(None)
+            outbox.put()
 
 
 def ref_cpu(env, node, sizes, inbox=None, outbox=None):
@@ -101,14 +123,14 @@ def ref_cpu(env, node, sizes, inbox=None, outbox=None):
         node.busy_time += size / node.byte_rate
         node.cpu.release(req)
         if outbox is not None:
-            outbox.put(None)
+            outbox.put()
 
 
 def ref_stream(env, src, dst, nbytes, cpu_at):
     sizes = [SEGMENT] * (nbytes // SEGMENT)
     if nbytes % SEGMENT:
         sizes.append(nbytes % SEGMENT)
-    queue = Store(env)
+    queue = RefTokens(env)
     if cpu_at == "dst":
         stages = [ref_wire(env, src, dst, sizes, outbox=queue),
                   ref_cpu(env, dst, sizes, inbox=queue)]

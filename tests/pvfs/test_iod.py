@@ -284,6 +284,91 @@ class TestCrashUnderLoad:
         assert tx_claims() == []
 
 
+class TestRpcChain:
+    """An RPC is one chain of continuations from request to reply; the
+    deadline, the retry and the fan-out join ride on it."""
+
+    start_rpc = staticmethod(TestCrashUnderLoad.start_rpc)
+
+    def test_a_late_reply_does_not_complete_the_retry(self, tx_claims):
+        system = make_system(rpc_timeout=0.25, background_flusher=False)
+        iod, env = system.iods[0], system.env
+        replied = []
+        deliver = iod.deliver
+
+        def spy(envelope):
+            request, reply_nic, answer = envelope
+
+            def reply(response):
+                replied.append(env.now)
+                answer(response)
+
+            deliver((request, reply_nic, reply))
+
+        iod.deliver = spy
+        iod.node.cpu.server.hold(0.3)  # attempt 1 is served after its deadline
+        call = self.start_rpc(system, iod, msg.ReadReq(
+            "f", kind="data", offset=0, length=4))
+        response = env.run(until=call)
+        assert response.payload.to_bytes() == b"\x00" * 4
+        assert system.metrics.get("client.rpc_timeouts") == 1
+        # both attempts were handled; the call ended on the second reply
+        assert len(replied) == 2 and replied[0] < replied[1] == env.now
+        assert 0 not in system.client().suspected
+        env.run()  # drains: no failed event is left unobserved
+        assert tx_claims() == []
+
+    def test_parallel_raises_the_first_error_and_the_run_drains(self):
+        system = make_system(background_flusher=False)
+        env, client = system.env, system.client()
+        system.fail_server(0)
+
+        def later_failure():
+            yield env.timeout(1)
+            raise ProtocolError("second failure")
+
+        def work():
+            with pytest.raises(ServerFailed):
+                yield from client.parallel([
+                    later_failure(),
+                    client.rpc(system.iods[0], msg.FsyncReq("f"))])
+            return env.now
+
+        assert system.run(work()) < 1
+        env.run()  # the later failure is defused, so the heap drains
+        assert env.now == 1
+
+    def test_a_dropped_request_parks_only_its_rpc(self, tx_claims):
+        system = make_system(num_clients=2)
+        iod, env = system.iods[0], system.env
+
+        class DropFirstRequest:
+            """A fault plan of one: the first message to iod0 is lost."""
+
+            left = 1
+
+            def link_action(self, src, dst, nbytes):
+                if dst is iod.node.nic and self.left:
+                    self.left -= 1
+                    return ("drop",)
+                return None
+
+            def disk_action(self, disk):
+                return None
+
+            def torn_action(self, owner, payload):
+                return None
+
+        env.faults = DropFirstRequest()
+        parked = self.start_rpc(system, iod, msg.FsyncReq("f"))
+        others = [self.start_rpc(system, iod, msg.FsyncReq("f"), client=1),
+                  self.start_rpc(system, system.iods[1], msg.FsyncReq("f"))]
+        for call in others:
+            assert isinstance(env.run(until=call), msg.Response)
+        assert tx_claims() == []
+        assert parked.is_alive  # no deadline: it waits for good
+
+
 class TestMaintenance:
     def test_fsync_flushes_all_local_files(self):
         system = make_system()

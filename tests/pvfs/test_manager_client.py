@@ -3,7 +3,7 @@
 import pytest
 
 from repro import CSARConfig, Payload, System
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ProtocolError, ReproError, ServerFailed
 from repro.pvfs import messages as msg
 from repro.units import KiB
 
@@ -80,14 +80,23 @@ class TestClientPlumbing:
             yield system.env.timeout(1)
             raise ReproError("nope")
 
+        system.fail_server(0)
+
         def work():
-            outcomes = yield from client.try_parallel([ok(), bad(), ok()])
+            outcomes = yield from client.try_parallel([
+                ok(), bad(),
+                client.rpc(system.iods[1], msg.ReadReq("f", length=1)),
+                client.rpc(system.iods[0], msg.FsyncReq("f")), ok()])
             return outcomes
 
         outcomes = system.run(work())
         assert outcomes[0] == ("fine", None)
-        assert outcomes[2] == ("fine", None)
+        assert outcomes[4] == ("fine", None)
         assert isinstance(outcomes[1][1], ReproError)
+        assert outcomes[2][0].payload.to_bytes() == b"\x00"
+        assert outcomes[2][1] is None
+        assert outcomes[3][0] is None
+        assert isinstance(outcomes[3][1], ServerFailed)
 
     def test_parallel_fails_fast(self):
         system = make_system()

@@ -185,15 +185,6 @@ class TestConditions:
         assert now == 3
         assert values == [3, 1, 2]  # creation order preserved
 
-    def test_any_of_first_value(self, env):
-        def parent():
-            events = [env.timeout(d, value=d) for d in (3, 1, 2)]
-            value = yield env.any_of(events)
-            return (env.now, value)
-
-        p = env.process(parent())
-        assert env.run(until=p) == (1, 1)
-
     def test_all_of_empty(self, env):
         def parent():
             values = yield env.all_of([])

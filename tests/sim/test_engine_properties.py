@@ -71,23 +71,6 @@ def test_all_of_fires_at_max_timeout(delays):
     assert result["t"] == max(delays)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(min_value=0.01, max_value=10.0,
-                          allow_nan=False), min_size=1, max_size=20))
-def test_any_of_fires_at_min_timeout(delays):
-    env = Environment()
-    result = {}
-
-    def waiter():
-        events = [env.timeout(d) for d in delays]
-        yield env.any_of(events)
-        result["t"] = env.now
-
-    env.process(waiter())
-    env.run()
-    assert result["t"] == min(delays)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.lists(st.floats(min_value=0.0, max_value=2.0,
                                    allow_nan=False),

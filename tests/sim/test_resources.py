@@ -1,10 +1,9 @@
-"""Tests for Resource / FifoLock / Store."""
+"""Tests for Resource / FifoServer / FifoLock."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import (Environment, FifoLock, FifoServer, Interrupt, Resource,
-                       Store)
+from repro.sim import Environment, FifoLock, FifoServer, Interrupt, Resource
 
 
 @pytest.fixture
@@ -206,71 +205,3 @@ class TestFifoLock:
         assert lock.locked
         lock.release(req)
         assert not lock.locked
-
-
-class TestStore:
-    def test_put_then_get(self, env):
-        store = Store(env)
-        store.put("a")
-
-        def consumer():
-            item = yield store.get()
-            return item
-
-        p = env.process(consumer())
-        assert env.run(until=p) == "a"
-
-    def test_get_blocks_until_put(self, env):
-        store = Store(env)
-
-        def consumer():
-            item = yield store.get()
-            return (env.now, item)
-
-        def producer():
-            yield env.timeout(5)
-            store.put("late")
-
-        p = env.process(consumer())
-        env.process(producer())
-        assert env.run(until=p) == (5, "late")
-
-    def test_fifo_order_of_items(self, env):
-        store = Store(env)
-        for i in range(3):
-            store.put(i)
-        out = []
-
-        def consumer():
-            for _ in range(3):
-                out.append((yield store.get()))
-
-        env.process(consumer())
-        env.run()
-        assert out == [0, 1, 2]
-
-    def test_fifo_order_of_getters(self, env):
-        store = Store(env)
-        out = []
-
-        def consumer(k):
-            item = yield store.get()
-            out.append((k, item))
-
-        env.process(consumer(0))
-        env.process(consumer(1))
-
-        def producer():
-            yield env.timeout(1)
-            store.put("x")
-            store.put("y")
-
-        env.process(producer())
-        env.run()
-        assert out == [(0, "x"), (1, "y")]
-
-    def test_len(self, env):
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2

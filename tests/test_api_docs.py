@@ -24,3 +24,8 @@ def test_api_docs_cover_the_public_surface():
                    "class FileLinter", "class LockSan", "class Rule",
                    "def lint_paths", "def attach"):
         assert symbol in text, f"{symbol} missing from docs/API.md"
+    from repro.probes import PROBES
+
+    for name, doc in PROBES.items():
+        assert f"| `{name}` | {doc} |" in text, \
+            f"probe {name} missing from docs/API.md"

@@ -20,6 +20,10 @@ import sys
 from pathlib import Path
 
 
+#: module-level name registries, rendered as a table of names and docs
+REGISTRIES = {"repro.probes": "PROBES"}
+
+
 def iter_modules(package_name: str = "repro"):
     package = importlib.import_module(package_name)
     yield package_name
@@ -72,7 +76,8 @@ def render() -> str:
     for module_name in iter_modules():
         module = importlib.import_module(module_name)
         members = list(public_members(module))
-        if not members and module_name != "repro":
+        registry = REGISTRIES.get(module_name)
+        if not members and registry is None and module_name != "repro":
             continue
         lines.append(f"## `{module_name}`")
         lines.append("")
@@ -103,6 +108,11 @@ def render() -> str:
                         f"- `{m_name}{signature_of(func)}` — "
                         f"{summary(func) or '(undocumented)'}")
                 lines.append("")
+        if registry is not None:
+            lines += [f"### `{registry}`", "", "| name | doc |", "|---|---|"]
+            lines += [f"| `{name}` | {doc} |"
+                      for name, doc in getattr(module, registry).items()]
+            lines.append("")
     return "\n".join(lines) + "\n"
 
 
