@@ -56,6 +56,12 @@ except ImportError:  # stdlib fallback, same 64-bit width
         return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
+def _fingerprint(arr: Any) -> str:
+    """The digest of ``arr``'s bytes in C order: the buffer is hashed in
+    place, and only a non-contiguous view is copied out first."""
+    return _digest(arr if arr.flags.c_contiguous else arr.tobytes())
+
+
 @dataclass(frozen=True)
 class BufSanReport:
     """One buffer observed to change after a payload captured it."""
@@ -151,14 +157,14 @@ class BufSan:
             self._report("writable-capture",
                          f"{kind} captured a writable {arr.size}-byte "
                          f"buffer", f"capture({kind})", self._context())
-        fingerprint = _digest(arr.tobytes())
+        fingerprint = _fingerprint(arr)
         self.bytes_fingerprinted += arr.nbytes
         self._tracked[key] = _Tracked(weakref.ref(arr), fingerprint, kind,
                                       arr.nbytes, self._context())
 
     def _verify(self, entry: _Tracked, arr: Any, sync_point: str) -> bool:
         """Re-fingerprint one buffer; report and stop tracking on drift."""
-        fingerprint = _digest(arr.tobytes())
+        fingerprint = _fingerprint(arr)
         self.bytes_fingerprinted += arr.nbytes
         if fingerprint == entry.fingerprint:
             return True

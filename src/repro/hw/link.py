@@ -22,7 +22,7 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.metrics import Metrics
 from repro.sim.engine import Environment, Event, Timeout
-from repro.sim.resources import FifoServer, Request, Resource
+from repro.sim.resources import FifoServer, Resource
 from repro.hw.params import NetworkParams
 
 
@@ -100,16 +100,17 @@ class _Stream:
     one; the other may start segment *i* once the first has ended it, so
     ``sent - computed`` (or the reverse) is the count of segments handed
     over and not yet taken up.  Both stages are chains of continuations
-    on the three events per segment docs/PERF.md lists ("The events of
-    one RPC"); ``then()`` is called when the second stage ends the last
-    segment.  Without a ``cpu`` the message is the wire stage alone,
-    moving as one piece.
+    on the three heap entries per segment docs/PERF.md lists ("The
+    events of one RPC"), each a bare continuation rather than an event;
+    ``then()`` is called when the second stage ends the last segment.
+    Without a ``cpu`` the message is the wire stage alone, moving as one
+    piece.
     """
 
     __slots__ = ("env", "tx", "rx", "cpu", "then", "cpu_leads", "loopback",
                  "per_message", "latency", "occupancy", "last_occupancy",
                  "cpu_time", "last_cpu_time", "last", "sent", "computed",
-                 "_follower_idle", "_tx_req")
+                 "_follower_idle", "_tx_claim")
 
     def __init__(self, env: Environment, src: NIC, dst: NIC, nbytes: int,
                  cpu, cpu_leads: bool, then: Callable[[], None]) -> None:
@@ -125,7 +126,7 @@ class _Stream:
         #: segments that have arrived / that the CPU has handled
         self.sent = self.computed = 0
         self._follower_idle = True
-        self._tx_req: Optional[Request] = None
+        self._tx_claim: Any = None
         if cpu is None:
             # one piece whose CPU stage is done: it ends on arrival
             self.cpu_leads = True
@@ -153,24 +154,23 @@ class _Stream:
     def _send(self) -> None:
         if self.loopback:
             # no wire time, only the per-message overhead
-            Timeout(self.env, self.per_message).callbacks.append(
-                self._arrived)
+            self.env.call_later(self.per_message, self._arrived)
         else:
             self.tx.request(self._receive)
 
-    def _receive(self, tx_req: Request) -> None:
+    def _receive(self, tx_claim: Any) -> None:
         """The sender's TX side is ours: occupy the receiver's RX."""
-        self._tx_req = tx_req
-        self.rx.hold(self.last_occupancy if self.sent == self.last
-                     else self.occupancy).callbacks.append(self._sent)
+        self._tx_claim = tx_claim
+        self.rx.hold_then(self.last_occupancy if self.sent == self.last
+                          else self.occupancy, self._sent)
 
-    def _sent(self, _hold: Event) -> None:
+    def _sent(self) -> None:
         """End of the occupancy: the TX slot goes straight to the next
         flow waiting for it; the segment arrives one latency later."""
-        self.tx.release(self._tx_req)
-        Timeout(self.env, self.latency).callbacks.append(self._arrived)
+        self.tx.release(self._tx_claim)
+        self.env.call_later(self.latency, self._arrived)
 
-    def _arrived(self, _event: Event) -> None:
+    def _arrived(self) -> None:
         self.sent = sent = self.sent + 1
         if self.cpu_leads:
             if sent > self.last:
@@ -188,11 +188,11 @@ class _Stream:
 
     # -- CPU stage: one timed hold per segment ----------------------------
     def _compute(self) -> None:
-        self.cpu.server.hold(
+        self.cpu.server.hold_then(
             self.last_cpu_time if self.computed == self.last
-            else self.cpu_time).callbacks.append(self._computed)
+            else self.cpu_time, self._computed)
 
-    def _computed(self, _hold: Event) -> None:
+    def _computed(self) -> None:
         computed = self.computed
         self.cpu.busy_time += (self.last_cpu_time if computed == self.last
                                else self.cpu_time)
@@ -248,7 +248,7 @@ def send(env: Environment, src: NIC, dst: NIC, nbytes: int,
     if action is None:
         start()
     elif action[0] == "delay":
-        Timeout(env, action[1]).callbacks.append(lambda _timeout: start())
+        env.call_later(action[1], start)
     elif action[0] == "dup":
         _Stream(env, src, dst, nbytes, None, True, start)
     # ``drop``: a black hole, only a client RPC deadline rescues the waiter

@@ -22,7 +22,7 @@ from repro.hw.node import Node
 from repro.metrics import Metrics
 from repro.pvfs import messages as msg
 from repro.pvfs.manager import FileMeta, Manager
-from repro.sim.engine import Environment, Event, Process, Timeout
+from repro.sim.engine import Environment, Event, Process
 from repro.storage.payload import Payload
 
 
@@ -390,7 +390,7 @@ class _Call:
     arrival hands it to the target's ``deliver``; the server's reply
     completes the returned event, which always succeeds — with the
     response, or one carrying the client-side error that :meth:`settle`
-    raises.  Under a deadline a ``Timeout`` callback abandons an attempt
+    raises.  Under a deadline a bare continuation abandons an attempt
     (still delivered and handled; its late reply is discarded) and
     retries an idempotent request after backoff.
     """
@@ -431,7 +431,7 @@ class _Call:
             self.client.suspected.add(self.target.index)
         raise error
 
-    def _send(self, _backoff: Optional[Event] = None) -> None:
+    def _send(self) -> None:
         client, target, request = self.client, self.target, self.request
         wire = request.wire_size()
         envelope = (request, client.node.nic,
@@ -441,14 +441,14 @@ class _Call:
              cpu=(target.node.cpu if wire > msg.HEADER and not target.failed
                   else None))
         if self.timeout is not None:
-            Timeout(client.env, self.timeout).callbacks.append(
-                partial(self._expired, self.attempt))
+            client.env.call_later(self.timeout,
+                                  partial(self._expired, self.attempt))
 
     def _replied(self, attempt: int, response) -> None:
         if attempt == self.attempt:  # else abandoned: discard the reply
             self.done.succeed(response)
 
-    def _expired(self, attempt: int, _deadline: Event) -> None:
+    def _expired(self, attempt: int) -> None:
         if attempt != self.attempt or self.done.triggered:
             return  # answered in time
         client = self.client
@@ -463,8 +463,8 @@ class _Call:
         config = client.scheme.config
         backoff = min(config.rpc_backoff_cap,
                       config.rpc_backoff_base * (2 ** (attempt - 1)))
-        Timeout(client.env, backoff + client._retry_rng.uniform(
-            0.0, backoff)).callbacks.append(self._send)
+        client.env.call_later(backoff + client._retry_rng.uniform(
+            0.0, backoff), self._send)
 
 
 class _Join:

@@ -120,13 +120,12 @@ class IOD(msg.Server):
     def deliver(self, envelope: msg.Envelope) -> None:
         """Take one request off the wire: a handler process serves it, so
         independent requests proceed concurrently."""
-        proc = Process(self.env, self._handle(envelope),
-                       name=f"iod{self.index}.handler")
-        self._inflight.add(proc)
-        proc.callbacks.append(self._inflight.discard)
+        self._inflight.add(Process(self.env, self._handle(envelope),
+                                   name=f"iod{self.index}.handler"))
 
     def _handle(self, envelope: msg.Envelope) -> Generator[Event, Any, None]:
         request, reply_nic, reply = envelope
+        proc = self.env.active_process
         try:
             if self.failed:
                 response = msg.Response(error=ServerFailed(
@@ -158,6 +157,8 @@ class IOD(msg.Server):
             # connection drop immediately rather than waiting forever.
             response = msg.Response(error=ServerFailed(
                 f"iod{self.index} crashed mid-request"))
+        finally:
+            self._inflight.discard(proc)
         reply(response)
 
     def _dispatch(self, request: msg.Request,

@@ -11,8 +11,11 @@ The engine is a classic event-heap kernel, deliberately minimal:
   exception is thrown into the generator).  A process is itself an event
   that succeeds with the generator's return value, so processes compose
   (``yield env.process(child())``).
+* A heap entry is an :class:`Event` or a bare zero-argument callable
+  (:meth:`Environment.call_later`), called when popped: a continuation
+  nothing else waits on costs no event object.
 * Determinism — the heap is keyed ``(time, priority, seq)`` where ``seq``
-  is a monotone counter, so same-time events fire in scheduling order and
+  is a monotone counter, so same-time entries fire in scheduling order and
   runs are exactly reproducible.
 
 Failed events whose failure is never observed (no callbacks, never yielded
@@ -33,6 +36,10 @@ factors:
 * The dispatch loops in :meth:`Environment.run` inline :meth:`Environment.step`
   and skip the callback loop entirely for callback-less events (the
   :class:`Timeout` fast lane).
+* A process that returns successfully while nothing waits on it is
+  marked processed on the spot instead of scheduling its end; a later
+  ``yield proc`` resumes at once with its value.  A failing one still
+  schedules its end, so an unobserved error raises out of ``run``.
 * A :class:`Process` binds ``_resume`` once (``_resume_cb``) and
   subscribes with that one object: no bound method is built per yield,
   and :meth:`Process._resume_interrupt` can find its subscription by
@@ -188,7 +195,7 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` after creation.
 
-    Construction is the single hottest allocation in the simulator, so the
+    Construction is one of the hottest allocations in the simulator, so the
     ``Event.__init__`` chain and the heap push are inlined; a Timeout is
     born triggered, and when nothing ever waits on it the dispatch loop
     skips its (empty) callback list entirely.
@@ -316,11 +323,14 @@ class Process(Event):
                 self._value = SimulationError(
                     f"process {self.name!r} yielded {next_target!r}, "
                     "which is not an Event")
-            # Terminated: fire as an event (and stop being a reference
-            # cycle through the cached bound method).
+            # Terminated: stop being a reference cycle through the cached
+            # bound method, and fire as an event if anybody can observe it.
             self._resume_cb = None
-            env._seq = seq = env._seq + 1
-            heappush(env._heap, (env._now, NORMAL, seq, self))
+            if self._ok and not self.callbacks:
+                self.callbacks = None  # nobody waits: processed now
+            else:
+                env._seq = seq = env._seq + 1
+                heappush(env._heap, (env._now, NORMAL, seq, self))
             break
         env._active = None
 
@@ -422,6 +432,15 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
+    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` ``delay`` from now: the heap entry a
+        ``Timeout`` whose only callback is ``fn`` would take, with no
+        event object."""
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay {delay}")
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self._now + delay, NORMAL, seq, fn))
+
     def process(self, generator: Generator[Event, Any, Any],
                 name: str | None = None) -> Process:
         return Process(self, generator, name=name)
@@ -450,11 +469,14 @@ class Environment:
         }
 
     def step(self) -> None:
-        """Process exactly one event."""
+        """Process exactly one heap entry."""
         if not self._heap:
             raise SimulationError("nothing to step")
         when, _prio, _seq, event = heapq.heappop(self._heap)
         self._now = when
+        if callable(event):
+            event()
+            return
         callbacks = event.callbacks
         event.callbacks = None
         if callbacks:
@@ -470,13 +492,14 @@ class Environment:
         With an :class:`Event` deadline, returns the event's value.
 
         Both loops inline :meth:`step` (identical dispatch semantics):
-        at millions of events per figure the method call and the callback
+        at millions of entries per figure the method call and the callback
         loop for callback-less timeouts are the dominant constant costs.
         """
         if self._tie_breaker is not None:
             return self._run_explored(until)
         heap = self._heap
         pop = heapq.heappop
+        bare = callable  # a bare entry: call it, no event to deliver
         if isinstance(until, Event):
             stop = until
             if stop.callbacks is None:  # already processed
@@ -489,6 +512,9 @@ class Environment:
             while heap and not done:
                 when, _prio, _seq, event = pop(heap)
                 self._now = when
+                if bare(event):
+                    event()
+                    continue
                 callbacks = event.callbacks
                 event.callbacks = None
                 if callbacks:
@@ -513,6 +539,9 @@ class Environment:
         while heap and heap[0][0] <= deadline:
             when, _prio, _seq, event = pop(heap)
             self._now = when
+            if bare(event):
+                event()
+                continue
             callbacks = event.callbacks
             event.callbacks = None
             if callbacks:
@@ -538,7 +567,8 @@ class Environment:
         and pushes the rest back under their original keys.  Events with
         no live callbacks commute (their value is already set and nobody
         is subscribed), so they never consume a decision — a sleep-set
-        style pruning of the permutation space.
+        style pruning of the permutation space.  A bare entry is its own
+        callback, so it is always observable.
         """
         heap = self._heap
         entry = heapq.heappop(heap)
@@ -550,7 +580,7 @@ class Environment:
         if len(group) > 1:
             observable = [
                 i for i, e in enumerate(group)
-                if e[3].callbacks
+                if callable(e[3]) or e[3].callbacks
                 and any(cb is not None for cb in e[3].callbacks)]
             if len(observable) > 1:
                 pick = self._tie_breaker.choose(
@@ -562,6 +592,9 @@ class Environment:
                     heapq.heappush(heap, e)
         event = group[chosen][3]
         self._now = when
+        if callable(event):
+            event()
+            return
         callbacks = event.callbacks
         event.callbacks = None
         if callbacks:

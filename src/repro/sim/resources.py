@@ -8,7 +8,8 @@
 * :class:`FifoServer` — a FIFO single server for holds whose length is
   known on arrival (a NIC's RX side, a CPU).  It keeps no queue: job *n*
   departs at ``max(arrival_n, departure_{n-1}) + service_n`` (Lindley's
-  recursion), so a hold is one event, at its end, however long the line.
+  recursion), so a hold is one heap entry, at its end, however long the
+  line: a :class:`Hold` event, or a bare continuation.
 * :class:`FifoLock` — a ``Resource`` of capacity 1 with lock vocabulary;
   the parity-block lock manager builds on it.
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Callable, Deque, List, Optional
+from typing import Any, Callable, Deque, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import _PENDING, NORMAL, Environment, Event
@@ -59,7 +60,7 @@ class Resource:
             raise SimulationError(f"capacity must be >= 1, got {capacity}")
         self.env = env
         self.capacity = capacity
-        self.users: List[Request] = []
+        self.users: List[Any] = []  # claims: Requests or continuations
         self.queue: Deque[Request] = deque()
         # Cumulative statistics for utilization reporting.
         self.total_waits: int = 0
@@ -70,35 +71,38 @@ class Resource:
         """Number of slots currently held."""
         return len(self.users)
 
-    def request(self, then: Optional[Callable[[Request], None]] = None,
-                ) -> Request:
-        """Claim a slot.
+    def request(self, then: Optional[Callable[[Any], None]] = None) -> Any:
+        """Claim a slot; returns the claim to :meth:`release`.
 
         A free slot is granted on the spot: the request comes back
         already processed, so a process that yields it carries on
         without an event.  Otherwise the claim queues, and the
         :meth:`release` that frees its slot wakes the process waiting on
         it — or, when a continuation ``then`` was given, calls
-        ``then(request)`` there and then (as this method does for a
-        slot granted on the spot) and schedules nothing.
+        ``then(claim)`` there and then and schedules nothing.  A
+        continuation granted on the spot is called at once, and its
+        claim is ``then`` itself: no :class:`Request` is allocated.
         """
-        env = self.env
-        req = Request(env, self)
         users = self.users
+        env = self.env
         if len(users) < self.capacity and not self.queue:
+            if then is not None:
+                users.append(then)
+                then(then)
+                return then
+            req = Request(env, self)
             users.append(req)
             req._value = None
             req.callbacks = None
-            if then is not None:
-                then(req)
-        else:
-            self.total_waits += 1
-            req._queued_at = env._now
-            req._then = then
-            self.queue.append(req)
+            return req
+        req = Request(env, self)
+        self.total_waits += 1
+        req._queued_at = env._now
+        req._then = then
+        self.queue.append(req)
         return req
 
-    def release(self, request: Request) -> None:
+    def release(self, request: Any) -> None:
         """Free a slot; grants the head of the queue if any.
 
         Releasing a queued (never granted) request cancels it; releasing an
@@ -134,19 +138,17 @@ class Resource:
 
 class Hold(Event):
     """The end of one timed hold on a :class:`FifoServer`: born
-    triggered and scheduled at the absolute time ``end``."""
+    triggered; the server schedules it."""
 
     __slots__ = ()
 
-    def __init__(self, env: Environment, end: float) -> None:
-        # ``Event.__init__`` and the push inlined, as for ``Timeout``
+    def __init__(self, env: Environment) -> None:
+        # ``Event.__init__`` inlined, as for ``Timeout``
         self.env = env
         self.callbacks = []
         self._value = None
         self._ok = True
         self._defused = False
-        env._seq = seq = env._seq + 1
-        heappush(env._heap, (end, NORMAL, seq, self))
 
 
 class FifoServer:
@@ -169,6 +171,13 @@ class FifoServer:
     def hold(self, duration: float) -> Hold:
         """Occupy the server for ``duration`` once it is this caller's
         turn; the event fires at the end of the hold."""
+        hold = Hold(self.env)
+        self.hold_then(duration, hold)
+        return hold
+
+    def hold_then(self, duration: float, then: Any) -> None:
+        """:meth:`hold`, calling ``then()`` at the end of the hold
+        instead of firing an event (``then`` may also be the event)."""
         if duration < 0:
             raise SimulationError(f"negative hold duration {duration}")
         env = self.env
@@ -180,7 +189,8 @@ class FifoServer:
         else:
             start = now
         self.free_at = end = start + duration
-        return Hold(env, end)
+        env._seq = seq = env._seq + 1
+        heappush(env._heap, (end, NORMAL, seq, then))
 
 
 class FifoLock(Resource):

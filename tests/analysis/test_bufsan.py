@@ -222,3 +222,40 @@ class TestFinishedSanitizersStopFingerprinting:
             gc.collect()
         assert per_plan[0][0] > 0 and per_plan[0][1] > 0
         assert per_plan == [per_plan[0]] * 10
+
+
+class TestFingerprintsHashInPlace:
+    """A buffer is hashed where it lies; the digest is the one of its
+    ``tobytes()`` copy, contiguous or not."""
+
+    @pytest.mark.parametrize("view", [
+        lambda a: a,                        # contiguous
+        lambda a: a[3:700],                 # contiguous slice
+        lambda a: a[::3],                   # strided
+        lambda a: a[::-1],                  # reversed
+        lambda a: a.view("<u4"),            # wider items
+        lambda a: a.reshape(32, 32).T,      # Fortran-ordered 2-D
+        lambda a: a.reshape(32, 32)[:, 5],  # a column
+    ])
+    def test_fingerprint_equals_the_copy_digest(self, view):
+        import numpy as np
+
+        arr = view(np.random.default_rng(7).integers(
+            0, 256, 1024, dtype=np.uint8))
+        arr.flags.writeable = False
+        assert bufsan._fingerprint(arr) == bufsan._digest(arr.tobytes())
+
+    def test_a_strided_capture_still_convicts_a_mutation(self, sanitizer):
+        import numpy as np
+
+        from repro.sim import Environment
+
+        env = Environment()
+        base = np.zeros(64, dtype=np.uint8)
+        view = base[::2]
+        view.flags.writeable = False
+        env.bufsan.on_capture(None, view, "test")
+        base[10] = 1  # through the writable base: the view's bytes drift
+        env.bufsan.on_capture(None, view, "test")
+        assert [r.kind for r in sanitizer.drain_reports()] == [
+            "fingerprint-drift"]
