@@ -13,7 +13,8 @@ alter the model re-records them and says so:
 The scenarios cover what the benchmark's heaviest workload leans on:
 extent-mode BTIO (stream pipeline, page cache, disk, parity locks), bare
 ``stream`` flows contending for a NIC and a CPU in both ``cpu_at``
-directions plus a loopback, and a content-mode small-write mix.
+directions plus a loopback, and a content-mode small-write mix under
+every scheme, with and without strict locking.
 """
 
 from __future__ import annotations
@@ -159,11 +160,12 @@ def stream_flows() -> dict:
         return report
 
 
-def smallwrite_mix(scheme: str) -> dict:
+def smallwrite_mix(scheme: str, strict: bool = False) -> dict:
     """200 partial-stripe ops (4 in 5 writes) from three clients, real
     bytes.  Each client keeps to its own third of four stripes (CSAR
     leaves overlapping concurrent writes undefined); the thirds are not
-    stripe-aligned, so neighbours contend for the boundary parity groups."""
+    stripe-aligned, so neighbours contend for the boundary parity groups.
+    ``strict`` turns on Section 5.1's whole-write group locking."""
     clients, ops = 3, 200
     unit = 16 * KiB
     total = 4 * 5 * unit
@@ -177,7 +179,8 @@ def smallwrite_mix(scheme: str) -> dict:
                         k * region + rng.randrange(region - size), size, i))
     with DispatchDigest() as digest:
         system = System(CSARConfig(scheme=scheme, num_servers=6,
-                                   num_clients=clients, stripe_unit=unit))
+                                   num_clients=clients, stripe_unit=unit,
+                                   strict_locking=strict))
 
         def populate():
             yield from system.client(0).create("mix")
@@ -208,8 +211,12 @@ SCENARIOS = {
     "btio-A-raid5-overwrite-9-ranks": lambda: btio("raid5", True, 9, 0.05),
     "btio-A-hybrid-overwrite-9-ranks": lambda: btio("hybrid", True, 9, 0.05),
     "stream-flows": stream_flows,
+    "smallwrite-mix-raid0": lambda: smallwrite_mix("raid0"),
+    "smallwrite-mix-raid1": lambda: smallwrite_mix("raid1"),
     "smallwrite-mix-raid5": lambda: smallwrite_mix("raid5"),
     "smallwrite-mix-hybrid": lambda: smallwrite_mix("hybrid"),
+    "smallwrite-mix-raid5-strict": lambda: smallwrite_mix("raid5", True),
+    "smallwrite-mix-hybrid-strict": lambda: smallwrite_mix("hybrid", True),
 }
 
 
