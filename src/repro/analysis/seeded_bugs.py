@@ -1,118 +1,92 @@
 """Deliberately-buggy scheme variants for verifying the verifiers.
 
-These subclasses re-introduce the two bug classes the paper's protocol
-is designed to exclude, so tests can prove the schedule explorer
-(:mod:`repro.analysis.explore`) and ParitySan
-(:mod:`repro.analysis.paritysan`) actually catch them within a bounded
+Each class re-introduces a bug the paper's protocol (or the zero-copy
+buffer discipline) is designed to exclude, so tests can prove the
+schedule explorer (:mod:`repro.analysis.explore`), the sanitizers, the
+interprocedural lint and the crash matrix catch it within a bounded
 budget:
 
-* :class:`DropReleaseRaid5` — the RMW path *drops* one parity-group
-  unlock (a lost ``ParityWriteReq(unlock=True)``): the next writer to
-  that group queues forever, which surfaces as a
-  :class:`~repro.errors.SimulationError` deadlock or a LockSan leak
-  report;
-* :class:`InPlaceOverflowHybrid` — the partial-stripe path writes the
-  new bytes to the *home* data location instead of the overflow region
-  (exactly what Section 4 forbids): parity over the in-place blocks
-  goes stale, which ParitySan's quiescent check reports;
-* :class:`HelperReleaseRaid5` — the acquire and the release of a
-  per-write lease live in two different *helpers*, and the releasing
-  helper silently drops one release.  Each function is clean in
-  isolation (the acquire helper is even suppressed, mirroring real
-  protocol-carried locking), so the intra-procedural linter reports
-  nothing; only the interprocedural pass (CSAR010) and the explorer
-  (the third write blocks on the leaked lease) can see the leak;
-* :class:`DescendingLockRaid5` — the strict-locking write path takes
-  its group locks in *descending* order through a ``range(...,-1)``
-  loop, defeating the Section 5.1 deadlock-avoidance invariant while
-  staying invisible to CSAR002's literal-only ordering check.  CSAR011
-  flags the loop-carried descending edge statically and LockSan's
-  order-inversion check witnesses it dynamically;
-* :class:`ThawedViewRaid5` — the RMW parity fold thaws the parity
-  *response's* frozen buffer (``flags.writeable = True``) and XORs in
-  place instead of taking a private copy.  The bytes it ultimately
-  writes are *correct*, so ParitySan stays quiet and no lock rule
-  fires; but every payload aliasing that buffer silently changes under
-  its reader.  Caught statically by CSAR013 (interprocedural only: the
-  thaw and the mutation live in helpers) and dynamically by BufSan's
-  fingerprint re-verification;
-* :class:`CompensatingWritebackRaid5` — when an RMW *writeback* data
-  write fails (the server crashed between the old-data read and the
-  write), the scheme "helpfully" folds that block's delta back out of
-  the already-updated parity, so parity implies the block's *old*
-  bytes while the client acknowledged the new ones.  The state is
-  internally consistent — parity XORs to the reconstructible data, so
-  ParitySan, the scrubber, and every lock/buffer rule stay quiet — but
-  a rebuild resurrects the old bytes and the acknowledged write is
-  silently lost.  Only the chaos campaign's differential/durability
-  oracle (or the crash matrix) can catch it, and only by crashing a
-  server *inside* the RMW window: the compensation path is gated on
-  "old read succeeded AND writeback failed", which no between-ops
-  fault (every pre-existing test) can reach;
-* :class:`ScratchLeakHybrid` — the overflow mirror copy is staged in a
-  reusable per-scheme scratch buffer that is *captured into the mirror
-  payload* and then reused by the next write, so the first mirror's
-  bytes drift after the fact.  Caught statically by CSAR014 (the
-  allocator's private buffer escapes into ``self._scratch`` unfrozen)
-  and CSAR015 (the scratch-aliasing payload is live across the RPC
-  yield), and dynamically by BufSan at re-capture.
+* :class:`DropReleaseRaid5` (a request mutator): deadlock, LockSan;
+* :class:`InPlaceOverflowHybrid` (a plan mutator): ParitySan;
+* :class:`HelperReleaseRaid5` (wraps ``write``): CSAR007/010, explorer;
+* :class:`DescendingLockRaid5` (its own strict-locking wrapper):
+  CSAR011, LockSan;
+* :class:`ThawedViewRaid5` (wraps ``_rmw``): CSAR013, BufSan;
+* :class:`ScratchLeakHybrid` (wraps ``_mirrored``): CSAR014/015, BufSan;
+* :class:`CompensatingWritebackRaid5` (wraps ``_rmw``): crash matrix.
 
-Neither class is registered with the scheme registry — they impersonate
-their parent's ``name`` so existing metadata dispatch keeps working, and
-:func:`inject` swaps them into a built :class:`System` explicitly.
+None needs a seam in the production write path: a plan mutator
+overrides :meth:`~repro.redundancy.base.RedundancyScheme.plan`; a
+handler wrap acts on what the real handler did (the RMW handler returns
+an :class:`~repro.redundancy.base.RmwOutcome`, and both RMW wraps share
+the production fold helper :func:`~repro.redundancy.base.rmw_patches`);
+a request mutator (``mutate(request)``) is installed on each client's
+``rpc`` by :func:`inject`.  No class is registered with the scheme
+registry — they impersonate their parent's ``name`` so existing
+metadata dispatch keeps working, and :func:`inject` swaps them into a
+built :class:`System` explicitly.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Tuple
+import dataclasses
+from typing import Any, Generator, Optional
 
 import numpy as np
 
+from repro.errors import ServerFailed
 from repro.pvfs import messages as msg
+from repro.redundancy.base import RmwOutcome, rmw_patches
 from repro.redundancy.hybrid import Hybrid
+from repro.redundancy.plan import Mirrored, Rmw, Stripe, WritePlan
 from repro.redundancy.raid5 import Raid5
 from repro.sim.engine import Event
 from repro.storage.payload import Payload
 
 
 class DropReleaseRaid5(Raid5):
-    """RAID5 whose N-th read-modify-write forgets its group unlock."""
+    """RAID5 whose N-th read-modify-write unlock is lost on the way.
+
+    The N-th ``ParityWriteReq(unlock=True)`` goes out as
+    ``unlock=False``: the next writer to that group queues forever,
+    which surfaces as a :class:`~repro.errors.SimulationError` deadlock
+    or a LockSan leak report.
+    """
 
     name = "raid5"  # impersonate: metadata still says "raid5"
 
     def __init__(self, config: Any, drop_release_number: int = 2) -> None:
         super().__init__(config)
         self.drop_release_number = drop_release_number
-        self._rmw_count = 0
+        self._unlocks = 0
 
-    def _rmw_unlock(self, own_lock: bool) -> bool:
-        if not own_lock:
-            return own_lock
-        self._rmw_count += 1
-        if self._rmw_count == self.drop_release_number:
-            return False  # the bug: lock acquired, never released
-        return own_lock
+    def mutate(self, request: Any) -> Any:
+        """The request a client actually sends for ``request``."""
+        if type(request) is msg.ParityWriteReq and request.unlock:
+            self._unlocks += 1
+            if self._unlocks == self.drop_release_number:
+                # the bug: lock acquired, never released
+                return dataclasses.replace(request, unlock=False)
+        return request
 
 
 class InPlaceOverflowHybrid(Hybrid):
-    """Hybrid whose partial-stripe writes land on the home blocks."""
+    """Hybrid whose partial-stripe writes land on the home blocks.
+
+    Exactly what Section 4 forbids: parity over the in-place blocks goes
+    stale, which ParitySan's quiescent check reports.
+    """
 
     name = "hybrid"  # impersonate: metadata still says "hybrid"
 
-    def _write_overflow(self, client, meta, start: int, payload: Payload,
-                        ) -> Generator[Event, Any, None]:
+    def plan(self, layout: Any, offset: int, length: int) -> WritePlan:
         # The bug: partial-stripe data written in place, no overflow
         # entry, no mirror — and no parity update either, so the group's
         # parity no longer XORs to its data blocks.
-        calls: List = []
-        targets: List[int] = []
-        for sr in meta.layout.map_range(start, payload.length):
-            chunk = self._gather(payload, start, sr)
-            calls.append(client.rpc(client.iods[sr.server], msg.WriteReq(
-                meta.name, kind="data", offset=sr.local_start,
-                payload=chunk, xid=client.next_xid())))
-            targets.append(sr.server)
-        yield from self._tolerant_parallel(client, targets, calls)
+        plan = super().plan(layout, offset, length)
+        return plan._replace(portions=tuple(
+            Stripe(p.lo, p.hi) if type(p) is Mirrored else p
+            for p in plan.portions))
 
 
 class HelperReleaseRaid5(Raid5):
@@ -173,11 +147,10 @@ class DescendingLockRaid5(Raid5):
 
     name = "raid5"  # impersonate: metadata still says "raid5"
 
-    def _strict_write(self, client, meta, offset: int,
+    def _strict_write(self, client, meta, plan: WritePlan, offset: int,
                       payload: Payload) -> Generator[Event, Any, None]:
         lay = meta.layout
-        first = lay.group_of(offset)
-        last = lay.group_of(offset + payload.length - 1)
+        first, last = plan.groups[0], plan.groups[-1]
         xid = client.next_xid()
         for group in range(last, first - 1, -1):  # the bug: descending
             # CSAR008 sees the zero-iteration exit of the release loop
@@ -185,7 +158,7 @@ class DescendingLockRaid5(Raid5):
             yield from client.iods[lay.parity_server(group)].locks.acquire(  # csar-lint: disable=CSAR008
                 meta.name, group, xid)
         try:
-            yield from self._write_inner(client, meta, offset, payload)
+            yield from self._execute(client, meta, plan, offset, payload)
         finally:
             for group in range(first, last + 1):
                 client.iods[lay.parity_server(group)].locks.release(
@@ -193,25 +166,35 @@ class DescendingLockRaid5(Raid5):
 
 
 class ThawedViewRaid5(Raid5):
-    """RAID5 whose RMW folds parity into the thawed server response.
+    """RAID5 that also folds each RMW's delta into the thawed response.
 
-    Instead of ``xor_at_many`` (one private copy, fold, wrap), the fold
-    helper grabs the parity response's buffer, un-freezes it, and XORs
-    the delta in place.  The resulting parity *bytes* are correct — the
-    same fold lands in the same region — so the write completes, reads
-    verify, and ParitySan's quiescent XOR check passes.  What breaks is
-    aliasing: the response payload (and anything sharing its pages)
-    mutates after capture.  Each helper is clean in isolation — the
-    thaw touches an unannotated parameter and the caller never mutates
-    anything itself — so only the interprocedural buffer summaries
-    (CSAR013 with a ``_fold_parity -> _fold_piece`` chain) or BufSan's
-    runtime fingerprints can see it.
+    The real RMW folds into a private copy (``xor_at_many``) and writes
+    correct parity; this scheme then grabs the parity response's buffer,
+    un-freezes it, and XORs the same delta in place.  The parity *bytes*
+    written are correct, so the write completes, reads verify, and
+    ParitySan's quiescent XOR check passes.  What breaks is aliasing:
+    the response payload (and anything sharing its pages) mutates after
+    capture.  Each helper is clean in isolation — the thaw touches an
+    unannotated parameter and the caller never mutates anything itself —
+    so only the interprocedural buffer summaries (CSAR013 with a
+    ``_fold_parity -> _fold_piece`` chain) or BufSan's runtime
+    fingerprints can see it.
     """
 
     name = "raid5"  # impersonate: metadata still says "raid5"
 
-    def _fold_parity(self, parity: Payload,
-                     patches: List[Tuple[int, Payload]]) -> Payload:
+    def _rmw(self, client, meta, portion: Rmw, new_data: Payload,
+             gate: Optional[Event], parity_read_done: Event,
+             ) -> Generator[Event, Any, Optional[RmwOutcome]]:
+        learned = yield from super()._rmw(client, meta, portion, new_data,
+                                          gate, parity_read_done)
+        if learned is not None and self.config.compute_parity:
+            self._fold_parity(learned.parity, rmw_patches(
+                learned.ranges, learned.old_chunks, new_data, portion.lo,
+                learned.intra[0], meta.layout.unit))
+        return learned
+
+    def _fold_parity(self, parity: Payload, patches: list) -> Payload:
         buf = parity.data
         for at, piece in patches:
             self._fold_piece(buf, at, piece)
@@ -235,19 +218,20 @@ class ThawedViewRaid5(Raid5):
 
 
 class ScratchLeakHybrid(Hybrid):
-    """Hybrid whose overflow-mirror copy leaks its scratch staging.
+    """Hybrid whose mirrored portions leak their scratch staging.
 
-    The mirror payload is staged through a reusable scratch buffer kept
-    on the scheme, and the buffer itself — not a copy — is captured
-    into the mirror's :class:`Payload`.  The next partial write of the
-    same size thaws and refills the very same allocation, so the
-    *first* mirror payload's bytes change long after every RPC carrying
-    them completed.  Each helper is locally plausible (the allocator
-    returns a fresh array, the filler writes into "its" buffer), so the
-    intra-procedural pass sees nothing; interprocedurally CSAR014 flags
-    the allocator's buffer escaping into ``self._scratch`` unfrozen and
-    CSAR015 flags the scratch-aliasing payload live across the send,
-    while BufSan catches the drift at the buffer's re-capture.
+    A mirrored portion's bytes are staged through a reusable scratch
+    buffer kept on the scheme, and the buffer itself — not a copy — is
+    captured into the staged :class:`Payload` that the home and mirror
+    copies slice.  The next partial write of the same size thaws and
+    refills the very same allocation, so the *first* write's bytes
+    change long after every RPC carrying them completed.  Each helper is
+    locally plausible (the allocator returns a fresh array, the filler
+    writes into "its" buffer), so the intra-procedural pass sees
+    nothing; interprocedurally CSAR014 flags the allocator's buffer
+    escaping into ``self._scratch`` unfrozen and CSAR015 flags the
+    scratch-aliasing payload live across the handler's yield, while
+    BufSan catches the drift at the buffer's re-capture.
     """
 
     name = "hybrid"  # impersonate: metadata still says "hybrid"
@@ -256,26 +240,10 @@ class ScratchLeakHybrid(Hybrid):
         super().__init__(config)
         self._scratch: Optional[np.ndarray] = None
 
-    def _write_overflow(self, client, meta, start: int, payload: Payload,
-                        ) -> Generator[Event, Any, None]:
-        n = meta.layout.n
-        calls: List = []
-        targets: List[int] = []
-        for sr in meta.layout.map_range(start, payload.length):
-            chunk = self._gather(payload, start, sr)
-            mirror_chunk = self._mirror_copy(chunk)
-            ranges = self._local_ranges(sr)
-            calls.append(client.rpc(client.iods[sr.server],
-                                    msg.OverflowWriteReq(
-                meta.name, ranges=list(ranges), payload=chunk,
-                xid=client.next_xid())))
-            targets.append(sr.server)
-            calls.append(client.rpc(client.iods[(sr.server + 1) % n],
-                                    msg.OverflowWriteReq(
-                meta.name, ranges=list(ranges), payload=mirror_chunk,
-                mirror=True, origin=sr.server, xid=client.next_xid())))
-            targets.append((sr.server + 1) % n)
-        yield from self._tolerant_parallel(client, targets, calls)
+    def _mirrored(self, client, meta, portion: Mirrored,
+                  data: Payload) -> Generator[Event, Any, None]:
+        mirror_chunk = self._mirror_copy(data)
+        yield from super()._mirrored(client, meta, portion, mirror_chunk)
 
     def _mirror_copy(self, chunk: Payload) -> Payload:
         buf = self._fold_buffer(chunk.length)
@@ -306,60 +274,45 @@ class CompensatingWritebackRaid5(Raid5):
     *reconstructible* — but the resulting state is self-consistent, so
     no sanitizer objects.  The bug only fires when a data server's
     old-data read succeeded and its writeback write failed, i.e. the
-    server crashed *inside* the RMW window, which only step-triggered
-    fault injection can arrange.
+    server crashed *inside* the RMW window, which no between-ops fault
+    (every pre-existing test) reaches: only the chaos campaign's
+    durability oracle or the crash matrix, with a step-triggered crash,
+    sees the acknowledged write lost after a rebuild.
     """
 
     name = "raid5"  # impersonate: metadata still says "raid5"
 
-    def _writeback_outcome(self, client, meta, group: int, ranges,
-                           old_errors, old_chunks, new_data: Payload,
-                           base_lo: int, intra: Tuple[int, int], outcomes,
-                           xid: int) -> Generator[Event, Any, None]:
-        from repro.errors import ServerFailed
-
-        if not self.config.compute_parity:
-            return
+    def _rmw(self, client, meta, portion: Rmw, new_data: Payload,
+             gate: Optional[Event], parity_read_done: Event,
+             ) -> Generator[Event, Any, Optional[RmwOutcome]]:
+        learned = yield from super()._rmw(client, meta, portion, new_data,
+                                          gate, parity_read_done)
+        if learned is None or not self.config.compute_parity:
+            return learned
         lay = meta.layout
-        unit = lay.unit
-        intra_lo, intra_hi = intra
-        p_server = lay.parity_server(group)
-        p_local = lay.parity_local_offset(group)
-        own = not (self.config.strict_locking and self.config.locking)
+        group = lay.group_of(portion.lo)
+        parity_iod = client.iods[lay.parity_server(group)]
+        where = dict(group=group, local_offset=lay.parity_local_offset(group),
+                     intra=learned.intra)
         for sr, old_error, old_chunk, (_value, error) in zip(
-                ranges, old_errors, old_chunks, outcomes):
+                learned.ranges, learned.old_errors, learned.old_chunks,
+                learned.writeback):
             if not isinstance(error, ServerFailed) or old_error is not None:
                 continue
             # The bug: XOR the old/new delta in again (self-inverse), so
             # the parity goes back to implying the *old* block content.
             cxid = client.next_xid()
             try:
-                response = yield from client.rpc(
-                    client.iods[p_server],
-                    msg.ParityReadReq(meta.name, group=group,
-                                      local_offset=p_local,
-                                      intra=(intra_lo, intra_hi),
-                                      xid=cxid, lock=own))
+                response = yield from client.rpc(parity_iod, msg.ParityReadReq(
+                    meta.name, xid=cxid, lock=portion.lock, **where))
+                yield from client.rpc(parity_iod, msg.ParityWriteReq(
+                    meta.name, payload=response.payload.xor_at_many(
+                        rmw_patches([sr], [old_chunk], new_data, portion.lo,
+                                    learned.intra[0], lay.unit)),
+                    unlock=portion.lock, xid=cxid, **where))
             except ServerFailed:
-                return
-            patches: List[Tuple[int, Payload]] = []
-            for p in sr.pieces:
-                at = p.local_offset - sr.local_start
-                lo_l = p.logical_offset - base_lo
-                patch_at = p.local_offset % unit - intra_lo
-                patches.append((patch_at,
-                                old_chunk.slice(at, at + p.length)))
-                patches.append((patch_at,
-                                new_data.slice(lo_l, lo_l + p.length)))
-            parity = self._fold_parity(response.payload, patches)
-            try:
-                yield from client.rpc(client.iods[p_server],
-                                      msg.ParityWriteReq(
-                    meta.name, group=group, local_offset=p_local,
-                    intra=(intra_lo, intra_hi), payload=parity,
-                    unlock=own, xid=cxid))
-            except ServerFailed:
-                return
+                break
+        return learned
 
 
 def inject(system: Any, scheme: Any) -> Any:
@@ -367,13 +320,18 @@ def inject(system: Any, scheme: Any) -> Any:
 
     The replacement must impersonate the configured scheme's ``name``
     (clients dispatch per-file via ``meta.scheme == self.scheme.name``).
-    Returns ``system`` for chaining.
+    A scheme with a ``mutate(request)`` method also gets it installed on
+    every client's ``rpc``.  Returns ``system`` for chaining.
     """
     expected = system.config.scheme
     if scheme.name != expected:
         raise ValueError(
             f"seeded scheme impersonates {scheme.name!r} but the system "
             f"is configured for {expected!r}")
+    mutate = getattr(scheme, "mutate", None)
     for client in system.clients:
         client.scheme = scheme
+        if mutate is not None:
+            client.rpc = (lambda target, request, rpc=client.rpc:
+                          rpc(target, mutate(request)))
     return system

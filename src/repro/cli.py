@@ -193,16 +193,22 @@ def _cmd_chaos(seeds: List[int], schemes: List[str], num_ops: int,
 
     if matrix:
         from repro.faults.matrix import crash_matrix
+        from repro.faults.plan import STEP_NAMES
 
         status = 0
+        reached = set()
         for scheme in ("raid5", "hybrid"):
             cells = crash_matrix(scheme)
+            reached.update(c.step for c in cells)
             bad = [c for c in cells if not c.ok]
             print(f"{scheme}: {len(cells)} crash cells, "
                   f"{len(bad)} violating")
             for cell in bad:
                 print(f"  {cell.format()}", file=sys.stderr)
                 status = 1
+        for step in sorted(STEP_NAMES - reached):
+            print(f"error: no scheme reaches step {step}", file=sys.stderr)
+            status = 1
         return status
 
     if smoke:

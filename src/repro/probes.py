@@ -34,15 +34,13 @@ PROBES = {
     "system.quiescent": "(): System.run's awaited processes finished",
     "client.op": "(client, op, file, offset, length): a client read or "
                  "write was issued",
-    "write.start": "(file): a redundancy-scheme write began",
-    "write.complete": "(file): that write ended, acknowledged or not",
     "recovery.done": "(server): rebuild_server finished",
     "scrub.done": "(file, issues): one offline scrub pass finished",
     # -- protocol steps: (server or None).  The names a fault plan's
     # ``step`` trigger may address (``faults.plan.STEP_NAMES``); the
-    # client-side ones bracket the RAID5 read-modify-write and the
-    # Hybrid overflow write, the ``iod.*`` ones fire server-side so a
-    # crash can land between a home overflow append and its mirror copy.
+    # write executor's portion handlers (``_rmw``, ``_full_stripe``,
+    # ``_mirrored``) announce the client-side ones, and the ``iod.*`` ones
+    # fire server-side, between a home overflow append and its mirror.
     "raid5.rmw.before_parity_read": "(parity server)",
     "raid5.rmw.after_parity_read": "(parity server)",
     "raid5.rmw.before_writeback": "(parity server)",

@@ -108,6 +108,16 @@ class StripeLayout:
         row, intra = divmod(local_offset, self.unit)
         return (row * self.n + server) * self.unit + intra
 
+    def successor(self, server: int) -> int:
+        """The server holding ``server``'s mirror copies: RAID1's
+        redundancy file and Hybrid's overflow mirror."""
+        return (server + 1) % self.n
+
+    def predecessor(self, server: int) -> int:
+        """The server whose mirror copies ``server`` holds (the inverse
+        of :meth:`successor`)."""
+        return (server - 1) % self.n
+
     def pieces(self, offset: int, length: int) -> List[Piece]:
         """Unit-grain fragments of ``[offset, offset+length)``."""
         return sorted((p for sr in self.map_range(offset, length)

@@ -7,8 +7,9 @@ through: RAID1 costs 2x always; RAID5 costs 1 + 1/(n-1) on full stripes
 but pays read-modify-write on partial ones; Hybrid pays parity on the
 full-stripe portion and mirrors the rest into overflow.
 
-The advisor never simulates — it is a closed-form planning tool — but
-its estimates are validated against simulation in the tests.
+The advisor never simulates — it prices the same write plans the
+schemes execute (:func:`~repro.redundancy.plan.plan_write`) in closed
+form — but its estimates are validated against simulation in the tests.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import ConfigError
 from repro.pvfs.layout import StripeLayout
+from repro.redundancy.plan import FullStripe, plan_write
 from repro.util.trace import Trace
 
 
@@ -34,37 +36,30 @@ class SchemeEstimate:
     rmw_phases: float
 
 
-def _split_write(layout: StripeLayout, offset: int,
-                 length: int) -> Tuple[int, int]:
-    """(full-stripe bytes, partial-stripe bytes) of one write."""
-    head, full, tail = layout.split_by_groups(offset, length)
-    full_bytes = full[1] - full[0]
-    return full_bytes, length - full_bytes
-
-
 def estimate(writes: Iterable[Tuple[int, int]],
              layout: StripeLayout) -> Dict[str, SchemeEstimate]:
     """Cost model over (offset, length) writes."""
     if layout.n < 2:
         raise ConfigError("the advisor needs at least 2 servers")
-    total = full_total = partial_total = 0
-    rmw_writes = 0
-    count = 0
+    total = full_total = rmw_writes = count = 0
     for offset, length in writes:
         if length <= 0:
             continue
-        full_bytes, partial_bytes = _split_write(layout, offset, length)
+        # RAID5's plan: its full-stripe portion is Hybrid's too, and its
+        # RMW portions are the partial bytes Hybrid mirrors instead.
+        plan = plan_write(layout, "raid5", offset, length, strict=False)
+        full_bytes = sum(p.hi - p.lo for p in plan.portions
+                         if type(p) is FullStripe)
         total += length
         full_total += full_bytes
-        partial_total += partial_bytes
-        if partial_bytes:
+        if full_bytes < length:
             rmw_writes += 1
         count += 1
     if total == 0:
         raise ConfigError("no write traffic to analyze")
     parity_rate = 1.0 / layout.group_width
     full_frac = full_total / total
-    partial_frac = partial_total / total
+    partial_frac = (total - full_total) / total
 
     raid1 = SchemeEstimate("raid1", 2.0, 2.0, 0.0)
     # RAID5: parity on everything; partial bytes additionally read old

@@ -1,7 +1,8 @@
 """RAID0: original PVFS striping, no redundancy.
 
-The baseline every figure in the paper normalizes against.  A single
-server failure loses data — :class:`~repro.errors.DataLoss` on any read
+The baseline every figure in the paper normalizes against.  A write is
+one :class:`~repro.redundancy.plan.Stripe` portion, and a single server
+failure loses data — :class:`~repro.errors.DataLoss` on any read
 touching the failed server.
 """
 
@@ -21,13 +22,6 @@ class Raid0(base.RedundancyScheme):
     """Plain striping (the unmodified PVFS behaviour)."""
 
     name = "raid0"
-
-    def write(self, client, meta, offset: int,
-              payload: Payload) -> Generator[Event, Any, None]:
-        requests = self._data_write_requests(client, meta, offset, payload)
-        yield from client.parallel([
-            client.rpc(client.iods[server], request)
-            for server, request in requests])
 
     def degraded_read(self, client, meta,
                       sr: ServerRange) -> Generator[Event, Any, Payload]:

@@ -1,17 +1,19 @@
 """CSAR's RAID1: striped block mirroring.
 
 Section 4: "each I/O daemon maintains two files per client file" — the
-data file (identical to PVFS) and a redundancy file.  We mirror each
-server's data into the redundancy file of its successor ``(s + 1) mod n``
-at the same local offsets, so any single server failure leaves a full
-copy of its data on its neighbour.  Every write moves 2x the bytes, which
-is exactly what saturates the client NIC in Figure 4(a) and overflows the
-server caches in Figure 7.
+data file (identical to PVFS) and a redundancy file.  A write is one
+:class:`~repro.redundancy.plan.Mirrored` portion: each server's data is
+mirrored into the redundancy file of its successor
+(:meth:`~repro.pvfs.layout.StripeLayout.successor`) at the same local
+offsets, so any single server failure leaves a full copy of its data on
+its neighbour.  Every write moves 2x the bytes, which is exactly what
+saturates the client NIC in Figure 4(a) and overflows the server caches
+in Figure 7.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List
+from typing import Any, Generator
 
 from repro.pvfs import messages as msg
 from repro.pvfs.layout import ServerRange
@@ -26,34 +28,9 @@ class Raid1(base.RedundancyScheme):
 
     name = "raid1"
 
-    @staticmethod
-    def mirror_server(server: int, n: int) -> int:
-        return (server + 1) % n
-
-    def write(self, client, meta, offset: int,
-              payload: Payload) -> Generator[Event, Any, None]:
-        n = meta.layout.n
-        calls: List = []
-        targets: List[int] = []
-        for sr in meta.layout.map_range(offset, payload.length):
-            chunk = self._gather(payload, offset, sr)
-            calls.append(client.rpc(client.iods[sr.server], msg.WriteReq(
-                meta.name, kind="data", offset=sr.local_start,
-                payload=chunk, xid=client.next_xid())))
-            targets.append(sr.server)
-            calls.append(client.rpc(
-                client.iods[self.mirror_server(sr.server, n)],
-                msg.WriteReq(meta.name, kind="red", offset=sr.local_start,
-                             payload=chunk, xid=client.next_xid())))
-            targets.append(self.mirror_server(sr.server, n))
-        # Degraded mode: with one server down, the surviving copy of each
-        # block still lands (data on s, mirror on s+1 — never the same
-        # node for n >= 2), so the write remains fully recoverable.
-        yield from self._tolerant_parallel(client, targets, calls)
-
     def degraded_read(self, client, meta,
                       sr: ServerRange) -> Generator[Event, Any, Payload]:
-        mirror = self.mirror_server(sr.server, meta.layout.n)
+        mirror = meta.layout.successor(sr.server)
         response = yield from client.rpc(client.iods[mirror], msg.ReadReq(
             meta.name, kind="red", offset=sr.local_start, length=sr.length,
             xid=client.next_xid()))

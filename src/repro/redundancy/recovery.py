@@ -143,14 +143,13 @@ def _reset_local_overflow(system, iod: IOD, name: str) -> None:
     survive (the table is authoritative — orphaned ``.ovf`` bytes past
     the new allocation are unreachable)."""
     iod.overflow.pop(name, None)
-    predecessor = (iod.index - 1) % system.layout.n
+    predecessor = system.layout.predecessor(iod.index)
     iod.overflow_mirror.pop((name, predecessor), None)
 
 
 def _rebuild_file(system, client, iod: IOD,
                   name: str) -> Generator[Event, Any, None]:
     lay = system.layout
-    n = lay.n
     index = iod.index
     scheme = system.manager.files[name].scheme
     if scheme == "raid0":
@@ -165,8 +164,6 @@ def _rebuild_file(system, client, iod: IOD,
     # The data file must be rebuilt to its *in-place* content (what parity
     # covers), never the overflow-overlaid latest view — otherwise parity
     # would no longer match and a later failure would reconstruct garbage.
-    from repro.redundancy.raid5 import Raid5
-
     meta = system.manager.files[name]
     scheme_obj = client.scheme_for(meta)
     for start in range(0, local_size, chunk):
@@ -175,13 +172,12 @@ def _rebuild_file(system, client, iod: IOD,
         if scheme == "raid1":
             payload = yield from scheme_obj.degraded_read(client, meta, sr)
         else:
-            payload = yield from Raid5.degraded_read(
-                scheme_obj, client, meta, sr)
+            payload = yield from scheme_obj._reconstruct(client, meta, sr)
         yield from iod.fs.write(f"{name}.data", start, payload)
 
     # ---- redundancy file -------------------------------------------------
     if scheme == "raid1":
-        source = system.iods[(index - 1) % n]
+        source = system.iods[lay.predecessor(index)]
         src_size = _server_local_size(system, name, source.index)
         for start in range(0, src_size, chunk):
             length = min(chunk, src_size - start)
@@ -223,11 +219,10 @@ def _rebuild_parity(system, client, iod: IOD,
 def _rebuild_overflow(system, client, iod: IOD,
                       name: str) -> Generator[Event, Any, None]:
     """Replay overflow (from the mirror) and the mirror (from the origin)."""
-    n = system.layout.n
     index = iod.index
 
     # Own overflow region: the successor's mirror table is authoritative.
-    successor = system.iods[(index + 1) % n]
+    successor = system.iods[system.layout.successor(index)]
     mtable = successor.overflow_mirror.get((name, index))
     if mtable is not None and mtable.covered:
         from repro.redundancy.overflow import OverflowTable
@@ -245,7 +240,7 @@ def _rebuild_overflow(system, client, iod: IOD,
                                            piece.local_end - ext.start))
 
     # Overflow mirror held for the predecessor: replay from its live table.
-    predecessor = system.iods[(index - 1) % n]
+    predecessor = system.iods[system.layout.predecessor(index)]
     ptable = predecessor.overflow.get(name)
     if ptable is not None and ptable.covered:
         from repro.redundancy.overflow import OverflowTable

@@ -42,12 +42,11 @@ def _file_size(system, name: str) -> int:
 def check_mirrors(system, name: str) -> List[str]:
     """RAID1 invariant: data on s == red on (s+1), byte for byte."""
     issues: List[str] = []
-    n = system.layout.n
     for iod in system.iods:
         local = iod.fs.files.get(data_file(name))
         if local is None or local.size == 0:
             continue
-        mirror_iod = system.iods[(iod.index + 1) % n]
+        mirror_iod = system.iods[system.layout.successor(iod.index)]
         mirror = mirror_iod.fs.files.get(red_file(name))
         for ext in local.allocated:
             data = local.read(ext.start, ext.length)
@@ -93,12 +92,11 @@ def check_parity(system, name: str) -> List[str]:
 def check_overflow_mirrors(system, name: str) -> List[str]:
     """Hybrid invariant: valid overflow data matches its mirror copy."""
     issues: List[str] = []
-    n = system.layout.n
     for iod in system.iods:
         table = iod.overflow.get(name)
         if table is None or not table.covered:
             continue
-        mirror_iod = system.iods[(iod.index + 1) % n]
+        mirror_iod = system.iods[system.layout.successor(iod.index)]
         mtable = mirror_iod.overflow_mirror.get((name, iod.index))
         for ext in table.covered:
             _gaps, reads = table.resolve(ext.start, ext.end)
@@ -156,7 +154,6 @@ def online_scrub(system, name: str, client_index: int = 0):
         return issues
 
     if scheme == "raid1":
-        n = lay.n
         size = _file_size(system, name)
         blocks = -(-size // unit)
         for block in range(blocks):
@@ -166,7 +163,7 @@ def online_scrub(system, name: str, client_index: int = 0):
                 name, kind="inplace", offset=local, length=unit,
                 xid=client.next_xid()))
             copy = yield from client.rpc(
-                system.iods[(server + 1) % n],
+                system.iods[lay.successor(server)],
                 msg.ReadReq(name, kind="red", offset=local, length=unit,
                             xid=client.next_xid()))
             if data.payload != copy.payload:

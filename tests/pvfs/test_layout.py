@@ -23,6 +23,12 @@ class TestStriping:
         assert lay.local_offset_of_block(3) == UNIT
         assert lay.local_offset_of_block(7) == 2 * UNIT
 
+    def test_successor_and_predecessor_are_inverse(self):
+        lay = StripeLayout(UNIT, 5)
+        assert [lay.successor(s) for s in range(5)] == [1, 2, 3, 4, 0]
+        for s in range(5):
+            assert lay.predecessor(lay.successor(s)) == s
+
     def test_logical_of_local_inverse(self):
         lay = StripeLayout(UNIT, 5)
         for logical in [0, 1, UNIT - 1, UNIT, 7 * UNIT + 13, 29 * UNIT]:

@@ -170,6 +170,23 @@ class TestDegradedWindows:
         system.env.paritysan.on_quiescent()
         assert paritysan.drain_reports() == []
 
+    @pytest.mark.parametrize("scheme", ["raid1", "raid5"])
+    def test_write_in_flight_suppresses_checks(self, sanitized, scheme):
+        # A large overwrite nobody awaits is still in flight when the
+        # awaited small write finishes: its half-written mirror or parity
+        # is no violation, under any scheme.
+        system = System(CSARConfig(scheme=scheme, num_servers=4,
+                                   num_clients=1, stripe_unit=UNIT,
+                                   content_mode=True))
+        client = system.client()
+        system.run(client.create("f"))
+        system.run(client.write("f", 0, Payload.pattern(128 * KiB, seed=1)))
+        paritysan.drain_reports()
+        system.env.process(client.write(
+            "f", 0, Payload.pattern(128 * KiB, seed=2)))
+        system.run(client.write("f", 64 * KiB, Payload.pattern(64, seed=3)))
+        assert paritysan.drain_reports() == []
+
 
 class TestExploredSchedules:
     """Satellite: recovery and scrub stay invariant-clean when message
