@@ -162,7 +162,7 @@ def sanitizer_scope(modes: Iterable[str],
 
 from repro.analysis.bufsan import BufSan, BufSanReport  # noqa: E402
 from repro.analysis.lint import (Finding, format_json, format_text,  # noqa: E402
-                                 lint_file, lint_paths, lint_source)
+                                 lint_paths, lint_source)
 from repro.analysis.locksan import LockSan, LockSanReport, drain_reports  # noqa: E402
 from repro.analysis.paritysan import ParitySan, ParitySanReport  # noqa: E402
 from repro.analysis.rules import RULES, Rule, all_codes  # noqa: E402
@@ -183,7 +183,6 @@ __all__ = [
     "drain_reports",
     "format_json",
     "format_text",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "sanitize_modes",

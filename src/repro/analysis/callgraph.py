@@ -1,9 +1,8 @@
 """A module-level call graph over a set of Python sources.
 
-The graph is the substrate of ``csar-lint``'s interprocedural mode
-(``--interprocedural``): per-function lock-effect summaries
-(:mod:`repro.analysis.summaries`) are computed bottom-up over its
-strongly-connected components, and the whole-program rules (CSAR010,
+The graph is the substrate of ``csar-lint``: per-function lock-effect
+summaries (:mod:`repro.analysis.summaries`) are computed bottom-up over
+its strongly-connected components, and the whole-program rules (CSAR010,
 CSAR011) walk its edges to build witness call chains.
 
 Construction is purely syntactic (stdlib :mod:`ast`, no imports are
@@ -167,17 +166,6 @@ class CallGraph:
             graph._add_module(path, sources[path])
         graph._build_edges()
         return graph
-
-    @classmethod
-    def from_paths(cls, paths: Iterable[str]) -> "CallGraph":
-        sources: Dict[str, str] = {}
-        for path in paths:
-            try:
-                with open(path, "r", encoding="utf-8") as fp:
-                    sources[path] = fp.read()
-            except OSError:
-                continue
-        return cls.from_sources(sources)
 
     def _add_module(self, path: str, source: str) -> None:
         try:

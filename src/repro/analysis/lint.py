@@ -1,8 +1,14 @@
 """``csar-lint``: static protocol checks for CSAR simulation code.
 
-A stdlib-:mod:`ast` analysis pass with CSAR-specific rules (see
+A stdlib-:mod:`ast` analysis with CSAR-specific rules (see
 :mod:`repro.analysis.rules` for the registry and ``docs/ANALYSIS.md``
-for worked examples):
+for worked examples).  There is one pass: the linted files (or the one
+source string) become a :class:`~repro.analysis.summaries.Program` —
+call graph plus per-function lock and buffer summaries — and every
+rule below sees callee effects through it; CSAR010 (a lock leaked
+through a helper) and CSAR011 (a lock-order cycle on the global
+acquires-while-holding graph) are the rules that exist only across
+function boundaries.
 
 * **CSAR001** — a generator function acquires a lock/resource
   (``*.acquire(...)`` or ``*.request()``) that a path can exit without
@@ -14,9 +20,6 @@ for worked examples):
   ``finally`` block is exempt from the interrupt-leak variant, and a
   request whose ownership escapes (stored, returned, passed on) is the
   protocol-carried idiom and is not reported.
-* **CSAR002** — parity-group locks acquired in statically-descending
-  group order, either as consecutive literal groups or by iterating a
-  descending literal sequence.
 * **CSAR003** — a process body (a generator returning
   ``Generator[Event, ...]``, or one that yields ``.timeout(...)``
   events) yields an expression that cannot be an :class:`Event`
@@ -53,9 +56,9 @@ for worked examples):
   (:mod:`repro.analysis.bufflow`): in-place mutation or thaw of a
   may-frozen payload view, a private writable buffer escaping with no
   dominating freeze, and a shared scratch alias live across an Event
-  yield.  Flow-sensitive over the same CFG engine as the lock rules; in
-  whole-program mode callee buffer summaries ride the call graph and
-  findings carry ``caller -> helper`` chains.
+  yield.  Flow-sensitive over the same CFG engine as the lock rules;
+  callee buffer summaries ride the call graph and findings carry
+  ``caller -> helper`` chains.
 
 Findings can be suppressed per line with a trailing comment::
 
@@ -77,16 +80,10 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.dataflow import LockAnalysis
 from repro.analysis.rules import RULES, all_codes
+from repro.errors import ConfigError
 
 #: Version of the ``--format=json`` payload (see ``docs/ANALYSIS.md``).
 LINT_SCHEMA_VERSION = 1
-
-#: Attribute names treated as lock/resource acquisition (CSAR001/CSAR002).
-_ACQUIRE_ATTRS = ("acquire",)
-#: ``.request()`` only counts with zero arguments (Resource.request()).
-_REQUEST_ATTR = "request"
-#: Attribute names treated as a release for guard detection.
-_RELEASE_ATTRS = ("release", "cancel")
 
 #: ``<module>.<attr>`` calls that read the wall clock or draw unseeded
 #: randomness (CSAR004).
@@ -201,32 +198,6 @@ def _call_attr(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _parent_map(func: ast.FunctionDef) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    todo: List[ast.AST] = [func]
-    while todo:
-        node = todo.pop()
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-            todo.append(child)
-    return parents
-
-
-def _block_key(node: ast.AST,
-               parents: Dict[ast.AST, ast.AST]) -> Tuple[int, str]:
-    """Identify the statement list (``body``/``orelse``/...) holding
-    ``node``, so checks can restrict themselves to straight-line code."""
-    current = node
-    while current in parents:
-        parent = parents[current]
-        for field in ("body", "orelse", "finalbody"):
-            block = getattr(parent, field, None)
-            if isinstance(block, list) and current in block:
-                return (id(parent), field)
-        current = parent
-    return (id(current), "body")
-
-
 def _names_in(node: ast.AST) -> Set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
@@ -235,19 +206,18 @@ def _names_in(node: ast.AST) -> Set[str]:
 # the per-file linter
 # ----------------------------------------------------------------------
 class FileLinter:
-    """Run every enabled rule over one parsed module."""
+    """Run every enabled per-module rule over one module of a
+    :class:`~repro.analysis.summaries.Program`, which supplies the parse
+    and the callee summaries."""
 
-    def __init__(self, path: str, source: str,
-                 enable: Optional[Iterable[str]] = None,
-                 program=None) -> None:
+    def __init__(self, path: str, source: str, program,
+                 enable: Set[str]) -> None:
         self.path = path
         self.source = source
-        self.enable = set(enable) if enable is not None else set(all_codes())
+        self.program = program
+        self.enable = enable
         self.findings: List[Finding] = []
         self._supp = _suppressions(source)
-        #: whole-program state (repro.analysis.summaries.Program) when
-        #: linting interprocedurally; None for the classic intra pass
-        self.program = program
 
     # -- plumbing -------------------------------------------------------
     def _report(self, code: str, node: ast.AST, message: str) -> None:
@@ -261,9 +231,10 @@ class FileLinter:
 
     # -- entry point ----------------------------------------------------
     def run(self) -> List[Finding]:
-        # Reuse the whole-program parse when there is one: the
-        # interprocedural context is keyed by AST node identity.
-        tree = self.program.tree_for(self.path) if self.program else None
+        # Reuse the program's parse: the callee context is keyed by AST
+        # node identity.  The program holds no tree for a module that
+        # does not parse.
+        tree = self.program.tree_for(self.path)
         if tree is None:
             try:
                 tree = ast.parse(self.source, filename=self.path)
@@ -286,7 +257,6 @@ class FileLinter:
             self._check_extent_in_loops(tree)
         if self._is_payload_scoped():
             self._check_payload_copies_in_loops(tree)
-        self.findings.sort(key=lambda f: (f.line, f.col, f.code))
         return self.findings
 
     def _is_sim_scoped(self) -> bool:
@@ -334,7 +304,6 @@ class FileLinter:
                         for n in nodes)
         if generator:
             self._check_lock_dataflow(func)
-            self._check_lock_order(func, nodes)
             self._check_yields(func, nodes)
         if self._is_redundancy_scoped() and "overflow" in func.name:
             self._check_overflow_inplace(func, nodes)
@@ -348,8 +317,7 @@ class FileLinter:
             return
         from repro.analysis.bufflow import (BufferAnalysis,
                                             buffer_context_for)
-        ctx = buffer_context_for(self.program, func) \
-            if self.program else None
+        ctx = buffer_context_for(self.program, func)
         qname = ctx.info.qname if ctx is not None else func.name
         analysis = BufferAnalysis(func, interproc=ctx, qname=qname,
                                   path=self.path)
@@ -362,19 +330,20 @@ class FileLinter:
         ("rpc", "get", "stream", "transfer", "send", "recv"))
 
     def _check_lock_dataflow(self, func: ast.FunctionDef) -> None:
-        ctx = self.program.context_for(func) if self.program else None
+        # ``ctx`` is None for a nested def, which the call graph does not
+        # index: its analysis sees no callee effects.
+        ctx = self.program.context_for(func)
         analysis = LockAnalysis(func, interproc=ctx)
         if not analysis.tokens:
             return
         held_exit = analysis.held_at_exit()
         held_raise = analysis.held_at_raise()
-        caller = ctx.info if ctx is not None else None
         for token in analysis.tokens:
             if token.guarded or token.escapes:
                 continue
             if token.derived:
                 self._check_derived_token(token, held_exit, held_raise,
-                                          caller)
+                                          ctx.info)
                 continue
             if ctx is not None and token.returned:
                 # ``return request``: ownership transfers to the caller,
@@ -411,7 +380,7 @@ class FileLinter:
             elif isinstance(value.func, ast.Name):
                 name = value.func.id
             locks = ", ".join(sorted(
-                f"{t.receiver}.{_ACQUIRE_ATTRS[0]}({', '.join(t.args)})"
+                f"{t.receiver}.acquire({', '.join(t.args)})"
                 for t in held))
             if name in self._IO_YIELD_NAMES:
                 self._report(
@@ -440,9 +409,8 @@ class FileLinter:
         call = token.call
         desc = ast.unparse(call.func)
         key = f"{token.receiver}.acquire({', '.join(token.args)})"
-        chain = _format_chain(
-            ((caller.qname, caller.path, call.lineno),) if caller
-            else (), token.chain)
+        chain = _format_chain(((caller.qname, caller.path, call.lineno),),
+                              token.chain)
         if token.tid in held_exit:
             self._report(
                 "CSAR010", call,
@@ -490,91 +458,6 @@ class FileLinter:
                         "overflow path writes the home data file "
                         "in place instead of the overflow region "
                         f"[fix: {RULES['CSAR009'].fixit}]")
-
-    # -- CSAR002 --------------------------------------------------------
-    def _check_lock_order(self, func: ast.FunctionDef,
-                          nodes: List[ast.AST]) -> None:
-        parents = _parent_map(func)
-        acquires: List[ast.Call] = []
-        releases: List[ast.AST] = []
-        for node in nodes:
-            if _call_attr(node) in _ACQUIRE_ATTRS:
-                acquires.append(node)
-            elif _call_attr(node) in _RELEASE_ATTRS:
-                releases.append(node)
-        acquires.sort(key=lambda n: (n.lineno, n.col_offset))
-        release_lines = sorted(n.lineno for n in releases)
-
-        def group_const(call: ast.Call) -> Optional[int]:
-            arg = None
-            if len(call.args) >= 2:
-                arg = call.args[1]
-            for kw in call.keywords:
-                if kw.arg == "group":
-                    arg = kw.value
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, int):
-                return arg.value
-            return None
-
-        def group_name(call: ast.Call) -> Optional[str]:
-            arg = call.args[1] if len(call.args) >= 2 else None
-            for kw in call.keywords:
-                if kw.arg == "group":
-                    arg = kw.value
-            if isinstance(arg, ast.Name):
-                return arg.id
-            return None
-
-        # Consecutive literal groups in the same straight-line block.
-        prev: Optional[Tuple[int, Tuple[int, str], int]] = None
-        for call in acquires:
-            const = group_const(call)
-            block = _block_key(call, parents)
-            if const is None:
-                prev = None
-                continue
-            if prev is not None:
-                prev_group, prev_block, prev_line = prev
-                released_between = any(prev_line <= line <= call.lineno
-                                       for line in release_lines)
-                if (block == prev_block and const < prev_group
-                        and not released_between):
-                    self._report(
-                        "CSAR002", call,
-                        f"parity lock for group {const} acquired while "
-                        f"group {prev_group} is held — descending order "
-                        "can deadlock against a client locking ascending "
-                        f"[fix: {RULES['CSAR002'].fixit}]")
-            prev = (const, block, call.lineno)
-
-        # ``for g in (5, 3): ... acquire(f, g, ...)`` over a descending
-        # literal sequence.
-        for node in nodes:
-            if not isinstance(node, ast.For):
-                continue
-            if not isinstance(node.iter, (ast.Tuple, ast.List)):
-                continue
-            values = []
-            for elt in node.iter.elts:
-                if not (isinstance(elt, ast.Constant)
-                        and isinstance(elt.value, int)):
-                    values = []
-                    break
-                values.append(elt.value)
-            if len(values) < 2 or values == sorted(values):
-                continue
-            if not isinstance(node.target, ast.Name):
-                continue
-            loop_var = node.target.id
-            for stmt in node.body:
-                for sub in ast.walk(stmt):
-                    if (_call_attr(sub) in _ACQUIRE_ATTRS
-                            and group_name(sub) == loop_var):
-                        self._report(
-                            "CSAR002", sub,
-                            f"parity locks acquired over descending "
-                            f"literal groups {tuple(values)} "
-                            f"[fix: {RULES['CSAR002'].fixit}]")
 
     # -- CSAR003 --------------------------------------------------------
     def _check_yields(self, func: ast.FunctionDef,
@@ -891,14 +774,8 @@ def check_order_cycles(program, enable: Set[str],
 # ----------------------------------------------------------------------
 def lint_source(source: str, path: str = "<string>",
                 enable: Optional[Iterable[str]] = None) -> List[Finding]:
-    """Lint one module given as a string."""
-    return FileLinter(path, source, enable=enable).run()
-
-
-def lint_file(path: str,
-              enable: Optional[Iterable[str]] = None) -> List[Finding]:
-    with open(path, "r", encoding="utf-8") as fp:
-        return lint_source(fp.read(), path=path, enable=enable)
+    """Lint one module given as a string (a one-module program)."""
+    return _lint_sources({path: source}, enable, None)
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterable[str]:
@@ -930,38 +807,55 @@ def iter_python_files(paths: Iterable[str]) -> Iterable[str]:
 
 def lint_paths(paths: Iterable[str],
                enable: Optional[Iterable[str]] = None,
-               interprocedural: bool = False,
                witnesses=None) -> List[Finding]:
-    """Lint files and directory trees; findings sorted by location.
-
-    With ``interprocedural=True`` the whole file set is first condensed
-    into a :class:`~repro.analysis.summaries.Program` (call graph +
-    lock-effect summaries); the per-file rules then see callee effects
-    (CSAR001/007/008 track helper-mediated acquire/release) and the
-    whole-program rules CSAR010/CSAR011 run on top.  ``witnesses`` is an
-    optional list of LockSan order-inversion records (see
-    :func:`load_witnesses`) cross-referenced into CSAR011 findings.
-    """
-    files = list(iter_python_files(paths))
-    program = None
-    if interprocedural:
-        from repro.analysis.summaries import Program
-        program = Program.build(files)
-    findings: List[Finding] = []
-    supp_of_path: Dict[str, Dict[int, Optional[Set[str]]]] = {}
-    for path in files:
+    """Lint files and directory trees as one program; findings sorted by
+    location."""
+    sources: Dict[str, str] = {}
+    for path in iter_python_files(paths):
         try:
             with open(path, "r", encoding="utf-8") as fp:
-                source = fp.read()
+                sources[path] = fp.read()
         except OSError:
             continue
-        linter = FileLinter(path, source, enable=enable, program=program)
+    return _lint_sources(sources, enable, witnesses)
+
+
+def _enabled_codes(enable: Optional[Iterable[str]]) -> Set[str]:
+    """The codes to run, every registered rule by default.  An unknown
+    code is an error: a misspelt or retired code in ``[tool.csar-lint]
+    enable`` would otherwise switch rules off without a word."""
+    if enable is None:
+        return set(all_codes())
+    codes = set(enable)
+    unknown = sorted(codes - set(RULES))
+    if unknown:
+        raise ConfigError(f"unknown csar-lint rule code(s): "
+                          f"{', '.join(unknown)}")
+    return codes
+
+
+def _lint_sources(sources: Dict[str, str],
+                  enable: Optional[Iterable[str]],
+                  witnesses) -> List[Finding]:
+    """The one lint pass: condense ``sources`` into a
+    :class:`~repro.analysis.summaries.Program` (call graph + lock and
+    buffer summaries), run the per-module rules with callee effects
+    visible, then the whole-program CSAR011 over the global lock-order
+    graph.  ``witnesses`` is an optional list of LockSan order-inversion
+    records (see :func:`load_witnesses`) cross-referenced into CSAR011
+    findings."""
+    from repro.analysis.summaries import Program
+
+    enabled = _enabled_codes(enable)
+    program = Program.from_sources(sources)
+    findings: List[Finding] = []
+    supp_of_path: Dict[str, Dict[int, Optional[Set[str]]]] = {}
+    for path, source in sources.items():
+        linter = FileLinter(path, source, program, enabled)
         findings.extend(linter.run())
         supp_of_path[path] = linter._supp
-    if program is not None:
-        enabled = set(enable) if enable is not None else set(all_codes())
-        findings.extend(check_order_cycles(program, enabled,
-                                           supp_of_path, witnesses))
+    findings.extend(check_order_cycles(program, enabled, supp_of_path,
+                                       witnesses))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     unique: List[Finding] = []
     seen: Set[Tuple] = set()

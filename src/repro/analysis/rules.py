@@ -42,15 +42,6 @@ RULES: Dict[str, Rule] = {
                   "handler, suppress with a comment explaining why",
         ),
         Rule(
-            code="CSAR002",
-            name="descending-lock-order",
-            summary="parity locks acquired in descending group order "
-                    "(violates the Section 5.1 deadlock-avoidance "
-                    "invariant)",
-            fixit="always acquire parity-group locks in ascending group "
-                  "order; sort the groups before locking",
-        ),
-        Rule(
             code="CSAR003",
             name="non-event-yield",
             summary="process body yields an expression that cannot be an "
@@ -124,9 +115,9 @@ RULES: Dict[str, Rule] = {
             name="static-lock-order-cycle",
             summary="the global acquires-while-holding graph contains a "
                     "cycle or a descending edge against the Section 5.1 "
-                    "ascending-group invariant (whole-program mode "
-                    "only); the finding names its dynamic LockSan "
-                    "witness when the explorer recorded one",
+                    "ascending-group invariant; the finding names its "
+                    "dynamic LockSan witness when the explorer recorded "
+                    "one",
             fixit="acquire parity-group locks in ascending group order "
                   "on every call chain; sort the groups before locking "
                   "and keep helper functions on the same convention",

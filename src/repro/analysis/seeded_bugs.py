@@ -3,7 +3,7 @@
 Each class re-introduces a bug the paper's protocol (or the zero-copy
 buffer discipline) is designed to exclude, so tests can prove the
 schedule explorer (:mod:`repro.analysis.explore`), the sanitizers, the
-interprocedural lint and the crash matrix catch it within a bounded
+whole-program lint and the crash matrix catch it within a bounded
 budget:
 
 * :class:`DropReleaseRaid5` (a request mutator): deadlock, LockSan;
@@ -137,8 +137,8 @@ class DescendingLockRaid5(Raid5):
     The descending ``range`` loop inverts the Section 5.1 ascending
     acquisition order.  Each acquire is matched by a release in the
     ``finally`` block, so the per-function leak checks stay quiet, and
-    the loop bounds are symbolic, so CSAR002's literal-ordering check
-    never fires — only the whole-program order graph (CSAR011) and
+    the loop bounds are symbolic, so no literal group order is visible
+    in the source — only the global order graph (CSAR011) and
     LockSan's runtime inversion check see the bug.  The locks are taken
     directly on the parity servers' tables (not via ``GroupLockReq``)
     so the acquisition order is observable both statically and by the
@@ -227,7 +227,7 @@ class ScratchLeakHybrid(Hybrid):
     refills the very same allocation, so the *first* write's bytes
     change long after every RPC carrying them completed.  Each helper is
     locally plausible (the allocator returns a fresh array, the filler
-    writes into "its" buffer), so the intra-procedural pass sees
+    writes into "its" buffer), so per-function reasoning sees
     nothing; interprocedurally CSAR014 flags the allocator's buffer
     escaping into ``self._scratch`` unfrozen and CSAR015 flags the
     scratch-aliasing payload live across the handler's yield, while

@@ -1,4 +1,4 @@
-"""Per-function lock-effect summaries for interprocedural ``csar-lint``.
+"""Per-function lock-effect summaries for ``csar-lint``.
 
 For every function in a :class:`~repro.analysis.callgraph.CallGraph`,
 this module runs the existing CFG + lock-ownership dataflow
@@ -31,28 +31,20 @@ keys are rewritten to the caller's actual argument expressions (and
 ``self`` to the receiver), so ``iod.locks.acquire(name, g, xid)`` in a
 helper becomes ``client.iods[0].locks.acquire(meta.name, g, xid)`` in
 the caller — textually comparable with the caller's own releases.
-
-Everything round-trips through JSON (:func:`summaries_to_json` /
-:func:`summaries_from_json`, ``schema_version``
-:data:`SUMMARY_SCHEMA_VERSION`).
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import (
     CallGraph, FunctionInfo, PRIMITIVE_ATTRS, normalize_call,
     spawn_argument_calls)
 from repro.analysis.cfg import EXC
 from repro.analysis.dataflow import LockAnalysis, run_forward
-
-#: Version of the summaries JSON payload.
-SUMMARY_SCHEMA_VERSION = 1
 
 #: Yielded call names counted as long-latency non-lock I/O (CSAR007).
 IO_YIELD_NAMES = frozenset(("rpc", "get", "stream", "transfer", "send",
@@ -126,86 +118,6 @@ class LockEffectSummary:
     def net_delta(self) -> int:
         """Locks this function may add to its caller's held set."""
         return len(self.acquired)
-
-    def to_dict(self) -> dict:
-        return {
-            "qname": self.qname,
-            "path": self.path,
-            "acquired": [
-                {"receiver": a.key.receiver, "args": list(a.key.args),
-                 "kind": a.kind, "returned": a.returned,
-                 "chain": [list(link) for link in a.chain]}
-                for a in self.acquired],
-            "released": [
-                {"receiver": r.key.receiver, "args": list(r.key.args),
-                 "must": r.must} for r in self.released],
-            "held_at_raise": [
-                {"receiver": k.receiver, "args": list(k.args)}
-                for k in self.held_at_raise],
-            "yields_while_held": [
-                {"receiver": k.receiver, "args": list(k.args)}
-                for k in self.yields_while_held],
-            "io_yield": self.io_yield,
-            "escaping": list(self.escaping),
-            "order_edges": [
-                {"file": e.file_text, "held": e.held,
-                 "acquired": e.acquired, "descending": e.descending,
-                 "loop_carried": e.loop_carried, "path": e.path,
-                 "line": e.line,
-                 "chain": [list(link) for link in e.chain]}
-                for e in self.order_edges],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LockEffectSummary":
-        def key(d: dict) -> LockKey:
-            return LockKey(d["receiver"], tuple(d["args"]))
-
-        def chain(items) -> Tuple[ChainLink, ...]:
-            return tuple((q, p, int(ln)) for q, p, ln in items)
-
-        return cls(
-            qname=data["qname"],
-            path=data["path"],
-            acquired=tuple(
-                AcquiredLock(key(a), a["kind"], a["returned"],
-                             chain(a["chain"]))
-                for a in data.get("acquired", ())),
-            released=tuple(
-                ReleasedLock(key(r), r["must"])
-                for r in data.get("released", ())),
-            held_at_raise=tuple(
-                key(k) for k in data.get("held_at_raise", ())),
-            yields_while_held=tuple(
-                key(k) for k in data.get("yields_while_held", ())),
-            io_yield=bool(data.get("io_yield", False)),
-            escaping=tuple(data.get("escaping", ())),
-            order_edges=tuple(
-                OrderEdge(e["file"], e["held"], e["acquired"],
-                          e["descending"], e["loop_carried"], e["path"],
-                          int(e["line"]), chain(e["chain"]))
-                for e in data.get("order_edges", ())),
-        )
-
-
-def summaries_to_json(summaries: Dict[str, LockEffectSummary]) -> str:
-    return json.dumps(
-        {"schema_version": SUMMARY_SCHEMA_VERSION,
-         "summaries": [summaries[q].to_dict() for q in sorted(summaries)]},
-        indent=2)
-
-
-def summaries_from_json(text: str) -> Dict[str, LockEffectSummary]:
-    data = json.loads(text)
-    version = data.get("schema_version")
-    if version != SUMMARY_SCHEMA_VERSION:
-        raise ValueError(f"unsupported summaries schema_version "
-                         f"{version!r} (expected {SUMMARY_SCHEMA_VERSION})")
-    out = {}
-    for item in data.get("summaries", ()):
-        summary = LockEffectSummary.from_dict(item)
-        out[summary.qname] = summary
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -610,11 +522,6 @@ class Program:
                  summaries: Dict[str, LockEffectSummary]) -> None:
         self.graph = graph
         self.summaries = summaries
-
-    @classmethod
-    def build(cls, files: Iterable[str]) -> "Program":
-        graph = CallGraph.from_paths(files)
-        return cls(graph, build_summaries(graph))
 
     @classmethod
     def from_sources(cls, sources: Dict[str, str]) -> "Program":

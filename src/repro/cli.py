@@ -16,7 +16,6 @@
     csar-repro lint src --write-baseline tools/lint_baseline.json
     csar-repro lint src --baseline tools/lint_baseline.json \
         --witnesses witnesses.json
-    csar-repro lint src --no-interprocedural
     csar-repro explore --smoke --witness-file witnesses.json
     csar-repro explore race-lock-order --strategy pct --budget 128
     csar-repro explore --replay out/race-lock-order.sched
@@ -261,7 +260,6 @@ def _parse_seeds(seed: int, seeds: Optional[str]) -> List[int]:
 
 
 def _cmd_lint(paths: List[str], fmt: str, list_rules: bool,
-              interprocedural: bool = True,
               baseline_path: Optional[str] = None,
               write_baseline_path: Optional[str] = None,
               witness_path: Optional[str] = None) -> int:
@@ -287,9 +285,12 @@ def _cmd_lint(paths: List[str], fmt: str, list_rules: bool,
     if witness_path is not None:
         witnesses = lint.load_witnesses(witness_path)
     enable = lint.enabled_codes_from_pyproject()
-    findings = lint.lint_paths(paths, enable=enable,
-                               interprocedural=interprocedural,
-                               witnesses=witnesses)
+    try:
+        findings = lint.lint_paths(paths, enable=enable,
+                                   witnesses=witnesses)
+    except ConfigError as err:
+        print(f"error: [tool.csar-lint] enable: {err}", file=sys.stderr)
+        return 2
     if write_baseline_path is not None:
         lint.write_baseline(findings, write_baseline_path)
         print(f"wrote {len(findings)} baseline entr"
@@ -448,15 +449,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="output format (default: text)")
     lint_p.add_argument("--list-rules", action="store_true",
                         help="print every rule code and exit")
-    lint_p.add_argument("--interprocedural", action="store_true",
-                        default=True,
-                        help="whole-program mode: call graph + "
-                             "lock-effect summaries + CSAR010/CSAR011 "
-                             "(the default)")
-    lint_p.add_argument("--no-interprocedural", action="store_false",
-                        dest="interprocedural",
-                        help="per-function rules only (the pre-summary "
-                             "behaviour)")
     lint_p.add_argument("--baseline", default=None, dest="baseline_path",
                         metavar="FILE",
                         help="suppress findings recorded in this baseline "
@@ -485,7 +477,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if ok else 1
     if args.command == "lint":
         return _cmd_lint(args.paths, args.fmt, args.list_rules,
-                         args.interprocedural, args.baseline_path,
+                         args.baseline_path,
                          args.write_baseline_path, args.witness_path)
     if args.command == "chaos":
         return _cmd_chaos(_parse_seeds(args.seed, args.seeds),

@@ -67,8 +67,9 @@ def run_cell(scheme: str, step: str, nth: int, victim: int,
              ) -> MatrixCell:
     """Run one crash-matrix cell in a fresh system.
 
-    ``make_scheme`` (tests only) maps the built config to a replacement
-    scheme object — the hook for seeded-bug verification.
+    ``make_scheme`` maps the built config to a replacement scheme object
+    — the hook for seeded-bug verification (``csar-repro chaos --smoke``
+    and tests).
     """
     plan = FaultPlan(
         seed=0, scheme=scheme, num_servers=_SERVERS, num_ops=0,

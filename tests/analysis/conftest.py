@@ -1,5 +1,5 @@
-"""One lint of ``src`` per pass and session, shared by every test that
-only reads its findings (``test_lint.py``'s CLI test keeps the one real
+"""One lint of ``src`` per session, shared by every test that only reads
+its findings (``test_lint.py``'s CLI test keeps the one real
 ``csar-repro lint src`` run)."""
 
 import os
@@ -12,40 +12,30 @@ from repro.analysis import lint
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def _lint_src(interprocedural):
-    # From the repository root, so paths read "src/..." as the committed
-    # baseline records them.
+@pytest.fixture(scope="session")
+def src_findings():
+    """The lint of ``src``, no baseline applied.  Run from the repository
+    root, so paths read "src/..." as the committed baseline records
+    them."""
     cwd = os.getcwd()
     os.chdir(REPO_ROOT)
     try:
-        return tuple(lint.lint_paths(["src"],
-                                     interprocedural=interprocedural))
+        return tuple(lint.lint_paths(["src"]))
     finally:
         os.chdir(cwd)
 
 
-@pytest.fixture(scope="session")
-def src_findings():
-    """The whole-program pass over ``src``, no baseline applied."""
-    return _lint_src(True)
-
-
-@pytest.fixture(scope="session")
-def src_findings_intra():
-    return _lint_src(False)
-
-
 @pytest.fixture
-def lint_src_stub(monkeypatch, src_findings, src_findings_intra):
+def lint_src_stub(monkeypatch, src_findings):
     """Make ``lint_paths(["src"])`` answer from the session's findings, so
     a CLI test checks flags, baseline and exit code without linting again;
-    returns the list of ``interprocedural`` values it was called with."""
+    returns the list of ``enable`` values it was called with."""
     calls = []
 
-    def fake(paths, enable=None, interprocedural=False, witnesses=None):
+    def fake(paths, enable=None, witnesses=None):
         assert list(paths) == ["src"]
-        calls.append(interprocedural)
-        return list(src_findings if interprocedural else src_findings_intra)
+        calls.append(enable)
+        return list(src_findings)
 
     monkeypatch.setattr(lint, "lint_paths", fake)
     return calls

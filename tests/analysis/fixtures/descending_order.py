@@ -1,4 +1,4 @@
-"""csar-lint fixture: CSAR002 (descending-lock-order).
+"""csar-lint fixture: CSAR011 (static-lock-order-cycle), literal groups.
 
 Both offenders release in a ``finally`` so only the ordering rule
 fires, not CSAR001.
@@ -9,7 +9,7 @@ def two_groups_descending(table, env,
                           xid) -> "Generator[Event, Any, None]":
     try:
         yield from table.acquire("f", 5, xid)
-        yield from table.acquire("f", 3, xid)  # expect: CSAR002
+        yield from table.acquire("f", 3, xid)  # expect: CSAR011
         yield env.timeout(1.0)
     finally:
         table.release("f", 3, xid)
@@ -20,7 +20,7 @@ def loop_over_descending_groups(table, env,
                                 xid) -> "Generator[Event, Any, None]":
     try:
         for group in (5, 3):
-            yield from table.acquire("f", group, xid)  # expect: CSAR002
+            yield from table.acquire("f", group, xid)  # expect: CSAR011
         yield env.timeout(1.0)
     finally:
         for group in (3, 5):

@@ -3,7 +3,7 @@
 Lives under a ``faults/`` path segment, so the CSAR004 wall-clock ban
 applies: a fault plan must re-fire at the same sim instants on replay,
 and retry backoff jitter must come from a seeded stream, never the wall
-clock.  The lock-order rule (CSAR002) is path-independent and covers a
+clock.  The lock-order rule (CSAR011) is path-independent and covers a
 recovery helper that grabs parity-group locks highest-first.
 """
 
@@ -33,7 +33,7 @@ def quiesce_locks_descending(table, env,
                              xid) -> "Generator[Event, Any, None]":
     try:
         yield from table.acquire("f", 4, xid)
-        yield from table.acquire("f", 2, xid)  # expect: CSAR002
+        yield from table.acquire("f", 2, xid)  # expect: CSAR011
         yield env.timeout(1.0)
     finally:
         table.release("f", 2, xid)

@@ -15,5 +15,5 @@ def suppress_everything(env) -> "Generator[Event, Any, None]":
 
 def suppress_code_list(table, env,
                        xid) -> "Generator[Event, Any, None]":
-    yield from table.acquire("f", 1, xid)  # csar-lint: disable=CSAR001,CSAR002
+    yield from table.acquire("f", 1, xid)  # csar-lint: disable=CSAR001,CSAR011
     yield "token"  # csar-lint: disable=CSAR003

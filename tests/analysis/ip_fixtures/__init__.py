@@ -4,7 +4,6 @@ Unlike ``fixtures/`` (one function per finding), these modules only
 misbehave *across* function boundaries: the acquire and the release of
 a lock live in different helpers, or the lock-order inversion is only
 visible on the global acquires-while-holding graph.  The round-trip
-test lints this tree with ``interprocedural=True`` and asserts the
-``# expect: CSAR###`` comments exactly; a second pass without the flag
-proves the intra-procedural linter reports nothing here.
+test lints this tree and asserts the ``# expect: CSAR###`` comments
+exactly.
 """

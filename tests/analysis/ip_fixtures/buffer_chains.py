@@ -1,8 +1,8 @@
 """Whole-program fixture: CSAR013/CSAR014/CSAR015 across call chains.
 
 Every violation here needs buffer summaries: the provenance lives in
-one function and the offence in another, so the intra pass must report
-nothing on this file (test_intra_pass_reports_nothing_on_ip_fixtures).
+one function and the offence in another, so each function is clean in
+isolation and only the summaries carried along the call graph see it.
 """
 
 import numpy as np

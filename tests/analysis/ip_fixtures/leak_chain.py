@@ -1,4 +1,4 @@
-"""CSAR010: helper-mediated lock leaks the intra pass cannot see.
+"""CSAR010: helper-mediated lock leaks no per-function view can see.
 
 ``take`` acquires on behalf of its caller (legitimately suppressing
 CSAR001 — its release is the caller's obligation, the protocol-carried
@@ -41,8 +41,8 @@ def interrupt_leak(table, env, xid) -> "Generator[Event, Any, None]":
 
 def helper_release_clean(table, env, xid) -> "Generator[Event, Any, None]":
     """The false-positive-free pair: the helper-acquired lease is
-    released by the helper in a ``finally`` on every path — the old
-    intra pass could not prove this safe, the summary pass can."""
+    released by the helper in a ``finally`` on every path — no
+    per-function view can prove this safe, the summaries can."""
     yield from take(table, xid)
     try:
         yield env.timeout(1.0)

@@ -1,6 +1,6 @@
 """CSAR011: lock-order cycles on the global acquires-while-holding graph.
 
-Both shapes escape CSAR002's literal-only ordering check: the loop
+No literal groups here (see ``fixtures/descending_order.py``): the loop
 iterates a symbolic ``range`` downward, and the reversed pair orders
 two *symbolic* group expressions inconsistently across two chains.
 """

@@ -1,8 +1,8 @@
 """The bufflow provenance domain (repro.analysis.bufflow): tag
 propagation through aliases/views/branches, buffer summaries over the
 ip_fixtures, and the seeded-bug regression — the two buffer-discipline
-bugs are provably invisible to CSAR001-012 and to the intra pass, and
-caught by CSAR013/014/015 with full call chains interprocedurally.
+bugs are provably invisible to CSAR001-012, and caught by
+CSAR013/014/015 with full call chains.
 """
 
 import ast
@@ -124,8 +124,9 @@ class TestProvenancePropagation:
 
 @pytest.fixture(scope="module")
 def summaries():
-    program = Program.build(
-        list(lint.iter_python_files([str(IP_FIXTURES)])))
+    program = Program.from_sources(
+        {path: Path(path).read_text()
+         for path in lint.iter_python_files([str(IP_FIXTURES)])})
     return buffer_summaries(program)
 
 
@@ -178,9 +179,6 @@ class TestSeededBugRegression:
 
     def _within(self, finding, span):
         return span[0] <= finding.line <= span[1]
-
-    def test_intra_pass_reports_nothing(self):
-        assert lint.lint_paths([str(SEEDED)]) == []
 
     def test_old_rules_cannot_see_them_even_interprocedurally(
             self, spans, src_findings):

@@ -15,8 +15,12 @@ MOD = module_name_of(SHAPES)
 LEAK_MOD = module_name_of(LEAKS)
 
 
+def graph_of(path):
+    return CallGraph.from_sources({path: Path(path).read_text()})
+
+
 def shapes_graph():
-    return CallGraph.from_paths([SHAPES])
+    return graph_of(SHAPES)
 
 
 class TestConstruction:
@@ -67,7 +71,7 @@ class TestFallback:
 
     def test_lock_primitives_are_never_call_edges(self):
         assert "acquire" in PRIMITIVE_ATTRS and "release" in PRIMITIVE_ATTRS
-        g = CallGraph.from_paths([LEAKS])
+        g = graph_of(LEAKS)
         take = f"{LEAK_MOD}.take"
         assert set(g.edges[take]) == set()
         assert set(g.may_edges[take]) == set()

@@ -1,6 +1,6 @@
-"""Whole-program lint mode: the ip_fixtures round-trip, the seeded-bug
-regression the intra pass provably misses, CSAR011 x LockSan witness
-cross-referencing, baselines, SARIF, and the CLI flags."""
+"""Whole-program lint findings: the ip_fixtures round-trip, the
+seeded-bug regressions that need callee summaries, CSAR011 x LockSan
+witness cross-referencing, baselines, SARIF, and the CLI flags."""
 
 import json
 import re
@@ -33,17 +33,12 @@ def expected_ip_findings():
 class TestFixtureRoundTrip:
     def test_interprocedural_findings_exactly_as_expected(self):
         expected = expected_ip_findings()
-        findings = lint.lint_paths([str(IP_FIXTURES)],
-                                   interprocedural=True)
+        findings = lint.lint_paths([str(IP_FIXTURES)])
         actual = {(f.path, f.line, f.code) for f in findings}
         missing = expected - actual
         surprise = actual - expected
         assert not missing, f"expected findings not produced: {missing}"
         assert not surprise, f"unexpected findings: {surprise}"
-
-    def test_intra_pass_reports_nothing_on_ip_fixtures(self):
-        # The whole point of the package: every bug needs the summaries.
-        assert lint.lint_paths([str(IP_FIXTURES)]) == []
 
     def test_fixtures_exercise_the_new_rules(self):
         codes = {code for _p, _l, code in expected_ip_findings()}
@@ -51,10 +46,7 @@ class TestFixtureRoundTrip:
 
 
 class TestSeededBugRegression:
-    """The helper-release leak the old intra-only pass provably misses."""
-
-    def test_intra_pass_misses_the_helper_release_leak(self):
-        assert lint.lint_paths([str(SEEDED)]) == []
+    """The helper-release leak only a callee summary exposes."""
 
     def test_interprocedural_pass_catches_it(self, src_findings):
         seeded = [f for f in src_findings
@@ -65,9 +57,6 @@ class TestSeededBugRegression:
         leak = next(f for f in seeded if f.code == "CSAR010")
         assert "_take_lease" in leak.message
         assert "->" in leak.message  # the witness call chain
-
-    def test_repo_src_still_clean_intra(self, src_findings_intra):
-        assert src_findings_intra == ()
 
 
 class TestWitnessCrossReference:
@@ -83,8 +72,7 @@ class TestWitnessCrossReference:
             explore.explore(scen.name, budget=16)
         witnesses = explore.drain_witnesses()
         assert witnesses, "seeded-bug suite produced no order-inversions"
-        findings = lint.lint_paths([str(SEEDED)], interprocedural=True,
-                                   witnesses=witnesses)
+        findings = lint.lint_paths([str(SEEDED)], witnesses=witnesses)
         cycles = [f for f in findings if f.code == "CSAR011"]
         assert [f.line for f in cycles] == [
             f.line for f in src_findings if f.code == "CSAR011"]
@@ -95,8 +83,7 @@ class TestWitnessCrossReference:
                 f"no CSAR011 finding claims witness {witness}"
 
     def test_unwitnessed_cycle_says_so(self):
-        findings = lint.lint_paths([str(IP_FIXTURES)],
-                                   interprocedural=True, witnesses=[])
+        findings = lint.lint_paths([str(IP_FIXTURES)], witnesses=[])
         cycle = next(f for f in findings if f.code == "CSAR011")
         assert "no dynamic witness recorded" in cycle.witness
 
@@ -115,7 +102,7 @@ class TestWitnessCrossReference:
 
 class TestBaseline:
     def findings(self):
-        return lint.lint_paths([str(IP_FIXTURES)], interprocedural=True)
+        return lint.lint_paths([str(IP_FIXTURES)])
 
     def test_write_load_apply_round_trip(self, tmp_path):
         path = str(tmp_path / "baseline.json")
@@ -148,13 +135,13 @@ class TestBaseline:
 
         tree = tmp_path / "fixtures"
         shutil.copytree(IP_FIXTURES, tree)
-        findings = lint.lint_paths([str(tree)], interprocedural=True)
+        findings = lint.lint_paths([str(tree)])
         assert any(".py:" in f.message for f in findings)
         path = str(tmp_path / "baseline.json")
         lint.write_baseline(findings, path)
         for source in tree.rglob("*.py"):
             source.write_text("\n" + source.read_text())
-        shifted = lint.lint_paths([str(tree)], interprocedural=True)
+        shifted = lint.lint_paths([str(tree)])
         assert [f.line for f in shifted] == [f.line + 1 for f in findings]
         assert [f.message for f in shifted] != [f.message for f in findings]
         new, suppressed = lint.apply_baseline(
@@ -187,25 +174,21 @@ class TestBaseline:
 
 class TestDeduplication:
     def test_file_passed_twice_reports_once(self):
-        once = lint.lint_paths([str(IP_FIXTURES / "leak_chain.py")],
-                               interprocedural=True)
+        once = lint.lint_paths([str(IP_FIXTURES / "leak_chain.py")])
         twice = lint.lint_paths([str(IP_FIXTURES / "leak_chain.py"),
-                                 str(IP_FIXTURES / "leak_chain.py")],
-                                interprocedural=True)
+                                 str(IP_FIXTURES / "leak_chain.py")])
         assert twice == once
 
     def test_file_and_parent_directory_report_once(self):
-        tree = lint.lint_paths([str(IP_FIXTURES)], interprocedural=True)
+        tree = lint.lint_paths([str(IP_FIXTURES)])
         overlap = lint.lint_paths(
-            [str(IP_FIXTURES), str(IP_FIXTURES / "leak_chain.py")],
-            interprocedural=True)
+            [str(IP_FIXTURES), str(IP_FIXTURES / "leak_chain.py")])
         assert overlap == tree
 
 
 class TestSarif:
     def test_sarif_document_structure(self):
-        findings = lint.lint_paths([str(IP_FIXTURES)],
-                                   interprocedural=True)
+        findings = lint.lint_paths([str(IP_FIXTURES)])
         doc = json.loads(lint.format_sarif(findings))
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
@@ -231,16 +214,9 @@ class TestCli:
 
         monkeypatch.chdir(REPO_ROOT)
         assert main(["lint", "src"]) == 0
-        assert lint_src_stub == [True]
+        # one lint, with the pyproject's enable list
+        assert lint_src_stub == [lint.enabled_codes_from_pyproject()]
         assert "suppressed" in capsys.readouterr().out
-
-    def test_no_interprocedural_flag(self, capsys, monkeypatch,
-                                     lint_src_stub):
-        from repro.cli import main
-
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["lint", "src", "--no-interprocedural"]) == 0
-        assert lint_src_stub == [False]
 
     def test_write_then_consume_baseline(self, capsys, monkeypatch,
                                          tmp_path):

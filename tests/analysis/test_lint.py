@@ -4,7 +4,7 @@ The fixture files under ``fixtures/`` carry ``# expect: CSAR###``
 comments on every line that must produce exactly that finding; the
 round-trip test asserts the linter reports *all* of them and *nothing
 else*.  The clean-tree test is the repo's own gate: ``src/`` must lint
-clean.
+clean modulo the committed baseline.
 """
 
 import json
@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis import lint
 from repro.analysis.rules import RULES, all_codes
+from repro.errors import ConfigError
 
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
@@ -48,9 +49,10 @@ class TestFixtureRoundTrip:
         assert not surprise, f"unexpected findings: {surprise}"
 
     def test_every_registered_rule_is_exercised(self):
-        # Intra rules fire in fixtures/; the whole-program rules only
-        # in ip_fixtures/ (that is their point) — together they cover
-        # the full registry.
+        # fixtures/ holds one function per finding; ip_fixtures/ the
+        # findings that exist only across function boundaries (CSAR010,
+        # the symbolic CSAR011 shapes, the callee-summary variants of
+        # the others) — together they cover the full registry.
         codes = {code for _p, _l, code in expected_findings()}
         codes |= {code for _p, _l, code in
                   expected_findings(IP_FIXTURES)}
@@ -63,9 +65,12 @@ class TestFixtureRoundTrip:
 
 
 class TestCleanTree:
-    def test_repo_src_lints_clean(self, src_findings_intra):
-        assert src_findings_intra == (), \
-            lint.format_text(list(src_findings_intra))
+    def test_repo_src_lints_clean(self, src_findings):
+        new, _suppressed = lint.apply_baseline(
+            list(src_findings),
+            lint.load_baseline(str(REPO_ROOT / "tools"
+                                   / "lint_baseline.json")))
+        assert new == [], lint.format_text(new)
 
     def test_pyproject_registry_matches_rules(self):
         enable = lint.enabled_codes_from_pyproject(str(REPO_ROOT))
@@ -146,8 +151,48 @@ class TestRuleEdges:
             "        table.release('f', group=2, xid=xid)\n"
             "        table.release('f', group=7, xid=xid)\n")
         findings = lint.lint_source(source)
-        assert [f.code for f in findings] == ["CSAR002"]
+        assert [f.code for f in findings] == ["CSAR011"]
         assert findings[0].line == 4
+
+    def test_literal_descending_pair_is_an_order_cycle(self):
+        source = (
+            "def p(table, env, xid) -> 'Generator[Event, Any, None]':\n"
+            "    try:\n"
+            "        yield from table.acquire('f', 5, xid)\n"
+            "        yield from table.acquire('f', 3, xid)\n"
+            "        yield env.timeout(1.0)\n"
+            "    finally:\n"
+            "        table.release('f', 3, xid)\n"
+            "        table.release('f', 5, xid)\n")
+        findings = lint.lint_source(source, path="mod.py")
+        assert [(f.line, f.code) for f in findings] == [(4, "CSAR011")]
+        assert "group 3 acquired while group 5 is held" \
+            in findings[0].message
+
+    def test_helper_leak_in_one_source(self):
+        # Each function is clean in isolation; the source is one program,
+        # so the helper's lock-effect summary reaches its caller, which
+        # releases the lease on one branch only.
+        source = (
+            "def take(table, xid) -> 'Generator[Event, Any, None]':\n"
+            "    yield from table.acquire('f', 0, xid)"
+            "  # csar-lint: disable=CSAR001\n"
+            "\n"
+            "def caller(table, env, xid, ok) -> "
+            "'Generator[Event, Any, None]':\n"
+            "    yield from take(table, xid)\n"
+            "    yield env.timeout(1.0)\n"
+            "    if ok:\n"
+            "        table.release('f', 0, xid)\n")
+        findings = lint.lint_source(source, path="mod.py")
+        assert [(f.line, f.code) for f in findings] == [(5, "CSAR010")]
+        assert "mod.caller (mod.py:5) -> mod.take (mod.py:2)" \
+            in findings[0].message
+
+    def test_unknown_enable_code_is_rejected(self):
+        # A misspelt or retired code must not switch rules off silently.
+        with pytest.raises(ConfigError, match="CSAR002, CSAR01"):
+            lint.lint_source("x = 1\n", enable=["CSAR01", "CSAR002"])
 
     def test_format_json_round_trips(self):
         source = (
@@ -200,6 +245,19 @@ class TestCli:
         assert payload["schema_version"] == 1
         assert all(item["code"] == "CSAR003"
                    for item in payload["findings"])
+
+    def test_unknown_enable_code_in_pyproject_exits_two(
+            self, capsys, monkeypatch, tmp_path):
+        from repro.cli import main
+
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.csar-lint]\nenable = ["CSAR01", "CSAR002"]\n')
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "unguarded_locks.py").write_text(
+            (FIXTURES / "unguarded_locks.py").read_text())
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", "pkg"]) == 2
+        assert "CSAR002, CSAR01" in capsys.readouterr().err
 
     def test_lint_missing_path_exits_two(self, capsys):
         from repro.cli import main

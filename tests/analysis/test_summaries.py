@@ -1,14 +1,12 @@
 """Lock-effect summaries (repro.analysis.summaries): bottom-up
-computation over SCCs, parameter substitution, order edges, and the
-JSON round-trip."""
+computation over SCCs, parameter substitution, and order edges."""
 
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import lint
-from repro.analysis.summaries import (Program, summaries_from_json,
-                                      summaries_to_json)
+from repro.analysis.summaries import Program
 
 from repro.analysis.callgraph import module_name_of
 
@@ -20,7 +18,9 @@ ORDER = module_name_of(str(IP_FIXTURES / "order_cycle.py"))
 
 @pytest.fixture(scope="module")
 def program():
-    return Program.build(list(lint.iter_python_files([str(IP_FIXTURES)])))
+    return Program.from_sources(
+        {path: Path(path).read_text()
+         for path in lint.iter_python_files([str(IP_FIXTURES)])})
 
 
 class TestEffects:
@@ -80,19 +80,3 @@ class TestOrderEdges:
         owners = {qname for qname, _edge in program.order_edges()}
         assert {f"{ORDER}.descending_sweep", f"{ORDER}.a_then_b",
                 f"{ORDER}.b_then_a"} <= owners
-
-
-class TestRoundTrip:
-    def test_json_round_trip_is_lossless(self, program):
-        payload = summaries_to_json(program.summaries)
-        assert summaries_from_json(payload) == program.summaries
-
-    def test_round_trip_preserves_chains_and_edges(self, program):
-        restored = summaries_from_json(summaries_to_json(program.summaries))
-        leaky = restored[f"{LEAKS}.conditional_leak"]
-        assert leaky.acquired[0].chain \
-            == program.summaries[f"{LEAKS}.conditional_leak"] \
-            .acquired[0].chain
-        sweep = restored[f"{ORDER}.descending_sweep"]
-        assert sweep.order_edges \
-            == program.summaries[f"{ORDER}.descending_sweep"].order_edges
