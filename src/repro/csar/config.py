@@ -58,11 +58,6 @@ class CSARConfig:
     #: parity ops, overflow appends) never retry — a duplicate would
     #: corrupt server state — and surface the timeout immediately
     rpc_retries: int = 2
-    #: exponential-backoff base delay between retries (sim seconds);
-    #: attempt ``k`` waits ``base * 2**k`` capped at ``rpc_backoff_cap``,
-    #: plus seeded jitter in [0, backoff) to break retry lockstep
-    rpc_backoff_base: float = 0.002
-    rpc_backoff_cap: float = 0.1
     #: seed for the per-client retry-jitter RNG (sim-deterministic; the
     #: client index is mixed in so clients don't retry in phase)
     rpc_jitter_seed: int = 0
@@ -82,8 +77,6 @@ class CSARConfig:
             raise ConfigError("rpc_timeout must be positive (or None)")
         if self.rpc_retries < 0:
             raise ConfigError("rpc_retries must be >= 0")
-        if self.rpc_backoff_base <= 0 or self.rpc_backoff_cap <= 0:
-            raise ConfigError("rpc backoff delays must be positive")
         profile = (get_profile(self.profile)
                    if isinstance(self.profile, str) else self.profile)
         if self.scale != 1.0:

@@ -2,7 +2,7 @@
 
 Production code says *that* something happened —
 ``env.emit("recovery.done", index)`` — and never *to whom*; tools
-(the sanitizers, the fault injector, the trace recorder) call
+(the sanitizers, the fault injector) call
 ``env.subscribe(name, fn)`` when they are built.  This module is the
 one list of names, with the arguments each is emitted with; it imports
 nothing, so the engine and every tool can depend on it.
@@ -32,8 +32,6 @@ PROBES = {
     # -- cluster --------------------------------------------------------
     "system.built": "(system): System.__init__ finished",
     "system.quiescent": "(): System.run's awaited processes finished",
-    "client.op": "(client, op, file, offset, length): a client read or "
-                 "write was issued",
     "recovery.done": "(server): rebuild_server finished",
     "scrub.done": "(file, issues): one offline scrub pass finished",
     # -- protocol steps: (server or None).  The names a fault plan's

@@ -25,6 +25,13 @@ from repro.pvfs.manager import FileMeta, Manager
 from repro.sim.engine import Environment, Event, Process
 from repro.storage.payload import Payload
 
+#: exponential-backoff base delay between RPC retries (sim seconds):
+#: retry ``k`` waits ``RPC_BACKOFF_BASE * 2**(k-1)`` capped at
+#: ``RPC_BACKOFF_CAP``, plus seeded jitter in [0, backoff) to break
+#: retry lockstep
+RPC_BACKOFF_BASE = 0.002
+RPC_BACKOFF_CAP = 0.1
+
 
 class PVFSClient:
     """One application process's file-system endpoint."""
@@ -50,7 +57,7 @@ class PVFSClient:
         #: seeded jitter source for retry backoff — sim-deterministic,
         #: de-phased across clients by mixing in the client index
         self._retry_rng = Random(
-            getattr(scheme.config, "rpc_jitter_seed", 0) * 1000003 + index)
+            scheme.config.rpc_jitter_seed * 1000003 + index)
 
     # ------------------------------------------------------------------
     # plumbing
@@ -197,8 +204,7 @@ class PVFSClient:
         ``(response, error)`` per input pair, in order.  With
         ``config.coalescing`` off every request travels alone.
         """
-        if not getattr(self.scheme.config, "coalescing", True) \
-                or len(pairs) < 2:
+        if not self.scheme.config.coalescing or len(pairs) < 2:
             plan = [(t, r, [i]) for i, (t, r) in enumerate(pairs)]
         else:
             plan = self._coalesce(pairs)
@@ -276,15 +282,13 @@ class PVFSClient:
     def write(self, name: str, offset: int,
               payload: Payload) -> Generator[Event, Any, None]:
         # First touch: the manager open overlaps the client-side entry
-        # costs (trace record, kernel-module crossing).  The write itself
-        # cannot speculate past the open — placement depends on the
-        # file's scheme, which only the open reveals.
+        # cost (the kernel-module crossing).  The write itself cannot
+        # speculate past the open — placement depends on the file's
+        # scheme, which only the open reveals.
         meta = self._handles.get(name)
         if meta is None:
             opening = self.rpc(self.manager, msg.MgrOpen(name))
             opened = opening.start()
-        self.env.emit("client.op", self.index, "write", name, offset,
-                      payload.length)
         if self.via_kernel_module:
             yield from self.node.cpu.kernel_module_crossing()
         if meta is None:
@@ -305,7 +309,6 @@ class PVFSClient:
 
     def read(self, name: str, offset: int,
              length: int) -> Generator[Event, Any, Payload]:
-        self.env.emit("client.op", self.index, "read", name, offset, length)
         if self.via_kernel_module:
             yield from self.node.cpu.kernel_module_crossing()
         meta = self._handles.get(name)
@@ -460,9 +463,8 @@ class _Call:
                 f"{type(self.request).__name__} within {self.timeout:g}s "
                 f"({attempt} attempt(s))")))
             return
-        config = client.scheme.config
-        backoff = min(config.rpc_backoff_cap,
-                      config.rpc_backoff_base * (2 ** (attempt - 1)))
+        backoff = min(RPC_BACKOFF_CAP,
+                      RPC_BACKOFF_BASE * (2 ** (attempt - 1)))
         client.env.call_later(backoff + client._retry_rng.uniform(
             0.0, backoff), self._send)
 

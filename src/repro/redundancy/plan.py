@@ -7,8 +7,7 @@ partial portions RAID1-style into the overflow region.
 :func:`plan_write` makes it, and the plain RAID0/1/5 ones, as a pure
 function of the layout and the byte range.
 :meth:`RedundancyScheme.write <repro.redundancy.base.RedundancyScheme.write>`
-executes a plan, and :func:`repro.redundancy.advisor.estimate` prices
-plans in closed form.
+executes a plan.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ def test_api_docs_cover_the_public_surface():
     text = (ROOT / "docs" / "API.md").read_text()
     for symbol in ("class System", "class CSARConfig", "class Payload",
                    "class OverflowTable", "class ParityLockTable",
-                   "class MPIFile", "class H5File", "def rebuild_server",
+                   "class MPIFile", "def rebuild_server",
                    "def online_scrub", "def reclaim_file",
                    "class FileLinter", "class LockSan", "class Rule",
                    "def lint_paths", "def attach"):

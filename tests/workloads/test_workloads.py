@@ -118,7 +118,7 @@ class TestBTIO:
     def test_writes_are_mostly_unaligned(self):
         # The defining BTIO property for Class B: partial stripes on
         # nearly every write (Class A at 4 procs is the aligned
-        # exception — see test_btio_mpiio).
+        # exception: each process's 2.5 MiB share is whole stripes).
         system = make_system(scheme="hybrid", clients=4, scale=0.05)
         btio_benchmark(system, "B", scale=0.05)
         assert system.metrics.get("hybrid.partial_stripe_bytes") > 0
