@@ -12,8 +12,8 @@ the redundancy invariants, and the zero-copy buffer discipline:
 * :mod:`repro.analysis.paritysan` — ParitySan, checking parity/mirror/
   overflow consistency at quiescent points (``--sanitize=parity``,
   ``CSAR_PARITYSAN=1``);
-* :mod:`repro.analysis.bufsan` — BufSan, fingerprinting every buffer a
-  payload captures and re-verifying it at the same sync points
+* :mod:`repro.analysis.bufsan` — BufSan, snapshotting every buffer a
+  payload captures and re-checking it at the same sync points
   (``--sanitize=buf``, ``CSAR_BUFSAN=1``).
 
 See ``docs/ANALYSIS.md`` for every rule with an offending snippet and

@@ -14,11 +14,11 @@ When installed (:func:`install`, the CLI's ``run --sanitize=buf``, or
 :class:`~repro.sim.engine.Environment` builds a :class:`BufSan` (kept as
 ``env.bufsan``) that subscribes itself to the sync-point probes below
 (:mod:`repro.probes`), and :func:`repro.storage.payload.set_capture_hook`
-routes every buffer capture here.  At the moment a
+routes every buffer capture to each open one.  When a
 :class:`~repro.storage.payload.Payload` (or rope segment, or
-materialized rope cache) captures an array, BufSan fingerprints its
-bytes (xxhash when available, BLAKE2b otherwise); the fingerprint is
-re-verified
+materialized rope cache) captures an array, BufSan keeps a snapshot of
+its bytes for as long as the array lives (so snapshot memory is bounded
+by the live captured bytes), and compares the buffer with it exactly
 
 * immediately, whenever the **same array object is captured again** —
   this catches scratch-buffer reuse at the exact process and sim-time
@@ -41,25 +41,11 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis import SanitizerRegistry
 from repro.errors import BufSanError
-
-try:  # pragma: no cover - exercised only where xxhash is installed
-    import xxhash
-
-    def _digest(data: bytes) -> str:
-        return xxhash.xxh64(data).hexdigest()
-except ImportError:  # stdlib fallback, same 64-bit width
-    def _digest(data: bytes) -> str:
-        return hashlib.blake2b(data, digest_size=8).hexdigest()
-
-
-def _fingerprint(arr: Any) -> str:
-    """The digest of ``arr``'s bytes in C order: the buffer is hashed in
-    place, and only a non-contiguous view is copied out first."""
-    return _digest(arr if arr.flags.c_contiguous else arr.tobytes())
 
 
 @dataclass(frozen=True)
@@ -87,19 +73,22 @@ class BufSanReport:
                 f"detected by {_at(self.detected)})")
 
 
-class _Tracked:
-    """Bookkeeping for one captured buffer."""
+class _Tracked(weakref.ref):
+    """A weak reference to one captured buffer, with its bookkeeping."""
 
-    __slots__ = ("ref", "fingerprint", "kind", "nbytes", "captured")
+    __slots__ = ("snapshot", "kind", "captured")
 
-    def __init__(self, ref: "weakref.ref[Any]", fingerprint: str,
-                 kind: str, nbytes: int,
-                 captured: Tuple[Optional[str], Optional[float]]) -> None:
-        self.ref = ref
-        self.fingerprint = fingerprint
-        self.kind = kind
-        self.nbytes = nbytes
-        self.captured = captured
+
+_last: List[bytes] = [b""]
+
+
+def _snapshot(arr: Any) -> bytes:
+    """``arr``'s bytes, as the last snapshot taken if equal to it: the
+    open sanitizers keep one copy of a capture between them."""
+    now = arr.tobytes()
+    if now != _last[0]:
+        _last[0] = now
+    return _last[0]
 
 
 class BufSan:
@@ -110,11 +99,13 @@ class BufSan:
         self.strict = strict
         self.reports: List[BufSanReport] = []
         self._closed = False
-        #: id(array) -> tracking entry (weakref keeps buffers collectable)
+        #: id(array) -> tracking entry, dropped when its buffer dies
         self._tracked: Dict[int, _Tracked] = {}
-        #: total payload-captured bytes fingerprinted (cost accounting)
+        #: total payload-captured bytes checked (cost accounting)
         self.bytes_fingerprinted = 0
         _REGISTRY.register(self)
+        _OPEN[id(self)] = weakref.ref(
+            self, lambda _, key=id(self): _OPEN.pop(key, None))
         env.subscribe("system.quiescent", self.on_quiescent)
         env.subscribe("run.complete", self.on_run_complete)
         env.subscribe("recovery.done", self.on_recovery)
@@ -138,14 +129,15 @@ class BufSan:
     # capture
     # ------------------------------------------------------------------
     def on_capture(self, payload: Any, arr: Any, kind: str) -> None:
-        """A payload captured ``arr``: fingerprint it, and verify any
+        """A payload captured ``arr``: snapshot its bytes, and verify any
         earlier capture of the same array object first."""
         if arr.size == 0:
             return
+        now = _snapshot(arr)
         key = id(arr)
         entry = self._tracked.get(key)
-        if entry is not None and entry.ref() is arr:
-            self._verify(entry, arr, f"re-capture({kind})")
+        if entry is not None and entry() is arr:
+            self._verify(entry, now, "re-capture(%s)", kind)
             # Track the newest capture context from here on: the buffer
             # now (also) backs this payload.
             entry.captured = self._context()
@@ -157,24 +149,29 @@ class BufSan:
             self._report("writable-capture",
                          f"{kind} captured a writable {arr.size}-byte "
                          f"buffer", f"capture({kind})", self._context())
-        fingerprint = _fingerprint(arr)
-        self.bytes_fingerprinted += arr.nbytes
-        self._tracked[key] = _Tracked(weakref.ref(arr), fingerprint, kind,
-                                      arr.nbytes, self._context())
+        self.bytes_fingerprinted += len(now)
+        entry = self._tracked[key] = _Tracked(arr, partial(self._forget, key))
+        entry.snapshot, entry.kind, entry.captured = now, kind, self._context()
 
-    def _verify(self, entry: _Tracked, arr: Any, sync_point: str) -> bool:
-        """Re-fingerprint one buffer; report and stop tracking on drift."""
-        fingerprint = _fingerprint(arr)
-        self.bytes_fingerprinted += arr.nbytes
-        if fingerprint == entry.fingerprint:
-            return True
-        self._report(
-            "fingerprint-drift",
-            f"{entry.kind}-captured {arr.nbytes}-byte buffer changed "
-            f"after sharing ({entry.fingerprint} -> {fingerprint})",
-            sync_point, entry.captured)
-        entry.fingerprint = fingerprint  # report each mutation once
-        return False
+    def _forget(self, key: int, entry: _Tracked) -> None:
+        """A tracked buffer died: drop its entry, if it is still ours."""
+        if self._tracked.get(key) is entry:
+            del self._tracked[key]
+
+    def _verify(self, entry: _Tracked, now: bytes, sync_point: str,
+                *args: Any) -> None:
+        """Compare a buffer's bytes ``now`` with its snapshot; a drift is
+        reported at ``sync_point % args``, named by two short digests."""
+        self.bytes_fingerprinted += len(now)
+        if now == entry.snapshot:
+            return
+        old, new = (hashlib.blake2b(b, digest_size=8).hexdigest()
+                    for b in (entry.snapshot, now))
+        self._report("fingerprint-drift",
+                     f"{entry.kind}-captured {len(now)}-byte buffer "
+                     f"changed after sharing ({old} -> {new})",
+                     sync_point % args, entry.captured)
+        entry.snapshot = now  # report each mutation once
 
     # ------------------------------------------------------------------
     # sync points
@@ -190,6 +187,7 @@ class BufSan:
         """Stop observing captures and let go of the tracked buffers
         (the reports stay until they are drained)."""
         self._closed = True
+        _OPEN.pop(id(self), None)
         self._tracked.clear()
 
     def on_recovery(self, index: int) -> None:
@@ -197,31 +195,32 @@ class BufSan:
 
     # ------------------------------------------------------------------
     def _check_all(self, sync_point: str) -> None:
-        """Re-verify every live tracked buffer.
+        """Re-verify every tracked buffer.
 
         Unlike ParitySan there is no in-flight or degraded exclusion: a
         captured buffer must never change, not even mid-write or
         mid-rebuild.
         """
-        dead: List[int] = []
-        for key, entry in self._tracked.items():
-            arr = entry.ref()
-            if arr is None:
-                dead.append(key)
-                continue
-            self._verify(entry, arr, sync_point)
-        for key in dead:
-            del self._tracked[key]
+        for entry in list(self._tracked.values()):
+            arr = entry()
+            if arr is not None:  # it may die while the others are checked
+                self._verify(entry, arr.tobytes(), sync_point)
 
 
 # ----------------------------------------------------------------------
 # global installation
 # ----------------------------------------------------------------------
+#: id -> weak reference of every open sanitizer, in construction order;
+#: one leaves at its close() or its death
+_OPEN: Dict[int, "weakref.ref[BufSan]"] = {}
+
+
 def _on_payload_capture(payload: Any, arr: Any, kind: str) -> None:
     """The :func:`repro.storage.payload.set_capture_hook` target: fan a
     capture out to every live, still-open sanitizer."""
-    for sanitizer in _REGISTRY.live():
-        if not sanitizer._closed:
+    for ref in tuple(_OPEN.values()):  # a death may shrink _OPEN meanwhile
+        sanitizer = ref()
+        if sanitizer is not None:
             sanitizer.on_capture(payload, arr, kind)
 
 
@@ -231,19 +230,20 @@ def _observe_captures(on: bool) -> None:
     built since the install).
 
     An environment with a background flusher never drains, so nothing
-    else would close its sanitizer: it would go on fingerprinting the
-    next run's captures until the cycle collector freed it.
+    else would close its sanitizer: it would go on checking the next
+    run's captures until the cycle collector freed it.
     """
     from repro.storage import payload
 
     payload.set_capture_hook(_on_payload_capture if on else None)
     if not on:
-        for sanitizer in _REGISTRY.live():
+        for sanitizer in [ref() for ref in _OPEN.values()]:
             sanitizer.close()
+        _last[0] = b""
 
 
-#: Every live sanitizer (the capture hook fans out to the ones still
-#: open), and the module's installation surface.
+#: Every live sanitizer (for draining reports), and the module's
+#: installation surface.
 _REGISTRY = SanitizerRegistry("bufsan", BufSan, switch=_observe_captures)
 install = _REGISTRY.install
 uninstall = _REGISTRY.uninstall

@@ -109,10 +109,6 @@ def _op_stream(rng: Random, num_ops: int, span: int,
     return ops
 
 
-def _payload_array(payload: Payload) -> np.ndarray:
-    return np.frombuffer(payload.to_bytes(), dtype=np.uint8)
-
-
 def _drive(plan: FaultPlan, system) -> Dict[str, Any]:
     """Run the workload + recovery + verification inside one system.
 
@@ -138,7 +134,7 @@ def _drive(plan: FaultPlan, system) -> Dict[str, Any]:
                     acked: bool) -> None:
         end = offset + payload.length
         if acked:
-            ref[name][offset:end] = _payload_array(payload)
+            ref[name][offset:end] = payload.data
             mask[name][offset:end] = True
         else:
             # The write never completed: the servers may hold any
@@ -190,7 +186,7 @@ def _drive(plan: FaultPlan, system) -> Dict[str, Any]:
                     outcomes.append([i, "read", offset, length, False])
                 else:
                     outcomes.append([i, "read", offset, length, True])
-                    check(name, offset, _payload_array(data), f"op {i}")
+                    check(name, offset, data.data, f"op {i}")
             # Online recovery: rebuild a crashed server while the
             # remaining ops keep writing (the concurrent-traffic path).
             if plan.scheme != "raid0" and i < len(ops) - 2:
@@ -236,7 +232,7 @@ def _drive(plan: FaultPlan, system) -> Dict[str, Any]:
                         # server are accepted losses, not violations.
                         mask[name][start:start + length] = False
                     continue
-                check(name, start, _payload_array(data), "durability")
+                check(name, start, data.data, "durability")
 
     system.run(driver())
     contents = {name: hashlib.sha256(

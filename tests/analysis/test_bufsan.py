@@ -224,38 +224,58 @@ class TestFinishedSanitizersStopFingerprinting:
         assert per_plan == [per_plan[0]] * 10
 
 
-class TestFingerprintsHashInPlace:
-    """A buffer is hashed where it lies; the digest is the one of its
-    ``tobytes()`` copy, contiguous or not."""
+class TestSnapshotsAreExact:
+    """A captured buffer is compared with a copy of its bytes, whatever
+    its layout: an unchanged re-capture is quiet, and one byte written
+    through the writable base is convicted."""
 
     @pytest.mark.parametrize("view", [
-        lambda a: a,                        # contiguous
-        lambda a: a[3:700],                 # contiguous slice
-        lambda a: a[::3],                   # strided
-        lambda a: a[::-1],                  # reversed
-        lambda a: a.view("<u4"),            # wider items
-        lambda a: a.reshape(32, 32).T,      # Fortran-ordered 2-D
-        lambda a: a.reshape(32, 32)[:, 5],  # a column
+        pytest.param(lambda a: a[:], id="contiguous"),
+        pytest.param(lambda a: a[3:700], id="slice"),
+        pytest.param(lambda a: a[::3], id="strided"),
+        pytest.param(lambda a: a[::-1], id="reversed"),
+        pytest.param(lambda a: a.view("<u4"), id="u4"),
+        pytest.param(lambda a: a.reshape(32, 32).T, id="fortran"),
+        pytest.param(lambda a: a.reshape(32, 32)[:, 5], id="column"),
     ])
-    def test_fingerprint_equals_the_copy_digest(self, view):
-        import numpy as np
-
-        arr = view(np.random.default_rng(7).integers(
-            0, 256, 1024, dtype=np.uint8))
-        arr.flags.writeable = False
-        assert bufsan._fingerprint(arr) == bufsan._digest(arr.tobytes())
-
-    def test_a_strided_capture_still_convicts_a_mutation(self, sanitizer):
+    def test_one_byte_write_drifts(self, sanitizer, view):
         import numpy as np
 
         from repro.sim import Environment
 
         env = Environment()
-        base = np.zeros(64, dtype=np.uint8)
-        view = base[::2]
-        view.flags.writeable = False
-        env.bufsan.on_capture(None, view, "test")
-        base[10] = 1  # through the writable base: the view's bytes drift
-        env.bufsan.on_capture(None, view, "test")
+        base = np.random.default_rng(7).integers(0, 256, 1024,
+                                                 dtype=np.uint8)
+        arr = view(base)
+        arr.flags.writeable = False
+        env.bufsan.on_capture(None, arr, "test")
+        env.bufsan.on_capture(None, arr, "test")
+        assert sanitizer.drain_reports() == []
+        base[69] ^= 0xFF  # a byte every one of the seven views covers
+        env.bufsan.on_capture(None, arr, "test")
         assert [r.kind for r in sanitizer.drain_reports()] == [
             "fingerprint-drift"]
+
+
+class TestTrackingEndsWithTheBuffer:
+    def test_a_dead_buffer_leaves_no_entry(self, sanitizer):
+        from repro.sim import Environment
+
+        env = Environment()
+        payload = Payload.pattern(2048, seed=1)
+        assert len(env.bufsan._tracked) == 1
+        del payload  # before any sync point
+        assert env.bufsan._tracked == {}
+
+    def test_a_capture_reaches_only_open_sanitizers(self, sanitizer):
+        from repro.sim import Environment
+
+        closed, first, second = Environment(), Environment(), Environment()
+        closed.bufsan.close()
+        payload = Payload.pattern(2048, seed=1)
+        assert closed.bufsan.bytes_fingerprinted == 0
+        assert first.bufsan.bytes_fingerprinted == payload.length
+        # The open sanitizers keep one snapshot between them, not one each.
+        key = id(payload.data)
+        assert (first.bufsan._tracked[key].snapshot
+                is second.bufsan._tracked[key].snapshot)
