@@ -64,18 +64,6 @@ class FunctionInfo:
     def line(self) -> int:
         return self.node.lineno
 
-    def is_generator(self) -> bool:
-        todo: List[ast.AST] = list(self.node.body)
-        while todo:
-            node = todo.pop()
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                return True
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda, ast.ClassDef)):
-                continue
-            todo.extend(ast.iter_child_nodes(node))
-        return False
-
 
 @dataclass
 class ClassInfo:

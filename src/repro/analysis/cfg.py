@@ -57,12 +57,6 @@ class Node:
     label: str = "stmt"  # "entry" | "exit" | "raise-exit" |
                          # "exc-dispatch" | "stmt"
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        what = self.label if self.stmt is None else \
-            type(self.stmt).__name__
-        line = getattr(self.stmt, "lineno", "-")
-        return f"<Node {self.index} {what} L{line}>"
-
 
 class CFG:
     """A per-function control-flow graph (see the module docstring)."""
@@ -82,9 +76,6 @@ class CFG:
 
     def add_edge(self, src: int, dst: int, kind: str = NORMAL) -> None:
         self.succs.setdefault(src, []).append((dst, kind))
-
-    def stmt_of(self, index: int) -> Optional[ast.stmt]:
-        return self.nodes[index].stmt
 
     def reachable(self) -> List[int]:
         """Node indices reachable from ``entry`` (DFS order)."""

@@ -186,11 +186,6 @@ def _own_nodes(func: ast.FunctionDef) -> Iterable[ast.AST]:
         todo.extend(ast.iter_child_nodes(node))
 
 
-def _is_generator(func: ast.FunctionDef) -> bool:
-    return any(isinstance(n, (ast.Yield, ast.YieldFrom))
-               for n in _own_nodes(func))
-
-
 def _call_attr(node: ast.AST) -> Optional[str]:
     """The attribute name of a method call, e.g. ``x.y.acquire(...)``."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):

@@ -7,8 +7,7 @@
     csar-repro run fig6a --scale 0.1
     csar-repro run all --scale 0.05 --sanitize
     csar-repro run all --scale 0.05 --sanitize=all
-    csar-repro run all --jobs 4
-    csar-repro profile fig7a
+    csar-repro run fig3 --csv-dir out/csv
     csar-repro report --ledger docs/results/experiments.json
     csar-repro report --diff old.json docs/results/experiments.json
     csar-repro lint src --format=json
@@ -28,7 +27,9 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import time
 from typing import List, Optional
 
 from repro.errors import ConfigError
@@ -44,12 +45,34 @@ def _cmd_list() -> int:
     return 0
 
 
+def _positive_scale(text: str) -> float:
+    """The argparse type of ``--scale``: a finite float above zero."""
+    try:
+        value = float(text)
+        if 0 < value < float("inf"):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be a number greater than 0, not {text!r}")
+
+
+def _missing(kind: str, paths: List[Optional[str]]) -> int:
+    """2 after naming the first of ``paths`` that does not exist (``None``
+    entries are not given, so skipped), else 0."""
+    for path in paths:
+        if path is not None and not os.path.exists(path):
+            print(f"error: no such {kind}: {path}", file=sys.stderr)
+            return 2
+    return 0
+
+
 def _cmd_run(ids: List[str], scale: Optional[float],
-             csv_dir: Optional[str] = None, chart: bool = False,
-             sanitize: Optional[str] = None, jobs: int = 1) -> int:
-    """Run experiments through the sweep runner, printing each table as
-    soon as its point (and every point before it) has finished."""
-    from repro.perf.runner import SweepPoint, run_sweep
+             csv_dir: Optional[str] = None,
+             sanitize: Optional[str] = None) -> int:
+    """Run experiments one after another in this process, printing each
+    table as soon as its experiment has finished."""
+    from repro.analysis import sanitize_modes, sanitizer_scope
 
     if ids == ["all"]:
         ids = sorted(REGISTRY)
@@ -58,48 +81,32 @@ def _cmd_run(ids: List[str], scale: Optional[float],
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    points = [SweepPoint(exp.id, exp.default_scale if scale is None else scale)
-              for exp in experiments]
     status = 0
-    for result in run_sweep(points, jobs=jobs, sanitize=sanitize):
-        exp_id = result.point.exp_id
-        if not result.ok:
-            err = result.error
-            print(f"error: experiment {exp_id} failed: "
-                  f"{type(err).__name__}: {err}", file=sys.stderr)
-            status = 1
-            continue
-        print(result.table.format())
-        if chart:
-            from repro.util.charts import chart_table
-            print()
-            print(chart_table(result.table))
-        print(f"(scale {result.point.scale:g}, {result.wall:.1f}s wall)\n")
-        for report in result.sanitizer_reports:
-            print(f"{exp_id}: {report}", file=sys.stderr)
+    for exp in experiments:
+        effective = exp.default_scale if scale is None else scale
+        with sanitizer_scope(sanitize_modes(sanitize)) as drain:
+            t0 = time.perf_counter()
+            try:
+                table = exp.run(scale=effective)
+            except Exception as err:
+                print(f"error: experiment {exp.id} failed: "
+                      f"{type(err).__name__}: {err}", file=sys.stderr)
+                status = 1
+                continue
+            wall = time.perf_counter() - t0
+            reports = [report.format() for _tool, report in drain()]
+        print(table.format())
+        print(f"(scale {effective:g}, {wall:.1f}s wall)\n")
+        for report in reports:
+            print(f"{exp.id}: {report}", file=sys.stderr)
             status = 1
         if csv_dir is not None:
-            import os
             os.makedirs(csv_dir, exist_ok=True)
-            out_path = os.path.join(csv_dir, f"{exp_id}.csv")
+            out_path = os.path.join(csv_dir, f"{exp.id}.csv")
             with open(out_path, "w") as fp:
-                fp.write(result.table.to_csv())
+                fp.write(table.to_csv())
             print(f"wrote {out_path}\n")
     return status
-
-
-def _cmd_profile(exp_id: str, scale: Optional[float], top: int,
-                 sort: str) -> int:
-    from repro.perf.profiler import profile_experiment
-
-    try:
-        report, _table = profile_experiment(exp_id, scale=scale, top=top,
-                                            sort=sort)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    print(report)
-    return 0
 
 
 def _cmd_explore(scenario: Optional[str], strategy: str, budget: int,
@@ -118,6 +125,8 @@ def _cmd_explore(scenario: Optional[str], strategy: str, budget: int,
         return 0
 
     if replay_path is not None:
+        if _missing("schedule file", [replay_path]):
+            return 2
         record = explore.load_schedule(replay_path)
         reproduced, violation = explore.replay(record)
         if reproduced:
@@ -168,7 +177,6 @@ def _cmd_explore(scenario: Optional[str], strategy: str, budget: int,
     print(f"{scenario}: violation after {result.schedules} schedule(s) "
           f"({strategy}): {result.record.violation.format()}")
     if sched_dir is not None:
-        import os
         os.makedirs(sched_dir, exist_ok=True)
         path = os.path.join(sched_dir, f"{scenario}.sched")
         explore.save_schedule(result.record, path)
@@ -182,6 +190,8 @@ def _cmd_chaos(seeds: List[int], schemes: List[str], num_ops: int,
     from repro.faults import runner
 
     if replay_path is not None:
+        if _missing("fault plan file", [replay_path]):
+            return 2
         reproduced, result = runner.replay(replay_path)
         if reproduced:
             print(f"replayed {replay_path}: reproduced — {result.format()}")
@@ -271,16 +281,11 @@ def _cmd_lint(paths: List[str], fmt: str, list_rules: bool,
             rule = RULES[code]
             print(f"{code} ({rule.name}): {rule.summary}")
         return 0
-    import os
-    for path in paths:
-        if not os.path.exists(path):
-            print(f"error: no such path: {path}", file=sys.stderr)
-            return 2
-    for kind, given in (("baseline", baseline_path),
-                        ("witness", witness_path)):
-        if given is not None and not os.path.exists(given):
-            print(f"error: no such {kind} file: {given}", file=sys.stderr)
-            return 2
+    status = (_missing("path", paths)
+              or _missing("baseline file", [baseline_path])
+              or _missing("witness file", [witness_path]))
+    if status:
+        return status
     witnesses = None
     if witness_path is not None:
         witnesses = lint.load_witnesses(witness_path)
@@ -332,14 +337,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_p = sub.add_parser("run", help="run experiments by id ('all' runs "
                                        "everything)")
     run_p.add_argument("ids", nargs="+", help="experiment ids, or 'all'")
-    run_p.add_argument("--scale", type=float, default=None,
+    run_p.add_argument("--scale", type=_positive_scale, default=None,
                        help="data-volume scale factor (default: "
                             "per-experiment)")
     run_p.add_argument("--csv-dir", default=None,
                        help="also write each table as CSV into this "
                             "directory")
-    run_p.add_argument("--chart", action="store_true",
-                       help="also render each result as a terminal chart")
     run_p.add_argument("--sanitize", nargs="?", const="lock", default=None,
                        choices=("lock", "parity", "buf", "all"),
                        help="run under runtime sanitizers; reports fail "
@@ -348,23 +351,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "ParitySan redundancy invariants, 'buf' = "
                             "BufSan buffer-immutability fingerprints, "
                             "'all' = every sanitizer")
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="run independent experiments across N worker "
-                            "processes (default 1: in this process; "
-                            "results always print in submission order)")
-    profile_p = sub.add_parser(
-        "profile", help="run one experiment under cProfile with kernel "
-                        "event/dispatch counters")
-    profile_p.add_argument("experiment", help="experiment id (see 'list')")
-    profile_p.add_argument("--scale", type=float, default=None,
-                           help="data-volume scale factor")
-    profile_p.add_argument("--top", type=int, default=20,
-                           help="number of profile rows (default 20)")
-    profile_p.add_argument("--sort", default="cumulative",
-                           help="pstats sort key (default: cumulative)")
     report_p = sub.add_parser(
         "report", help="run the paper-claim checklist and print verdicts")
-    report_p.add_argument("--scale", type=float, default=None,
+    report_p.add_argument("--scale", type=_positive_scale, default=None,
                           help="data-volume scale factor")
     report_p.add_argument("--ledger", default=None, metavar="FILE",
                           help="also run the table-only experiments and "
@@ -470,6 +459,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "report":
         from repro.experiments.report import run_report
 
+        if _missing("ledger file", args.diff or []):
+            return 2
         text, ok = run_report(scale=args.scale, ledger_path=args.ledger,
                               diff=args.diff)
         if text:
@@ -489,11 +480,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             args.depth, args.seed, args.smoke,
                             args.sched_dir, args.replay_path,
                             args.list_scenarios, args.witness_path)
-    if args.command == "profile":
-        return _cmd_profile(args.experiment, args.scale, args.top,
-                            args.sort)
-    return _cmd_run(args.ids, args.scale, args.csv_dir, args.chart,
-                    args.sanitize, args.jobs)
+    return _cmd_run(args.ids, args.scale, args.csv_dir, args.sanitize)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -71,7 +71,6 @@ STEP_NAMES = frozenset(
 
 _LINK_KINDS = ("link_drop", "link_delay", "link_dup")
 _DISK_KINDS = ("disk_slow", "disk_error")
-_CRASH_KINDS = ("crash", "restart_crash", "torn_write", "disk_error")
 
 
 @dataclass(frozen=True)
@@ -185,10 +184,6 @@ class FaultSpec:
         """Drops and long delays strand an RPC; the client must time out."""
         return self.kind == "link_drop"
 
-    @property
-    def crashes_server(self) -> bool:
-        return self.kind in _CRASH_KINDS
-
 
 @dataclass
 class FaultPlan:
@@ -208,9 +203,6 @@ class FaultPlan:
     @property
     def needs_timeout(self) -> bool:
         return any(spec.needs_timeout for spec in self.faults)
-
-    def crashed_servers(self) -> set:
-        return {spec.server for spec in self.faults if spec.crashes_server}
 
     def to_json(self) -> dict:
         return {

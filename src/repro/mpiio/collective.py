@@ -9,9 +9,9 @@ contiguous file-system write per round.  With ROMIO's default 4 MB
 collective buffer this is exactly why "the PVFS layer sees large writes,
 most of which are about 4 MB in size" for BTIO (Section 6.5).
 
-``collective_read`` is the mirror image (aggregators read, then scatter).
-Independent (non-collective) operations pass straight through to the
-PVFS client.
+The paper's workloads reach CSAR through collective *writes* only, so
+there is no collective read: reads go straight to the PVFS client
+(``system.clients[rank].read``), as does the independent ``write_at``.
 """
 
 from __future__ import annotations
@@ -75,12 +75,6 @@ class MPIFile:
                  payload: Payload) -> Generator[Event, Any, None]:
         yield from self.system.clients[rank].write(self.name, offset,
                                                    payload)
-
-    def read_at(self, rank: int, offset: int,
-                length: int) -> Generator[Event, Any, Payload]:
-        out = yield from self.system.clients[rank].read(self.name, offset,
-                                                        length)
-        return out
 
     # ------------------------------------------------------------------
     # two-phase collective write
@@ -155,70 +149,6 @@ class MPIFile:
             for ext in covered.overlap(cursor, chunk_hi):
                 payload = self._assemble(ext.start, ext.length, pieces)
                 yield from agg_client.write(self.name, ext.start, payload)
-            cursor = chunk_hi
-
-    # ------------------------------------------------------------------
-    # two-phase collective read
-    # ------------------------------------------------------------------
-    def collective_read(self, requests: Dict[int, AccessPattern],
-                        ) -> Generator[Event, Any, Dict[int, Payload]]:
-        """``MPI_File_read_at_all``: returns each rank's bytes in file
-        order (concatenated, like an MPI receive buffer)."""
-        region = merge(requests.values())
-        results: Dict[int, List[Tuple[int, Payload]]] = {
-            rank: [] for rank in requests}
-        if not region:
-            return {rank: Payload.from_bytes(b"") for rank in requests}
-        domains = self._file_domains(next(iter(region)).start,
-                                     region.max_end())
-        procs = [self.system.env.process(
-                    self._read_domain(agg, lo, hi, requests, results))
-                 for agg, lo, hi in domains]
-        yield self.system.env.all_of(procs)
-        out: Dict[int, Payload] = {}
-        for rank, pieces in results.items():
-            pieces.sort()
-            total = requests[rank].total_bytes
-            if any(p.is_virtual for _o, p in pieces):
-                out[rank] = Payload.virtual(total)
-                continue
-            buf = Payload.zeros(total)
-            at = 0
-            for _off, piece in pieces:
-                buf = buf.overlay(at, piece)
-                at += piece.length
-            out[rank] = buf
-        return out
-
-    def _read_domain(self, agg: int, lo: int, hi: int, requests,
-                     results) -> Generator[Event, Any, None]:
-        env = self.system.env
-        cb = self.config.cb_buffer_size
-        agg_client = self.system.clients[agg]
-        cursor = lo
-        while cursor < hi:
-            chunk_hi = min(cursor + cb, hi)
-            needed = merge([p.clip(cursor, chunk_hi)
-                            for p in requests.values()])
-            for ext in needed.overlap(cursor, chunk_hi):
-                chunk = yield from agg_client.read(self.name, ext.start,
-                                                   ext.length)
-                sends = []
-                for rank, pattern in requests.items():
-                    clipped = pattern.clip(ext.start, ext.end)
-                    if clipped.total_bytes == 0:
-                        continue
-                    for off, length in clipped.pieces:
-                        piece = chunk.slice(off - ext.start,
-                                            off - ext.start + length)
-                        results[rank].append((off, piece))
-                    if rank != agg:
-                        sends.append(transfer(
-                            env, agg_client.node.nic,
-                            self.system.clients[rank].node.nic,
-                            clipped.total_bytes, self.system.metrics))
-                if sends:
-                    yield env.all_of([env.process(s) for s in sends])
             cursor = chunk_hi
 
     # ------------------------------------------------------------------

@@ -272,10 +272,6 @@ class PVFSClient:
             meta = self._handles[name] = response.meta
         return meta
 
-    def unlink(self, name: str) -> Generator[Event, Any, None]:
-        yield from self.rpc(self.manager, msg.MgrUnlink(name))
-        self._handles.pop(name, None)
-
     # ------------------------------------------------------------------
     # data operations
     # ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The PVFS metadata manager.
 
-A single daemon that owns the file namespace: creation, lookup (returning
-the striping layout to clients at open time) and unlink.  Like PVFS, the
+A single daemon that owns the file namespace: creation and lookup
+(returning the striping layout to clients at open time).  Like PVFS, the
 manager is *not* on the data path — clients talk to I/O daemons directly
 after open — so its model stays deliberately small.
 """
@@ -137,9 +137,4 @@ class Manager(msg.Server):
             if meta is None:
                 raise FileNotFound(request.name)
             return meta
-        if isinstance(request, msg.MgrUnlink):
-            if request.name not in self.files:
-                raise FileNotFound(request.name)
-            del self.files[request.name]
-            return None
         raise ProtocolError(f"manager: unknown request {request!r}")

@@ -2,7 +2,7 @@
 
 Requests are typed dataclasses; ``wire_size()`` is the number of bytes the
 message occupies on the network (a fixed header plus any payload).  The
-manager protocol (create/open/unlink) uses its own small message types.
+manager protocol (create/open) uses its own small message types.
 Both daemons are a :class:`Server`: a request arrives as an ``Envelope``,
 and the server answers through it.
 """
@@ -232,17 +232,6 @@ class MgrOpen:
 
     def reply_size(self) -> int:
         return HEADER + 64  # layout descriptor
-
-
-@dataclass
-class MgrUnlink:
-    name: str
-
-    def wire_size(self) -> int:
-        return HEADER
-
-    def reply_size(self) -> int:
-        return HEADER
 
 
 # ---------------------------------------------------------------------------

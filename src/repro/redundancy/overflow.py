@@ -208,7 +208,3 @@ class OverflowTable:
     def allocated_bytes(self) -> int:
         """Bytes the overflow file occupies (slot padding + garbage)."""
         return self.next_offset
-
-    @property
-    def fragmentation(self) -> int:
-        return self.allocated_bytes - self.live_bytes

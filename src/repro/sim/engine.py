@@ -48,8 +48,8 @@ factors:
   append-only everywhere else, so recorded indices stay valid.
 * Scheduling/dispatch counters cost nothing: ``_seq`` already counts
   scheduled events and the dispatched count is ``_seq - len(_heap)``
-  (see :meth:`Environment.stats`), which is what ``csar-repro profile``
-  reports.
+  (see :meth:`Environment.stats`), which is what ``bench/run.py``
+  reports as ``sim.events_scheduled`` / ``sim.events_dispatched``.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ def attached(key: str) -> Optional[Callable[["Environment"], Any]]:
 
 
 #: Optional callback invoked with every new :class:`Environment`; used by
-#: ``csar-repro profile`` and ``bench/run.py`` to aggregate kernel
-#: counters across the environments an experiment creates.  Not a probe:
+#: ``bench/run.py`` to aggregate kernel counters across the environments
+#: a workload creates.  Not a probe:
 #: "an environment was created" cannot be subscribed to on an
 #: environment.  Costs one ``None``-check per Environment construction
 #: (never per event).

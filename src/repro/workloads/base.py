@@ -45,13 +45,3 @@ def ensure_file(client, name: str):
         yield from client.create(name)
     except FileExists:
         yield from client.open(name)
-
-
-def fsync_all(system: System, name: str) -> None:
-    """Flush one file everywhere (the paper reports post-flush numbers)."""
-    client = system.client(0)
-
-    def work():
-        yield from client.fsync(name)
-
-    system.run(work())

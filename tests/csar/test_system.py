@@ -87,18 +87,6 @@ class TestNamespace:
 
         system.run(work())
 
-    def test_unlink(self):
-        system = make_system()
-        client = system.client()
-
-        def work():
-            yield from client.create("f")
-            yield from client.unlink("f")
-            with pytest.raises(FileNotFound):
-                yield from client.open("f")
-
-        system.run(work())
-
     def test_meta_size_tracks_writes(self):
         system = make_system()
         client = system.client()

@@ -38,7 +38,8 @@ class TestCollectiveWrite:
         def work():
             yield from f.open()
             yield from f.collective_write(contribs)
-            out = yield from f.read_at(0, 0, 4 * record * count)
+            out = yield from system.clients[0].read("bt", 0,
+                                                    4 * record * count)
             return out
 
         out = system.run(work())
@@ -144,67 +145,6 @@ class TestCollectiveWrite:
         assert system.metrics.get("client.bytes_written") == 40_000
 
 
-class TestCollectiveRead:
-    def test_strided_read_roundtrip(self):
-        system = make_system(clients=3)
-        f = MPIFile(system, "r")
-        image = Payload.pattern(30_000, seed=9)
-
-        def setup():
-            yield from f.open()
-            yield from f.write_at(0, 0, image)
-
-        system.run(setup())
-
-        requests = {rank: strided(rank * 100, 100, 300, 40)
-                    for rank in range(3)}
-
-        def work():
-            out = yield from f.collective_read(requests)
-            return out
-
-        results = system.run(work())
-        for rank, pattern in requests.items():
-            expected_parts = []
-            at = 0
-            for off, length in pattern.pieces:
-                expected_parts.append((at, image.slice(off, off + length)))
-                at += length
-            expected = Payload.assemble(pattern.total_bytes, expected_parts)
-            assert results[rank] == expected
-
-    def test_collective_read_in_extent_mode(self):
-        system = make_system(clients=2, content_mode=False)
-        f = MPIFile(system, "r")
-
-        def setup():
-            yield from f.open()
-            yield from f.write_at(0, 0, Payload.virtual(10_000))
-
-        system.run(setup())
-
-        def work():
-            out = yield from f.collective_read(
-                {0: contiguous(0, 5_000), 1: contiguous(5_000, 5_000)})
-            return out
-
-        results = system.run(work())
-        assert results[0].is_virtual and len(results[0]) == 5_000
-
-    def test_empty_read(self):
-        system = make_system(clients=1)
-        f = MPIFile(system, "r")
-
-        def work():
-            yield from f.open()
-            from repro.mpiio.datatypes import AccessPattern
-            out = yield from f.collective_read({0: AccessPattern(())})
-            return out
-
-        results = system.run(work())
-        assert len(results[0]) == 0
-
-
 class TestTimingEffect:
     def test_collective_faster_than_independent_for_tiny_strides(self):
         # The reason ROMIO exists: per-record independent writes pay a
@@ -258,7 +198,8 @@ from repro.mpiio.datatypes import AccessPattern
     cb_nodes=st.integers(1, 4),
 )
 def test_collective_write_read_roundtrip_property(layout, cb_nodes):
-    """Random rank-ownership layouts roundtrip byte-exactly.
+    """Random rank-ownership layouts roundtrip byte-exactly (read back
+    through an independent read).
 
     ``layout[i]`` says which rank owns record i; each record is 64 bytes.
     """
@@ -286,17 +227,7 @@ def test_collective_write_read_roundtrip_property(layout, cb_nodes):
     def work():
         yield from f.open()
         yield from f.collective_write(contribs)
-        out = yield from f.read_at(0, 0, expected.length)
+        out = yield from system.clients[0].read("prop", 0, expected.length)
         return out
 
     assert system.run(work()) == expected
-
-    # And the collective read agrees per rank.
-    def read_work():
-        out = yield from f.collective_read(
-            {rank: pattern for rank, (pattern, _b) in contribs.items()})
-        return out
-
-    results = system.run(read_work())
-    for rank, (pattern, buf) in contribs.items():
-        assert results[rank] == buf

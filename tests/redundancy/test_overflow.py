@@ -56,7 +56,6 @@ class TestAppendResolve:
         t.append(0, 8)
         assert t.allocated_bytes == 2 * BS
         assert t.live_bytes == 8
-        assert t.fragmentation == 2 * BS - 8
 
     def test_latest_version_wins(self):
         t = OverflowTable(BS)

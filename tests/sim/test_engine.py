@@ -270,3 +270,23 @@ class TestDeterminism:
             return log
 
         assert trace() == trace()
+
+
+class TestEnvironmentStats:
+    def test_stats_track_schedule_and_dispatch(self, env):
+        def proc():
+            yield env.timeout(1.0)
+            yield env.timeout(1.0)
+
+        env.process(proc())
+        before = env.stats()
+        assert before["scheduled"] == before["pending"] == 1  # Initialize
+        assert before["dispatched"] == 0
+        env.run()
+        after = env.stats()
+        # Initialize + 2 timeouts, all dispatched; nothing waits on the
+        # process, so its end is not an event.
+        assert after["scheduled"] == 3
+        assert after["dispatched"] == 3
+        assert after["pending"] == 0
+        assert after["now"] == 2.0

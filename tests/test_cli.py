@@ -61,6 +61,60 @@ class TestRun:
         assert "kaput" in captured.err
         assert "fig1" in captured.out  # later experiment still ran
 
+    @staticmethod
+    def register(monkeypatch, name, run):
+        from repro.experiments.base import REGISTRY, Experiment, ExpTable
+
+        def body(scale=None):
+            run()
+            table = ExpTable(name, f"{name} title", ["col"])
+            table.add_row("value")
+            return table
+
+        monkeypatch.setitem(REGISTRY, name, Experiment(name, name, body))
+
+    def test_a_table_prints_before_the_next_experiment_starts(
+            self, capsys, monkeypatch):
+        printed_before_second = []
+        self.register(monkeypatch, "first", lambda: None)
+        self.register(monkeypatch, "second", lambda: printed_before_second
+                      .append(capsys.readouterr().out))
+        assert main(["run", "first", "second"]) == 0
+        [out] = printed_before_second
+        assert "first title" in out and "second title" not in out
+        assert "second title" in capsys.readouterr().out
+
+    def test_an_unknown_id_is_rejected_before_any_experiment_runs(
+            self, capsys, monkeypatch):
+        ran = []
+        self.register(monkeypatch, "first", lambda: ran.append("first"))
+        assert main(["run", "first", "fig99"]) == 2
+        assert ran == []
+        assert "fig99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig3", "--scale", "-1"],
+        ["run", "fig3", "--scale", "0"],
+        ["run", "fig3", "--scale", "nan"],
+        ["report", "--scale", "-1"],
+    ])
+    def test_scale_must_be_positive(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["chaos", "--replay", "{missing}"],
+    ["explore", "--replay", "{missing}"],
+    ["report", "--diff", "{missing}", "{missing}"],
+])
+def test_a_missing_input_file_is_a_usage_error(argv, tmp_path, capsys):
+    missing = str(tmp_path / "no-such-file")
+    assert main([arg.format(missing=missing) for arg in argv]) == 2
+    assert "no such" in capsys.readouterr().err
+
 
 class TestSanitize:
     @pytest.mark.locksan_expected
@@ -101,6 +155,39 @@ class TestSanitize:
         before = engine.attached("sanitizer")
         main(["run", "fig2", "--sanitize"])
         assert engine.attached("sanitizer") is before
+
+    @staticmethod
+    def ambient():
+        """What a run could leave behind: each sanitizer's engine
+        attachment and the payload capture hook, by identity."""
+        from repro.analysis import SANITIZER_MODULES, sanitizer_module
+        from repro.sim import engine
+        from repro.storage import payload
+
+        state = {mode: engine.attached(sanitizer_module(mode)._REGISTRY.key)
+                 for mode in SANITIZER_MODULES}
+        state["capture_hook"] = payload._capture_hook
+        return state
+
+    def test_sanitize_all_leaves_every_sanitizer_as_it_found_it(self):
+        before = self.ambient()
+        assert main(["run", "fig1", "--sanitize=all"]) == 0
+        assert self.ambient() == before
+
+    def test_a_preinstalled_paritysan_survives(self):
+        from repro.analysis import paritysan
+
+        owned = not paritysan.installed()  # CSAR_PARITYSAN=1 installed it
+        if owned:
+            paritysan.install()
+        try:
+            before = self.ambient()
+            assert before["parity"] is not None
+            assert main(["run", "fig1", "--sanitize=all"]) == 0
+            assert self.ambient() == before
+        finally:
+            if owned:
+                paritysan.uninstall()
 
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
