@@ -114,6 +114,8 @@ def run_report(scale: Optional[float] = None,
     and ``ok`` means "nothing moved".  Otherwise each claim prints its
     verdict, measured value, interval and distance to the nearer bound;
     ``ok`` means every verdict agrees with the claim's recorded status.
+    A claim whose ``min_scale`` exceeds ``scale`` prints ``[SKIP]`` and
+    does not count.
     ``ledger_path`` additionally runs the table-only experiments and
     writes the whole ledger there.
     """
@@ -126,6 +128,11 @@ def run_report(scale: Optional[float] = None,
     lines = ["# Reproduction verification report", ""]
     all_ok = True
     for claim in claims:
+        if (scale is not None and claim.min_scale is not None
+                and scale < claim.min_scale):
+            lines.append(f"[SKIP] {claim.id}: needs --scale ≥ "
+                         f"{claim.min_scale:g}")
+            continue
         entry = ledger["claims"][claim.id]
         all_ok &= entry["verdict"] in ("PASS", "GAP")
         paper = "" if claim.paper_value is None \

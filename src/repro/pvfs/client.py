@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
+from operator import itemgetter
 from random import Random
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -23,7 +24,7 @@ from repro.metrics import Metrics
 from repro.pvfs import messages as msg
 from repro.pvfs.manager import FileMeta, Manager
 from repro.sim.engine import Environment, Event, Process
-from repro.storage.payload import Payload
+from repro.storage.payload import Payload, Segment
 
 #: exponential-backoff base delay between RPC retries (sim seconds):
 #: retry ``k`` waits ``RPC_BACKOFF_BASE * 2**(k-1)`` capped at
@@ -366,14 +367,26 @@ class PVFSClient:
     def assemble(offset: int, length: int, ranges: Sequence,
                  shares: Sequence[Payload]) -> Payload:
         """The logical bytes ``[offset, offset + length)`` from each
-        server's share (a payload over its ``ServerRange``)."""
-        parts: List[Tuple[int, Payload]] = []
+        server's share (a payload over its ``ServerRange``): the shares'
+        views placed at their logical offsets (:meth:`Payload.place`),
+        sorted once."""
+        segments: List[Segment] = []
+        virtual = False
         for sr, share in zip(ranges, shares):
-            for p in sr.pieces:
-                local = p.local_offset - sr.local_start
-                parts.append((p.logical_offset - offset,
-                              share.slice(local, local + p.length)))
-        return Payload.assemble(length, parts)
+            if share.length < sr.length:
+                raise ValueError(
+                    f"share of {share.length} bytes shorter than its "
+                    f"range of {sr.length}")
+            virtual = virtual or share.is_virtual
+            if not virtual:
+                start = sr.local_start
+                segments += share.place([
+                    (p.local_offset - start, p.length,
+                     p.logical_offset - offset) for p in sr.pieces])
+        if virtual:
+            return Payload.virtual(length)
+        segments.sort(key=itemgetter(0))
+        return Payload.from_segments(length, segments)
 
     def fsync(self, name: str) -> Generator[Event, Any, None]:
         """Flush the file's local files on every I/O server."""

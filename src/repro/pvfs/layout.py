@@ -68,14 +68,18 @@ class ServerRange:
         pieces = self._pieces
         if pieces is None:
             unit, server, end = self._layout.unit, self.server, self.local_end
-            to_logical = self._layout.logical_of_local
+            # Row r of a server's file holds logical block r * n + server.
+            stride = self._layout.n * unit
+            row, intra = divmod(self.local_start, unit)
+            logical = row * stride + server * unit + intra
             out = []
             cursor = self.local_start
             while cursor < end:
-                take = min(unit - cursor % unit, end - cursor)
-                out.append(Piece(server, to_logical(server, cursor), cursor,
-                                 take))
+                take = min(unit - intra, end - cursor)
+                out.append(Piece(server, logical, cursor, take))
                 cursor += take
+                logical += stride - intra
+                intra = 0
             pieces = self._pieces = tuple(out)
         return pieces
 

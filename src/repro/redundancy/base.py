@@ -14,6 +14,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Dict, Generator, List, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigError, DataLoss, ServerFailed
 from repro.pvfs import messages as msg
 from repro.pvfs.layout import ServerRange, StripeLayout
@@ -21,6 +23,7 @@ from repro.redundancy.plan import (FullStripe, Mirrored, Portion, Rmw,
                                    Stripe, WritePlan, plan_write)
 from repro.sim.engine import Event
 from repro.storage.payload import Payload
+from repro.util.parity import xor_segments
 
 
 class RmwOutcome(NamedTuple):
@@ -53,6 +56,12 @@ def rmw_patches(ranges: List[ServerRange], old_chunks: List[Payload],
             patches.append((patch_at, old_chunk.slice(at, at + p.length)))
             patches.append((patch_at, new_data.slice(lo_l, lo_l + p.length)))
     return patches
+
+
+def _check_inside(lo: int, hi: int, length: int) -> None:
+    """Raise unless ``[lo, hi)`` lies inside a payload of ``length``."""
+    if lo < 0 or hi > length:
+        raise ValueError(f"range [{lo},{hi}) outside payload of {length}")
 
 
 class RedundancyScheme(ABC):
@@ -372,20 +381,19 @@ class RedundancyScheme(ABC):
 
     def _gather(self, payload: Payload, base_offset: int,
                 sr: ServerRange) -> Payload:
-        """The bytes of ``payload`` destined for one server, in local order."""
+        """The bytes of ``payload`` destined for one server, in local order:
+        views of the payload's own arrays, clipped to the share's pieces
+        in one pass (:meth:`Payload.place`)."""
         if payload.is_virtual:
             # Extent mode: only the length travels, but the share must
-            # still lie inside the payload (``slice`` raises otherwise).
+            # still lie inside the payload.
             lo, hi = sr.logical_bounds()
-            payload.slice(lo - base_offset, hi - base_offset)
+            _check_inside(lo - base_offset, hi - base_offset, payload.length)
             return Payload.virtual(sr.length)
-        parts = []
-        at = 0
-        for p in sr.pieces:
-            lo = p.logical_offset - base_offset
-            parts.append((at, payload.slice(lo, lo + p.length)))
-            at += p.length
-        return Payload.assemble(sr.length, parts)
+        start = sr.local_start
+        return Payload.from_segments(sr.length, payload.place([
+            (p.logical_offset - base_offset, p.length, p.local_offset - start)
+            for p in sr.pieces]))
 
     def _data_write_requests(self, client, meta, offset: int,
                              payload: Payload, invalidate: bool = False,
@@ -409,31 +417,47 @@ class RedundancyScheme(ABC):
         """
         lay = meta.layout
         unit = lay.unit
-        per_server: Dict[int, List[Tuple[int, Payload]]] = {}
-        for group in range(lay.group_of(start), lay.group_of(end - 1) + 1):
-            if not self.config.compute_parity:
-                parity = (Payload.virtual(unit) if payload.is_virtual
-                          else Payload.zeros(unit))
-            else:
-                lo = lay.group_range(group)[0] - base_offset
-                parity = Payload.xor(
-                    [payload.slice(lo + i * unit, lo + (i + 1) * unit)
-                     for i in range(lay.group_width)], unit)
+        groups = range(lay.group_of(start), lay.group_of(end - 1) + 1)
+        lo = lay.group_range(groups[0])[0] - base_offset
+        _check_inside(lo, lo + len(groups) * lay.group_span, payload.length)
+        per_server: Dict[int, List[Tuple[int, Optional[np.ndarray]]]] = {}
+        for group, block in zip(groups, self._parity_blocks(
+                payload, lo, len(groups), lay)):
             per_server.setdefault(lay.parity_server(group), []).append(
-                (lay.parity_local_offset(group), parity))
+                (lay.parity_local_offset(group), block))
         out: Dict[int, msg.WriteReq] = {}
         for server, blocks in per_server.items():
-            blocks.sort()
+            # Ascending groups sit on ascending rows of a server's file.
             first = blocks[0][0]
-            parts = [(local - first, p) for local, p in blocks]
-            length = parts[-1][0] + blocks[-1][1].length
+            length = blocks[-1][0] + unit - first
             out[server] = msg.WriteReq(
                 meta.name, kind="red", offset=first,
-                # One parity message per server: assemble is zero-copy
-                # (segment rope) and runs once per server, not per block.
-                payload=Payload.assemble(length, parts),  # csar-lint: disable=CSAR012
+                payload=(Payload.virtual(length) if payload.is_virtual
+                         else Payload.from_segments(length, [
+                             (local - first, block)
+                             for local, block in blocks])),
                 xid=client.next_xid())
         return out
+
+    def _parity_blocks(self, payload: Payload, lo: int, count: int,
+                       lay: StripeLayout) -> List[Optional[np.ndarray]]:
+        """The parity block of each of ``count`` whole groups whose data
+        starts at ``payload[lo:]``: one fresh unit-sized array per group
+        (``None`` each in extent mode)."""
+        unit, span = lay.unit, lay.group_span
+        if payload.is_virtual:
+            return [None] * count
+        if not self.config.compute_parity:
+            return [np.zeros(unit, dtype=np.uint8) for _ in range(count)]
+        # Clip the payload's segments to its units in one pass, then fold
+        # each group's unit views; one-array data gives whole-unit views.
+        operands: List[List[Tuple[int, np.ndarray]]] = [
+            [] for _ in range(count)]
+        for at, seg in payload.place([
+                (lo + at, unit, at)
+                for at in range(0, count * span, unit)]):
+            operands[at // span].append((at % unit, seg))
+        return [xor_segments((segments,), unit) for segments in operands]
 
     # ------------------------------------------------------------------
     # read path (shared striped read + degraded fallback)
@@ -495,17 +519,22 @@ class RedundancyScheme(ABC):
                 length=p.length, xid=client.next_xid())))
             piece_slots.append(slots)
         outcomes = yield from client.rpc_coalesced(pairs)
-        parts: List[Tuple[int, Payload]] = []
+        rebuilt: List[Tuple[int, np.ndarray]] = []
+        virtual = False
         for p, slots in zip(sr.pieces, piece_slots):
-            blocks = []
+            operands = []
             for i in slots:
                 response, error = outcomes[i]
                 if error is not None:
                     raise error
-                blocks.append(response.payload)
-            rebuilt = Payload.xor(blocks, p.length)
-            parts.append((p.local_offset - sr.local_start, rebuilt))
-        return Payload.assemble(sr.length, parts)
+                virtual = virtual or response.payload.is_virtual
+                operands.append(response.payload.iter_segments())
+            if not virtual:
+                rebuilt.append((p.local_offset - sr.local_start,
+                                xor_segments(operands, p.length)))
+        if virtual:
+            return Payload.virtual(sr.length)
+        return Payload.from_segments(sr.length, rebuilt)
 
 
 SCHEMES: Dict[str, type] = {}

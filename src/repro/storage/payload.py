@@ -14,7 +14,9 @@ yields a virtual result.
 Content-mode payloads are **zero-copy**: ``slice()`` returns a read-only
 numpy *view* of the source buffer, and ``concat``/``assemble``/``overlay``
 build a :class:`SegmentedPayload` — a rope of ``(offset, array)`` segments
-over the original buffers — instead of allocating.  Buffers are frozen
+over the original buffers — instead of allocating, and ``place()`` clips
+the segments to a list of runs in one pass (a striped write's gather and
+a striped read's scatter).  Buffers are frozen
 (``writeable=False``) when a payload captures them, so immutability is
 preserved even though views alias their sources.  The bytes are only
 materialized into one contiguous buffer at content-verification
@@ -24,7 +26,7 @@ segment-count growth).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +38,10 @@ _MAX_SEGMENTS = 256
 
 #: One ``(offset, uint8-array)`` fragment of a payload's content.
 Segment = Tuple[int, np.ndarray]
+
+#: One ``(start, length, dest)`` run: the payload's bytes
+#: ``[start, start + length)`` moved to offset ``dest`` (:meth:`Payload.place`).
+Run = Tuple[int, int, int]
 
 #: Optional observer invoked as ``hook(payload, array, kind)`` at the
 #: moment a payload captures a buffer (``kind`` is ``"payload"`` for a
@@ -164,15 +170,15 @@ class Payload:
         return f"<Payload {kind} len={self.length}>"
 
     # -- scatter-gather protocol -------------------------------------------
-    def iter_segments(self) -> Iterator[Segment]:
+    def iter_segments(self) -> Sequence[Segment]:
         """The content as ascending, disjoint ``(offset, array)`` pieces.
 
-        Uncovered gaps are zeros.  Virtual payloads yield nothing —
-        callers must check :attr:`is_virtual` first, exactly as with
-        :attr:`data`.
+        Uncovered gaps are zeros.  Virtual payloads have none — callers
+        must check :attr:`is_virtual` first, exactly as with :attr:`data`.
         """
         if self._data is not None and self.length:
-            yield (0, self._data)
+            return ((0, self._data),)
+        return ()
 
     def _writable_copy(self) -> np.ndarray:
         """Materialize the content into a fresh writable buffer."""
@@ -180,6 +186,43 @@ class Payload:
         for at, seg in self.iter_segments():
             buf[at: at + seg.size] = seg
         return buf
+
+    def place(self, runs: Sequence[Run]) -> List[Segment]:
+        """The content of each ``(start, length, dest)`` run, moved to ``dest``.
+
+        The scatter-gather primitive: a striped write gathers a server's
+        share and a striped read scatters it back with one call each, the
+        runs being the share's unit-grain pieces.  ``runs`` ascend and
+        are disjoint in this payload; the segments are clipped to them in
+        one merged pass, so a rope is never materialized and nothing is
+        copied.  Gaps yield nothing, and so does a virtual payload.
+        """
+        if runs:
+            first, last = runs[0], runs[-1]
+            if first[0] < 0 or last[0] + last[1] > self.length:
+                raise ValueError(
+                    f"runs [{first[0]}, {last[0] + last[1]}) outside "
+                    f"payload of {self.length}")
+        segments = self.iter_segments()
+        out: List[Segment] = []
+        i, count = 0, len(segments)
+        for start, length, dest in runs:
+            if not length:
+                continue
+            end = start + length
+            while i < count:
+                seg_at, seg = segments[i]
+                if seg_at >= end:
+                    break
+                seg_end = seg_at + seg.size
+                if seg_end > start:
+                    lo, hi = max(seg_at, start), min(seg_end, end)
+                    out.append((dest + lo - start,
+                                seg[lo - seg_at: hi - seg_at]))
+                if seg_end > end:
+                    break  # the segment continues into the next run
+                i += 1
+        return out
 
     # -- operations ---------------------------------------------------------
     def to_bytes(self) -> bytes:
@@ -278,10 +321,11 @@ class Payload:
         new_len = max(self.length, end)
         if self.is_virtual or patch.is_virtual:
             return Payload.virtual(new_len)
-        segments = list(_clipped(self.iter_segments(), 0, at))
+        segments = self.place([(0, min(at, self.length), 0)])
         segments.extend((at + s_at, seg) for s_at, seg in
                         patch.iter_segments())
-        segments.extend(_clipped(self.iter_segments(), end, self.length))
+        if end < self.length:
+            segments += self.place([(end, self.length - end, end)])
         return Payload.from_segments(new_len, segments)
 
 
@@ -333,13 +377,12 @@ class SegmentedPayload(Payload):
     def is_virtual(self) -> bool:
         return False
 
-    def iter_segments(self) -> Iterator[Segment]:
+    def iter_segments(self) -> Sequence[Segment]:
         if self._data is not None:
             # Already materialized: one contiguous segment is cheaper for
             # consumers than re-walking the rope.
-            yield from Payload.iter_segments(self)
-        else:
-            yield from self._segments
+            return Payload.iter_segments(self)
+        return self._segments
 
     def slice(self, start: int, end: int) -> "Payload":
         if not (0 <= start <= end <= self.length):
@@ -347,23 +390,10 @@ class SegmentedPayload(Payload):
                 f"slice [{start},{end}) outside payload of {self.length}")
         if self._data is not None:
             return Payload(end - start, self._data[start:end])
-        return Payload.from_segments(
-            end - start, list(_clipped(self._segments, start, end, -start)))
+        return Payload.from_segments(end - start,
+                                     self.place([(start, end - start, 0)]))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<SegmentedPayload len={self.length} "
                 f"segments={len(self._segments)}>")
 
-
-def _clipped(segments, start: int, end: int,
-             shift: int = 0) -> Iterator[Segment]:
-    """Segments clipped to ``[start, end)``, offsets shifted by ``shift``."""
-    if end <= start:
-        return
-    for at, seg in segments:
-        seg_end = at + seg.size
-        if seg_end <= start or at >= end:
-            continue
-        lo = max(at, start)
-        hi = min(seg_end, end)
-        yield (lo + shift, seg[lo - at: hi - at])

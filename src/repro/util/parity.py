@@ -68,16 +68,32 @@ def xor_segments(parts: Iterable[Iterable[tuple[int, np.ndarray]]],
     gaps are zeros, contributing nothing to the XOR); segments past
     ``length`` are clipped, shorter operands are zero-padded — the same
     end-of-stripe semantics as :func:`xor_bytes`, without flattening any
-    operand first.
+    operand first.  The first XOR of two segments that each span the
+    whole ``length`` writes the result, so a full stripe of whole units
+    (the common case) costs no zero-fill pass.
     """
-    acc = np.zeros(length, dtype=np.uint8)
+    whole = None
+    acc = None
+    rest = []
     for segments in parts:
         for at, seg in segments:
             if at >= length:
                 continue
             if at + seg.size > length:
                 seg = seg[: length - at]
-            xor_into_at(acc, at, seg)
+            if acc is None and at == 0 and seg.size == length:
+                if whole is None:
+                    whole = seg
+                else:
+                    acc = np.bitwise_xor(whole, seg)
+            else:
+                rest.append((at, seg))
+    if acc is None:
+        acc = (np.zeros(length, dtype=np.uint8) if whole is None
+               else whole.copy())
+    for at, seg in rest:
+        view = acc[at: at + seg.size]  # clipped above: inside ``acc``
+        np.bitwise_xor(view, seg, out=view)
     return acc
 
 

@@ -52,6 +52,14 @@ def test_ledger_holds_exactly_the_registry():
         assert entry["scale"] == REGISTRY[exp_id].default_scale
 
 
+def test_no_claim_needs_more_than_its_default_scale():
+    # The default-scale report, the ledger and benchmarks/ run every
+    # claim: a min_scale above the default would silently skip one.
+    for claim in CLAIMS:
+        if claim.min_scale is not None:
+            assert claim.min_scale <= REGISTRY[claim.experiment].default_scale
+
+
 def test_the_recorded_gaps_are_the_honest_ones():
     gaps = {c.id for c in CLAIMS if c.status == "gap"}
     assert {"fig4a-raid1-plateau", "fig6a-raid5-collapse",

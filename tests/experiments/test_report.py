@@ -58,6 +58,21 @@ class TestClaimMachinery:
         text, ok = run_report(claims=still_open)
         assert ok and "[GAP] stale" in text
 
+    def test_claim_below_its_min_scale_is_skipped(self, monkeypatch,
+                                                  capsys):
+        import repro.experiments.report as report_mod
+
+        # Fails wherever it runs, so only the skip keeps the exit at 0.
+        stub = Claim("scaled", "fig1", "p", _fill_2003, -2, -1,
+                     min_scale=0.5)
+        monkeypatch.setattr(report_mod, "CLAIMS", [stub])
+        assert main(["report", "--scale", "0.25"]) == 0
+        out = capsys.readouterr().out
+        assert "[SKIP] scaled: needs --scale ≥ 0.5" in out
+        assert "EVERY CLAIM STANDS AS RECORDED" in out
+        assert main(["report", "--scale", "0.5"]) == 1
+        assert "[FAIL] scaled" in capsys.readouterr().out
+
     def test_fast_claims_pass_at_default_scale(self):
         # The cheap microbenchmark claims run in seconds and must pass.
         fast = [c for c in CLAIMS if c.experiment in ("fig3", "fig4b")]

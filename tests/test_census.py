@@ -157,6 +157,7 @@ OWNED = {
     "repro.storage.localfs:LocalFS.sync": PUBLIC,
     "repro.storage.localfs:LocalFS.total_size": PUBLIC,
     "repro.storage.payload:Payload.__len__": PUBLIC,
+    "repro.storage.payload:Payload.assemble": PUBLIC,
     "repro.storage.payload:Payload.concat": PUBLIC,
     "repro.storage.payload:Payload.from_bytes": PUBLIC,
     "repro.storage.payload:Payload.xor_at": PUBLIC,
