@@ -215,10 +215,21 @@ class BufSan:
 _OPEN: Dict[int, "weakref.ref[BufSan]"] = {}
 
 
+def _open_refs() -> Tuple["weakref.ref[BufSan]", ...]:
+    """A snapshot of ``_OPEN``'s references.  Taking it allocates, so a
+    collection may run inside it and a dying sanitizer's callback shrink
+    ``_OPEN`` mid-iteration: then take it again."""
+    while True:
+        try:
+            return tuple(_OPEN.values())
+        except RuntimeError:  # dictionary changed size during iteration
+            continue
+
+
 def _on_payload_capture(payload: Any, arr: Any, kind: str) -> None:
     """The :func:`repro.storage.payload.set_capture_hook` target: fan a
     capture out to every live, still-open sanitizer."""
-    for ref in tuple(_OPEN.values()):  # a death may shrink _OPEN meanwhile
+    for ref in _open_refs():  # a death may shrink _OPEN meanwhile
         sanitizer = ref()
         if sanitizer is not None:
             sanitizer.on_capture(payload, arr, kind)
@@ -237,8 +248,10 @@ def _observe_captures(on: bool) -> None:
 
     payload.set_capture_hook(_on_payload_capture if on else None)
     if not on:
-        for sanitizer in [ref() for ref in _OPEN.values()]:
-            sanitizer.close()
+        for ref in _open_refs():
+            sanitizer = ref()
+            if sanitizer is not None:
+                sanitizer.close()
         _last[0] = b""
 
 

@@ -355,7 +355,7 @@ def _scenario_buggy_helper_release_leak() -> None:
 
 
 @scenario("buggy-lock-order",
-          "DescendingLockRaid5 takes its strict-write group locks "
+          "DescendingLockRaid5 takes a write's group locks "
           "highest-first: LockSan witnesses the Section 5.1 "
           "order-inversion CSAR011 flags statically",
           seeded_bug=True)
@@ -365,7 +365,7 @@ def _scenario_buggy_lock_order() -> None:
 
     config = CSARConfig(scheme="raid5", num_servers=4, num_clients=1,
                         stripe_unit=1024, content_mode=False,
-                        background_flusher=False, strict_locking=True)
+                        background_flusher=False)
     system = seeded_bugs.inject(
         System(config), seeded_bugs.DescendingLockRaid5(config))
     client = system.client()
@@ -373,7 +373,7 @@ def _scenario_buggy_lock_order() -> None:
 
     def body():
         yield from client.create("f")
-        # Two full groups: the seeded _strict_write locks group 1 first.
+        # Two full groups: the seeded write locks group 1 first.
         yield from client.write("f", 0, Payload.virtual(2 * span))
 
     system.run(body())

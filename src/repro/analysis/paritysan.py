@@ -148,18 +148,9 @@ class ParitySan:
         from repro.redundancy import scrub
 
         for name, meta in system.manager.files.items():
-            scheme = meta.scheme
-            if scheme == "raid1":
-                for issue in scrub.check_mirrors(system, name):
-                    self._report("mirror", issue, name, sync_point)
-            elif scheme in ("raid5", "hybrid"):
-                for issue in scrub.check_parity(system, name):
-                    self._report("parity", issue, name, sync_point)
-                if scheme == "hybrid":
-                    for issue in scrub.check_overflow_mirrors(system,
-                                                              name):
-                        self._report("overflow-mirror", issue, name,
-                                     sync_point)
+            for kind, check in scrub.INVARIANTS.get(meta.scheme, ()):
+                for issue in check(system, name):
+                    self._report(kind, issue, name, sync_point)
 
 
 #: Every live sanitizer, and the module's installation surface.

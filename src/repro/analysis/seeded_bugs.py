@@ -8,9 +8,8 @@ budget:
 
 * :class:`DropReleaseRaid5` (a request mutator): deadlock, LockSan;
 * :class:`InPlaceOverflowHybrid` (a plan mutator): ParitySan;
-* :class:`HelperReleaseRaid5` (wraps ``write``): CSAR007/010, explorer;
-* :class:`DescendingLockRaid5` (its own strict-locking wrapper):
-  CSAR011, LockSan;
+* :class:`HelperReleaseRaid5` (wraps ``write``): CSAR010, explorer;
+* :class:`DescendingLockRaid5` (wraps ``write``): CSAR011, LockSan;
 * :class:`ThawedViewRaid5` (wraps ``_rmw``): CSAR013, BufSan;
 * :class:`ScratchLeakHybrid` (wraps ``_mirrored``): CSAR014/015, BufSan;
 * :class:`CompensatingWritebackRaid5` (wraps ``_rmw``): crash matrix.
@@ -132,7 +131,7 @@ class HelperReleaseRaid5(Raid5):
 
 
 class DescendingLockRaid5(Raid5):
-    """RAID5 whose strict write locks its groups highest-first.
+    """RAID5 that locks every group a write touches, highest-first.
 
     The descending ``range`` loop inverts the Section 5.1 ascending
     acquisition order.  Each acquire is matched by a release in the
@@ -140,17 +139,24 @@ class DescendingLockRaid5(Raid5):
     the loop bounds are symbolic, so no literal group order is visible
     in the source — only the global order graph (CSAR011) and
     LockSan's runtime inversion check see the bug.  The locks are taken
-    directly on the parity servers' tables (not via ``GroupLockReq``)
-    so the acquisition order is observable both statically and by the
-    xid-keyed sanitizer.
+    directly on the parity servers' tables so the acquisition order is
+    observable both statically and by the xid-keyed sanitizer.  The
+    wrapped write's own read-modify-writes lock under their own xids,
+    so a write with a partial group waits on itself: drive it with
+    whole groups.
     """
 
     name = "raid5"  # impersonate: metadata still says "raid5"
 
-    def _strict_write(self, client, meta, plan: WritePlan, offset: int,
+    def write(self, client, meta, offset: int,
+              payload: Payload) -> Generator[Event, Any, None]:
+        return self._strict_write(client, meta, offset, payload)
+
+    def _strict_write(self, client, meta, offset: int,
                       payload: Payload) -> Generator[Event, Any, None]:
         lay = meta.layout
-        first, last = plan.groups[0], plan.groups[-1]
+        first = lay.group_of(offset)
+        last = lay.group_of(offset + payload.length - 1)
         xid = client.next_xid()
         for group in range(last, first - 1, -1):  # the bug: descending
             # CSAR008 sees the zero-iteration exit of the release loop
@@ -158,7 +164,7 @@ class DescendingLockRaid5(Raid5):
             yield from client.iods[lay.parity_server(group)].locks.acquire(  # csar-lint: disable=CSAR008
                 meta.name, group, xid)
         try:
-            yield from self._execute(client, meta, plan, offset, payload)
+            yield from super().write(client, meta, offset, payload)
         finally:
             for group in range(first, last + 1):
                 client.iods[lay.parity_server(group)].locks.release(
@@ -304,12 +310,12 @@ class CompensatingWritebackRaid5(Raid5):
             cxid = client.next_xid()
             try:
                 response = yield from client.rpc(parity_iod, msg.ParityReadReq(
-                    meta.name, xid=cxid, lock=portion.lock, **where))
+                    meta.name, xid=cxid, **where))
                 yield from client.rpc(parity_iod, msg.ParityWriteReq(
                     meta.name, payload=response.payload.xor_at_many(
                         rmw_patches([sr], [old_chunk], new_data, portion.lo,
                                     learned.intra[0], lay.unit)),
-                    unlock=portion.lock, xid=cxid, **where))
+                    unlock=True, xid=cxid, **where))
             except ServerFailed:
                 break
         return learned

@@ -28,11 +28,6 @@ class CSARConfig:
     write_buffering: bool = True
     #: parity-block locking (False reproduces Fig 3's "R5 NO LOCK")
     locking: bool = True
-    #: strict whole-group locking — the stronger-consistency extension
-    #: Section 5.1 sketches: every write takes the locks of the parity
-    #: groups it touches, serializing even *overlapping* concurrent
-    #: writes (which plain CSAR, like PVFS, leaves undefined)
-    strict_locking: bool = False
     #: merge adjacent same-kind request fragments per server into one
     #: vectored message (one header, one stream); False reproduces the
     #: one-message-per-fragment wire behaviour

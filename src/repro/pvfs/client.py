@@ -92,19 +92,14 @@ class PVFSClient:
         """May this request be safely delivered more than once?
 
         Plain reads and in-place writes are idempotent (same bytes to
-        the same place); so are mirror resolves and fsyncs.  Parity
-        reads are idempotent only when they do not carry a lock
-        acquisition, and everything that mutates protocol state (lock
-        messages, parity writes with their release, overflow appends —
-        a second append would allocate a second slot) must never be
+        the same place); so are mirror resolves and fsyncs.  Everything
+        that mutates protocol state (parity reads with their lock
+        acquisition, parity writes with their release, overflow appends
+        — a second append would allocate a second slot) must never be
         retried blind.
         """
-        if type(request) in (msg.ReadReq, msg.WriteReq,
-                             msg.MirrorResolveReq, msg.FsyncReq):
-            return True
-        if type(request) is msg.ParityReadReq:
-            return not request.lock
-        return False
+        return type(request) in (msg.ReadReq, msg.WriteReq,
+                                 msg.MirrorResolveReq, msg.FsyncReq)
 
     def parallel(self, items: List) -> Generator[Event, Any, List[Any]]:
         """Run RPCs and generators concurrently; fail fast on the first

@@ -169,15 +169,6 @@ class IOD(msg.Server):
             return (yield from self._write(request))
         if isinstance(request, msg.ParityReadReq):
             return (yield from self._parity_read(request))
-        if isinstance(request, msg.GroupLockReq):
-            # The release arrives as a separate GroupUnlockReq message;
-            # the lock is protocol-carried, not scoped to this handler.
-            yield from self.locks.acquire(  # csar-lint: disable=CSAR001,CSAR008
-                request.file, request.group, request.xid)
-            return msg.Response()
-        if isinstance(request, msg.GroupUnlockReq):
-            self.locks.release(request.file, request.group, request.xid)
-            return msg.Response()
         if isinstance(request, msg.ParityWriteReq):
             return (yield from self._parity_write(request))
         if isinstance(request, msg.OverflowWriteReq):
@@ -252,12 +243,11 @@ class IOD(msg.Server):
 
     def _parity_read(self, request: msg.ParityReadReq,
                      ) -> Generator[Event, Any, msg.Response]:
-        if request.lock:
-            # Section 5.1: the parity *read* acquires and the matching
-            # parity *write* (a later message) releases — the lock rides
-            # the data path across handler processes by design.
-            yield from self.locks.acquire(  # csar-lint: disable=CSAR001
-                request.file, request.group, request.xid)
+        # Section 5.1: the parity *read* acquires and the matching parity
+        # *write* (a later message) releases — the lock rides the data
+        # path across handler processes by design.
+        yield from self.locks.acquire(  # csar-lint: disable=CSAR001
+            request.file, request.group, request.xid)
         lo, hi = request.intra
         payload = yield from self.fs.read(red_file(request.file),
                                           request.local_offset + lo, hi - lo)

@@ -80,33 +80,15 @@ class ParityReadReq(Request):
     """Read part of a parity block; acquires the block's lock (§5.1).
 
     ``intra`` is the byte range within the parity block; ``local_offset``
-    locates the block in the server's redundancy file.  ``lock=False``
-    skips the acquisition — used under strict whole-group locking, where
-    the writer already holds the group lock.
+    locates the block in the server's redundancy file.
     """
 
     group: int = 0
     local_offset: int = 0
     intra: Tuple[int, int] = (0, 0)
-    lock: bool = True
 
     def reply_size(self) -> int:
         return HEADER + (self.intra[1] - self.intra[0])
-
-
-@dataclass
-class GroupLockReq(Request):
-    """Strict-consistency extension (§5.1's closing remark): take the
-    whole parity-group lock before any write touching the group."""
-
-    group: int = 0
-
-
-@dataclass
-class GroupUnlockReq(Request):
-    """Release a strict group lock taken by :class:`GroupLockReq`."""
-
-    group: int = 0
 
 
 @dataclass

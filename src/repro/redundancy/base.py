@@ -79,44 +79,12 @@ class RedundancyScheme(ABC):
     def plan(self, layout: StripeLayout, offset: int,
              length: int) -> WritePlan:
         """This scheme's plan for writing ``[offset, offset + length)``."""
-        config = self.config
-        return plan_write(layout, self.name, offset, length,
-                          strict=config.strict_locking and config.locking)
+        return plan_write(layout, self.name, offset, length)
 
     def write(self, client, meta, offset: int,
               payload: Payload) -> Generator[Event, Any, None]:
-        """Store ``payload`` at ``offset`` with this scheme's redundancy."""
-        plan = self.plan(meta.layout, offset, payload.length)
-        if plan.groups is None:
-            yield from self._execute(client, meta, plan, offset, payload)
-        else:
-            yield from self._strict_write(client, meta, plan, offset,
-                                          payload)
-
-    def _strict_write(self, client, meta, plan: WritePlan, offset: int,
-                      payload: Payload) -> Generator[Event, Any, None]:
-        """Section 5.1's stronger-consistency extension: take every
-        touched group's lock (ascending, at the parity servers) around
-        the whole write, serializing even overlapping concurrent writes.
-        """
-        lay = meta.layout
-        xid = client.next_xid()
-        for group in plan.groups:
-            yield from client.rpc(
-                client.iods[lay.parity_server(group)],
-                msg.GroupLockReq(meta.name, group=group, xid=xid))
-        try:
-            yield from self._execute(client, meta, plan, offset, payload)
-        finally:
-            yield from client.parallel([
-                client.rpc(client.iods[lay.parity_server(group)],
-                           msg.GroupUnlockReq(meta.name, group=group,
-                                              xid=xid))
-                for group in plan.groups])
-
-    def _execute(self, client, meta, plan: WritePlan, offset: int,
-                 payload: Payload) -> Generator[Event, Any, None]:
-        """Run a plan's portions.
+        """Store ``payload`` at ``offset`` with this scheme's redundancy:
+        plan the write, then run the plan's portions.
 
         A RAID0 or RAID1 write's one portion runs in the writer's own
         process.  A parity-scheme write runs each portion as a process
@@ -124,6 +92,7 @@ class RedundancyScheme(ABC):
         share one process, which issues their parity reads in ascending
         group order (Section 5.1's deadlock avoidance).
         """
+        plan = self.plan(meta.layout, offset, payload.length)
         if not plan.concurrent:
             (portion,) = plan.portions
             yield from self._portion(client, meta, portion, payload)
@@ -284,8 +253,7 @@ class RedundancyScheme(ABC):
             parity_response = yield from client.rpc(
                 client.iods[p_server],
                 msg.ParityReadReq(meta.name, group=group, local_offset=p_local,
-                                  intra=(intra_lo, intra_hi), xid=xid,
-                                  lock=portion.lock))
+                                  intra=(intra_lo, intra_hi), xid=xid))
         except ServerFailed:
             # Degraded mode, parity server down: no lock to take and no
             # parity to maintain — write the data in place; the rebuild
@@ -344,7 +312,7 @@ class RedundancyScheme(ABC):
         calls.append(client.rpc(client.iods[p_server], msg.ParityWriteReq(
             meta.name, group=group, local_offset=p_local,
             intra=(intra_lo, intra_hi), payload=new_parity,
-            unlock=portion.lock, xid=xid)))
+            unlock=True, xid=xid)))
         targets.append(p_server)
         # A single failed data write needs no reaction: the folded parity
         # already implies its new bytes.

@@ -12,7 +12,7 @@ executes a plan.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.pvfs.layout import StripeLayout
@@ -37,13 +37,11 @@ class FullStripe(NamedTuple):
 
 class Rmw(NamedTuple):
     """One partially written parity group: read old data and parity,
-    fold in the delta, write both back.  ``lock``: the parity read takes
-    the group lock and the parity write releases it (off when strict
-    locking already holds it)."""
+    fold in the delta, write both back.  The parity read takes the group
+    lock and the parity write releases it."""
 
     lo: int
     hi: int
-    lock: bool
 
 
 class Mirrored(NamedTuple):
@@ -63,28 +61,24 @@ class WritePlan(NamedTuple):
     """What one write does: its portions, the full-stripe one first."""
 
     portions: Tuple[Portion, ...]
-    #: the parity groups Section 5.1's strict locking holds around the
-    #: whole write, ascending; ``None`` without strict locking
-    groups: Optional[range]
     #: the portions run as concurrent processes joined at the end (RAID5,
     #: Hybrid); otherwise the one portion runs in the writer's process
     concurrent: bool
 
 
-def plan_write(layout: StripeLayout, scheme: str, offset: int, length: int,
-               strict: bool) -> WritePlan:
+def plan_write(layout: StripeLayout, scheme: str, offset: int,
+               length: int) -> WritePlan:
     """The plan of writing ``[offset, offset + length)`` under ``scheme``.
 
-    ``strict`` is Section 5.1's whole-write group locking; only the
-    parity schemes (RAID5, Hybrid) lock.  A parity-scheme write splits
-    into at most one full-stripe portion and two partial groups, the
-    head and the tail (:meth:`StripeLayout.split_by_groups`).
+    A parity-scheme (RAID5, Hybrid) write splits into at most one
+    full-stripe portion and two partial groups, the head and the tail
+    (:meth:`StripeLayout.split_by_groups`).
     """
     end = offset + length
     if scheme == "raid0":
-        return WritePlan((Stripe(offset, end),), None, False)
+        return WritePlan((Stripe(offset, end),), False)
     if scheme == "raid1":
-        return WritePlan((Mirrored(offset, end, False),), None, False)
+        return WritePlan((Mirrored(offset, end, False),), False)
     if scheme not in ("raid5", "hybrid"):
         raise ConfigError(f"no write plan for scheme {scheme!r}")
     hybrid = scheme == "hybrid"
@@ -95,7 +89,5 @@ def plan_write(layout: StripeLayout, scheme: str, offset: int, length: int,
     for lo, hi in (head, tail):
         if hi > lo:
             portions.append(Mirrored(lo, hi, True) if hybrid
-                            else Rmw(lo, hi, not strict))
-    groups = (range(layout.group_of(offset), layout.group_of(end - 1) + 1)
-              if strict else None)
-    return WritePlan(tuple(portions), groups, True)
+                            else Rmw(lo, hi))
+    return WritePlan(tuple(portions), True)

@@ -74,7 +74,8 @@ def rebuild_server(system, index: int,
     """Process body: repair server ``index`` in place from survivors.
 
     The server must currently be failed; on return it is live again with
-    all local files reconstructed.  Raises
+    all local files reconstructed, and if the rebuild raises it stays
+    failed.  Raises
     :class:`~repro.errors.ConfigError` for RAID0 (nothing to rebuild
     from).
 
@@ -127,11 +128,13 @@ def rebuild_server(system, index: int,
                 continue
             break
     finally:
+        # A rebuild that raises leaves the server failed: its disk holds
+        # a partial reconstruction no read may see.
         ledger.watchers.remove(tracker)
         iod.rebuilding = False
-        iod.failed = False
-        for c in system.clients:
-            c.suspected.discard(index)
+    iod.failed = False
+    for c in system.clients:
+        c.suspected.discard(index)
     system.metrics.add("failures.rebuilt")
     system.env.emit("recovery.done", index)
 

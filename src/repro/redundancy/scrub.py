@@ -18,7 +18,7 @@ let users verify a cluster after failure injection and rebuild.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, Dict, List, Tuple
 
 from repro.errors import ConfigError
 from repro.pvfs.iod import data_file, ovf_file, ovfm_file, red_file  # noqa: F401
@@ -198,21 +198,25 @@ def _scheme_of(system, name: str) -> str:
     return meta.scheme if meta is not None else system.config.scheme
 
 
+#: scheme -> the invariants it promises, as (report kind, check) pairs in
+#: the order :func:`scrub` runs them
+INVARIANTS: Dict[str, Tuple[Tuple[str, Callable], ...]] = {
+    "raid0": (),
+    "raid1": (("mirror", check_mirrors),),
+    "raid5": (("parity", check_parity),),
+    "hybrid": (("parity", check_parity),
+               ("overflow-mirror", check_overflow_mirrors)),
+}
+
+
 def scrub(system, name: str) -> List[str]:
     """Run every invariant check appropriate for the file's scheme."""
     if not system.config.content_mode:
         raise ConfigError("scrub needs content_mode=True")
     scheme = _scheme_of(system, name)
-    if scheme == "raid0":
-        issues: List[str] = []
-    elif scheme == "raid1":
-        issues = check_mirrors(system, name)
-    elif scheme == "raid5":
-        issues = check_parity(system, name)
-    elif scheme == "hybrid":
-        issues = check_parity(system, name) \
-            + check_overflow_mirrors(system, name)
-    else:
+    if scheme not in INVARIANTS:
         raise ConfigError(f"unknown scheme {scheme!r}")
+    issues = [issue for _kind, check in INVARIANTS[scheme]
+              for issue in check(system, name)]
     system.env.emit("scrub.done", name, issues)
     return issues

@@ -279,3 +279,28 @@ class TestTrackingEndsWithTheBuffer:
         key = id(payload.data)
         assert (first.bufsan._tracked[key].snapshot
                 is second.bufsan._tracked[key].snapshot)
+
+    def test_a_death_during_the_fan_out_snapshot_is_survived(
+            self, sanitizer, monkeypatch):
+        # A collection inside the snapshot of the open sanitizers can run
+        # a dying one's callback, which shrinks the registry mid-iteration.
+        from repro.sim import Environment
+
+        dying, survivor = Environment(), Environment()
+        victim = id(dying.bufsan)
+
+        class DiesMidSnapshot(dict):
+            died = False
+
+            def values(self):
+                for ref in super().values():
+                    if not self.died:
+                        self.died = True
+                        self.pop(victim)
+                    yield ref
+
+        monkeypatch.setattr(bufsan, "_OPEN",
+                            DiesMidSnapshot(bufsan._OPEN))
+        payload = Payload.pattern(2048, seed=1)
+        assert survivor.bufsan.bytes_fingerprinted == payload.length
+        assert dying.bufsan.bytes_fingerprinted == 0

@@ -5,6 +5,7 @@ import pytest
 from repro import CSARConfig, Payload, System
 from repro.errors import ProtocolError, ReproError, ServerFailed
 from repro.pvfs import messages as msg
+from repro.pvfs.client import PVFSClient
 from repro.units import KiB
 
 
@@ -67,6 +68,16 @@ class TestClientPlumbing:
         xids = {a.next_xid() for _ in range(100)}
         xids |= {b.next_xid() for _ in range(100)}
         assert len(xids) == 200
+
+    @pytest.mark.parametrize("kind, retried", [
+        (msg.ReadReq, True), (msg.WriteReq, True),
+        (msg.MirrorResolveReq, True), (msg.FsyncReq, True),
+        # A duplicate would queue a second lock acquisition, release a
+        # lock twice, or allocate a second overflow slot.
+        (msg.ParityReadReq, False), (msg.ParityWriteReq, False),
+        (msg.OverflowWriteReq, False)])
+    def test_only_idempotent_requests_are_retried(self, kind, retried):
+        assert PVFSClient._idempotent(kind("f")) is retried
 
     def test_try_parallel_collects_mixed_outcomes(self):
         system = make_system()

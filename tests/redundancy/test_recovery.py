@@ -3,11 +3,11 @@
 import pytest
 
 from repro import CSARConfig, Payload, System
-from repro.errors import ConfigError, ServerFailed
+from repro.errors import ConfigError, DataLoss, ServerFailed
 from repro.redundancy import scrub
 from repro.redundancy.recovery import rebuild_server
 from repro.redundancy.reclaim import background_reclaimer, reclaim_file
-from repro.units import KiB
+from repro.units import KiB, MiB
 
 UNIT = 4 * KiB
 
@@ -93,6 +93,39 @@ class TestRebuild:
         system.fail_server(3)
         system.run(rebuild_server(system, 3))
         assert system.env.now > t0
+
+    @pytest.mark.parametrize("delay", [0.001, 0.01, 0.05])
+    def test_a_rebuild_that_raises_leaves_the_server_failed(self, delay):
+        # A second failure mid-rebuild aborts it.  The half-built server
+        # must not come back live: its wiped disk would answer reads of
+        # its blocks with wrong bytes and no error.
+        system = make_system("raid5", servers=4)
+        lay = system.layout
+        client = system.client()
+        size = 4 * MiB
+
+        def setup():
+            yield from client.create("f")
+            yield from client.write("f", 0, Payload.pattern(size, seed=5))
+
+        system.run(setup())
+        system.fail_server(0)
+
+        def second_failure():
+            yield system.env.timeout(delay)
+            system.fail_server(2)
+
+        with pytest.raises(ServerFailed):
+            system.run(rebuild_server(system, 0), second_failure())
+        assert system.iods[0].failed
+        blocks = [b for b in range(size // UNIT)
+                  if lay.server_of_block(b) == 0][:16]
+        for block in blocks:
+            def read(block=block):
+                yield from client.read("f", block * UNIT, UNIT)
+
+            with pytest.raises((ServerFailed, DataLoss)):
+                system.run(read())
 
 
 class TestReclaimer:

@@ -271,6 +271,69 @@ class TestConcurrency:
         for k in range(4):
             assert read_file(system, "f", k * region, region) == payloads[k]
 
+    def _overlapping_writers(self, system, rounds=4):
+        """Two clients repeatedly rewrite the SAME partial-stripe range."""
+        span = system.layout.group_span
+        write_file(system, "f", [(0, Payload.pattern(2 * span, seed=0))])
+
+        def writer(k):
+            c = system.client(k)
+            yield from c.open("f")
+            for i in range(rounds):
+                yield from c.write("f", UNIT // 2,
+                                   Payload.pattern(UNIT, seed=10 * k + i))
+
+        system.run(*[writer(k) for k in range(2)])
+
+    @pytest.mark.paritysan_expected
+    def test_overlapping_writers_corrupt_raid5_parity(self):
+        # The gap Section 5.1 acknowledges: CSAR, like PVFS, leaves
+        # overlapping concurrent writes undefined, and RAID5 parity can
+        # go inconsistent under them.
+        system = make_system("raid5", clients=2)
+        self._overlapping_writers(system)
+        assert scrub.check_parity(system, "f") != []
+
+    def test_single_writer_reads_back_and_scrubs_clean(self):
+        system = make_system("raid5")
+        data = Payload.pattern(3 * system.layout.group_span + 77, seed=42)
+        write_file(system, "f", [(13, data)])
+        assert read_file(system, "f", 13, data.length) == data
+        assert scrub.scrub(system, "f") == []
+
+    def test_disjoint_writers_across_groups_scrub_clean(self):
+        system = make_system("hybrid", clients=4)
+        region = system.layout.group_span + 99
+        payloads = [Payload.pattern(region, seed=k) for k in range(4)]
+
+        def creator():
+            yield from system.client(0).create("f")
+
+        def writer(k):
+            c = system.client(k)
+            yield from c.open("f")
+            yield from c.write("f", k * region, payloads[k])
+
+        system.run(creator())
+        system.run(*[writer(k) for k in range(4)])
+        for k in range(4):
+            assert read_file(system, "f", k * region, region) == payloads[k]
+        assert scrub.scrub(system, "f") == []
+
+    def test_degraded_partial_write_releases_every_lock(self):
+        # Locks live on parity servers; a failed *data* server degrades
+        # the read-modify-writes but every lock still cycles.
+        system = make_system("raid5")
+        span = system.layout.group_span
+        write_file(system, "f", [(0, Payload.pattern(2 * span, seed=1))])
+        system.fail_server(0)
+        patch = Payload.pattern(span + 500, seed=2)
+        write_file(system, "f", [(UNIT, patch)])
+        assert system.metrics.get("client.degraded_writes") > 0
+        assert read_file(system, "f", UNIT, patch.length) == patch
+        for iod in system.iods:
+            assert not iod.locks._held
+
 
 class TestDegradedReads:
     @pytest.mark.parametrize("scheme", REDUNDANT)

@@ -128,8 +128,6 @@ OWNED = {
     "repro.pvfs.iod:IOD._truncate_overflow": item("12(c)"),
     "repro.redundancy.reclaim:background_reclaimer": item("12(c)"),
     "repro.storage.blockfile:BlockFile.punch_hole": item("12(c)"),
-    # Item 13: the Section 5.1 strict-locking flag has no claim yet.
-    "repro.redundancy.base:RedundancyScheme._strict_write": item("13"),
     # Public API that tests and library users call (item 13 names most).
     "repro.faults.injector:installed": PUBLIC,
     "repro.hw.cache:PageCache.cached_extents": PUBLIC,

@@ -14,7 +14,7 @@ The scenarios cover what the benchmark's heaviest workload leans on:
 extent-mode BTIO (stream pipeline, page cache, disk, parity locks), bare
 ``stream`` flows contending for a NIC and a CPU in both ``cpu_at``
 directions plus a loopback, and a content-mode small-write mix under
-every scheme, with and without strict locking.
+every scheme.
 """
 
 from __future__ import annotations
@@ -160,12 +160,11 @@ def stream_flows() -> dict:
         return report
 
 
-def smallwrite_mix(scheme: str, strict: bool = False) -> dict:
+def smallwrite_mix(scheme: str) -> dict:
     """200 partial-stripe ops (4 in 5 writes) from three clients, real
     bytes.  Each client keeps to its own third of four stripes (CSAR
     leaves overlapping concurrent writes undefined); the thirds are not
-    stripe-aligned, so neighbours contend for the boundary parity groups.
-    ``strict`` turns on Section 5.1's whole-write group locking."""
+    stripe-aligned, so neighbours contend for the boundary parity groups."""
     clients, ops = 3, 200
     unit = 16 * KiB
     total = 4 * 5 * unit
@@ -179,8 +178,7 @@ def smallwrite_mix(scheme: str, strict: bool = False) -> dict:
                         k * region + rng.randrange(region - size), size, i))
     with DispatchDigest() as digest:
         system = System(CSARConfig(scheme=scheme, num_servers=6,
-                                   num_clients=clients, stripe_unit=unit,
-                                   strict_locking=strict))
+                                   num_clients=clients, stripe_unit=unit))
 
         def populate():
             yield from system.client(0).create("mix")
@@ -215,8 +213,6 @@ SCENARIOS = {
     "smallwrite-mix-raid1": lambda: smallwrite_mix("raid1"),
     "smallwrite-mix-raid5": lambda: smallwrite_mix("raid5"),
     "smallwrite-mix-hybrid": lambda: smallwrite_mix("hybrid"),
-    "smallwrite-mix-raid5-strict": lambda: smallwrite_mix("raid5", True),
-    "smallwrite-mix-hybrid-strict": lambda: smallwrite_mix("hybrid", True),
 }
 
 
