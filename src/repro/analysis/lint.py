@@ -916,6 +916,21 @@ def apply_baseline(findings: List[Finding],
     return new, len(findings) - len(new)
 
 
+def stale_entries(findings: List[Finding],
+                  entries: Set[Tuple[str, str, str]],
+                  paths: List[str]) -> List[Tuple[str, str, str]]:
+    """The baseline entries under the linted ``paths`` that match no
+    finding: a fixed finding's entry, which would otherwise hide the
+    next finding with the same key.  Entries for files outside
+    ``paths`` are not judged."""
+    roots = [os.path.abspath(p) for p in paths]
+    keys = {baseline_key(f) for f in findings}
+    return sorted(
+        entry for entry in entries if entry not in keys
+        and any(os.path.commonpath([root, os.path.abspath(entry[0])])
+                == root for root in roots))
+
+
 def baseline_from_pyproject(root: str = ".") -> Optional[str]:
     """The ``[tool.csar-lint] baseline`` path, if configured (resolved
     relative to ``root``)."""

@@ -20,6 +20,7 @@
     csar-repro explore --replay out/race-lock-order.sched
     csar-repro chaos --seeds 0:8 --plan-dir out/chaos
     csar-repro chaos --replay out/chaos/seed3-raid5.json
+    csar-repro explore --replay out/chaos/seed3-raid5.json
     csar-repro chaos --smoke
     csar-repro chaos --matrix
 """
@@ -109,164 +110,172 @@ def _cmd_run(ids: List[str], scale: Optional[float],
     return status
 
 
-def _cmd_explore(scenario: Optional[str], strategy: str, budget: int,
-                 depth: int, seed: int, smoke: bool,
-                 sched_dir: Optional[str], replay_path: Optional[str],
-                 list_scenarios: bool,
-                 witness_path: Optional[str] = None) -> int:
-    from repro.analysis import explore
+def _cmd_replay(path: str) -> int:
+    """``chaos --replay`` and ``explore --replay``: one replay file."""
+    from repro.faults import campaign
 
-    if list_scenarios:
-        width = max(len(name) for name in explore.SCENARIOS)
-        for name in sorted(explore.SCENARIOS):
-            scen = explore.SCENARIOS[name]
-            tag = " [seeded bug]" if scen.seeded_bug else ""
-            print(f"{name.ljust(width)}  {scen.description}{tag}")
-        return 0
-
-    if replay_path is not None:
-        if _missing("schedule file", [replay_path]):
-            return 2
-        record = explore.load_schedule(replay_path)
-        reproduced, violation = explore.replay(record)
-        if reproduced:
-            print(f"replayed {record.scenario}: reproduced "
-                  f"{violation.format()}")
-            return 0
-        got = violation.format() if violation is not None else "clean run"
-        print(f"replay of {record.scenario} did NOT reproduce "
-              f"{record.violation.format()}; got: {got}", file=sys.stderr)
-        return 1
-
-    if smoke:
-        try:
-            results = explore.explore_smoke(budget=budget, depth=depth,
-                                            sched_dir=sched_dir,
-                                            witness_path=witness_path)
-        except AssertionError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
-        for result in results:
-            print(f"{result.scenario}: caught "
-                  f"{result.record.violation.format()} after "
-                  f"{result.schedules} schedule(s); replay deterministic")
-        if witness_path is not None:
-            print(f"wrote lock-order witnesses to {witness_path}")
-        return 0
-
-    if scenario is None:
-        print("error: give a scenario name, --smoke, --replay, or --list",
-              file=sys.stderr)
+    if _missing("replay file", [path]):
         return 2
-    explore.drain_witnesses()
-    try:
-        result = explore.explore(scenario, strategy=strategy, budget=budget,
-                                 depth=depth, seed=seed)
-    except KeyError as err:
-        print(f"error: {err.args[0]}", file=sys.stderr)
-        return 2
-    if witness_path is not None:
-        from repro.analysis import lint
-
-        lint.save_witnesses(explore.drain_witnesses(), witness_path)
-        print(f"wrote lock-order witnesses to {witness_path}")
-    if not result.found:
-        print(f"{scenario}: no violation in {result.schedules} "
-              f"schedule(s) ({strategy})")
+    reproduced, outcome, recording = campaign.replay(path)
+    got = f"{outcome.format()}: {outcome.failure or 'clean run'}"
+    if reproduced:
+        print(f"replayed {path}: reproduced — {got}")
         return 0
-    print(f"{scenario}: violation after {result.schedules} schedule(s) "
-          f"({strategy}): {result.record.violation.format()}")
-    if sched_dir is not None:
-        os.makedirs(sched_dir, exist_ok=True)
-        path = os.path.join(sched_dir, f"{scenario}.sched")
-        explore.save_schedule(result.record, path)
-        print(f"wrote {path}")
+    kind = (recording.get("failure") or {}).get("kind")
+    why = (f"drifted: {outcome.drifted} forced tie pick(s) out of range "
+           f"were clamped" if outcome.drifted else
+           f"did NOT reproduce the recorded outcome [{kind}]")
+    print(f"replay of {path} {why}; got: {got}", file=sys.stderr)
     return 1
 
 
-def _cmd_chaos(seeds: List[int], schemes: List[str], num_ops: int,
-               plan_dir: Optional[str], replay_path: Optional[str],
-               smoke: bool, matrix: bool) -> int:
-    from repro.faults import runner
+def _cmd_explore(scenario: Optional[str], strategy: str, budget: int,
+                 depth: int, seed: int, smoke: bool,
+                 sched_dir: Optional[str], list_scenarios: bool,
+                 witness_path: Optional[str] = None) -> int:
+    from repro.analysis import explore, lint
+    from repro.faults import campaign
 
-    if replay_path is not None:
-        if _missing("fault plan file", [replay_path]):
-            return 2
-        reproduced, result = runner.replay(replay_path)
-        if reproduced:
-            print(f"replayed {replay_path}: reproduced — {result.format()}")
-            return 0
-        print(f"replay of {replay_path} did NOT reproduce the recorded "
-              f"outcome; got: {result.format()}", file=sys.stderr)
-        return 1
+    if list_scenarios:
+        width = max(len(name) for name in explore.SCENARIOS)
+        for name, scen in sorted(explore.SCENARIOS.items()):
+            tag = " [seeded bug]" if scen.seeded_bug else ""
+            print(f"{name.ljust(width)}  {scen.description}{tag}")
+        return 0
+    if smoke:
+        try:
+            found = explore.explore_smoke(budget, depth, sched_dir)
+        except AssertionError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+        for name, schedules, outcome in found:
+            print(f"{name}: caught [{outcome.failure_kind}] "
+                  f"{outcome.failure} after {schedules} schedule(s); "
+                  f"replay deterministic")
+    elif scenario not in explore.SCENARIOS:
+        print(f"error: unknown scenario {scenario!r}; give one of "
+              f"{', '.join(sorted(explore.SCENARIOS))}, --smoke, "
+              f"--replay, or --list", file=sys.stderr)
+        return 2
+    else:
+        schedules, outcome = explore.explore(scenario, strategy, budget,
+                                             depth, seed)
+        found = [(scenario, schedules, outcome)] if outcome else []
+        print(f"{scenario}: " + (
+            f"violation after {schedules} schedule(s) ({strategy}): "
+            f"[{outcome.failure_kind}] {outcome.failure}" if outcome else
+            f"no violation in {schedules} schedule(s) ({strategy})"))
+        if outcome and sched_dir is not None:
+            os.makedirs(sched_dir, exist_ok=True)
+            path = os.path.join(sched_dir, f"{scenario}.sched")
+            campaign.save(path, outcome, scenario=scenario)
+            print(f"wrote {path}")
+    if witness_path is not None:
+        lint.save_witnesses([w for _name, _n, outcome in found
+                             for w in outcome.witnesses], witness_path)
+        print(f"wrote lock-order witnesses to {witness_path}")
+    return 1 if found and not smoke else 0
+
+
+def _cmd_chaos(seeds: List[int], schemes: List[str], num_ops: int,
+               plan_dir: Optional[str], smoke: bool, matrix: bool) -> int:
+    from repro.faults import runner
+    from repro.faults.matrix import crash_matrix, run_cell
+    from repro.faults.plan import STEP_NAMES
 
     if matrix:
-        from repro.faults.matrix import crash_matrix
-        from repro.faults.plan import STEP_NAMES
-
-        status = 0
-        reached = set()
+        bad, reached = [], set()
         for scheme in ("raid5", "hybrid"):
             cells = crash_matrix(scheme)
-            reached.update(c.step for c in cells)
-            bad = [c for c in cells if not c.ok]
+            reached.update(step for step, *_rest in cells)
+            bad += [(scheme, *cell) for cell in cells if not cell[3].ok]
             print(f"{scheme}: {len(cells)} crash cells, "
-                  f"{len(bad)} violating")
-            for cell in bad:
-                print(f"  {cell.format()}", file=sys.stderr)
-                status = 1
+                  f"{sum(b[0] == scheme for b in bad)} violating")
+        for scheme, step, nth, victim, outcome in bad:
+            print(f"  {scheme} {step}#{nth} victim={victim}: "
+                  f"{outcome.format()}: {outcome.failure}", file=sys.stderr)
         for step in sorted(STEP_NAMES - reached):
             print(f"error: no scheme reaches step {step}", file=sys.stderr)
-            status = 1
-        return status
-
+        return 1 if bad or STEP_NAMES - reached else 0
     if smoke:
-        # Verify the verifier: the seeded mid-RMW bug must be caught by
-        # the crash matrix, the real scheme must pass the same cell, and
-        # a chaos run must be digest-deterministic.
+        # Verify the verifier: the real scheme passes the cell that
+        # convicts the seeded mid-RMW bug by the acked-byte oracle alone,
+        # and a chaos run is digest-deterministic.
         from repro.analysis.seeded_bugs import CompensatingWritebackRaid5
-        from repro.faults.matrix import run_cell
 
-        cell = run_cell("raid5", "raid5.rmw.before_writeback", 1, 0)
-        if not cell.ok:
-            print(f"error: real raid5 failed the matrix: {cell.format()}",
-                  file=sys.stderr)
+        cell = ("raid5", "raid5.rmw.before_writeback", 1, 0)
+        real = run_cell(*cell)
+        buggy = run_cell(*cell, make_scheme=CompensatingWritebackRaid5)
+        if not real.ok or buggy.failure_kind != "differential":
+            print(f"error: the crash matrix must pass raid5 ({real.format()})"
+                  f" and convict CompensatingWritebackRaid5 by the oracle "
+                  f"({buggy.format()})", file=sys.stderr)
             return 1
-        cell = run_cell("raid5", "raid5.rmw.before_writeback", 1, 0,
-                        make_scheme=CompensatingWritebackRaid5)
-        if cell.ok:
-            print("error: the crash matrix did not catch "
-                  "CompensatingWritebackRaid5", file=sys.stderr)
-            return 1
-        print(f"seeded bug caught: {cell.format()}")
-        first = runner.run_chaos(seeds[0], "raid5", num_ops=num_ops)
-        again = runner.run_chaos(seeds[0], "raid5", num_ops=num_ops)
+        print(f"seeded bug caught: raid5 {cell[1]}#{cell[2]} "
+              f"victim={cell[3]}: "
+              f"{buggy.format()}: {buggy.failure}")
+        first, again = (runner.run_chaos(seeds[0], "raid5", num_ops=num_ops)
+                        for _ in range(2))
         if first.digest != again.digest:
             print("error: chaos run is not deterministic", file=sys.stderr)
             return 1
         print(f"chaos determinism: seed {seeds[0]} raid5 digest "
               f"{first.digest[:12]} reproduces")
         return 0
-
-    results = runner.run_campaign(seeds, schemes, num_ops=num_ops,
-                                  plan_dir=plan_dir)
-    status = 0
-    for result in results:
-        print(result.format())
-        if not result.ok:
-            status = 1
-    if status and plan_dir is not None:
+    outcomes = runner.run_campaign(seeds, schemes, num_ops=num_ops,
+                                   plan_dir=plan_dir)
+    labels = [f"seed {seed} {scheme}" for seed in seeds for scheme in schemes]
+    for label, outcome in zip(labels, outcomes):
+        print(f"{label}: {outcome.format()}")
+    failed = not all(outcome.ok for outcome in outcomes)
+    if failed and plan_dir is not None:
         print(f"failing plans written to {plan_dir}", file=sys.stderr)
-    return status
+    return int(failed)
 
 
-def _parse_seeds(seed: int, seeds: Optional[str]) -> List[int]:
-    if seeds is None:
-        return [seed]
-    if ":" in seeds:
-        lo, hi = seeds.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(s) for s in seeds.split(",") if s]
+def _seed_set(text: str) -> List[int]:
+    """The argparse type of ``--seeds``: ``LO:HI`` (half-open, LO < HI)
+    or a comma list of seeds, never empty."""
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = [int(s) for s in text.split(",") if s]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(
+            f"must be LO:HI with LO < HI or a comma list of integers, "
+            f"not {text!r}")
+    return seeds
+
+
+def _scheme_list(text: str) -> List[str]:
+    """The argparse type of ``chaos --schemes``: known schemes, comma
+    separated."""
+    from repro.faults.runner import CHAOS_SCHEMES
+
+    schemes = [s for s in text.split(",") if s]
+    unknown = sorted(set(schemes) - set(CHAOS_SCHEMES))
+    if not schemes or unknown:
+        raise argparse.ArgumentTypeError(
+            f"must be a comma list of {', '.join(CHAOS_SCHEMES)}, "
+            f"not {text!r}")
+    return schemes
+
+
+def _positive_int(text: str) -> int:
+    """The argparse type of ``--ops`` and ``--budget``: an integer above
+    zero."""
+    try:
+        value = int(text)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be an integer greater than 0, not {text!r}")
 
 
 def _cmd_lint(paths: List[str], fmt: str, list_rules: bool,
@@ -310,9 +319,11 @@ def _cmd_lint(paths: List[str], fmt: str, list_rules: bool,
         configured = lint.baseline_from_pyproject()
         if configured is not None and os.path.exists(configured):
             baseline_path = configured
+    stale = []
     if baseline_path is not None:
-        findings, suppressed = lint.apply_baseline(
-            findings, lint.load_baseline(baseline_path))
+        entries = lint.load_baseline(baseline_path)
+        stale = lint.stale_entries(findings, entries, paths)
+        findings, suppressed = lint.apply_baseline(findings, entries)
     if fmt == "json":
         print(lint.format_json(findings))
     elif fmt == "sarif":
@@ -323,7 +334,10 @@ def _cmd_lint(paths: List[str], fmt: str, list_rules: bool,
         if suppressed:
             print(f"{suppressed} baselined finding"
                   f"{'s' if suppressed != 1 else ''} suppressed")
-    return 1 if findings else 0
+    for path, code, message in stale:
+        print(f"{path}: {code} stale baseline entry, matches no finding: "
+              f"{message}", file=sys.stderr)
+    return 1 if findings or stale else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -374,7 +388,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                            default="dfs",
                            help="dfs = bounded systematic, pct = seeded "
                                 "randomized (default: dfs)")
-    explore_p.add_argument("--budget", type=int, default=64,
+    explore_p.add_argument("--budget", type=_positive_int, default=64,
                            help="max schedules to execute (default 64)")
     explore_p.add_argument("--depth", type=int, default=12,
                            help="dfs: max decision points branched on "
@@ -390,8 +404,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 "files into this directory")
     explore_p.add_argument("--replay", default=None, dest="replay_path",
                            metavar="FILE",
-                           help="re-run a saved .sched file and verify "
-                                "the violation reproduces")
+                           help="re-run a saved replay file (.sched or "
+                                "fault plan) and verify the recorded "
+                                "outcome reproduces")
     explore_p.add_argument("--list", action="store_true",
                            dest="list_scenarios",
                            help="print every registered scenario and exit")
@@ -405,22 +420,24 @@ def main(argv: Optional[List[str]] = None) -> int:
                       "with a differential oracle (see docs/FAULTS.md)")
     chaos_p.add_argument("--seed", type=int, default=0,
                          help="single campaign seed (default 0)")
-    chaos_p.add_argument("--seeds", default=None,
+    chaos_p.add_argument("--seeds", type=_seed_set, default=None,
                          help="seed set: 'LO:HI' (half-open range) or a "
                               "comma list; overrides --seed")
-    chaos_p.add_argument("--schemes", default=",".join(
-                             ("raid0", "raid1", "raid5", "hybrid")),
+    chaos_p.add_argument("--schemes", type=_scheme_list,
+                         default="raid0,raid1,raid5,hybrid",
                          help="comma list of schemes to sweep "
                               "(default: all four)")
-    chaos_p.add_argument("--ops", type=int, default=10, dest="num_ops",
+    chaos_p.add_argument("--ops", type=_positive_int, default=10,
+                         dest="num_ops",
                          help="workload operations per run (default 10)")
     chaos_p.add_argument("--plan-dir", default=None,
                          help="write each failing run's fault plan as "
                               "replayable JSON into this directory")
     chaos_p.add_argument("--replay", default=None, dest="replay_path",
                          metavar="FILE",
-                         help="re-run a saved fault plan and verify the "
-                              "recorded outcome reproduces")
+                         help="re-run a saved replay file (fault plan "
+                              "or .sched) and verify the recorded outcome "
+                              "reproduces")
     chaos_p.add_argument("--smoke", action="store_true",
                          help="verify the verifier: the seeded mid-RMW "
                               "bug is caught and runs are deterministic "
@@ -441,9 +458,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     lint_p.add_argument("--baseline", default=None, dest="baseline_path",
                         metavar="FILE",
                         help="suppress findings recorded in this baseline "
-                             "file; only new findings fail the run "
-                             "(default: [tool.csar-lint] baseline from "
-                             "pyproject.toml, when the file exists)")
+                             "file; new findings, and entries under the "
+                             "linted paths that match no finding, fail "
+                             "the run (default: [tool.csar-lint] baseline "
+                             "from pyproject.toml, when the file exists)")
     lint_p.add_argument("--write-baseline", default=None,
                         dest="write_baseline_path", metavar="FILE",
                         help="record every current finding into FILE and "
@@ -470,16 +488,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_lint(args.paths, args.fmt, args.list_rules,
                          args.baseline_path,
                          args.write_baseline_path, args.witness_path)
+    if args.command in ("chaos", "explore") and args.replay_path:
+        return _cmd_replay(args.replay_path)
     if args.command == "chaos":
-        return _cmd_chaos(_parse_seeds(args.seed, args.seeds),
-                          [s for s in args.schemes.split(",") if s],
-                          args.num_ops, args.plan_dir, args.replay_path,
-                          args.smoke, args.matrix)
+        return _cmd_chaos(args.seeds or [args.seed], args.schemes,
+                          args.num_ops, args.plan_dir, args.smoke,
+                          args.matrix)
     if args.command == "explore":
         return _cmd_explore(args.scenario, args.strategy, args.budget,
                             args.depth, args.seed, args.smoke,
-                            args.sched_dir, args.replay_path,
-                            args.list_scenarios, args.witness_path)
+                            args.sched_dir, args.list_scenarios,
+                            args.witness_path)
     return _cmd_run(args.ids, args.scale, args.csv_dir, args.sanitize)
 
 

@@ -1,14 +1,10 @@
 """Deterministic fault injection for the CSAR reproduction.
 
-The package has three layers:
-
 * :mod:`repro.faults.plan` — declarative, JSON-serializable **fault
   plans**: what to break (server crash, transient crash-with-restart,
   message drop/delay/duplication, slow/erroring disk, torn block
   write) and when (a sim time, an op ordinal, or a named protocol
-  step).  Plans are sampled seed-deterministically and round-trip
-  through the same ``schema_version``-guarded JSON convention as the
-  explorer's ``.sched`` files.
+  step), sampled seed-deterministically.
 * :mod:`repro.faults.injector` — the runtime that arms a plan inside a
   simulation.  It is installed through the engine's ambient registry
   (:func:`repro.sim.engine.attach`) and subscribes itself to the
@@ -16,10 +12,14 @@ The package has three layers:
   into imports this package; the three places where a fault is a
   decision (``hw.link``, ``hw.disk``, ``storage.localfs``) query
   ``env.faults`` and cost one ``None``-check when no plan is armed.
-* :mod:`repro.faults.runner` — the chaos campaign behind
-  ``csar-repro chaos``: samples plans, runs content-mode workloads
-  under all three sanitizers, and checks the differential oracle plus
-  the durability invariant.
+* :mod:`repro.faults.campaign` — the engine: runs a workload under a
+  fault plan and/or a tie order with all three sanitizers, judges it in
+  one attribution order against one acked-byte oracle, and saves and
+  replays the one replay file.
+* :mod:`repro.faults.runner` and :mod:`repro.faults.matrix` — its fault
+  campaigns behind ``csar-repro chaos`` and ``chaos --matrix``: sampled
+  plans over a seeded op stream, and a crash at every protocol step ×
+  victim server.
 """
 
 from repro.faults.plan import (
@@ -28,7 +28,6 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
     Trigger,
-    load_plan,
     sample_plan,
 )
 from repro.faults.injector import FaultInjector, install, uninstall
@@ -42,6 +41,5 @@ __all__ = [
     "FaultInjector",
     "install",
     "uninstall",
-    "load_plan",
     "sample_plan",
 ]

@@ -2,9 +2,9 @@
 
 A :class:`FaultPlan` is a list of :class:`FaultSpec` entries, each a
 fault *kind* plus a :class:`Trigger` saying when it fires.  Plans are
-pure data: they serialize to JSON (``schema_version``-guarded, the same
-convention as the explorer's ``.sched`` files) so a failing chaos run
-can be replayed bit-for-bit with ``csar-repro chaos --replay``.
+pure data: their ``schema_version``-guarded JSON is the head of a replay
+file (:func:`repro.faults.campaign.save`), so a failing chaos run
+replays bit-for-bit with ``csar-repro chaos --replay``.
 
 Fault kinds
 -----------
@@ -40,7 +40,6 @@ Triggers
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from random import Random
 from typing import Iterable, Optional, Sequence
@@ -215,11 +214,6 @@ class FaultPlan:
             "faults": [spec.to_json() for spec in self.faults],
         }
 
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
     @classmethod
     def from_json(cls, data: dict) -> "FaultPlan":
         version = data.get("schema_version")
@@ -237,11 +231,6 @@ class FaultPlan:
         )
         plan.validate()
         return plan
-
-
-def load_plan(path: str) -> FaultPlan:
-    with open(path, "r", encoding="utf-8") as handle:
-        return FaultPlan.from_json(json.load(handle))
 
 
 # ---------------------------------------------------------------------------

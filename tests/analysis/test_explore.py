@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro.analysis import explore
+from repro.faults import campaign
+from repro.faults.plan import PLAN_SCHEMA_VERSION
 from repro.sim import engine
 from repro.sim.engine import Environment
 
@@ -91,116 +93,120 @@ class TestExploration:
         # The default schedule is clean …
         explore.SCENARIOS["race-lock-order"].run()
         # … but DFS flips the marker-race tie and hits the deadlock.
-        result = explore.explore("race-lock-order", budget=32, depth=8)
-        assert result.found
-        assert result.schedules > 1  # not the default schedule
-        assert result.record.violation.kind == "SimulationError"
+        schedules, outcome = explore.explore("race-lock-order", budget=32,
+                                             depth=8)
+        assert outcome is not None
+        assert schedules > 1  # not the default schedule
+        assert outcome.failure_kind == "exception:SimulationError"
 
     def test_clean_scenario_stays_clean(self):
-        result = explore.explore("lock-ties", budget=10, depth=6)
-        assert not result.found
+        schedules, outcome = explore.explore("lock-ties", budget=10,
+                                             depth=6)
+        assert outcome is None
         # Budget is an upper bound; DFS may exhaust the tree first.
-        assert 1 <= result.schedules <= 10
+        assert 1 <= schedules <= 10
 
     def test_pct_is_reproducible_per_seed(self):
         a = explore.explore("race-lock-order", strategy="pct", budget=32,
                             seed=7)
         b = explore.explore("race-lock-order", strategy="pct", budget=32,
                             seed=7)
-        assert a.found == b.found
-        assert a.schedules == b.schedules
-        if a.found:
-            assert a.record.decisions == b.record.decisions
+        assert a[0] == b[0]
+        assert (a[1] is None) == (b[1] is None)
+        if a[1] is not None:
+            assert a[1].decisions == b[1].decisions
+            assert a[1].digest == b[1].digest
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
             explore.explore("no-such-scenario")
 
 
+def caught(name):
+    """The violating outcome of a seeded-bug scenario."""
+    _schedules, outcome = explore.explore(name, budget=16)
+    assert outcome is not None, f"{name} not caught"
+    return outcome
+
+
 class TestSeededBugs:
     def test_lock_leak_caught_within_smoke_budget(self):
-        result = explore.explore("buggy-lock-leak", budget=16)
-        assert result.found
-        assert "deadlock" in result.record.violation.description
+        assert "deadlock" in caught("buggy-lock-leak").failure
 
     def test_overflow_inplace_caught_by_paritysan(self):
-        result = explore.explore("buggy-overflow-inplace", budget=16)
-        assert result.found
-        assert result.record.violation.kind == "paritysan:parity"
-        assert "parity mismatch" in result.record.violation.description
+        outcome = caught("buggy-overflow-inplace")
+        assert outcome.failure_kind == "paritysan:parity"
+        assert "parity mismatch" in outcome.failure
 
     def test_helper_release_leak_caught_within_smoke_budget(self):
-        result = explore.explore("buggy-helper-release-leak", budget=16)
-        assert result.found
-        assert "deadlock" in result.record.violation.description
+        assert "deadlock" in caught("buggy-helper-release-leak").failure
 
     def test_lock_order_caught_by_locksan(self):
-        explore.drain_witnesses()
-        result = explore.explore("buggy-lock-order", budget=16)
-        assert result.found
-        assert result.record.violation.kind == "locksan:order-inversion"
-        # The inversion also lands in the witness stream CSAR011 reads.
-        witnesses = explore.drain_witnesses()
-        assert {"file": "f", "group": 0, "held_group": 1} in witnesses
+        outcome = caught("buggy-lock-order")
+        assert outcome.failure_kind == "locksan:order-inversion"
+        # The inversion is also the witness CSAR011 reads.
+        assert outcome.witnesses == [{"file": "f", "group": 0,
+                                      "held_group": 1}]
 
     def test_thawed_view_caught_by_bufsan(self):
-        result = explore.explore("buggy-thawed-view", budget=16)
-        assert result.found
-        assert result.record.violation.kind == "bufsan:fingerprint-drift"
-        assert "changed" in result.record.violation.description
+        outcome = caught("buggy-thawed-view")
+        assert outcome.failure_kind == "bufsan:fingerprint-drift"
+        assert "changed" in outcome.failure
 
     def test_scratch_leak_caught_by_bufsan(self):
-        result = explore.explore("buggy-scratch-leak", budget=16)
-        assert result.found
-        assert result.record.violation.kind == "bufsan:fingerprint-drift"
+        outcome = caught("buggy-scratch-leak")
+        assert outcome.failure_kind == "bufsan:fingerprint-drift"
 
     def test_smoke_passes_and_replays(self, tmp_path):
-        witness_path = str(tmp_path / "witnesses.json")
         results = explore.explore_smoke(budget=32,
-                                        sched_dir=str(tmp_path / "sched"),
-                                        witness_path=witness_path)
-        assert {r.scenario for r in results} \
-            == {"buggy-lock-leak", "buggy-helper-release-leak",
+                                        sched_dir=str(tmp_path / "sched"))
+        assert [name for name, _n, _o in results] \
+            == ["buggy-lock-leak", "buggy-helper-release-leak",
                 "buggy-lock-order", "buggy-overflow-inplace",
-                "buggy-thawed-view", "buggy-scratch-leak"}
-        assert all(r.found for r in results)
+                "buggy-thawed-view", "buggy-scratch-leak"]
+        assert all(not outcome.ok for _name, _n, outcome in results)
         assert sorted(p.name for p in (tmp_path / "sched").iterdir()) \
             == ["buggy-helper-release-leak.sched", "buggy-lock-leak.sched",
                 "buggy-lock-order.sched", "buggy-overflow-inplace.sched",
                 "buggy-scratch-leak.sched", "buggy-thawed-view.sched"]
-        from repro.analysis import lint
-        witnesses = lint.load_witnesses(witness_path)
-        assert any(w["held_group"] == 1 and w["group"] == 0
-                   for w in witnesses)
+        # The run and its deterministic replay each witness the inversion.
+        assert [w for _name, _n, outcome in results
+                for w in outcome.witnesses] \
+            == [{"file": "f", "group": 0, "held_group": 1}] * 2
 
 
 class TestSchedFiles:
+    @staticmethod
+    def saved(tmp_path, name, budget=32):
+        _schedules, outcome = explore.explore(name, budget=budget, depth=8)
+        path = str(tmp_path / f"{name}.sched")
+        campaign.save(path, outcome, scenario=name)
+        return path, outcome
+
     def test_round_trip(self, tmp_path):
-        result = explore.explore("race-lock-order", budget=32, depth=8)
-        assert result.found
-        path = str(tmp_path / "race.sched")
-        explore.save_schedule(result.record, path)
-        loaded = explore.load_schedule(path)
-        assert loaded == result.record
+        path, outcome = self.saved(tmp_path, "race-lock-order")
+        loaded = campaign.load(path)
+        assert loaded["scenario"] == "race-lock-order"
+        assert [tuple(d) for d in loaded["decisions"]] \
+            == list(outcome.decisions)
+        assert loaded["failure"] == {"kind": outcome.failure_kind,
+                                     "description": outcome.failure}
+        assert loaded["digest"] == outcome.digest
 
     def test_schema_version_field_present(self, tmp_path):
-        result = explore.explore("buggy-lock-leak", budget=4)
-        path = str(tmp_path / "leak.sched")
-        explore.save_schedule(result.record, path)
+        path, _outcome = self.saved(tmp_path, "buggy-lock-leak", budget=4)
         with open(path) as fh:
             data = json.load(fh)
-        assert data["schema_version"] == explore.SCHED_SCHEMA_VERSION
+        assert data["schema_version"] == PLAN_SCHEMA_VERSION
 
     def test_unsupported_schema_version_rejected(self, tmp_path):
         path = tmp_path / "bad.sched"
         path.write_text(json.dumps({"schema_version": 999}))
         with pytest.raises(ValueError):
-            explore.load_schedule(str(path))
+            campaign.load(str(path))
 
     def test_replay_reproduces_recorded_violation(self, tmp_path):
-        result = explore.explore("race-lock-order", budget=32, depth=8)
-        path = str(tmp_path / "race.sched")
-        explore.save_schedule(result.record, path)
-        reproduced, violation = explore.replay(path)
+        path, outcome = self.saved(tmp_path, "race-lock-order")
+        reproduced, again, _recording = campaign.replay(path)
         assert reproduced
-        assert violation.kind == result.record.violation.kind
+        assert again.digest == outcome.digest

@@ -67,10 +67,10 @@ class TestWitnessCrossReference:
         # as the dynamic witness of a static cycle.  The cycles live in
         # the seeded-bug module, so that file is linted with the
         # witnesses; the src-wide pass must report the same cycles.
-        explore.drain_witnesses()
+        witnesses = []
         for scen in explore.smoke_scenarios():
-            explore.explore(scen.name, budget=16)
-        witnesses = explore.drain_witnesses()
+            _schedules, outcome = explore.explore(scen.name, budget=16)
+            witnesses += outcome.witnesses
         assert witnesses, "seeded-bug suite produced no order-inversions"
         findings = lint.lint_paths([str(SEEDED)], witnesses=witnesses)
         cycles = [f for f in findings if f.code == "CSAR011"]
@@ -217,6 +217,27 @@ class TestCli:
         # one lint, with the pyproject's enable list
         assert lint_src_stub == [lint.enabled_codes_from_pyproject()]
         assert "suppressed" in capsys.readouterr().out
+
+    def test_a_stale_baseline_entry_fails_the_lint(
+            self, capsys, monkeypatch, lint_src_stub, tmp_path):
+        from repro.cli import main
+
+        monkeypatch.chdir(REPO_ROOT)
+        data = json.loads((REPO_ROOT / "tools" / "lint_baseline.json")
+                          .read_text())
+        fixed = {"path": "src/repro/pvfs/iod.py", "code": "CSAR007",
+                 "message": "a finding that was fixed"}
+        outside = {"path": "tests/analysis/fixtures/x.py",
+                   "code": "CSAR001", "message": "not linted here"}
+        data["entries"] += [fixed, outside]
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(data))
+        assert main(["lint", "src", "--baseline", str(baseline)]) == 1
+        out, err = capsys.readouterr()
+        assert "7 baselined findings suppressed" in out
+        assert err.splitlines() == [
+            "src/repro/pvfs/iod.py: CSAR007 stale baseline entry, "
+            "matches no finding: a finding that was fixed"]
 
     def test_write_then_consume_baseline(self, capsys, monkeypatch,
                                          tmp_path):

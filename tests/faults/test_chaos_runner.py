@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from repro.analysis.seeded_bugs import CompensatingWritebackRaid5, inject
+from repro.analysis.seeded_bugs import CompensatingWritebackRaid5
+from repro.faults.campaign import replay, save
 from repro.faults.plan import FaultPlan, FaultSpec, Trigger, sample_plan
-from repro.faults.runner import (CHAOS_SCHEMES, replay, run_campaign,
-                                 run_chaos, run_plan, save_failing_plan)
+from repro.faults.runner import (CHAOS_SCHEMES, run_campaign, run_chaos,
+                                 run_plan)
 
 
 def test_campaign_seeds_survive_their_sampled_faults():
@@ -29,12 +30,12 @@ def test_same_seed_same_plan_same_digest():
 def test_saved_plan_replays_to_the_same_outcome(tmp_path):
     result = run_chaos(3, "hybrid")
     path = tmp_path / "plan.json"
-    save_failing_plan(result, str(path))
+    save(str(path), result)
     # The artifact is a schema-versioned plan plus the expected outcome.
     data = json.loads(path.read_text())
     assert data["schema_version"] == 1
     assert data["digest"] == result.digest
-    reproduced, again = replay(str(path))
+    reproduced, again, _recording = replay(str(path))
     assert reproduced
     assert again.digest == result.digest
 
@@ -42,11 +43,11 @@ def test_saved_plan_replays_to_the_same_outcome(tmp_path):
 def test_replay_detects_a_diverging_recording(tmp_path):
     result = run_chaos(3, "raid1")
     path = tmp_path / "plan.json"
-    save_failing_plan(result, str(path))
+    save(str(path), result)
     data = json.loads(path.read_text())
     data["digest"] = "0" * 64  # doctored recording
     path.write_text(json.dumps(data))
-    reproduced, _again = replay(str(path))
+    reproduced, _again, _recording = replay(str(path))
     assert not reproduced
 
 
@@ -73,8 +74,7 @@ def test_seeded_bug_fails_the_differential_oracle():
     for nth in range(2, 6):
         for victim in range(4):
             plan = mk_plan(nth, victim)
-            buggy = run_plan(plan, inject=lambda system: inject(
-                system, CompensatingWritebackRaid5(system.config)))
+            buggy = run_plan(plan, make_scheme=CompensatingWritebackRaid5)
             if not buggy.ok:
                 convicted = (plan, buggy)
                 break

@@ -46,4 +46,4 @@ def test_the_matrix_covers_every_rmw_and_overflow_step():
 def test_full_matrix_helper_enumerates_all_cells():
     cells = crash_matrix("raid5", victims=(0,))
     assert len(cells) == len(matrix_steps("raid5"))
-    assert all(c.ok for c in cells)
+    assert all(outcome.ok for *_cell, outcome in cells)

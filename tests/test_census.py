@@ -60,8 +60,6 @@ OWNED = {
     "repro.analysis.locksan:LockSan.on_double_release": VIOLATION,
     "repro.analysis.paritysan:ParitySan.on_scrub": VIOLATION,
     "repro.analysis.summaries:LockKey.format": VIOLATION,
-    "repro.faults.plan:FaultPlan.dump": VIOLATION,
-    "repro.faults.runner:save_failing_plan": VIOLATION,
     "repro.hw.node:Node.__repr__": VIOLATION,
     "repro.sim.engine:Event.__repr__": VIOLATION,
     "repro.storage.blockfile:BlockFile.__repr__": VIOLATION,
@@ -71,13 +69,6 @@ OWNED = {
     "repro.util.intervals:Extent.__repr__": VIOLATION,
     "repro.util.intervals:ExtentMap.__repr__": VIOLATION,
     # Commands a person runs; CI runs none of them.
-    "repro.analysis.explore:ForcedTieBreaker.choose": human(
-        "explore --replay"),
-    "repro.analysis.explore:load_schedule": human("explore --replay"),
-    "repro.analysis.explore:RandomTieBreaker.__init__": human(
-        "explore --strategy pct"),
-    "repro.analysis.explore:RandomTieBreaker.choose": human(
-        "explore --strategy pct"),
     "repro.analysis.explore:_scenario_lock_ties": human(
         "explore lock-ties"),
     "repro.analysis.explore:_scenario_lock_ties.<locals>.body": human(
@@ -106,11 +97,18 @@ OWNED = {
         "run --csv-dir"),
     "repro.experiments.report:_change": human("report --diff"),
     "repro.experiments.report:diff_ledgers": human("report --diff"),
+    "repro.cli:_cmd_replay": human("chaos --replay"),
+    "repro.faults.campaign:ForcedTieBreaker.choose": human(
+        "explore --replay"),
+    "repro.faults.campaign:load": human("chaos --replay"),
+    "repro.faults.campaign:replay": human("chaos --replay"),
+    "repro.faults.campaign:RandomTieBreaker.__init__": human(
+        "explore --strategy pct"),
+    "repro.faults.campaign:RandomTieBreaker.choose": human(
+        "explore --strategy pct"),
     "repro.faults.plan:FaultPlan.from_json": human("chaos --replay"),
     "repro.faults.plan:FaultSpec.from_json": human("chaos --replay"),
     "repro.faults.plan:Trigger.from_json": human("chaos --replay"),
-    "repro.faults.plan:load_plan": human("chaos --replay"),
-    "repro.faults.runner:replay": human("chaos --replay"),
     # The chaos workload never misses the page cache, so no injected disk
     # fault reaches a disk (item 4, the boundary of the fault model).
     "repro.faults.injector:FaultInjector.disk_action": item("4"),
@@ -158,6 +156,7 @@ OWNED = {
     "repro.storage.payload:Payload.assemble": PUBLIC,
     "repro.storage.payload:Payload.concat": PUBLIC,
     "repro.storage.payload:Payload.from_bytes": PUBLIC,
+    "repro.storage.payload:Payload.to_bytes": PUBLIC,
     "repro.storage.payload:Payload.xor_at": PUBLIC,
     "repro.util.intervals:Extent.contains": PUBLIC,
     "repro.util.intervals:Extent.intersect": PUBLIC,

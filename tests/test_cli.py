@@ -97,12 +97,21 @@ class TestRun:
         ["run", "fig3", "--scale", "0"],
         ["run", "fig3", "--scale", "nan"],
         ["report", "--scale", "-1"],
+        ["chaos", "--seeds", "5:2"],
+        ["chaos", "--seeds", "a:b"],
+        ["chaos", "--seeds", ","],
+        ["chaos", "--ops", "0"],
+        ["chaos", "--schemes", "raid9"],
+        ["chaos", "--schemes", "raid5,raid9"],
+        ["explore", "lock-ties", "--budget", "0"],
     ])
     def test_scale_must_be_positive(self, argv, capsys):
+        """An option value outside its domain is a usage error (exit 2)
+        that names the option, before anything runs."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert "--scale" in capsys.readouterr().err
+        assert argv[-2] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
