@@ -80,14 +80,20 @@ class RandomTieBreaker:
         return pick
 
 
+#: the oracles built since :func:`run` started its workload
+_built: List["Oracle"] = []
+
+
 class Oracle:
     """Per file, a flat reference and a mask of the bytes acknowledged
     writes pinned.  An unacknowledged write wildcards its extent: the
     servers may hold old, new or torn bytes there, all legal for a write
     that never completed.  ``outcomes`` has one row per op, its last
-    item whether the op succeeded."""
+    item whether the op succeeded.  Building one hands it to the
+    :func:`run` in progress."""
 
     def __init__(self, system, files: Tuple[str, ...], size: int) -> None:
+        _built.append(self)
         self.system = system
         self.ref = {name: np.zeros(size, dtype=np.uint8) for name in files}
         self.mask = {name: np.zeros(size, dtype=bool) for name in files}
@@ -208,17 +214,19 @@ class Outcome:
                 f"digest {self.digest[:12]})")
 
 
-def run(workload: Callable[[], Optional[Oracle]],
-        faults: Optional[FaultPlan] = None, ties=None) -> Outcome:
+def run(workload: Callable[[], Any], faults: Optional[FaultPlan] = None,
+        ties=None) -> Outcome:
     """Run ``workload`` under ``faults`` and/or ``ties`` and judge it.
 
-    The workload builds its own system(s) and returns its
-    :class:`Oracle`, or ``None`` when it checks no bytes.  A run that
-    raised keeps no record but its failure.
+    The workload builds its own system(s) and, when it checks bytes, the
+    :class:`Oracle` they are judged by; the engine holds the oracle as
+    soon as it is built, so a run that raised keeps its fired faults,
+    op rows and reference contents.
     """
     from repro.analysis import SANITIZER_MODULES, sanitizer_scope
 
-    kind = failure = oracle = None
+    kind = failure = None
+    _built.clear()
     if faults is not None:
         _injector.install(faults)
     if ties is not None:
@@ -226,7 +234,7 @@ def run(workload: Callable[[], Optional[Oracle]],
     try:
         with sanitizer_scope(SANITIZER_MODULES) as drain:
             try:
-                oracle = workload()
+                workload()
             except (ReproError, AssertionError) as exc:
                 kind, failure = f"exception:{type(exc).__name__}", str(exc)
             reports = drain()
@@ -236,8 +244,8 @@ def run(workload: Callable[[], Optional[Oracle]],
         if ties is not None:
             _engine.detach("_tie_breaker")
 
-    if oracle is None:  # a workload that raised or checks no bytes
-        oracle = Oracle(None, (), 0)
+    oracle = _built[-1] if _built else Oracle(None, (), 0)  # no bytes
+    _built.clear()
     if kind is None and reports:
         tool, report = reports[0]
         kind, failure = f"{tool}:{report.kind}", report.format()

@@ -14,8 +14,8 @@ The injector *hears* the probes it subscribes to (:mod:`repro.probes`):
 and is *asked*, as ``env.faults``, where a fault is a decision the
 caller must act on, which no notification can return:
 
-* :func:`repro.hw.link.transfer` / ``stream`` call :meth:`link_action`
-  per message (drop / delay / duplicate);
+* :func:`repro.hw.link.send` calls :meth:`link_action` per message
+  (drop / delay / duplicate);
 * :meth:`repro.hw.disk.Disk.io` calls :meth:`disk_action` per operation
   (slow down, or inject an EIO that panics the serving daemon);
 * :class:`repro.storage.localfs.LocalFS` calls :meth:`torn_action` per
@@ -23,8 +23,8 @@ caller must act on, which no notification can return:
 * the chaos runner calls :meth:`note_op` before each workload op.
 
 Crash semantics: a fired crash calls :meth:`IODaemon.fail`, which
-rejects new requests, errors out in-flight handlers, and clears the
-parity-lock table (see ``pvfs/iod.py``).  ``restart_crash`` brings the
+rejects new requests, errors out in-flight handlers and replies, and
+clears the parity-lock table (see ``pvfs/iod.py``).  ``restart_crash`` brings the
 server back ``restart_after`` sim-seconds later with its (possibly
 stale) disk intact; clients keep it *suspected* — reads reconstruct
 around it — until a rebuild clears the suspicion.

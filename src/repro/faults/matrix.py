@@ -46,7 +46,7 @@ def _system(scheme: str, make_scheme: Optional[Callable[[Any], Any]]):
     return system
 
 
-def _scenario(system) -> campaign.Oracle:
+def _scenario(system) -> None:
     """Prefill + victim partial write + recovery + durability check."""
     oracle = campaign.Oracle(system, (_NAME,), 2 * system.layout.group_span)
     client = system.client()
@@ -64,7 +64,6 @@ def _scenario(system) -> campaign.Oracle:
         yield from oracle.verify(client)
 
     system.run(body())
-    return oracle
 
 
 def run_cell(scheme: str, step: str, nth: int, victim: int,

@@ -105,10 +105,10 @@ def _drive(plan: FaultPlan, system, oracle: campaign.Oracle) -> Generator:
 
 def workload(plan: FaultPlan,
              make_scheme: Optional[Callable[[Any], Any]] = None,
-             ) -> Callable[[], campaign.Oracle]:
+             ) -> Callable[[], None]:
     """The chaos workload of ``plan``; ``make_scheme`` maps the config to
     a replacement scheme (the seeded-bug hook of the tests)."""
-    def run() -> campaign.Oracle:
+    def run() -> None:
         from repro.csar.system import System
 
         system = System(_chaos_config(plan))
@@ -119,7 +119,6 @@ def workload(plan: FaultPlan,
         oracle = campaign.Oracle(system, _FILES,
                                  3 * system.layout.group_span + 2 * _UNIT)
         system.run(_drive(plan, system, oracle))
-        return oracle
     return run
 
 

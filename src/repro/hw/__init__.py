@@ -3,7 +3,7 @@
 from repro.hw.cache import PageCache
 from repro.hw.cpu import Cpu
 from repro.hw.disk import Disk
-from repro.hw.link import NIC, transfer
+from repro.hw.link import NIC
 from repro.hw.node import Node
 from repro.hw.params import (
     CacheParams,
@@ -20,7 +20,6 @@ __all__ = [
     "Cpu",
     "Disk",
     "NIC",
-    "transfer",
     "Node",
     "CacheParams",
     "CpuParams",

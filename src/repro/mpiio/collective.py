@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import ConfigError, FileExists
-from repro.hw.link import transfer
+from repro.hw.link import send
 from repro.mpiio.datatypes import AccessPattern, merge
 from repro.sim.engine import Event
 from repro.storage.payload import Payload
@@ -128,7 +128,7 @@ class MPIFile:
             chunk_hi = min(cursor + cb, hi)
             # Phase 1: redistribute — every rank ships its overlap with
             # this round's window to the aggregator.
-            sends = []
+            arrivals: List[Event] = []
             pieces: List[Tuple[int, Optional[Payload]]] = []
             for rank, (pattern, buf) in contributions.items():
                 clipped = pattern.clip(cursor, chunk_hi)
@@ -136,12 +136,13 @@ class MPIFile:
                 if nbytes == 0:
                     continue
                 if rank != agg:
-                    sends.append(transfer(
-                        env, self.system.clients[rank].node.nic,
-                        agg_client.node.nic, nbytes, self.system.metrics))
+                    arrivals.append(Event(env))
+                    send(env, self.system.clients[rank].node.nic,
+                         agg_client.node.nic, nbytes, arrivals[-1].succeed,
+                         self.system.metrics)
                 pieces.extend(self._extract(pattern, buf, clipped))
-            if sends:
-                yield env.all_of([env.process(s) for s in sends])
+            if arrivals:
+                yield env.all_of(arrivals)
             # Phase 2: one contiguous write per covered extent in the
             # window (usually exactly one — the merged large request).
             covered = merge([AccessPattern(tuple((off, ln)

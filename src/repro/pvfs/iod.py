@@ -16,10 +16,11 @@ serializes conflicting read-modify-writes (Section 5.1).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Generator, Tuple
 
 from repro.errors import DiskFault, ProtocolError, ServerFailed
-from repro.hw.link import stream, transfer
+from repro.hw.link import send
 from repro.hw.node import Node
 from repro.metrics import Metrics
 from repro.pvfs import messages as msg
@@ -64,9 +65,10 @@ class IOD(msg.Server):
                           write_buffering=write_buffering)
         self.fs.owner = index
         self.locks = ParityLockTable(env, enabled=locking)
-        #: handler processes currently serving requests; a crash must
-        #: error these out rather than let them run to a success reply
-        self._inflight: set = set()
+        #: handler processes serving requests, then their replies on the
+        #: wire, in arrival order; a crash must error these out rather
+        #: than let them run to a success reply
+        self._inflight: Dict[Any, None] = {}
         #: Hybrid overflow tables: file -> table
         self.overflow: Dict[str, OverflowTable] = {}
         #: overflow mirror tables: (file, origin server) -> table
@@ -82,8 +84,8 @@ class IOD(msg.Server):
     def fail(self) -> None:
         """Fail-stop this server; requests are rejected until repair.
 
-        A crash must not wedge the cluster: every in-flight handler is
-        errored out (its client sees the connection drop as
+        A crash must not wedge the cluster: every in-flight handler or
+        reply is errored out (its client sees the connection drop as
         :class:`ServerFailed` instead of waiting forever), and the
         parity-lock table is crashed — held locks are forgotten with
         the sanitizer notified, queued waiters are woken by their
@@ -120,8 +122,8 @@ class IOD(msg.Server):
     def deliver(self, envelope: msg.Envelope) -> None:
         """Take one request off the wire: a handler process serves it, so
         independent requests proceed concurrently."""
-        self._inflight.add(Process(self.env, self._handle(envelope),
-                                   name=f"iod{self.index}.handler"))
+        self._inflight[Process(self.env, self._handle(envelope),
+                           name=f"iod{self.index}.handler")] = None
 
     def _handle(self, envelope: msg.Envelope) -> Generator[Event, Any, None]:
         request, reply_nic, reply = envelope
@@ -140,26 +142,19 @@ class IOD(msg.Server):
                     # EIO is fatal (the injector panicked us already);
                     # the request that hit it reports the crash.
                     response = msg.Response(error=ServerFailed(str(exc)))
-            reply_bytes = (request.reply_size() if response.error is None
-                           else msg.HEADER)
-            # The handler owns its reply: a crash interrupts it inside
-            # the transfer (a data-bearing reply streams, its per-byte
-            # send cost overlapping the wire).
-            if reply_bytes > msg.HEADER:
-                yield from stream(self.env, self.node.nic, reply_nic,
-                                  reply_bytes, self.metrics,
-                                  cpu=self.node.cpu, cpu_at="src")
-            else:
-                yield from transfer(self.env, self.node.nic, reply_nic,
-                                    reply_bytes, self.metrics)
         except Interrupt:
+            response = None
+        finally:
+            del self._inflight[proc]
+        if response is None:
             # The daemon crashed under this request: the client sees the
             # connection drop immediately rather than waiting forever.
-            response = msg.Response(error=ServerFailed(
-                f"iod{self.index} crashed mid-request"))
-        finally:
-            self._inflight.discard(proc)
-        reply(response)
+            reply(msg.Response(error=ServerFailed(
+                f"iod{self.index} crashed mid-request")))
+            return
+        nbytes = (request.reply_size() if response.error is None
+                  else msg.HEADER)
+        self._inflight[_Reply(self, reply_nic, reply, response, nbytes)] = None
 
     def _dispatch(self, request: msg.Request,
                   ) -> Generator[Event, Any, msg.Response]:
@@ -396,3 +391,46 @@ class IOD(msg.Server):
             f.size for name, f in self.fs.files.items()
             if name.startswith(f"{file}.ovfm"))
         return out
+
+
+class _Reply:
+    """A handler's answer on the wire, in ``IOD._inflight`` in the
+    handler's place until the client has it.  A crash interrupts it as
+    it would the handler: the client sees :class:`ServerFailed` at once
+    and a header-only reply is cancelled (DESIGN.md §6, interrupt rule).
+    """
+
+    __slots__ = ("iod", "reply", "response", "message", "is_alive")
+
+    def __init__(self, iod: IOD, reply_nic, reply, response,
+                 nbytes: int) -> None:
+        self.iod, self.reply, self.response = iod, reply, response
+        self.is_alive = True
+        env, node = iod.env, iod.node
+        if nbytes > msg.HEADER:
+            # streamed, its per-byte send cost overlapping the wire; the
+            # answer follows one heap entry after the last segment
+            self.message = send(env, node.nic, reply_nic, nbytes,
+                                partial(env.call_later, 0, self._answer),
+                                iod.metrics, cpu=node.cpu, cpu_at="src")
+        else:
+            self.message = send(env, node.nic, reply_nic, nbytes,
+                                self._answer, iod.metrics, woken=True)
+
+    def _answer(self) -> None:
+        if self.is_alive:
+            self.is_alive = False
+            self.message = None  # the stream refers back to this reply
+            del self.iod._inflight[self]
+            self.reply(self.response)
+
+    def interrupt(self, _cause: object) -> None:
+        self.iod.env.call_soon(self._crash)
+
+    def _crash(self) -> None:
+        if self.is_alive:
+            if self.message.cpu is None:
+                self.message.cancel()
+            self.response = msg.Response(error=ServerFailed(
+                f"iod{self.iod.index} crashed mid-request"))
+            self._answer()

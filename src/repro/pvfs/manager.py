@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator
 
 from repro.errors import FileExists, FileNotFound, ProtocolError
-from repro.hw.link import transfer
+from repro.hw.link import send
 from repro.hw.node import Node
 from repro.metrics import Metrics
 from repro.pvfs import messages as msg
@@ -102,17 +102,22 @@ class Manager(msg.Server):
 
     def _handle(self, envelope: msg.Envelope) -> Generator[Event, Any, None]:
         request, reply_nic, reply = envelope
-        with self._turn.request() as turn:
-            yield turn
-            yield from self.node.cpu.request_processing()
-            try:
-                result = self._dispatch(request)
-                error = None
-            except (FileExists, FileNotFound, ProtocolError) as exc:
-                result, error = None, exc
-            yield from transfer(self.env, self.node.nic, reply_nic,
-                                request.reply_size(), self.metrics)
-        reply(msg.MgrResponse(meta=result, error=error))
+        # The turn rides the reply: ``answered`` releases it on arrival.
+        turn = self._turn.request()  # csar-lint: disable=CSAR001
+        yield turn
+        yield from self.node.cpu.request_processing()
+        try:
+            result = self._dispatch(request)
+            error = None
+        except (FileExists, FileNotFound, ProtocolError) as exc:
+            result, error = None, exc
+
+        def answered() -> None:
+            self._turn.release(turn)
+            reply(msg.MgrResponse(meta=result, error=error))
+
+        send(self.env, self.node.nic, reply_nic, request.reply_size(),
+             answered, self.metrics, woken=True)
 
     def _dispatch(self, request) -> FileMeta | None:
         if isinstance(request, msg.MgrCreate):

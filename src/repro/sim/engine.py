@@ -33,9 +33,9 @@ factors:
   (``succeed``/``fail``, :class:`Timeout`, process resumption, resource
   grants) — one attribute walk and a ``heappush`` instead of a method
   call per event.
-* The dispatch loops in :meth:`Environment.run` inline :meth:`Environment.step`
-  and skip the callback loop entirely for callback-less events (the
-  :class:`Timeout` fast lane).
+* The dispatch loops in :meth:`Environment.run` inline
+  :meth:`Environment._dispatch` and skip the callback loop entirely for
+  callback-less events (the :class:`Timeout` fast lane).
 * A process that returns successfully while nothing waits on it is
   marked processed on the spot instead of scheduling its end; a later
   ``yield proc`` resumes at once with its value.  A failing one still
@@ -55,6 +55,7 @@ factors:
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from heapq import heappush
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
@@ -216,19 +217,9 @@ class Timeout(Event):
         heappush(env._heap, (env._now + delay, NORMAL, seq, self))
 
 
-class Initialize(Event):
-    """Internal: first resumption of a new process."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process") -> None:
-        self.env = env
-        self.callbacks = [process._resume_cb]
-        self._value = None
-        self._ok = True
-        self._defused = False
-        env._seq = seq = env._seq + 1
-        heappush(env._heap, (env._now, URGENT, seq, self))
+#: what a new process is first resumed with: a succeeded event, no value
+_STARTED = Event(None)  # type: ignore[arg-type]
+_STARTED._value = None
 
 
 class Process(Event):
@@ -249,7 +240,7 @@ class Process(Event):
         #: the one callback object this process ever subscribes with
         self._resume_cb: Optional[Callable[[Event], None]] = self._resume
         self.name = name or getattr(generator, "__name__", "process")
-        Initialize(env, self)
+        env.call_soon(partial(self._resume_cb, _STARTED))
 
     @property
     def is_alive(self) -> bool:
@@ -265,10 +256,7 @@ class Process(Event):
         event._ok = False
         event._value = Interrupt(cause)
         event._defused = True
-        event.callbacks = [self._resume_interrupt]
-        env = self.env
-        env._seq = seq = env._seq + 1
-        heappush(env._heap, (env._now, URGENT, seq, event))
+        self.env.call_soon(partial(self._resume_interrupt, event))
 
     # -- internal ---------------------------------------------------------
     def _resume_interrupt(self, event: Event) -> None:
@@ -441,6 +429,12 @@ class Environment:
         self._seq = seq = self._seq + 1
         heappush(self._heap, (self._now + delay, NORMAL, seq, fn))
 
+    def call_soon(self, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` now, ahead of every ordinary entry due at this
+        instant: a process's start or interrupt."""
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self._now, URGENT, seq, fn))
+
     def process(self, generator: Generator[Event, Any, Any],
                 name: str | None = None) -> Process:
         return Process(self, generator, name=name)
@@ -473,6 +467,10 @@ class Environment:
         if not self._heap:
             raise SimulationError("nothing to step")
         when, _prio, _seq, event = heapq.heappop(self._heap)
+        self._dispatch(when, event)
+
+    def _dispatch(self, when: float, event: Any) -> None:
+        """Deliver one popped heap entry at ``when``."""
         self._now = when
         if callable(event):
             event()
@@ -491,15 +489,15 @@ class Environment:
 
         With an :class:`Event` deadline, returns the event's value.
 
-        Both loops inline :meth:`step` (identical dispatch semantics):
-        at millions of entries per figure the method call and the callback
-        loop for callback-less timeouts are the dominant constant costs.
+        Both untied loops inline :meth:`_dispatch`: at millions of
+        entries per figure the method call and the callback loop for
+        callback-less timeouts are the dominant constant costs.  Under a
+        tie-break scheduler each dispatch is one :meth:`_step_tie`.
         """
-        if self._tie_breaker is not None:
-            return self._run_explored(until)
         heap = self._heap
         pop = heapq.heappop
         bare = callable  # a bare entry: call it, no event to deliver
+        explored = self._tie_breaker is not None
         if isinstance(until, Event):
             stop = until
             if stop.callbacks is None:  # already processed
@@ -509,6 +507,9 @@ class Environment:
                 raise stop._value
             done: List[Event] = []
             stop.callbacks.append(done.append)
+            if explored:
+                while heap and not done:
+                    self._step_tie()
             while heap and not done:
                 when, _prio, _seq, event = pop(heap)
                 self._now = when
@@ -536,6 +537,9 @@ class Environment:
         deadline = float("inf") if until is None else float(until)
         if deadline < self._now:
             raise SimulationError("run(until) is in the past")
+        if explored:
+            while heap and heap[0][0] <= deadline:
+                self._step_tie()
         while heap and heap[0][0] <= deadline:
             when, _prio, _seq, event = pop(heap)
             self._now = when
@@ -590,51 +594,4 @@ class Environment:
             for i, e in enumerate(group):
                 if i != chosen:
                     heapq.heappush(heap, e)
-        event = group[chosen][3]
-        self._now = when
-        if callable(event):
-            event()
-            return
-        callbacks = event.callbacks
-        event.callbacks = None
-        if callbacks:
-            for callback in callbacks:
-                if callback is not None:
-                    callback(event)
-        if not event._ok and not event._defused:
-            raise event._value
-
-    def _run_explored(self, until: "float | Event | None" = None) -> Any:
-        """:meth:`run` under a tie-break scheduler (same semantics,
-        decision points injected at same-timestamp ties)."""
-        heap = self._heap
-        if isinstance(until, Event):
-            stop = until
-            if stop.callbacks is None:  # already processed
-                if stop._ok:
-                    return stop._value
-                stop._defused = True
-                raise stop._value
-            done: List[Event] = []
-            stop.callbacks.append(done.append)
-            while heap and not done:
-                self._step_tie()
-            if not done:
-                raise SimulationError(
-                    "simulation ended before the awaited event triggered "
-                    "(deadlock: a process is waiting on something that "
-                    "can never happen)")
-            if stop._ok:
-                return stop._value
-            stop._defused = True
-            raise stop._value
-        deadline = float("inf") if until is None else float(until)
-        if deadline < self._now:
-            raise SimulationError("run(until) is in the past")
-        while heap and heap[0][0] <= deadline:
-            self._step_tie()
-        if deadline != float("inf"):
-            self._now = deadline
-        if not heap:
-            self.emit("run.complete")
-        return None
+        self._dispatch(when, group[chosen][3])

@@ -28,7 +28,8 @@ from repro.sim.engine import _PENDING, NORMAL, Environment, Event
 
 
 class Request(Event):
-    """A pending or granted claim on a :class:`Resource` slot."""
+    """A pending or granted claim on a :class:`Resource` slot; a process
+    may hold one as ``with res.request() as req: yield req``."""
 
     __slots__ = ("resource", "_queued_at", "_then")
 
@@ -41,10 +42,6 @@ class Request(Event):
         # ``_queued_at`` and ``_then`` are set only on queueing
         self.resource = resource
 
-    # Context-manager protocol so processes can write
-    # ``with res.request() as req: yield req``.  Hot holds (NIC, disk)
-    # spell out ``try``/``finally`` instead: same release, no
-    # ``__enter__``/``__exit__`` frames per hold.
     def __enter__(self) -> "Request":
         return self
 

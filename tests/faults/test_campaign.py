@@ -9,7 +9,9 @@ holds a failing plan written by ``chaos --plan-dir`` and a ``.sched``
 written by ``explore --sched-dir`` before the fold, in their original
 formats.  The plan is seed 53/hybrid, the
 dropped-link suspicion defect of ROADMAP item 11: once that is fixed,
-the plan stops failing and its fixture must be re-recorded.
+the plan stops failing and its fixture must be re-recorded.  Its digest
+was re-recorded once already, when a run that raised began to keep its
+fired faults and op rows.
 """
 
 import json
@@ -80,6 +82,15 @@ def test_a_pre_engine_plan_file_replays_by_digest():
     assert reproduced
     assert outcome.digest == recording["digest"]
     assert outcome.failure_kind == "exception:ServerFailed"
+
+
+def test_a_run_that_raised_keeps_its_record():
+    # Seed 53/hybrid raises (the suspicion defect); what happened before
+    # the exception is still in the outcome and its digest.
+    outcome = run_chaos(53, "hybrid")
+    assert outcome.failure_kind == "exception:ServerFailed"
+    assert outcome.fired and outcome.ops_acked >= 1
+    assert "fault(s) fired, 0 acked" not in outcome.format()
 
 
 def test_a_pre_engine_sched_file_replays_by_failure_kind():

@@ -8,9 +8,12 @@ Now a crash errors out every in-flight handler
 the parity-lock table, waking queued waiters.
 """
 
+import pytest
+
 from repro.csar.config import CSARConfig
 from repro.csar.system import System
 from repro.errors import ServerFailed
+from repro.hw.link import send
 from repro.pvfs import messages as msg
 from repro.storage.payload import Payload
 
@@ -108,3 +111,44 @@ def test_fail_is_idempotent_and_repair_restores_service():
         assert data.to_bytes() == Payload.pattern(UNIT, seed=5).to_bytes()
 
     system.run(after())
+
+
+def test_crash_withdraws_a_reply_queued_on_a_busy_tx():
+    """A header-only reply queued behind a busy TX side is cancelled by
+    the crash: the flow queued after it takes the slot as soon as the
+    busy one ends, undelayed by the dead reply's occupancy."""
+    system = make_system()
+    env = system.env
+    iod = system.iods[1]
+    nic, other = iod.node.nic, system.clients[1].node.nic
+    params = nic.params
+    log = {}
+
+    def arrived(name):
+        return lambda: log.setdefault(name, env.now)
+
+    def rpc():
+        try:
+            yield from system.client().rpc(iod, msg.FsyncReq("f"))
+        except ServerFailed:
+            log["rpc failed"] = env.now
+
+    def traffic():
+        # iod1's TX side is busy for ~50 ms moving 4 MB ...
+        send(env, nic, other, 4_000_000, arrived("busy"))
+        # ... so the fsync's reply queues behind it ...
+        yield env.timeout(2e-3)
+        assert len(nic.tx.queue) == 1
+        # ... and so does a follower, behind the reply
+        send(env, nic, other, 1000, arrived("follower"))
+        yield env.timeout(1e-3)
+        iod.fail()
+        yield env.timeout(0.1)  # both flows are in by then
+
+    system.run(rpc(), traffic())
+    assert log["rpc failed"] == pytest.approx(3e-3)
+    busy_end = log["busy"] - params.latency
+    assert log["follower"] == pytest.approx(
+        busy_end + params.per_message + 1000 / params.bandwidth
+        + params.latency, abs=1e-12)
+    assert not nic.tx.queue and nic.tx.count == 0

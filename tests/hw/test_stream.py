@@ -3,16 +3,23 @@
 import pytest
 
 from repro.hw.cpu import Cpu
-from repro.hw.link import NIC, stream
+from repro.hw.link import NIC, send
 from repro.hw.params import CpuParams, NetworkParams
 from repro.metrics import Metrics
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment, Event, Interrupt
 from repro.units import MBps
 
 
 @pytest.fixture
 def env():
     return Environment()
+
+
+def stream(env, src, dst, nbytes, metrics=None, **kwargs):
+    """Process body: :func:`send` a message and wait for it to arrive."""
+    done = Event(env)
+    send(env, src, dst, nbytes, done.succeed, metrics, **kwargs)
+    yield done
 
 
 def make_nic(env, name, bw=100 * MBps):

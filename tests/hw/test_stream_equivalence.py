@@ -1,6 +1,6 @@
 """The stream pipeline against the per-segment generator model it replaced.
 
-``repro.hw.link.stream`` moves a message through queue-free FIFO servers
+``repro.hw.link.send`` moves a message through queue-free FIFO servers
 and continuation chains, three events per segment.  The model it must
 still *be* is the one below — every NIC side and CPU a ``Resource``
 whose grant is an event, one generator per stage, a queue of tokens
@@ -21,14 +21,21 @@ from collections import deque
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.hw.cpu import Cpu
-from repro.hw.link import NIC, stream
+from repro.hw.link import NIC, send
 from repro.hw.params import CpuParams, NetworkParams
-from repro.sim import Environment
+from repro.sim import Environment, Event
 
 SEGMENT = 1000
 NODES = ("a", "b", "c")
 NETWORK = NetworkParams(bandwidth=97.3e6, latency=6.17e-6,
                         per_message=2.93e-6, segment=SEGMENT)
+
+
+def stream(env, src, dst, nbytes, metrics=None, **kwargs):
+    """Process body: :func:`send` a message and wait for it to arrive."""
+    done = Event(env)
+    send(env, src, dst, nbytes, done.succeed, metrics, **kwargs)
+    yield done
 
 
 def cpu_params(byte_rate):

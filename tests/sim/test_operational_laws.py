@@ -1,13 +1,14 @@
-"""Operational laws on the two primitives with bare-entry holds.
+"""Operational laws on the primitives and the hardware built on them.
 
 A FIFO server's bookkeeping is an identity, not an estimate: the busy
 time of a processor is the sum of the service it accepted (the
 utilization law), and the waits of a FIFO queue follow Lindley's
 recursion, ``start_n = max(arrival_n, departure_{n-1})`` — the FIFO
 disk model Thomasian's analysis of mirrored and hybrid arrays builds on
-(PAPERS.md).  Each test drives a primitive with a seeded random mix of
-process holds (events) and bare-entry holds (continuations) and checks
-the primitive's statistics against a reference computed here.
+(PAPERS.md).  Each test drives a primitive, a disk or a set of NICs with
+a seeded random mix of work (process holds and bare-entry holds where
+both exist) and checks its statistics against a reference computed
+here.
 """
 
 import heapq
@@ -17,8 +18,9 @@ import random
 import pytest
 
 from repro.hw.cpu import Cpu
+from repro.hw.disk import Disk
 from repro.hw.link import NIC, send
-from repro.hw.params import CpuParams, NetworkParams
+from repro.hw.params import CpuParams, DiskParams, NetworkParams
 from repro.sim import Environment, Resource
 from repro.sim.resources import FifoServer
 from repro.units import MBps
@@ -170,3 +172,153 @@ def test_resource_waits_do_not_depend_on_the_claim_form(seed):
         assert total_waits == waits
         assert total_wait_time == pytest.approx(wait_time, rel=1e-12)
     assert runs["process"] == runs["continuation"] == runs["mixed"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_disk_busy_time_is_the_io_time_of_its_ops(seed):
+    rng = random.Random(seed)
+    env = Environment()
+    params = DiskParams(bandwidth=30 * MBps, seek=7e-3, per_op=2e-4)
+    disk = Disk(env, "s", params)
+    files = ("a", "b", "c")
+    cursor = dict.fromkeys(files, 0)
+    served = []
+
+    def op(arrival, name, offset, nbytes, write):
+        yield from disk.io(name, offset, nbytes, write)
+        served.append((arrival, name, offset, nbytes, env.now))
+
+    for t in sorted(arrivals(rng, 60)):
+        name = rng.choice(files)
+        nbytes = rng.randrange(1, 256 * 1024)
+        # half the ops continue their file where its last one ended
+        offset = (cursor[name] if rng.random() < 0.5
+                  else rng.randrange(0, 1 << 22))
+        cursor[name] = offset + nbytes
+        env.call_later(t, lambda a=(t, name, offset, nbytes,
+                                    rng.random() < 0.5): env.process(op(*a)))
+    env.run()
+
+    # one spindle, FIFO: the ops end in the order they were served; an
+    # op is sequential when it continues the previous op's file and end
+    head, free_at, service, seeks = None, 0.0, [], 0
+    for arrival, name, offset, nbytes, departed in served:
+        sequential = head == (name, offset)
+        seeks += not sequential
+        service.append(params.io_time(nbytes, sequential))
+        free_at = max(arrival, free_at) + service[-1]
+        assert departed == pytest.approx(free_at, rel=1e-12)
+        head = (name, offset + nbytes)
+    assert len(served) == 60 and 0 < seeks < 60
+    assert disk.seeks == seeks
+    assert disk.busy_time == pytest.approx(math.fsum(service), rel=1e-12)
+    assert disk.busy_time <= env.now
+
+
+def watch_busy(env, nic, busy):
+    """Accumulate, into ``busy[nic.node_name]``, how long ``nic``'s RX
+    side is occupied (from its ``free_at``, not the hold asked for) and
+    how long its TX side has a slot held."""
+    rx, tx = nic.rx, nic.tx
+    hold_then, request, release = rx.hold_then, tx.request, tx.release
+    tally = busy[nic.node_name] = {"rx": 0.0, "tx": 0.0, "held_since": None}
+
+    def occupy(duration, then):
+        start = max(env.now, rx.free_at)
+        hold_then(duration, then)
+        tally["rx"] += rx.free_at - start
+
+    def observe():
+        if tx.users and tally["held_since"] is None:
+            tally["held_since"] = env.now
+        elif not tx.users and tally["held_since"] is not None:
+            tally["tx"] += env.now - tally["held_since"]
+            tally["held_since"] = None
+
+    def claim(then=None):
+        granted = request(then)
+        observe()
+        return granted
+
+    def give_back(granted):
+        release(granted)
+        observe()
+
+    rx.hold_then, tx.request, tx.release = occupy, claim, give_back
+
+
+def nic_mix(seed, exclusive):
+    """Run a seeded mix of sends over NICs of unequal bandwidth; return
+    the measured and the expected busy time per NIC side.  With
+    ``exclusive`` each sender sends only to a receiver of its own."""
+    rng = random.Random(seed)
+    env = Environment()
+    net = NetworkParams(bandwidth=100 * MBps, latency=1e-4,
+                        per_message=1e-5, segment=64 * 1024)
+    cpu_params = CpuParams(parity_bandwidth=1e9,
+                           parity_bandwidth_bytewise=1e8,
+                           request_overhead=1e-5, kernel_module_overhead=1e-4,
+                           byte_rate=rng.choice([40, 150]) * MBps)
+    names = [f"n{i}" for i in range(6)]
+    nics = {name: NIC(env, name, NetworkParams(
+        bandwidth=rng.choice([50, 80, 100]) * MBps, latency=net.latency,
+        per_message=net.per_message, segment=net.segment))
+        for name in names}
+    cpus = {name: Cpu(env, name, cpu_params) for name in names}
+    busy = {}
+    for nic in nics.values():
+        watch_busy(env, nic, busy)
+    expected = {name: {"rx": [], "tx": []} for name in names}
+    arrived = []
+    pairs = [("n0", "n1"), ("n2", "n3"), ("n4", "n5")]
+    times = arrivals(rng, 50)
+    for k, t in enumerate(times):
+        if exclusive:
+            src, dst = rng.choice(pairs)
+        else:
+            src, dst = rng.sample(names, 2)
+        if k == 0:
+            dst = src  # one loopback: no wire, no TX or RX time
+        kind = rng.choice(["header", "src", "dst"])
+        nbytes = (rng.randrange(1, 2048) if kind == "header"
+                  else rng.randrange(1, 400_000))
+        kwargs = ({"woken": rng.random() < 0.5} if kind == "header"
+                  else {"cpu": cpus[src if kind == "src" else dst],
+                        "cpu_at": kind})
+        env.call_later(t, lambda s=nics[src], d=nics[dst], n=nbytes,
+                       kw=kwargs: send(env, s, d, n,
+                                       lambda: arrived.append(env.now), **kw))
+        if src == dst:
+            continue
+        pieces = ([nbytes] if kind == "header" else
+                  [net.segment] * (nbytes // net.segment)
+                  + ([nbytes % net.segment] if nbytes % net.segment else []))
+        bandwidth = min(nics[src].params.bandwidth, nics[dst].params.bandwidth)
+        for size in pieces:
+            occupancy = net.per_message + size / bandwidth
+            expected[dst]["rx"].append(occupancy)
+            expected[src]["tx"].append(occupancy)
+    env.run()
+    assert len(arrived) == len(times)
+    for nic in nics.values():
+        assert not nic.tx.users and not nic.tx.queue
+        assert nic.rx.free_at <= env.now
+    return busy, {name: {side: math.fsum(v) for side, v in sides.items()}
+                  for name, sides in expected.items()}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_nic_rx_busy_time_is_the_occupancy_it_accepted(seed):
+    busy, expected = nic_mix(seed, exclusive=False)
+    for name, sides in expected.items():
+        assert busy[name]["rx"] == pytest.approx(sides["rx"], rel=1e-9)
+        # a TX slot is also held while the flow waits for the receiver
+        assert busy[name]["tx"] >= sides["tx"] * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_nic_tx_is_held_for_its_occupancy_with_exclusive_receivers(seed):
+    busy, expected = nic_mix(seed, exclusive=True)
+    for name, sides in expected.items():
+        assert busy[name]["rx"] == pytest.approx(sides["rx"], rel=1e-9)
+        assert busy[name]["tx"] == pytest.approx(sides["tx"], rel=1e-9)

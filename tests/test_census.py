@@ -145,6 +145,8 @@ OWNED = {
     "repro.sim.engine:Environment.peek": PUBLIC,
     "repro.sim.engine:Environment.step": PUBLIC,
     "repro.sim.engine:Event.defused": PUBLIC,
+    "repro.sim.resources:Request.__enter__": PUBLIC,
+    "repro.sim.resources:Request.__exit__": PUBLIC,
     "repro.sim.resources:Resource.count": PUBLIC,
     "repro.storage.blockfile:BlockFile.allocated_bytes": PUBLIC,
     "repro.storage.localfs:LocalFS.drop_caches": PUBLIC,

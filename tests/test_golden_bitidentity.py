@@ -12,7 +12,7 @@ alter the model re-records them and says so:
 
 The scenarios cover what the benchmark's heaviest workload leans on:
 extent-mode BTIO (stream pipeline, page cache, disk, parity locks), bare
-``stream`` flows contending for a NIC and a CPU in both ``cpu_at``
+``send`` flows contending for a NIC and a CPU in both ``cpu_at``
 directions plus a loopback, and a content-mode small-write mix under
 every scheme.
 """
@@ -31,7 +31,7 @@ import pytest
 from repro import CSARConfig, System
 from repro.errors import SimulationError
 from repro.hw.cpu import Cpu
-from repro.hw.link import NIC, stream
+from repro.hw.link import NIC, send
 from repro.hw.params import get_profile
 from repro.metrics import Metrics
 from repro.sim.engine import Environment, Event
@@ -46,13 +46,25 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 #: The event kind each bare heap entry replaces (docs/PERF.md, "The
 #: events of one RPC"), by the qualified name of the function it calls.
 BARE_KINDS = {
+    "_Stream._receive": "Request",    # a server's TX grant wakes it
     "_Stream._sent": "Hold",          # end of the RX occupancy
     "_Stream._computed": "Hold",      # end of the CPU hold
     "_Stream._arrived": "Timeout",    # latency, or loopback overhead
-    "send.<locals>.start": "Timeout",  # an injected link delay
+    "_Stream.start": "Timeout",       # an injected link delay
+    "_Reply._answer": "Event",        # a data-bearing reply is in
+    "_Reply._crash": "Event",         # the crash interrupts a reply
+    "Process._resume": "Initialize",  # a process starts
+    "Process._resume_interrupt": "Event",  # an interrupt
     "_Call._expired": "Timeout",      # the RPC deadline
     "_Call._send": "Timeout",         # the retry backoff
 }
+
+
+def stream(env, src, dst, nbytes, metrics=None, **kwargs):
+    """Process body: :func:`send` a message and wait for it to arrive."""
+    done = Event(env)
+    send(env, src, dst, nbytes, done.succeed, metrics, **kwargs)
+    yield done
 
 
 def entry_kind(entry) -> str:
