@@ -162,7 +162,7 @@ def sanitizer_scope(modes: Iterable[str],
 
 from repro.analysis.bufsan import BufSan, BufSanReport  # noqa: E402
 from repro.analysis.lint import (Finding, format_json, format_text,  # noqa: E402
-                                 lint_paths, lint_source)
+                                 lint_paths)
 from repro.analysis.locksan import LockSan, LockSanReport, drain_reports  # noqa: E402
 from repro.analysis.paritysan import ParitySan, ParitySanReport  # noqa: E402
 from repro.analysis.rules import RULES, Rule, all_codes  # noqa: E402
@@ -184,7 +184,6 @@ __all__ = [
     "format_json",
     "format_text",
     "lint_paths",
-    "lint_source",
     "sanitize_modes",
     "sanitizer_module",
     "sanitizer_scope",

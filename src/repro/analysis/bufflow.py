@@ -1,4 +1,4 @@
-"""Buffer-provenance dataflow for ``csar-lint`` (CSAR013–015).
+"""Buffer-provenance dataflow for ``csar-lint`` (CSAR013/014).
 
 The zero-copy payload path works because of one discipline: a numpy
 buffer is *either* private and writable *or* shared and frozen, never
@@ -18,11 +18,6 @@ variable, where its buffer came from:
     a fresh allocation this function owns: ``_writable_copy()``,
     ``.copy()``, ``np.zeros``/``np.empty``-family calls, or a callee
     that returns one.
-``SHARED_SCRATCH``
-    a reusable fold buffer that outlives the call (an attribute whose
-    name contains ``scratch``, or a callee returning one).  Wrapping a
-    scratch buffer in a ``Payload`` does not launder it — the alias
-    persists.
 
 The rules:
 
@@ -32,9 +27,10 @@ The rules:
 * **CSAR014** ``writable-escape-without-freeze`` — a private writable
   buffer stored into an attribute/subscript/container or passed to a
   callee that retains it, with no dominating freeze (capturing into a
-  ``Payload`` counts as freezing: its constructor freezes);
-* **CSAR015** ``scratch-alias-across-yield`` — a shared-scratch
-  reference live across an Event yield.
+  ``Payload`` counts as freezing: its constructor freezes).  A reused
+  scratch buffer is this rule's case: storing the private allocation
+  into ``self._scratch`` unfrozen is what lets the next write refill
+  bytes an earlier payload still shares.
 
 Interprocedural mode rides the same callgraph the lock summaries use:
 :func:`build_buffer_summaries` condenses every function bottom-up into
@@ -54,12 +50,11 @@ from repro.analysis.callgraph import CallGraph, FunctionInfo, normalize_call
 from repro.analysis.cfg import EXC, build_cfg
 from repro.analysis.dataflow import _own_stmt_nodes, run_forward
 from repro.analysis.rules import RULES
-from repro.analysis.summaries import ChainLink, _binding
+from repro.analysis.summaries import ChainLink, _binding, format_chain
 
 #: The provenance tags.
 FROZEN_VIEW = "frozen-view"
 PRIVATE_WRITABLE = "private-writable"
-SHARED_SCRATCH = "shared-scratch"
 
 #: ``np.<allocator>()`` calls returning a fresh writable array.
 _NP_ALLOCATORS = frozenset((
@@ -71,8 +66,8 @@ _NP_MODULES = ("np", "numpy")
 _PRIVATE_COPY_ATTRS = frozenset(("_writable_copy", "copy"))
 _FROZEN_VIEW_ATTRS = frozenset(("slice",))
 
-#: Payload constructors: capture *freezes* (kills PRIVATE_WRITABLE) but
-#: does not launder SHARED_SCRATCH — the alias persists in the wrapper.
+#: Payload constructors: capture *freezes* its buffer argument (kills
+#: PRIVATE_WRITABLE); the wrapper itself carries no buffer tag.
 _PAYLOAD_CTORS = frozenset(("Payload", "SegmentedPayload"))
 
 #: Container methods that retain a reference to their argument.
@@ -84,12 +79,6 @@ _FREEZE_NAMES = frozenset(("_freeze",))
 
 #: Known intra mutators: bare-name call -> index of the mutated arg.
 _MUTATOR_CALLS = {"xor_into_at": 0}
-
-
-def format_chain(prefix: Tuple, chain: Tuple) -> str:
-    links = tuple(prefix) + tuple(chain)
-    return " -> ".join(f"{qname} ({path}:{line})"
-                       for qname, path, line in links)
 
 
 # ----------------------------------------------------------------------
@@ -261,8 +250,6 @@ class BufferAnalysis:
         if isinstance(expr, ast.Attribute):
             if expr.attr in ("data", "_data"):
                 return [(FROZEN_VIEW, ())]
-            if "scratch" in expr.attr:
-                return [(SHARED_SCRATCH, ())]
             return []
         if isinstance(expr, ast.Call):
             return self._call_tags(expr, fact)
@@ -279,14 +266,7 @@ class BufferAnalysis:
                 and recv.id in _NP_MODULES):
             return [(PRIVATE_WRITABLE, ())]
         if (bare or attr) in _PAYLOAD_CTORS:
-            # Payload capture freezes private buffers but keeps a live
-            # alias: only scratch provenance survives the wrap.
-            out = []
-            for arg in list(call.args) + [kw.value for kw in call.keywords]:
-                for tag, chain in self._rhs_tags(arg, fact):
-                    if tag == SHARED_SCRATCH:
-                        out.append((tag, chain))
-            return out
+            return []  # a freezing capture (see _apply)
         if self.interproc is not None:
             out = []
             for _callee, summary, _mapping in self.interproc.resolve(call):
@@ -324,8 +304,7 @@ class BufferAnalysis:
                                                PRIVATE_WRITABLE)):
                         # Only retag arguments known to be private
                         # buffers: Payload(length, buf) also takes plain
-                        # ints, and a SCRATCH argument stays scratch —
-                        # its owner can thaw it again after the wrap.
+                        # ints.
                         continue
                     fact = self._kill_tag(fact, arg.id,
                                           PRIVATE_WRITABLE)
@@ -450,10 +429,6 @@ class BufferAnalysis:
         return [n for n in _own_stmt_nodes(stmt)
                 if isinstance(n, ast.Call)]
 
-    def _has_yield(self, stmt: ast.stmt) -> bool:
-        return any(isinstance(n, (ast.Yield, ast.YieldFrom))
-                   for n in _own_stmt_nodes(stmt))
-
     def _stmt_facts(self) -> Iterable[Tuple[ast.stmt, FrozenSet[int]]]:
         """Each reachable statement with its IN fact (deduplicated —
         ``finally`` copies visit the same statement several times)."""
@@ -516,16 +491,6 @@ class BufferAnalysis:
             # Interprocedural: callee effects on our buffers.
             for call in self._own_calls(stmt):
                 self._check_call(call, stmt, fact, report)
-            # CSAR015: scratch alias live across a yield.
-            if self._has_yield(stmt):
-                scratch = [self.tokens[t] for t in sorted(fact)
-                           if self.tokens[t].tag == SHARED_SCRATCH]
-                for token in scratch:
-                    report(
-                        "CSAR015", stmt, (id(stmt), "yield", token.var),
-                        f"'{token.var}' aliases a shared scratch buffer "
-                        f"and is live across this yield"
-                        + self._via(token))
         return out
 
     def _via(self, token: BufToken) -> str:
@@ -541,7 +506,7 @@ class BufferAnalysis:
             return
         _recv, attr, bare = normalize_call(call)
         if (bare or attr) in _PAYLOAD_CTORS:
-            return  # modelled as a freezing capture in _call_tags
+            return  # a freezing capture (see _apply)
         for _callee, summary, mapping in self.interproc.resolve(call):
             for effect in summary.params:
                 actual = mapping.get(effect.param)

@@ -60,10 +60,6 @@ class FunctionInfo:
     name: str                     # bare function/method name
     cls: Optional[str] = None     # simple enclosing-class name, if any
 
-    @property
-    def line(self) -> int:
-        return self.node.lineno
-
 
 @dataclass
 class ClassInfo:

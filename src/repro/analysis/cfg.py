@@ -77,20 +77,6 @@ class CFG:
     def add_edge(self, src: int, dst: int, kind: str = NORMAL) -> None:
         self.succs.setdefault(src, []).append((dst, kind))
 
-    def reachable(self) -> List[int]:
-        """Node indices reachable from ``entry`` (DFS order)."""
-        seen = {self.entry}
-        todo = [self.entry]
-        order = []
-        while todo:
-            n = todo.pop()
-            order.append(n)
-            for succ, _kind in self.succs.get(n, ()):
-                if succ not in seen:
-                    seen.add(succ)
-                    todo.append(succ)
-        return order
-
 
 @dataclass(frozen=True)
 class _Ctx:

@@ -1,5 +1,6 @@
 """Forward dataflow over :mod:`repro.analysis.cfg`, plus the lock
-ownership analysis behind CSAR001/CSAR007/CSAR008.
+ownership analysis behind CSAR001 and CSAR010 and the acquire-order
+pairs behind CSAR011.
 
 The framework is a standard worklist fixpoint: facts are frozensets, the
 join is set union (a *may* analysis), and the transfer function is
@@ -154,8 +155,8 @@ class LockAnalysis:
       inputs (release sites, guardedness, escapes);
     * :meth:`held_at_exit` / :meth:`held_at_raise` — may-held facts at
       the two function exits;
-    * :meth:`yields_while_held` — ``(yield node, held acquire tokens)``
-      pairs for CSAR007.
+    * :meth:`acquire_order_pairs` — acquires made while another lock
+      may be held, for the CSAR011 order graph.
     """
 
     def __init__(self, func: ast.FunctionDef, interproc=None) -> None:
@@ -186,11 +187,6 @@ class LockAnalysis:
         self._effects_done: Set[int] = set()
         self._collect_effects()
         self.facts = run_forward(self.cfg, self._transfer)
-
-    def call_effect_of(self, call: ast.Call):
-        """The substituted callee summary applied at ``call`` (interproc
-        mode only; ``None`` when the call contributes nothing)."""
-        return self._call_effects.get(id(call))
 
     # -- token discovery ------------------------------------------------
     def _collect_tokens(self) -> None:
@@ -539,31 +535,6 @@ class LockAnalysis:
 
     def held_at_raise(self) -> Fact:
         return self.facts.get(self.cfg.raise_exit) or frozenset()
-
-    def yields_while_held(self) -> List[Tuple[ast.AST, List[LockToken]]]:
-        """Yield expressions evaluated while acquire-tokens are held.
-
-        The IN fact of a statement's node excludes the statement's own
-        acquisitions, so the acquiring ``yield from`` itself never counts.
-        """
-        seen: Dict[int, Tuple[ast.AST, Set[int]]] = {}
-        for cfg_node in self.cfg.nodes:
-            stmt = cfg_node.stmt
-            if stmt is None or cfg_node.label != "stmt":
-                continue
-            fact = self.facts.get(cfg_node.index)
-            if not fact:
-                continue
-            held = [tid for tid in fact
-                    if self.tokens[tid].kind == "acquire"]
-            if not held:
-                continue
-            for node in _own_stmt_nodes(stmt):
-                if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                    entry = seen.setdefault(id(node), (node, set()))
-                    entry[1].update(held)
-        return [(node, [self.tokens[tid] for tid in sorted(tids)])
-                for node, tids in seen.values()]
 
     def acquire_order_pairs(self) -> List[Tuple[LockToken, LockToken,
                                                 ast.stmt]]:

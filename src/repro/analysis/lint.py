@@ -2,17 +2,17 @@
 
 A stdlib-:mod:`ast` analysis with CSAR-specific rules (see
 :mod:`repro.analysis.rules` for the registry and ``docs/ANALYSIS.md``
-for worked examples).  There is one pass: the linted files (or the one
-source string) become a :class:`~repro.analysis.summaries.Program` —
-call graph plus per-function lock and buffer summaries — and every
-rule below sees callee effects through it; CSAR010 (a lock leaked
-through a helper) and CSAR011 (a lock-order cycle on the global
-acquires-while-holding graph) are the rules that exist only across
-function boundaries.
+for worked examples).  There is one pass: the linted files (or the
+sources handed to :func:`lint_sources`) become a
+:class:`~repro.analysis.summaries.Program` — call graph plus
+per-function lock and buffer summaries — and every rule below sees
+callee effects through it.
 
 * **CSAR001** — a generator function acquires a lock/resource
   (``*.acquire(...)`` or ``*.request()``) that a path can exit without
-  releasing.  Checked flow-sensitively: a CFG
+  releasing: never released at all, released on some paths but still
+  held on a normal exit, or leaked when a blocking yield is
+  interrupted.  Checked flow-sensitively: a CFG
   (:mod:`repro.analysis.cfg`) plus a forward lock-ownership dataflow
   (:mod:`repro.analysis.dataflow`) decide whether any normal or
   exceptional exit can still hold the token — no ``try/finally`` shape
@@ -20,45 +20,18 @@ function boundaries.
   ``finally`` block is exempt from the interrupt-leak variant, and a
   request whose ownership escapes (stored, returned, passed on) is the
   protocol-carried idiom and is not reported.
-* **CSAR003** — a process body (a generator returning
-  ``Generator[Event, ...]``, or one that yields ``.timeout(...)``
-  events) yields an expression that cannot be an :class:`Event`
-  (literals, arithmetic, comparisons, container displays, bare
-  ``yield``).
-* **CSAR004** — wall-clock time or unseeded module-level randomness
-  (``time.time``, ``time.sleep``, ``random.random``, ...) inside a
-  ``sim``/``redundancy`` module, which breaks run-to-run determinism.
-* **CSAR005** — ``event.fail(exc)`` on a locally-created event that
-  never escapes the function and is never ``defused()`` — the failure
-  re-raises at the end of :meth:`Environment.run`.
-* **CSAR006** — an :class:`~repro.util.intervals.Extent` dataclass
-  constructed inside a loop (or comprehension) in a ``hw``/``sim``
-  module: those are the simulator's hot paths, where the tuple-based
-  ``overlap_iter``/``gaps_iter`` variants must be used instead.
-* **CSAR007** — a parity lock (an ``*.acquire(...)`` token) held across
-  a yield on long-latency I/O (``rpc``/``get``/``stream``/``transfer``/
-  ``send``/``recv``) — the paper's Section 5.1 locking cost comes from
-  exactly this: serialization windows stretched over non-lock I/O.
-  Timeouts and the RMW's own ``fs.read``/``fs.write`` are deliberate
-  hold-duration modeling and do not count.
-* **CSAR008** — a lock released on some paths but still held on at
-  least one *normal* exit (same dataflow as CSAR001; a release that
-  exists but is conditional).
-* **CSAR009** — an overflow-path function in a ``redundancy`` module
-  writes partial-stripe data to the home location (``WriteReq`` or a
-  ``.write(data_file(...), ...)``) instead of the overflow region.
-* **CSAR012** — a flattening payload call (``.concat(...)``,
-  ``.to_bytes()``, ``.assemble(...)``) inside a loop (or comprehension)
-  in a ``pvfs``/``redundancy``/``hw`` module: each call materialises a
-  contiguous copy, so one per fragment/iteration turns the zero-copy
-  segment rope back into O(n²) memcpy.
-* **CSAR013/014/015** — the buffer-provenance rules
+* **CSAR010** — a lock acquired by a helper that a caller path can
+  exit still holding, reported at the call with its ``caller ->
+  helper`` chain.
+* **CSAR011** — a cycle or a descending edge on the global
+  acquires-while-holding graph, against the Section 5.1 ascending-group
+  order.
+* **CSAR013/014** — the buffer-provenance rules
   (:mod:`repro.analysis.bufflow`): in-place mutation or thaw of a
-  may-frozen payload view, a private writable buffer escaping with no
-  dominating freeze, and a shared scratch alias live across an Event
-  yield.  Flow-sensitive over the same CFG engine as the lock rules;
-  callee buffer summaries ride the call graph and findings carry
-  ``caller -> helper`` chains.
+  may-frozen payload view, and a private writable buffer escaping with
+  no dominating freeze.  Flow-sensitive over the same CFG engine as the
+  lock rules; callee buffer summaries ride the call graph and findings
+  carry ``caller -> helper`` chains.
 
 Findings can be suppressed per line with a trailing comment::
 
@@ -78,30 +51,13 @@ import tokenize
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.analysis.bufflow import BufferAnalysis, buffer_context_for
 from repro.analysis.dataflow import LockAnalysis
 from repro.analysis.rules import RULES, all_codes
-from repro.errors import ConfigError
+from repro.analysis.summaries import Program, format_chain, group_value
 
 #: Version of the ``--format=json`` payload (see ``docs/ANALYSIS.md``).
 LINT_SCHEMA_VERSION = 1
-
-#: ``<module>.<attr>`` calls that read the wall clock or draw unseeded
-#: randomness (CSAR004).
-_WALL_CLOCK = {
-    "time": ("time", "time_ns", "sleep", "monotonic", "monotonic_ns",
-             "perf_counter", "perf_counter_ns"),
-    "random": ("random", "randint", "randrange", "uniform", "choice",
-               "choices", "shuffle", "sample", "getrandbits", "gauss"),
-    "datetime": ("now", "utcnow", "today"),
-}
-
-#: Expression node types a process must never yield (CSAR003): none of
-#: these can evaluate to an Event.
-_NON_EVENT_YIELDS = (
-    ast.Constant, ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare,
-    ast.JoinedStr, ast.List, ast.Tuple, ast.Dict, ast.Set,
-    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
-)
 
 
 @dataclass(frozen=True)
@@ -170,54 +126,37 @@ def _suppressed(supp: Dict[int, Optional[Set[str]]],
 
 
 # ----------------------------------------------------------------------
-# AST helpers
+# the per-file linter
 # ----------------------------------------------------------------------
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
-def _own_nodes(func: ast.FunctionDef) -> Iterable[ast.AST]:
-    """All nodes of ``func``'s body, not descending into nested scopes."""
+def _is_generator(func: ast.FunctionDef) -> bool:
+    """``func``'s own body yields (nested scopes do not count)."""
     todo: List[ast.AST] = list(func.body)
     while todo:
         node = todo.pop()
-        yield node
-        if isinstance(node, _SCOPES):
-            continue
-        todo.extend(ast.iter_child_nodes(node))
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return False
 
 
-def _call_attr(node: ast.AST) -> Optional[str]:
-    """The attribute name of a method call, e.g. ``x.y.acquire(...)``."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    return None
-
-
-def _names_in(node: ast.AST) -> Set[str]:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
-# ----------------------------------------------------------------------
-# the per-file linter
-# ----------------------------------------------------------------------
 class FileLinter:
-    """Run every enabled per-module rule over one module of a
+    """Run every per-module rule over one module of a
     :class:`~repro.analysis.summaries.Program`, which supplies the parse
     and the callee summaries."""
 
-    def __init__(self, path: str, source: str, program,
-                 enable: Set[str]) -> None:
+    def __init__(self, path: str, source: str, program) -> None:
         self.path = path
         self.source = source
         self.program = program
-        self.enable = enable
         self.findings: List[Finding] = []
         self._supp = _suppressions(source)
 
     # -- plumbing -------------------------------------------------------
     def _report(self, code: str, node: ast.AST, message: str) -> None:
-        if code not in self.enable:
-            return
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
         if _suppressed(self._supp, line, code):
@@ -239,39 +178,17 @@ class FileLinter:
                     self.path, line, err.offset or 0, "CSAR000",
                     f"syntax error: {err.msg}"))
                 return self.findings
-        sim_scoped = self._is_sim_scoped()
         buf_scoped = self._is_bufflow_scoped()
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
-                self._check_function(node, sim_scoped)
+                if _is_generator(node):
+                    self._check_lock_dataflow(node)
                 if buf_scoped:
                     self._check_bufflow(node)
-        if sim_scoped:
-            self._check_wall_clock(tree)
-        if self._is_hot_scoped():
-            self._check_extent_in_loops(tree)
-        if self._is_payload_scoped():
-            self._check_payload_copies_in_loops(tree)
         return self.findings
 
-    def _is_sim_scoped(self) -> bool:
-        """CSAR004 applies to modules whose behaviour must replay
-        bit-identically: the engine (``sim``), the schemes
-        (``redundancy``), fault injection (``faults`` — a plan must
-        re-fire at the same sim instants), and the client RPC
-        retry/backoff path (``pvfs`` — jitter must come from the seeded
-        per-request stream, never the wall clock)."""
-        parts = os.path.normpath(self.path).split(os.sep)
-        return any(part in ("sim", "redundancy", "faults", "pvfs")
-                   for part in parts)
-
-    def _is_redundancy_scoped(self) -> bool:
-        """CSAR009 applies only to ``redundancy`` modules."""
-        parts = os.path.normpath(self.path).split(os.sep)
-        return "redundancy" in parts
-
     def _is_bufflow_scoped(self) -> bool:
-        """CSAR013–015 apply wherever payload bytes travel or rest:
+        """CSAR013/014 apply wherever payload bytes travel or rest:
         ``redundancy``/``pvfs`` modules, ``analysis`` (sanitizers,
         seeded bugs) and ``storage`` — the payload rope, and the block
         store that keeps the written payloads' own arrays.  ``hw``/
@@ -280,38 +197,8 @@ class FileLinter:
         return any(part in ("redundancy", "pvfs", "analysis", "storage")
                    for part in parts)
 
-    def _is_hot_scoped(self) -> bool:
-        """CSAR006 applies only to ``hw``/``sim`` hot-path modules."""
-        parts = os.path.normpath(self.path).split(os.sep)
-        return any(part in ("hw", "sim") for part in parts)
-
-    def _is_payload_scoped(self) -> bool:
-        """CSAR012 applies only to data-path ``pvfs``/``redundancy``/``hw``
-        modules."""
-        parts = os.path.normpath(self.path).split(os.sep)
-        return any(part in ("pvfs", "redundancy", "hw") for part in parts)
-
-    # -- dispatch -------------------------------------------------------
-    def _check_function(self, func: ast.FunctionDef,
-                        sim_scoped: bool) -> None:
-        nodes = list(_own_nodes(func))
-        generator = any(isinstance(n, (ast.Yield, ast.YieldFrom))
-                        for n in nodes)
-        if generator:
-            self._check_lock_dataflow(func)
-            self._check_yields(func, nodes)
-        if self._is_redundancy_scoped() and "overflow" in func.name:
-            self._check_overflow_inplace(func, nodes)
-        self._check_lost_failures(func, nodes)
-
-    # -- CSAR013 / CSAR014 / CSAR015 (buffer provenance) ----------------
-    _BUFFLOW_CODES = frozenset(("CSAR013", "CSAR014", "CSAR015"))
-
+    # -- CSAR013 / CSAR014 (buffer provenance) --------------------------
     def _check_bufflow(self, func: ast.FunctionDef) -> None:
-        if not (self.enable & self._BUFFLOW_CODES):
-            return
-        from repro.analysis.bufflow import (BufferAnalysis,
-                                            buffer_context_for)
         ctx = buffer_context_for(self.program, func)
         qname = ctx.info.qname if ctx is not None else func.name
         analysis = BufferAnalysis(func, interproc=ctx, qname=qname,
@@ -319,11 +206,7 @@ class FileLinter:
         for finding in analysis.findings():
             self._report(finding.code, finding.node, finding.message)
 
-    # -- CSAR001 / CSAR007 / CSAR008 (CFG + dataflow) -------------------
-    #: Yielded calls counted as long-latency non-lock I/O (CSAR007).
-    _IO_YIELD_NAMES = frozenset(
-        ("rpc", "get", "stream", "transfer", "send", "recv"))
-
+    # -- CSAR001 (CFG + dataflow) ---------------------------------------
     def _check_lock_dataflow(self, func: ast.FunctionDef) -> None:
         # ``ctx`` is None for a nested def, which the call graph does not
         # index: its analysis sees no callee effects.
@@ -352,47 +235,18 @@ class FileLinter:
                         "CSAR001", call,
                         f"{desc}() is never released on any path "
                         f"[fix: {RULES['CSAR001'].fixit}]")
-                continue
-            if token.tid in held_exit:
+            elif token.tid in held_exit:
                 self._report(
-                    "CSAR008", call,
+                    "CSAR001", call,
                     f"{desc}() released on some paths but still held on "
                     "at least one normal exit "
-                    f"[fix: {RULES['CSAR008'].fixit}]")
+                    f"[fix: {RULES['CSAR001'].fixit}]")
             elif token.tid in held_raise and not token.release_in_cleanup:
                 self._report(
                     "CSAR001", call,
                     f"{desc}() released on the normal path but leaked "
                     "when the blocking yield is interrupted "
                     f"[fix: {RULES['CSAR001'].fixit}]")
-        for yield_node, held in analysis.yields_while_held():
-            value = yield_node.value
-            if not isinstance(value, ast.Call):
-                continue
-            name = None
-            if isinstance(value.func, ast.Attribute):
-                name = value.func.attr
-            elif isinstance(value.func, ast.Name):
-                name = value.func.id
-            locks = ", ".join(sorted(
-                f"{t.receiver}.acquire({', '.join(t.args)})"
-                for t in held))
-            if name in self._IO_YIELD_NAMES:
-                self._report(
-                    "CSAR007", yield_node,
-                    f"yield on {ast.unparse(value.func)}() while holding "
-                    f"{locks} — parity lock held across non-lock I/O "
-                    f"[fix: {RULES['CSAR007'].fixit}]")
-                continue
-            effects = analysis.call_effect_of(value)
-            if effects is not None and effects.io_yield:
-                self._report(
-                    "CSAR007", yield_node,
-                    f"yield from {ast.unparse(value.func)}() which "
-                    f"transitively yields on long-latency I/O, while "
-                    f"holding {locks} — parity lock held across "
-                    "non-lock I/O via a callee "
-                    f"[fix: {RULES['CSAR007'].fixit}]")
 
     # -- CSAR010 (interprocedural lock leak) ----------------------------
     def _check_derived_token(self, token, held_exit, held_raise,
@@ -404,8 +258,8 @@ class FileLinter:
         call = token.call
         desc = ast.unparse(call.func)
         key = f"{token.receiver}.acquire({', '.join(token.args)})"
-        chain = _format_chain(((caller.qname, caller.path, call.lineno),),
-                              token.chain)
+        chain = format_chain(((caller.qname, caller.path, call.lineno),),
+                             token.chain)
         if token.tid in held_exit:
             self._report(
                 "CSAR010", call,
@@ -420,242 +274,6 @@ class FileLinter:
                 f"exceptional edge: acquired via {chain}, with no "
                 "release in any except/finally cleanup "
                 f"[fix: {RULES['CSAR010'].fixit}]")
-
-    # -- CSAR009 --------------------------------------------------------
-    def _check_overflow_inplace(self, func: ast.FunctionDef,
-                                nodes: List[ast.AST]) -> None:
-        for node in nodes:
-            if not isinstance(node, ast.Call):
-                continue
-            func_node = node.func
-            name = None
-            if isinstance(func_node, ast.Name):
-                name = func_node.id
-            elif isinstance(func_node, ast.Attribute):
-                name = func_node.attr
-            if name == "WriteReq":
-                self._report(
-                    "CSAR009", node,
-                    "overflow path sends WriteReq (home-location data "
-                    "write) instead of OverflowWriteReq "
-                    f"[fix: {RULES['CSAR009'].fixit}]")
-            elif name == "write" and node.args:
-                target = node.args[0]
-                target_name = None
-                if isinstance(target, ast.Call):
-                    if isinstance(target.func, ast.Name):
-                        target_name = target.func.id
-                    elif isinstance(target.func, ast.Attribute):
-                        target_name = target.func.attr
-                if target_name == "data_file":
-                    self._report(
-                        "CSAR009", node,
-                        "overflow path writes the home data file "
-                        "in place instead of the overflow region "
-                        f"[fix: {RULES['CSAR009'].fixit}]")
-
-    # -- CSAR003 --------------------------------------------------------
-    def _check_yields(self, func: ast.FunctionDef,
-                      nodes: List[ast.AST]) -> None:
-        if not self._is_process_body(func, nodes):
-            return
-        unreachable = self._unreachable_statements(func, nodes)
-        for node in nodes:
-            if not isinstance(node, ast.Yield):
-                continue
-            if any(node.lineno >= stmt.lineno
-                   and node.lineno <= getattr(stmt, "end_lineno",
-                                              stmt.lineno)
-                   for stmt in unreachable):
-                # ``raise ...`` followed by ``yield``: the standard idiom
-                # for forcing a function to be a generator.
-                continue
-            value = node.value
-            if value is None:
-                self._report(
-                    "CSAR003", node,
-                    "bare yield in a process body — a process must yield "
-                    f"Events [fix: {RULES['CSAR003'].fixit}]")
-            elif isinstance(value, _NON_EVENT_YIELDS):
-                self._report(
-                    "CSAR003", node,
-                    f"yield of {ast.unparse(value)!r} which cannot be an "
-                    f"Event [fix: {RULES['CSAR003'].fixit}]")
-
-    @staticmethod
-    def _unreachable_statements(func: ast.FunctionDef,
-                                nodes: List[ast.AST]) -> List[ast.stmt]:
-        """Statements that follow a terminator in the same block."""
-        out: List[ast.stmt] = []
-        containers: List[ast.AST] = [func]
-        containers.extend(nodes)
-        for node in containers:
-            for field in ("body", "orelse", "finalbody"):
-                block = getattr(node, field, None)
-                if not isinstance(block, list):
-                    continue
-                terminated = False
-                for stmt in block:
-                    if terminated and isinstance(stmt, ast.stmt):
-                        out.append(stmt)
-                    if isinstance(stmt, (ast.Raise, ast.Return,
-                                         ast.Break, ast.Continue)):
-                        terminated = True
-        return out
-
-    @staticmethod
-    def _is_process_body(func: ast.FunctionDef,
-                         nodes: List[ast.AST]) -> bool:
-        """Process bodies are typed ``Generator[Event, ...]`` (the
-        repo-wide convention) or demonstrably yield timeout events."""
-        if func.returns is not None:
-            annotation = ast.unparse(func.returns)
-            if "Event" in annotation:
-                return True
-        for node in nodes:
-            if (isinstance(node, (ast.Yield, ast.YieldFrom))
-                    and node.value is not None
-                    and _call_attr(node.value) == "timeout"):
-                return True
-        return False
-
-    # -- CSAR004 --------------------------------------------------------
-    def _check_wall_clock(self, tree: ast.Module) -> None:
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)):
-                continue
-            module = node.func.value.id
-            attr = node.func.attr
-            if attr in _WALL_CLOCK.get(module, ()):
-                self._report(
-                    "CSAR004", node,
-                    f"{module}.{attr}() in a sim/redundancy module breaks "
-                    f"determinism [fix: {RULES['CSAR004'].fixit}]")
-
-    # -- CSAR006 --------------------------------------------------------
-    _LOOPS = (ast.For, ast.While, ast.AsyncFor,
-              ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-
-    def _check_extent_in_loops(self, tree: ast.Module) -> None:
-        """Flag ``Extent(...)`` construction inside any loop body."""
-        seen: Set[int] = set()  # a call inside nested loops reports once
-        for loop in ast.walk(tree):
-            if not isinstance(loop, self._LOOPS):
-                continue
-            for node in ast.walk(loop):
-                if node is loop or not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = None
-                if isinstance(func, ast.Name):
-                    name = func.id
-                elif isinstance(func, ast.Attribute):
-                    name = func.attr
-                if name != "Extent" or id(node) in seen:
-                    continue
-                seen.add(id(node))
-                self._report(
-                    "CSAR006", node,
-                    "Extent() constructed inside a loop in a hw/sim "
-                    "hot-path module "
-                    f"[fix: {RULES['CSAR006'].fixit}]")
-
-    # -- CSAR012 --------------------------------------------------------
-    #: Payload methods that materialise a flat contiguous copy.
-    _PAYLOAD_FLATTENERS = frozenset({"concat", "to_bytes", "assemble"})
-
-    def _check_payload_copies_in_loops(self, tree: ast.Module) -> None:
-        """Flag flattening payload calls inside any loop body."""
-        seen: Set[int] = set()  # a call inside nested loops reports once
-        for loop in ast.walk(tree):
-            if not isinstance(loop, self._LOOPS):
-                continue
-            for node in ast.walk(loop):
-                if node is loop or not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if not isinstance(func, ast.Attribute):
-                    continue  # bare concat()/assemble() is someone else's
-                name = func.attr
-                if (name not in self._PAYLOAD_FLATTENERS
-                        or id(node) in seen):
-                    continue
-                seen.add(id(node))
-                self._report(
-                    "CSAR012", node,
-                    f".{name}() materialises a flat payload copy inside "
-                    "a loop in a pvfs/redundancy/hw data-path module "
-                    f"[fix: {RULES['CSAR012'].fixit}]")
-
-    # -- CSAR005 --------------------------------------------------------
-    def _check_lost_failures(self, func: ast.FunctionDef,
-                             nodes: List[ast.AST]) -> None:
-        fails: List[Tuple[str, ast.Call]] = []
-        for node in nodes:
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "fail"
-                    and node.args
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id not in ("self", "cls")):
-                fails.append((node.func.value.id, node))
-        if not fails:
-            return
-        for name, call in fails:
-            if self._defused_or_escapes(name, call, nodes):
-                continue
-            self._report(
-                "CSAR005", call,
-                f"{name}.fail(...) but {name!r} never escapes this "
-                "function and is never defused(): the failure re-raises "
-                "at the end of Environment.run() "
-                f"[fix: {RULES['CSAR005'].fixit}]")
-
-    @staticmethod
-    def _defused_or_escapes(name: str, fail_call: ast.Call,
-                            nodes: List[ast.AST]) -> bool:
-        for node in nodes:
-            # Explicitly defused.
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "defused"
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == name):
-                return True
-            # Escapes: returned or yielded.
-            if (isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom))
-                    and node.value is not None
-                    and name in _names_in(node.value)):
-                return True
-            # Escapes: passed as an argument to any call.
-            if isinstance(node, ast.Call) and node is not fail_call:
-                in_args = any(name in _names_in(a) for a in node.args)
-                in_kwargs = any(name in _names_in(k.value)
-                                for k in node.keywords)
-                if in_args or in_kwargs:
-                    return True
-            # Escapes: stored into an attribute, subscript, or container.
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                value = getattr(node, "value", None)
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                stored = any(isinstance(t, (ast.Attribute, ast.Subscript))
-                             for t in targets)
-                if (stored and value is not None
-                        and name in _names_in(value)):
-                    return True
-            if (isinstance(node, (ast.List, ast.Tuple, ast.Set, ast.Dict))
-                    and name in _names_in(node)):
-                return True
-        return False
-
-
-def _format_chain(prefix: Tuple, chain: Tuple) -> str:
-    links = tuple(prefix) + tuple(chain)
-    return " -> ".join(f"{qname} ({path}:{line})"
-                       for qname, path, line in links)
 
 
 # ----------------------------------------------------------------------
@@ -672,7 +290,6 @@ def _witness_note(edge, witnesses) -> str:
     """
     if witnesses is None:
         return ""
-    from repro.analysis.summaries import group_value
     value_held = group_value(edge.held)
     value_acq = group_value(edge.acquired)
     for w in witnesses:
@@ -690,7 +307,7 @@ def _witness_note(edge, witnesses) -> str:
     return "no dynamic witness recorded"
 
 
-def check_order_cycles(program, enable: Set[str],
+def check_order_cycles(program,
                        supp_of_path: Dict[str, Dict[int,
                                                     Optional[Set[str]]]],
                        witnesses=None) -> List[Finding]:
@@ -706,8 +323,6 @@ def check_order_cycles(program, enable: Set[str],
       file expression.
     """
     findings: List[Finding] = []
-    if "CSAR011" not in enable:
-        return findings
 
     def emit(edge, message: str) -> None:
         supp = supp_of_path.get(edge.path, {})
@@ -717,7 +332,6 @@ def check_order_cycles(program, enable: Set[str],
             edge.path, edge.line, 0, "CSAR011", message,
             witness=_witness_note(edge, witnesses)))
 
-    from repro.analysis.summaries import group_value
     edges = program.order_edges()
     seen: Set[Tuple] = set()
     for qname, edge in edges:
@@ -735,7 +349,7 @@ def check_order_cycles(program, enable: Set[str],
              f"static lock-order cycle on file {edge.file_text}: {shape} "
              "— collides with every chain following the ascending "
              f"Section 5.1 convention; witness chain {qname}: "
-             f"{_format_chain((), edge.chain)} "
+             f"{format_chain((), edge.chain)} "
              f"[fix: {RULES['CSAR011'].fixit}]")
 
     # Reversed symbolic pairs: (a held -> b acquired) vs (b -> a).
@@ -757,9 +371,9 @@ def check_order_cycles(program, enable: Set[str],
         emit(edge,
              f"static lock-order cycle on file {file_text}: "
              f"{qname} acquires {acquired} while holding {held} "
-             f"({_format_chain((), edge.chain)}) but {rev_qname} "
+             f"({format_chain((), edge.chain)}) but {rev_qname} "
              f"acquires {held} while holding {acquired} "
-             f"({_format_chain((), rev_edge.chain)}) "
+             f"({format_chain((), rev_edge.chain)}) "
              f"[fix: {RULES['CSAR011'].fixit}]")
     return findings
 
@@ -767,12 +381,6 @@ def check_order_cycles(program, enable: Set[str],
 # ----------------------------------------------------------------------
 # public API
 # ----------------------------------------------------------------------
-def lint_source(source: str, path: str = "<string>",
-                enable: Optional[Iterable[str]] = None) -> List[Finding]:
-    """Lint one module given as a string (a one-module program)."""
-    return _lint_sources({path: source}, enable, None)
-
-
 def iter_python_files(paths: Iterable[str]) -> Iterable[str]:
     """Expand files and directory trees, deduplicated: a file reachable
     both directly and through a parent directory is yielded once."""
@@ -800,9 +408,7 @@ def iter_python_files(paths: Iterable[str]) -> Iterable[str]:
             yield path
 
 
-def lint_paths(paths: Iterable[str],
-               enable: Optional[Iterable[str]] = None,
-               witnesses=None) -> List[Finding]:
+def lint_paths(paths: Iterable[str], witnesses=None) -> List[Finding]:
     """Lint files and directory trees as one program; findings sorted by
     location."""
     sources: Dict[str, str] = {}
@@ -812,45 +418,26 @@ def lint_paths(paths: Iterable[str],
                 sources[path] = fp.read()
         except OSError:
             continue
-    return _lint_sources(sources, enable, witnesses)
+    return lint_sources(sources, witnesses)
 
 
-def _enabled_codes(enable: Optional[Iterable[str]]) -> Set[str]:
-    """The codes to run, every registered rule by default.  An unknown
-    code is an error: a misspelt or retired code in ``[tool.csar-lint]
-    enable`` would otherwise switch rules off without a word."""
-    if enable is None:
-        return set(all_codes())
-    codes = set(enable)
-    unknown = sorted(codes - set(RULES))
-    if unknown:
-        raise ConfigError(f"unknown csar-lint rule code(s): "
-                          f"{', '.join(unknown)}")
-    return codes
-
-
-def _lint_sources(sources: Dict[str, str],
-                  enable: Optional[Iterable[str]],
-                  witnesses) -> List[Finding]:
-    """The one lint pass: condense ``sources`` into a
+def lint_sources(sources: Dict[str, str],
+                 witnesses=None) -> List[Finding]:
+    """The one lint pass over ``{path: source}``: condense it into a
     :class:`~repro.analysis.summaries.Program` (call graph + lock and
     buffer summaries), run the per-module rules with callee effects
     visible, then the whole-program CSAR011 over the global lock-order
     graph.  ``witnesses`` is an optional list of LockSan order-inversion
     records (see :func:`load_witnesses`) cross-referenced into CSAR011
     findings."""
-    from repro.analysis.summaries import Program
-
-    enabled = _enabled_codes(enable)
     program = Program.from_sources(sources)
     findings: List[Finding] = []
     supp_of_path: Dict[str, Dict[int, Optional[Set[str]]]] = {}
     for path, source in sources.items():
-        linter = FileLinter(path, source, program, enabled)
+        linter = FileLinter(path, source, program)
         findings.extend(linter.run())
         supp_of_path[path] = linter._supp
-    findings.extend(check_order_cycles(program, enabled, supp_of_path,
-                                       witnesses))
+    findings.extend(check_order_cycles(program, supp_of_path, witnesses))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     unique: List[Finding] = []
     seen: Set[Tuple] = set()
@@ -980,14 +567,6 @@ def _pyproject_section(root: str = ".") -> dict:
         data = tomllib.load(fp)
     section = data.get("tool", {}).get("csar-lint", {})
     return section if isinstance(section, dict) else {}
-
-
-def enabled_codes_from_pyproject(root: str = ".") -> Optional[List[str]]:
-    """The ``[tool.csar-lint] enable`` list, if configured."""
-    enable = _pyproject_section(root).get("enable")
-    if isinstance(enable, list):
-        return [str(code) for code in enable]
-    return None
 
 
 def format_text(findings: List[Finding]) -> str:

@@ -4,14 +4,16 @@ Each class re-introduces a bug the paper's protocol (or the zero-copy
 buffer discipline) is designed to exclude, so tests can prove the
 schedule explorer (:mod:`repro.analysis.explore`), the sanitizers, the
 whole-program lint and the crash matrix catch it within a bounded
-budget:
+budget.  What convicts each one (the conviction matrix of
+``tests/analysis/test_conviction.py``):
 
-* :class:`DropReleaseRaid5` (a request mutator): deadlock, LockSan;
+* :class:`DropReleaseRaid5` (a request mutator): the engine's deadlock;
 * :class:`InPlaceOverflowHybrid` (a plan mutator): ParitySan;
-* :class:`HelperReleaseRaid5` (wraps ``write``): CSAR010, explorer;
+* :class:`HelperReleaseRaid5` (wraps ``write``): CSAR010, the engine's
+  deadlock;
 * :class:`DescendingLockRaid5` (wraps ``write``): CSAR011, LockSan;
 * :class:`ThawedViewRaid5` (wraps ``_rmw``): CSAR013, BufSan;
-* :class:`ScratchLeakHybrid` (wraps ``_mirrored``): CSAR014/015, BufSan;
+* :class:`ScratchLeakHybrid` (wraps ``_mirrored``): CSAR014, BufSan;
 * :class:`CompensatingWritebackRaid5` (wraps ``_rmw``): crash matrix.
 
 None needs a seam in the production write path: a plan mutator
@@ -48,8 +50,9 @@ class DropReleaseRaid5(Raid5):
 
     The N-th ``ParityWriteReq(unlock=True)`` goes out as
     ``unlock=False``: the next writer to that group queues forever,
-    which surfaces as a :class:`~repro.errors.SimulationError` deadlock
-    or a LockSan leak report.
+    which surfaces as the engine's :class:`~repro.errors.SimulationError`
+    deadlock, raised before ``run.complete`` fires — so LockSan's leak
+    check never runs.
     """
 
     name = "raid5"  # impersonate: metadata still says "raid5"
@@ -159,9 +162,9 @@ class DescendingLockRaid5(Raid5):
         last = lay.group_of(offset + payload.length - 1)
         xid = client.next_xid()
         for group in range(last, first - 1, -1):  # the bug: descending
-            # CSAR008 sees the zero-iteration exit of the release loop
+            # CSAR001 sees the zero-iteration exit of the release loop
             # below; first <= last always, so the loops pair up exactly.
-            yield from client.iods[lay.parity_server(group)].locks.acquire(  # csar-lint: disable=CSAR008
+            yield from client.iods[lay.parity_server(group)].locks.acquire(  # csar-lint: disable=CSAR001
                 meta.name, group, xid)
         try:
             yield from super().write(client, meta, offset, payload)
@@ -235,9 +238,8 @@ class ScratchLeakHybrid(Hybrid):
     locally plausible (the allocator returns a fresh array, the filler
     writes into "its" buffer), so per-function reasoning sees
     nothing; interprocedurally CSAR014 flags the allocator's buffer
-    escaping into ``self._scratch`` unfrozen and CSAR015 flags the
-    scratch-aliasing payload live across the handler's yield, while
-    BufSan catches the drift at the buffer's re-capture.
+    escaping into ``self._scratch`` unfrozen, while BufSan catches the
+    drift at the buffer's re-capture.
     """
 
     name = "hybrid"  # impersonate: metadata still says "hybrid"

@@ -11,14 +11,6 @@ result into a :class:`LockEffectSummary`:
 * **released** — keys the function releases but did not itself acquire
   (helper-release idiom), split into *must* (released on every normal
   path) and *may* (conditional);
-* **held_at_raise** — keys that may be held when an exception
-  propagates out;
-* **yields_while_held** — keys held across at least one yield;
-* **io_yield** — whether the function (transitively, through confident
-  call edges) yields on long-latency I/O
-  (``rpc``/``get``/``stream``/``transfer``/``send``/``recv``);
-* **escaping** — request variables whose ownership escapes (the
-  protocol-carried idiom);
 * **order_edges** — acquires-while-holding pairs feeding the global
   lock-order graph (CSAR011), including loop-carried descending
   acquisition.
@@ -37,21 +29,22 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.callgraph import (
-    CallGraph, FunctionInfo, PRIMITIVE_ATTRS, normalize_call,
-    spawn_argument_calls)
+from repro.analysis.callgraph import CallGraph, FunctionInfo, normalize_call
 from repro.analysis.cfg import EXC
 from repro.analysis.dataflow import LockAnalysis, run_forward
 
-#: Yielded call names counted as long-latency non-lock I/O (CSAR007).
-IO_YIELD_NAMES = frozenset(("rpc", "get", "stream", "transfer", "send",
-                            "recv"))
-
 #: One step of a witness call chain: (qname, path, line).
 ChainLink = Tuple[str, str, int]
+
+
+def format_chain(prefix: Tuple, chain: Tuple) -> str:
+    """``qname (path:line) -> ...`` over ``prefix`` then ``chain``."""
+    links = tuple(prefix) + tuple(chain)
+    return " -> ".join(f"{qname} ({path}:{line})"
+                       for qname, path, line in links)
 
 
 # ----------------------------------------------------------------------
@@ -108,16 +101,7 @@ class LockEffectSummary:
     path: str
     acquired: Tuple[AcquiredLock, ...] = ()
     released: Tuple[ReleasedLock, ...] = ()
-    held_at_raise: Tuple[LockKey, ...] = ()
-    yields_while_held: Tuple[LockKey, ...] = ()
-    io_yield: bool = False
-    escaping: Tuple[str, ...] = ()
     order_edges: Tuple[OrderEdge, ...] = ()
-
-    @property
-    def net_delta(self) -> int:
-        """Locks this function may add to its caller's held set."""
-        return len(self.acquired)
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +114,6 @@ class CallSiteEffects:
     call: ast.Call
     acquired: Tuple[AcquiredLock, ...]
     released: Tuple[ReleasedLock, ...]
-    io_yield: bool
 
 
 class _Substituter(ast.NodeTransformer):
@@ -217,10 +200,8 @@ class InterprocContext:
         acquired: Dict[Tuple[str, Tuple[str, ...], str], AcquiredLock] = {}
         released: Dict[LockKey, bool] = {}
         released_in_all: Dict[LockKey, int] = {}
-        io_yield = False
         for callee, summary in targets:
             mapping = _binding(callee, call)
-            io_yield = io_yield or summary.io_yield
             for acq in summary.acquired:
                 key = _substitute_key(acq.key, mapping)
                 ident = (key.receiver, key.args, acq.kind)
@@ -232,15 +213,14 @@ class InterprocContext:
                 released[key] = released.get(key, False) or rel.must
                 if rel.must:
                     released_in_all[key] = released_in_all.get(key, 0) + 1
-        if not acquired and not released and not io_yield:
+        if not acquired and not released:
             return None
         # A release is only *must* at this call site when every possible
         # callee must-releases it.
         rel_out = tuple(
             ReleasedLock(key, released_in_all.get(key, 0) == len(targets))
             for key in released)
-        return CallSiteEffects(call, tuple(acquired.values()), rel_out,
-                               io_yield)
+        return CallSiteEffects(call, tuple(acquired.values()), rel_out)
 
 
 # ----------------------------------------------------------------------
@@ -322,32 +302,6 @@ def _loop_direction(func: ast.FunctionDef,
 # ----------------------------------------------------------------------
 # summarizing one function
 # ----------------------------------------------------------------------
-def yielded_calls(func: ast.FunctionDef) -> List[ast.Call]:
-    """Calls that are the value of a ``yield``/``yield from`` in
-    ``func``'s own body (not nested scopes)."""
-    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
-              ast.ClassDef)
-    out: List[ast.Call] = []
-    todo: List[ast.AST] = list(func.body)
-    while todo:
-        node = todo.pop()
-        if isinstance(node, scopes):
-            continue
-        if isinstance(node, (ast.Yield, ast.YieldFrom)) \
-                and isinstance(node.value, ast.Call):
-            out.append(node.value)
-        todo.extend(ast.iter_child_nodes(node))
-    return out
-
-
-def _own_io_yield(func: ast.FunctionDef) -> bool:
-    for call in yielded_calls(func):
-        _recv, attr, bare = normalize_call(call)
-        if (attr or bare) in IO_YIELD_NAMES:
-            return True
-    return False
-
-
 def _must_released(analysis: LockAnalysis,
                    events: Dict[LockKey, Set[int]]) -> Dict[LockKey, bool]:
     """Which release keys are released on *every* normal path.
@@ -386,41 +340,16 @@ def summarize_function(info: FunctionInfo, graph: CallGraph,
     """Build one function's summary against already-computed callees."""
     ctx = InterprocContext(graph, summaries, info)
     analysis = LockAnalysis(info.node, interproc=ctx)
-    io_yield = _own_io_yield(info.node)
-    if not io_yield:
-        spawned = spawn_argument_calls(info.node)
-        for call in yielded_calls(info.node):
-            if id(call) in spawned:
-                continue
-            _recv, attr, _bare = normalize_call(call)
-            if attr in PRIMITIVE_ATTRS:
-                continue
-            eff = analysis.call_effect_of(call)
-            if eff is not None and eff.io_yield:
-                io_yield = True
-                break
-
     held_exit = analysis.held_at_exit()
-    held_raise = analysis.held_at_raise()
     acquired: List[AcquiredLock] = []
-    held_raise_keys: List[LockKey] = []
-    escaping: List[str] = []
     for token in analysis.tokens:
-        if token.guarded:
+        if token.guarded or (token.escapes and not token.returned):
             continue
-        key = LockKey(token.receiver, token.args)
-        if token.escapes and not token.returned:
-            if token.var:
-                escaping.append(token.var)
-            continue
-        site: ChainLink = (info.qname, info.path, token.call.lineno)
-        chain = (site,) + tuple(token.chain)
         if token.handoff or token.tid in held_exit:
-            acquired.append(AcquiredLock(key, token.kind, token.returned,
-                                         chain))
-        if token.tid in held_raise and token.kind == "acquire" \
-                and not token.handoff:
-            held_raise_keys.append(key)
+            site: ChainLink = (info.qname, info.path, token.call.lineno)
+            acquired.append(AcquiredLock(
+                LockKey(token.receiver, token.args), token.kind,
+                token.returned, (site,) + tuple(token.chain)))
 
     # Releases of locks this function never acquired: raw unmatched
     # release calls plus callee releases that matched no local token.
@@ -436,11 +365,6 @@ def summarize_function(info: FunctionInfo, graph: CallGraph,
         (ReleasedLock(key, bool(must_map.get(key))) for key in
          all_released),
         key=lambda r: (r.key.receiver, r.key.args)))
-
-    ywh: Set[LockKey] = set()
-    for _node, held in analysis.yields_while_held():
-        for token in held:
-            ywh.add(LockKey(token.receiver, token.args))
 
     order_edges: List[OrderEdge] = []
     seen_edges: Set[Tuple] = set()
@@ -485,12 +409,6 @@ def summarize_function(info: FunctionInfo, graph: CallGraph,
         acquired=tuple(sorted(
             acquired, key=lambda a: (a.key.receiver, a.key.args))),
         released=released,
-        held_at_raise=tuple(sorted(
-            set(held_raise_keys), key=lambda k: (k.receiver, k.args))),
-        yields_while_held=tuple(sorted(
-            ywh, key=lambda k: (k.receiver, k.args))),
-        io_yield=io_yield,
-        escaping=tuple(sorted(set(escaping))),
         order_edges=tuple(sorted(
             order_edges, key=lambda e: (e.path, e.line, e.held,
                                         e.acquired))),

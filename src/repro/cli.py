@@ -298,13 +298,7 @@ def _cmd_lint(paths: List[str], fmt: str, list_rules: bool,
     witnesses = None
     if witness_path is not None:
         witnesses = lint.load_witnesses(witness_path)
-    enable = lint.enabled_codes_from_pyproject()
-    try:
-        findings = lint.lint_paths(paths, enable=enable,
-                                   witnesses=witnesses)
-    except ConfigError as err:
-        print(f"error: [tool.csar-lint] enable: {err}", file=sys.stderr)
-        return 2
+    findings = lint.lint_paths(paths, witnesses=witnesses)
     if write_baseline_path is not None:
         lint.write_baseline(findings, write_baseline_path)
         print(f"wrote {len(findings)} baseline entr"

@@ -176,7 +176,7 @@ class PVFSClient:
                 total = sum(f.payload.length for f in fragments)
                 # One merged wire message per run: the flattening here IS
                 # the coalescing win (k fragments -> one header).
-                payload = Payload.assemble(total, [  # csar-lint: disable=CSAR012
+                payload = Payload.assemble(total, [
                     (f.offset - first.offset, f.payload) for f in fragments])
                 mirror_invalidate: tuple = ()
                 for f in fragments:

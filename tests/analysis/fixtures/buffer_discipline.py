@@ -1,9 +1,9 @@
-"""csar-lint fixture: CSAR013/CSAR014/CSAR015 (buffer provenance).
+"""csar-lint fixture: CSAR013/CSAR014 (buffer provenance).
 
 Every violation here is visible to the *intra*-procedural bufflow pass:
 the provenance (a frozen ``.data`` / ``.slice()`` view, a private
-``np.zeros`` allocation, a ``self._scratch`` alias) and the offence
-happen inside one function body.
+``np.zeros`` allocation) and the offence happen inside one function
+body.
 """
 
 import numpy as np
@@ -47,16 +47,3 @@ class LeaksWritableBuffers:
         self._cache = buf
         return buf
 
-
-class HoldsScratchAcrossYield:
-    def pumps_with_scratch_live(self, env):
-        buf = self._scratch
-        buf[0] = 1
-        yield env.timeout(1.0)  # expect: CSAR015
-        return buf
-
-    def ok_scratch_dropped_before_yield(self, env):
-        buf = self._scratch
-        buf[0] = 1
-        buf = None
-        yield env.timeout(1.0)

@@ -1,4 +1,4 @@
-"""csar-lint fixture: CSAR008 (conditional-release).
+"""csar-lint fixture: CSAR001 on a conditional release.
 
 Never imported — parsed by tests/analysis/test_lint.py.  A release
 exists in the function, but at least one *normal* exit path keeps the
@@ -7,7 +7,7 @@ lock: the dataflow engine reports the acquire site.
 
 
 def release_only_on_success(table, env, xid) -> "Generator[Event, Any, None]":
-    yield from table.acquire("f", 0, xid)  # expect: CSAR008
+    yield from table.acquire("f", 0, xid)  # expect: CSAR001
     result = yield env.timeout(1.0)
     if result:
         table.release("f", 0, xid)
@@ -16,7 +16,7 @@ def release_only_on_success(table, env, xid) -> "Generator[Event, Any, None]":
 
 def early_return_skips_release(table, env,
                                xid, fast) -> "Generator[Event, Any, None]":
-    yield from table.acquire("f", 3, xid)  # expect: CSAR008
+    yield from table.acquire("f", 3, xid)  # expect: CSAR001
     if fast:
         return None
     yield env.timeout(1.0)

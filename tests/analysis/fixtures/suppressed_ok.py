@@ -8,12 +8,13 @@ def protocol_carried_lock(table, env,
     yield env.timeout(1.0)
 
 
-def suppress_everything(env) -> "Generator[Event, Any, None]":
+def suppress_everything(table, env,
+                        xid) -> "Generator[Event, Any, None]":
+    yield from table.acquire("f", 2, xid)  # csar-lint: disable
     yield env.timeout(1.0)
-    yield 42  # csar-lint: disable
 
 
 def suppress_code_list(table, env,
                        xid) -> "Generator[Event, Any, None]":
     yield from table.acquire("f", 1, xid)  # csar-lint: disable=CSAR001,CSAR011
-    yield "token"  # csar-lint: disable=CSAR003
+    yield env.timeout(1.0)

@@ -1,4 +1,4 @@
-"""Whole-program fixture: CSAR013/CSAR014/CSAR015 across call chains.
+"""Whole-program fixture: CSAR013/CSAR014 across call chains.
 
 Every violation here needs buffer summaries: the provenance lives in
 one function and the offence in another, so each function is clean in
@@ -41,13 +41,3 @@ class PrivateEscapesThroughHelpers:
     def _keep(self, arr):
         self._backlog = arr
 
-
-class ScratchSpansThroughHelpers:
-    def pumps_leased_scratch(self, env):
-        buf = self._lease()
-        yield env.timeout(1.0)  # expect: CSAR015
-        return buf
-
-    def _lease(self):
-        buf = self._scratch
-        return buf

@@ -48,18 +48,3 @@ def helper_release_clean(table, env, xid) -> "Generator[Event, Any, None]":
         yield env.timeout(1.0)
     finally:
         drop(table, xid)
-
-
-def io_helper(client) -> "Generator[Event, Any, None]":
-    """Yields on long-latency link I/O (transitively interesting)."""
-    yield from client.rpc('server-0', 'payload')
-
-
-def hold_across_callee(table, client, xid) -> "Generator[Event, Any, None]":
-    """Holds a parity lock across a callee that yields on I/O — the
-    Section 5.1 locking-cost pattern, one call level removed."""
-    yield from table.acquire('f', 1, xid)
-    try:
-        yield from io_helper(client)  # expect: CSAR007
-    finally:
-        table.release('f', 1, xid)

@@ -12,11 +12,11 @@ Event = Any
 
 def descending_sweep(table, env, xid, last) -> "Generator[Event, Any, None]":
     """Locks groups ``last .. 0`` highest-first — collides with every
-    chain that follows the ascending Section 5.1 convention.  (CSAR008
+    chain that follows the ascending Section 5.1 convention.  (CSAR001
     is suppressed: it sees only the zero-iteration exit of the release
     loop, which the ``range`` bounds rule out.)"""
     for group in range(last, -1, -1):
-        yield from table.acquire('f', group, xid)  # expect: CSAR011 csar-lint: disable=CSAR008
+        yield from table.acquire('f', group, xid)  # expect: CSAR011 csar-lint: disable=CSAR001
     try:
         yield env.timeout(1.0)
     finally:
@@ -56,7 +56,7 @@ def ascending_sweep(table, env, xid, last) -> "Generator[Event, Any, None]":
     """The clean mirror of :func:`descending_sweep`: ascending order
     produces no order edge and no finding."""
     for group in range(0, last + 1):
-        yield from table.acquire('f', group, xid)  # csar-lint: disable=CSAR008
+        yield from table.acquire('f', group, xid)  # csar-lint: disable=CSAR001
     try:
         yield env.timeout(1.0)
     finally:

@@ -1,8 +1,8 @@
 """The bufflow provenance domain (repro.analysis.bufflow): tag
 propagation through aliases/views/branches, buffer summaries over the
 ip_fixtures, and the seeded-bug regression — the two buffer-discipline
-bugs are provably invisible to CSAR001-012, and caught by
-CSAR013/014/015 with full call chains.
+bugs are provably invisible to the lock rules, and caught by
+CSAR013/014 with full call chains.
 """
 
 import ast
@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import lint
-from repro.analysis.bufflow import (FROZEN_VIEW, PRIVATE_WRITABLE,
-                                    SHARED_SCRATCH, buffer_summaries)
+from repro.analysis.bufflow import PRIVATE_WRITABLE, buffer_summaries
 from repro.analysis.callgraph import module_name_of
 from repro.analysis.summaries import Program
 
@@ -23,8 +22,8 @@ REPO_ROOT = HERE.parent.parent
 SEEDED = REPO_ROOT / "src" / "repro" / "analysis" / "seeded_bugs.py"
 CHAINS = module_name_of(str(IP_FIXTURES / "buffer_chains.py"))
 
-OLD_CODES = frozenset(f"CSAR{n:03d}" for n in range(1, 13))
-BUF_CODES = frozenset(("CSAR013", "CSAR014", "CSAR015"))
+LOCK_CODES = frozenset(("CSAR001", "CSAR010", "CSAR011"))
+BUF_CODES = frozenset(("CSAR013", "CSAR014"))
 
 
 def lint_inline(tmp_path, source, **kwargs):
@@ -100,27 +99,6 @@ class TestProvenancePropagation:
         ''')
         assert findings == []
 
-    def test_reassignment_clears_the_scratch_tag(self, tmp_path):
-        findings = lint_inline(tmp_path, '''
-            class C:
-                def f(self, env):
-                    buf = self._scratch
-                    buf[0] = 1
-                    buf = None
-                    yield env.timeout(1.0)
-        ''')
-        assert findings == []
-
-    def test_yield_from_counts_as_a_yield_point(self, tmp_path):
-        findings = lint_inline(tmp_path, '''
-            class C:
-                def f(self, env, calls):
-                    buf = self._scratch
-                    yield from self._fan_out(env, calls)
-                    return buf
-        ''')
-        assert [(f.line, f.code) for f in findings] == [(5, "CSAR015")]
-
 
 @pytest.fixture(scope="module")
 def summaries():
@@ -134,10 +112,6 @@ class TestBufferSummaries:
     def test_allocator_returns_private(self, summaries):
         s = summaries[f"{CHAINS}.PrivateEscapesThroughHelpers._alloc"]
         assert [r.tag for r in s.returns] == [PRIVATE_WRITABLE]
-
-    def test_scratch_lease_returns_scratch(self, summaries):
-        s = summaries[f"{CHAINS}.ScratchSpansThroughHelpers._lease"]
-        assert [r.tag for r in s.returns] == [SHARED_SCRATCH]
 
     def test_xor_helper_mutates_its_parameter(self, summaries):
         s = summaries[f"{CHAINS}.FrozenFoldsThroughHelpers._xor_into"]
@@ -169,7 +143,7 @@ def _seeded_class_span(name):
 
 class TestSeededBugRegression:
     """ThawedViewRaid5 / ScratchLeakHybrid: the static half of the
-    acceptance gate — invisible to every pre-existing rule, caught with
+    acceptance gate — invisible to the lock rules, caught with
     chains by the bufflow rules."""
 
     @pytest.fixture(scope="class")
@@ -183,7 +157,7 @@ class TestSeededBugRegression:
     def test_old_rules_cannot_see_them_even_interprocedurally(
             self, spans, src_findings):
         hits = [f for f in src_findings
-                if f.code in OLD_CODES and f.path.endswith("seeded_bugs.py")
+                if f.code in LOCK_CODES and f.path.endswith("seeded_bugs.py")
                 and any(self._within(f, span) for span in spans.values())]
         assert hits == []
 
@@ -201,10 +175,10 @@ class TestSeededBugRegression:
 
         leak = [f for f in seeded
                 if self._within(f, spans["ScratchLeakHybrid"])]
-        assert {f.code for f in leak} == {"CSAR014", "CSAR015"}
-        scratch = next(f for f in leak if f.code == "CSAR015")
-        assert "_mirror_copy" in scratch.message
-        assert "_fold_buffer" in scratch.message
+        assert {f.code for f in leak} == {"CSAR014"}
+        (escape,) = leak
+        assert "_fold_buffer" in escape.message
+        assert "_alloc_buffer" in escape.message
         for finding in thawed + leak:
             assert "->" in finding.message  # the witness call chain
 
@@ -213,4 +187,4 @@ class TestSeededBugRegression:
             str(REPO_ROOT / "tools" / "lint_baseline.json"))
         new, suppressed = lint.apply_baseline(list(src_findings), baseline)
         assert new == []
-        assert suppressed >= 4  # the two buffer bugs' four findings
+        assert suppressed >= 3  # the two buffer bugs' three findings

@@ -1,5 +1,5 @@
 """The forward dataflow framework and the lock-ownership analysis
-(repro.analysis.dataflow) behind CSAR001/007/008."""
+(repro.analysis.dataflow) behind CSAR001 and CSAR010."""
 
 import ast
 
@@ -133,22 +133,3 @@ class TestHeldQueries:
         held = {la.tokens[t].args for t in la.held_at_exit()}
         assert ("'f'", "5", "xid=1") in held
         assert ("'f'", "3", "xid=1") not in held
-
-
-class TestYieldsWhileHeld:
-    def test_yield_in_window_is_reported(self):
-        la = analysis_of(
-            "def f(table, net):\n"
-            "    yield from table.acquire('f', 3, xid=1)\n"
-            "    yield net.rpc(1)\n"
-            "    table.release('f', 3, xid=1)\n")
-        pairs = la.yields_while_held()
-        texts = [ast.unparse(node) for node, _held in pairs]
-        assert any("net.rpc" in t for t in texts)
-
-    def test_acquiring_yield_itself_not_reported(self):
-        la = analysis_of(
-            "def f(table):\n"
-            "    yield from table.acquire('f', 3, xid=1)\n"
-            "    table.release('f', 3, xid=1)\n")
-        assert la.yields_while_held() == []

@@ -42,7 +42,7 @@ class TestFixtureRoundTrip:
 
     def test_fixtures_exercise_the_new_rules(self):
         codes = {code for _p, _l, code in expected_ip_findings()}
-        assert {"CSAR007", "CSAR010", "CSAR011"} <= codes
+        assert {"CSAR010", "CSAR011", "CSAR013", "CSAR014"} <= codes
 
 
 class TestSeededBugRegression:
@@ -214,8 +214,7 @@ class TestCli:
 
         monkeypatch.chdir(REPO_ROOT)
         assert main(["lint", "src"]) == 0
-        # one lint, with the pyproject's enable list
-        assert lint_src_stub == [lint.enabled_codes_from_pyproject()]
+        assert lint_src_stub == [None]  # one lint, no witness file
         assert "suppressed" in capsys.readouterr().out
 
     def test_a_stale_baseline_entry_fails_the_lint(
@@ -225,7 +224,7 @@ class TestCli:
         monkeypatch.chdir(REPO_ROOT)
         data = json.loads((REPO_ROOT / "tools" / "lint_baseline.json")
                           .read_text())
-        fixed = {"path": "src/repro/pvfs/iod.py", "code": "CSAR007",
+        fixed = {"path": "src/repro/pvfs/iod.py", "code": "CSAR010",
                  "message": "a finding that was fixed"}
         outside = {"path": "tests/analysis/fixtures/x.py",
                    "code": "CSAR001", "message": "not linted here"}
@@ -234,9 +233,9 @@ class TestCli:
         baseline.write_text(json.dumps(data))
         assert main(["lint", "src", "--baseline", str(baseline)]) == 1
         out, err = capsys.readouterr()
-        assert "7 baselined findings suppressed" in out
+        assert "5 baselined findings suppressed" in out
         assert err.splitlines() == [
-            "src/repro/pvfs/iod.py: CSAR007 stale baseline entry, "
+            "src/repro/pvfs/iod.py: CSAR010 stale baseline entry, "
             "matches no finding: a finding that was fixed"]
 
     def test_write_then_consume_baseline(self, capsys, monkeypatch,
