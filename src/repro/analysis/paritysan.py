@@ -12,8 +12,11 @@ announces them and names no tool.
 At those sync points it asserts:
 
 * **parity == XOR of live stripe blocks** for RAID5/Hybrid files (and
-  mirror equality for RAID1) — reusing the offline scrub's oracles,
-  only when the system runs in ``content_mode``;
+  mirror equality for RAID1) — reusing the offline scrub's oracles
+  (``scrub.INVARIANTS``), only when the system runs in
+  ``content_mode``.  Those walk the servers' stored views and copy no
+  byte to compare, so a check at every quiescent point costs about one
+  parity unit of scratch per group, not a copy of each file;
 * **overflow entries shadow, never alias, home blocks** — the
   structural :meth:`~repro.redundancy.overflow.OverflowTable.check_invariants`
   self-check on every overflow and overflow-mirror table (content mode
@@ -31,6 +34,7 @@ Sync points, by probe:
                           finish (the primary check; background flushers
                           keep the heap alive, so full drains are rare)
 ``run.complete``          ``Environment.run`` when the heap drains
+                          (also just before its deadlock error)
 ``recovery.done``         end of ``rebuild_server``
 ``scrub.done``            every offline scrub pass (records the scrub's
                           own findings as violations)

@@ -7,10 +7,11 @@ whole-program lint and the crash matrix catch it within a bounded
 budget.  What convicts each one (the conviction matrix of
 ``tests/analysis/test_conviction.py``):
 
-* :class:`DropReleaseRaid5` (a request mutator): the engine's deadlock;
+* :class:`DropReleaseRaid5` (a request mutator): the engine's deadlock,
+  LockSan's leak check;
 * :class:`InPlaceOverflowHybrid` (a plan mutator): ParitySan;
 * :class:`HelperReleaseRaid5` (wraps ``write``): CSAR010, the engine's
-  deadlock;
+  deadlock, LockSan's leak check;
 * :class:`DescendingLockRaid5` (wraps ``write``): CSAR011, LockSan;
 * :class:`ThawedViewRaid5` (wraps ``_rmw``): CSAR013, BufSan;
 * :class:`ScratchLeakHybrid` (wraps ``_mirrored``): CSAR014, BufSan;
@@ -51,8 +52,8 @@ class DropReleaseRaid5(Raid5):
     The N-th ``ParityWriteReq(unlock=True)`` goes out as
     ``unlock=False``: the next writer to that group queues forever,
     which surfaces as the engine's :class:`~repro.errors.SimulationError`
-    deadlock, raised before ``run.complete`` fires — so LockSan's leak
-    check never runs.
+    deadlock.  The heap has drained by then, so ``run.complete`` fires
+    first and LockSan's leak check names the lock and its holder.
     """
 
     name = "raid5"  # impersonate: metadata still says "raid5"

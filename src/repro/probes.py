@@ -15,7 +15,8 @@ from __future__ import annotations
 
 PROBES = {
     # -- kernel ---------------------------------------------------------
-    "run.complete": "(): Environment.run drained the event heap",
+    "run.complete": "(): Environment.run drained the event heap (also "
+                    "just before a run(until=event) deadlock error)",
     # -- locks ----------------------------------------------------------
     "lock.request": "(lock, request): a FifoLock slot was requested "
                     "(granted already iff request.triggered)",

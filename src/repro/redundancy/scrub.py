@@ -13,7 +13,17 @@ verifies the invariants each scheme promises:
 Only meaningful in content mode; the functions return a list of
 human-readable inconsistency descriptions (empty = clean).  These checks
 double as the oracle for the test suite's property-based scheme tests and
-let users verify a cluster after failure injection and rebuild.
+ParitySan's content checks, and let users verify a cluster after failure
+injection and rebuild.
+
+The checks walk the stored views (:meth:`BlockFile.segments
+<repro.storage.blockfile.BlockFile.segments>`) and build no payload.
+A mirror pair is compared with
+:func:`~repro.storage.payload.segments_equal`: where one side has a
+hole, the other side's bytes must be zero there.  A parity group folds
+its data and its parity into one XOR
+(:func:`~repro.util.parity.xor_segments`) that must come out all zeros.
+Nothing is copied to compare.
 """
 
 from __future__ import annotations
@@ -22,7 +32,8 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.errors import ConfigError
 from repro.pvfs.iod import data_file, ovf_file, ovfm_file, red_file  # noqa: F401
-from repro.storage.payload import Payload
+from repro.storage.payload import Payload, Segment, segments_equal
+from repro.util.parity import xor_segments
 
 
 def _file_size(system, name: str) -> int:
@@ -49,10 +60,10 @@ def check_mirrors(system, name: str) -> List[str]:
         mirror_iod = system.iods[system.layout.successor(iod.index)]
         mirror = mirror_iod.fs.files.get(red_file(name))
         for ext in local.allocated:
-            data = local.read(ext.start, ext.length)
-            copy = (mirror.read(ext.start, ext.length) if mirror is not None
-                    else Payload.zeros(ext.length))
-            if data != copy:
+            copy = (mirror.segments(ext.start, ext.length)
+                    if mirror is not None else ())
+            if not segments_equal(local.segments(ext.start, ext.length),
+                                  copy, ext.length):
                 issues.append(
                     f"mirror mismatch: {name} server {iod.index} "
                     f"local [{ext.start}, {ext.end}) != mirror on "
@@ -61,7 +72,11 @@ def check_mirrors(system, name: str) -> List[str]:
 
 
 def check_parity(system, name: str) -> List[str]:
-    """RAID5/Hybrid invariant: parity == XOR of in-place group data."""
+    """RAID5/Hybrid invariant: parity == XOR of in-place group data.
+
+    The group's data segments and its parity segments fold into one
+    XOR, which is all zeros exactly when the parity is right.
+    """
     issues: List[str] = []
     lay = system.layout
     unit = lay.unit
@@ -70,23 +85,29 @@ def check_parity(system, name: str) -> List[str]:
         return issues
     groups = -(-size // lay.group_span)
     for group in range(groups):
-        blocks = []
+        parts = []
         for block in lay.blocks_of_group(group):
-            server = lay.server_of_block(block)
-            local = lay.local_offset_of_block(block)
-            f = system.iods[server].fs.files.get(data_file(name))
-            blocks.append(f.read(local, unit) if f is not None
-                          else Payload.zeros(unit))
-        expected = Payload.xor(blocks, unit)
+            f = system.iods[lay.server_of_block(block)].fs.files.get(
+                data_file(name))
+            if f is not None:
+                parts.append(f.segments(lay.local_offset_of_block(block),
+                                        unit))
         p_iod = system.iods[lay.parity_server(group)]
         pf = p_iod.fs.files.get(red_file(name))
-        actual = (pf.read(lay.parity_local_offset(group), unit)
-                  if pf is not None else Payload.zeros(unit))
-        if expected != actual:
+        if pf is not None:
+            parts.append(pf.segments(lay.parity_local_offset(group), unit))
+        if xor_segments(parts, unit).any():
             issues.append(
                 f"parity mismatch: {name} group {group} on server "
                 f"{p_iod.index}")
     return issues
+
+
+def _overflow_segments(blockfile, reads, start: int) -> List[Segment]:
+    """The bytes of resolved overflow ``reads`` (disjoint, ascending by
+    data-file position) as segments relative to ``start``."""
+    return [(r.local_start - start + at, seg) for r in reads
+            for at, seg in blockfile.segments(r.ovf_offset, r.length)]
 
 
 def check_overflow_mirrors(system, name: str) -> List[str]:
@@ -98,14 +119,8 @@ def check_overflow_mirrors(system, name: str) -> List[str]:
             continue
         mirror_iod = system.iods[system.layout.successor(iod.index)]
         mtable = mirror_iod.overflow_mirror.get((name, iod.index))
+        local = iod.fs.files.get(ovf_file(name))
         for ext in table.covered:
-            _gaps, reads = table.resolve(ext.start, ext.end)
-            local = iod.fs.files.get(ovf_file(name))
-            content = Payload.zeros(ext.length)
-            for r in reads:
-                content = content.overlay(
-                    r.local_start - ext.start, local.read(r.ovf_offset,
-                                                          r.length))
             if mtable is None:
                 issues.append(
                     f"overflow unmirrored: {name} server {iod.index} "
@@ -117,13 +132,12 @@ def check_overflow_mirrors(system, name: str) -> List[str]:
                     f"overflow mirror missing bytes: {name} server "
                     f"{iod.index} [{ext.start}, {ext.end})")
                 continue
+            _gaps, reads = table.resolve(ext.start, ext.end)
             mlocal = mirror_iod.fs.files.get(ovfm_file(name, iod.index))
-            mcontent = Payload.zeros(ext.length)
-            for r in mreads:
-                mcontent = mcontent.overlay(
-                    r.local_start - ext.start, mlocal.read(r.ovf_offset,
-                                                           r.length))
-            if content != mcontent:
+            if not segments_equal(
+                    _overflow_segments(local, reads, ext.start),
+                    _overflow_segments(mlocal, mreads, ext.start),
+                    ext.length):
                 issues.append(
                     f"overflow mirror mismatch: {name} server {iod.index} "
                     f"[{ext.start}, {ext.end})")

@@ -525,6 +525,9 @@ class Environment:
                 if not event._ok and not event._defused:
                     raise event._value
             if not done:
+                # The heap drained with the awaited event pending: the
+                # state is final, as on the drain path below.
+                self.emit("run.complete")
                 raise SimulationError(
                     "simulation ended before the awaited event triggered "
                     "(deadlock: a process is waiting on something that can "

@@ -102,6 +102,16 @@ class BlockFile:
             raise ValueError(f"bad read [{offset}, +{length})")
         if not self.content_mode:
             return Payload.virtual(length)
+        return Payload.from_segments(length, self.segments(offset, length))
+
+    def segments(self, offset: int, length: int) -> List[Segment]:
+        """The stored views of ``[offset, offset + length)``, at offsets
+        relative to ``offset``; holes are absent (they read as zeros).
+
+        What :meth:`read` wraps in a payload, for callers that only walk
+        the bytes (the offline scrub): no payload is built, so nothing
+        is captured or flattened.  Empty in extent mode.
+        """
         end = offset + length
         starts, views = self._starts, self._views
         segments: List[Segment] = []
@@ -115,7 +125,7 @@ class BlockFile:
                 segments.append((lo - offset, view))
             elif lo < hi:
                 segments.append((lo - offset, view[lo - at: hi - at]))
-        return Payload.from_segments(length, segments)
+        return segments
 
     def punch_hole(self, offset: int, length: int) -> None:
         """Deallocate a range (used by the overflow reclaimer)."""

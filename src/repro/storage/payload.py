@@ -12,16 +12,17 @@ Mixing is handled conservatively: any operation involving a virtual operand
 yields a virtual result.
 
 Content-mode payloads are **zero-copy**: ``slice()`` returns a read-only
-numpy *view* of the source buffer, and ``concat``/``assemble``/``overlay``
-build a :class:`SegmentedPayload` — a rope of ``(offset, array)`` segments
-over the original buffers — instead of allocating, and ``place()`` clips
-the segments to a list of runs in one pass (a striped write's gather and
-a striped read's scatter).  Buffers are frozen
-(``writeable=False``) when a payload captures them, so immutability is
-preserved even though views alias their sources.  The bytes are only
-materialized into one contiguous buffer at content-verification
-boundaries: ``data``/``to_bytes``/``__eq__`` (and a defensive cap on
-segment-count growth).
+numpy *view* of the source buffer, and ``assemble``/``overlay`` build a
+:class:`SegmentedPayload` — a rope of ``(offset, array)`` segments over
+the original buffers — instead of allocating, and ``place()`` clips the
+segments to a list of runs in one pass (a striped write's gather and a
+striped read's scatter).  Buffers are frozen (``writeable=False``) when a
+payload captures them, so immutability is preserved even though views
+alias their sources.  The bytes are only materialized into one
+contiguous buffer when a caller asks for them as one: ``data``/
+``to_bytes`` (and a defensive cap on segment-count growth).  Equality
+does not: :func:`segments_equal` walks both ropes, which is also how
+the offline scrub compares stored ranges without building a payload.
 """
 
 from __future__ import annotations
@@ -67,6 +68,40 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     if arr.flags.writeable:
         arr.flags.writeable = False
     return arr
+
+
+def segments_equal(a: Sequence[Segment], b: Sequence[Segment],
+                   length: int) -> bool:
+    """Whether two segment lists of ``length`` bytes hold the same content.
+
+    Both lists are ascending and disjoint, and an uncovered gap reads as
+    zeros (:meth:`Payload.iter_segments`).  Where both sides have bytes
+    the slices are compared; where only one side does, its bytes must be
+    zero.  Nothing is copied or materialized.
+    """
+    i = j = pos = 0
+    count_a, count_b = len(a), len(b)
+    while pos < length:
+        while i < count_a and a[i][0] + a[i][1].size <= pos:
+            i += 1
+        while j < count_b and b[j][0] + b[j][1].size <= pos:
+            j += 1
+        a_at, a_seg = a[i] if i < count_a else (length, None)
+        b_at, b_seg = b[j] if j < count_b else (length, None)
+        in_a, in_b = a_at <= pos, b_at <= pos
+        end = min(a_at + a_seg.size if in_a else a_at,
+                  b_at + b_seg.size if in_b else b_at, length)
+        if in_a and in_b:
+            if not np.array_equal(a_seg[pos - a_at: end - a_at],
+                                  b_seg[pos - b_at: end - b_at]):
+                return False
+        elif in_a:
+            if a_seg[pos - a_at: end - a_at].any():
+                return False
+        elif in_b and b_seg[pos - b_at: end - b_at].any():
+            return False
+        pos = end
+    return True
 
 
 class Payload:
@@ -160,7 +195,8 @@ class Payload:
             return False
         if self.is_virtual or other.is_virtual:
             return self.is_virtual and other.is_virtual
-        return bool(np.array_equal(self.data, other.data))
+        return segments_equal(self.iter_segments(), other.iter_segments(),
+                              self.length)
 
     def __hash__(self) -> int:  # payloads are not meant as dict keys
         raise TypeError("Payload is unhashable")
@@ -239,14 +275,6 @@ class Payload:
             return Payload.virtual(end - start)
         return Payload(end - start, self._data[start:end])
 
-    def concat(self, other: "Payload") -> "Payload":
-        if self.is_virtual or other.is_virtual:
-            return Payload.virtual(self.length + other.length)
-        segments = list(self.iter_segments())
-        segments.extend((self.length + at, seg)
-                        for at, seg in other.iter_segments())
-        return Payload.from_segments(self.length + other.length, segments)
-
     @staticmethod
     def xor(parts: Sequence["Payload"], length: int) -> "Payload":
         """Parity of ``parts``, zero-padded/truncated to ``length``."""
@@ -287,14 +315,6 @@ class Payload:
             prev_end = at + piece.length
         return Payload.from_segments(length, segments)
 
-    def xor_at(self, at: int, other: "Payload") -> "Payload":
-        """A copy with ``other`` XOR-ed into the region starting at ``at``.
-
-        The RAID5 read-modify-write primitive: fold an old/new data delta
-        into the matching region of a parity block.
-        """
-        return self.xor_at_many([(at, other)])
-
     def xor_at_many(self, patches: Sequence[tuple[int, "Payload"]],
                     ) -> "Payload":
         """A copy with every ``(at, payload)`` patch XOR-ed in.
@@ -332,9 +352,9 @@ class Payload:
 class SegmentedPayload(Payload):
     """A rope: content stored as disjoint segments over shared buffers.
 
-    Built by ``concat``/``assemble``/``overlay`` so the scatter-gather
-    path never copies; materializes (once, cached) when something needs
-    the content as a single contiguous array.
+    Built by ``assemble``/``overlay`` so the scatter-gather path never
+    copies; materializes (once, cached) when something needs the content
+    as a single contiguous array.
     """
 
     __slots__ = ("_segments",)

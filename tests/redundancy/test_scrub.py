@@ -9,8 +9,9 @@ from repro import CSARConfig, Payload, System
 # CSAR_PARITYSAN=1 the scrub hook records those (intended) findings.
 pytestmark = pytest.mark.paritysan_expected
 from repro.errors import ConfigError
-from repro.pvfs.iod import data_file, ovf_file, red_file
+from repro.pvfs.iod import data_file, ovf_file, ovfm_file, red_file
 from repro.redundancy import scrub
+from repro.storage.payload import _MAX_SEGMENTS, SegmentedPayload
 from repro.units import KiB
 
 UNIT = 4 * KiB
@@ -121,6 +122,75 @@ class TestDetection:
         system.fail_server(2)
         system.run(rebuild_server(system, 2))
         assert scrub.scrub(system, "f") == []
+
+
+class TestOneFlippedByte:
+    """The copy-free checks still see a single flipped byte in each
+    shape of stored range they walk."""
+
+    def test_raid1_extent_of_many_segments(self):
+        # 8-byte writes leave the first unit a rope of 512 stored views
+        # on both sides, more than a payload keeps before flattening.
+        system = make_system("raid1")
+        client = system.client()
+
+        def work():
+            yield from client.create("f")
+            for at in range(0, UNIT, 8):
+                yield from client.write("f", at, Payload.pattern(8, at))
+
+        system.run(work())
+        local = system.iods[0].fs.files[data_file("f")]
+        mirror = system.iods[1].fs.files[red_file("f")]
+        assert len(local.segments(0, UNIT)) > _MAX_SEGMENTS
+        assert scrub.scrub(system, "f") == []
+        corrupt(mirror, offset=UNIT // 2 + 3, n=1)
+        assert scrub.scrub(system, "f") == [
+            f"mirror mismatch: f server 0 local [0, {UNIT}) != mirror "
+            f"on server 1"]
+
+    def test_parity_of_the_last_partial_group(self):
+        system = make_system("raid5")
+        populate(system)  # group 2 holds only [17, 517) of its first unit
+        lay = system.layout
+        server = lay.parity_server(2)
+        corrupt(system.iods[server].fs.files[red_file("f")],
+                offset=lay.parity_local_offset(2) + 100, n=1)
+        assert scrub.scrub(system, "f") == [
+            f"parity mismatch: f group 2 on server {server}"]
+
+    def test_overflow_mirror_range(self):
+        system = make_system("hybrid")
+        populate(system)
+        span = system.layout.group_span
+        piece = system.layout.pieces(2 * span + 17, 1)[0]
+        origin = system.iods[piece.server]
+        ext = next(iter(origin.overflow["f"].covered))
+        holder = system.iods[system.layout.successor(origin.index)]
+        _gaps, mreads = holder.overflow_mirror[("f", origin.index)].resolve(
+            ext.start, ext.end)
+        corrupt(holder.fs.files[ovfm_file("f", origin.index)],
+                offset=mreads[0].ovf_offset + 5, n=1)
+        assert scrub.scrub(system, "f") == [
+            f"overflow mirror mismatch: f server {origin.index} "
+            f"[{ext.start}, {ext.end})"]
+
+
+@pytest.mark.parametrize("scheme", ["raid1", "raid5", "hybrid"])
+def test_scrub_builds_no_payload(scheme, monkeypatch):
+    """A scrub pass walks the stored views: it builds no payload (so no
+    rope, no capture and no flattening) and copies nothing to compare."""
+    system = make_system(scheme)
+    populate(system)
+    corrupt(system.iods[2].fs.files[data_file("f")])
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("scrub built or flattened a payload")
+
+    monkeypatch.setattr(Payload, "__init__", refuse)
+    monkeypatch.setattr(SegmentedPayload, "__init__", refuse)
+    monkeypatch.setattr(Payload, "_writable_copy", refuse)
+    assert scrub.scrub(system, "f")
 
 
 class TestOnlineScrub:

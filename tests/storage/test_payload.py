@@ -82,11 +82,11 @@ class TestOperations:
         assert Payload.virtual(10).slice(2, 7).is_virtual
 
     def test_concat(self):
-        p = Payload.from_bytes(b"ab").concat(Payload.from_bytes(b"cd"))
+        p = _cat(Payload.from_bytes(b"ab"), Payload.from_bytes(b"cd"))
         assert p.to_bytes() == b"abcd"
 
     def test_concat_virtual_poisons(self):
-        p = Payload.from_bytes(b"ab").concat(Payload.virtual(2))
+        p = _cat(Payload.from_bytes(b"ab"), Payload.virtual(2))
         assert p.is_virtual and len(p) == 4
 
     def test_xor_real(self):
@@ -116,6 +116,11 @@ class TestOperations:
         assert Payload.virtual(2) == Payload.virtual(2)
 
 
+def _cat(a: Payload, b: Payload) -> Payload:
+    """``a`` then ``b``, as one payload."""
+    return Payload.assemble(a.length + b.length, [(0, a), (a.length, b)])
+
+
 def _xored(base: bytes, at: int, patch: bytes) -> bytes:
     out = bytearray(base)
     for i, byte in enumerate(patch):
@@ -124,7 +129,7 @@ def _xored(base: bytes, at: int, patch: bytes) -> bytes:
 
 
 class TestPatchEdgeGeometry:
-    """overlay/xor_at at the degenerate offsets the RMW path produces:
+    """overlay/xor_at_many at the degenerate offsets the RMW path produces:
     empty deltas, the final byte of a piece, and patches whose region
     spans a rope segment boundary."""
 
@@ -138,8 +143,8 @@ class TestPatchEdgeGeometry:
     def test_zero_length_xor_is_identity(self):
         base = Payload.from_bytes(b"abcd")
         for at in (0, 2, 4):
-            assert base.xor_at(at, Payload.from_bytes(b"")).to_bytes() \
-                == b"abcd"
+            out = base.xor_at_many([(at, Payload.from_bytes(b""))])
+            assert out.to_bytes() == b"abcd"
 
     def test_final_byte_overlay(self):
         base = Payload.from_bytes(b"abcd")
@@ -148,35 +153,36 @@ class TestPatchEdgeGeometry:
 
     def test_final_byte_xor(self):
         base = Payload.from_bytes(b"abcd")
-        out = base.xor_at(3, Payload.from_bytes(b"\x01"))
+        out = base.xor_at_many([(3, Payload.from_bytes(b"\x01"))])
         assert out.to_bytes() == _xored(b"abcd", 3, b"\x01")
 
     def test_xor_past_the_end_rejected(self):
         base = Payload.from_bytes(b"abcd")
         with pytest.raises(ValueError):
-            base.xor_at(4, Payload.from_bytes(b"\x01"))
+            base.xor_at_many([(4, Payload.from_bytes(b"\x01"))])
         with pytest.raises(ValueError):
-            base.xor_at(-1, Payload.from_bytes(b"\x01"))
+            base.xor_at_many([(-1, Payload.from_bytes(b"\x01"))])
 
     def test_overlay_spanning_a_rope_boundary(self):
         # The base is a two-segment rope cut at offset 4; the patch
         # covers [2, 6) so it straddles the seam.
-        base = Payload.from_bytes(b"abcd").concat(Payload.from_bytes(b"efgh"))
+        base = _cat(Payload.from_bytes(b"abcd"), Payload.from_bytes(b"efgh"))
         out = base.overlay(2, Payload.from_bytes(b"WXYZ"))
         assert out.to_bytes() == b"abWXYZgh"
 
     def test_xor_spanning_a_rope_boundary(self):
-        base = Payload.from_bytes(b"abcd").concat(Payload.from_bytes(b"efgh"))
-        out = base.xor_at(2, Payload.from_bytes(b"\x01\x02\x03\x04"))
+        base = _cat(Payload.from_bytes(b"abcd"), Payload.from_bytes(b"efgh"))
+        delta = Payload.from_bytes(b"\x01\x02\x03\x04")
+        out = base.xor_at_many([(2, delta)])
         assert out.to_bytes() == _xored(b"abcdefgh", 2, b"\x01\x02\x03\x04")
 
     def test_xor_with_a_rope_patch(self):
         # The patch itself is segmented: its internal seam must land
         # at the right absolute offsets of the base.
         base = Payload.from_bytes(b"abcdefgh")
-        patch = Payload.from_bytes(b"\x01\x02").concat(
-            Payload.from_bytes(b"\x03\x04"))
-        out = base.xor_at(3, patch)
+        patch = _cat(Payload.from_bytes(b"\x01\x02"),
+                     Payload.from_bytes(b"\x03\x04"))
+        out = base.xor_at_many([(3, patch)])
         assert out.to_bytes() == _xored(b"abcdefgh", 3, b"\x01\x02\x03\x04")
 
     def test_xor_at_many_folds_every_patch(self):

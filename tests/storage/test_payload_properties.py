@@ -26,7 +26,7 @@ def test_xor_at_is_involution(base, delta):
         delta = delta[: len(base)]
     p = Payload.from_bytes(base)
     d = Payload.from_bytes(delta)
-    twice = p.xor_at(0, d).xor_at(0, d)
+    twice = p.xor_at_many([(0, d)]).xor_at_many([(0, d)])
     assert twice == p
 
 
@@ -55,7 +55,8 @@ def test_slice_concat_identity(data, draw):
     if not data:
         return
     cut = draw.draw(st.integers(0, len(data)))
-    rejoined = p.slice(0, cut).concat(p.slice(cut, len(data)))
+    rejoined = Payload.assemble(len(data), [(0, p.slice(0, cut)),
+                                            (cut, p.slice(cut, len(data)))])
     assert rejoined == p
 
 
@@ -81,5 +82,7 @@ def test_virtual_mirrors_real_lengths(data):
     if data:
         assert len(real.slice(0, len(data) // 2)) \
             == len(virt.slice(0, len(data) // 2))
-    assert len(real.concat(real)) == len(virt.concat(virt))
+    doubled = [Payload.assemble(2 * len(data), [(0, p), (len(data), p)])
+               for p in (real, virt)]
+    assert len(doubled[0]) == len(doubled[1])
     assert real.overlay(3, real).length == virt.overlay(3, virt).length

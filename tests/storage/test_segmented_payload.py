@@ -3,7 +3,7 @@ identical to the copying representation it replaced.
 
 The reference model is plain ``bytes`` built with the same semantics the
 pre-rope Payload had (eager flat copies).  Every operation sequence the
-data path performs — slice, concat, assemble, overlay, xor — must give
+data path performs — slice, assemble, overlay, xor — must give
 byte-identical results whether the intermediate values are flat arrays
 or lazy segment ropes.
 """
@@ -13,24 +13,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.payload import _MAX_SEGMENTS, Payload, SegmentedPayload
+from repro.storage.payload import (
+    _MAX_SEGMENTS, Payload, SegmentedPayload, segments_equal)
 
 binary = st.binary(min_size=0, max_size=96)
 
 
+def _cat(a: Payload, b: Payload) -> Payload:
+    """``a`` then ``b``, as one payload."""
+    return Payload.assemble(a.length + b.length, [(0, a), (a.length, b)])
+
+
 def _chunks(draw, data, max_cuts=4):
-    """Split ``data`` into a rope by concatenating random slices."""
+    """Split ``data`` into a rope of random slices."""
     if not data:
         return Payload.from_bytes(data)
     cuts = sorted(draw.draw(st.lists(
         st.integers(0, len(data)), min_size=0, max_size=max_cuts)))
     flat = Payload.from_bytes(data)
-    rope = Payload.from_bytes(b"")
-    prev = 0
-    for cut in cuts + [len(data)]:
-        rope = rope.concat(flat.slice(prev, cut))
-        prev = cut
-    return rope
+    bounds = [0] + cuts + [len(data)]
+    return Payload.assemble(len(data), [
+        (lo, flat.slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])])
 
 
 @settings(max_examples=100, deadline=None)
@@ -53,7 +56,7 @@ def test_rope_slice_matches_bytes_slice(data, draw):
 @settings(max_examples=100, deadline=None)
 @given(binary, binary, st.data())
 def test_rope_concat_matches_bytes_concat(a, b, draw):
-    rope = _chunks(draw, a).concat(_chunks(draw, b))
+    rope = _cat(_chunks(draw, a), _chunks(draw, b))
     assert rope.to_bytes() == a + b
 
 
@@ -86,8 +89,9 @@ def test_rope_overlay_matches_flat_overlay(base, patch, at, draw):
 def test_rope_xor_at_matches_flat(base, delta, draw):
     if len(delta) > len(base):
         delta = delta[: len(base)]
-    rope = _chunks(draw, base).xor_at(0, _chunks(draw, delta))
-    flat = Payload.from_bytes(base).xor_at(0, Payload.from_bytes(delta))
+    rope = _chunks(draw, base).xor_at_many([(0, _chunks(draw, delta))])
+    flat = Payload.from_bytes(base).xor_at_many(
+        [(0, Payload.from_bytes(delta))])
     assert rope.to_bytes() == flat.to_bytes()
 
 
@@ -119,7 +123,7 @@ def test_source_mutation_cannot_leak_in():
 def test_concat_builds_rope_lazily():
     a = Payload.from_bytes(b"aa")
     b = Payload.from_bytes(b"bb")
-    rope = a.concat(b)
+    rope = _cat(a, b)
     assert isinstance(rope, SegmentedPayload)
     # Segments are the original frozen buffers, not copies.
     segs = list(rope.iter_segments())
@@ -129,7 +133,7 @@ def test_concat_builds_rope_lazily():
 
 
 def test_materialization_is_cached():
-    rope = Payload.from_bytes(b"aa").concat(Payload.from_bytes(b"bb"))
+    rope = _cat(Payload.from_bytes(b"aa"), Payload.from_bytes(b"bb"))
     first = rope.data
     assert rope.data is first  # second access reuses the flat buffer
 
@@ -137,7 +141,7 @@ def test_materialization_is_cached():
 def test_materialized_cache_is_frozen_before_it_escapes():
     # The cache is frozen *before* being stored, so no reader of .data
     # ever sees (or can create) a writable alias of it.
-    rope = Payload.from_bytes(b"ab").concat(Payload.from_bytes(b"cd"))
+    rope = _cat(Payload.from_bytes(b"ab"), Payload.from_bytes(b"cd"))
     cache = rope.data
     assert not cache.flags.writeable
     with pytest.raises(ValueError):
@@ -148,7 +152,7 @@ def test_materialized_cache_is_frozen_before_it_escapes():
 def test_writable_copy_cannot_perturb_the_cache():
     # _writable_copy is the sanctioned mutation path; it must hand back
     # fresh bytes, never an alias of the cached materialization.
-    rope = Payload.from_bytes(b"ab").concat(Payload.from_bytes(b"cd"))
+    rope = _cat(Payload.from_bytes(b"ab"), Payload.from_bytes(b"cd"))
     cache = rope.data
     dup = rope._writable_copy()
     assert not np.shares_memory(dup, cache)
@@ -167,8 +171,8 @@ def test_sparse_is_free_and_reads_zero():
 def test_virtual_contagion_through_rope_ops():
     v = Payload.virtual(8)
     r = Payload.from_bytes(b"x" * 8)
-    assert v.concat(r).is_virtual
-    assert r.concat(v).is_virtual
+    assert _cat(v, r).is_virtual
+    assert _cat(r, v).is_virtual
     assert Payload.assemble(16, [(0, r), (8, v)]).is_virtual
     assert v.slice(2, 6).is_virtual
 
@@ -178,7 +182,68 @@ def test_deep_concat_chain_collapses():
     # rope flattens rather than growing without bound).
     rope = Payload.from_bytes(b"")
     for i in range(_MAX_SEGMENTS * 4):
-        rope = rope.concat(Payload.from_bytes(bytes([i & 0xFF])))
+        rope = _cat(rope, Payload.from_bytes(bytes([i & 0xFF])))
     assert rope.length == _MAX_SEGMENTS * 4
     assert rope.to_bytes() == bytes(i & 0xFF for i in range(_MAX_SEGMENTS * 4))
     assert len(list(rope.iter_segments())) <= _MAX_SEGMENTS
+
+
+# ---------------------------------------------------------------------------
+# Equality walks the ropes: segments_equal ≡ np.array_equal on the bytes.
+
+#: mostly zeros, so holes, equal pairs and one-byte differences are common
+_sparse_bytes = st.lists(st.sampled_from([0, 0, 0, 1, 255]), min_size=1,
+                         max_size=48).map(bytes)
+
+
+def _rope(draw, view):
+    """Segments holding ``view``'s bytes: cut at random points, each
+    piece a view of ``view``'s buffer, an all-zero piece either stored
+    as explicit zeros or left as a hole."""
+    cuts = sorted(draw.draw(st.lists(st.integers(0, view.size),
+                                     max_size=5)))
+    bounds = [0] + cuts + [view.size]
+    return [(lo, view[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+            if hi > lo and (view[lo:hi].any() or draw.draw(st.booleans()))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_bytes, st.data())
+def test_segments_equal_agrees_with_array_equal(raw, draw):
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    other = buf
+    if draw.draw(st.booleans()):
+        # A second buffer that differs from ``buf`` in at most one byte.
+        other = buf.copy()
+        other[draw.draw(st.integers(0, buf.size - 1))] ^= 1
+    n = draw.draw(st.integers(0, buf.size))
+    # Two windows of one or two buffers, at (possibly) shifted offsets.
+    sa = draw.draw(st.integers(0, buf.size - n))
+    sb = draw.draw(st.integers(0, buf.size - n))
+    a_bytes, b_bytes = buf[sa: sa + n], other[sb: sb + n]
+    expect = bool(np.array_equal(a_bytes, b_bytes))
+    a, b = _rope(draw, a_bytes), _rope(draw, b_bytes)
+    assert segments_equal(a, b, n) is expect
+    assert segments_equal(b, a, n) is expect
+    rope_a, rope_b = Payload.from_segments(n, a), Payload.from_segments(n, b)
+    assert (rope_a == rope_b) is expect
+    # A rope against the flat copy of the other side's bytes.
+    assert (rope_a == Payload(n, b_bytes.copy())) is expect
+    # Comparing materialized nothing.
+    for rope in (rope_a, rope_b):
+        if isinstance(rope, SegmentedPayload):
+            assert rope._data is None
+
+
+def test_holes_equal_explicit_zeros():
+    hole = Payload.sparse(8)
+    zeros = Payload.zeros(8)
+    assert hole == zeros and zeros == hole
+    assert hole != Payload.from_bytes(b"\x00" * 7 + b"\x01")
+
+
+def test_virtual_payloads_compare_by_length_only():
+    assert Payload.virtual(4) == Payload.virtual(4)
+    assert Payload.virtual(4) != Payload.virtual(5)
+    assert Payload.virtual(4) != Payload.sparse(4)
+    assert Payload.zeros(4) != Payload.virtual(4)

@@ -49,18 +49,6 @@ def tier1(test: str) -> str:
 
 #: def -> why it may stay unreached
 OWNED = {
-    # ``run.complete`` fires only when an Environment's heap drains: a
-    # System's never does (its page-cache flusher reschedules forever),
-    # and a seeded lock leak ends in the engine's deadlock error first.
-    "repro.analysis.bufsan:BufSan.on_run_complete": tier1(
-        "tests/analysis/test_bufsan.py::TestSanitizerRegistry::"
-        "test_scope_labels_reports_in_attribution_order"),
-    "repro.analysis.locksan:LockSan.on_run_complete": tier1(
-        "tests/redundancy/test_locksan.py::TestLeak::"
-        "test_leaked_parity_lock_reported_at_run_end"),
-    "repro.analysis.paritysan:ParitySan.on_run_complete": tier1(
-        "tests/analysis/test_bufsan.py::TestSanitizerRegistry::"
-        "test_scope_labels_reports_in_attribution_order"),
     # Report paths.  A ``__repr__`` prints a failed assertion or an
     # exception; ``Payload.__hash__`` raises on misuse.
     "repro.analysis.lint:Finding.format": VIOLATION,
@@ -165,10 +153,8 @@ OWNED = {
     "repro.storage.localfs:LocalFS.total_size": PUBLIC,
     "repro.storage.payload:Payload.__len__": PUBLIC,
     "repro.storage.payload:Payload.assemble": PUBLIC,
-    "repro.storage.payload:Payload.concat": PUBLIC,
     "repro.storage.payload:Payload.from_bytes": PUBLIC,
     "repro.storage.payload:Payload.to_bytes": PUBLIC,
-    "repro.storage.payload:Payload.xor_at": PUBLIC,
     "repro.util.intervals:Extent.contains": PUBLIC,
     "repro.util.intervals:Extent.intersect": PUBLIC,
     "repro.util.intervals:Extent.is_empty": PUBLIC,

@@ -20,7 +20,8 @@ interquartile range.  ``--summarize`` prints the summary of an existing
 file without running anything.
 
 Give both trees paths of equal length: ``peak_rss_mb`` depends on it
-(see ``bench/harness.py::pin_malloc_mmap_threshold``).
+(see ``bench/harness.py::pin_malloc_mmap_threshold``), so two absolute
+paths of different lengths are refused before anything runs.
 """
 
 from __future__ import annotations
@@ -139,6 +140,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("need PARENT_TREE CHANGE_TREE, --workload and "
                      "--pairs >= 1")
     trees = dict(zip(SIDES, map(os.path.abspath, args.trees)))
+    if len(trees["parent"]) != len(trees["change"]):
+        parser.error(f"tree paths differ in length ({trees['parent']!r} "
+                     f"vs {trees['change']!r}); peak_rss_mb depends on it")
     out = args.out or f"pairs-{args.workload}-seed{args.seed}.jsonl"
     run_pairs(trees, args.workload, args.pairs, args.seed, args.seconds,
               out)
