@@ -28,10 +28,6 @@ class CSARConfig:
     write_buffering: bool = True
     #: parity-block locking (False reproduces Fig 3's "R5 NO LOCK")
     locking: bool = True
-    #: merge adjacent same-kind request fragments per server into one
-    #: vectored message (one header, one stream); False reproduces the
-    #: one-message-per-fragment wire behaviour
-    coalescing: bool = True
     #: compute parity content/CPU cost (False reproduces "RAID5-npc")
     compute_parity: bool = True
     #: use the byte-at-a-time parity kernel (the Swift/RAID ablation)

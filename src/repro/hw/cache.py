@@ -33,7 +33,7 @@ from repro.util.intervals import ExtentMap
 from repro.hw.disk import Disk
 from repro.hw.params import CacheParams
 
-#: Largest single disk operation issued by writeback/readahead coalescing.
+#: Largest single disk operation issued by writeback/readahead merging.
 MAX_IO = 1 << 20
 
 

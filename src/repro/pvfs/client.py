@@ -118,122 +118,59 @@ class PVFSClient:
         return (yield _Join(self.env, items, collect=True).done)
 
     # ------------------------------------------------------------------
-    # per-server request coalescing
+    # merging a server's adjacent reads
     # ------------------------------------------------------------------
-    @staticmethod
-    def _merge_key(target, request) -> Optional[tuple]:
-        """Coalescing identity of a request, or ``None`` if unmergeable.
-
-        Only plain data/redundancy reads and writes merge; parity
-        messages carry lock protocol and overflow appends carry range
-        tables, so both always travel alone.
-        """
-        if type(request) is msg.ReadReq:
-            return (id(target), msg.ReadReq, request.file, request.kind)
-        if type(request) is msg.WriteReq:
-            return (id(target), msg.WriteReq, request.file, request.kind,
-                    request.invalidate)
-        return None
-
-    def _coalesce(self, pairs: Sequence[Tuple[Any, Any]],
-                  ) -> List[Tuple[Any, Any, List[int]]]:
-        """Plan vectored messages for ``(target, request)`` pairs.
-
-        Adjacent fragments (``prev.offset + prev.length == next.offset``)
-        of the same server/file/kind are merged into one request with one
-        header and one payload stream.  Returns ``(target, request,
-        fragment_indices)`` triples in first-fragment order; a run of one
-        keeps its original request untouched.
-        """
-        runs: List[List[int]] = []
-        open_runs: Dict[tuple, int] = {}  # merge key -> index into runs
-        ends: Dict[tuple, int] = {}       # merge key -> current end offset
-        for i, (target, request) in enumerate(pairs):
-            key = self._merge_key(target, request)
-            if key is not None and open_runs.get(key) is not None \
-                    and ends[key] == request.offset:
-                runs[open_runs[key]].append(i)
-            else:
-                if key is not None:
-                    open_runs[key] = len(runs)
-                runs.append([i])
-            if key is not None:
-                length = (request.length if type(request) is msg.ReadReq
-                          else request.payload.length)
-                ends[key] = request.offset + length
-        plan: List[Tuple[Any, Any, List[int]]] = []
-        for indices in runs:
-            target, first = pairs[indices[0]]
-            if len(indices) == 1:
-                plan.append((target, first, indices))
-                continue
-            fragments = [pairs[i][1] for i in indices]
-            if type(first) is msg.ReadReq:
-                merged = msg.ReadReq(
-                    first.file, kind=first.kind, offset=first.offset,
-                    length=sum(f.length for f in fragments), xid=first.xid)
-            else:
-                total = sum(f.payload.length for f in fragments)
-                # One merged wire message per run: the flattening here IS
-                # the coalescing win (k fragments -> one header).
-                payload = Payload.assemble(total, [
-                    (f.offset - first.offset, f.payload) for f in fragments])
-                mirror_invalidate: tuple = ()
-                for f in fragments:
-                    mirror_invalidate += f.mirror_invalidate
-                merged = msg.WriteReq(
-                    first.file, kind=first.kind, offset=first.offset,
-                    payload=payload, invalidate=first.invalidate,
-                    mirror_invalidate=mirror_invalidate, xid=first.xid)
-            plan.append((target, merged, indices))
-        return plan
-
-    def rpc_coalesced(self, pairs: Sequence[Tuple[Any, Any]],
+    def rpc_coalesced(self, pairs: Sequence[Tuple[Any, msg.ReadReq]],
                       ) -> Generator[Event, Any,
                                      List[Tuple[Any, Optional[Exception]]]]:
-        """Issue ``(target, request)`` pairs, merging adjacent fragments.
+        """Issue ``(target, ReadReq)`` pairs, merging adjacent fragments.
 
-        The vectored companion of :meth:`try_parallel`: per-server runs of
-        adjacent same-kind fragments travel as one message (saving a
-        header and a round-trip each), and the merged reply is split back
-        into per-fragment responses with zero-copy slices.  Returns
-        ``(response, error)`` per input pair, in order.  With
-        ``config.coalescing`` off every request travels alone.
+        The vectored companion of :meth:`try_parallel`: a run of reads
+        of one server, file and kind in which each fragment starts where
+        the previous one ended travels as one message (saving a header
+        and a round-trip each), in first-fragment order, and the merged
+        reply is split back into per-fragment responses with zero-copy
+        slices.  Returns ``(response, error)`` per input pair, in order.
         """
-        if not self.scheme.config.coalescing or len(pairs) < 2:
-            plan = [(t, r, [i]) for i, (t, r) in enumerate(pairs)]
-        else:
-            plan = self._coalesce(pairs)
-            saved = len(pairs) - len(plan)
-            if saved:
-                self.metrics.add("client.coalesced_fragments", saved)
-                self.metrics.add("client.coalesced_header_bytes",
-                                 saved * msg.HEADER)
+        runs: List[List[int]] = []
+        open_runs: Dict[tuple, Tuple[List[int], int]] = {}  # key -> run, end
+        for i, (target, request) in enumerate(pairs):
+            key = (id(target), request.file, request.kind)
+            run, end = open_runs.get(key, (None, None))
+            if end != request.offset:
+                run = []
+                runs.append(run)
+            run.append(i)
+            open_runs[key] = run, request.offset + request.length
+        plan = []
+        for run in runs:
+            target, first = pairs[run[0]]
+            if len(run) > 1:
+                first = msg.ReadReq(
+                    first.file, kind=first.kind, offset=first.offset,
+                    length=sum(pairs[i][1].length for i in run),
+                    xid=first.xid)
+            plan.append((target, first, run))
+        saved = len(pairs) - len(plan)
+        if saved:
+            self.metrics.add("client.coalesced_fragments", saved)
+            self.metrics.add("client.coalesced_header_bytes",
+                             saved * msg.HEADER)
         merged_outcomes = yield from self.try_parallel(
             [self.rpc(target, request) for target, request, _ in plan])
         outcomes: List[Any] = [None] * len(pairs)
-        for (target, request, indices), (response, error) in zip(
+        for (_target, _request, run), (response, error) in zip(
                 plan, merged_outcomes):
-            if error is not None:
-                for i in indices:
-                    outcomes[i] = (None, error)
-            elif len(indices) == 1:
-                outcomes[indices[0]] = (response, None)
-            elif type(request) is msg.ReadReq:
-                # Split the merged reply; overflow accounting (a
-                # whole-message property) rides on the first fragment.
-                cursor = 0
-                for slot, i in enumerate(indices):
-                    length = pairs[i][1].length
-                    outcomes[i] = (msg.Response(
-                        payload=response.payload.slice(cursor,
-                                                       cursor + length),
-                        overflow_bytes=(response.overflow_bytes
-                                        if slot == 0 else 0)), None)
-                    cursor += length
-            else:
-                for i in indices:
-                    outcomes[i] = (msg.Response(), None)
+            if error is not None or len(run) == 1:
+                for i in run:
+                    outcomes[i] = (response, error)
+                continue
+            cursor = 0
+            for i in run:
+                length = pairs[i][1].length
+                outcomes[i] = (msg.Response(payload=response.payload.slice(
+                    cursor, cursor + length)), None)
+                cursor += length
         return outcomes
 
     # ------------------------------------------------------------------

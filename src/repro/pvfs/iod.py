@@ -17,7 +17,7 @@ serializes conflicting read-modify-writes (Section 5.1).
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, Generator, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import DiskFault, ProtocolError, ServerFailed
 from repro.hw.link import send
@@ -25,10 +25,11 @@ from repro.hw.node import Node
 from repro.metrics import Metrics
 from repro.pvfs import messages as msg
 from repro.redundancy.locks import ParityLockTable
-from repro.redundancy.overflow import OverflowTable
+from repro.redundancy.overflow import OverflowRead, OverflowTable
 from repro.sim.engine import Environment, Event, Interrupt, Process
 from repro.storage.localfs import LocalFS
 from repro.storage.payload import Payload
+from repro.util.intervals import Extent
 
 
 def data_file(name: str) -> str:
@@ -174,8 +175,6 @@ class IOD(msg.Server):
             return (yield from self._mirror_resolve(request))
         if isinstance(request, msg.FsyncReq):
             return (yield from self._fsync(request))
-        if isinstance(request, msg.TruncateOverflowReq):
-            return self._truncate_overflow(request)
         if isinstance(request, msg.CompactOverflowReq):
             return (yield from self._compact_overflow(request))
         raise ProtocolError(f"iod{self.index}: unknown request {request!r}")
@@ -197,31 +196,19 @@ class IOD(msg.Server):
               ) -> Generator[Event, Any, msg.Response]:
         kind = "data" if request.kind == "inplace" else request.kind
         name = self._local_name(request, kind)
-        start, length = request.offset, request.length
+        start, end = request.offset, request.offset + request.length
         table = self.overflow.get(request.file)
         # "inplace" bypasses overflow resolution: parity always covers the
         # in-place data, so reconstruction must read it raw.
         if request.kind != "data" or table is None \
-                or not table.covered.overlap(start, start + length):
-            payload = yield from self.fs.read(name, start, length)
+                or not table.covered.overlap(start, end):
+            payload = yield from self.fs.read(name, start, request.length)
             return msg.Response(payload=payload)
-        # Hybrid resolution: latest copy may live in the overflow region.
-        data_parts, ovf_reads = table.resolve(start, start + length)
-        base = Payload.sparse(length) if self.fs.content_mode \
-            else Payload.virtual(length)
-        for part in data_parts:
-            piece = yield from self.fs.read(name, part.start, part.length)
-            base = base.overlay(part.start - start, piece)
-        ovf_bytes = 0
-        oname = ovf_file(request.file)
-        for item in ovf_reads:
-            piece = yield from self.fs.read(oname, item.ovf_offset,
-                                            item.length)
-            base = base.overlay(item.local_start - start, piece)
-            ovf_bytes += item.length
-        self.metrics.add("hybrid.overflow_read_bytes", ovf_bytes)
-        return msg.Response(payload=base.slice(0, length),
-                            overflow_bytes=ovf_bytes)
+        payload, reads = yield from self.read_latest(
+            table, ovf_file(request.file), start, end, data=name)
+        self.metrics.add("hybrid.overflow_read_bytes",
+                         sum(item.length for item in reads))
+        return msg.Response(payload=payload)
 
     def _write(self, request: msg.WriteReq,
                ) -> Generator[Event, Any, msg.Response]:
@@ -266,19 +253,8 @@ class IOD(msg.Server):
         expected = sum(end - start for start, end in request.ranges)
         if expected != request.payload.length:
             raise ProtocolError("overflow ranges do not match payload size")
-        if request.mirror:
-            key = (request.file, request.origin)
-            table = self.overflow_mirror.get(key)
-            if table is None:
-                table = self.overflow_mirror[key] = \
-                    OverflowTable(self.stripe_unit)
-            name = ovfm_file(request.file, request.origin)
-        else:
-            table = self.overflow.get(request.file)
-            if table is None:
-                table = self.overflow[request.file] = \
-                    OverflowTable(self.stripe_unit)
-            name = ovf_file(request.file)
+        table, name = self.overflow_region(
+            request.file, request.origin if request.mirror else None)
         # Named crash points for the fault matrix: a failure here leaves
         # the overflow append torn between the table and its mirror.
         self.env.emit("iod.overflow.before_append", self.index)
@@ -303,19 +279,14 @@ class IOD(msg.Server):
 
     def _mirror_resolve(self, request: msg.MirrorResolveReq,
                         ) -> Generator[Event, Any, msg.Response]:
-        start, end = request.offset, request.offset + request.length
-        table = self.overflow_mirror.get((request.file, request.origin))
-        reads = () if table is None else table.resolve(start, end)[1]
-        base = (Payload.sparse(request.length) if self.fs.content_mode
-                else Payload.virtual(request.length))
-        name = ovfm_file(request.file, request.origin)
-        covered = []
-        for item in reads:
-            piece = yield from self.fs.read(name, item.ovf_offset, item.length)
-            base = base.overlay(item.local_start - start, piece)
-            covered.append((item.local_start, item.local_start + item.length))
-        return msg.Response(payload=base.slice(0, request.length),
-                            ranges=tuple(sorted(covered)))
+        start = request.offset
+        payload, reads = yield from self.read_latest(
+            self.overflow_mirror.get((request.file, request.origin)),
+            ovfm_file(request.file, request.origin),
+            start, start + request.length)
+        return msg.Response(payload=payload, ranges=tuple(
+            (item.local_start, item.local_start + item.length)
+            for item in reads))
 
     def _fsync(self, request: msg.FsyncReq,
                ) -> Generator[Event, Any, msg.Response]:
@@ -335,7 +306,9 @@ class IOD(msg.Server):
         table = self.overflow.get(request.file)
         if table is not None:
             yield from self._compact_one(table, ovf_file(request.file))
-        for (fname, origin), mtable in self.overflow_mirror.items():
+        # A snapshot: a first mirror append for another file may add a
+        # table while a cold read here waits on the disk.
+        for (fname, origin), mtable in list(self.overflow_mirror.items()):
             if fname == request.file:
                 yield from self._compact_one(
                     mtable, ovfm_file(request.file, origin))
@@ -346,39 +319,73 @@ class IOD(msg.Server):
         """Rewrite one overflow file keeping only the live (latest) bytes."""
         live = []
         for ext in table.covered:
-            _gaps, reads = table.resolve(ext.start, ext.end)
-            content = (Payload.sparse(ext.length) if self.fs.content_mode
-                       else Payload.virtual(ext.length))
-            for item in reads:
-                piece = yield from self.fs.read(name, item.ovf_offset,
-                                                item.length)
-                content = content.overlay(item.local_start - ext.start, piece)
-            live.append((ext.start, ext.end, content))
+            content, _reads = yield from self.read_latest(
+                table, name, ext.start, ext.end)
+            live.append((ext.start, content))
         table.truncate()
         if self.fs.exists(name):
             self.fs.files[name].truncate()
-        for start, end, content in live:
-            for piece in table.append(start, end):
-                yield from self.fs.write(
-                    name, piece.ovf_offset,
-                    content.slice(piece.local_start - start,
-                                  piece.local_end - start))
+        for start, content in live:
+            yield from self.replay(table, name, start, content)
         self.metrics.add("hybrid.compactions")
 
-    def _truncate_overflow(self, request: msg.TruncateOverflowReq,
-                           ) -> msg.Response:
-        table = self.overflow.get(request.file)
-        if table is not None:
-            table.truncate()
-        names = [ovf_file(request.file)]
-        for (fname, origin), mtable in self.overflow_mirror.items():
-            if fname == request.file:
-                mtable.truncate()
-                names.append(ovfm_file(request.file, origin))
-        for name in names:
-            if self.fs.exists(name):
-                self.fs.files[name].truncate()
-        return msg.Response()
+    # ------------------------------------------------------------------
+    # the overflow region (Section 4): its tables, reads and rewrites
+    # ------------------------------------------------------------------
+    def overflow_region(self, file: str, origin: Optional[int] = None,
+                        ) -> Tuple[OverflowTable, str]:
+        """The table and local file of ``file``'s own overflow region, or
+        of the mirror this server holds for server ``origin``; the table
+        is created on first use."""
+        if origin is None:
+            tables, key, name = self.overflow, file, ovf_file(file)
+        else:
+            tables, key = self.overflow_mirror, (file, origin)
+            name = ovfm_file(file, origin)
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = OverflowTable(self.stripe_unit)
+        return table, name
+
+    def read_latest(self, table: Optional[OverflowTable], name: str,
+                    start: int, end: int, data: Optional[str] = None,
+                    ) -> Generator[Event, Any,
+                                   Tuple[Payload, List[OverflowRead]]]:
+        """The latest copy of ``[start, end)`` (Section 4).
+
+        A byte ``table`` covers comes from its newest version in overflow
+        file ``name``; any other byte (every byte, with no table) comes
+        from the in-place file ``data``, or reads as zero with no
+        ``data``.  Timed: the in-place gaps are read first, then the
+        overflow pieces in data-file order, and the payload is assembled
+        once (virtual in extent mode).  Returns it with the overflow
+        pieces read.
+        """
+        if table is None:
+            gaps, reads = [Extent(start, end)], []
+        else:
+            gaps, reads = table.resolve(start, end)
+        parts = []
+        if data is not None:
+            for gap in gaps:
+                piece = yield from self.fs.read(data, gap.start, gap.length)
+                parts.append((gap.start - start, piece))
+        for item in reads:
+            piece = yield from self.fs.read(name, item.ovf_offset,
+                                            item.length)
+            parts.append((item.local_start - start, piece))
+        if not self.fs.content_mode:
+            return Payload.virtual(end - start), reads
+        return Payload.assemble(end - start, parts), reads
+
+    def replay(self, table: OverflowTable, name: str, start: int,
+               payload: Payload) -> Generator[Event, Any, None]:
+        """Append ``payload`` to ``table`` as the newest version of its
+        range from ``start``, and write each slot piece to overflow file
+        ``name`` (one timed write per piece)."""
+        for piece in table.append(start, start + payload.length):
+            yield from self.fs.write(name, piece.ovf_offset, payload.slice(
+                piece.local_start - start, piece.local_end - start))
 
     # ------------------------------------------------------------------
     # storage accounting (Table 2)

@@ -153,11 +153,6 @@ class FsyncReq(Request):
 
 
 @dataclass
-class TruncateOverflowReq(Request):
-    """Drop the overflow region and table for one file (reclaimer)."""
-
-
-@dataclass
 class CompactOverflowReq(Request):
     """Rewrite the overflow region keeping only live bytes (reclaimer).
 
@@ -173,8 +168,6 @@ class Response:
 
     payload: Optional[Payload] = None
     error: Optional[Exception] = None
-    #: bytes actually sourced from the overflow region (Hybrid reads)
-    overflow_bytes: int = 0
     #: covered (start, end) ranges for MirrorResolveReq replies
     ranges: Tuple[Tuple[int, int], ...] = ()
 

@@ -24,11 +24,11 @@ whole-file write).
 
 from __future__ import annotations
 
-from typing import Any, Generator, List
+from typing import Any, Generator
 
 from repro.errors import ConfigError, ServerFailed
 from repro.pvfs import messages as msg
-from repro.pvfs.iod import IOD
+from repro.pvfs.iod import IOD, data_file, ovf_file, red_file
 from repro.pvfs.layout import ServerRange
 from repro.sim.engine import Event
 from repro.storage.payload import Payload
@@ -176,7 +176,7 @@ def _rebuild_file(system, client, iod: IOD,
             payload = yield from scheme_obj.degraded_read(client, meta, sr)
         else:
             payload = yield from scheme_obj._reconstruct(client, meta, sr)
-        yield from iod.fs.write(f"{name}.data", start, payload)
+        yield from iod.fs.write(data_file(name), start, payload)
 
     # ---- redundancy file -------------------------------------------------
     if scheme == "raid1":
@@ -187,7 +187,7 @@ def _rebuild_file(system, client, iod: IOD,
             response = yield from client.rpc(source, msg.ReadReq(
                 name, kind="data", offset=start, length=length,
                 xid=client.next_xid()))
-            yield from iod.fs.write(f"{name}.red", start, response.payload)
+            yield from iod.fs.write(red_file(name), start, response.payload)
     else:
         yield from _rebuild_parity(system, client, iod, name)
 
@@ -205,18 +205,27 @@ def _rebuild_parity(system, client, iod: IOD,
     for group in range(groups):
         if lay.parity_server(group) != iod.index:
             continue
-        calls = []
-        for block in lay.blocks_of_group(group):
-            server = lay.server_of_block(block)
-            calls.append(client.rpc(system.iods[server], msg.ReadReq(
-                name, kind="inplace",
-                offset=lay.local_offset_of_block(block), length=lay.unit,
-                xid=client.next_xid())))
-        responses = yield from client.parallel(calls)
-        parity = Payload.xor([r.payload for r in responses], lay.unit)
-        yield from client.node.cpu.compute_parity(lay.group_span)
-        yield from iod.fs.write(f"{name}.red",
+        parity = yield from recompute_parity(system, client, name, group)
+        yield from iod.fs.write(red_file(name),
                                 lay.parity_local_offset(group), parity)
+
+
+def recompute_parity(system, client, name: str,
+                     group: int) -> Generator[Event, Any, Payload]:
+    """Process body: one group's parity recomputed through ``client``.
+
+    Reads the group's in-place blocks in parallel, XORs them and charges
+    the client's CPU for the group (the rebuild and the online scrub).
+    """
+    lay = system.layout
+    responses = yield from client.parallel([
+        client.rpc(system.iods[lay.server_of_block(block)], msg.ReadReq(
+            name, kind="inplace", offset=lay.local_offset_of_block(block),
+            length=lay.unit, xid=client.next_xid()))
+        for block in lay.blocks_of_group(group)])
+    parity = Payload.xor([r.payload for r in responses], lay.unit)
+    yield from client.node.cpu.compute_parity(lay.group_span)
+    return parity
 
 
 def _rebuild_overflow(system, client, iod: IOD,
@@ -228,38 +237,19 @@ def _rebuild_overflow(system, client, iod: IOD,
     successor = system.iods[system.layout.successor(index)]
     mtable = successor.overflow_mirror.get((name, index))
     if mtable is not None and mtable.covered:
-        from repro.redundancy.overflow import OverflowTable
-
-        table = iod.overflow.setdefault(
-            name, OverflowTable(system.layout.unit))
+        table, local = iod.overflow_region(name)
         for ext in mtable.covered:
             response = yield from client.rpc(successor, msg.MirrorResolveReq(
                 name, origin=index, offset=ext.start, length=ext.length,
                 xid=client.next_xid()))
-            for piece in table.append(ext.start, ext.end):
-                yield from iod.fs.write(
-                    f"{name}.ovf", piece.ovf_offset,
-                    response.payload.slice(piece.local_start - ext.start,
-                                           piece.local_end - ext.start))
+            yield from iod.replay(table, local, ext.start, response.payload)
 
     # Overflow mirror held for the predecessor: replay from its live table.
     predecessor = system.iods[system.layout.predecessor(index)]
     ptable = predecessor.overflow.get(name)
     if ptable is not None and ptable.covered:
-        from repro.redundancy.overflow import OverflowTable
-
-        mirror = iod.overflow_mirror.setdefault(
-            (name, predecessor.index), OverflowTable(system.layout.unit))
+        mirror, local = iod.overflow_region(name, predecessor.index)
         for ext in ptable.covered:
-            _gaps, reads = ptable.resolve(ext.start, ext.end)
-            content = Payload.zeros(ext.length) \
-                if system.config.content_mode else Payload.virtual(ext.length)
-            for r in reads:
-                piece = yield from predecessor.fs.read(
-                    f"{name}.ovf", r.ovf_offset, r.length)
-                content = content.overlay(r.local_start - ext.start, piece)
-            for piece in mirror.append(ext.start, ext.end):
-                yield from iod.fs.write(
-                    f"{name}.ovfm{predecessor.index}", piece.ovf_offset,
-                    content.slice(piece.local_start - ext.start,
-                                  piece.local_end - ext.start))
+            content, _reads = yield from predecessor.read_latest(
+                ptable, ovf_file(name), ext.start, ext.end)
+            yield from iod.replay(mirror, local, ext.start, content)

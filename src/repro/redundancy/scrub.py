@@ -32,7 +32,8 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.errors import ConfigError
 from repro.pvfs.iod import data_file, ovf_file, ovfm_file, red_file  # noqa: F401
-from repro.storage.payload import Payload, Segment, segments_equal
+from repro.redundancy.recovery import recompute_parity
+from repro.storage.payload import Segment, segments_equal
 from repro.util.parity import xor_segments
 
 
@@ -186,16 +187,7 @@ def online_scrub(system, name: str, client_index: int = 0):
 
     groups = -(-meta.size // lay.group_span)
     for group in range(groups):
-        calls = []
-        for block in lay.blocks_of_group(group):
-            server = lay.server_of_block(block)
-            calls.append(client.rpc(system.iods[server], msg.ReadReq(
-                name, kind="inplace",
-                offset=lay.local_offset_of_block(block), length=unit,
-                xid=client.next_xid())))
-        responses = yield from client.parallel(calls)
-        expected = Payload.xor([r.payload for r in responses], unit)
-        yield from client.node.cpu.compute_parity(lay.group_span)
+        expected = yield from recompute_parity(system, client, name, group)
         actual = yield from client.rpc(
             system.iods[lay.parity_server(group)],
             msg.ReadReq(name, kind="red",

@@ -7,7 +7,7 @@ through the :class:`repro.hw.cache.PageCache` in :class:`repro.storage.localfs.L
 
 Content is an extent rope: sorted, disjoint frozen views of the very
 buffers the written payloads captured, so a write copies no byte and
-holes (never written, punched, or the gaps of a scattered payload) are
+holes (never written, or the gaps of a scattered payload) are
 simply absent and read back as zeros.  The store therefore *aliases*
 caller buffers: it relies on :class:`~repro.storage.payload.Payload`'s
 freeze and never writes a stored array in place, and a stored view keeps
@@ -54,7 +54,7 @@ class BlockFile:
         return self.allocated.total()
 
     def _splice(self, lo: int, hi: int,
-                segments: Sequence[Segment] = ()) -> None:
+                segments: Sequence[Segment]) -> None:
         """Replace the content of ``[lo, hi)`` by ``segments`` (absolute
         offsets inside it), clipping the two straddling views into
         sub-views."""
@@ -126,12 +126,6 @@ class BlockFile:
             elif lo < hi:
                 segments.append((lo - offset, view[lo - at: hi - at]))
         return segments
-
-    def punch_hole(self, offset: int, length: int) -> None:
-        """Deallocate a range (used by the overflow reclaimer)."""
-        self.allocated.remove(offset, offset + length)
-        if self.content_mode and length > 0:
-            self._splice(offset, offset + length)
 
     def truncate(self) -> None:
         """Drop all contents."""

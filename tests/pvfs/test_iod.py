@@ -1,6 +1,8 @@
 """Protocol-level tests of the I/O daemon."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import CSARConfig, Payload, System
 from repro.errors import ProtocolError, ServerFailed
@@ -84,7 +86,7 @@ class TestOverflowProtocol:
         response = rpc(system, iod, msg.ReadReq("f", kind="data",
                                                 offset=0, length=4))
         assert response.payload.to_bytes() == b"oNE!"
-        assert response.overflow_bytes == 2
+        assert system.metrics.get("hybrid.overflow_read_bytes") == 2
 
     def test_inplace_read_bypasses_overflow(self):
         system = make_system()
@@ -380,15 +382,133 @@ class TestMaintenance:
         rpc(system, iod, msg.FsyncReq("f"))
         assert iod.node.cache.dirty_bytes == 0
 
-    def test_truncate_overflow(self):
-        system = make_system()
-        iod = system.iods[0]
-        rpc(system, iod, msg.OverflowWriteReq(
-            "f", ranges=[(0, 4)], payload=Payload.from_bytes(b"data")))
-        rpc(system, iod, msg.TruncateOverflowReq("f"))
-        assert iod.overflow["f"].allocated_bytes == 0
+    def test_compaction_survives_a_new_mirror_table(self):
+        # Compaction reads a cold mirror file from disk; a first mirror
+        # append for another file lands meanwhile and adds a table.
+        system = make_system(num_clients=2)
+        iod = system.iods[1]
+        for k in range(8):
+            rpc(system, iod, msg.OverflowWriteReq(
+                "f", ranges=[(k * UNIT, k * UNIT + 100)],
+                payload=Payload.pattern(100, seed=k), mirror=True, origin=0))
+        system.run(iod.fs.sync())
+        system.run(iod.fs.drop_caches())
+
+        def call(client, request):
+            return (yield from system.client(client).rpc(iod, request))
+
+        def both():
+            yield system.env.all_of([
+                system.env.process(call(0, msg.CompactOverflowReq("f"))),
+                system.env.process(call(1, msg.OverflowWriteReq(
+                    "g", ranges=[(0, 2)], payload=Payload.from_bytes(b"gg"),
+                    mirror=True, origin=0)))])
+
+        system.run(both())
+        assert iod.overflow_mirror["f", 0].live_bytes == 800
+        resolved = rpc(system, iod, msg.MirrorResolveReq(
+            "g", origin=0, offset=0, length=2))
+        assert resolved.payload.to_bytes() == b"gg"
 
     def test_storage_of_unknown_file_zeroes(self):
         system = make_system()
         assert system.iods[0].storage_of("ghost") == {
             "data": 0, "red": 0, "ovf": 0, "ovfm": 0}
+
+
+#: Property test geometry: a tiny stripe unit, so a few dozen bytes span
+#: several overflow slots and rewrites burn fresh ones.
+PROP_UNIT = 16
+PROP_SPAN = 96
+PROP_ORIGINS = (1, 2)
+
+_at = st.integers(0, PROP_SPAN - 1)
+_bytes = st.binary(min_size=1, max_size=40)
+_ranges = st.lists(st.tuples(_at, _bytes), min_size=1, max_size=3)
+_prop_op = st.one_of(
+    st.tuples(st.just("append"), st.none(), _ranges),
+    st.tuples(st.just("append"), st.sampled_from(PROP_ORIGINS), _ranges),
+    st.tuples(st.just("write"), st.booleans(),
+              st.tuples(_at, _bytes, st.sampled_from(PROP_ORIGINS), _at,
+                        st.integers(0, 40))),
+    st.tuples(st.just("compact"), st.none(), st.none()),
+    st.tuples(st.just("read"), st.none(), st.tuples(_at, st.integers(0, 60))),
+    st.tuples(st.just("resolve"), st.sampled_from(PROP_ORIGINS),
+              st.tuples(_at, st.integers(0, 60))),
+)
+
+
+def _runs(covered, start, end):
+    """Maximal covered ``(lo, hi)`` runs of a reference mask."""
+    runs = []
+    for i in range(start, end):
+        if covered[i]:
+            if runs and runs[-1][1] == i:
+                runs[-1] = (runs[-1][0], i + 1)
+            else:
+                runs.append((i, i + 1))
+    return runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_prop_op, max_size=14))
+def test_overflow_region_matches_reference(ops):
+    """Own and mirror appends, invalidating writes and compactions at one
+    iod: data reads and mirror resolves return the latest copy."""
+    system = make_system(stripe_unit=PROP_UNIT)
+    iod, client = system.iods[0], system.client()
+    size = 2 * PROP_SPAN + 40
+    inplace = bytearray(size)
+    regions = {origin: (bytearray(size), [False] * size)
+               for origin in (None,) + PROP_ORIGINS}
+
+    def work():
+        for op, arg, body in ops:
+            if op == "append":
+                ranges = [(at, at + len(raw)) for at, raw in body]
+                payload = Payload.from_bytes(b"".join(raw for _at, raw in body))
+                yield from client.rpc(iod, msg.OverflowWriteReq(
+                    "f", ranges=ranges, payload=payload,
+                    mirror=arg is not None,
+                    origin=-1 if arg is None else arg))
+                latest, covered = regions[arg]
+                for at, raw in body:
+                    latest[at: at + len(raw)] = raw
+                    covered[at: at + len(raw)] = [True] * len(raw)
+            elif op == "write":
+                at, raw, origin, lo, length = body
+                yield from client.rpc(iod, msg.WriteReq(
+                    "f", kind="data", offset=at,
+                    payload=Payload.from_bytes(raw), invalidate=arg,
+                    mirror_invalidate=((origin, lo, lo + length),)))
+                inplace[at: at + len(raw)] = raw
+                if arg:
+                    regions[None][1][at: at + len(raw)] = [False] * len(raw)
+                regions[origin][1][lo: lo + length] = [False] * length
+            elif op == "compact":
+                yield from client.rpc(iod, msg.CompactOverflowReq("f"))
+            elif op == "read":
+                at, length = body
+                response = yield from client.rpc(iod, msg.ReadReq(
+                    "f", kind="data", offset=at, length=length))
+                latest, covered = regions[None]
+                assert response.payload.to_bytes() == bytes(
+                    latest[i] if covered[i] else inplace[i]
+                    for i in range(at, at + length))
+            else:
+                at, length = body
+                response = yield from client.rpc(iod, msg.MirrorResolveReq(
+                    "f", origin=arg, offset=at, length=length))
+                latest, covered = regions[arg]
+                assert response.payload.to_bytes() == bytes(
+                    latest[i] if covered[i] else 0
+                    for i in range(at, at + length))
+                merged = []
+                for lo, hi in response.ranges:
+                    if merged and merged[-1][1] == lo:
+                        merged[-1] = (merged[-1][0], hi)
+                    else:
+                        merged.append((lo, hi))
+                assert merged == _runs(covered, at, at + length)
+
+    system.run(work())

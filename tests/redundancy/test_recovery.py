@@ -183,6 +183,23 @@ class TestReclaimer:
         assert stats["fragmentation"] < 2 * UNIT
         assert scrub.scrub(system, "f") == []
 
+    @pytest.mark.parametrize("role", ["origin", "mirror"])
+    def test_rebuild_after_reclaim(self, role):
+        # Compaction rewrites the overflow regions and their mirrors; a
+        # server lost afterwards rebuilds both from the rewritten copies.
+        system = make_system("hybrid")
+        expected = populate(system)
+        system.run(reclaim_file(system, "f"))
+        origin = next(iod.index for iod in system.iods
+                      if "f" in iod.overflow and iod.overflow["f"].covered)
+        failed = (origin if role == "origin"
+                  else system.layout.successor(origin))
+        system.fail_server(failed)
+        system.run(rebuild_server(system, failed))
+        assert scrub.scrub(system, "f") == []
+        assert read_all(system, "f", expected.length) == expected
+        assert system.overflow_stats("f")["live"] > 0
+
     def test_reclaim_rejected_for_non_hybrid(self):
         system = make_system("raid5")
         populate(system)

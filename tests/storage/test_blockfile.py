@@ -56,14 +56,6 @@ class TestContentMode:
         with pytest.raises(ValueError):
             f.write(0, Payload.virtual(4))
 
-    def test_punch_hole(self):
-        f = BlockFile("d")
-        f.write(0, Payload.from_bytes(b"abcdef"))
-        f.punch_hole(2, 2)
-        assert f.read(0, 6).to_bytes() == b"ab\x00\x00ef"
-        assert f.allocated_bytes == 4
-        assert f.size == 6
-
     def test_truncate(self):
         f = BlockFile("d")
         f.write(0, Payload.from_bytes(b"abc"))
@@ -88,15 +80,15 @@ class TestContentMode:
         assert f.read(0, 10).to_bytes() == b"ABB\x00\x00\x00\x00CCA"
         f.write(0, Payload.sparse(2))
         assert f.read(0, 3).to_bytes() == b"\x00\x00B"
-        f.punch_hole(7, 2)
+        # A sparse write punches a hole into the stored rope.
+        f.write(7, Payload.sparse(2))
         f.write(8, Payload.from_bytes(b"D"))
         assert f.read(0, 10).to_bytes() == b"\x00\x00B" + b"\x00" * 5 + b"DA"
 
     @pytest.mark.parametrize("drop", [
         lambda f, n: f.write(0, Payload.zeros(n)),
-        lambda f, n: f.punch_hole(0, n),
         lambda f, n: f.truncate(),
-    ], ids=["overwrite", "punch", "truncate"])
+    ], ids=["overwrite", "truncate"])
     def test_dead_generation_is_released(self, drop):
         # Stored views keep their source buffer alive; once no byte of
         # it is live the buffer goes, by refcount alone.
@@ -174,7 +166,6 @@ _op = st.one_of(
     st.tuples(st.just("write"), _offsets, _flat),
     st.tuples(st.just("rope"), _offsets, _rope),
     st.tuples(st.just("sparse"), _offsets, st.integers(1, 50)),
-    st.tuples(st.just("punch"), _offsets, st.integers(0, 80)),
     st.tuples(st.just("truncate"), st.just(0), st.just(0)),
     st.tuples(st.just("read"), st.integers(0, SPAN + 20), st.integers(0, SPAN)),
 )
@@ -217,9 +208,6 @@ def test_blockfile_matches_reference_bytearray(ops):
         if op == "truncate":
             f.truncate()
             lo, hi, content = 0, len(ref), None
-        elif op == "punch":
-            f.punch_hole(off, arg)
-            lo, hi, content = off, off + arg, None
         else:
             if op == "write":
                 payload, content = Payload.from_bytes(arg), arg

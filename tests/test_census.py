@@ -119,10 +119,8 @@ OWNED = {
         item("1(b)"),
     "repro.workloads.synthetic:synthetic_benchmark.<locals>.writer":
         item("1(b)"),
-    # Item 12(c): the reclaimer and the iod compaction path it drives.
-    "repro.pvfs.iod:IOD._truncate_overflow": item("12(c)"),
+    # Item 12(c): the background reclaimer daemon.
     "repro.redundancy.reclaim:background_reclaimer": item("12(c)"),
-    "repro.storage.blockfile:BlockFile.punch_hole": item("12(c)"),
     # Public API that tests and library users call (item 13 names most).
     "repro.faults.injector:installed": PUBLIC,
     "repro.hw.cache:PageCache.cached_extents": PUBLIC,
@@ -152,7 +150,6 @@ OWNED = {
     "repro.storage.localfs:LocalFS.sync": PUBLIC,
     "repro.storage.localfs:LocalFS.total_size": PUBLIC,
     "repro.storage.payload:Payload.__len__": PUBLIC,
-    "repro.storage.payload:Payload.assemble": PUBLIC,
     "repro.storage.payload:Payload.from_bytes": PUBLIC,
     "repro.storage.payload:Payload.to_bytes": PUBLIC,
     "repro.util.intervals:Extent.contains": PUBLIC,
