@@ -161,8 +161,7 @@ def sanitizer_scope(modes: Iterable[str],
 
 
 from repro.analysis.bufsan import BufSan, BufSanReport  # noqa: E402
-from repro.analysis.lint import (Finding, format_json, format_text,  # noqa: E402
-                                 lint_paths)
+from repro.analysis.lint import Finding, format_text, lint_paths  # noqa: E402
 from repro.analysis.locksan import LockSan, LockSanReport, drain_reports  # noqa: E402
 from repro.analysis.paritysan import ParitySan, ParitySanReport  # noqa: E402
 from repro.analysis.rules import RULES, Rule, all_codes  # noqa: E402
@@ -181,7 +180,6 @@ __all__ = [
     "SanitizerRegistry",
     "all_codes",
     "drain_reports",
-    "format_json",
     "format_text",
     "lint_paths",
     "sanitize_modes",

@@ -291,8 +291,7 @@ def explore_smoke(budget: int = 64, depth: int = 12,
     Each violation is re-run under its own forced decisions and must
     reproduce its digest.  Raises :class:`AssertionError` on any miss,
     so the job fails loudly.  Returns ``(scenario, schedules, outcome)``
-    per scenario, the replay's order-inversion witnesses appended to the
-    outcome's.
+    per scenario.
     """
     results = []
     for scen in smoke_scenarios():
@@ -307,7 +306,6 @@ def explore_smoke(budget: int = 64, depth: int = 12,
             raise AssertionError(
                 f"explore-smoke: {scen.name!r} violation did not replay "
                 f"deterministically")
-        outcome.witnesses += again.witnesses
         results.append((scen.name, schedules, outcome))
         if sched_dir is not None:
             os.makedirs(sched_dir, exist_ok=True)

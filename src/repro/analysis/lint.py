@@ -56,10 +56,6 @@ from repro.analysis.dataflow import LockAnalysis
 from repro.analysis.rules import RULES, all_codes
 from repro.analysis.summaries import Program, format_chain, group_value
 
-#: Version of the ``--format=json`` payload (see ``docs/ANALYSIS.md``).
-LINT_SCHEMA_VERSION = 1
-
-
 @dataclass(frozen=True)
 class Finding:
     """One lint hit, ready to print or serialize."""
@@ -69,23 +65,10 @@ class Finding:
     col: int
     code: str
     message: str
-    #: cross-reference to a dynamic observation (CSAR011: the LockSan
-    #: order-inversion witness, if the explorer recorded one); excluded
-    #: from baseline identity so witness availability never churns a
-    #: committed baseline
-    witness: str = ""
-
-    @property
-    def fixit(self) -> str:
-        rule = RULES.get(self.code)
-        return rule.fixit if rule else ""
 
     def format(self) -> str:
-        text = (f"{self.path}:{self.line}:{self.col}: {self.code} "
+        return (f"{self.path}:{self.line}:{self.col}: {self.code} "
                 f"{self.message}")
-        if self.witness:
-            text += f" ({self.witness})"
-        return text
 
 
 # ----------------------------------------------------------------------
@@ -279,38 +262,10 @@ class FileLinter:
 # ----------------------------------------------------------------------
 # CSAR011: the whole-program lock-order checker
 # ----------------------------------------------------------------------
-def _witness_note(edge, witnesses) -> str:
-    """Match one static order edge against LockSan runtime witnesses.
-
-    ``witnesses`` is a list of ``{"file", "group", "held_group"}`` dicts
-    from the explorer (see :func:`load_witnesses`), or ``None`` when no
-    witness file was supplied (then no note is attached at all).
-    Numeric edges match exactly; loop-carried/symbolic edges match any
-    inversion whose held group exceeds the acquired group.
-    """
-    if witnesses is None:
-        return ""
-    value_held = group_value(edge.held)
-    value_acq = group_value(edge.acquired)
-    for w in witnesses:
-        held_group, group = w.get("held_group"), w.get("group")
-        if held_group is None or group is None:
-            continue
-        if value_held is not None and value_acq is not None:
-            matched = held_group == value_held and group == value_acq
-        else:
-            matched = held_group > group
-        if matched:
-            return (f"dynamic witness: LockSan order-inversion on "
-                    f"{w.get('file')!r}, held group {held_group} while "
-                    f"acquiring group {group}")
-    return "no dynamic witness recorded"
-
-
 def check_order_cycles(program,
                        supp_of_path: Dict[str, Dict[int,
-                                                    Optional[Set[str]]]],
-                       witnesses=None) -> List[Finding]:
+                                                    Optional[Set[str]]]]
+                       ) -> List[Finding]:
     """CSAR011 over the global acquires-while-holding graph.
 
     Two cycle shapes are reported:
@@ -328,9 +283,8 @@ def check_order_cycles(program,
         supp = supp_of_path.get(edge.path, {})
         if _suppressed(supp, edge.line, "CSAR011"):
             return
-        findings.append(Finding(
-            edge.path, edge.line, 0, "CSAR011", message,
-            witness=_witness_note(edge, witnesses)))
+        findings.append(Finding(edge.path, edge.line, 0, "CSAR011",
+                                message))
 
     edges = program.order_edges()
     seen: Set[Tuple] = set()
@@ -408,7 +362,7 @@ def iter_python_files(paths: Iterable[str]) -> Iterable[str]:
             yield path
 
 
-def lint_paths(paths: Iterable[str], witnesses=None) -> List[Finding]:
+def lint_paths(paths: Iterable[str]) -> List[Finding]:
     """Lint files and directory trees as one program; findings sorted by
     location."""
     sources: Dict[str, str] = {}
@@ -418,18 +372,15 @@ def lint_paths(paths: Iterable[str], witnesses=None) -> List[Finding]:
                 sources[path] = fp.read()
         except OSError:
             continue
-    return lint_sources(sources, witnesses)
+    return lint_sources(sources)
 
 
-def lint_sources(sources: Dict[str, str],
-                 witnesses=None) -> List[Finding]:
+def lint_sources(sources: Dict[str, str]) -> List[Finding]:
     """The one lint pass over ``{path: source}``: condense it into a
     :class:`~repro.analysis.summaries.Program` (call graph + lock and
     buffer summaries), run the per-module rules with callee effects
     visible, then the whole-program CSAR011 over the global lock-order
-    graph.  ``witnesses`` is an optional list of LockSan order-inversion
-    records (see :func:`load_witnesses`) cross-referenced into CSAR011
-    findings."""
+    graph."""
     program = Program.from_sources(sources)
     findings: List[Finding] = []
     supp_of_path: Dict[str, Dict[int, Optional[Set[str]]]] = {}
@@ -437,7 +388,7 @@ def lint_sources(sources: Dict[str, str],
         linter = FileLinter(path, source, program)
         findings.extend(linter.run())
         supp_of_path[path] = linter._supp
-    findings.extend(check_order_cycles(program, supp_of_path, witnesses))
+    findings.extend(check_order_cycles(program, supp_of_path))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     unique: List[Finding] = []
     seen: Set[Tuple] = set()
@@ -465,8 +416,7 @@ def baseline_key(finding: Finding) -> Tuple[str, str, str]:
     """Baseline identity: location-line-free so mere drift in line
     numbers does not resurrect a baselined finding — neither the
     finding's own line nor the ``file.py:LINE`` hops of the witness
-    chain its message quotes — and witness-free so dynamic-witness
-    availability does not churn the file."""
+    chain its message quotes."""
     return (finding.path, finding.code,
             _MESSAGE_LINE.sub(r"\1", finding.message))
 
@@ -528,32 +478,6 @@ def baseline_from_pyproject(root: str = ".") -> Optional[str]:
     return None
 
 
-# ----------------------------------------------------------------------
-# LockSan witness files (written by ``csar-repro explore --smoke``)
-# ----------------------------------------------------------------------
-#: Version of the ``--witnesses`` file payload.
-WITNESS_SCHEMA_VERSION = 1
-
-
-def save_witnesses(witnesses: List[dict], path: str) -> None:
-    payload = {"schema_version": WITNESS_SCHEMA_VERSION,
-               "witnesses": witnesses}
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, indent=2)
-        fp.write("\n")
-
-
-def load_witnesses(path: str) -> List[dict]:
-    with open(path, "r", encoding="utf-8") as fp:
-        data = json.load(fp)
-    version = data.get("schema_version")
-    if version != WITNESS_SCHEMA_VERSION:
-        raise ValueError(f"unsupported witness schema_version "
-                         f"{version!r} (expected "
-                         f"{WITNESS_SCHEMA_VERSION})")
-    return list(data.get("witnesses", ()))
-
-
 def _pyproject_section(root: str = ".") -> dict:
     """The parsed ``[tool.csar-lint]`` table (empty when unavailable)."""
     candidate = os.path.join(root, "pyproject.toml")
@@ -577,23 +501,6 @@ def format_text(findings: List[Finding]) -> str:
     return "\n".join(lines)
 
 
-def format_json(findings: List[Finding]) -> str:
-    """Serialize findings as a versioned JSON document.
-
-    The payload is ``{"schema_version": N, "findings": [...]}`` so CI
-    and external tooling can detect format changes; see
-    ``docs/ANALYSIS.md`` for the field reference.
-    """
-    return json.dumps(
-        {"schema_version": LINT_SCHEMA_VERSION,
-         "findings": [
-             {"path": f.path, "line": f.line, "col": f.col,
-              "code": f.code, "message": f.message, "fixit": f.fixit,
-              "witness": f.witness}
-             for f in findings]},
-        indent=2)
-
-
 def format_sarif(findings: List[Finding]) -> str:
     """Serialize findings as SARIF 2.1.0 for CI code-scanning upload."""
     rules = [
@@ -605,13 +512,10 @@ def format_sarif(findings: List[Finding]) -> str:
         for code in all_codes()]
     results = []
     for f in findings:
-        message = f.message
-        if f.witness:
-            message += f" ({f.witness})"
         results.append({
             "ruleId": f.code,
             "level": "error",
-            "message": {"text": message},
+            "message": {"text": f.message},
             "locations": [{
                 "physicalLocation": {
                     "artifactLocation": {"uri": f.path},

@@ -4,20 +4,16 @@ When installed (:func:`install`, the CLI's ``run --sanitize``, or the
 ``CSAR_LOCKSAN=1`` environment variable honored by the test suite's
 ``conftest``), every new :class:`~repro.sim.engine.Environment` builds a
 :class:`LockSan` (kept as ``env.sanitizer``) that subscribes itself to
-the lock probes (:mod:`repro.probes`); the lock primitives name no tool:
-
-* :class:`~repro.sim.resources.FifoLock` announces raw request /
-  release transitions (``lock.*``) — the basis of the *leak* check
-  (locks still held when :meth:`Environment.run` drains the event heap,
-  ``run.complete``);
-* :class:`~repro.redundancy.locks.ParityLockTable` announces protocol
-  events keyed by ``xid`` with ``(file, group)`` labels
-  (``parity_lock.*``) — the basis of
-  the *lock-order inversion* check (acquiring group *g₂ < g₁* while
-  holding *g₁* on the same file), the *wait-for cycle* check (true
-  deadlock, raised as :class:`DeadlockError` with the process names
-  involved **before** the simulation hangs), and the *double-release*
-  check.
+the parity-lock probes (``parity_lock.*``, :mod:`repro.probes`) that
+:class:`~repro.redundancy.locks.ParityLockTable` announces, keyed by
+``xid`` with ``(file, group)`` labels; the lock table names no tool.
+One ledger of held locks is the basis of every check: the *lock-order
+inversion* check (acquiring group *g₂ < g₁* while holding *g₁* on the
+same file), the *wait-for cycle* check (true deadlock, raised as
+:class:`DeadlockError` with the process names involved **before** the
+simulation hangs), the *double-release* check, and the *leak* check
+(locks still held when :meth:`Environment.run` drains the event heap,
+``run.complete``).
 
 Tracking is keyed by ``xid`` (the client transaction), not by the server
 handler process: a client's two parity-group acquisitions arrive as
@@ -51,10 +47,6 @@ class LockSanReport:
     file: Optional[str]
     group: Optional[int]
     processes: Tuple[str, ...]
-    #: for order-inversions: the higher-numbered group already held when
-    #: ``group`` was acquired — the explorer exports (file, group,
-    #: held_group) as a dynamic witness for CSAR011 cross-referencing
-    held_group: Optional[int] = None
 
     def format(self) -> str:
         procs = ", ".join(self.processes) or "<unknown>"
@@ -70,7 +62,6 @@ class LockSan:
         self.strict = strict
         self.raise_on_deadlock = raise_on_deadlock
         self.reports: List[LockSanReport] = []
-        # -- xid-keyed protocol state (ParityLockTable) ----------------
         #: xid -> {(file, group): (acquiring process, sim-time acquired)}
         self._held_by_xid: Dict[int, Dict[_Key, Tuple[str, float]]] = {}
         #: (file, group) -> xid currently holding the parity lock
@@ -81,18 +72,7 @@ class LockSan:
         self._waiting_on: Dict[int, _Key] = {}
         #: xid -> name of the process that last acted for it
         self._proc_of_xid: Dict[int, str] = {}
-        # -- raw lock state (FifoLock) ---------------------------------
-        #: request id -> (lock, process name) for granted requests
-        self._lock_owner: Dict[int, Tuple[Any, str]] = {}
-        #: request ids released (or cancelled) before their grant
-        #: callback ran — the grant must then be ignored.
-        self._dead_requests: Set[int] = set()
-        #: lock -> (file, group) label, registered by ParityLockTable
-        self._labels: Dict[int, _Key] = {}
         _REGISTRY.register(self)
-        env.subscribe("lock.request", self.on_lock_request)
-        env.subscribe("lock.release", self.on_lock_released)
-        env.subscribe("parity_lock.new", self.label_lock)
         env.subscribe("parity_lock.wait", self.on_wait)
         env.subscribe("parity_lock.cancel", self.on_cancel)
         env.subscribe("parity_lock.acquired", self.on_acquired)
@@ -109,50 +89,15 @@ class LockSan:
     # ------------------------------------------------------------------
     def _report(self, kind: str, message: str, file: Optional[str] = None,
                 group: Optional[int] = None,
-                processes: Tuple[str, ...] = (),
-                held_group: Optional[int] = None) -> LockSanReport:
-        report = LockSanReport(kind, message, file, group, processes,
-                               held_group)
+                processes: Tuple[str, ...] = ()) -> LockSanReport:
+        report = LockSanReport(kind, message, file, group, processes)
         self.reports.append(report)
         if self.strict:
             raise LockSanError(report.format())
         return report
 
     # ------------------------------------------------------------------
-    # FifoLock instrumentation (raw holds; feeds the leak check)
-    # ------------------------------------------------------------------
-    def label_lock(self, lock: Any, file: str, group: int) -> None:
-        """Attach ``(file, group)`` so leak reports can name the lock."""
-        self._labels[id(lock)] = (file, group)
-
-    def on_lock_request(self, lock: Any, request: Any) -> None:
-        proc_name = self._proc_name()
-        if request.triggered:
-            self.on_lock_granted(lock, request, proc_name)
-        else:
-            # Grants happen inside a release(); record the hold when
-            # the grant event is processed, before the waiting
-            # process resumes (its callback was not yet appended).
-            request.callbacks.append(
-                lambda _ev: self.on_lock_granted(lock, request, proc_name))
-
-    def on_lock_granted(self, lock: Any, request: Any,
-                        proc_name: str) -> None:
-        if id(request) in self._dead_requests:
-            self._dead_requests.discard(id(request))
-            return
-        self._lock_owner[id(request)] = (lock, proc_name)
-
-    def on_lock_released(self, lock: Any, request: Any) -> None:
-        if id(request) not in self._lock_owner:
-            # Released before the grant callback ran (interrupt delivered
-            # between grant and resume) or cancelled while queued.
-            self._dead_requests.add(id(request))
-            return
-        del self._lock_owner[id(request)]
-
-    # ------------------------------------------------------------------
-    # ParityLockTable instrumentation (xid-keyed protocol checks)
+    # ParityLockTable instrumentation
     # ------------------------------------------------------------------
     def on_wait(self, file: str, group: int, xid: int) -> None:
         """``xid`` queued behind the holder of ``(file, group)``."""
@@ -200,8 +145,7 @@ class LockSan:
                     f"holding {other_file}:{other_group} — groups must be "
                     "taken in ascending order (Section 5.1)",
                     file=file, group=group,
-                    processes=(proc_name, holder_proc),
-                    held_group=other_group)
+                    processes=(proc_name, holder_proc))
         held[key] = (proc_name, self.env.now)
         self._holder[key] = xid
 
@@ -286,20 +230,14 @@ class LockSan:
     def on_run_complete(self) -> None:
         """Report every lock still held — a leaked lock can never be
         granted to anyone else."""
-        for lock, proc_name in self._lock_owner.values():
-            label = self._labels.get(id(lock))
-            if label is not None:
-                file, group = label
-                where = f"parity lock {file}:{group}"
-            else:
-                file = group = None
-                where = f"{type(lock).__name__} 0x{id(lock):x}"
-            self._report(
-                "leak",
-                f"{where} still held by {proc_name!r} when the "
-                "simulation drained",
-                file=file, group=group, processes=(proc_name,))
-        self._lock_owner.clear()
+        for xid_held in self._held_by_xid.values():
+            for (file, group), (proc_name, _when) in xid_held.items():
+                self._report(
+                    "leak",
+                    f"parity lock {file}:{group} still held by "
+                    f"{proc_name!r} when the simulation drained",
+                    file=file, group=group, processes=(proc_name,))
+        self._held_by_xid.clear()
 
 
 #: Every live sanitizer; lets the CLI and the pytest hook sweep reports

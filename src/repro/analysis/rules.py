@@ -60,9 +60,7 @@ RULES: Dict[str, Rule] = {
             name="static-lock-order-cycle",
             summary="the global acquires-while-holding graph contains a "
                     "cycle or a descending edge against the Section 5.1 "
-                    "ascending-group invariant; the finding names its "
-                    "dynamic LockSan witness when the explorer recorded "
-                    "one",
+                    "ascending-group invariant",
             fixit="acquire parity-group locks in ascending group order "
                   "on every call chain; sort the groups before locking "
                   "and keep helper functions on the same convention",

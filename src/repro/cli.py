@@ -10,12 +10,10 @@
     csar-repro run fig3 --csv-dir out/csv
     csar-repro report --ledger docs/results/experiments.json
     csar-repro report --diff old.json docs/results/experiments.json
-    csar-repro lint src --format=json
     csar-repro lint src --format=sarif > lint.sarif
     csar-repro lint src --write-baseline tools/lint_baseline.json
-    csar-repro lint src --baseline tools/lint_baseline.json \
-        --witnesses witnesses.json
-    csar-repro explore --smoke --witness-file witnesses.json
+    csar-repro lint src --baseline tools/lint_baseline.json
+    csar-repro explore --smoke --sched-dir out/sched
     csar-repro explore race-lock-order --strategy pct --budget 128
     csar-repro explore --replay out/race-lock-order.sched
     csar-repro chaos --seeds 0:8 --plan-dir out/chaos
@@ -131,9 +129,8 @@ def _cmd_replay(path: str) -> int:
 
 def _cmd_explore(scenario: Optional[str], strategy: str, budget: int,
                  depth: int, seed: int, smoke: bool,
-                 sched_dir: Optional[str], list_scenarios: bool,
-                 witness_path: Optional[str] = None) -> int:
-    from repro.analysis import explore, lint
+                 sched_dir: Optional[str], list_scenarios: bool) -> int:
+    from repro.analysis import explore
     from repro.faults import campaign
 
     if list_scenarios:
@@ -170,10 +167,6 @@ def _cmd_explore(scenario: Optional[str], strategy: str, budget: int,
             path = os.path.join(sched_dir, f"{scenario}.sched")
             campaign.save(path, outcome, scenario=scenario)
             print(f"wrote {path}")
-    if witness_path is not None:
-        lint.save_witnesses([w for _name, _n, outcome in found
-                             for w in outcome.witnesses], witness_path)
-        print(f"wrote lock-order witnesses to {witness_path}")
     return 1 if found and not smoke else 0
 
 
@@ -280,8 +273,7 @@ def _positive_int(text: str) -> int:
 
 def _cmd_lint(paths: List[str], fmt: str, list_rules: bool,
               baseline_path: Optional[str] = None,
-              write_baseline_path: Optional[str] = None,
-              witness_path: Optional[str] = None) -> int:
+              write_baseline_path: Optional[str] = None) -> int:
     from repro.analysis import lint
     from repro.analysis.rules import RULES
 
@@ -291,14 +283,10 @@ def _cmd_lint(paths: List[str], fmt: str, list_rules: bool,
             print(f"{code} ({rule.name}): {rule.summary}")
         return 0
     status = (_missing("path", paths)
-              or _missing("baseline file", [baseline_path])
-              or _missing("witness file", [witness_path]))
+              or _missing("baseline file", [baseline_path]))
     if status:
         return status
-    witnesses = None
-    if witness_path is not None:
-        witnesses = lint.load_witnesses(witness_path)
-    findings = lint.lint_paths(paths, witnesses=witnesses)
+    findings = lint.lint_paths(paths)
     if write_baseline_path is not None:
         lint.write_baseline(findings, write_baseline_path)
         print(f"wrote {len(findings)} baseline entr"
@@ -318,9 +306,7 @@ def _cmd_lint(paths: List[str], fmt: str, list_rules: bool,
         entries = lint.load_baseline(baseline_path)
         stale = lint.stale_entries(findings, entries, paths)
         findings, suppressed = lint.apply_baseline(findings, entries)
-    if fmt == "json":
-        print(lint.format_json(findings))
-    elif fmt == "sarif":
+    if fmt == "sarif":
         print(lint.format_sarif(findings))
     else:
         if findings:
@@ -404,11 +390,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     explore_p.add_argument("--list", action="store_true",
                            dest="list_scenarios",
                            help="print every registered scenario and exit")
-    explore_p.add_argument("--witness-file", default=None,
-                           dest="witness_path", metavar="FILE",
-                           help="save every LockSan order-inversion "
-                                "observed during the run as a witness "
-                                "file for 'lint --witnesses'")
     chaos_p = sub.add_parser(
         "chaos", help="run seed-deterministic fault-injection campaigns "
                       "with a differential oracle (see docs/FAULTS.md)")
@@ -444,7 +425,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "lint", help="run the csar-lint static protocol checks")
     lint_p.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
-    lint_p.add_argument("--format", choices=("text", "json", "sarif"),
+    lint_p.add_argument("--format", choices=("text", "sarif"),
                         default="text", dest="fmt",
                         help="output format (default: text)")
     lint_p.add_argument("--list-rules", action="store_true",
@@ -460,11 +441,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         dest="write_baseline_path", metavar="FILE",
                         help="record every current finding into FILE and "
                              "exit 0 (accept the status quo)")
-    lint_p.add_argument("--witnesses", default=None, dest="witness_path",
-                        metavar="FILE",
-                        help="LockSan witness file from 'explore "
-                             "--witness-file'; CSAR011 findings name "
-                             "their dynamic witness when one matches")
     args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()
@@ -481,7 +457,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "lint":
         return _cmd_lint(args.paths, args.fmt, args.list_rules,
                          args.baseline_path,
-                         args.write_baseline_path, args.witness_path)
+                         args.write_baseline_path)
     if args.command in ("chaos", "explore") and args.replay_path:
         return _cmd_replay(args.replay_path)
     if args.command == "chaos":
@@ -491,8 +467,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "explore":
         return _cmd_explore(args.scenario, args.strategy, args.budget,
                             args.depth, args.seed, args.smoke,
-                            args.sched_dir, args.list_scenarios,
-                            args.witness_path)
+                            args.sched_dir, args.list_scenarios)
     return _cmd_run(args.ids, args.scale, args.csv_dir, args.sanitize)
 
 

@@ -202,9 +202,6 @@ class Outcome:
     decisions: Optional[Decisions] = None
     #: forced tie picks that were out of range and clamped
     drifted: int = 0
-    #: LockSan order inversions as ``{"file", "group", "held_group"}``,
-    #: the dynamic witnesses CSAR011 cross-references
-    witnesses: List[Dict[str, Any]] = field(default_factory=list)
     plan: Optional[FaultPlan] = None
 
     def format(self) -> str:
@@ -270,12 +267,7 @@ def run(workload: Callable[[], Any], faults: Optional[FaultPlan] = None,
             json.dumps(doc, sort_keys=True).encode()).hexdigest(),
         fired=fired, ops_acked=acked,
         ops_failed=len(oracle.outcomes) - acked, decisions=decisions,
-        drifted=ties.drifted if ties is not None else 0,
-        witnesses=[{"file": r.file, "group": r.group,
-                    "held_group": r.held_group}
-                   for tool, r in reports
-                   if tool == "locksan" and r.kind == "order-inversion"],
-        plan=faults)
+        drifted=ties.drifted if ties is not None else 0, plan=faults)
 
 
 def save(path: str, outcome: Outcome, scenario: Optional[str] = None,

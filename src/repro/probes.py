@@ -18,11 +18,6 @@ PROBES = {
     "run.complete": "(): Environment.run drained the event heap (also "
                     "just before a run(until=event) deadlock error)",
     # -- locks ----------------------------------------------------------
-    "lock.request": "(lock, request): a FifoLock slot was requested "
-                    "(granted already iff request.triggered)",
-    "lock.release": "(lock, request): a FifoLock request is being "
-                    "released, cancelled, or forgotten by a crash",
-    "parity_lock.new": "(lock, file, group): a parity group got its lock",
     "parity_lock.wait": "(file, group, xid): xid queued behind the holder",
     "parity_lock.cancel": "(file, group, xid): a queued acquire was "
                           "interrupted and withdrawn",

@@ -316,17 +316,32 @@ class IOD(msg.Server):
 
     def _compact_one(self, table: OverflowTable,
                      name: str) -> Generator[Event, Any, None]:
-        """Rewrite one overflow file keeping only the live (latest) bytes."""
-        live = []
-        for ext in table.covered:
-            content, _reads = yield from self.read_latest(
-                table, name, ext.start, ext.end)
-            live.append((ext.start, content))
+        """Rewrite one overflow file keeping only the live (latest) bytes.
+
+        The live bytes are read again whenever an append or invalidation
+        changed the table during the reads.  The truncate and every slot
+        allocation of the rewrite then happen with no wait in between,
+        so an append that lands while the rewrite is written takes a
+        newer slot than every replayed byte.
+        """
+        while True:
+            version = table.version
+            live = []
+            for ext in list(table.covered):
+                content, _reads = yield from self.read_latest(
+                    table, name, ext.start, ext.end)
+                live.append((ext.start, content))
+            if table.version == version:
+                break
         table.truncate()
         if self.fs.exists(name):
             self.fs.files[name].truncate()
-        for start, content in live:
-            yield from self.replay(table, name, start, content)
+        writes = [(piece.ovf_offset, content.slice(
+                      piece.local_start - start, piece.local_end - start))
+                  for start, content in live
+                  for piece in table.append(start, start + content.length)]
+        for offset, payload in writes:
+            yield from self.fs.write(name, offset, payload)
         self.metrics.add("hybrid.compactions")
 
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Any, Dict, Generator, Tuple
 
 from repro.errors import LockProtocolError
 from repro.sim.engine import Environment, Event
-from repro.sim.resources import FifoLock, Request
+from repro.sim.resources import Request, Resource
 
 
 class ParityLockTable:
@@ -32,19 +32,17 @@ class ParityLockTable:
     def __init__(self, env: Environment, enabled: bool = True) -> None:
         self.env = env
         self.enabled = enabled
-        self._locks: Dict[Tuple[str, int], FifoLock] = {}
+        self._locks: Dict[Tuple[str, int], Resource] = {}
         self._held: Dict[Tuple[str, int, int], Request] = {}
         self.acquisitions = 0
         self.contended_acquisitions = 0
         self.total_wait_time = 0.0
 
-    def _lock(self, file: str, group: int) -> FifoLock:
+    def _lock(self, file: str, group: int) -> Resource:
         key = (file, group)
         lock = self._locks.get(key)
         if lock is None:
-            lock = FifoLock(self.env)
-            self._locks[key] = lock
-            self.env.emit("parity_lock.new", lock, file, group)
+            lock = self._locks[key] = Resource(self.env, capacity=1)
         return lock
 
     # ------------------------------------------------------------------
@@ -58,7 +56,7 @@ class ParityLockTable:
             raise LockProtocolError(
                 f"xid {xid} already holds parity lock {file}:{group}")
         lock = self._lock(file, group)
-        contended = lock.locked
+        contended = bool(lock.users)
         t0 = self.env.now
         emit = self.env.emit
         request = lock.request()
@@ -107,23 +105,16 @@ class ParityLockTable:
         them, and :meth:`acquire`'s cancellation path cleans each
         queued request out of its (now orphaned) lock.
         """
-        if not self.enabled:
-            self._held.clear()
-            self._locks.clear()
-            return
         emit = self.env.emit
-        for (file, group, xid), request in list(self._held.items()):
-            del self._held[(file, group, xid)]
-            # Both ledgers: the protocol-level hold and the raw
-            # FifoLock grant that feeds the leak sweep.
+        for file, group, xid in self._held:
             emit("parity_lock.released", file, group, xid)
-            emit("lock.release", request.resource, request)
+        self._held.clear()
         self._locks.clear()
 
     # ------------------------------------------------------------------
     def is_locked(self, file: str, group: int) -> bool:
         lock = self._locks.get((file, group))
-        return bool(lock and lock.locked)
+        return bool(lock and lock.users)
 
     def queue_length(self, file: str, group: int) -> int:
         lock = self._locks.get((file, group))

@@ -71,6 +71,8 @@ class OverflowTable:
         #: currently-valid coverage in data-file byte space
         self.covered = ExtentMap()
         self.next_offset = 0
+        #: bumped by every change, so a reader that waited can tell
+        self.version = 0
 
     # ------------------------------------------------------------------
     def append(self, start: int, end: int) -> List[OverflowWritePiece]:
@@ -82,6 +84,7 @@ class OverflowTable:
         """
         if end <= start:
             raise ValueError(f"empty overflow range [{start}, {end})")
+        self.version += 1
         bs = self.block_size
         pieces: List[OverflowWritePiece] = []
         cursor = start
@@ -108,10 +111,12 @@ class OverflowTable:
 
     def invalidate(self, start: int, end: int) -> None:
         """A full-stripe write superseded ``[start, end)`` in place."""
+        self.version += 1
         self.covered.remove(start, end)
 
     def truncate(self) -> None:
         """Forget everything (reclaimer rewrote the file as full stripes)."""
+        self.version += 1
         self._slots.clear()
         self.covered.clear()
         self.next_offset = 0

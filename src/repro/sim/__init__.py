@@ -14,7 +14,7 @@ from repro.sim.engine import (
     Process,
     Timeout,
 )
-from repro.sim.resources import FifoLock, FifoServer, Resource
+from repro.sim.resources import FifoServer, Resource
 
 __all__ = [
     "AllOf",
@@ -25,5 +25,4 @@ __all__ = [
     "Timeout",
     "Resource",
     "FifoServer",
-    "FifoLock",
 ]

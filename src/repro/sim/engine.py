@@ -394,17 +394,11 @@ class Environment:
         return self._active
 
     # -- probes -----------------------------------------------------------
-    def probe(self, name: str) -> List[Callable[..., None]]:
-        """The live subscriber list of ``name``: later subscribers
-        appear in it, so a per-grant site may cache it and test its
-        truth instead of calling :meth:`emit`."""
-        if name not in PROBES:
-            raise SimulationError(f"unknown probe {name!r}")
-        return self._probes.setdefault(name, [])
-
     def subscribe(self, name: str, fn: Callable[..., None]) -> None:
         """Call ``fn(*args)`` at every ``emit(name, *args)``."""
-        self.probe(name).append(fn)
+        if name not in PROBES:
+            raise SimulationError(f"unknown probe {name!r}")
+        self._probes.setdefault(name, []).append(fn)
 
     def emit(self, name: str, *args: Any) -> None:
         """Announce a named point; one dict miss while nobody listens."""

@@ -10,8 +10,6 @@
   departs at ``max(arrival_n, departure_{n-1}) + service_n`` (Lindley's
   recursion), so a hold is one heap entry, at its end, however long the
   line: a :class:`Hold` event, or a bare continuation.
-* :class:`FifoLock` — a ``Resource`` of capacity 1 with lock vocabulary;
-  the parity-block lock manager builds on it.
 
 Both servers are FIFO by request time; requests made at the same instant
 are served in the order they were made, which is dispatch order.
@@ -189,36 +187,3 @@ class FifoServer:
         env._seq = seq = env._seq + 1
         heappush(env._heap, (end, NORMAL, seq, then))
 
-
-class FifoLock(Resource):
-    """A mutual-exclusion lock with FIFO fairness.
-
-    Every request and release is announced on the ``lock.request`` /
-    ``lock.release`` probes, which is how a lock sanitizer tracks held
-    locks and finds leaks at the end of the run.  These are per-grant
-    sites, so the two live subscriber lists are bound once at lock
-    construction: while nobody listens a request or release costs one
-    truth test on top of the plain :class:`Resource` path.
-    """
-
-    def __init__(self, env: Environment) -> None:
-        super().__init__(env, capacity=1)
-        self._on_request = env.probe("lock.request")
-        self._on_release = env.probe("lock.release")
-
-    @property
-    def locked(self) -> bool:
-        return bool(self.users)
-
-    def request(self) -> Request:
-        req = Resource.request(self)
-        if self._on_request:
-            for fn in self._on_request:
-                fn(self, req)
-        return req
-
-    def release(self, request: Request) -> None:
-        if self._on_release:
-            for fn in self._on_release:
-                fn(self, request)
-        Resource.release(self, request)

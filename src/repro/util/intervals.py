@@ -31,26 +31,6 @@ class Extent:
     def length(self) -> int:
         return self.end - self.start
 
-    def is_empty(self) -> bool:
-        return self.end == self.start
-
-    def contains(self, offset: int) -> bool:
-        return self.start <= offset < self.end
-
-    def overlaps(self, other: "Extent") -> bool:
-        return self.start < other.end and other.start < self.end
-
-    def intersect(self, other: "Extent") -> "Extent":
-        """The overlapping part of two extents (possibly empty)."""
-        start = max(self.start, other.start)
-        end = min(self.end, other.end)
-        if end < start:
-            return Extent(start, start)
-        return Extent(start, end)
-
-    def shift(self, delta: int) -> "Extent":
-        return Extent(self.start + delta, self.end + delta)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.start},{self.end})"
 
@@ -157,10 +137,6 @@ class ExtentMap:
             return True
         i = bisect_right(self._starts, start) - 1
         return i >= 0 and self._ends[i] >= end
-
-    def contains_offset(self, offset: int) -> bool:
-        i = bisect_right(self._starts, offset) - 1
-        return i >= 0 and self._ends[i] > offset
 
     def overlap_iter(self, start: int, end: int) -> Iterator[Tuple[int, int]]:
         """Covered sub-ranges of ``[start, end)`` as ``(s, e)`` tuples.

@@ -29,12 +29,12 @@ def src_findings():
 def lint_src_stub(monkeypatch, src_findings):
     """Make ``lint_paths(["src"])`` answer from the session's findings, so
     a CLI test checks flags, baseline and exit code without linting again;
-    returns the list of ``witnesses`` values it was called with."""
+    returns the list of ``paths`` it was called with."""
     calls = []
 
-    def fake(paths, witnesses=None):
+    def fake(paths):
         assert list(paths) == ["src"]
-        calls.append(witnesses)
+        calls.append(list(paths))
         return list(src_findings)
 
     monkeypatch.setattr(lint, "lint_paths", fake)

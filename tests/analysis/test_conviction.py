@@ -161,6 +161,14 @@ def test_the_static_convictions_survive(matrix):
     assert blind == []
 
 
+def test_a_lock_order_inversion_is_convicted_statically_and_dynamically(
+        matrix):
+    # The descending-group acquisition is the one bug both the static
+    # order graph and the runtime lock ledger see.
+    cells = matrix["bugs"]["DescendingLockRaid5"]
+    assert (cells["CSAR011"], cells["locksan"]) == ("convicts", "convicts")
+
+
 def test_analysis_md_renders_the_record():
     _, table, _ = split_analysis_md(ANALYSIS_MD.read_text())
     assert table == render(json.loads(RECORD.read_text()))

@@ -144,9 +144,7 @@ class TestSeededBugs:
     def test_lock_order_caught_by_locksan(self):
         outcome = caught("buggy-lock-order")
         assert outcome.failure_kind == "locksan:order-inversion"
-        # The inversion is also the witness CSAR011 reads.
-        assert outcome.witnesses == [{"file": "f", "group": 0,
-                                      "held_group": 1}]
+        assert "f:0 while holding f:1" in outcome.failure
 
     def test_thawed_view_caught_by_bufsan(self):
         outcome = caught("buggy-thawed-view")
@@ -169,10 +167,6 @@ class TestSeededBugs:
             == ["buggy-helper-release-leak.sched", "buggy-lock-leak.sched",
                 "buggy-lock-order.sched", "buggy-overflow-inplace.sched",
                 "buggy-scratch-leak.sched", "buggy-thawed-view.sched"]
-        # The run and its deterministic replay each witness the inversion.
-        assert [w for _name, _n, outcome in results
-                for w in outcome.witnesses] \
-            == [{"file": "f", "group": 0, "held_group": 1}] * 2
 
 
 class TestSchedFiles:

@@ -1,6 +1,6 @@
 """Whole-program lint findings: the ip_fixtures round-trip, the
-seeded-bug regressions that need callee summaries, CSAR011 x LockSan
-witness cross-referencing, baselines, SARIF, and the CLI flags."""
+seeded-bug regressions that need callee summaries, baselines, SARIF,
+and the CLI flags."""
 
 import json
 import re
@@ -8,12 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import explore, lint
+from repro.analysis import lint
 
 HERE = Path(__file__).resolve().parent
 IP_FIXTURES = HERE / "ip_fixtures"
 REPO_ROOT = HERE.parent.parent
-SEEDED = REPO_ROOT / "src" / "repro" / "analysis" / "seeded_bugs.py"
 
 _EXPECT = re.compile(r"#\s*expect:\s*(CSAR\d+(?:\s*,\s*CSAR\d+)*)")
 
@@ -59,47 +58,6 @@ class TestSeededBugRegression:
         assert "->" in leak.message  # the witness call chain
 
 
-class TestWitnessCrossReference:
-    def test_every_locksan_inversion_is_part_of_a_static_cycle(
-            self, src_findings):
-        # Acceptance gate: run the seeded-bug suite, collect every
-        # LockSan order-inversion, and require CSAR011 to name each one
-        # as the dynamic witness of a static cycle.  The cycles live in
-        # the seeded-bug module, so that file is linted with the
-        # witnesses; the src-wide pass must report the same cycles.
-        witnesses = []
-        for scen in explore.smoke_scenarios():
-            _schedules, outcome = explore.explore(scen.name, budget=16)
-            witnesses += outcome.witnesses
-        assert witnesses, "seeded-bug suite produced no order-inversions"
-        findings = lint.lint_paths([str(SEEDED)], witnesses=witnesses)
-        cycles = [f for f in findings if f.code == "CSAR011"]
-        assert [f.line for f in cycles] == [
-            f.line for f in src_findings if f.code == "CSAR011"]
-        for witness in witnesses:
-            note = (f"held group {witness['held_group']} while acquiring "
-                    f"group {witness['group']}")
-            assert any(note in f.witness for f in cycles), \
-                f"no CSAR011 finding claims witness {witness}"
-
-    def test_unwitnessed_cycle_says_so(self):
-        findings = lint.lint_paths([str(IP_FIXTURES)], witnesses=[])
-        cycle = next(f for f in findings if f.code == "CSAR011")
-        assert "no dynamic witness recorded" in cycle.witness
-
-    def test_witness_file_round_trip(self, tmp_path):
-        path = str(tmp_path / "witnesses.json")
-        witnesses = [{"file": "f", "group": 0, "held_group": 1}]
-        lint.save_witnesses(witnesses, path)
-        assert lint.load_witnesses(path) == witnesses
-
-    def test_witness_schema_version_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema_version": 999}))
-        with pytest.raises(ValueError):
-            lint.load_witnesses(str(path))
-
-
 class TestBaseline:
     def findings(self):
         return lint.lint_paths([str(IP_FIXTURES)])
@@ -120,7 +78,7 @@ class TestBaseline:
         findings = self.findings()
         lint.write_baseline(findings, path)
         drifted = [lint.Finding(f.path, f.line + 7, f.col, f.code,
-                                f.message, f.witness)
+                                f.message)
                    for f in findings]
         new, suppressed = lint.apply_baseline(
             drifted, lint.load_baseline(path))
@@ -214,7 +172,7 @@ class TestCli:
 
         monkeypatch.chdir(REPO_ROOT)
         assert main(["lint", "src"]) == 0
-        assert lint_src_stub == [None]  # one lint, no witness file
+        assert lint_src_stub == [["src"]]  # one lint of src
         assert "suppressed" in capsys.readouterr().out
 
     def test_a_stale_baseline_entry_fails_the_lint(
@@ -252,7 +210,7 @@ class TestCli:
         assert "suppressed" in capsys.readouterr().out
 
     def _missing_input(self, flag, capsys, monkeypatch):
-        """A missing --baseline/--witnesses file is rejected up front."""
+        """A missing --baseline file is rejected up front."""
         from repro.cli import main
 
         def no_lint(*args, **kwargs):
@@ -266,10 +224,6 @@ class TestCli:
         assert "no such baseline file" in self._missing_input(
             "--baseline", capsys, monkeypatch)
 
-    def test_missing_witness_file_exits_two(self, capsys, monkeypatch):
-        assert "no such witness file" in self._missing_input(
-            "--witnesses", capsys, monkeypatch)
-
     def test_sarif_format(self, capsys, monkeypatch, tmp_path):
         from repro.cli import main
 
@@ -278,14 +232,3 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == "2.1.0"
         assert doc["runs"][0]["results"]
-
-    def test_explore_witness_file_flag(self, capsys, monkeypatch,
-                                       tmp_path):
-        from repro.cli import main
-
-        monkeypatch.chdir(REPO_ROOT)
-        witness_file = str(tmp_path / "wit.json")
-        assert main(["explore", "buggy-lock-order", "--budget", "8",
-                     "--witness-file", witness_file]) == 1
-        witnesses = lint.load_witnesses(witness_file)
-        assert {"file": "f", "group": 0, "held_group": 1} in witnesses

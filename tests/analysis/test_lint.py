@@ -7,7 +7,6 @@ else*.  The clean-tree test is the repo's own gate: ``src/`` must lint
 clean modulo the committed baseline.
 """
 
-import json
 import re
 from pathlib import Path
 
@@ -68,7 +67,7 @@ class TestFixtureRoundTrip:
 
     def test_findings_carry_fixits(self):
         for finding in lint.lint_paths([str(FIXTURES)]):
-            assert finding.fixit == RULES[finding.code].fixit
+            assert f"[fix: {RULES[finding.code].fixit}]" in finding.message
             assert finding.code in finding.format()
 
 
@@ -163,16 +162,6 @@ class TestRuleEdges:
         assert "mod.caller (mod.py:5) -> mod.take (mod.py:2)" \
             in findings[0].message
 
-    def test_format_json_round_trips(self):
-        findings = lint_text(LEAK.format(comment=""), path="mod.py")
-        payload = json.loads(lint.format_json(findings))
-        assert payload["schema_version"] == lint.LINT_SCHEMA_VERSION
-        items = payload["findings"]
-        assert items[0]["code"] == "CSAR001"
-        assert items[0]["path"] == "mod.py"
-        assert items[0]["line"] == 2
-        assert items[0]["fixit"]
-
     def test_format_text_counts(self):
         text = lint.format_text(
             lint_text(LEAK.format(comment=""), path="mod.py"))
@@ -198,18 +187,6 @@ class TestCli:
         assert main(["lint", str(FIXTURES)]) == 1
         out = capsys.readouterr().out
         assert "CSAR001" in out and "CSAR013" in out
-
-    def test_lint_json_format(self, capsys, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["lint", str(FIXTURES / "unguarded_locks.py"),
-                     "--format=json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 1
-        assert payload["findings"]
-        assert all(item["code"] == "CSAR001"
-                   for item in payload["findings"])
 
     def test_lint_missing_path_exits_two(self, capsys):
         from repro.cli import main

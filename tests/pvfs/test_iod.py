@@ -410,6 +410,41 @@ class TestMaintenance:
             "g", origin=0, offset=0, length=2))
         assert resolved.payload.to_bytes() == b"gg"
 
+    def test_compaction_keeps_an_append_that_races_its_reads(self):
+        # Compaction reads eight cold overflow extents back from disk; an
+        # append extending the first one is started 0-20 ms later, so at
+        # many offsets it lands after that extent was read.
+        appended = Payload.pattern(10, seed=99)
+        want = Payload.pattern(100, seed=0).to_bytes() + appended.to_bytes()
+        lost = []
+        for step in range(40):
+            system = make_system(num_clients=2)
+            env, iod = system.env, system.iods[0]
+            for k in range(8):
+                rpc(system, iod, msg.OverflowWriteReq(
+                    "f", ranges=[(k * UNIT, k * UNIT + 100)],
+                    payload=Payload.pattern(100, seed=k)))
+            system.run(iod.fs.sync())
+            system.run(iod.fs.drop_caches())
+
+            def call(client, request, delay):
+                yield env.timeout(delay)
+                return (yield from system.client(client).rpc(iod, request))
+
+            def both():
+                yield env.all_of([
+                    env.process(call(0, msg.CompactOverflowReq("f"), 0.0)),
+                    env.process(call(1, msg.OverflowWriteReq(
+                        "f", ranges=[(100, 110)], payload=appended),
+                        step * 0.5e-3))])
+
+            system.run(both())
+            got = rpc(system, iod, msg.ReadReq("f", kind="data", offset=0,
+                                               length=110))
+            if got.payload.to_bytes() != want:
+                lost.append(step)
+        assert lost == []
+
     def test_storage_of_unknown_file_zeroes(self):
         system = make_system()
         assert system.iods[0].storage_of("ghost") == {

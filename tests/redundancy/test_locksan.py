@@ -14,7 +14,6 @@ from repro.errors import DeadlockError, LockProtocolError, LockSanError
 from repro.redundancy.locks import ParityLockTable
 from repro.sim import Environment
 from repro.sim.engine import Interrupt
-from repro.sim.resources import FifoLock
 
 # Many tests here construct deliberate protocol violations; opt out of
 # the suite-wide zero-report check (clean tests assert [] themselves).
@@ -271,20 +270,18 @@ class TestLeak:
         assert leaks[0].processes == ("leaky-writer",)
         assert "data.bin:6" in leaks[0].message
 
-    def test_leaked_raw_fifolock_reported(self, env):
-        lock = FifoLock(env)
+    def test_lock_forgotten_by_a_crash_is_not_a_leak(self, env):
+        table = ParityLockTable(env)
 
-        def leaker():
-            req = lock.request()
-            yield req
+        def holder():
+            yield from table.acquire("data.bin", 6, xid=11)
+            yield env.timeout(1.0)
+            table.crash()  # fail-stop: the server's lock state is gone
 
-        env.process(leaker(), name="raw-leaker")
+        env.process(holder(), name="crashing-iod")
         env.run()
-        leaks = reports(env, "leak")
-        assert len(leaks) == 1
-        assert leaks[0].file is None
-        assert "FifoLock" in leaks[0].message
-        assert leaks[0].processes == ("raw-leaker",)
+        assert reports(env, "leak") == []
+        assert not table.is_locked("data.bin", 6)
 
     def test_interrupt_while_queued_leaves_no_leak(self, env):
         table = ParityLockTable(env)

@@ -14,7 +14,7 @@ from repro.errors import ReproError
 from repro.faults.plan import STEP_NAMES
 from repro.probes import PROBES
 from repro.redundancy.locks import ParityLockTable
-from repro.sim import Environment, FifoLock, Resource, engine
+from repro.sim import Environment, engine
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -70,8 +70,6 @@ class TestRegistryIsTheTruth:
     def test_subscribe_rejects_an_unknown_name(self, env):
         with pytest.raises(ReproError, match="no.such.probe"):
             env.subscribe("no.such.probe", lambda *a: None)
-        with pytest.raises(ReproError):
-            env.probe("no.such.probe")
 
     def test_step_names_are_the_protocol_step_probes(self):
         assert STEP_NAMES == {
@@ -119,32 +117,10 @@ class TestProbeTable:
 
 
 class TestCachedListsAreLive:
-    def test_unheard_fifolock_is_a_plain_resource(self, env):
-        lock, plain = FifoLock(env), Resource(env)
-        first, queued = lock.request(), lock.request()
-        assert (type(first), first.triggered, queued.triggered) == \
-            (type(plain.request()), True, False)
-        # granted on the spot: born processed, nothing subscribed to either
-        assert first.processed and queued.callbacks == []
-        lock.release(first)
-        assert queued.triggered and lock.users == [queued]
-
-    def test_late_subscriber_hears_an_existing_fifolock(self, env):
-        lock = FifoLock(env)  # binds its subscriber lists now
-        heard = []
-        env.subscribe("lock.request",
-                      lambda lk, _req: heard.append(("req", lk)))
-        env.subscribe("lock.release",
-                      lambda lk, _req: heard.append(("rel", lk)))
-        request = lock.request()
-        lock.release(request)
-        assert heard == [("req", lock), ("rel", lock)]
-
     def test_late_subscriber_hears_an_existing_lock_table(self, env):
         table = ParityLockTable(env)
         heard = []
-        for name in ("parity_lock.new", "parity_lock.acquired",
-                     "parity_lock.released"):
+        for name in ("parity_lock.acquired", "parity_lock.released"):
             env.subscribe(name, lambda *a, name=name: heard.append(name))
 
         def proc():
@@ -153,8 +129,7 @@ class TestCachedListsAreLive:
 
         env.process(proc())
         env.run()
-        assert heard == ["parity_lock.new", "parity_lock.acquired",
-                         "parity_lock.released"]
+        assert heard == ["parity_lock.acquired", "parity_lock.released"]
 
 
 def test_production_packages_import_no_tool():

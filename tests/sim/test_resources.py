@@ -1,9 +1,9 @@
-"""Tests for Resource / FifoServer / FifoLock."""
+"""Tests for Resource / FifoServer."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, FifoLock, FifoServer, Interrupt, Resource
+from repro.sim import Environment, FifoServer, Interrupt, Resource
 
 
 @pytest.fixture
@@ -196,12 +196,3 @@ class TestFifoServer:
             server.hold(-1e-9)
         assert server.free_at == 0.0 and env.stats()["scheduled"] == 0
 
-
-class TestFifoLock:
-    def test_locked_flag(self, env):
-        lock = FifoLock(env)
-        assert not lock.locked
-        req = lock.request()
-        assert lock.locked
-        lock.release(req)
-        assert not lock.locked

@@ -11,33 +11,11 @@ class TestExtent:
     def test_length(self):
         assert Extent(2, 10).length == 8
 
-    def test_empty(self):
-        assert Extent(3, 3).is_empty()
-        assert not Extent(3, 4).is_empty()
-
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             Extent(5, 2)
         with pytest.raises(ValueError):
             Extent(-1, 2)
-
-    def test_contains_half_open(self):
-        e = Extent(2, 5)
-        assert e.contains(2)
-        assert e.contains(4)
-        assert not e.contains(5)
-        assert not e.contains(1)
-
-    def test_overlaps(self):
-        assert Extent(0, 5).overlaps(Extent(4, 9))
-        assert not Extent(0, 5).overlaps(Extent(5, 9))
-
-    def test_intersect(self):
-        assert Extent(0, 10).intersect(Extent(5, 20)) == Extent(5, 10)
-        assert Extent(0, 5).intersect(Extent(7, 9)).is_empty()
-
-    def test_shift(self):
-        assert Extent(3, 7).shift(10) == Extent(13, 17)
 
 
 class TestExtentMapBasics:
@@ -135,13 +113,6 @@ class TestExtentMapQueries:
     def test_contains_across_gap_false(self):
         m = ExtentMap([(0, 4), (6, 10)])
         assert not m.contains(2, 8)
-
-    def test_contains_offset(self):
-        m = ExtentMap([(2, 5)])
-        assert m.contains_offset(2)
-        assert m.contains_offset(4)
-        assert not m.contains_offset(5)
-        assert not m.contains_offset(0)
 
     def test_overlap_clips(self):
         m = ExtentMap([(0, 4), (6, 10)])

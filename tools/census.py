@@ -102,11 +102,9 @@ ROOTS = [
     ("examples", _examples),
     ("pytest benchmarks/", _pytest("benchmarks/")),
     ("explore --smoke", _cli("explore", "--smoke", "--budget", "64",
-                             "--sched-dir", "{tmp}/sched",
-                             "--witness-file", "{tmp}/witnesses.json")),
+                             "--sched-dir", "{tmp}/sched")),
     ("lint src --baseline", _cli("lint", "src", "--baseline",
-                                 "tools/lint_baseline.json", "--witnesses",
-                                 "{tmp}/witnesses.json")),
+                                 "tools/lint_baseline.json")),
     # ci.yml runs this one with `|| true`
     ("lint src --format=sarif", _cli("lint", "src", "--format=sarif",
                                      statuses=(0, 1))),
