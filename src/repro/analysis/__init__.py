@@ -6,9 +6,9 @@ the redundancy invariants, and the zero-copy buffer discipline:
 * :mod:`repro.analysis.lint` — ``csar-lint``, an AST-based static
   checker with CSAR-specific rules (``csar-repro lint src``), including
   the buffer-provenance rules of :mod:`repro.analysis.bufflow`;
-* :mod:`repro.analysis.locksan` — LockSan, an opt-in runtime sanitizer
-  that tracks held-lock sets and a wait-for graph while a simulation
-  runs (``csar-repro run --sanitize=lock``, ``CSAR_LOCKSAN=1``);
+* :mod:`repro.analysis.locksan` — LockSan, a runtime sanitizer that
+  tracks held-lock sets and a wait-for graph while a simulation runs
+  (``csar-repro run --sanitize=lock``, ``CSAR_LOCKSAN=1``);
 * :mod:`repro.analysis.paritysan` — ParitySan, checking parity/mirror/
   overflow consistency at quiescent points (``--sanitize=parity``,
   ``CSAR_PARITYSAN=1``);
@@ -16,98 +16,35 @@ the redundancy invariants, and the zero-copy buffer discipline:
   payload captures and re-checking it at the same sync points
   (``--sanitize=buf``, ``CSAR_BUFSAN=1``).
 
-See ``docs/ANALYSIS.md`` for every rule with an offending snippet and
-its fix.
+A sanitizer reaches simulations only through :func:`sanitizer_scope`,
+which attaches it to the engine's ambient registry for the length of a
+block.  See ``docs/ANALYSIS.md`` for every rule with an offending
+snippet and its fix.
 """
 
 from __future__ import annotations
 
-import importlib
 import weakref
 from contextlib import contextmanager
-from typing import (Any, Callable, Iterable, Iterator, List, Optional,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
 
+from repro.analysis import bufsan
+from repro.analysis.bufsan import BufSan, BufSanReport
+from repro.analysis.lint import Finding, format_text, lint_paths
+from repro.analysis.locksan import LockSan, LockSanReport
+from repro.analysis.paritysan import ParitySan, ParitySanReport
+from repro.analysis.rules import RULES, Rule, all_codes
 from repro.sim import engine
+from repro.storage import payload
 
-
-class SanitizerRegistry:
-    """One sanitizer kind: its installation and its live instances.
-
-    LockSan, ParitySan, and BufSan each keep one module-level registry
-    and export its bound methods as the module's ``install() /
-    uninstall() / installed() / drain_reports()``.  Installing attaches
-    the kind to the engine's ambient registry, so every new Environment
-    builds ``sanitizer(env, strict=...)`` — which subscribes itself to
-    its probes — and keeps it as ``env.<key>``; ``switch(on)``, when
-    given, runs after every install / uninstall.  Instances register
-    themselves weakly at construction, so a drain sweeps reports across
-    every live one without threading them through, and keeps them
-    registered (their Environments may keep running): reports made
-    after a drain are still seen.
-    """
-
-    def __init__(self, key: str, sanitizer: Callable[..., Any],
-                 switch: Optional[Callable[[bool], None]] = None) -> None:
-        self.key = key
-        self.sanitizer = sanitizer
-        self._switch = switch
-        self._active: List["weakref.ref[Any]"] = []
-
-    def install(self, strict: bool = False) -> None:
-        """Sanitize every Environment created from now on."""
-        engine.attach(self.key,
-                      lambda env: self.sanitizer(env, strict=strict))
-        if self._switch is not None:
-            self._switch(True)
-
-    def uninstall(self) -> None:
-        """Stop sanitizing new Environments."""
-        engine.detach(self.key)
-        if self._switch is not None:
-            self._switch(False)
-
-    def installed(self) -> bool:
-        return engine.attached(self.key) is not None
-
-    def register(self, sanitizer: Any) -> None:
-        self._active.append(weakref.ref(sanitizer))
-
-    def live(self) -> List[Any]:
-        """Every live registered sanitizer (sweeps dead refs)."""
-        out: List[Any] = []
-        refs: List["weakref.ref[Any]"] = []
-        for ref in self._active:
-            sanitizer = ref()
-            if sanitizer is None:
-                continue
-            out.append(sanitizer)
-            refs.append(ref)
-        self._active[:] = refs
-        return out
-
-    def drain(self) -> List[Any]:
-        """Collect (and clear) reports from every live sanitizer."""
-        out: List[Any] = []
-        for sanitizer in self.live():
-            out.extend(sanitizer.reports)
-            sanitizer.reports = []
-        return out
-
-
-# ----------------------------------------------------------------------
-# sanitizer mode composition (``--sanitize=lock|parity|buf|all``)
-# ----------------------------------------------------------------------
-#: mode name -> implementing module; every module exposes the same
-#: ``install() / uninstall() / installed() / drain_reports()`` surface.
-#: Listed in attribution order: a lock-protocol violation points closest
-#: to the root cause, and a mutated shared buffer is the cause of
-#: whatever parity mismatch it induces downstream.
-SANITIZER_MODULES = {
-    "lock": "repro.analysis.locksan",
-    "buf": "repro.analysis.bufsan",
-    "parity": "repro.analysis.paritysan",
-}
+#: ``--sanitize`` mode -> sanitizer class, in attribution order: a
+#: lock-protocol violation points closest to the root cause, and a
+#: mutated shared buffer is the cause of whatever parity mismatch it
+#: induces downstream.  Each class's lower-cased name is its tool label:
+#: the ``engine.attach`` key, the ``env`` attribute it is kept as, and
+#: the prefix of the ``failure_kind`` its reports become.
+SANITIZERS = {"lock": LockSan, "buf": BufSan, "parity": ParitySan}
 
 
 def sanitize_modes(sanitize: Optional[str]) -> Tuple[str, ...]:
@@ -116,16 +53,38 @@ def sanitize_modes(sanitize: Optional[str]) -> Tuple[str, ...]:
     if not sanitize:
         return ()
     if sanitize == "all":
-        return tuple(sorted(SANITIZER_MODULES))
-    if sanitize in SANITIZER_MODULES:
+        return tuple(sorted(SANITIZERS))
+    if sanitize in SANITIZERS:
         return (sanitize,)
     raise ValueError(f"unknown sanitize mode {sanitize!r} "
-                     f"(expected {'|'.join(sorted(SANITIZER_MODULES))}|all)")
+                     f"(expected {'|'.join(sorted(SANITIZERS))}|all)")
 
 
-def sanitizer_module(mode: str):
-    """The implementing module of one sanitizer mode."""
-    return importlib.import_module(SANITIZER_MODULES[mode])
+class _Attached:
+    """The ``build`` callable one mode is attached with: it makes the
+    sanitizer for each new Environment and keeps it weakly, so a drain
+    sweeps every live one without threading the instances through."""
+
+    def __init__(self, sanitizer: Callable[[Any], Any]) -> None:
+        self.sanitizer = sanitizer
+        self._built: List["weakref.ref[Any]"] = []
+
+    def __call__(self, env: Any) -> Any:
+        sanitizer = self.sanitizer(env)
+        self._built.append(weakref.ref(sanitizer))
+        return sanitizer
+
+    def live(self) -> List[Any]:
+        """Every sanitizer built that is still alive (sweeps dead refs)."""
+        out: List[Any] = []
+        refs: List["weakref.ref[Any]"] = []
+        for ref in self._built:
+            sanitizer = ref()
+            if sanitizer is not None:
+                out.append(sanitizer)
+                refs.append(ref)
+        self._built[:] = refs
+        return out
 
 
 @contextmanager
@@ -133,38 +92,51 @@ def sanitizer_scope(modes: Iterable[str],
                     ) -> Iterator[Callable[[], List[Tuple[str, Any]]]]:
     """Run a block under the given sanitizer modes.
 
-    Installs the requested modes that are not already installed (so a
-    ``CSAR_*SAN=1`` harness or an enclosing scope keeps its own), drops
+    Attaches each requested mode that is not attached already (so a
+    ``CSAR_*SAN=1`` harness or an enclosing scope keeps its own), and
+    with BufSan routes every payload capture to the open BufSans.  Drops
     whatever reports predate the block, and yields ``drain``: each call
     returns the reports made since the last one as ``(tool, report)``
     pairs in attribution order — LockSan, then BufSan, then ParitySan —
     with ``tool`` the ``locksan`` / ``bufsan`` / ``paritysan`` label of a
-    ``failure_kind``.  On exit it uninstalls exactly what it installed,
-    which also closes the sanitizers built meanwhile.
+    ``failure_kind``.  On exit it detaches exactly what it attached and
+    closes the BufSans it built: an environment with a background
+    flusher never drains, so nothing else would close them, and they
+    would go on checking the next run's captures until the cycle
+    collector freed them.
     """
-    modules = [sanitizer_module(mode) for mode in SANITIZER_MODULES
-               if mode in modes]
-    owned = [module for module in modules if not module.installed()]
-    for module in owned:
-        module.install()
+    owned: Dict[str, _Attached] = {}
+    tools = []
+    for mode, sanitizer in SANITIZERS.items():
+        if mode in modes:
+            tool = sanitizer.__name__.lower()
+            if engine.attached(tool) is None:
+                owned[tool] = _Attached(sanitizer)
+                engine.attach(tool, owned[tool])
+            tools.append((tool, engine.attached(tool)))
+    buf = owned.get("bufsan")
+    if buf is not None:
+        payload.set_capture_hook(bufsan.on_payload_capture)
 
     def drain() -> List[Tuple[str, Any]]:
-        return [(module.__name__.rpartition(".")[2], report)
-                for module in modules for report in module.drain_reports()]
+        out: List[Tuple[str, Any]] = []
+        for tool, attached in tools:
+            for sanitizer in attached.live():
+                out.extend((tool, report) for report in sanitizer.reports)
+                sanitizer.reports = []
+        return out
 
     try:
         drain()
         yield drain
     finally:
-        for module in owned:
-            module.uninstall()
+        for tool in owned:
+            engine.detach(tool)
+        if buf is not None:
+            payload.set_capture_hook(None)
+            for sanitizer in buf.live():
+                sanitizer.close()
 
-
-from repro.analysis.bufsan import BufSan, BufSanReport  # noqa: E402
-from repro.analysis.lint import Finding, format_text, lint_paths  # noqa: E402
-from repro.analysis.locksan import LockSan, LockSanReport, drain_reports  # noqa: E402
-from repro.analysis.paritysan import ParitySan, ParitySanReport  # noqa: E402
-from repro.analysis.rules import RULES, Rule, all_codes  # noqa: E402
 
 __all__ = [
     "BufSan",
@@ -176,13 +148,10 @@ __all__ = [
     "ParitySanReport",
     "RULES",
     "Rule",
-    "SANITIZER_MODULES",
-    "SanitizerRegistry",
+    "SANITIZERS",
     "all_codes",
-    "drain_reports",
     "format_text",
     "lint_paths",
     "sanitize_modes",
-    "sanitizer_module",
     "sanitizer_scope",
 ]

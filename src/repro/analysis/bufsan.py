@@ -9,12 +9,13 @@ changes after a payload captures it.  LockSan checks the lock protocol
 and ParitySan checks redundancy *state*; BufSan checks buffer
 *identity* — the invariant the other two silently assume.
 
-When installed (:func:`install`, the CLI's ``run --sanitize=buf``, or
-``CSAR_BUFSAN=1`` honored by the test suite's ``conftest``), every new
+Under :func:`repro.analysis.sanitizer_scope` (the CLI's ``run
+--sanitize=buf``, ``campaign.run``, or ``CSAR_BUFSAN=1`` honored by the
+test suite's ``conftest``), every new
 :class:`~repro.sim.engine.Environment` builds a :class:`BufSan` (kept as
 ``env.bufsan``) that subscribes itself to the sync-point probes below
-(:mod:`repro.probes`), and :func:`repro.storage.payload.set_capture_hook`
-routes every buffer capture to each open one.  When a
+(:mod:`repro.probes`), and the scope routes every buffer capture to each
+open one (:func:`on_payload_capture`, the payload capture hook).  When a
 :class:`~repro.storage.payload.Payload` (or rope segment, or
 materialized rope cache) captures an array, BufSan keeps a snapshot of
 its bytes for as long as the array lives (so snapshot memory is bounded
@@ -31,9 +32,8 @@ Any mismatch means some code thawed (``flags.writeable = True``) or
 otherwise mutated a buffer after sharing it — exactly what the static
 rules CSAR013–015 (:mod:`repro.analysis.bufflow`) prove absent; BufSan
 is the dynamic witness for schedules the static scope misses.
-Violations collect as :class:`BufSanReport` entries (swept by
-:func:`drain_reports`); pass ``strict=True`` to raise
-:class:`~repro.errors.BufSanError` on the first one.
+Violations collect as :class:`BufSanReport` entries, which the scope's
+``drain`` sweeps.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis import SanitizerRegistry
-from repro.errors import BufSanError
-
 
 @dataclass(frozen=True)
 class BufSanReport:
@@ -54,7 +51,6 @@ class BufSanReport:
 
     kind: str                 # "fingerprint-drift" | "writable-capture"
     message: str
-    file: Optional[str]       # reserved: file attribution when known
     sync_point: str
     #: (process name, sim-time) when the buffer was captured
     captured: Tuple[Optional[str], Optional[float]]
@@ -94,16 +90,14 @@ def _snapshot(arr: Any) -> bytes:
 class BufSan:
     """Per-:class:`Environment` buffer-identity sanitizer."""
 
-    def __init__(self, env: Any, strict: bool = False) -> None:
+    def __init__(self, env: Any) -> None:
         self.env = env
-        self.strict = strict
         self.reports: List[BufSanReport] = []
         self._closed = False
         #: id(array) -> tracking entry, dropped when its buffer dies
         self._tracked: Dict[int, _Tracked] = {}
         #: total payload-captured bytes checked (cost accounting)
         self.bytes_fingerprinted = 0
-        _REGISTRY.register(self)
         _OPEN[id(self)] = weakref.ref(
             self, lambda _, key=id(self): _OPEN.pop(key, None))
         env.subscribe("system.quiescent", self.on_quiescent)
@@ -119,11 +113,8 @@ class BufSan:
 
     def _report(self, kind: str, message: str, sync_point: str,
                 captured: Tuple[Optional[str], Optional[float]]) -> None:
-        report = BufSanReport(kind, message, None, sync_point,
-                              captured, self._context())
-        self.reports.append(report)
-        if self.strict:
-            raise BufSanError(report.format())
+        self.reports.append(BufSanReport(kind, message, sync_point,
+                                         captured, self._context()))
 
     # ------------------------------------------------------------------
     # capture
@@ -185,10 +176,12 @@ class BufSan:
 
     def close(self) -> None:
         """Stop observing captures and let go of the tracked buffers
-        (the reports stay until they are drained)."""
+        and the shared last snapshot (the reports stay until they are
+        drained)."""
         self._closed = True
         _OPEN.pop(id(self), None)
         self._tracked.clear()
+        _last[0] = b""
 
     def on_recovery(self, index: int) -> None:
         self._check_all(f"post-recovery(server {index})")
@@ -207,9 +200,6 @@ class BufSan:
                 self._verify(entry, arr.tobytes(), sync_point)
 
 
-# ----------------------------------------------------------------------
-# global installation
-# ----------------------------------------------------------------------
 #: id -> weak reference of every open sanitizer, in construction order;
 #: one leaves at its close() or its death
 _OPEN: Dict[int, "weakref.ref[BufSan]"] = {}
@@ -226,39 +216,10 @@ def _open_refs() -> Tuple["weakref.ref[BufSan]", ...]:
             continue
 
 
-def _on_payload_capture(payload: Any, arr: Any, kind: str) -> None:
-    """The :func:`repro.storage.payload.set_capture_hook` target: fan a
+def on_payload_capture(payload: Any, arr: Any, kind: str) -> None:
+    """The payload capture hook while a scope has BufSan on: fan a
     capture out to every live, still-open sanitizer."""
     for ref in _open_refs():  # a death may shrink _OPEN meanwhile
         sanitizer = ref()
         if sanitizer is not None:
             sanitizer.on_capture(payload, arr, kind)
-
-
-def _observe_captures(on: bool) -> None:
-    """Start observing payload captures with :func:`install`; with
-    :func:`uninstall` stop, and close every sanitizer still open (those
-    built since the install).
-
-    An environment with a background flusher never drains, so nothing
-    else would close its sanitizer: it would go on checking the next
-    run's captures until the cycle collector freed it.
-    """
-    from repro.storage import payload
-
-    payload.set_capture_hook(_on_payload_capture if on else None)
-    if not on:
-        for ref in _open_refs():
-            sanitizer = ref()
-            if sanitizer is not None:
-                sanitizer.close()
-        _last[0] = b""
-
-
-#: Every live sanitizer (for draining reports), and the module's
-#: installation surface.
-_REGISTRY = SanitizerRegistry("bufsan", BufSan, switch=_observe_captures)
-install = _REGISTRY.install
-uninstall = _REGISTRY.uninstall
-installed = _REGISTRY.installed
-drain_reports = _REGISTRY.drain

@@ -43,7 +43,7 @@ class Scenario:
     """A self-contained workload the explorer can rerun per schedule.
 
     ``run`` builds everything fresh (Environment/System included) so the
-    installed tie-breaker and sanitizer factories take effect; it either
+    attached tie-breaker and sanitizers take effect; it either
     returns normally (clean) or raises.  ``seeded_bug`` marks scenarios
     that *must* produce a violation — they gate CI's explore-smoke job.
     """

@@ -1,9 +1,10 @@
 """LockSan: a runtime sanitizer for the Section 5.1 parity-lock protocol.
 
-When installed (:func:`install`, the CLI's ``run --sanitize``, or the
-``CSAR_LOCKSAN=1`` environment variable honored by the test suite's
-``conftest``), every new :class:`~repro.sim.engine.Environment` builds a
-:class:`LockSan` (kept as ``env.sanitizer``) that subscribes itself to
+Under :func:`repro.analysis.sanitizer_scope` (the CLI's ``run
+--sanitize``, ``campaign.run``, or the ``CSAR_LOCKSAN=1`` environment
+variable honored by the test suite's ``conftest``), every new
+:class:`~repro.sim.engine.Environment` builds a :class:`LockSan` (kept
+as ``env.locksan``) that subscribes itself to
 the parity-lock probes (``parity_lock.*``, :mod:`repro.probes`) that
 :class:`~repro.redundancy.locks.ParityLockTable` announces, keyed by
 ``xid`` with ``(file, group)`` labels; the lock table names no tool.
@@ -23,7 +24,7 @@ inversion or wait-for cycle.
 
 All checks except deadlock *collect* :class:`LockSanReport` entries
 rather than raising, so a full test run can finish and report
-everything; pass ``strict=True`` to raise on the first report.
+everything.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.analysis import SanitizerRegistry
-from repro.errors import DeadlockError, LockSanError
+from repro.errors import DeadlockError
 
 _Key = Tuple[str, int]  # (file, parity group)
 
@@ -56,11 +56,8 @@ class LockSanReport:
 class LockSan:
     """Per-:class:`Environment` lock-protocol sanitizer."""
 
-    def __init__(self, env: Any, strict: bool = False,
-                 raise_on_deadlock: bool = True) -> None:
+    def __init__(self, env: Any) -> None:
         self.env = env
-        self.strict = strict
-        self.raise_on_deadlock = raise_on_deadlock
         self.reports: List[LockSanReport] = []
         #: xid -> {(file, group): (acquiring process, sim-time acquired)}
         self._held_by_xid: Dict[int, Dict[_Key, Tuple[str, float]]] = {}
@@ -72,7 +69,6 @@ class LockSan:
         self._waiting_on: Dict[int, _Key] = {}
         #: xid -> name of the process that last acted for it
         self._proc_of_xid: Dict[int, str] = {}
-        _REGISTRY.register(self)
         env.subscribe("parity_lock.wait", self.on_wait)
         env.subscribe("parity_lock.cancel", self.on_cancel)
         env.subscribe("parity_lock.acquired", self.on_acquired)
@@ -92,8 +88,6 @@ class LockSan:
                 processes: Tuple[str, ...] = ()) -> LockSanReport:
         report = LockSanReport(kind, message, file, group, processes)
         self.reports.append(report)
-        if self.strict:
-            raise LockSanError(report.format())
         return report
 
     # ------------------------------------------------------------------
@@ -118,8 +112,7 @@ class LockSan:
                 f"start; blocked on {file}:{group}; "
                 f"{self._held_summary(cycle)}",
                 file=file, group=group, processes=names)
-            if self.raise_on_deadlock and not self.strict:
-                raise DeadlockError(report.format())
+            raise DeadlockError(report.format())
 
     def on_cancel(self, file: str, group: int, xid: int) -> None:
         """``xid``'s queued acquire was interrupted and cancelled."""
@@ -238,12 +231,3 @@ class LockSan:
                     f"{proc_name!r} when the simulation drained",
                     file=file, group=group, processes=(proc_name,))
         self._held_by_xid.clear()
-
-
-#: Every live sanitizer; lets the CLI and the pytest hook sweep reports
-#: across many Environments without threading the instances through.
-_REGISTRY = SanitizerRegistry("sanitizer", LockSan)
-install = _REGISTRY.install
-uninstall = _REGISTRY.uninstall
-installed = _REGISTRY.installed
-drain_reports = _REGISTRY.drain

@@ -1,11 +1,12 @@
 """ParitySan: a runtime sanitizer for the redundancy invariants.
 
 LockSan (:mod:`repro.analysis.locksan`) checks the *protocol*; ParitySan
-checks the *state* the protocol exists to protect.  When installed
-(:func:`install`, the CLI's ``run --sanitize=parity``, or the
-``CSAR_PARITYSAN=1`` environment variable honored by the test suite's
-``conftest``), every new :class:`~repro.sim.engine.Environment` builds a
-:class:`ParitySan` (kept as ``env.paritysan``) that subscribes itself to
+checks the *state* the protocol exists to protect.  Under
+:func:`repro.analysis.sanitizer_scope` (the CLI's ``run
+--sanitize=parity``, ``campaign.run``, or the ``CSAR_PARITYSAN=1``
+environment variable honored by the test suite's ``conftest``), every
+new :class:`~repro.sim.engine.Environment` builds a :class:`ParitySan`
+(kept as ``env.paritysan``) that subscribes itself to
 the sync-point probes below (:mod:`repro.probes`); production code
 announces them and names no tool.
 
@@ -44,18 +45,14 @@ Checks are skipped while any client write is in flight (the manager's
 :class:`~repro.pvfs.manager.WriteLedger`, which brackets every client
 write under every scheme) or any server is failed — those windows are
 legitimately inconsistent (that is what recovery is for).  Violations
-*collect* as :class:`ParitySanReport` entries (swept by
-:func:`drain_reports`); pass ``strict=True`` to raise
-:class:`~repro.errors.ParitySanError` on the first one.
+*collect* as :class:`ParitySanReport` entries, which the scope's
+``drain`` sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, List, Optional
-
-from repro.analysis import SanitizerRegistry
-from repro.errors import ParitySanError
 
 
 @dataclass(frozen=True)
@@ -76,11 +73,9 @@ class ParitySanReport:
 class ParitySan:
     """Per-:class:`Environment` redundancy-invariant sanitizer."""
 
-    def __init__(self, env: Any, strict: bool = False) -> None:
-        self.strict = strict
+    def __init__(self, env: Any) -> None:
         self.reports: List[ParitySanReport] = []
         self._system: Optional[Any] = None
-        _REGISTRY.register(self)
         env.subscribe("system.built", self.attach)
         env.subscribe("system.quiescent", self.on_quiescent)
         env.subscribe("run.complete", self.on_run_complete)
@@ -95,10 +90,8 @@ class ParitySan:
 
     def _report(self, kind: str, message: str, file: Optional[str],
                 sync_point: str) -> None:
-        report = ParitySanReport(kind, message, file, sync_point)
-        self.reports.append(report)
-        if self.strict:
-            raise ParitySanError(report.format())
+        self.reports.append(ParitySanReport(kind, message, file,
+                                            sync_point))
 
     # ------------------------------------------------------------------
     # sync points
@@ -155,11 +148,3 @@ class ParitySan:
             for kind, check in scrub.INVARIANTS.get(meta.scheme, ()):
                 for issue in check(system, name):
                     self._report(kind, issue, name, sync_point)
-
-
-#: Every live sanitizer, and the module's installation surface.
-_REGISTRY = SanitizerRegistry("paritysan", ParitySan)
-install = _REGISTRY.install
-uninstall = _REGISTRY.uninstall
-installed = _REGISTRY.installed
-drain_reports = _REGISTRY.drain

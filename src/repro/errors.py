@@ -61,30 +61,11 @@ class FaultPlanError(ConfigError):
     """A fault plan is malformed or references unknown triggers/targets."""
 
 
-class InconsistentRedundancy(FileSystemError):
-    """A scrub detected redundancy (mirror/parity) inconsistent with data."""
-
-
 class LockProtocolError(ProtocolError):
     """The distributed parity-lock protocol was used out of order."""
 
 
-class LockSanError(ProtocolError):
-    """The LockSan runtime sanitizer observed a protocol violation
-    (see :mod:`repro.analysis.locksan`)."""
-
-
-class DeadlockError(LockSanError):
+class DeadlockError(ProtocolError):
     """LockSan found a wait-for cycle among parity-lock waiters: the
     simulation would hang.  Raised *before* the hang, naming the
     processes involved."""
-
-
-class ParitySanError(ReproError):
-    """The ParitySan runtime sanitizer observed a redundancy-invariant
-    violation (see :mod:`repro.analysis.paritysan`)."""
-
-
-class BufSanError(ReproError):
-    """The BufSan runtime sanitizer observed a captured buffer changing
-    after it was shared (see :mod:`repro.analysis.bufsan`)."""

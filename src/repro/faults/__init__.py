@@ -6,7 +6,7 @@
   write) and when (a sim time, an op ordinal, or a named protocol
   step), sampled seed-deterministically.
 * :mod:`repro.faults.injector` — the runtime that arms a plan inside a
-  simulation.  It is installed through the engine's ambient registry
+  simulation.  It is attached through the engine's ambient registry
   (:func:`repro.sim.engine.attach`) and subscribes itself to the
   protocol-step probes (:mod:`repro.probes`), so nothing it injects
   into imports this package; the three places where a fault is a
@@ -30,7 +30,7 @@ from repro.faults.plan import (
     Trigger,
     sample_plan,
 )
-from repro.faults.injector import FaultInjector, install, uninstall
+from repro.faults.injector import FaultInjector
 
 __all__ = [
     "PLAN_SCHEMA_VERSION",
@@ -39,7 +39,5 @@ __all__ = [
     "FaultSpec",
     "Trigger",
     "FaultInjector",
-    "install",
-    "uninstall",
     "sample_plan",
 ]

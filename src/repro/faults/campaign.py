@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import DataLoss, ReproError, ServerFailed
-from repro.faults import injector as _injector
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import PLAN_SCHEMA_VERSION, FaultPlan
 from repro.sim import engine as _engine
 
@@ -220,16 +220,16 @@ def run(workload: Callable[[], Any], faults: Optional[FaultPlan] = None,
     soon as it is built, so a run that raised keeps its fired faults,
     op rows and reference contents.
     """
-    from repro.analysis import SANITIZER_MODULES, sanitizer_scope
+    from repro.analysis import SANITIZERS, sanitizer_scope
 
     kind = failure = None
     _built.clear()
     if faults is not None:
-        _injector.install(faults)
+        _engine.attach("faults", lambda env: FaultInjector(env, faults))
     if ties is not None:
         _engine.attach("_tie_breaker", lambda env: ties)
     try:
-        with sanitizer_scope(SANITIZER_MODULES) as drain:
+        with sanitizer_scope(SANITIZERS) as drain:
             try:
                 workload()
             except (ReproError, AssertionError) as exc:
@@ -237,7 +237,7 @@ def run(workload: Callable[[], Any], faults: Optional[FaultPlan] = None,
             reports = drain()
     finally:
         if faults is not None:
-            _injector.uninstall()
+            _engine.detach("faults")
         if ties is not None:
             _engine.detach("_tie_breaker")
 

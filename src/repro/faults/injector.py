@@ -1,8 +1,9 @@
 """The fault-injection runtime.
 
-While installed (:func:`install`), every new
+While :func:`repro.faults.campaign.run` has a plan armed, every new
 :class:`~repro.sim.engine.Environment` builds a :class:`FaultInjector`
-through the engine's ambient registry and keeps it as ``env.faults``.
+through the engine's ambient registry (``engine.attach("faults", …)``)
+and keeps it as ``env.faults``.
 The injector *hears* the probes it subscribes to (:mod:`repro.probes`):
 
 * ``system.built`` arms the plan against the
@@ -40,7 +41,6 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.errors import DiskFault, FaultPlanError
 from repro.faults.plan import STEP_NAMES, FaultPlan, FaultSpec
-from repro.sim import engine as _engine
 
 
 class FaultInjector:
@@ -243,20 +243,3 @@ class FaultInjector:
                 f"torn write on iod{owner}: {keep}/{payload.length} bytes "
                 f"persisted"))
         return None
-
-
-# ---------------------------------------------------------------------------
-# install / uninstall
-# ---------------------------------------------------------------------------
-def install(plan: Optional[FaultPlan]) -> None:
-    """Arm ``plan`` for every subsequently created environment."""
-    _engine.attach("faults", lambda env: FaultInjector(env, plan))
-
-
-def uninstall() -> None:
-    """Stop arming new environments."""
-    _engine.detach("faults")
-
-
-def installed() -> bool:
-    return _engine.attached("faults") is not None

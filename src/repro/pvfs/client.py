@@ -148,8 +148,7 @@ class PVFSClient:
             if len(run) > 1:
                 first = msg.ReadReq(
                     first.file, kind=first.kind, offset=first.offset,
-                    length=sum(pairs[i][1].length for i in run),
-                    xid=first.xid)
+                    length=sum(pairs[i][1].length for i in run))
             plan.append((target, first, run))
         saved = len(pairs) - len(plan)
         if saved:
@@ -289,8 +288,7 @@ class PVFSClient:
             self.metrics.add("client.failfast_reads", sum(skip))
         outcomes = iter((yield from self.try_parallel([
             self.rpc(self.iods[sr.server], msg.ReadReq(
-                name, kind="data", offset=sr.local_start, length=sr.length,
-                xid=self.next_xid()))
+                name, kind="data", offset=sr.local_start, length=sr.length))
             for sr, failed in zip(ranges, skip) if not failed])))
         return [(None, ServerFailed(f"iod{sr.server} suspected")) if failed
                 else next(outcomes) for sr, failed in zip(ranges, skip)]

@@ -268,9 +268,14 @@ class IOD(msg.Server):
                     cursor + piece.local_start - start,
                     cursor + piece.local_end - start)))
             cursor += end - start
-        # One vectored local write: the scattered append slots charge the
-        # cache in a single pass and the slices land without flattening.
-        yield from self.fs.write_gather(name, parts)
+        table.inflight += 1
+        try:
+            # One vectored local write: the scattered append slots charge
+            # the cache in a single pass and the slices land without
+            # flattening.
+            yield from self.fs.write_gather(name, parts)
+        finally:
+            self._settle(table)
         self.env.emit("iod.overflow.after_append", self.index)
         if self.failed:
             raise ServerFailed(f"iod{self.index} crashed")
@@ -303,46 +308,69 @@ class IOD(msg.Server):
 
     def _compact_overflow(self, request: msg.CompactOverflowReq,
                           ) -> Generator[Event, Any, msg.Response]:
-        table = self.overflow.get(request.file)
-        if table is not None:
-            yield from self._compact_one(table, ovf_file(request.file))
+        origins = [None] if request.file in self.overflow else []
         # A snapshot: a first mirror append for another file may add a
         # table while a cold read here waits on the disk.
-        for (fname, origin), mtable in list(self.overflow_mirror.items()):
-            if fname == request.file:
-                yield from self._compact_one(
-                    mtable, ovfm_file(request.file, origin))
+        origins += [origin for fname, origin in list(self.overflow_mirror)
+                    if fname == request.file]
+        for origin in origins:
+            yield from self._compact_one(request.file, origin)
         return msg.Response()
 
-    def _compact_one(self, table: OverflowTable,
-                     name: str) -> Generator[Event, Any, None]:
-        """Rewrite one overflow file keeping only the live (latest) bytes.
+    def _compact_one(self, file: str, origin: Optional[int],
+                     ) -> Generator[Event, Any, None]:
+        """Rewrite one overflow region keeping only the live (latest)
+        bytes.
 
-        The live bytes are read again whenever an append or invalidation
-        changed the table during the reads.  The truncate and every slot
-        allocation of the rewrite then happen with no wait in between,
-        so an append that lands while the rewrite is written takes a
-        newer slot than every replayed byte.
+        The rewrite is built off to the side, a fresh table and local
+        file, and swapped in only once its writes have landed: until
+        then every read resolves the old table against the old file.
+        The live bytes are read when no append is in flight, so none
+        has slots whose bytes have not landed yet; the swap waits until
+        no read or append is in flight, and the rewrite starts over when
+        an append or an invalidation changed the table meanwhile.
         """
+        tables, key, name = self._region(file, origin)
+        side = f"{name}.tmp"
         while True:
+            table = tables[key]
+            yield from self._quiesce(table)
             version = table.version
             live = []
             for ext in list(table.covered):
                 content, _reads = yield from self.read_latest(
                     table, name, ext.start, ext.end)
                 live.append((ext.start, content))
-            if table.version == version:
+            self.fs.files.pop(side, None)
+            rewrite = OverflowTable(table.block_size)
+            for start, content in live:
+                yield from self.replay(rewrite, side, start, content)
+            yield from self._quiesce(table)
+            if tables[key] is table and table.version == version:
                 break
-        table.truncate()
-        if self.fs.exists(name):
-            self.fs.files[name].truncate()
-        writes = [(piece.ovf_offset, content.slice(
-                      piece.local_start - start, piece.local_end - start))
-                  for start, content in live
-                  for piece in table.append(start, start + content.length)]
-        for offset, payload in writes:
-            yield from self.fs.write(name, offset, payload)
+        tables[key] = rewrite
+        compacted = self.fs.files.pop(side, None)
+        if compacted is None:
+            self.fs.files.pop(name, None)
+        else:
+            compacted.name = name
+            self.fs.files[name] = compacted
         self.metrics.add("hybrid.compactions")
+
+    def _quiesce(self, table: OverflowTable) -> Generator[Event, Any, None]:
+        """Wait until no read or append is in flight on ``table``."""
+        while table.inflight:
+            if table.idle is None:
+                table.idle = self.env.event()
+            yield table.idle
+
+    @staticmethod
+    def _settle(table: OverflowTable) -> None:
+        """One read or append on ``table`` is done."""
+        table.inflight -= 1
+        if not table.inflight and table.idle is not None:
+            table.idle.succeed()
+            table.idle = None
 
     # ------------------------------------------------------------------
     # the overflow region (Section 4): its tables, reads and rewrites
@@ -352,15 +380,19 @@ class IOD(msg.Server):
         """The table and local file of ``file``'s own overflow region, or
         of the mirror this server holds for server ``origin``; the table
         is created on first use."""
-        if origin is None:
-            tables, key, name = self.overflow, file, ovf_file(file)
-        else:
-            tables, key = self.overflow_mirror, (file, origin)
-            name = ovfm_file(file, origin)
+        tables, key, name = self._region(file, origin)
         table = tables.get(key)
         if table is None:
             table = tables[key] = OverflowTable(self.stripe_unit)
         return table, name
+
+    def _region(self, file: str, origin: Optional[int],
+                ) -> Tuple[Dict[Any, OverflowTable], Any, str]:
+        """Where an overflow region's table is kept, under which key, and
+        its local file."""
+        if origin is None:
+            return self.overflow, file, ovf_file(file)
+        return self.overflow_mirror, (file, origin), ovfm_file(file, origin)
 
     def read_latest(self, table: Optional[OverflowTable], name: str,
                     start: int, end: int, data: Optional[str] = None,
@@ -380,15 +412,21 @@ class IOD(msg.Server):
             gaps, reads = [Extent(start, end)], []
         else:
             gaps, reads = table.resolve(start, end)
+            table.inflight += 1
         parts = []
-        if data is not None:
-            for gap in gaps:
-                piece = yield from self.fs.read(data, gap.start, gap.length)
-                parts.append((gap.start - start, piece))
-        for item in reads:
-            piece = yield from self.fs.read(name, item.ovf_offset,
-                                            item.length)
-            parts.append((item.local_start - start, piece))
+        try:
+            if data is not None:
+                for gap in gaps:
+                    piece = yield from self.fs.read(data, gap.start,
+                                                    gap.length)
+                    parts.append((gap.start - start, piece))
+            for item in reads:
+                piece = yield from self.fs.read(name, item.ovf_offset,
+                                                item.length)
+                parts.append((item.local_start - start, piece))
+        finally:
+            if table is not None:
+                self._settle(table)
         if not self.fs.content_mode:
             return Payload.virtual(end - start), reads
         return Payload.assemble(end - start, parts), reads
@@ -398,9 +436,15 @@ class IOD(msg.Server):
         """Append ``payload`` to ``table`` as the newest version of its
         range from ``start``, and write each slot piece to overflow file
         ``name`` (one timed write per piece)."""
-        for piece in table.append(start, start + payload.length):
-            yield from self.fs.write(name, piece.ovf_offset, payload.slice(
-                piece.local_start - start, piece.local_end - start))
+        pieces = table.append(start, start + payload.length)
+        table.inflight += 1
+        try:
+            for piece in pieces:
+                yield from self.fs.write(
+                    name, piece.ovf_offset, payload.slice(
+                        piece.local_start - start, piece.local_end - start))
+        finally:
+            self._settle(table)
 
     # ------------------------------------------------------------------
     # storage accounting (Table 2)

@@ -27,7 +27,6 @@ class Request:
     """Base I/O daemon request."""
 
     file: str
-    xid: int = field(default=0, kw_only=True)
 
     def wire_size(self) -> int:
         return HEADER
@@ -86,6 +85,8 @@ class ParityReadReq(Request):
     group: int = 0
     local_offset: int = 0
     intra: Tuple[int, int] = (0, 0)
+    #: the read-modify-write transaction the lock is taken for
+    xid: int = field(default=0, kw_only=True)
 
     def reply_size(self) -> int:
         return HEADER + (self.intra[1] - self.intra[0])
@@ -106,6 +107,7 @@ class ParityWriteReq(Request):
     intra: Tuple[int, int] = (0, 0)
     payload: Payload = field(default_factory=lambda: Payload.virtual(0))
     unlock: bool = False
+    xid: int = field(default=0, kw_only=True)
 
     def wire_size(self) -> int:
         return HEADER + self.payload.length

@@ -151,16 +151,14 @@ class RedundancyScheme(ABC):
                 # One range: a share is contiguous in the local file.
                 ranges = [(sr.local_start, sr.local_end)]
                 home = msg.OverflowWriteReq(
-                    meta.name, ranges=ranges, payload=chunk,
-                    xid=client.next_xid())
+                    meta.name, ranges=ranges, payload=chunk)
                 copy = msg.OverflowWriteReq(
                     meta.name, ranges=list(ranges), payload=chunk,
-                    mirror=True, origin=sr.server, xid=client.next_xid())
+                    mirror=True, origin=sr.server)
             else:
                 home, copy = (msg.WriteReq(
                     meta.name, kind=kind, offset=sr.local_start,
-                    payload=chunk, xid=client.next_xid())
-                    for kind in ("data", "red"))
+                    payload=chunk) for kind in ("data", "red"))
             calls += [client.rpc(client.iods[sr.server], home),
                       client.rpc(client.iods[mirror], copy)]
             targets += [sr.server, mirror]
@@ -243,8 +241,7 @@ class RedundancyScheme(ABC):
         old_data_proc = client.env.process(client.try_parallel([
             client.rpc(client.iods[sr.server],
                        msg.ReadReq(meta.name, kind="data",
-                                   offset=sr.local_start, length=sr.length,
-                                   xid=xid))
+                                   offset=sr.local_start, length=sr.length))
             for sr in ranges]))
         if gate is not None:
             yield gate
@@ -262,7 +259,7 @@ class RedundancyScheme(ABC):
             client.metrics.add("client.degraded_writes")
             calls = [client.rpc(client.iods[sr.server], msg.WriteReq(
                         meta.name, kind="data", offset=sr.local_start,
-                        payload=self._gather(new_data, lo, sr), xid=xid))
+                        payload=self._gather(new_data, lo, sr)))
                      for sr in ranges]
             yield from self._tolerant_parallel(
                 client, [sr.server for sr in ranges], calls)
@@ -306,7 +303,7 @@ class RedundancyScheme(ABC):
         client.env.emit("raid5.rmw.before_writeback", p_server)
         calls = [client.rpc(client.iods[sr.server], msg.WriteReq(
                     meta.name, kind="data", offset=sr.local_start,
-                    payload=self._gather(new_data, lo, sr), xid=xid))
+                    payload=self._gather(new_data, lo, sr)))
                  for sr in ranges]
         targets = [sr.server for sr in ranges]
         calls.append(client.rpc(client.iods[p_server], msg.ParityWriteReq(
@@ -372,7 +369,7 @@ class RedundancyScheme(ABC):
             out.append((sr.server, msg.WriteReq(
                 meta.name, kind="data", offset=sr.local_start,
                 payload=self._gather(payload, offset, sr),
-                invalidate=invalidate, xid=client.next_xid())))
+                invalidate=invalidate)))
         return out
 
     def _parity_write_requests(self, client, meta, start: int, end: int,
@@ -403,8 +400,7 @@ class RedundancyScheme(ABC):
                 payload=(Payload.virtual(length) if payload.is_virtual
                          else Payload.from_segments(length, [
                              (local - first, block)
-                             for local, block in blocks])),
-                xid=client.next_xid())
+                             for local, block in blocks])))
         return out
 
     def _parity_blocks(self, payload: Payload, lo: int, count: int,
@@ -478,13 +474,13 @@ class RedundancyScheme(ABC):
                 local = lay.local_offset_of_block(block) + intra
                 slots.append(len(pairs))
                 pairs.append((client.iods[server], msg.ReadReq(
-                    meta.name, kind="inplace", offset=local, length=p.length,
-                    xid=client.next_xid())))
+                    meta.name, kind="inplace", offset=local,
+                    length=p.length)))
             slots.append(len(pairs))
             pairs.append((client.iods[lay.parity_server(group)], msg.ReadReq(
                 meta.name, kind="red",
                 offset=lay.parity_local_offset(group) + intra,
-                length=p.length, xid=client.next_xid())))
+                length=p.length)))
             piece_slots.append(slots)
         outcomes = yield from client.rpc_coalesced(pairs)
         rebuilt: List[Tuple[int, np.ndarray]] = []

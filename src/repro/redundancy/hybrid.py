@@ -45,7 +45,7 @@ class Hybrid(base.RedundancyScheme):
         response = yield from client.rpc(client.iods[mirror],
                                          msg.MirrorResolveReq(
             meta.name, origin=sr.server, offset=sr.local_start,
-            length=sr.length, xid=client.next_xid()))
+            length=sr.length))
         out = inplace
         for lo, hi in response.ranges:
             out = out.overlay(lo - sr.local_start,

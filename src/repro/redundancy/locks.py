@@ -34,8 +34,6 @@ class ParityLockTable:
         self.enabled = enabled
         self._locks: Dict[Tuple[str, int], Resource] = {}
         self._held: Dict[Tuple[str, int, int], Request] = {}
-        self.acquisitions = 0
-        self.contended_acquisitions = 0
         self.total_wait_time = 0.0
 
     def _lock(self, file: str, group: int) -> Resource:
@@ -56,7 +54,6 @@ class ParityLockTable:
             raise LockProtocolError(
                 f"xid {xid} already holds parity lock {file}:{group}")
         lock = self._lock(file, group)
-        contended = bool(lock.users)
         t0 = self.env.now
         emit = self.env.emit
         request = lock.request()
@@ -71,9 +68,6 @@ class ParityLockTable:
             lock.release(request)
             emit("parity_lock.cancel", file, group, xid)
             raise
-        self.acquisitions += 1
-        if contended:
-            self.contended_acquisitions += 1
         self.total_wait_time += self.env.now - t0
         self._held[key] = request
         emit("parity_lock.acquired", file, group, xid)
@@ -110,12 +104,3 @@ class ParityLockTable:
             emit("parity_lock.released", file, group, xid)
         self._held.clear()
         self._locks.clear()
-
-    # ------------------------------------------------------------------
-    def is_locked(self, file: str, group: int) -> bool:
-        lock = self._locks.get((file, group))
-        return bool(lock and lock.users)
-
-    def queue_length(self, file: str, group: int) -> int:
-        lock = self._locks.get((file, group))
-        return len(lock.queue) if lock else 0

@@ -73,6 +73,10 @@ class OverflowTable:
         self.next_offset = 0
         #: bumped by every change, so a reader that waited can tell
         self.version = 0
+        #: reads and appends the daemon has in flight on the overflow
+        #: file, and the event a compaction waits on for there to be none
+        self.inflight = 0
+        self.idle = None
 
     # ------------------------------------------------------------------
     def append(self, start: int, end: int) -> List[OverflowWritePiece]:
@@ -113,13 +117,6 @@ class OverflowTable:
         """A full-stripe write superseded ``[start, end)`` in place."""
         self.version += 1
         self.covered.remove(start, end)
-
-    def truncate(self) -> None:
-        """Forget everything (reclaimer rewrote the file as full stripes)."""
-        self.version += 1
-        self._slots.clear()
-        self.covered.clear()
-        self.next_offset = 0
 
     # ------------------------------------------------------------------
     def resolve(self, start: int, end: int,

@@ -32,6 +32,5 @@ class Raid1(base.RedundancyScheme):
                       sr: ServerRange) -> Generator[Event, Any, Payload]:
         mirror = meta.layout.successor(sr.server)
         response = yield from client.rpc(client.iods[mirror], msg.ReadReq(
-            meta.name, kind="red", offset=sr.local_start, length=sr.length,
-            xid=client.next_xid()))
+            meta.name, kind="red", offset=sr.local_start, length=sr.length))
         return response.payload

@@ -41,7 +41,7 @@ def reclaim_file(system, name: str,
         content = yield from client.read(name, start, length)
         yield from client.write(name, start, content)
     yield from client.parallel([
-        client.rpc(iod, msg.CompactOverflowReq(name, xid=client.next_xid()))
+        client.rpc(iod, msg.CompactOverflowReq(name))
         for iod in system.iods])
     after = system.overflow_stats(name)
     system.metrics.add("hybrid.reclaims")

@@ -185,8 +185,7 @@ def _rebuild_file(system, client, iod: IOD,
         for start in range(0, src_size, chunk):
             length = min(chunk, src_size - start)
             response = yield from client.rpc(source, msg.ReadReq(
-                name, kind="data", offset=start, length=length,
-                xid=client.next_xid()))
+                name, kind="data", offset=start, length=length))
             yield from iod.fs.write(red_file(name), start, response.payload)
     else:
         yield from _rebuild_parity(system, client, iod, name)
@@ -221,7 +220,7 @@ def recompute_parity(system, client, name: str,
     responses = yield from client.parallel([
         client.rpc(system.iods[lay.server_of_block(block)], msg.ReadReq(
             name, kind="inplace", offset=lay.local_offset_of_block(block),
-            length=lay.unit, xid=client.next_xid()))
+            length=lay.unit))
         for block in lay.blocks_of_group(group)])
     parity = Payload.xor([r.payload for r in responses], lay.unit)
     yield from client.node.cpu.compute_parity(lay.group_span)
@@ -240,8 +239,7 @@ def _rebuild_overflow(system, client, iod: IOD,
         table, local = iod.overflow_region(name)
         for ext in mtable.covered:
             response = yield from client.rpc(successor, msg.MirrorResolveReq(
-                name, origin=index, offset=ext.start, length=ext.length,
-                xid=client.next_xid()))
+                name, origin=index, offset=ext.start, length=ext.length))
             yield from iod.replay(table, local, ext.start, response.payload)
 
     # Overflow mirror held for the predecessor: replay from its live table.

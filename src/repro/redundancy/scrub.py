@@ -175,12 +175,10 @@ def online_scrub(system, name: str, client_index: int = 0):
             server = lay.server_of_block(block)
             local = lay.local_offset_of_block(block)
             data = yield from client.rpc(system.iods[server], msg.ReadReq(
-                name, kind="inplace", offset=local, length=unit,
-                xid=client.next_xid()))
+                name, kind="inplace", offset=local, length=unit))
             copy = yield from client.rpc(
                 system.iods[lay.successor(server)],
-                msg.ReadReq(name, kind="red", offset=local, length=unit,
-                            xid=client.next_xid()))
+                msg.ReadReq(name, kind="red", offset=local, length=unit))
             if data.payload != copy.payload:
                 issues.append(f"mirror mismatch: {name} block {block}")
         return issues
@@ -191,8 +189,7 @@ def online_scrub(system, name: str, client_index: int = 0):
         actual = yield from client.rpc(
             system.iods[lay.parity_server(group)],
             msg.ReadReq(name, kind="red",
-                        offset=lay.parity_local_offset(group), length=unit,
-                        xid=client.next_xid()))
+                        offset=lay.parity_local_offset(group), length=unit))
         if expected != actual.payload:
             issues.append(f"parity mismatch: {name} group {group}")
     system.metrics.add("scrub.online_passes")

@@ -86,23 +86,19 @@ def attached(key: str) -> Optional[Callable[["Environment"], Any]]:
     return _attached.get(key)
 
 
-#: Optional callback invoked with every new :class:`Environment`; used by
-#: ``bench/run.py`` to aggregate kernel counters across the environments
-#: a workload creates.  Not a probe:
-#: "an environment was created" cannot be subscribed to on an
-#: environment.  Costs one ``None``-check per Environment construction
-#: (never per event).
-_env_observer: Optional[Callable[["Environment"], None]] = None
-
-
 def set_env_observer(observer: Optional[Callable[["Environment"], None]]) -> None:
-    """Install (or, with ``None``, remove) the environment observer."""
-    global _env_observer
-    _env_observer = observer
+    """Call ``observer(env)`` with every new Environment (``None``
+    removes it): ``bench/run.py`` counts the environments a workload
+    creates this way, since "an environment was created" cannot be
+    subscribed to on an environment.  The ``_observer`` attachment."""
+    if observer is None:
+        detach("_observer")
+    else:
+        attach("_observer", observer)
 
 
 def env_observer() -> Optional[Callable[["Environment"], None]]:
-    return _env_observer
+    return attached("_observer")
 
 #: Priority used for ordinary events.
 NORMAL = 1
@@ -382,8 +378,6 @@ class Environment:
         self._probes: Dict[str, List[Callable[..., None]]] = {}
         for key, build in _attached.items():
             setattr(self, key, build(self))
-        if _env_observer is not None:
-            _env_observer(self)
 
     @property
     def now(self) -> float:

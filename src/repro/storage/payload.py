@@ -47,10 +47,10 @@ Run = Tuple[int, int, int]
 #: Optional observer invoked as ``hook(payload, array, kind)`` at the
 #: moment a payload captures a buffer (``kind`` is ``"payload"`` for a
 #: contiguous capture, ``"segment"`` per rope segment, and
-#: ``"materialized"`` for a rope's cached flattening).  Installed by
-#: :func:`repro.analysis.bufsan.install`.  The one module-level hook
-#: left in the data path, not a probe: a ``Payload`` is built by clients,
-#: servers, workloads and tests alike and belongs to no
+#: ``"materialized"`` for a rope's cached flattening).  Set by
+#: :func:`repro.analysis.sanitizer_scope` while BufSan is on.  The one
+#: module-level hook left in the data path, not a probe: a ``Payload`` is
+#: built by clients, servers, workloads and tests alike and belongs to no
 #: :class:`~repro.sim.engine.Environment` whose probe table it could
 #: emit on.  Costs one ``None``-check per capture when disabled.
 _capture_hook: Optional[Callable[["Payload", np.ndarray, str], None]] = None

@@ -1,27 +1,22 @@
 """BufSan, the buffer-immutability sanitizer (repro.analysis.bufsan),
-and the sanitizer registry every mode routes through: clean schemes stay
+and the sanitizer scope every mode routes through: clean schemes stay
 report-free, the two buffer-discipline seeded bugs drift and are
-attributed, and install/drain round-trips behave.
+attributed, and scopes attach, drain and detach what they should.
 """
 
 import pytest
 
 from repro import CSARConfig, Payload, System
-from repro.analysis import (bufsan, sanitize_modes, sanitizer_module,
+from repro.analysis import (SANITIZERS, bufsan, sanitize_modes,
                             sanitizer_scope, seeded_bugs)
+from repro.sim import engine
 
 
 @pytest.fixture
-def sanitizer():
-    preinstalled = bufsan.installed()
-    if not preinstalled:
-        bufsan.install()
-    bufsan.drain_reports()
-    yield bufsan
-    reports = bufsan.drain_reports()
-    if not preinstalled:
-        bufsan.uninstall()
-    del reports
+def drain():
+    """BufSan on for the test; ``drain()`` returns its new reports."""
+    with sanitizer_scope(["buf"]) as drain_pairs:
+        yield lambda: [report for _tool, report in drain_pairs()]
 
 
 def _run_partial_overwrite(scheme_cls, scheme_name, **config_kwargs):
@@ -60,16 +55,16 @@ def _run_overflow_writes(scheme_cls, scheme_name):
 
 class TestCleanSchemes:
     @pytest.mark.parametrize("scheme", ["raid0", "raid1", "raid5", "hybrid"])
-    def test_correct_schemes_produce_no_reports(self, sanitizer, scheme):
+    def test_correct_schemes_produce_no_reports(self, drain, scheme):
         _run_partial_overwrite(None, scheme)
-        assert sanitizer.drain_reports() == []
+        assert drain() == []
 
 
 @pytest.mark.bufsan_expected
 class TestSeededBugTraps:
-    def test_thawed_view_drifts_the_parity_fingerprint(self, sanitizer):
+    def test_thawed_view_drifts_the_parity_fingerprint(self, drain):
         _run_partial_overwrite(seeded_bugs.ThawedViewRaid5, "raid5")
-        reports = sanitizer.drain_reports()
+        reports = drain()
         assert reports
         assert {r.kind for r in reports} == {"fingerprint-drift"}
         # Attribution: who captured the buffer, and where the drift
@@ -78,14 +73,14 @@ class TestSeededBugTraps:
         assert "captured" in formatted
         assert "changed" in formatted
 
-    def test_scratch_leak_drifts_the_mirror_fingerprint(self, sanitizer):
+    def test_scratch_leak_drifts_the_mirror_fingerprint(self, drain):
         _run_overflow_writes(seeded_bugs.ScratchLeakHybrid, "hybrid")
-        reports = sanitizer.drain_reports()
+        reports = drain()
         assert reports
         assert {r.kind for r in reports} == {"fingerprint-drift"}
 
     def test_rot_in_a_stored_block_drifts_at_the_next_sync_point(
-            self, sanitizer):
+            self, drain):
         # Bytes at rest are covered: the block store keeps the arrays
         # the written payloads captured, so they stay fingerprinted.
         system = System(CSARConfig(
@@ -99,7 +94,7 @@ class TestSeededBugTraps:
 
         system.run(body())
         stored = system.iods[0].fs.files["f.data"].read(0, 1024).data
-        assert sanitizer.drain_reports() == []
+        assert drain() == []
         if stored.base is not None:  # a view thaws only after its owner
             stored.base.flags.writeable = True
         stored.flags.writeable = True
@@ -109,14 +104,14 @@ class TestSeededBugTraps:
             yield system.env.timeout(0)
 
         system.run(idle())
-        reports = sanitizer.drain_reports()
+        reports = drain()
         assert reports
         assert {r.kind for r in reports} == {"fingerprint-drift"}
 
-    def test_reports_drain_once(self, sanitizer):
+    def test_reports_drain_once(self, drain):
         _run_partial_overwrite(seeded_bugs.ThawedViewRaid5, "raid5")
-        assert sanitizer.drain_reports()
-        assert sanitizer.drain_reports() == []
+        assert drain()
+        assert drain() == []
 
 
 class TestSanitizerRegistry:
@@ -132,22 +127,23 @@ class TestSanitizerRegistry:
         with pytest.raises(ValueError):
             sanitize_modes("valgrind")
 
-    def test_every_mode_resolves_to_a_module(self):
-        for mode in sanitize_modes("all"):
-            module = sanitizer_module(mode)
-            assert callable(module.install)
-            assert callable(module.uninstall)
-            assert callable(module.drain_reports)
+    def test_every_mode_attaches_its_sanitizer(self):
+        from repro.sim import Environment
+
+        with sanitizer_scope(sanitize_modes("all")):
+            env = Environment()
+        for cls in SANITIZERS.values():
+            assert isinstance(getattr(env, cls.__name__.lower()), cls)
 
     def test_install_drain_uninstall_round_trip(self):
-        modules = [sanitizer_module(m) for m in sanitize_modes("all")]
-        already = [m for m in modules if m.installed()]
+        tools = ("locksan", "bufsan", "paritysan")
+        already = [tool for tool in tools if engine.attached(tool)]
         with sanitizer_scope(sanitize_modes("all")) as drain:
-            assert all(m.installed() for m in modules)
+            assert all(engine.attached(tool) for tool in tools)
             assert drain() == []
         # The scope takes down what it put up, and nothing else (a
         # CSAR_*SAN=1 harness keeps its sanitizer).
-        assert [m for m in modules if m.installed()] == already
+        assert [tool for tool in tools if engine.attached(tool)] == already
 
     @pytest.mark.bufsan_expected
     @pytest.mark.locksan_expected
@@ -187,22 +183,28 @@ class TestFinishedSanitizersStopFingerprinting:
 
         from repro.faults.runner import run_campaign
 
-        if bufsan.installed():
+        if engine.attached("bufsan"):
             pytest.skip("a CSAR_BUFSAN=1 harness owns the sanitizer, so "
                         "run_plan's scope has nothing of its own to close")
         deliveries = [0]
         on_capture = bufsan.BufSan.on_capture
+        init = bufsan.BufSan.__init__
+        built = []
 
         def counting(self, payload, arr, kind):
             deliveries[0] += 1
             on_capture(self, payload, arr, kind)
 
+        def recording(self, env):
+            init(self, env)
+            built.append(self)
+
         monkeypatch.setattr(bufsan.BufSan, "on_capture", counting)
+        monkeypatch.setattr(bufsan.BufSan, "__init__", recording)
 
         def totals():
             return (deliveries[0],
-                    sum(s.bytes_fingerprinted
-                        for s in bufsan._REGISTRY.live()))
+                    sum(s.bytes_fingerprinted for s in built))
 
         per_plan = []
         gc.collect()
@@ -216,7 +218,7 @@ class TestFinishedSanitizersStopFingerprinting:
                 after = totals()
                 per_plan.append((after[0] - before[0],
                                  after[1] - before[1]))
-                assert all(s._closed for s in bufsan._REGISTRY.live())
+                assert all(s._closed for s in built)
         finally:
             gc.enable()
             gc.collect()
@@ -238,7 +240,7 @@ class TestSnapshotsAreExact:
         pytest.param(lambda a: a.reshape(32, 32).T, id="fortran"),
         pytest.param(lambda a: a.reshape(32, 32)[:, 5], id="column"),
     ])
-    def test_one_byte_write_drifts(self, sanitizer, view):
+    def test_one_byte_write_drifts(self, drain, view):
         import numpy as np
 
         from repro.sim import Environment
@@ -250,15 +252,15 @@ class TestSnapshotsAreExact:
         arr.flags.writeable = False
         env.bufsan.on_capture(None, arr, "test")
         env.bufsan.on_capture(None, arr, "test")
-        assert sanitizer.drain_reports() == []
+        assert drain() == []
         base[69] ^= 0xFF  # a byte every one of the seven views covers
         env.bufsan.on_capture(None, arr, "test")
-        assert [r.kind for r in sanitizer.drain_reports()] == [
+        assert [r.kind for r in drain()] == [
             "fingerprint-drift"]
 
 
 class TestTrackingEndsWithTheBuffer:
-    def test_a_dead_buffer_leaves_no_entry(self, sanitizer):
+    def test_a_dead_buffer_leaves_no_entry(self, drain):
         from repro.sim import Environment
 
         env = Environment()
@@ -267,7 +269,7 @@ class TestTrackingEndsWithTheBuffer:
         del payload  # before any sync point
         assert env.bufsan._tracked == {}
 
-    def test_a_capture_reaches_only_open_sanitizers(self, sanitizer):
+    def test_a_capture_reaches_only_open_sanitizers(self, drain):
         from repro.sim import Environment
 
         closed, first, second = Environment(), Environment(), Environment()
@@ -281,7 +283,7 @@ class TestTrackingEndsWithTheBuffer:
                 is second.bufsan._tracked[key].snapshot)
 
     def test_a_death_during_the_fan_out_snapshot_is_survived(
-            self, sanitizer, monkeypatch):
+            self, drain, monkeypatch):
         # A collection inside the snapshot of the open sanitizers can run
         # a dying one's callback, which shrinks the registry mid-iteration.
         from repro.sim import Environment

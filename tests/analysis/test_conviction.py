@@ -8,7 +8,7 @@ detector, each ``convicts`` or ``blind``.  The detectors are:
   class;
 * ``engine``: the bug's explorer scenario raises (a deadlock is the
   engine's :class:`~repro.errors.SimulationError`) with no sanitizer
-  installed;
+  attached;
 * ``locksan`` / ``bufsan`` / ``paritysan``: that sanitizer alone
   reports during the bug's explorer scenario;
 * ``crash-matrix``: one crash-matrix cell of the bug's scheme ends in

@@ -6,83 +6,43 @@ lock-protocol sanitizer (:mod:`repro.analysis.locksan`) to every
 the ParitySan redundancy-invariant sanitizer
 (:mod:`repro.analysis.paritysan`), and/or ``CSAR_BUFSAN=1`` to attach
 the BufSan buffer-immutability sanitizer (:mod:`repro.analysis.bufsan`).
-Autouse fixtures then fail any test whose simulations produced sanitizer
-reports — except tests marked ``locksan_expected`` /
-``paritysan_expected`` / ``bufsan_expected``, which intentionally
-violate the respective invariants.
-
-The plumbing below is generic over :data:`repro.analysis.SANITIZER_MODULES`;
-adding a fourth sanitizer means adding one ``_SanitizerHarness`` row.
+One :func:`repro.analysis.sanitizer_scope` over the requested modes
+spans the session, and an autouse fixture fails any test whose
+simulations produced sanitizer reports — except, per tool, tests marked
+``locksan_expected`` / ``paritysan_expected`` / ``bufsan_expected``
+(registered in ``pyproject.toml``), which intentionally violate the
+respective invariants.
 """
 
 import os
 
 import pytest
 
-
-class _SanitizerHarness:
-    """One sanitizer's env-var gate, marker name, and module handle."""
-
-    def __init__(self, mode: str, env_var: str, display: str) -> None:
-        self.mode = mode
-        self.env_var = env_var
-        self.display = display
-        self.marker = f"{mode}san_expected"
-
-    def requested(self) -> bool:
-        return os.environ.get(self.env_var, "") not in ("", "0")
-
-    def module(self):
-        from repro.analysis import sanitizer_module
-
-        return sanitizer_module(self.mode)
+#: sanitizer mode -> the environment variable that turns it on
+_MODES = {"lock": "CSAR_LOCKSAN", "parity": "CSAR_PARITYSAN",
+          "buf": "CSAR_BUFSAN"}
 
 
-_HARNESSES = (
-    _SanitizerHarness("lock", "CSAR_LOCKSAN", "LockSan"),
-    _SanitizerHarness("parity", "CSAR_PARITYSAN", "ParitySan"),
-    _SanitizerHarness("buf", "CSAR_BUFSAN", "BufSan"),
-)
+@pytest.fixture(scope="session")
+def _sanitizers():
+    from repro.analysis import sanitizer_scope
+
+    modes = [mode for mode, env_var in _MODES.items()
+             if os.environ.get(env_var, "") not in ("", "0")]
+    with sanitizer_scope(modes) as drain:
+        yield drain
 
 
-def pytest_configure(config):
-    for harness in _HARNESSES:
-        config.addinivalue_line(
-            "markers",
-            f"{harness.marker}: the test intentionally triggers "
-            f"{harness.display} reports; the zero-report check is skipped")
-        if harness.requested():
-            harness.module().install()
-
-
-def pytest_unconfigure(config):
-    for harness in _HARNESSES:
-        if harness.requested():
-            harness.module().uninstall()
-
-
-def _zero_reports_fixture(harness):
-    @pytest.fixture(autouse=True)
-    def _zero_reports(request):
-        if not harness.requested():
-            yield
-            return
-        module = harness.module()
-        module.drain_reports()  # isolate from previous test
-        yield
-        reports = module.drain_reports()
-        if reports and request.node.get_closest_marker(
-                harness.marker) is None:
-            lines = "\n".join(r.format() for r in reports)
-            pytest.fail(f"{harness.display} reports:\n{lines}")
-
-    _zero_reports.__name__ = f"_{harness.mode}san_zero_reports"
-    return _zero_reports
-
-
-_locksan_zero_reports = _zero_reports_fixture(_HARNESSES[0])
-_paritysan_zero_reports = _zero_reports_fixture(_HARNESSES[1])
-_bufsan_zero_reports = _zero_reports_fixture(_HARNESSES[2])
+@pytest.fixture(autouse=True)
+def _zero_reports(request, _sanitizers):
+    _sanitizers()  # isolate from previous test
+    yield
+    unexpected = [report for tool, report in _sanitizers()
+                  if request.node.get_closest_marker(f"{tool}_expected")
+                  is None]
+    if unexpected:
+        lines = "\n".join(report.format() for report in unexpected)
+        pytest.fail(f"sanitizer reports:\n{lines}")
 
 
 @pytest.fixture

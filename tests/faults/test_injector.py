@@ -6,8 +6,9 @@ import pytest
 from repro.csar.config import CSARConfig
 from repro.csar.system import System
 from repro.errors import FaultPlanError, ServerFailed
-from repro.faults import injector as inj
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec, Trigger
+from repro.sim import Environment, engine
 from repro.storage.payload import Payload
 
 UNIT = 1024
@@ -18,7 +19,7 @@ def make_system(plan, scheme="raid1", **over):
                stripe_unit=UNIT, content_mode=True,
                rpc_timeout=0.25, rpc_retries=2, rpc_jitter_seed=3)
     cfg.update(over)
-    inj.install(plan)
+    engine.attach("faults", lambda env: FaultInjector(env, plan))
     return System(CSARConfig(**cfg))
 
 
@@ -30,9 +31,9 @@ def plan_of(*faults):
 
 
 @pytest.fixture(autouse=True)
-def _uninstall():
+def _detach():
     yield
-    inj.uninstall()
+    engine.detach("faults")
 
 
 def run_write_read(system, name="f", size=4 * UNIT, seed=9, fsync=False):
@@ -239,12 +240,14 @@ def test_attach_rejects_plans_for_a_different_cluster_size():
 
 
 def test_install_is_inert_without_a_system():
-    assert not inj.installed()
-    inj.install(plan_of())
-    assert inj.installed()
-    inj.uninstall()
-    assert not inj.installed()
-    # Fault-free systems run identically with no factory installed.
+    plan = plan_of(FaultSpec("crash", 1, Trigger("time", 0.0)))
+    engine.attach("faults", lambda env: FaultInjector(env, plan))
+    env = Environment()
+    env.run()
+    assert env.faults.system is None and env.faults.fired == []
+    engine.detach("faults")
+    assert Environment().faults is None
+    # Fault-free systems run identically with nothing attached.
     run_write_read(System(CSARConfig(
         scheme="raid1", num_servers=5, num_clients=1, stripe_unit=UNIT,
         content_mode=True)))

@@ -35,8 +35,7 @@ def test_fail_errors_out_in_flight_requests():
         try:
             yield from client.rpc(system.iods[1], msg.WriteReq(
                 "f", kind="data", offset=0,
-                payload=Payload.pattern(UNIT, seed=1),
-                xid=client.next_xid()))
+                payload=Payload.pattern(UNIT, seed=1)))
         except ServerFailed as exc:
             outcome["error"] = exc
         else:

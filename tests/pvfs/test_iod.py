@@ -148,11 +148,11 @@ class TestParityProtocol:
         iod = system.iods[0]
         rpc(system, iod, msg.ParityReadReq("f", group=5, local_offset=0,
                                            intra=(0, 8), xid=1))
-        assert iod.locks.is_locked("f", 5)
+        assert iod.locks._lock("f", 5).users
         rpc(system, iod, msg.ParityWriteReq(
             "f", group=5, local_offset=0, intra=(0, 8),
             payload=Payload.zeros(8), unlock=True, xid=1))
-        assert not iod.locks.is_locked("f", 5)
+        assert not iod.locks._lock("f", 5).users
 
     def test_full_stripe_parity_write_does_not_need_lock(self):
         system = make_system(scheme="raid5")
@@ -161,7 +161,7 @@ class TestParityProtocol:
         rpc(system, iod, msg.ParityWriteReq(
             "f", group=0, local_offset=0, intra=(0, 4),
             payload=Payload.zeros(4), unlock=False, xid=9))
-        assert not iod.locks.is_locked("f", 0)
+        assert not iod.locks._lock("f", 0).users
 
     def test_parity_payload_length_checked(self):
         system = make_system(scheme="raid5")
@@ -444,6 +444,89 @@ class TestMaintenance:
             if got.payload.to_bytes() != want:
                 lost.append(step)
         assert lost == []
+
+    def test_compaction_keeps_an_append_whose_bytes_land_after_its_reads(
+            self):
+        # The append rewrites block 0's head, which takes a fresh slot,
+        # and extends block 7, whose cold page it must read first.
+        # Started up to 10 ms before or 20 ms after the compaction, at
+        # many offsets its slots are allocated before the compaction
+        # reads them while its bytes land only after.
+        head = Payload.pattern(10, seed=98).to_bytes()
+        tail = Payload.pattern(10, seed=99).to_bytes()
+        want = {0: head + Payload.pattern(100, seed=0).to_bytes()[10:],
+                7 * UNIT: Payload.pattern(100, seed=7).to_bytes() + tail}
+        lost = []
+        for step in range(-20, 40):
+            system = make_system(num_clients=2)
+            env, iod = system.env, system.iods[0]
+            for k in range(8):
+                rpc(system, iod, msg.OverflowWriteReq(
+                    "f", ranges=[(k * UNIT, k * UNIT + 100)],
+                    payload=Payload.pattern(100, seed=k)))
+            system.run(iod.fs.sync())
+            system.run(iod.fs.drop_caches())
+
+            def call(client, request, delay):
+                yield env.timeout(delay)
+                return (yield from system.client(client).rpc(iod, request))
+
+            def both():
+                yield env.all_of([
+                    env.process(call(0, msg.CompactOverflowReq("f"),
+                                     max(-step, 0) * 0.5e-3)),
+                    env.process(call(1, msg.OverflowWriteReq(
+                        "f", ranges=[(0, 10), (7 * UNIT + 100,
+                                              7 * UNIT + 110)],
+                        payload=Payload.from_bytes(head + tail)),
+                        max(step, 0) * 0.5e-3))])
+
+            system.run(both())
+            for offset, data in want.items():
+                got = rpc(system, iod, msg.ReadReq(
+                    "f", kind="data", offset=offset, length=len(data)))
+                if got.payload.to_bytes() != data:
+                    lost.append((step, offset))
+        assert lost == []
+
+    def test_a_read_racing_the_rewrite_sees_the_live_bytes(self, monkeypatch):
+        # Block 0 is rewritten once, so the rewrite moves its slot.  Each
+        # of the rewrite's writes waits a millisecond; reads of every
+        # extent and one of the whole cold range, whose in-place gaps come
+        # off the disk first, start with the first one.
+        system = make_system()
+        env, iod = system.env, system.iods[0]
+        want = bytearray(Payload.pattern(8 * UNIT, seed=9).to_bytes())
+        rpc(system, iod, msg.WriteReq("f", kind="data", offset=0,
+                                      payload=Payload.from_bytes(want)))
+        for k, seed in [(k, k) for k in range(8)] + [(0, 8)]:
+            payload = Payload.pattern(100, seed=seed)
+            rpc(system, iod, msg.OverflowWriteReq(
+                "f", ranges=[(k * UNIT, k * UNIT + 100)], payload=payload))
+            want[k * UNIT:k * UNIT + 100] = payload.to_bytes()
+        system.run(iod.fs.sync())
+        system.run(iod.fs.drop_caches())
+        ranges = [(k * UNIT, 100) for k in range(8)] + [(0, 8 * UNIT)]
+        write, reads = iod.fs.write, []
+
+        def slow_write(name, offset, payload):
+            if not reads:
+                reads.extend(env.process(iod._read(msg.ReadReq(
+                    "f", kind="data", offset=start, length=length)))
+                    for start, length in ranges)
+            yield env.timeout(1e-3)
+            yield from write(name, offset, payload)
+
+        monkeypatch.setattr(iod.fs, "write", slow_write)
+        rpc(system, iod, msg.CompactOverflowReq("f"))
+
+        def settle():
+            yield env.all_of(reads)
+
+        system.run(settle())
+        assert [read.value.payload.to_bytes() for read in reads] == [
+            bytes(want[start:start + length]) for start, length in ranges]
+        assert iod.overflow["f"].allocated_bytes == 8 * UNIT
 
     def test_storage_of_unknown_file_zeroes(self):
         system = make_system()

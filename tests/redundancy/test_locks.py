@@ -1,31 +1,49 @@
-"""Tests for the parity lock table (Section 5.1 protocol)."""
+"""Tests for the parity lock table (Section 5.1 protocol), observed
+through what production reads: its ``parity_lock.*`` probes, LockSan's
+ledger, ``total_wait_time`` and the locks' ``users``."""
 
 import pytest
 
+from repro.analysis import sanitizer_scope
 from repro.errors import LockProtocolError
+from repro.probes import PROBES
 from repro.redundancy.locks import ParityLockTable
 from repro.sim import Environment
 
 
 @pytest.fixture
 def env():
-    return Environment()
+    with sanitizer_scope(["lock"]):
+        yield Environment()
+
+
+def heard(env):
+    """Every ``parity_lock.*`` announcement, as ``(probe, xid)``."""
+    out = []
+    for name in PROBES:
+        if name.startswith("parity_lock."):
+            env.subscribe(name, lambda _f, _g, xid, name=name:
+                          out.append((name[len("parity_lock."):], xid)))
+    return out
 
 
 class TestLockTable:
     def test_acquire_release(self, env):
         table = ParityLockTable(env)
+        events = heard(env)
 
         def proc():
             yield from table.acquire("f", 0, xid=1)
-            assert table.is_locked("f", 0)
+            assert table._lock("f", 0).users
+            assert env.locksan._holder == {("f", 0): 1}
             table.release("f", 0, xid=1)
-            assert not table.is_locked("f", 0)
+            assert not table._lock("f", 0).users
+            assert env.locksan._holder == {}
 
         env.process(proc())
         env.run()
-        assert table.acquisitions == 1
-        assert table.contended_acquisitions == 0
+        assert events == [("acquired", 1), ("released", 1)]
+        assert table.total_wait_time == 0
 
     def test_fifo_contention(self, env):
         table = ParityLockTable(env)
@@ -37,11 +55,12 @@ class TestLockTable:
             yield env.timeout(hold)
             table.release("f", 0, xid=xid)
 
+        events = heard(env)
         for xid in range(3):
             env.process(writer(xid, hold=1.0))
         env.run()
         assert order == [0, 1, 2]
-        assert table.contended_acquisitions == 2
+        assert [xid for what, xid in events if what == "wait"] == [1, 2]
         assert table.total_wait_time == pytest.approx(1.0 + 2.0)
 
     def test_independent_groups_do_not_contend(self, env):
@@ -94,6 +113,7 @@ class TestLockTable:
 
     def test_disabled_table_never_blocks(self, env):
         table = ParityLockTable(env, enabled=False)
+        events = heard(env)
         starts = []
 
         def writer(xid):
@@ -106,7 +126,7 @@ class TestLockTable:
             env.process(writer(xid))
         env.run()
         assert starts == [0, 0, 0]
-        assert table.acquisitions == 0
+        assert events == []
 
     def test_ascending_order_prevents_deadlock(self, env):
         # Two writers both needing groups {3, 5}: because each acquires in
@@ -167,8 +187,9 @@ class TestLockTable:
         # The cancelled request is gone: xid 3 is granted the moment the
         # holder releases at t=5, not behind a ghost queue entry.
         assert order == ["interrupted", ("locked", 5.0)]
-        assert not table.is_locked("f", 0)
-        assert table.queue_length("f", 0) == 0
+        lock = table._lock("f", 0)
+        assert not lock.users and not lock.queue
+        assert env.locksan._waiters == {("f", 0): []}
 
     def test_interrupt_before_acquire_starts_does_not_leak(self, env):
         from repro.sim.engine import Interrupt
@@ -194,4 +215,5 @@ class TestLockTable:
         v = env.process(victim())
         env.process(canceller(v))
         env.run()
-        assert not table.is_locked("f", 0)
+        assert not table._lock("f", 0).users
+        assert env.locksan._held_by_xid == {}

@@ -9,8 +9,8 @@ ascending-order scenario proving no wait-for cycle forms.
 
 import pytest
 
-from repro.analysis.locksan import LockSan
-from repro.errors import DeadlockError, LockProtocolError, LockSanError
+from repro.analysis import sanitizer_scope
+from repro.errors import DeadlockError, LockProtocolError
 from repro.redundancy.locks import ParityLockTable
 from repro.sim import Environment
 from repro.sim.engine import Interrupt
@@ -22,14 +22,12 @@ pytestmark = pytest.mark.locksan_expected
 
 @pytest.fixture
 def env():
-    e = Environment()
-    # Under CSAR_LOCKSAN=1 the environment already built its sanitizer.
-    e.sanitizer = getattr(e, "sanitizer", None) or LockSan(e)
-    return e
+    with sanitizer_scope(["lock"]):
+        yield Environment()
 
 
 def reports(env, kind=None):
-    out = env.sanitizer.reports
+    out = env.locksan.reports
     if kind is not None:
         out = [r for r in out if r.kind == kind]
     return out
@@ -70,8 +68,8 @@ class TestCleanProtocol:
         env.run()
         assert [x for x, _t in finished] == [1, 2]
         assert reports(env) == []
-        assert env.sanitizer._holder == {}
-        assert env.sanitizer._waiting_on == {}
+        assert env.locksan._holder == {}
+        assert env.locksan._waiting_on == {}
 
 
 class TestInversion:
@@ -119,18 +117,6 @@ class TestInversion:
         env.process(proc())
         env.run()
         assert reports(env) == []
-
-    def test_strict_mode_raises_on_inversion(self, env):
-        env.sanitizer = LockSan(env, strict=True)
-        table = ParityLockTable(env)
-
-        def proc():
-            yield from table.acquire("f", 5, xid=1)
-            yield from table.acquire("f", 3, xid=1)
-
-        env.process(proc())
-        with pytest.raises(LockSanError):
-            env.run()
 
 
 class TestDeadlock:
@@ -281,7 +267,7 @@ class TestLeak:
         env.process(holder(), name="crashing-iod")
         env.run()
         assert reports(env, "leak") == []
-        assert not table.is_locked("data.bin", 6)
+        assert env.locksan._held_by_xid == {}
 
     def test_interrupt_while_queued_leaves_no_leak(self, env):
         table = ParityLockTable(env)
@@ -325,14 +311,12 @@ class TestLeak:
 
 
 class TestSystemUnderLockSan:
-    def test_hybrid_write_read_is_clean(self, env):
+    def test_hybrid_write_read_is_clean(self):
         # End-to-end: a real System run (RMW parity traffic included)
         # produces zero sanitizer reports.
         from repro import CSARConfig, Payload, System
-        from repro.analysis import locksan
 
-        locksan.install()
-        try:
+        with sanitizer_scope(["lock"]) as drain:
             system = System(CSARConfig(scheme="raid5", num_servers=4,
                                        content_mode=True))
             client = system.client()
@@ -347,8 +331,5 @@ class TestSystemUnderLockSan:
             system.timed(work())
             # (No bare env.run(): the page-cache flusher keeps the heap
             # alive forever; reports accumulate as violations happen.)
-            assert system.env.sanitizer is not None
-            assert system.env.sanitizer.reports == []
-        finally:
-            locksan.uninstall()
-            locksan.drain_reports()
+            assert system.env.locksan is not None
+            assert drain() == []

@@ -124,13 +124,6 @@ class TestInvalidation:
         assert data == [Extent(5, 10)]
         assert reads[0].ovf_offset == BS  # conservative: new slot
 
-    def test_truncate(self):
-        t = OverflowTable(BS)
-        t.append(0, 10)
-        t.truncate()
-        assert t.allocated_bytes == 0
-        assert t.resolve(0, 10) == ([Extent(0, 10)], [])
-
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["append", "invalidate"]),

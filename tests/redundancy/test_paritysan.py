@@ -5,10 +5,9 @@ reported, and recovery/scrub hold up under explored schedules."""
 import pytest
 
 from repro import CSARConfig, Payload, System
-from repro.analysis import paritysan, seeded_bugs
+from repro.analysis import sanitizer_scope, seeded_bugs
 from repro.analysis.explore import RandomTieBreaker
-from repro.analysis.paritysan import ParitySan, ParitySanReport
-from repro.errors import ParitySanError
+from repro.analysis.paritysan import ParitySanReport
 from repro.pvfs.iod import red_file
 from repro.redundancy import scrub
 from repro.redundancy.recovery import rebuild_server
@@ -19,20 +18,10 @@ UNIT = 4 * KiB
 
 
 @pytest.fixture
-def sanitized():
-    """Install ParitySan for the test, restoring whatever was there."""
-    prev = engine.attached("paritysan")
-    paritysan.install()
-    yield
-    _restore(prev)
-    paritysan.drain_reports()
-
-
-def _restore(prev):
-    if prev is None:
-        engine.detach("paritysan")
-    else:
-        engine.attach("paritysan", prev)
+def drain():
+    """ParitySan on for the test; ``drain()`` returns its new reports."""
+    with sanitizer_scope(["parity"]) as drain_pairs:
+        yield lambda: [report for _tool, report in drain_pairs()]
 
 
 def make_system(scheme, **kw):
@@ -68,63 +57,50 @@ class TestReports:
 
     def test_install_round_trip(self):
         prev = engine.attached("paritysan")
-        try:
-            paritysan.install()
-            assert paritysan.installed()
-        finally:
-            _restore(prev)
-        assert paritysan.installed() == (prev is not None)
+        with sanitizer_scope(["parity"]):
+            assert engine.attached("paritysan") is not None
+        assert engine.attached("paritysan") is prev
 
 
 class TestCleanSchemes:
     @pytest.mark.parametrize("scheme", ["raid1", "raid5", "hybrid"])
-    def test_populated_system_is_silent(self, sanitized, scheme):
+    def test_populated_system_is_silent(self, drain, scheme):
         system = make_system(scheme)
         populate(system)
         assert system.env.paritysan is not None
-        assert paritysan.drain_reports() == []
+        assert drain() == []
 
-    def test_scrub_hook_silent_on_clean_state(self, sanitized):
+    def test_scrub_hook_silent_on_clean_state(self, drain):
         system = make_system("hybrid")
         populate(system)
         assert scrub.scrub(system, "f") == []
-        assert paritysan.drain_reports() == []
+        assert drain() == []
 
 
 class TestDetection:
-    def test_quiescent_check_flags_parity_rot(self, sanitized):
+    def test_quiescent_check_flags_parity_rot(self, drain):
         system = make_system("raid5")
         populate(system)
-        paritysan.drain_reports()
+        drain()
         corrupt(system.iods[5].fs.files[red_file("f")])  # group 0 parity
         system.env.paritysan.on_quiescent()
-        reports = paritysan.drain_reports()
+        reports = drain()
         assert any(r.kind == "parity" and "group 0" in r.message
                    for r in reports)
 
-    def test_scrub_findings_become_reports(self, sanitized):
+    def test_scrub_findings_become_reports(self, drain):
         system = make_system("raid1")
         populate(system)
-        paritysan.drain_reports()
+        drain()
         corrupt(system.iods[1].fs.files[red_file("f")])
         assert scrub.scrub(system, "f")  # the scrub itself sees it …
-        reports = paritysan.drain_reports()
+        reports = drain()
         assert any(r.kind == "scrub" for r in reports)  # … and reports it
 
-    def test_strict_mode_raises(self):
-        system = make_system("raid5")
-        populate(system)
-        san = ParitySan(system.env, strict=True)
-        san.attach(system)
-        corrupt(system.iods[5].fs.files[red_file("f")])
-        with pytest.raises(ParitySanError):
-            san.on_quiescent()
-        paritysan.drain_reports()
-
-    def test_overflow_structure_check(self, sanitized):
+    def test_overflow_structure_check(self, drain):
         system = make_system("hybrid")
         populate(system)
-        paritysan.drain_reports()
+        drain()
         # Force two overflow slot versions onto the same storage offset.
         for iod in system.iods:
             for table in iod.overflow.values():
@@ -137,11 +113,11 @@ class TestDetection:
         else:
             pytest.skip("populate produced no overflow entries")
         system.env.paritysan.on_quiescent()
-        reports = paritysan.drain_reports()
+        reports = drain()
         assert any(r.kind == "overflow-structure"
                    and "alias" in r.message for r in reports)
 
-    def test_seeded_inplace_overflow_bug_is_caught(self, sanitized):
+    def test_seeded_inplace_overflow_bug_is_caught(self, drain):
         config = CSARConfig(scheme="hybrid", num_servers=4, num_clients=1,
                             stripe_unit=1024, content_mode=True)
         system = seeded_bugs.inject(
@@ -155,23 +131,23 @@ class TestDetection:
             yield from client.write("f", 100, Payload.pattern(300, seed=2))
 
         system.run(body())
-        reports = paritysan.drain_reports()
+        reports = drain()
         assert any(r.kind == "parity" and "parity mismatch" in r.message
                    for r in reports)
 
 
 class TestDegradedWindows:
-    def test_failed_server_suppresses_content_checks(self, sanitized):
+    def test_failed_server_suppresses_content_checks(self, drain):
         # A degraded array is legitimately inconsistent: no false alarms.
         system = make_system("raid5")
         populate(system)
-        paritysan.drain_reports()
+        drain()
         system.fail_server(2)
         system.env.paritysan.on_quiescent()
-        assert paritysan.drain_reports() == []
+        assert drain() == []
 
     @pytest.mark.parametrize("scheme", ["raid1", "raid5"])
-    def test_write_in_flight_suppresses_checks(self, sanitized, scheme):
+    def test_write_in_flight_suppresses_checks(self, drain, scheme):
         # A large overwrite nobody awaits is still in flight when the
         # awaited small write finishes: its half-written mirror or parity
         # is no violation, under any scheme.
@@ -181,11 +157,11 @@ class TestDegradedWindows:
         client = system.client()
         system.run(client.create("f"))
         system.run(client.write("f", 0, Payload.pattern(128 * KiB, seed=1)))
-        paritysan.drain_reports()
+        drain()
         system.env.process(client.write(
             "f", 0, Payload.pattern(128 * KiB, seed=2)))
         system.run(client.write("f", 64 * KiB, Payload.pattern(64, seed=3)))
-        assert paritysan.drain_reports() == []
+        assert drain() == []
 
 
 class TestExploredSchedules:
@@ -193,7 +169,7 @@ class TestExploredSchedules:
     ties are broken adversarially (seeded random schedules)."""
 
     @pytest.mark.parametrize("scheme", ["raid5", "hybrid"])
-    def test_rebuild_clean_under_random_ties(self, sanitized, scheme):
+    def test_rebuild_clean_under_random_ties(self, drain, scheme):
         for seed in range(3):
             engine.attach("_tie_breaker",
                           lambda env, seed=seed: RandomTieBreaker(seed))
@@ -207,10 +183,10 @@ class TestExploredSchedules:
                 assert scrub.scrub(system, "f") == []
             finally:
                 engine.detach("_tie_breaker")
-            assert paritysan.drain_reports() == [], \
+            assert drain() == [], \
                 f"{scheme} rebuild dirty under tie seed {seed}"
 
-    def test_scrub_clean_under_random_ties(self, sanitized):
+    def test_scrub_clean_under_random_ties(self, drain):
         for seed in range(3):
             engine.attach("_tie_breaker",
                           lambda env, seed=seed: RandomTieBreaker(seed))
@@ -220,10 +196,10 @@ class TestExploredSchedules:
                 assert scrub.scrub(system, "f") == []
             finally:
                 engine.detach("_tie_breaker")
-            assert paritysan.drain_reports() == [], \
+            assert drain() == [], \
                 f"scrub dirty under tie seed {seed}"
 
-    def test_buggy_scheme_still_caught_under_random_ties(self, sanitized):
+    def test_buggy_scheme_still_caught_under_random_ties(self, drain):
         engine.attach("_tie_breaker", lambda env: RandomTieBreaker(1))
         try:
             config = CSARConfig(scheme="hybrid", num_servers=4,
@@ -244,5 +220,5 @@ class TestExploredSchedules:
             system.run(body())
         finally:
             engine.detach("_tie_breaker")
-        reports = paritysan.drain_reports()
+        reports = drain()
         assert any(r.kind == "parity" for r in reports)

@@ -125,7 +125,6 @@ OWNED = {
     # Item 12(c): the background reclaimer daemon.
     "repro.redundancy.reclaim:background_reclaimer": item("12(c)"),
     # Public API that tests and library users call (item 13 names most).
-    "repro.faults.injector:installed": PUBLIC,
     "repro.hw.cache:PageCache.cached_extents": PUBLIC,
     "repro.hw.cache:PageCache.is_cached": PUBLIC,
     "repro.hw.cpu:Cpu.process_bytes": PUBLIC,
@@ -138,8 +137,6 @@ OWNED = {
     "repro.pvfs.layout:StripeLayout.pieces": PUBLIC,
     "repro.pvfs.messages:Server.deliver": PUBLIC,
     "repro.redundancy.base:RedundancyScheme.degraded_read": PUBLIC,
-    "repro.redundancy.locks:ParityLockTable.is_locked": PUBLIC,
-    "repro.redundancy.locks:ParityLockTable.queue_length": PUBLIC,
     "repro.sim.engine:Environment.peek": PUBLIC,
     "repro.sim.engine:Environment.step": PUBLIC,
     "repro.sim.engine:Event.defused": PUBLIC,
@@ -147,6 +144,7 @@ OWNED = {
     "repro.sim.resources:Request.__exit__": PUBLIC,
     "repro.sim.resources:Resource.count": PUBLIC,
     "repro.storage.blockfile:BlockFile.allocated_bytes": PUBLIC,
+    "repro.storage.blockfile:BlockFile.truncate": PUBLIC,
     "repro.storage.localfs:LocalFS.drop_caches": PUBLIC,
     "repro.storage.localfs:LocalFS.file_size": PUBLIC,
     "repro.storage.localfs:LocalFS.listing": PUBLIC,
@@ -156,6 +154,7 @@ OWNED = {
     "repro.storage.payload:Payload.from_bytes": PUBLIC,
     "repro.storage.payload:Payload.to_bytes": PUBLIC,
     "repro.util.intervals:ExtentMap.__eq__": PUBLIC,
+    "repro.util.intervals:ExtentMap.clear": PUBLIC,
     "repro.util.intervals:ExtentMap.copy": PUBLIC,
     "repro.util.parity:parity_of_stripe": PUBLIC,
     "repro.workloads.flashio:request_mix": PUBLIC,

@@ -161,20 +161,20 @@ class TestSanitize:
     def test_sanitize_restores_prior_factory(self):
         from repro.sim import engine
 
-        before = engine.attached("sanitizer")
+        before = engine.attached("locksan")
         main(["run", "fig2", "--sanitize"])
-        assert engine.attached("sanitizer") is before
+        assert engine.attached("locksan") is before
 
     @staticmethod
     def ambient():
         """What a run could leave behind: each sanitizer's engine
         attachment and the payload capture hook, by identity."""
-        from repro.analysis import SANITIZER_MODULES, sanitizer_module
+        from repro.analysis import SANITIZERS
         from repro.sim import engine
         from repro.storage import payload
 
-        state = {mode: engine.attached(sanitizer_module(mode)._REGISTRY.key)
-                 for mode in SANITIZER_MODULES}
+        state = {mode: engine.attached(cls.__name__.lower())
+                 for mode, cls in SANITIZERS.items()}
         state["capture_hook"] = payload._capture_hook
         return state
 
@@ -184,19 +184,13 @@ class TestSanitize:
         assert self.ambient() == before
 
     def test_a_preinstalled_paritysan_survives(self):
-        from repro.analysis import paritysan
+        from repro.analysis import sanitizer_scope
 
-        owned = not paritysan.installed()  # CSAR_PARITYSAN=1 installed it
-        if owned:
-            paritysan.install()
-        try:
+        with sanitizer_scope(["parity"]):
             before = self.ambient()
             assert before["parity"] is not None
             assert main(["run", "fig1", "--sanitize=all"]) == 0
             assert self.ambient() == before
-        finally:
-            if owned:
-                paritysan.uninstall()
 
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
