@@ -30,7 +30,7 @@ by the live captured bytes), and compares the buffer with it exactly
 
 Any mismatch means some code thawed (``flags.writeable = True``) or
 otherwise mutated a buffer after sharing it — exactly what the static
-rules CSAR013–015 (:mod:`repro.analysis.bufflow`) prove absent; BufSan
+rules CSAR013/014 (:mod:`repro.analysis.bufflow`) prove absent; BufSan
 is the dynamic witness for schedules the static scope misses.
 Violations collect as :class:`BufSanReport` entries, which the scope's
 ``drain`` sweeps.

@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import seeded_bugs
 from repro.faults import campaign
@@ -73,31 +73,6 @@ def smoke_scenarios() -> List[Scenario]:
 # ----------------------------------------------------------------------
 # built-in scenarios
 # ----------------------------------------------------------------------
-class _SimLock:
-    """A minimal FIFO mutex over engine events (scenario-local)."""
-
-    def __init__(self, env) -> None:
-        self.env = env
-        self._held = False
-        self._waiters: List[Any] = []
-
-    def acquire(self) -> Generator[Any, Any, None]:
-        if self._held:
-            gate = self.env.event()
-            self._waiters.append(gate)
-            yield gate
-        else:
-            self._held = True
-            return
-            yield  # pragma: no cover - makes this a generator
-
-    def release(self) -> None:
-        if self._waiters:
-            self._waiters.pop(0).succeed()
-        else:
-            self._held = False
-
-
 @scenario("lock-ties",
           "two clients, disjoint partial-stripe RMWs: lots of ties, "
           "no violation under any schedule")
@@ -125,40 +100,30 @@ def _scenario_lock_ties() -> None:
           "schedule, descending (deadlock) when the reader wins the tie")
 def _scenario_race_lock_order() -> None:
     from repro.sim.engine import Environment
+    from repro.sim.resources import Resource
 
     env = Environment()
     marker: List[bool] = []
-    locks = {3: _SimLock(env), 5: _SimLock(env)}
+    locks = {3: Resource(env), 5: Resource(env)}
+
+    def hold(first, second):
+        with locks[first].request() as outer:
+            yield outer
+            yield env.timeout(1e-6)
+            with locks[second].request() as inner:
+                yield inner
+                yield env.timeout(1e-6)
 
     def writer():
         yield env.timeout(0)
         marker.append(True)  # publish "ascending" AFTER one scheduler tick
-        yield from locks[3].acquire()
-        try:
-            yield env.timeout(1e-6)
-            yield from locks[5].acquire()
-            try:
-                yield env.timeout(1e-6)
-            finally:
-                locks[5].release()
-        finally:
-            locks[3].release()
+        yield from hold(3, 5)
 
     def reader():
         yield env.timeout(0)
         # The race: if the writer's tick ran first the marker is visible
         # and both lock ascending; otherwise this process descends.
-        first, second = (3, 5) if marker else (5, 3)
-        yield from locks[first].acquire()
-        try:
-            yield env.timeout(1e-6)
-            yield from locks[second].acquire()
-            try:
-                yield env.timeout(1e-6)
-            finally:
-                locks[second].release()
-        finally:
-            locks[first].release()
+        yield from hold(*((3, 5) if marker else (5, 3)))
 
     done = env.all_of([env.process(writer()), env.process(reader())])
     env.run(until=done)

@@ -8,18 +8,17 @@ failures, rebuild.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List
+from typing import Any, Dict, List
 
 from repro.csar.config import CSARConfig
 from repro.errors import ConfigError
 from repro.hw.node import Node
-from repro.metrics import Metrics
 from repro.pvfs.client import PVFSClient
 from repro.pvfs.iod import IOD
 from repro.pvfs.layout import StripeLayout
 from repro.pvfs.manager import Manager
 from repro.redundancy.base import make_scheme
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment
 
 
 class System:
@@ -28,36 +27,36 @@ class System:
     def __init__(self, config: CSARConfig) -> None:
         self.config = config
         self.env = Environment()
-        self.metrics = Metrics()
+        #: the run's counters: the environment's ledger
+        self.metrics = self.env.metrics
         profile = config.resolved_profile
         self.layout = StripeLayout(config.stripe_unit, config.num_servers)
 
-        self.server_nodes: List[Node] = [
-            Node(self.env, f"iod{i}", profile, self.metrics)
-            for i in range(config.num_servers)]
-        self.client_nodes: List[Node] = [
-            Node(self.env, f"client{i}", profile, self.metrics)
-            for i in range(config.num_clients)]
-        self.manager_node = Node(self.env, "mgr", profile, self.metrics)
-
         self.iods: List[IOD] = [
-            IOD(self.env, i, node, self.metrics,
-                stripe_unit=config.stripe_unit,
-                content_mode=config.content_mode,
-                write_buffering=config.write_buffering,
-                locking=config.locking)
-            for i, node in enumerate(self.server_nodes)]
-        self.manager = Manager(self.env, self.manager_node, self.metrics,
-                               self.layout, config.scheme)
+            self._server(i) for i in range(config.num_servers)]
+        self.server_nodes: List[Node] = [iod.node for iod in self.iods]
+        self.client_nodes: List[Node] = [
+            Node(self.env, f"client{i}", profile)
+            for i in range(config.num_clients)]
+        self.manager_node = Node(self.env, "mgr", profile)
+        self.manager = Manager(self.manager_node, self.layout, config.scheme)
         scheme = make_scheme(config.scheme, config)
         self.clients: List[PVFSClient] = [
-            PVFSClient(self.env, i, node, self.iods, self.manager,
-                       self.metrics, scheme)
+            PVFSClient(i, node, self.iods, self.manager, scheme)
             for i, node in enumerate(self.client_nodes)]
-        if config.background_flusher:
-            for node in self.server_nodes:
-                node.cache.start_flusher()
         self.env.emit("system.built", self)
+
+    def _server(self, index: int) -> IOD:
+        """A fresh server node (flusher started when configured) and
+        its I/O daemon."""
+        config = self.config
+        node = Node(self.env, f"iod{index}", config.resolved_profile)
+        if config.background_flusher:
+            node.cache.start_flusher()
+        return IOD(index, node, stripe_unit=config.stripe_unit,
+                   content_mode=config.content_mode,
+                   write_buffering=config.write_buffering,
+                   locking=config.locking)
 
     # ------------------------------------------------------------------
     # running
@@ -116,20 +115,12 @@ class System:
         if not self.iods[index].failed:
             raise ConfigError(
                 f"server {index} is not failed; refusing replacement")
-        node = Node(self.env, f"iod{index}", self.config.resolved_profile,
-                    self.metrics)
-        if self.config.background_flusher:
-            node.cache.start_flusher()
-        iod = IOD(self.env, index, node, self.metrics,
-                  stripe_unit=self.config.stripe_unit,
-                  content_mode=self.config.content_mode,
-                  write_buffering=self.config.write_buffering,
-                  locking=self.config.locking)
+        iod = self._server(index)
         iod.fail()
         # The dead daemon may outlive this call (a handler or a message
         # in flight still holds it); its disk must not.
         self.iods[index].wipe()
-        self.server_nodes[index] = node
+        self.server_nodes[index] = iod.node
         self.iods[index] = iod
         for client in self.clients:
             client.iods[index] = iod

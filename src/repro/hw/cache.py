@@ -27,7 +27,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
-from repro.metrics import Metrics
 from repro.sim.engine import Environment, Event
 from repro.util.intervals import ExtentMap
 from repro.hw.disk import Disk
@@ -49,12 +48,11 @@ class PageCache:
     """One node's unified page cache in front of one disk."""
 
     def __init__(self, env: Environment, node_name: str, params: CacheParams,
-                 disk: Disk, metrics: Optional[Metrics] = None) -> None:
+                 disk: Disk) -> None:
         self.env = env
         self.node_name = node_name
         self.params = params
         self.disk = disk
-        self.metrics = metrics
         self._files: "OrderedDict[object, _FileEntry]" = OrderedDict()
         self.usage = 0
         self.dirty_bytes = 0
@@ -111,10 +109,9 @@ class PageCache:
         missing: List[Tuple[int, int]] = []
         for gap_start, gap_end in entry.cached.gaps_iter(start, end):
             missing.extend(allocated.overlap_iter(gap_start, gap_end))
-        if self.metrics is not None:
-            self.metrics.add("cache.hit_bytes", hit)
-            self.metrics.add("cache.miss_bytes",
-                             sum(e - s for s, e in missing))
+        metrics = self.env.metrics
+        metrics.add("cache.hit_bytes", hit)
+        metrics.add("cache.miss_bytes", sum(e - s for s, e in missing))
         for miss_start, miss_end in missing:
             # Page-align the disk read, extend to the readahead window,
             # clip to allocation.
@@ -198,15 +195,13 @@ class PageCache:
             if hi > block_lo:
                 yield from self.disk.read(file_id, block_lo, hi - block_lo)
                 self._cover(entry, block_lo, hi)
-                if self.metrics is not None:
-                    self.metrics.add("cache.partial_block_reads")
-                    self.metrics.add("cache.partial_block_read_bytes",
+                self.env.metrics.add("cache.partial_block_reads")
+                self.env.metrics.add("cache.partial_block_read_bytes",
                                      hi - block_lo)
         for start, end in ranges:
             self._cover(entry, start, end)
             self._mark_dirty(entry, start, end)
-        if self.metrics is not None:
-            self.metrics.add("cache.write_bytes",
+        self.env.metrics.add("cache.write_bytes",
                              sum(e - s for s, e in ranges))
         yield from self._throttle()
         yield from self._evict_if_needed(exclude=file_id)
@@ -238,8 +233,7 @@ class PageCache:
             self.dirty_bytes -= length
             yield from self.disk.write(file_id, ext_start, length)
             flushed += length
-            if self.metrics is not None:
-                self.metrics.add("cache.writeback_bytes", length)
+            self.env.metrics.add("cache.writeback_bytes", length)
         return flushed
 
     def _throttle(self) -> Generator[Event, Any, None]:
@@ -252,8 +246,7 @@ class PageCache:
             done = yield from self._writeback_some(MAX_IO)
             if done == 0:
                 break
-        if self.metrics is not None:
-            self.metrics.add("cache.throttle_time", self.env.now - t0)
+        self.env.metrics.add("cache.throttle_time", self.env.now - t0)
 
     def _evict_if_needed(self, exclude: object = None) -> Generator[Event, Any, None]:
         """Drop clean extents (coldest file first) until under capacity."""
@@ -269,8 +262,7 @@ class PageCache:
                         length = clean_end - clean_start
                         entry.cached.remove(clean_start, clean_end)
                         self.usage -= length
-                        if self.metrics is not None:
-                            self.metrics.add("cache.evicted_bytes", length)
+                        self.env.metrics.add("cache.evicted_bytes", length)
                         evicted = True
                         if self.usage <= self.params.capacity:
                             return
@@ -297,8 +289,7 @@ class PageCache:
             entry.dirty.remove(ext_start, ext_start + length)
             self.dirty_bytes -= length
             yield from self.disk.write(file_id, ext_start, length)
-            if self.metrics is not None:
-                self.metrics.add("cache.writeback_bytes", length)
+            self.env.metrics.add("cache.writeback_bytes", length)
 
     def sync(self) -> Generator[Event, Any, None]:
         """Flush all dirty data on this node."""

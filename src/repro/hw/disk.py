@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional, Tuple
 
-from repro.metrics import Metrics
 from repro.sim.engine import Environment, Event, Timeout
 from repro.sim.resources import Resource
 from repro.hw.params import DiskParams
@@ -22,20 +21,14 @@ from repro.hw.params import DiskParams
 class Disk:
     """A node-local disk (or RAID0 volume presented as one device)."""
 
-    def __init__(self, env: Environment, node_name: str, params: DiskParams,
-                 metrics: Optional[Metrics] = None) -> None:
+    def __init__(self, env: Environment, node_name: str,
+                 params: DiskParams) -> None:
         self.env = env
         self.node_name = node_name
         self.params = params
-        self.metrics = metrics
         self._resource = Resource(env, capacity=1)
         #: (file_id, end_offset) of the last completed operation
         self._head: Optional[Tuple[object, int]] = None
-        self.reads = 0
-        self.writes = 0
-        self.seeks = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
         self.busy_time = 0.0
 
     def io(self, file_id: object, offset: int, nbytes: int,
@@ -64,22 +57,15 @@ class Disk:
             yield Timeout(self.env, duration)
             self._head = (file_id, offset + nbytes)
             self.busy_time += duration
-            if not sequential:
-                self.seeks += 1
             if write:
-                self.writes += 1
-                self.bytes_written += nbytes
                 ops_key, bytes_key = "disk.writes", "disk.bytes_written"
             else:
-                self.reads += 1
-                self.bytes_read += nbytes
                 ops_key, bytes_key = "disk.reads", "disk.bytes_read"
-            metrics = self.metrics
-            if metrics is not None:
-                metrics.add(ops_key)
-                metrics.add(bytes_key, nbytes)
-                if not sequential:
-                    metrics.add("disk.seeks")
+            metrics = self.env.metrics
+            metrics.add(ops_key)
+            metrics.add(bytes_key, nbytes)
+            if not sequential:
+                metrics.add("disk.seeks")
         finally:
             resource.release(req)
 

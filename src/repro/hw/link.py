@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.metrics import Metrics
 from repro.sim.engine import Environment
 from repro.sim.resources import FifoServer, Request, Resource
 from repro.hw.params import NetworkParams
@@ -214,8 +213,8 @@ class _Stream:
 
 
 def send(env: Environment, src: NIC, dst: NIC, nbytes: int,
-         then: Callable[[], None], metrics: Optional[Metrics] = None,
-         cpu=None, cpu_at: str = "dst", woken: bool = False) -> _Stream:
+         then: Callable[[], None], cpu=None, cpu_at: str = "dst",
+         woken: bool = False) -> _Stream:
     """Start moving one message; ``then()`` is called once it has arrived.
 
     The message is a chain of continuations, not a process.  With a
@@ -229,6 +228,8 @@ def send(env: Environment, src: NIC, dst: NIC, nbytes: int,
     bandwidth scale with I/O servers until the client link saturates
     (Figure 4a).  Without a ``cpu`` the message moves in one piece.
     ``woken`` marks a server handler's reply (see :class:`_Stream`).
+    On arrival, just before ``then()``, ``env.metrics`` records the
+    bytes as sent by ``src`` and received by ``dst``.
 
     Returns the message, whose :meth:`~_Stream.cancel` withdraws it.  An
     injected link fault applies to the whole message: ``drop`` never
@@ -241,13 +242,12 @@ def send(env: Environment, src: NIC, dst: NIC, nbytes: int,
         raise ValueError(f"negative message size {nbytes}")
     if cpu_at not in ("src", "dst"):
         raise ValueError(f"cpu_at must be 'src' or 'dst', got {cpu_at!r}")
-    if metrics is not None:
-        arrived = then
+    metrics, arrived = env.metrics, then
 
-        def then() -> None:
-            metrics.record_tx(src.node_name, nbytes)
-            metrics.record_rx(dst.node_name, nbytes)
-            arrived()
+    def then() -> None:
+        metrics.record_tx(src.node_name, nbytes)
+        metrics.record_rx(dst.node_name, nbytes)
+        arrived()
 
     message = _Stream(env, src, dst, nbytes, cpu if nbytes else None,
                       cpu_at == "src", then, woken)

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.metrics import Metrics
 from repro.sim.engine import Environment
 from repro.hw.cache import PageCache
 from repro.hw.cpu import Cpu
@@ -16,15 +13,14 @@ from repro.hw.params import HardwareProfile
 class Node:
     """One physical machine of the simulated cluster."""
 
-    def __init__(self, env: Environment, name: str, profile: HardwareProfile,
-                 metrics: Optional[Metrics] = None) -> None:
+    def __init__(self, env: Environment, name: str,
+                 profile: HardwareProfile) -> None:
         self.env = env
         self.name = name
         self.profile = profile
-        self.metrics = metrics
         self.nic = NIC(env, name, profile.network)
-        self.disk = Disk(env, name, profile.disk, metrics)
-        self.cache = PageCache(env, name, profile.cache, self.disk, metrics)
+        self.disk = Disk(env, name, profile.disk)
+        self.cache = PageCache(env, name, profile.cache, self.disk)
         self.cpu = Cpu(env, name, profile.cpu)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

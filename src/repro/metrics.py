@@ -1,9 +1,11 @@
 """Run-wide counters and timers.
 
-One :class:`Metrics` object is shared by every model in a simulated cluster;
-experiments read it to report bandwidth, byte amplification, lock overhead,
-cache behaviour and storage use.  Counters are plain dict entries so new
-models can add their own without schema churn.
+Each :class:`~repro.sim.engine.Environment` owns one :class:`Metrics`
+(``env.metrics``), and every model built on that environment counts into
+it; experiments read it (as ``System.metrics``) to report bandwidth, byte
+amplification, lock overhead, cache behaviour and storage use.  Counters
+are plain dict entries so new models can add their own without schema
+churn.
 """
 
 from __future__ import annotations

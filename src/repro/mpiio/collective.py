@@ -138,8 +138,7 @@ class MPIFile:
                 if rank != agg:
                     arrivals.append(Event(env))
                     send(env, self.system.clients[rank].node.nic,
-                         agg_client.node.nic, nbytes, arrivals[-1].succeed,
-                         self.system.metrics)
+                         agg_client.node.nic, nbytes, arrivals[-1].succeed)
                 pieces.extend(self._extract(pattern, buf, clipped))
             if arrivals:
                 yield env.all_of(arrivals)

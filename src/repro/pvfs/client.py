@@ -20,7 +20,6 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 from repro.errors import ReproError, RpcTimeout, ServerFailed
 from repro.hw.link import send
 from repro.hw.node import Node
-from repro.metrics import Metrics
 from repro.pvfs import messages as msg
 from repro.pvfs.manager import FileMeta, Manager
 from repro.sim.engine import Environment, Event, Process
@@ -37,15 +36,13 @@ RPC_BACKOFF_CAP = 0.1
 class PVFSClient:
     """One application process's file-system endpoint."""
 
-    def __init__(self, env: Environment, index: int, node: Node,
-                 iods: Sequence, manager: Manager, metrics: Metrics,
-                 scheme) -> None:
-        self.env = env
+    def __init__(self, index: int, node: Node, iods: Sequence,
+                 manager: Manager, scheme) -> None:
+        self.env = node.env
         self.index = index
         self.node = node
         self.iods = list(iods)
         self.manager = manager
-        self.metrics = metrics
         self.scheme = scheme
         self._xids = itertools.count(index << 32)
         self._handles: Dict[str, FileMeta] = {}
@@ -152,9 +149,9 @@ class PVFSClient:
             plan.append((target, first, run))
         saved = len(pairs) - len(plan)
         if saved:
-            self.metrics.add("client.coalesced_fragments", saved)
-            self.metrics.add("client.coalesced_header_bytes",
-                             saved * msg.HEADER)
+            self.env.metrics.add("client.coalesced_fragments", saved)
+            self.env.metrics.add("client.coalesced_header_bytes",
+                                 saved * msg.HEADER)
         merged_outcomes = yield from self.try_parallel(
             [self.rpc(target, request) for target, request, _ in plan])
         outcomes: List[Any] = [None] * len(pairs)
@@ -233,7 +230,7 @@ class PVFSClient:
         end = offset + payload.length
         if end > meta.size:
             meta.size = end
-        self.metrics.add("client.bytes_written", payload.length)
+        self.env.metrics.add("client.bytes_written", payload.length)
 
     def read(self, name: str, offset: int,
              length: int) -> Generator[Event, Any, Payload]:
@@ -245,7 +242,7 @@ class PVFSClient:
         else:
             payload = yield from self.scheme_for(meta).read(self, meta,
                                                             offset, length)
-        self.metrics.add("client.bytes_read", length)
+        self.env.metrics.add("client.bytes_read", length)
         return payload
 
     def _speculative_read(self, name: str, offset: int, length: int,
@@ -285,7 +282,7 @@ class PVFSClient:
         """
         skip = [sr.server in self.suspected for sr in ranges]
         if any(skip):
-            self.metrics.add("client.failfast_reads", sum(skip))
+            self.env.metrics.add("client.failfast_reads", sum(skip))
         outcomes = iter((yield from self.try_parallel([
             self.rpc(self.iods[sr.server], msg.ReadReq(
                 name, kind="data", offset=sr.local_start, length=sr.length))
@@ -356,7 +353,7 @@ class _Call:
         the target is suspected under a deadline."""
         client = self.client
         if self.timeout is not None and self.target.index in client.suspected:
-            client.metrics.add("client.failfast_rpcs")
+            client.env.metrics.add("client.failfast_rpcs")
             raise ServerFailed(f"{self.target.node.name} suspected")
         self.done = Event(client.env)
         self.attempt = 0
@@ -379,7 +376,7 @@ class _Call:
         envelope = (request, client.node.nic,
                     partial(self._replied, self.attempt))
         send(client.env, client.node.nic, target.node.nic, wire,
-             partial(target.deliver, envelope), client.metrics,
+             partial(target.deliver, envelope),
              cpu=(target.node.cpu if wire > msg.HEADER and not target.failed
                   else None))
         if self.timeout is not None:
@@ -394,7 +391,7 @@ class _Call:
         if attempt != self.attempt or self.done.triggered:
             return  # answered in time
         client = self.client
-        client.metrics.add("client.rpc_timeouts")
+        client.env.metrics.add("client.rpc_timeouts")
         self.attempt = attempt = attempt + 1  # abandon this attempt
         if attempt > self.retries:
             self.done.succeed(msg.Response(error=RpcTimeout(

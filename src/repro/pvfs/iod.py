@@ -22,11 +22,10 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from repro.errors import DiskFault, ProtocolError, ServerFailed
 from repro.hw.link import send
 from repro.hw.node import Node
-from repro.metrics import Metrics
 from repro.pvfs import messages as msg
 from repro.redundancy.locks import ParityLockTable
 from repro.redundancy.overflow import OverflowRead, OverflowTable
-from repro.sim.engine import Environment, Event, Interrupt, Process
+from repro.sim.engine import Event, Interrupt, Process
 from repro.storage.localfs import LocalFS
 from repro.storage.payload import Payload
 from repro.util.intervals import Extent
@@ -53,19 +52,17 @@ def ovfm_file(name: str, origin: int) -> str:
 class IOD(msg.Server):
     """One I/O daemon bound to one cluster node."""
 
-    def __init__(self, env: Environment, index: int, node: Node,
-                 metrics: Metrics, stripe_unit: int,
+    def __init__(self, index: int, node: Node, stripe_unit: int,
                  content_mode: bool = True,
                  write_buffering: bool = True, locking: bool = True) -> None:
-        self.env = env
+        self.env = node.env
         self.index = index
         self.node = node
-        self.metrics = metrics
         self.stripe_unit = stripe_unit
         self.fs = LocalFS(node, content_mode=content_mode,
                           write_buffering=write_buffering)
         self.fs.owner = index
-        self.locks = ParityLockTable(env, enabled=locking)
+        self.locks = ParityLockTable(node.env, enabled=locking)
         #: handler processes serving requests, then their replies on the
         #: wire, in arrival order; a crash must error these out rather
         #: than let them run to a success reply
@@ -206,8 +203,8 @@ class IOD(msg.Server):
             return msg.Response(payload=payload)
         payload, reads = yield from self.read_latest(
             table, ovf_file(request.file), start, end, data=name)
-        self.metrics.add("hybrid.overflow_read_bytes",
-                         sum(item.length for item in reads))
+        self.env.metrics.add("hybrid.overflow_read_bytes",
+                             sum(item.length for item in reads))
         return msg.Response(payload=payload)
 
     def _write(self, request: msg.WriteReq,
@@ -279,7 +276,7 @@ class IOD(msg.Server):
         self.env.emit("iod.overflow.after_append", self.index)
         if self.failed:
             raise ServerFailed(f"iod{self.index} crashed")
-        self.metrics.add("hybrid.overflow_write_bytes", cursor)
+        self.env.metrics.add("hybrid.overflow_write_bytes", cursor)
         return msg.Response()
 
     def _mirror_resolve(self, request: msg.MirrorResolveReq,
@@ -355,7 +352,7 @@ class IOD(msg.Server):
         else:
             compacted.name = name
             self.fs.files[name] = compacted
-        self.metrics.add("hybrid.compactions")
+        self.env.metrics.add("hybrid.compactions")
 
     def _quiesce(self, table: OverflowTable) -> Generator[Event, Any, None]:
         """Wait until no read or append is in flight on ``table``."""
@@ -480,10 +477,10 @@ class _Reply:
             # answer follows one heap entry after the last segment
             self.message = send(env, node.nic, reply_nic, nbytes,
                                 partial(env.call_later, 0, self._answer),
-                                iod.metrics, cpu=node.cpu, cpu_at="src")
+                                cpu=node.cpu, cpu_at="src")
         else:
             self.message = send(env, node.nic, reply_nic, nbytes,
-                                self._answer, iod.metrics, woken=True)
+                                self._answer, woken=True)
 
     def _answer(self) -> None:
         if self.is_alive:

@@ -14,7 +14,6 @@ from typing import Any, Dict, Generator
 from repro.errors import FileExists, FileNotFound, ProtocolError
 from repro.hw.link import send
 from repro.hw.node import Node
-from repro.metrics import Metrics
 from repro.pvfs import messages as msg
 from repro.pvfs.layout import StripeLayout
 from repro.sim.engine import Environment, Event
@@ -84,16 +83,14 @@ class WriteLedger:
 class Manager(msg.Server):
     """The metadata daemon: one request at a time, in arrival order."""
 
-    def __init__(self, env: Environment, node: Node, metrics: Metrics,
-                 layout: StripeLayout, scheme: str) -> None:
-        self.env = env
+    def __init__(self, node: Node, layout: StripeLayout, scheme: str) -> None:
+        self.env = node.env
         self.node = node
-        self.metrics = metrics
         self.layout = layout
         self.scheme = scheme
         self.files: Dict[str, FileMeta] = {}
         self.write_ledger = WriteLedger()
-        self._turn = Resource(env)
+        self._turn = Resource(self.env)
 
     def deliver(self, envelope: msg.Envelope) -> None:
         """Take one request off the wire; it is served once every request
@@ -117,7 +114,7 @@ class Manager(msg.Server):
             reply(msg.MgrResponse(meta=result, error=error))
 
         send(self.env, self.node.nic, reply_nic, request.reply_size(),
-             answered, self.metrics, woken=True)
+             answered, woken=True)
 
     def _dispatch(self, request) -> FileMeta | None:
         if isinstance(request, msg.MgrCreate):

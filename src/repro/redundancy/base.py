@@ -139,8 +139,8 @@ class RedundancyScheme(ABC):
         the successor's overflow mirror."""
         lay = meta.layout
         if portion.overflow:
-            client.metrics.add("hybrid.partial_stripe_bytes",
-                               portion.hi - portion.lo)
+            client.env.metrics.add("hybrid.partial_stripe_bytes",
+                                   portion.hi - portion.lo)
             client.env.emit("hybrid.overflow.before_write", None)
         calls: List = []
         targets: List[int] = []
@@ -174,7 +174,7 @@ class RedundancyScheme(ABC):
         """Whole parity groups: parity from the new data, no locks."""
         start, end = portion.lo, portion.hi
         if portion.invalidate:
-            client.metrics.add("hybrid.full_stripe_bytes", end - start)
+            client.env.metrics.add("hybrid.full_stripe_bytes", end - start)
         if self.config.compute_parity:
             yield from client.node.cpu.compute_parity(
                 data.length, bytewise=self.config.parity_bytewise)
@@ -256,7 +256,7 @@ class RedundancyScheme(ABC):
             # parity to maintain — write the data in place; the rebuild
             # recomputes this group's parity from the in-place data.
             yield old_data_proc  # let the reads settle
-            client.metrics.add("client.degraded_writes")
+            client.env.metrics.add("client.degraded_writes")
             calls = [client.rpc(client.iods[sr.server], msg.WriteReq(
                         meta.name, kind="data", offset=sr.local_start,
                         payload=self._gather(new_data, lo, sr)))
@@ -281,7 +281,7 @@ class RedundancyScheme(ABC):
                 # Degraded mode, data server down: reconstruct the old
                 # bytes from the surviving blocks + parity so the parity
                 # update still implies the new data of the lost block.
-                client.metrics.add("client.degraded_writes")
+                client.env.metrics.add("client.degraded_writes")
                 piece = yield from self._reconstruct(client, meta, sr)
                 old_chunks.append(piece)
             else:
@@ -341,7 +341,7 @@ class RedundancyScheme(ABC):
                 f"servers {sorted(failed_servers)} failed during one "
                 "write; this scheme tolerates a single failure")
         if failed_servers:
-            client.metrics.add("client.degraded_writes")
+            client.env.metrics.add("client.degraded_writes")
         return outcomes
 
     def _gather(self, payload: Payload, base_offset: int,
@@ -439,7 +439,7 @@ class RedundancyScheme(ABC):
             # reconstructed from the survivors.
             if not isinstance(error, ServerFailed):
                 raise error
-            client.metrics.add("client.degraded_reads")
+            client.env.metrics.add("client.degraded_reads")
             shares.append((yield from self.degraded_read(client, meta, sr)))
         return client.assemble(offset, length, ranges, shares)
 

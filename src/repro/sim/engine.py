@@ -60,6 +60,7 @@ from heapq import heappush
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from repro.errors import SimulationError
+from repro.metrics import Metrics
 from repro.probes import PROBES
 
 #: The ambient registry: ``key -> build``.  Every new
@@ -355,8 +356,9 @@ class AllOf(Event):
 
 
 class Environment:
-    """Holds the clock, the event heap, process bookkeeping and the
-    probe table."""
+    """Holds the clock, the event heap, process bookkeeping, the probe
+    table and the run's counters (``metrics``, one :class:`Metrics` that
+    every model built on this environment counts into)."""
 
     #: Fault injector (:mod:`repro.faults`), queried where a fault is a
     #: decision (``link_action`` / ``disk_action`` / ``torn_action``);
@@ -376,6 +378,7 @@ class Environment:
         self._active: Optional[Process] = None
         #: probe name -> subscribers (see :mod:`repro.probes`)
         self._probes: Dict[str, List[Callable[..., None]]] = {}
+        self.metrics = Metrics()
         for key, build in _attached.items():
             setattr(self, key, build(self))
 

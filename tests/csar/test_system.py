@@ -24,8 +24,10 @@ class TestAssembly:
 
     def test_shared_metrics_object(self):
         system = make_system()
-        assert system.iods[0].metrics is system.metrics
-        assert system.clients[0].metrics is system.metrics
+        assert system.metrics is system.env.metrics
+        assert system.iods[0].env is system.env
+        assert system.clients[0].env is system.env
+        assert system.manager.env is system.env
 
     def test_run_requires_processes(self):
         with pytest.raises(ConfigError):
@@ -129,13 +131,13 @@ class TestControls:
 
         system.run(write())
         system.drop_all_caches()
-        reads_before = sum(iod.node.disk.reads for iod in system.iods)
+        reads_before = system.metrics.get("disk.reads")
 
         def read():
             yield from client.read("f", 0, 256 * KiB)
 
         system.run(read())
-        assert sum(iod.node.disk.reads for iod in system.iods) > reads_before
+        assert system.metrics.get("disk.reads") > reads_before
 
     def test_sync_all_flushes_dirty(self):
         system = make_system()

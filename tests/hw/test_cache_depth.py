@@ -6,7 +6,6 @@ import pytest
 from repro.hw.cache import PageCache
 from repro.hw.disk import Disk
 from repro.hw.params import CacheParams, DiskParams
-from repro.metrics import Metrics
 from repro.sim import Environment
 from repro.units import KiB, MBps, MiB
 from repro.util.intervals import ExtentMap
@@ -19,15 +18,14 @@ def env():
     return Environment()
 
 
-def make_cache(env, metrics=None, capacity=1 * MiB, readahead=0,
-               disk_bw=50 * MBps, dirty_limit_fraction=0.4):
+def make_cache(env, capacity=1 * MiB, readahead=0, disk_bw=50 * MBps,
+               dirty_limit_fraction=0.4):
     disk = Disk(env, "n0",
-                DiskParams(bandwidth=disk_bw, seek=0.005, per_op=0.0001),
-                metrics)
+                DiskParams(bandwidth=disk_bw, seek=0.005, per_op=0.0001))
     params = CacheParams(capacity=capacity, block_size=BS,
                          dirty_limit_fraction=dirty_limit_fraction,
                          readahead=readahead or BS)
-    return PageCache(env, "n0", params, disk, metrics), disk
+    return PageCache(env, "n0", params, disk), disk
 
 
 def run(env, gen):
@@ -57,7 +55,7 @@ class TestEvictionPressure:
                                 (i + 1) * 128 * KiB, alloc))
         # The dirty bytes were either still dirty or written back — never
         # silently dropped.
-        flushed = disk.bytes_written
+        flushed = env.metrics.get("disk.bytes_written")
         assert cache.dirty_bytes + flushed >= 64 * KiB
 
     def test_usage_never_exceeds_capacity_by_much(self, env):
@@ -71,36 +69,33 @@ class TestEvictionPressure:
 
 class TestThrottleBoundary:
     def test_writes_below_limit_never_throttle(self, env):
-        metrics = Metrics()
-        cache, _ = make_cache(env, metrics, capacity=1 * MiB,
+        cache, _ = make_cache(env, capacity=1 * MiB,
                               dirty_limit_fraction=0.5)
         run(env, cache.write("f", 0, 400 * KiB, ExtentMap()))
-        assert metrics.get("cache.throttle_time") == 0
+        assert env.metrics.get("cache.throttle_time") == 0
 
     def test_crossing_limit_throttles_down_to_limit(self, env):
-        metrics = Metrics()
-        cache, _ = make_cache(env, metrics, capacity=1 * MiB,
+        cache, _ = make_cache(env, capacity=1 * MiB,
                               dirty_limit_fraction=0.5)
         run(env, cache.write("f", 0, 900 * KiB, ExtentMap()))
-        assert metrics.get("cache.throttle_time") > 0
+        assert env.metrics.get("cache.throttle_time") > 0
         assert cache.dirty_bytes <= cache.params.dirty_limit
 
 
 class TestReadahead:
     def test_readahead_amortizes_sequential_reads(self, env):
-        metrics = Metrics()
-        cache, disk = make_cache(env, metrics, readahead=64 * KiB)
+        cache, disk = make_cache(env, readahead=64 * KiB)
         alloc = ExtentMap([(0, 1 * MiB)])
         for i in range(16):
             run(env, cache.read("f", i * BS, (i + 1) * BS, alloc))
         # One 64 KiB window covered all 16 block reads.
-        assert disk.reads == 1
+        assert env.metrics.get("disk.reads") == 1
 
     def test_readahead_never_reads_past_allocation(self, env):
         cache, disk = make_cache(env, readahead=1 * MiB)
         alloc = ExtentMap([(0, 8 * KiB)])
         run(env, cache.read("f", 0, 4 * KiB, alloc))
-        assert disk.bytes_read == 8 * KiB
+        assert env.metrics.get("disk.bytes_read") == 8 * KiB
 
 
 class TestFlusherLifecycle:
@@ -116,7 +111,7 @@ class TestFlusherLifecycle:
         cache.start_flusher()
         run(env, cache.write("f", 0, 32 * KiB, ExtentMap()))  # < background
         env.run(until=env.now + 5)
-        assert disk.bytes_written == 0  # below the background limit
+        assert env.metrics.get("disk.bytes_written") == 0  # below the background limit
 
     def test_flusher_writes_back_in_file_order(self, env):
         # Elevator-ish behaviour: one file's extents flush in ascending
@@ -125,7 +120,7 @@ class TestFlusherLifecycle:
         run(env, cache.write("f", 0, 8 * MiB, ExtentMap()))
         run(env, cache.fsync("f"))
         # All writeback was sequential after the first positioning.
-        assert disk.seeks == 1
+        assert env.metrics.get("disk.seeks") == 1
 
 
 class TestConcurrentWriteback:
@@ -142,5 +137,5 @@ class TestConcurrentWriteback:
 
         p1, p2 = env.process(sync1()), env.process(sync2())
         env.run(until=env.all_of([p1, p2]))
-        assert disk.bytes_written == 16 * MiB
+        assert env.metrics.get("disk.bytes_written") == 16 * MiB
         assert cache.dirty_bytes == 0

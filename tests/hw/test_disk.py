@@ -4,7 +4,6 @@ import pytest
 
 from repro.hw.disk import Disk
 from repro.hw.params import DiskParams
-from repro.metrics import Metrics
 from repro.sim import Environment
 from repro.units import MBps
 
@@ -14,9 +13,8 @@ def env():
     return Environment()
 
 
-def make_disk(env, metrics=None, bw=50 * MBps, seek=0.008, per_op=0.0002):
-    return Disk(env, "n0", DiskParams(bandwidth=bw, seek=seek, per_op=per_op),
-                metrics)
+def make_disk(env, bw=50 * MBps, seek=0.008, per_op=0.0002):
+    return Disk(env, "n0", DiskParams(bandwidth=bw, seek=seek, per_op=per_op))
 
 
 class TestDisk:
@@ -29,7 +27,7 @@ class TestDisk:
 
         p = env.process(proc())
         assert env.run(until=p) == pytest.approx(0.008 + 0.0002 + 0.1)
-        assert disk.seeks == 1
+        assert env.metrics.get("disk.seeks") == 1
 
     def test_sequential_skips_seek(self, env):
         disk = make_disk(env)
@@ -40,8 +38,8 @@ class TestDisk:
 
         env.process(proc())
         env.run()
-        assert disk.seeks == 1
-        assert disk.writes == 2
+        assert env.metrics.get("disk.seeks") == 1
+        assert env.metrics.get("disk.writes") == 2
 
     def test_different_file_breaks_sequentiality(self, env):
         disk = make_disk(env)
@@ -52,7 +50,7 @@ class TestDisk:
 
         env.process(proc())
         env.run()
-        assert disk.seeks == 2
+        assert env.metrics.get("disk.seeks") == 2
 
     def test_backward_offset_breaks_sequentiality(self, env):
         disk = make_disk(env)
@@ -63,7 +61,7 @@ class TestDisk:
 
         env.process(proc())
         env.run()
-        assert disk.seeks == 2
+        assert env.metrics.get("disk.seeks") == 2
 
     def test_interleaved_read_write_thrashes(self, env):
         # The Fig 6b/7b mechanism: alternating RMW reads and writeback.
@@ -76,7 +74,7 @@ class TestDisk:
 
         env.process(proc())
         env.run()
-        assert disk.seeks == 8  # every op repositions
+        assert env.metrics.get("disk.seeks") == 8  # every op repositions
 
     def test_zero_byte_op_is_free(self, env):
         disk = make_disk(env)
@@ -87,7 +85,7 @@ class TestDisk:
 
         p = env.process(proc())
         assert env.run(until=p) == 0
-        assert disk.writes == 0
+        assert env.metrics.get("disk.writes") == 0
 
     def test_serialization_between_processes(self, env):
         disk = make_disk(env, seek=0.0, per_op=0.0)
@@ -103,8 +101,7 @@ class TestDisk:
         assert max(done) == pytest.approx(1.0)  # 2 x 0.5 s serialized
 
     def test_stats_and_metrics(self, env):
-        metrics = Metrics()
-        disk = make_disk(env, metrics=metrics)
+        disk = make_disk(env)
 
         def proc():
             yield from disk.write("f", 0, 1000)
@@ -112,8 +109,8 @@ class TestDisk:
 
         env.process(proc())
         env.run()
-        assert disk.bytes_written == 1000
-        assert disk.bytes_read == 500
+        metrics = env.metrics
+        assert metrics.get("disk.bytes_read") == 500
         assert metrics.get("disk.writes") == 1
         assert metrics.get("disk.reads") == 1
         assert metrics.get("disk.bytes_written") == 1000

@@ -4,7 +4,6 @@ import pytest
 
 from repro.hw.link import NIC, send
 from repro.hw.params import NetworkParams
-from repro.metrics import Metrics
 from repro.sim import Environment
 from repro.units import MBps
 
@@ -81,13 +80,12 @@ class TestTransfer:
         assert done == [pytest.approx(1e-5)]
 
     def test_metrics_recorded(self, env):
-        metrics = Metrics()
         a, b = make_nic(env, "a"), make_nic(env, "b")
-        send(env, a, b, 1234, lambda: None, metrics)
+        send(env, a, b, 1234, lambda: None)
         env.run()
-        assert metrics.node_tx_bytes["a"] == 1234
-        assert metrics.node_rx_bytes["b"] == 1234
-        assert metrics.get("net.bytes") == 1234
+        assert env.metrics.node_tx_bytes["a"] == 1234
+        assert env.metrics.node_rx_bytes["b"] == 1234
+        assert env.metrics.get("net.bytes") == 1234
 
     def test_negative_size_rejected(self, env):
         a, b = make_nic(env, "a"), make_nic(env, "b")

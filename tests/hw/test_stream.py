@@ -5,7 +5,6 @@ import pytest
 from repro.hw.cpu import Cpu
 from repro.hw.link import NIC, send
 from repro.hw.params import CpuParams, NetworkParams
-from repro.metrics import Metrics
 from repro.sim import Environment, Event, Interrupt
 from repro.units import MBps
 
@@ -15,10 +14,10 @@ def env():
     return Environment()
 
 
-def stream(env, src, dst, nbytes, metrics=None, **kwargs):
+def stream(env, src, dst, nbytes, **kwargs):
     """Process body: :func:`send` a message and wait for it to arrive."""
     done = Event(env)
-    send(env, src, dst, nbytes, done.succeed, metrics, **kwargs)
+    send(env, src, dst, nbytes, done.succeed, **kwargs)
     yield done
 
 
@@ -98,17 +97,16 @@ class TestStream:
         assert max(done) == pytest.approx(0.5, rel=0.1)
 
     def test_metrics_counted_once(self, env):
-        metrics = Metrics()
         a, b = make_nic(env, "a"), make_nic(env, "b")
         cpu = make_cpu(env, "b")
 
         def proc():
-            yield from stream(env, a, b, 1_000_000, metrics, cpu=cpu)
+            yield from stream(env, a, b, 1_000_000, cpu=cpu)
 
         env.process(proc())
         env.run()
-        assert metrics.node_tx_bytes["a"] == 1_000_000
-        assert metrics.node_rx_bytes["b"] == 1_000_000
+        assert env.metrics.node_tx_bytes["a"] == 1_000_000
+        assert env.metrics.node_rx_bytes["b"] == 1_000_000
 
 
 class TestCpu:

@@ -31,10 +31,10 @@ NETWORK = NetworkParams(bandwidth=97.3e6, latency=6.17e-6,
                         per_message=2.93e-6, segment=SEGMENT)
 
 
-def stream(env, src, dst, nbytes, metrics=None, **kwargs):
+def stream(env, src, dst, nbytes, **kwargs):
     """Process body: :func:`send` a message and wait for it to arrive."""
     done = Event(env)
-    send(env, src, dst, nbytes, done.succeed, metrics, **kwargs)
+    send(env, src, dst, nbytes, done.succeed, **kwargs)
     yield done
 
 

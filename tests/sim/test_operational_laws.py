@@ -8,7 +8,8 @@ disk model Thomasian's analysis of mirrored and hybrid arrays builds on
 (PAPERS.md).  Each test drives a primitive, a disk or a set of NICs with
 a seeded random mix of work (process holds and bare-entry holds where
 both exist) and checks its statistics against a reference computed
-here.
+here.  The flow-balance tests check the run's ledger (``env.metrics``)
+on whole systems: every byte one node sends is a byte another receives.
 """
 
 import heapq
@@ -17,13 +18,17 @@ import random
 
 import pytest
 
+from repro import CSARConfig, Payload, System
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, FaultSpec, Trigger
 from repro.hw.cpu import Cpu
 from repro.hw.disk import Disk
-from repro.hw.link import NIC, send
+from repro.hw.link import NIC, _Stream, send
 from repro.hw.params import CpuParams, DiskParams, NetworkParams
-from repro.sim import Environment, Resource
+from repro.mpiio import MPIFile, strided
+from repro.sim import Environment, Resource, engine
 from repro.sim.resources import FifoServer
-from repro.units import MBps
+from repro.units import KiB, MBps
 
 SEEDS = range(6)
 
@@ -210,7 +215,7 @@ def test_disk_busy_time_is_the_io_time_of_its_ops(seed):
         assert departed == pytest.approx(free_at, rel=1e-12)
         head = (name, offset + nbytes)
     assert len(served) == 60 and 0 < seeks < 60
-    assert disk.seeks == seeks
+    assert env.metrics.get("disk.seeks") == seeks
     assert disk.busy_time == pytest.approx(math.fsum(service), rel=1e-12)
     assert disk.busy_time <= env.now
 
@@ -322,3 +327,118 @@ def test_nic_tx_is_held_for_its_occupancy_with_exclusive_receivers(seed):
     for name, sides in expected.items():
         assert busy[name]["rx"] == pytest.approx(sides["rx"], rel=1e-9)
         assert busy[name]["tx"] == pytest.approx(sides["tx"], rel=1e-9)
+
+
+@pytest.fixture
+def messages(monkeypatch):
+    """Tally, apart from the ledger, the bytes of every message
+    :func:`send` starts and of every message that arrives."""
+    tally = {"started": 0, "arrived": 0}
+    init = _Stream.__init__
+
+    def spy(self, env, src, dst, nbytes, cpu, cpu_leads, then, woken):
+        def arrived():
+            tally["arrived"] += nbytes
+            then()
+
+        tally["started"] += nbytes
+        init(self, env, src, dst, nbytes, cpu, cpu_leads, arrived, woken)
+
+    monkeypatch.setattr(_Stream, "__init__", spy)
+    return tally
+
+
+def assert_flow_balance(metrics, messages):
+    """At quiescence the bytes sent, received and carried agree, and
+    are the bytes of the messages that arrived."""
+    tx = sum(metrics.node_tx_bytes.values())
+    rx = sum(metrics.node_rx_bytes.values())
+    assert tx == rx == metrics.get("net.bytes") == messages["arrived"] > 0
+
+
+@pytest.mark.parametrize("scheme", ["raid5", "hybrid"])
+def test_flow_balance_with_partial_writes_and_a_degraded_read(
+        scheme, messages):
+    unit = 4 * KiB
+    system = System(CSARConfig(scheme=scheme, num_servers=4, num_clients=2,
+                               stripe_unit=unit, content_mode=True))
+    client = system.client(0)
+    image = Payload.pattern(9 * unit, seed=1)
+
+    def populate():
+        yield from client.create("f")
+        yield from client.write("f", 0, image)
+        yield from client.write("f", 100, Payload.pattern(700, seed=2))
+        yield from system.client(1).write(
+            "f", 5 * unit - 300, Payload.pattern(2 * unit, seed=3))
+
+    def read():
+        return (yield from system.client(1).read("f", 0, 9 * unit))
+
+    system.run(populate())
+    system.fail_server(1)
+    system.run(read())
+    assert system.metrics.get("client.degraded_reads") > 0
+    assert messages["started"] == messages["arrived"]
+    assert_flow_balance(system.metrics, messages)
+
+
+def test_flow_balance_with_a_collective_write(messages):
+    system = System(CSARConfig(scheme="hybrid", num_servers=6,
+                               num_clients=4, stripe_unit=4 * KiB,
+                               content_mode=True))
+    f = MPIFile(system, "bt")
+    record = 512
+    contributions = {}
+    for rank in range(4):
+        pattern = strided(rank * record, block=record, stride=4 * record,
+                          count=32)
+        contributions[rank] = (pattern, Payload.pattern(
+            pattern.total_bytes, seed=rank))
+
+    def work():
+        yield from f.open()
+        yield from f.collective_write(contributions)
+
+    system.run(work())
+    assert system.metrics.get("client.bytes_written") == 4 * 32 * record
+    assert messages["started"] == messages["arrived"]
+    assert_flow_balance(system.metrics, messages)
+
+
+def test_flow_balance_counts_a_dropped_message_on_neither_side(
+        messages, monkeypatch):
+    plan = FaultPlan(seed=0, scheme="raid1", num_servers=5, num_ops=4,
+                     faults=[FaultSpec("link_drop", 1, Trigger("time", 0.0),
+                                       count=1, direction="req")])
+    plan.validate()
+    engine.attach("faults", lambda env: FaultInjector(env, plan))
+    try:
+        system = System(CSARConfig(scheme="raid1", num_servers=5,
+                                   num_clients=1, stripe_unit=1024,
+                                   content_mode=True, rpc_timeout=0.25,
+                                   rpc_retries=2, rpc_jitter_seed=3))
+    finally:
+        engine.detach("faults")
+    faults = system.env.faults
+    dropped = []
+    link_action = faults.link_action
+
+    def record_drops(src, dst, nbytes):
+        action = link_action(src, dst, nbytes)
+        if action == ("drop",):
+            dropped.append(nbytes)
+        return action
+
+    monkeypatch.setattr(faults, "link_action", record_drops)
+    client = system.client()
+
+    def work():
+        yield from client.create("f")
+        yield from client.write("f", 0, Payload.pattern(4096, seed=9))
+        return (yield from client.read("f", 0, 4096))
+
+    assert system.run(work()) == Payload.pattern(4096, seed=9)
+    assert len(dropped) == 1
+    assert messages["started"] == messages["arrived"] + dropped[0]
+    assert_flow_balance(system.metrics, messages)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.hw.node import Node
 from repro.hw.params import get_profile
-from repro.metrics import Metrics
 from repro.sim import Environment
 from repro.storage.localfs import LocalFS
 from repro.storage.payload import Payload
@@ -17,8 +16,8 @@ def env():
     return Environment()
 
 
-def make_fs(env, metrics=None, write_buffering=True):
-    node = Node(env, "iod0", get_profile("osu8"), metrics or Metrics())
+def make_fs(env, write_buffering=True):
+    node = Node(env, "iod0", get_profile("osu8"))
     return LocalFS(node, content_mode=True, write_buffering=write_buffering)
 
 
@@ -69,7 +68,7 @@ class TestTimingIntegration:
         t_write = env.now
         run(env, fs.fsync("a"))
         assert env.now > t_write  # fsync paid the disk time
-        assert fs.node.disk.bytes_written == 1 * KiB * KiB
+        assert env.metrics.get("disk.bytes_written") == 1 * KiB * KiB
 
     def test_warm_read_free_after_write(self, env):
         fs = make_fs(env)
@@ -77,14 +76,14 @@ class TestTimingIntegration:
         t0 = env.now
         run(env, fs.read("a", 0, 64 * KiB))
         assert env.now == t0
-        assert fs.node.disk.reads == 0
+        assert env.metrics.get("disk.reads") == 0
 
     def test_cold_read_after_drop_hits_disk(self, env):
         fs = make_fs(env)
         run(env, fs.write("a", 0, Payload.zeros(64 * KiB)))
         run(env, fs.drop_caches())
         run(env, fs.read("a", 0, 64 * KiB))
-        assert fs.node.disk.reads > 0
+        assert env.metrics.get("disk.reads") > 0
 
     def test_content_survives_cache_drop(self, env):
         fs = make_fs(env)
@@ -95,13 +94,12 @@ class TestTimingIntegration:
 
 class TestWriteBuffering:
     def _overwrite_unaligned(self, env, buffering):
-        metrics = Metrics()
-        fs = make_fs(env, metrics=metrics, write_buffering=buffering)
+        fs = make_fs(env, write_buffering=buffering)
         # Preexisting file, then drop caches (the Section 5.2 scenario).
         run(env, fs.write("a", 0, Payload.zeros(1024 * KiB)))
         run(env, fs.drop_caches())
         run(env, fs.write("a", 100, Payload.zeros(512 * KiB)))
-        return metrics.get("cache.partial_block_reads")
+        return env.metrics.get("cache.partial_block_reads")
 
     def test_buffered_bounded_penalty(self, env):
         assert self._overwrite_unaligned(env, buffering=True) <= 2

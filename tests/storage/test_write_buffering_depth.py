@@ -6,7 +6,6 @@ import pytest
 from repro import CSARConfig, Payload, System
 from repro.hw.node import Node
 from repro.hw.params import get_profile
-from repro.metrics import Metrics
 from repro.sim import Environment
 from repro.storage.localfs import LocalFS
 from repro.units import KiB
@@ -18,27 +17,27 @@ def run(env, gen):
     return p.value
 
 
-def make_fs(env, metrics, buffering):
-    node = Node(env, "iod0", get_profile("osu8"), metrics)
+def make_fs(env, buffering):
+    node = Node(env, "iod0", get_profile("osu8"))
     return LocalFS(node, content_mode=False, write_buffering=buffering)
 
 
 class TestCutPoints:
     def test_buffered_has_no_interior_cuts(self):
         env = Environment()
-        fs = make_fs(env, Metrics(), buffering=True)
+        fs = make_fs(env, buffering=True)
         assert fs._cut_points(100, 1024 * KiB) == []
 
     def test_unbuffered_cuts_at_net_chunks(self):
         env = Environment()
-        fs = make_fs(env, Metrics(), buffering=False)
+        fs = make_fs(env, buffering=False)
         chunk = fs.node.profile.net_chunk
         cuts = fs._cut_points(100, 3 * chunk)
         assert cuts == [100 + chunk, 100 + 2 * chunk]
 
     def test_request_smaller_than_chunk_has_no_cuts(self):
         env = Environment()
-        fs = make_fs(env, Metrics(), buffering=False)
+        fs = make_fs(env, buffering=False)
         assert fs._cut_points(100, 1000) == []
 
 

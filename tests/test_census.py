@@ -72,14 +72,10 @@ OWNED = {
         "explore lock-ties"),
     "repro.analysis.explore:_scenario_lock_ties.<locals>.setup": human(
         "explore lock-ties"),
-    "repro.analysis.explore:_SimLock.__init__": human(
-        "explore race-lock-order"),
-    "repro.analysis.explore:_SimLock.acquire": human(
-        "explore race-lock-order"),
-    "repro.analysis.explore:_SimLock.release": human(
-        "explore race-lock-order"),
     "repro.analysis.explore:_scenario_race_lock_order": human(
         "explore race-lock-order"),
+    "repro.analysis.explore:_scenario_race_lock_order.<locals>.hold":
+        human("explore race-lock-order"),
     "repro.analysis.explore:_scenario_race_lock_order.<locals>.reader":
         human("explore race-lock-order"),
     "repro.analysis.explore:_scenario_race_lock_order.<locals>.writer":

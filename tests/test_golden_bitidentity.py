@@ -33,7 +33,6 @@ from repro.errors import SimulationError
 from repro.hw.cpu import Cpu
 from repro.hw.link import NIC, send
 from repro.hw.params import get_profile
-from repro.metrics import Metrics
 from repro.sim.engine import Environment, Event
 from repro.storage.payload import Payload
 from repro.units import KiB
@@ -60,10 +59,10 @@ BARE_KINDS = {
 }
 
 
-def stream(env, src, dst, nbytes, metrics=None, **kwargs):
+def stream(env, src, dst, nbytes, **kwargs):
     """Process body: :func:`send` a message and wait for it to arrive."""
     done = Event(env)
-    send(env, src, dst, nbytes, done.succeed, metrics, **kwargs)
+    send(env, src, dst, nbytes, done.succeed, **kwargs)
     yield done
 
 
@@ -115,13 +114,13 @@ class DispatchDigest:
     def __exit__(self, *exc) -> None:
         Environment.run = self._original
 
-    def report(self, env: Environment, metrics: Metrics) -> dict:
+    def report(self, env: Environment) -> dict:
         return {"now": env.now, "stats": env.stats(),
-                "metrics": metrics.snapshot(),
+                "metrics": env.metrics.snapshot(),
                 "dispatch_sha256": self._hash.hexdigest()}
 
     def report_system(self, system: System) -> dict:
-        report = self.report(system.env, system.metrics)
+        report = self.report(system.env)
         report["lock_wait_s"] = sum(iod.locks.total_wait_time
                                     for iod in system.iods)
         return report
@@ -142,7 +141,6 @@ def stream_flows() -> dict:
     three segments each, plus a loopback."""
     with DispatchDigest() as digest:
         env = Environment()
-        metrics = Metrics()
         profile = get_profile("osu8")
         nic = {name: NIC(env, name, profile.network)
                for name in ("c0", "c1", "s0", "s1")}
@@ -150,20 +148,20 @@ def stream_flows() -> dict:
         segment = profile.network.segment
         flows = [
             # two clients into one server: contend for s0's RX and CPU
-            stream(env, nic["c0"], nic["s0"], 2 * segment + 4096, metrics,
+            stream(env, nic["c0"], nic["s0"], 2 * segment + 4096,
                    cpu=cpu["s0"], cpu_at="dst"),
-            stream(env, nic["c1"], nic["s0"], 3 * segment, metrics,
+            stream(env, nic["c1"], nic["s0"], 3 * segment,
                    cpu=cpu["s0"], cpu_at="dst"),
             # one client out to two servers: contend for c0's CPU and TX
-            stream(env, nic["c0"], nic["s0"], 3 * segment, metrics,
+            stream(env, nic["c0"], nic["s0"], 3 * segment,
                    cpu=cpu["c0"], cpu_at="src"),
-            stream(env, nic["c0"], nic["s1"], 2 * segment + 1, metrics,
+            stream(env, nic["c0"], nic["s1"], 2 * segment + 1,
                    cpu=cpu["c0"], cpu_at="src"),
-            stream(env, nic["s0"], nic["s0"], 2 * segment + 512, metrics,
+            stream(env, nic["s0"], nic["s0"], 2 * segment + 512,
                    cpu=cpu["s0"], cpu_at="dst"),
         ]
         env.run(until=env.all_of([env.process(f) for f in flows]))
-        report = digest.report(env, metrics)
+        report = digest.report(env)
         report["cpu_busy"] = {name: c.busy_time for name, c in cpu.items()}
         report["nic_wait"] = {
             name: [n.tx.total_waits, n.tx.total_wait_time,
