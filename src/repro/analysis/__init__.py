@@ -1,11 +1,8 @@
 """Correctness tooling for the CSAR reproduction.
 
-Three cooperating layers guard the Section 5.1 parity-lock protocol,
+Three runtime sanitizers guard the Section 5.1 parity-lock protocol,
 the redundancy invariants, and the zero-copy buffer discipline:
 
-* :mod:`repro.analysis.lint` — ``csar-lint``, an AST-based static
-  checker with CSAR-specific rules (``csar-repro lint src``), including
-  the buffer-provenance rules of :mod:`repro.analysis.bufflow`;
 * :mod:`repro.analysis.locksan` — LockSan, a runtime sanitizer that
   tracks held-lock sets and a wait-for graph while a simulation runs
   (``csar-repro run --sanitize=lock``, ``CSAR_LOCKSAN=1``);
@@ -18,8 +15,8 @@ the redundancy invariants, and the zero-copy buffer discipline:
 
 A sanitizer reaches simulations only through :func:`sanitizer_scope`,
 which attaches it to the engine's ambient registry for the length of a
-block.  See ``docs/ANALYSIS.md`` for every rule with an offending
-snippet and its fix.
+block; the schedule explorer (:mod:`repro.analysis.explore`) searches
+tie orders under them.  See ``docs/ANALYSIS.md``.
 """
 
 from __future__ import annotations
@@ -31,10 +28,8 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List,
 
 from repro.analysis import bufsan
 from repro.analysis.bufsan import BufSan, BufSanReport
-from repro.analysis.lint import Finding, format_text, lint_paths
 from repro.analysis.locksan import LockSan, LockSanReport
 from repro.analysis.paritysan import ParitySan, ParitySanReport
-from repro.analysis.rules import RULES, Rule, all_codes
 from repro.sim import engine
 from repro.storage import payload
 
@@ -141,17 +136,11 @@ def sanitizer_scope(modes: Iterable[str],
 __all__ = [
     "BufSan",
     "BufSanReport",
-    "Finding",
     "LockSan",
     "LockSanReport",
     "ParitySan",
     "ParitySanReport",
-    "RULES",
-    "Rule",
     "SANITIZERS",
-    "all_codes",
-    "format_text",
-    "lint_paths",
     "sanitize_modes",
     "sanitizer_scope",
 ]

@@ -142,12 +142,12 @@ SEEDED_BUGS = (
     ("buggy-helper-release-leak",
      "HelperReleaseRaid5 splits its lease acquire/release across "
      "helpers and drops the second release: the third write blocks "
-     "on the leaked lease — the interprocedural leak CSAR010 flags",
+     "on the leaked lease",
      seeded_bugs.HelperReleaseRaid5, "raid5", False, ((0, 512, 0),) * 3),
     ("buggy-lock-order",
      "DescendingLockRaid5 takes a write's group locks "
      "highest-first: LockSan witnesses the Section 5.1 "
-     "order-inversion CSAR011 flags statically",
+     "order inversion",
      seeded_bugs.DescendingLockRaid5, "raid5", False, ((0, 2 * _SPAN, 0),)),
     ("buggy-overflow-inplace",
      "InPlaceOverflowHybrid writes partial stripes onto the home "

@@ -2,19 +2,18 @@
 
 Each class re-introduces a bug the paper's protocol (or the zero-copy
 buffer discipline) is designed to exclude, so tests can prove the
-schedule explorer (:mod:`repro.analysis.explore`), the sanitizers, the
-whole-program lint and the crash matrix catch it within a bounded
-budget.  What convicts each one (the conviction matrix of
-``tests/analysis/test_conviction.py``):
+schedule explorer (:mod:`repro.analysis.explore`), the sanitizers and
+the crash matrix catch it within a bounded budget.  What convicts each
+one (the conviction matrix of ``tests/analysis/test_conviction.py``):
 
 * :class:`DropReleaseRaid5` (a request mutator): the engine's deadlock,
   LockSan's leak check;
 * :class:`InPlaceOverflowHybrid` (a plan mutator): ParitySan;
-* :class:`HelperReleaseRaid5` (wraps ``write``): CSAR010, the engine's
-  deadlock, LockSan's leak check;
-* :class:`DescendingLockRaid5` (wraps ``write``): CSAR011, LockSan;
-* :class:`ThawedViewRaid5` (wraps ``_rmw``): CSAR013, BufSan;
-* :class:`ScratchLeakHybrid` (wraps ``_mirrored``): CSAR014, BufSan;
+* :class:`HelperReleaseRaid5` (wraps ``write``): the engine's deadlock,
+  LockSan's leak check;
+* :class:`DescendingLockRaid5` (wraps ``write``): LockSan;
+* :class:`ThawedViewRaid5` (wraps ``_rmw``): BufSan;
+* :class:`ScratchLeakHybrid` (wraps ``_mirrored``): BufSan;
 * :class:`CompensatingWritebackRaid5` (wraps ``_rmw``): crash matrix.
 
 None needs a seam in the production write path: a plan mutator
@@ -96,12 +95,11 @@ class HelperReleaseRaid5(Raid5):
     """RAID5 with a per-write lease split across acquire/release helpers.
 
     The N-th write's :meth:`_drop_lease` silently skips the release, so
-    the lease lock leaks.  The leak is invisible to per-function
-    analysis — :meth:`_take_lease` legitimately suppresses CSAR001 (its
-    release is "protocol-carried", just like the real I/O daemon's) and
-    :meth:`_drop_lease` releases a lock it never acquired — so only a
-    whole-program pass that threads the lease through ``write`` can see
-    that one caller path exits with a net-positive lock delta.
+    the lease lock leaks.  Neither helper alone shows it —
+    :meth:`_take_lease` acquires a lock another function releases, just
+    like the real I/O daemon's protocol-carried parity lock, and
+    :meth:`_drop_lease` releases a lock it never acquired — so only the
+    run sees it: the next write on the lease blocks forever.
     """
 
     name = "raid5"  # impersonate: metadata still says "raid5"
@@ -124,7 +122,7 @@ class HelperReleaseRaid5(Raid5):
 
     def _take_lease(self, iod, name: str,
                     xid: int) -> Generator[Event, Any, None]:
-        yield from iod.locks.acquire(  # csar-lint: disable=CSAR001
+        yield from iod.locks.acquire(
             name, self.LEASE_GROUP, xid)
 
     def _drop_lease(self, iod, name: str, xid: int) -> None:
@@ -139,12 +137,11 @@ class DescendingLockRaid5(Raid5):
 
     The descending ``range`` loop inverts the Section 5.1 ascending
     acquisition order.  Each acquire is matched by a release in the
-    ``finally`` block, so the per-function leak checks stay quiet, and
-    the loop bounds are symbolic, so no literal group order is visible
-    in the source — only the global order graph (CSAR011) and
-    LockSan's runtime inversion check see the bug.  The locks are taken
-    directly on the parity servers' tables so the acquisition order is
-    observable both statically and by the xid-keyed sanitizer.  The
+    ``finally`` block, so nothing leaks, and the loop bounds are
+    symbolic, so no literal group order is visible in the source —
+    LockSan's runtime inversion check sees the bug.  The locks are taken
+    directly on the parity servers' tables under one xid, so the
+    xid-keyed sanitizer observes the acquisition order.  The
     wrapped write's own read-modify-writes lock under their own xids,
     so a write with a partial group waits on itself: drive it with
     whole groups.
@@ -163,9 +160,7 @@ class DescendingLockRaid5(Raid5):
         last = lay.group_of(offset + payload.length - 1)
         xid = client.next_xid()
         for group in range(last, first - 1, -1):  # the bug: descending
-            # CSAR001 sees the zero-iteration exit of the release loop
-            # below; first <= last always, so the loops pair up exactly.
-            yield from client.iods[lay.parity_server(group)].locks.acquire(  # csar-lint: disable=CSAR001
+            yield from client.iods[lay.parity_server(group)].locks.acquire(
                 meta.name, group, xid)
         try:
             yield from super().write(client, meta, offset, payload)
@@ -186,9 +181,7 @@ class ThawedViewRaid5(Raid5):
     the response payload (and anything sharing its pages) mutates after
     capture.  Each helper is clean in isolation — the thaw touches an
     unannotated parameter and the caller never mutates anything itself —
-    so only the interprocedural buffer summaries (CSAR013 with a
-    ``_fold_parity -> _fold_piece`` chain) or BufSan's runtime
-    fingerprints can see it.
+    so BufSan's runtime snapshots see it, at the buffer's re-capture.
     """
 
     name = "raid5"  # impersonate: metadata still says "raid5"
@@ -238,9 +231,7 @@ class ScratchLeakHybrid(Hybrid):
     change long after every RPC carrying them completed.  Each helper is
     locally plausible (the allocator returns a fresh array, the filler
     writes into "its" buffer), so per-function reasoning sees
-    nothing; interprocedurally CSAR014 flags the allocator's buffer
-    escaping into ``self._scratch`` unfrozen, while BufSan catches the
-    drift at the buffer's re-capture.
+    nothing; BufSan catches the drift at the buffer's re-capture.
     """
 
     name = "hybrid"  # impersonate: metadata still says "hybrid"

@@ -10,9 +10,6 @@
     csar-repro run fig3 --csv-dir out/csv
     csar-repro report --ledger docs/results/experiments.json
     csar-repro report --diff old.json docs/results/experiments.json
-    csar-repro lint src --format=sarif > lint.sarif
-    csar-repro lint src --write-baseline tools/lint_baseline.json
-    csar-repro lint src --baseline tools/lint_baseline.json
     csar-repro explore --smoke --sched-dir out/sched
     csar-repro explore race-lock-order --strategy pct --budget 128
     csar-repro explore --replay out/race-lock-order.sched
@@ -56,11 +53,10 @@ def _positive_scale(text: str) -> float:
         f"must be a number greater than 0, not {text!r}")
 
 
-def _missing(kind: str, paths: List[Optional[str]]) -> int:
-    """2 after naming the first of ``paths`` that does not exist (``None``
-    entries are not given, so skipped), else 0."""
+def _missing(kind: str, paths: List[str]) -> int:
+    """2 after naming the first of ``paths`` that does not exist, else 0."""
     for path in paths:
-        if path is not None and not os.path.exists(path):
+        if not os.path.exists(path):
             print(f"error: no such {kind}: {path}", file=sys.stderr)
             return 2
     return 0
@@ -271,55 +267,6 @@ def _positive_int(text: str) -> int:
         f"must be an integer greater than 0, not {text!r}")
 
 
-def _cmd_lint(paths: List[str], fmt: str, list_rules: bool,
-              baseline_path: Optional[str] = None,
-              write_baseline_path: Optional[str] = None) -> int:
-    from repro.analysis import lint
-    from repro.analysis.rules import RULES
-
-    if list_rules:
-        for code in sorted(RULES):
-            rule = RULES[code]
-            print(f"{code} ({rule.name}): {rule.summary}")
-        return 0
-    status = (_missing("path", paths)
-              or _missing("baseline file", [baseline_path]))
-    if status:
-        return status
-    findings = lint.lint_paths(paths)
-    if write_baseline_path is not None:
-        lint.write_baseline(findings, write_baseline_path)
-        print(f"wrote {len(findings)} baseline entr"
-              f"{'y' if len(findings) == 1 else 'ies'} to "
-              f"{write_baseline_path}")
-        return 0
-    suppressed = 0
-    if baseline_path is None:
-        # Auto-baseline: [tool.csar-lint] baseline in pyproject.toml,
-        # silently skipped when the file is absent (e.g. a fresh clone
-        # linting before the baseline has been generated).
-        configured = lint.baseline_from_pyproject()
-        if configured is not None and os.path.exists(configured):
-            baseline_path = configured
-    stale = []
-    if baseline_path is not None:
-        entries = lint.load_baseline(baseline_path)
-        stale = lint.stale_entries(findings, entries, paths)
-        findings, suppressed = lint.apply_baseline(findings, entries)
-    if fmt == "sarif":
-        print(lint.format_sarif(findings))
-    else:
-        if findings:
-            print(lint.format_text(findings))
-        if suppressed:
-            print(f"{suppressed} baselined finding"
-                  f"{'s' if suppressed != 1 else ''} suppressed")
-    for path, code, message in stale:
-        print(f"{path}: {code} stale baseline entry, matches no finding: "
-              f"{message}", file=sys.stderr)
-    return 1 if findings or stale else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="csar-repro",
@@ -421,26 +368,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="run the full crash-consistency matrix "
                               "(every server x every protocol step) for "
                               "raid5 and hybrid")
-    lint_p = sub.add_parser(
-        "lint", help="run the csar-lint static protocol checks")
-    lint_p.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint (default: src)")
-    lint_p.add_argument("--format", choices=("text", "sarif"),
-                        default="text", dest="fmt",
-                        help="output format (default: text)")
-    lint_p.add_argument("--list-rules", action="store_true",
-                        help="print every rule code and exit")
-    lint_p.add_argument("--baseline", default=None, dest="baseline_path",
-                        metavar="FILE",
-                        help="suppress findings recorded in this baseline "
-                             "file; new findings, and entries under the "
-                             "linted paths that match no finding, fail "
-                             "the run (default: [tool.csar-lint] baseline "
-                             "from pyproject.toml, when the file exists)")
-    lint_p.add_argument("--write-baseline", default=None,
-                        dest="write_baseline_path", metavar="FILE",
-                        help="record every current finding into FILE and "
-                             "exit 0 (accept the status quo)")
     args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()
@@ -454,10 +381,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if text:
             print(text)
         return 0 if ok else 1
-    if args.command == "lint":
-        return _cmd_lint(args.paths, args.fmt, args.list_rules,
-                         args.baseline_path,
-                         args.write_baseline_path)
     if args.command in ("chaos", "explore") and args.replay_path:
         return _cmd_replay(args.replay_path)
     if args.command == "chaos":

@@ -121,12 +121,12 @@ _DRAIN_BOUND = (
     "Class C at scale 0.1 is writeback-drain-bound for every scheme: the "
     "dirty-limit throttle puts one disk-speed ceiling over RAID5 and "
     "Hybrid alike, where the real cluster's larger cache cushion let "
-    "Hybrid run ahead (ROADMAP items 3c, 4)")
+    "Hybrid run ahead (ROADMAP items 1(c), 17)")
 _FLASH_SCRIPTED = (
     "the FLASH request mix is scripted (`workloads/flashio.py`): sub-2 KB "
     "writes rewrite one 8 KiB header region per rank, so overflow-slot "
     "churn per byte is set by construction, fitted to the 4-process 64 KB "
-    "row, not by HDF5's real metadata layout (ROADMAP item 8)")
+    "row, not by HDF5's real metadata layout (ROADMAP item 12(b))")
 
 CLAIMS: List[Claim] = [
     # -- Figure 1 ---------------------------------------------------------
@@ -175,14 +175,14 @@ CLAIMS: List[Claim] = [
           0.02, 0.15, 0.08, "partial",
           "`CpuParams.parity_bandwidth` (1000 MB/s on `osu8`) was sized for "
           "~8% and yields 5.5% at 6 iods, 5.8% at 7; left to the "
-          "calibration search of ROADMAP item 3c"),
+          "calibration search of ROADMAP item 1(c)"),
     Claim("fig4a-csar-vs-pvfs", "fig4a",
           "abstract: CSAR delivers ~73% of PVFS write bandwidth at 7 iods",
           _ratio("raid5", "raid0", (7,)), 0.65, 0.95, 0.73, "partial",
           "83%: RAID5 sends 7/6 of RAID0's bytes at 7 iods (86% if the "
           "client link binds), less the parity cost above; the paper's 73% "
           "implies per-stripe overheads the model does not charge (ROADMAP "
-          "item 3c)"),
+          "item 1(c))"),
     Claim("fig4a-raid0-peaks-near-8", "fig4a",
           "RAID0 is expected to peak at about 8 iods",
           _rows("raid0", 7, 6), 1.0, 1.05, min_scale=0.3),
@@ -193,7 +193,7 @@ CLAIMS: List[Claim] = [
           "client link flattens it at 6-7 (+3% from 6 to 7) instead of 4; "
           "the paper's two anchors (RAID1 plateau at 4, RAID0 peak at ~8 "
           "on one link) over-constrain any single link/CPU rate "
-          "assignment (ROADMAP item 3c)"),
+          "assignment (ROADMAP item 1(c))"),
     # -- Figure 4(b) ------------------------------------------------------
     Claim("fig4b-raid1-is-hybrid", "fig4b",
           "RAID1 and Hybrid are identical on one-block writes",

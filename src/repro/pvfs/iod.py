@@ -163,7 +163,7 @@ class IOD(msg.Server):
         if isinstance(request, msg.ParityReadReq):
             # The group lock _parity_read takes outlives this handler: a
             # later ParityWriteReq(unlock=True) releases it.
-            return (yield from self._parity_read(request))  # csar-lint: disable=CSAR010
+            return (yield from self._parity_read(request))
         if isinstance(request, msg.ParityWriteReq):
             return (yield from self._parity_write(request))
         if isinstance(request, msg.OverflowWriteReq):
@@ -227,7 +227,7 @@ class IOD(msg.Server):
         # Section 5.1: the parity *read* acquires and the matching parity
         # *write* (a later message) releases — the lock rides the data
         # path across handler processes by design.
-        yield from self.locks.acquire(  # csar-lint: disable=CSAR001
+        yield from self.locks.acquire(
             request.file, request.group, request.xid)
         lo, hi = request.intra
         payload = yield from self.fs.read(red_file(request.file),

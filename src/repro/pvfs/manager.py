@@ -100,7 +100,7 @@ class Manager(msg.Server):
     def _handle(self, envelope: msg.Envelope) -> Generator[Event, Any, None]:
         request, reply_nic, reply = envelope
         # The turn rides the reply: ``answered`` releases it on arrival.
-        turn = self._turn.request()  # csar-lint: disable=CSAR001
+        turn = self._turn.request()
         yield turn
         yield from self.node.cpu.request_processing()
         try:

@@ -127,12 +127,6 @@ class BlockFile:
                 segments.append((lo - offset, view[lo - at: hi - at]))
         return segments
 
-    def truncate(self) -> None:
-        """Drop all contents."""
-        self.allocated.clear()
-        self._starts.clear()
-        self._views.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = "content" if self.content_mode else "extent"
         return f"<BlockFile {self.name!r} {mode} size={self.size}>"

@@ -90,10 +90,6 @@ class ExtentMap:
         self._starts[lo:hi] = replacement_starts
         self._ends[lo:hi] = replacement_ends
 
-    def clear(self) -> None:
-        self._starts.clear()
-        self._ends.clear()
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

@@ -3,9 +3,6 @@
 One cell per pair of seeded bug (:mod:`repro.analysis.seeded_bugs`) and
 detector, each ``convicts`` or ``blind``.  The detectors are:
 
-* every registered ``csar-lint`` rule, from one lint of
-  ``seeded_bugs.py`` with each finding attributed to its enclosing
-  class;
 * ``engine``: the bug's explorer scenario raises (a deadlock is the
   engine's :class:`~repro.errors.SimulationError`) with no sanitizer
   attached;
@@ -26,21 +23,18 @@ bug fails here.  Re-record both with
     PYTHONPATH=src python tests/analysis/test_conviction.py --record
 """
 
-import ast
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint, sanitizer_scope, seeded_bugs
+from repro.analysis import sanitizer_scope, seeded_bugs
 from repro.analysis.explore import SCENARIOS, SEEDED_BUGS
-from repro.analysis.rules import all_codes
 from repro.errors import ReproError
 from repro.faults.matrix import run_cell
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-SEEDED = Path("src") / "repro" / "analysis" / "seeded_bugs.py"
 RECORD = REPO_ROOT / "docs" / "results" / "conviction.json"
 ANALYSIS_MD = REPO_ROOT / "docs" / "ANALYSIS.md"
 BEGIN = "<!-- conviction matrix: rendered from docs/results/conviction.json -->"
@@ -55,26 +49,10 @@ DYNAMIC = ("engine",) + SANITIZERS + ("crash-matrix",)
 #: inside the first RAID5 read-modify-write / Hybrid overflow write
 CRASH_CELLS = {"raid5": ("raid5.rmw.before_writeback", 1, 0),
                "hybrid": ("hybrid.overflow.before_write", 1, 0)}
-#: the bugs a static rule must keep convicting
-STATICALLY_CONVICTED = ("HelperReleaseRaid5", "DescendingLockRaid5",
-                        "ThawedViewRaid5", "ScratchLeakHybrid")
 
 # The seeded bugs trip every sanitizer on purpose.
 pytestmark = [pytest.mark.locksan_expected, pytest.mark.bufsan_expected,
               pytest.mark.paritysan_expected]
-
-
-def static_convictions():
-    """``{bug: {rule codes with a finding inside the bug's class}}``."""
-    tree = ast.parse((REPO_ROOT / SEEDED).read_text())
-    spans = {node.name: (node.lineno, node.end_lineno)
-             for node in tree.body if isinstance(node, ast.ClassDef)}
-    out = {bug: set() for bug in BUGS}
-    for finding in lint.lint_paths([str(REPO_ROOT / SEEDED)]):
-        (owner,) = [name for name, (lo, hi) in spans.items()
-                    if lo <= finding.line <= hi]
-        out[owner].add(finding.code)
-    return out
 
 
 def _scenario_run(bug):
@@ -110,11 +88,10 @@ def dynamic_convictions():
 
 
 def compute_matrix():
-    detectors = list(all_codes()) + list(DYNAMIC)
-    static, dynamic = static_convictions(), dynamic_convictions()
-    return {"detectors": detectors,
-            "bugs": {bug: {d: "convicts" if d in static[bug] | dynamic[bug]
-                           else "blind" for d in detectors}
+    dynamic = dynamic_convictions()
+    return {"detectors": list(DYNAMIC),
+            "bugs": {bug: {d: "convicts" if d in dynamic[bug] else "blind"
+                           for d in DYNAMIC}
                      for bug in BUGS}}
 
 
@@ -154,19 +131,11 @@ def test_every_seeded_bug_has_a_dynamic_conviction(matrix):
     assert blind == []
 
 
-def test_the_static_convictions_survive(matrix):
-    blind = [bug for bug in STATICALLY_CONVICTED
-             if not any(matrix["bugs"][bug][code] == "convicts"
-                        for code in all_codes())]
-    assert blind == []
-
-
-def test_a_lock_order_inversion_is_convicted_statically_and_dynamically(
-        matrix):
-    # The descending-group acquisition is the one bug both the static
-    # order graph and the runtime lock ledger see.
+def test_a_lock_order_inversion_is_convicted_by_the_lock_ledger(matrix):
+    # The descending-group acquisition deadlocks nothing on the default
+    # schedule; only LockSan's xid-keyed ledger sees the inversion.
     cells = matrix["bugs"]["DescendingLockRaid5"]
-    assert (cells["CSAR011"], cells["locksan"]) == ("convicts", "convicts")
+    assert (cells["engine"], cells["locksan"]) == ("blind", "convicts")
 
 
 def test_analysis_md_renders_the_record():

@@ -4,11 +4,13 @@ ledger, ``total_wait_time`` and the locks' ``users``."""
 
 import pytest
 
+from repro import CSARConfig, Payload, System
 from repro.analysis import sanitizer_scope
 from repro.errors import LockProtocolError
 from repro.probes import PROBES
 from repro.redundancy.locks import ParityLockTable
 from repro.sim import Environment
+from repro.units import KiB
 
 
 @pytest.fixture
@@ -217,3 +219,47 @@ class TestLockTable:
         env.run()
         assert not table._lock("f", 0).users
         assert env.locksan._held_by_xid == {}
+
+
+class TestOrderedAcquisition:
+    def test_two_writers_spanning_two_groups_lock_them_ascending(self):
+        # Section 5.1: a write's upper partial group sends its parity
+        # read (which takes the lock) only once the lower group's has
+        # returned.  Each partial group locks under its own xid, so
+        # LockSan's per-xid ledger cannot see a write take its groups
+        # out of order; the acquisitions announced per client can (a
+        # client's xids count up from ``index << 32``).  Two
+        # clients each write the tail of group 0 and the head of group
+        # 1, the second started 0-1.5 ms later, so at many offsets one
+        # queues behind the other on either group.
+        unit = 4 * KiB
+        out_of_order = []
+        for step in range(16):
+            with sanitizer_scope(["lock"]) as drain:
+                system = System(CSARConfig(
+                    scheme="raid5", num_servers=6, num_clients=2,
+                    stripe_unit=unit, content_mode=True))
+                env, span = system.env, system.layout.group_span
+                groups = {0: [], 1: []}
+                env.subscribe("parity_lock.acquired",
+                              lambda _f, group, xid:
+                              groups[xid >> 32].append(group))
+
+                def setup():
+                    yield from system.client(0).create("f")
+                    yield from system.client(1).open("f")
+
+                def write(client, delay):
+                    yield env.timeout(delay)
+                    yield from system.client(client).write(
+                        "f", span - unit, Payload.pattern(2 * unit,
+                                                          seed=client))
+                    return client
+
+                system.run(setup())
+                done = system.run(write(0, 0.0), write(1, step * 1e-4))
+                assert done == [0, 1]
+                assert drain() == []
+            if groups != {0: [0, 1], 1: [0, 1]}:
+                out_of_order.append((step, groups))
+        assert out_of_order == []

@@ -56,13 +56,6 @@ class TestContentMode:
         with pytest.raises(ValueError):
             f.write(0, Payload.virtual(4))
 
-    def test_truncate(self):
-        f = BlockFile("d")
-        f.write(0, Payload.from_bytes(b"abc"))
-        f.truncate()
-        assert f.size == 0
-        assert f.read(0, 3).to_bytes() == b"\x00\x00\x00"
-
     def test_multi_megabyte_write_roundtrip(self):
         f = BlockFile("d")
         big = Payload.pattern(3 << 20, seed=1)
@@ -85,11 +78,7 @@ class TestContentMode:
         f.write(8, Payload.from_bytes(b"D"))
         assert f.read(0, 10).to_bytes() == b"\x00\x00B" + b"\x00" * 5 + b"DA"
 
-    @pytest.mark.parametrize("drop", [
-        lambda f, n: f.write(0, Payload.zeros(n)),
-        lambda f, n: f.truncate(),
-    ], ids=["overwrite", "truncate"])
-    def test_dead_generation_is_released(self, drop):
+    def test_dead_generation_is_released(self):
         # Stored views keep their source buffer alive; once no byte of
         # it is live the buffer goes, by refcount alone.
         f = BlockFile("d")
@@ -99,7 +88,7 @@ class TestContentMode:
         del buf
         f.write(1000, Payload.from_bytes(b"split the first generation"))
         assert source() is not None
-        drop(f, 4096)
+        f.write(0, Payload.zeros(4096))
         assert source() is None
 
     def test_reads_return_the_stored_arrays_themselves(self):
@@ -166,7 +155,6 @@ _op = st.one_of(
     st.tuples(st.just("write"), _offsets, _flat),
     st.tuples(st.just("rope"), _offsets, _rope),
     st.tuples(st.just("sparse"), _offsets, st.integers(1, 50)),
-    st.tuples(st.just("truncate"), st.just(0), st.just(0)),
     st.tuples(st.just("read"), st.integers(0, SPAN + 20), st.integers(0, SPAN)),
 )
 
@@ -205,24 +193,15 @@ def test_blockfile_matches_reference_bytearray(ops):
         if op == "read":
             assert f.read(off, arg).to_bytes() == bytes(ref[off: off + arg])
             continue
-        if op == "truncate":
-            f.truncate()
-            lo, hi, content = 0, len(ref), None
+        if op == "write":
+            payload, content = Payload.from_bytes(arg), arg
+        elif op == "rope":
+            payload, content = _scattered(arg)
         else:
-            if op == "write":
-                payload, content = Payload.from_bytes(arg), arg
-            elif op == "rope":
-                payload, content = _scattered(arg)
-            else:
-                payload, content = Payload.sparse(arg), bytes(arg)
-            f.write(off, payload)
-            lo, hi = off, off + len(content)
-        if content is None:
-            ref[lo:hi] = bytes(hi - lo)
-            allocated.difference_update(range(lo, hi))
-        else:
-            ref[lo:hi] = content
-            allocated.update(range(lo, hi))
+            payload, content = Payload.sparse(arg), bytes(arg)
+        f.write(off, payload)
+        ref[off: off + len(content)] = content
+        allocated.update(range(off, off + len(content)))
         _check_store_invariants(f)
         assert f.size == max(allocated, default=-1) + 1
         assert f.allocated_bytes == len(allocated)

@@ -21,8 +21,8 @@ def test_api_docs_cover_the_public_surface():
                    "class OverflowTable", "class ParityLockTable",
                    "class MPIFile", "def rebuild_server",
                    "def online_scrub", "def reclaim_file",
-                   "class FileLinter", "class LockSan", "class Rule",
-                   "def lint_paths", "def attach"):
+                   "class LockSan", "def sanitizer_scope",
+                   "def attach"):
         assert symbol in text, f"{symbol} missing from docs/API.md"
     from repro.probes import PROBES
 

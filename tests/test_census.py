@@ -51,12 +51,9 @@ def tier1(test: str) -> str:
 OWNED = {
     # Report paths.  A ``__repr__`` prints a failed assertion or an
     # exception; ``Payload.__hash__`` raises on misuse.
-    "repro.analysis.lint:Finding.format": VIOLATION,
-    "repro.analysis.lint:format_text": VIOLATION,
     "repro.analysis.locksan:LockSan._held_summary": VIOLATION,
     "repro.analysis.locksan:LockSan.on_double_release": VIOLATION,
     "repro.analysis.paritysan:ParitySan.on_scrub": VIOLATION,
-    "repro.analysis.summaries:LockKey.format": VIOLATION,
     "repro.hw.node:Node.__repr__": VIOLATION,
     "repro.sim.engine:Event.__repr__": VIOLATION,
     "repro.storage.blockfile:BlockFile.__repr__": VIOLATION,
@@ -80,7 +77,6 @@ OWNED = {
         human("explore race-lock-order"),
     "repro.analysis.explore:_scenario_race_lock_order.<locals>.writer":
         human("explore race-lock-order"),
-    "repro.analysis.lint:write_baseline": human("lint --write-baseline"),
     "repro.cli:_cmd_list": human("list"),
     "repro.experiments.base:list_experiments": human("list"),
     "repro.experiments.base:ExpTable.to_csv": human("run --csv-dir"),
@@ -113,11 +109,6 @@ OWNED = {
         item("1(b)"),
     "repro.workloads.synthetic:synthetic_benchmark.<locals>.writer":
         item("1(b)"),
-    # Numeric and symbolic group pairs: the one lock-order edge in src
-    # is the seeded loop-carried one, so only the lint fixtures reach it.
-    "repro.analysis.summaries:group_value": tier1(
-        "tests/analysis/test_interprocedural.py::TestFixtureRoundTrip::"
-        "test_interprocedural_findings_exactly_as_expected"),
     # Item 12(c): the background reclaimer daemon.
     "repro.redundancy.reclaim:background_reclaimer": item("12(c)"),
     # Public API that tests and library users call (item 13 names most).
@@ -140,7 +131,6 @@ OWNED = {
     "repro.sim.resources:Request.__exit__": PUBLIC,
     "repro.sim.resources:Resource.count": PUBLIC,
     "repro.storage.blockfile:BlockFile.allocated_bytes": PUBLIC,
-    "repro.storage.blockfile:BlockFile.truncate": PUBLIC,
     "repro.storage.localfs:LocalFS.drop_caches": PUBLIC,
     "repro.storage.localfs:LocalFS.file_size": PUBLIC,
     "repro.storage.localfs:LocalFS.listing": PUBLIC,
@@ -150,7 +140,6 @@ OWNED = {
     "repro.storage.payload:Payload.from_bytes": PUBLIC,
     "repro.storage.payload:Payload.to_bytes": PUBLIC,
     "repro.util.intervals:ExtentMap.__eq__": PUBLIC,
-    "repro.util.intervals:ExtentMap.clear": PUBLIC,
     "repro.util.intervals:ExtentMap.copy": PUBLIC,
     "repro.util.parity:parity_of_stripe": PUBLIC,
     "repro.workloads.flashio:request_mix": PUBLIC,

@@ -20,7 +20,7 @@ SRC = ROOT / "src"
 
 #: reached by nothing that runs today, each kept for a ROADMAP item
 KEPT_UNREACHED = {
-    # the Section 6.7 overflow reclaimer: ROADMAP item 10 and `ext-reclaim`
+    # the Section 6.7 overflow reclaimer: ROADMAP item 12(c) and `ext-reclaim`
     "repro.redundancy.reclaim",
     # the IOR-like synthetic workload: ROADMAP item 1(b)'s Poisson driver
     "repro.workloads.synthetic",

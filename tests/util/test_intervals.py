@@ -94,11 +94,6 @@ class TestExtentMapBasics:
         with pytest.raises(ValueError):
             m.remove(5, 3)
 
-    def test_clear(self):
-        m = ExtentMap([(0, 4)])
-        m.clear()
-        assert not m
-
 
 class TestExtentMapQueries:
     def test_contains_full_cover(self):
