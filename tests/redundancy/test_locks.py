@@ -222,12 +222,6 @@ class TestLockTable:
 
 
 class TestOrderedAcquisition:
-    # Two contiguous writes across the same group boundary overlap, and
-    # a read-modify-write reads its old data before it holds the parity
-    # lock, so at some offsets the overlapping writes leave stale parity
-    # that ParitySan reports (a known defect of the RMW, not of the lock
-    # order this test checks).
-    @pytest.mark.paritysan_expected
     def test_two_writers_spanning_two_groups_lock_them_ascending(self):
         # Section 5.1: a write's upper partial group sends its parity
         # read (which takes the lock) only once the lower group's has
@@ -244,7 +238,7 @@ class TestOrderedAcquisition:
             with sanitizer_scope(["lock"]) as drain:
                 system = System(CSARConfig(
                     scheme="raid5", num_servers=6, num_clients=2,
-                    stripe_unit=unit, content_mode=True))
+                    stripe_unit=unit, content_mode=False))
                 env, span = system.env, system.layout.group_span
                 groups = {0: [], 1: []}
                 env.subscribe("parity_lock.acquired",
@@ -258,8 +252,7 @@ class TestOrderedAcquisition:
                 def write(client, delay):
                     yield env.timeout(delay)
                     yield from system.client(client).write(
-                        "f", span - unit, Payload.pattern(2 * unit,
-                                                          seed=client))
+                        "f", span - unit, Payload.virtual(2 * unit))
                     return client
 
                 system.run(setup())

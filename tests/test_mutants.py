@@ -2,7 +2,7 @@
 current: one row per mutant, rendered into docs/ANALYSIS.md.
 
 Judging the mutants runs tier-1 once per mutant, so it is not a test;
-re-record with ``python tools/mutants.py --record --jobs 2``.
+re-record with ``python tools/mutants.py --record``.
 """
 
 import importlib.util

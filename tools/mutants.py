@@ -3,20 +3,22 @@
 
 Run from the repository root::
 
-    python tools/mutants.py --check           # every mutant still applies
     python tools/mutants.py --record          # judge all, rewrite the record
     python tools/mutants.py ID [ID ...]       # judge only these
     python tools/mutants.py ID --tests T ...  # judge by these tests alone
 
 A mutant replaces the one node of a function in ``src/repro`` whose
 ``ast.unparse`` is ``old`` by the source ``new``: a dropped release, an
-un-gated lock, an off-by-one at a boundary.  ``--check`` (and
-``tests/test_mutants.py``) asserts each ``old`` still matches exactly
-one node at HEAD, so the catalogue cannot rot silently.
+un-gated lock, an off-by-one at a boundary.  Every run (and
+``tests/test_mutants.py``) first checks that each ``old`` still matches
+exactly one node at HEAD, so the catalogue cannot rot silently.
 
 Each mutant is judged on its own copy of the tree (``.git`` and caches
-left out), one at a time or on ``--jobs 2``; a judge *kills* it when it
-exits non-zero or runs out of time.  The judges are the tier-1 suite
+left out), two at a time; a judge *kills* it when it exits 1 (a failed
+test or plan) or runs out of time, and so does a mutant that breaks
+importing the module it changes.  Any other exit (a usage error, a test
+id that no longer exists, no test collected) is the driver's fault, not
+a verdict: the run stops and exits 2.  The judges are the tier-1 suite
 without the pins (any schedule change fails a byte-identity pin, and
 any mutant fails ``tests/test_mutants.py``, so their kills are not
 evidence), ``csar-repro chaos --seeds 0:32`` (all three sanitizers
@@ -262,6 +264,10 @@ def _copy() -> Path:
     return tree
 
 
+class NoVerdict(Exception):
+    """A judge failed in a way that says nothing about the mutant."""
+
+
 def _verdict(argv: List[str], seconds: int, pattern: str, tree: Path,
              env: Dict[str, str]) -> Optional[str]:
     """``None`` when ``argv`` passes in ``tree``, else why it failed."""
@@ -272,11 +278,14 @@ def _verdict(argv: List[str], seconds: int, pattern: str, tree: Path,
         return "timeout"
     if done.returncode == 0:
         return None
-    lines = [line.strip() for line in
-             (done.stdout + done.stderr).splitlines() if line.strip()]
+    out = done.stdout + done.stderr
+    if done.returncode != 1:
+        raise NoVerdict(f"{' '.join(argv[1:])} exited {done.returncode}, "
+                        f"which is no verdict:\n{out[-2000:]}")
+    lines = [line.strip() for line in out.splitlines() if line.strip()]
     named = [line for line in lines if re.search(pattern, line)]
     # else the last line: a traceback's exception
-    return (named[:1] or lines[-1:] or [f"exit {done.returncode}"])[0][:160]
+    return (named[:1] or lines[-1:] or ["exit 1"])[0][:160]
 
 
 def judge(mutant: Mutant, judges: Dict[str, Tuple[List[str], int, str]],
@@ -288,12 +297,17 @@ def judge(mutant: Mutant, judges: Dict[str, Tuple[List[str], int, str]],
         env = {key: value for key, value in os.environ.items()
                if not key.startswith("CSAR_")}
         env["PYTHONPATH"] = str(tree / "src")
-        where = subprocess.run(
-            [_PY, "-c", "import repro; print(repro.__file__)"], cwd=tree,
-            env=env, capture_output=True, text=True, check=True).stdout
-        if not Path(where.strip()).is_relative_to(tree):
-            raise SystemExit(f"the copy imports repro from {where.strip()}, "
-                             "not from the mutated tree")
+        module = "repro." + mutant.path[:-len(".py")].replace("/", ".")
+        probe = subprocess.run(
+            [_PY, "-c", f"import repro, {module}; print(repro.__file__)"],
+            cwd=tree, env=env, capture_output=True, text=True)
+        if probe.returncode != 0:
+            last = (probe.stderr.strip().splitlines() or ["no output"])[-1]
+            return {name: f"import {module}: {last}"[:160] for name in judges}
+        if not Path(probe.stdout.strip()).is_relative_to(tree):
+            raise NoVerdict(f"the copy imports repro from "
+                            f"{probe.stdout.strip()}, not from the mutated "
+                            "tree")
         return {name: _verdict(argv, seconds, pattern, tree, env)
                 for name, (argv, seconds, pattern) in judges.items()}
     finally:
@@ -341,25 +355,24 @@ def record(rows: Dict[str, Dict[str, Optional[str]]]) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("ids", nargs="*", metavar="ID",
-                        help="judge only these mutants (default: all)")
-    parser.add_argument("--check", action="store_true",
-                        help="only check every mutant matches one node")
+                        help="judge these mutants; exit 1 if one survives")
     parser.add_argument("--record", action="store_true",
                         help="judge all and rewrite the record")
     parser.add_argument("--tests", nargs="+", metavar="T",
                         help="judge by these pytest node ids alone")
-    parser.add_argument("--jobs", type=int, choices=(1, 2), default=1)
     args = parser.parse_args(argv)
+    by_id = {m.id: m for m in CATALOGUE}
+    unknown = [i for i in args.ids if i not in by_id]
+    if unknown or args.record == bool(args.ids) or (args.record
+                                                    and args.tests):
+        parser.error(f"unknown mutant {unknown[0]}" if unknown else
+                     "give mutant ids, or --record alone to judge the "
+                     "whole catalogue by every judge")
     problems = check()
     for problem in problems:
         print(problem, file=sys.stderr)
-    if args.check or problems:
-        return 1 if problems else 0
-    by_id = {m.id: m for m in CATALOGUE}
-    unknown = [i for i in args.ids if i not in by_id]
-    if unknown or (args.record and (args.ids or args.tests)):
-        parser.error(f"unknown mutant {unknown[0]}" if unknown else
-                     "--record judges the whole catalogue by every judge")
+    if problems:
+        return 1
     mutants = [by_id[i] for i in args.ids] or CATALOGUE
     judges = JUDGES
     if args.tests:
@@ -368,19 +381,25 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "no:cacheprovider", *args.tests], seconds,
                             pattern)}
     rows: Dict[str, Dict[str, Optional[str]]] = {}
-    with ThreadPoolExecutor(args.jobs) as pool:
-        for mutant, kills in zip(mutants, pool.map(
-                lambda m: judge(m, judges), mutants)):
-            rows[mutant.id] = kills
-            print(f"{mutant.id}: " + "; ".join(
-                f"{name} {'survived' if why is None else 'killed: ' + why}"
-                for name, why in kills.items()), flush=True)
+    with ThreadPoolExecutor(2) as pool:
+        try:
+            for mutant, kills in zip(mutants, pool.map(
+                    lambda m: judge(m, judges), mutants)):
+                rows[mutant.id] = kills
+                print(f"{mutant.id}: " + "; ".join(
+                    f"{name} " + ("survived" if why is None
+                                  else f"killed: {why}")
+                    for name, why in kills.items()), flush=True)
+        except NoVerdict as err:
+            pool.shutdown(cancel_futures=True)
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     if args.record:
         record(rows)
         return 0
     survivors = [i for i, kills in rows.items()
                  if all(why is None for why in kills.values())]
-    return 1 if args.ids and survivors else 0
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":
