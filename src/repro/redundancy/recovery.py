@@ -1,25 +1,29 @@
-"""Full reconstruction of a failed I/O server.
+"""Repair of one server's share of a file, and rebuild of a failed server.
 
 The paper's long-term objective for CSAR is tolerance of single disk
 failures; degraded reads (in each scheme's ``degraded_read``) cover the
-online path, and this module covers repair: rebuilding every local file a
-replacement server should hold, from the surviving redundancy.
-
-For a failed server ``s`` holding files derived from PVFS file ``f``:
+online path, and this module covers repair.  :func:`repair` is the one
+routine that writes rebuilt bytes: for logical extents of one file it
+regenerates what server ``s`` stores for them, from the surviving
+redundancy.  Each server-local range is rounded out to whole stripe
+units.
 
 * ``f.data`` — RAID1: copy from the mirror on ``s+1``;
   RAID5/Hybrid: XOR of each parity group's surviving in-place blocks and
   its parity block;
 * ``f.red`` — RAID1: re-mirror from the data on ``s-1``;
-  RAID5/Hybrid: recompute the parity blocks ``s`` is responsible for;
+  RAID5/Hybrid: recompute the parity blocks ``s`` is responsible for,
+  for each group the extents touch;
 * ``f.ovf`` + overflow table — Hybrid: replay from the overflow mirror on
   ``s+1``;
 * ``f.ovfm`` + mirror table — Hybrid: replay from the overflow region on
   ``s-1``.
 
-The rebuild runs as a simulation process driven by a recovery client, so
-it has realistic cost (it is essentially a whole-file read plus a
-whole-file write).
+The overflow replays are clipped to the extents.  :func:`rebuild_server`
+is :func:`repair` over every whole file, made safe under concurrent
+writes.  Both run as simulation processes driven by a recovery client,
+so they have realistic cost (a whole-server rebuild is essentially a
+whole-file read plus a whole-file write).
 """
 
 from __future__ import annotations
@@ -29,24 +33,10 @@ from typing import Any, Generator
 from repro.errors import ConfigError, ServerFailed
 from repro.pvfs import messages as msg
 from repro.pvfs.iod import IOD, data_file, ovf_file, red_file
-from repro.pvfs.layout import ServerRange
+from repro.pvfs.layout import ServerRange, StripeLayout
 from repro.sim.engine import Event
 from repro.storage.payload import Payload
-
-
-def _server_local_size(system, name: str, server: int) -> int:
-    """Upper bound of the failed server's data-file size, derived from the
-    logical file size (its own metadata is gone)."""
-    meta = system.manager.files.get(name)
-    if meta is None:
-        return 0
-    lay = system.layout
-    total_blocks = -(-meta.size // lay.unit)
-    # Blocks held by `server` are server, server+n, ... < total_blocks.
-    if total_blocks <= server:
-        return 0
-    rows = (total_blocks - server + lay.n - 1) // lay.n
-    return rows * lay.unit
+from repro.util.intervals import ExtentMap
 
 
 class _RebuildTracker:
@@ -109,7 +99,8 @@ def rebuild_server(system, index: int,
     iod.fail()
     try:
         for name in names:
-            yield from _rebuild_file(system, client, iod, name)
+            yield from repair(system, client, name,
+                              [(0, system.manager.files[name].size)], index)
         # Converge under concurrent traffic: re-copy files written while
         # we were copying, then wait out in-flight writes (which may
         # dirty more files when they complete), until both are clean.
@@ -120,8 +111,13 @@ def rebuild_server(system, index: int,
                 for name in sorted(dirty):
                     if name not in system.manager.files:
                         continue
-                    _reset_local_overflow(system, iod, name)
-                    yield from _rebuild_file(system, client, iod, name)
+                    # repair's replay appends to the overflow tables;
+                    # a fresh table keeps no stale pass's allocation.
+                    iod.overflow.pop(name, None)
+                    iod.overflow_mirror.pop(
+                        (name, system.layout.predecessor(index)), None)
+                    yield from repair(system, client, name, [(
+                        0, system.manager.files[name].size)], index)
                 continue
             if ledger.active:
                 yield ledger.quiesce_event(system.env)
@@ -139,74 +135,98 @@ def rebuild_server(system, index: int,
     system.env.emit("recovery.done", index)
 
 
-def _reset_local_overflow(system, iod: IOD, name: str) -> None:
-    """Drop the rebuilt server's overflow state for one file before a
-    re-copy: the replay in :func:`_rebuild_overflow` appends from a
-    fresh table, so stale allocations from the previous pass must not
-    survive (the table is authoritative — orphaned ``.ovf`` bytes past
-    the new allocation are unreachable)."""
-    iod.overflow.pop(name, None)
-    predecessor = system.layout.predecessor(iod.index)
-    iod.overflow_mirror.pop((name, predecessor), None)
+def _local_ranges(lay: StripeLayout, extents, server: int) -> ExtentMap:
+    """Server ``server``'s share of the logical ``extents``, rounded out
+    to whole stripe units."""
+    unit = lay.unit
+    out = ExtentMap()
+    for start, end in extents:
+        for sr in lay.map_range(start, end - start):
+            if sr.server == server:
+                out.add(sr.local_start // unit * unit,
+                        -(-sr.local_end // unit) * unit)
+    return out
 
 
-def _rebuild_file(system, client, iod: IOD,
-                  name: str) -> Generator[Event, Any, None]:
+def repair(system, client, name: str, extents,
+           server: int) -> Generator[Event, Any, None]:
+    """Process body: regenerate what ``server`` stores for the logical
+    byte ranges ``extents`` (``(start, end)`` pairs) of file ``name``
+    from the other servers, through ``client`` (see the module notes).
+    Nothing else may write the extents meanwhile: the server is failed
+    (:func:`rebuild_server`) or the caller has quiesced them.
+    """
     lay = system.layout
-    index = iod.index
-    scheme = system.manager.files[name].scheme
-    if scheme == "raid0":
+    iod: IOD = system.iods[server]
+    meta = system.manager.files[name]
+    if meta.scheme == "raid0":
         # Nothing to rebuild from: the file's share on this server is
         # gone (PVFS semantics).  Reads will raise DataLoss.
         system.metrics.add("failures.raid0_files_lost")
         return
-    local_size = _server_local_size(system, name, index)
+    scheme = client.scheme_for(meta)
     chunk = 64 * lay.unit
 
     # ---- data file -----------------------------------------------------
     # The data file must be rebuilt to its *in-place* content (what parity
     # covers), never the overflow-overlaid latest view — otherwise parity
     # would no longer match and a later failure would reconstruct garbage.
-    meta = system.manager.files[name]
-    scheme_obj = client.scheme_for(meta)
-    for start in range(0, local_size, chunk):
-        length = min(chunk, local_size - start)
-        sr = ServerRange(index, start, start + length, lay)
-        if scheme == "raid1":
-            payload = yield from scheme_obj.degraded_read(client, meta, sr)
-        else:
-            payload = yield from scheme_obj._reconstruct(client, meta, sr)
-        yield from iod.fs.write(data_file(name), start, payload)
+    own = _local_ranges(lay, extents, server)
+    for lo, hi in own.iter_tuples():
+        for start in range(lo, hi, chunk):
+            sr = ServerRange(server, start, min(start + chunk, hi), lay)
+            if meta.scheme == "raid1":
+                payload = yield from scheme.degraded_read(client, meta, sr)
+            else:
+                payload = yield from scheme._reconstruct(client, meta, sr)
+            yield from iod.fs.write(data_file(name), start, payload)
 
     # ---- redundancy file -------------------------------------------------
-    if scheme == "raid1":
-        source = system.iods[lay.predecessor(index)]
-        src_size = _server_local_size(system, name, source.index)
-        for start in range(0, src_size, chunk):
-            length = min(chunk, src_size - start)
-            response = yield from client.rpc(source, msg.ReadReq(
-                name, kind="data", offset=start, length=length))
-            yield from iod.fs.write(red_file(name), start, response.payload)
-    else:
-        yield from _rebuild_parity(system, client, iod, name)
-
-    # ---- overflow region + tables (Hybrid) -------------------------------
-    if scheme == "hybrid":
-        yield from _rebuild_overflow(system, client, iod, name)
-
-
-def _rebuild_parity(system, client, iod: IOD,
-                    name: str) -> Generator[Event, Any, None]:
-    """Recompute the parity blocks a rebuilt server must hold."""
-    lay = system.layout
-    meta = system.manager.files[name]
-    groups = -(-meta.size // lay.group_span)
-    for group in range(groups):
-        if lay.parity_server(group) != iod.index:
+    predecessor = system.iods[lay.predecessor(server)]
+    theirs = _local_ranges(lay, extents, predecessor.index)
+    if meta.scheme == "raid1":
+        for lo, hi in theirs.iter_tuples():
+            for start in range(lo, hi, chunk):
+                response = yield from client.rpc(predecessor, msg.ReadReq(
+                    name, kind="data", offset=start,
+                    length=min(chunk, hi - start)))
+                yield from iod.fs.write(red_file(name), start,
+                                        response.payload)
+        return
+    groups = sorted({group for start, end in extents if end > start
+                     for group in range(lay.group_of(start),
+                                        lay.group_of(end - 1) + 1)})
+    for group in groups:
+        if lay.parity_server(group) != server:
             continue
         parity = yield from recompute_parity(system, client, name, group)
         yield from iod.fs.write(red_file(name),
                                 lay.parity_local_offset(group), parity)
+    if meta.scheme != "hybrid":
+        return
+
+    # ---- overflow region + tables (Hybrid) -------------------------------
+    # Own overflow region: the successor's mirror table is authoritative.
+    successor = system.iods[lay.successor(server)]
+    mtable = successor.overflow_mirror.get((name, server))
+    if mtable is not None and mtable.covered:
+        table, local = iod.overflow_region(name)
+        for ext in mtable.covered:
+            for lo, hi in own.overlap_iter(ext.start, ext.end):
+                response = yield from client.rpc(
+                    successor, msg.MirrorResolveReq(
+                        name, origin=server, offset=lo, length=hi - lo))
+                yield from iod.replay(table, local, lo, response.payload)
+
+    # Overflow mirror held for the predecessor: replay from its live table.
+    ptable = predecessor.overflow.get(name)
+    if ptable is not None and ptable.covered:
+        mirror, local = iod.overflow_region(name, predecessor.index)
+        for ext in ptable.covered:
+            for lo, hi in theirs.overlap_iter(ext.start, ext.end):
+                content, _reads = yield from predecessor.read_latest(
+                    ptable, ovf_file(name), lo, hi)
+                yield from iod.replay(mirror, local, lo, content)
 
 
 def recompute_parity(system, client, name: str,
@@ -225,29 +245,3 @@ def recompute_parity(system, client, name: str,
     parity = Payload.xor([r.payload for r in responses], lay.unit)
     yield from client.node.cpu.compute_parity(lay.group_span)
     return parity
-
-
-def _rebuild_overflow(system, client, iod: IOD,
-                      name: str) -> Generator[Event, Any, None]:
-    """Replay overflow (from the mirror) and the mirror (from the origin)."""
-    index = iod.index
-
-    # Own overflow region: the successor's mirror table is authoritative.
-    successor = system.iods[system.layout.successor(index)]
-    mtable = successor.overflow_mirror.get((name, index))
-    if mtable is not None and mtable.covered:
-        table, local = iod.overflow_region(name)
-        for ext in mtable.covered:
-            response = yield from client.rpc(successor, msg.MirrorResolveReq(
-                name, origin=index, offset=ext.start, length=ext.length))
-            yield from iod.replay(table, local, ext.start, response.payload)
-
-    # Overflow mirror held for the predecessor: replay from its live table.
-    predecessor = system.iods[system.layout.predecessor(index)]
-    ptable = predecessor.overflow.get(name)
-    if ptable is not None and ptable.covered:
-        mirror, local = iod.overflow_region(name, predecessor.index)
-        for ext in ptable.covered:
-            content, _reads = yield from predecessor.read_latest(
-                ptable, ovf_file(name), ext.start, ext.end)
-            yield from iod.replay(mirror, local, ext.start, content)

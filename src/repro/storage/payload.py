@@ -171,9 +171,12 @@ class Payload:
 
     @classmethod
     def pattern(cls, length: int, seed: int) -> "Payload":
-        """Deterministic pseudo-random content, for end-to-end data checks."""
-        rng = np.random.default_rng(seed)
-        return cls(length, rng.integers(0, 256, length, dtype=np.uint8))
+        """Deterministic pseudo-random content, for end-to-end data checks
+        (a uint8 draw's bytes, drawn as a quarter as many 32-bit words)."""
+        words = np.random.default_rng(seed).integers(
+            0, 1 << 32, -(-length // 4), dtype=np.uint32)
+        raw = words.astype("<u4", copy=False).view(np.uint8)
+        return cls(length, raw[:length])
 
     # -- predicates --------------------------------------------------------
     @property

@@ -1,11 +1,14 @@
-"""Failure injection, full server rebuild, scrub, and the reclaimer."""
+"""Failure injection, extent repair, full server rebuild, scrub, and the
+reclaimer."""
 
 import pytest
 
 from repro import CSARConfig, Payload, System
 from repro.errors import ConfigError, DataLoss, ServerFailed
+from repro.pvfs.iod import data_file, ovfm_file, red_file
+from repro.pvfs.messages import HEADER
 from repro.redundancy import scrub
-from repro.redundancy.recovery import rebuild_server
+from repro.redundancy.recovery import rebuild_server, repair
 from repro.redundancy.reclaim import background_reclaimer, reclaim_file
 from repro.units import KiB, MiB
 
@@ -126,6 +129,149 @@ class TestRebuild:
 
             with pytest.raises((ServerFailed, DataLoss)):
                 system.run(read())
+
+
+def corrupt(blockfile, offset=0, n=4):
+    old = blockfile.read(offset, n)
+    flipped = Payload.from_bytes(bytes(b ^ 0xFF for b in old.to_bytes()))
+    blockfile.write(offset, flipped)
+
+
+def block_extent(lay, block):
+    return [(block * lay.unit, (block + 1) * lay.unit)]
+
+
+def overflow_mirror_block(system):
+    """The first overflow byte range's mirror copy: the blockfile and
+    offset holding it, its logical block, and the mirror server."""
+    lay = system.layout
+    origin = next(iod for iod in system.iods
+                  if "f" in iod.overflow and iod.overflow["f"].covered)
+    ext = next(iter(origin.overflow["f"].covered))
+    mirror = system.iods[lay.successor(origin.index)]
+    _gaps, reads = mirror.overflow_mirror[("f", origin.index)].resolve(
+        ext.start, ext.end)
+    blockfile = mirror.fs.files[ovfm_file("f", origin.index)]
+    block = lay.logical_of_local(origin.index, ext.start) // lay.unit
+    return blockfile, reads[0].ovf_offset, block, mirror.index
+
+
+def damaged_block(system, kind):
+    """``(blockfile, offset, logical extent, server)`` of one stored
+    block of each kind: data block 2 on server 2, the mirror of block 1
+    on server 2, group 0's parity on server 5, or an overflow mirror."""
+    iods, lay = system.iods, system.layout
+    if kind == "data":
+        return iods[2].fs.files[data_file("f")], 0, block_extent(lay, 2), 2
+    if kind == "mirror":
+        return iods[2].fs.files[red_file("f")], 0, block_extent(lay, 1), 2
+    if kind == "parity":
+        return (iods[5].fs.files[red_file("f")], 0,
+                [lay.group_range(0)], 5)
+    blockfile, offset, block, server = overflow_mirror_block(system)
+    return blockfile, offset, block_extent(lay, block), server
+
+
+# Corrupting stored blocks makes ParitySan report at the next quiescent
+# point under CSAR_PARITYSAN=1.
+@pytest.mark.paritysan_expected
+class TestRepair:
+    @pytest.mark.parametrize("scheme,kind", [
+        ("raid1", "data"), ("raid1", "mirror"),
+        ("raid5", "data"), ("raid5", "parity"),
+        ("hybrid", "data"), ("hybrid", "parity"),
+        ("hybrid", "overflow-mirror")])
+    def test_repair_heals_one_block_from_its_extent(self, scheme, kind):
+        system = make_system(scheme)
+        populate(system)
+        size = system.manager.files["f"].size
+        blockfile, offset, extents, server = damaged_block(system, kind)
+        corrupt(blockfile, offset)
+        assert scrub.scrub(system, "f")
+        before = system.metrics.get("net.bytes")
+        system.run(repair(system, system.client(), "f", extents, server))
+        assert scrub.scrub(system, "f") == []
+        # The peers' bytes read are proportional to the extent: at most
+        # one unit from each server, each read a request and a reply.
+        n = system.layout.n
+        assert system.metrics.get("net.bytes") - before \
+            <= n * (UNIT + 2 * HEADER)
+        # A whole-server rebuild moves at least the server's share.
+        before = system.metrics.get("net.bytes")
+        system.fail_server(server)
+        system.run(rebuild_server(system, server))
+        assert system.metrics.get("net.bytes") - before >= size / n
+
+    def test_repair_rounds_out_to_whole_units(self):
+        # An extent naming a few bytes of a unit repairs the whole unit.
+        system = make_system("raid5")
+        populate(system)
+        corrupt(system.iods[2].fs.files[data_file("f")], offset=0)
+        start = 2 * UNIT + 100
+        system.run(repair(system, system.client(), "f",
+                          [(start, start + 100)], 2))
+        assert scrub.scrub(system, "f") == []
+
+    def test_repair_of_an_intact_extent_changes_no_byte(self):
+        system = make_system("hybrid")
+        expected = populate(system)
+        span = system.layout.group_span
+        for server in range(system.layout.n):
+            system.run(repair(system, system.client(), "f",
+                              [(0, 2 * span)], server))
+        assert scrub.scrub(system, "f") == []
+        assert read_all(system, "f", expected.length) == expected
+
+
+def race_stale_parity(delay):
+    """Two clients overwrite the same 1000 bytes of a full RAID5 group,
+    the second ``delay`` seconds later.  Each read-modify-write reads
+    the old data before it takes the group's parity lock, so the second
+    folds data the first is replacing, and the parity goes stale."""
+    system = System(CSARConfig(scheme="raid5", num_servers=6,
+                               num_clients=2, stripe_unit=UNIT,
+                               content_mode=True))
+    span = system.layout.group_span
+    first, second = system.clients
+
+    def fill():
+        yield from first.create("f")
+        yield from first.write("f", 0, Payload.pattern(span, seed=1))
+
+    def overwrite(client, seed, wait):
+        if wait:
+            yield system.env.timeout(wait)
+        yield from client.write("f", 100, Payload.pattern(1000, seed=seed))
+
+    system.run(fill())
+    system.run(overwrite(first, 2, 0), overwrite(second, 3, delay))
+    return system
+
+
+# The race leaves the parity stale at a quiescent point, which ParitySan
+# reports under CSAR_PARITYSAN=1.
+@pytest.mark.paritysan_expected
+class TestStaleParityRace:
+    @pytest.mark.xfail(strict=True, reason=(
+        "_rmw reads the old data before it takes the parity lock; "
+        "fixing it moves the schedule (ROADMAP, stale-parity race)"))
+    @pytest.mark.parametrize("delay", [0.0, 1e-4])
+    def test_overlapping_rmws_keep_parity(self, delay):
+        system = race_stale_parity(delay)
+        assert scrub.scrub(system, "f") == []
+
+    @pytest.mark.parametrize("delay", [0.0, 1e-4])
+    def test_repair_clears_the_stale_parity(self, delay):
+        system = race_stale_parity(delay)
+        assert scrub.scrub(system, "f") == [
+            "parity mismatch: f group 0 on server 5"]
+        data = [iod.fs.files[data_file("f")].read(0, UNIT)
+                for iod in system.iods[:5]]
+        system.run(repair(system, system.client(), "f",
+                          [system.layout.group_range(0)], 5))
+        assert scrub.scrub(system, "f") == []
+        assert [iod.fs.files[data_file("f")].read(0, UNIT)
+                for iod in system.iods[:5]] == data
 
 
 class TestReclaimer:

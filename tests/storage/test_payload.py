@@ -29,6 +29,16 @@ class TestConstruction:
         assert Payload.pattern(64, 3) == Payload.pattern(64, 3)
         assert Payload.pattern(64, 3) != Payload.pattern(64, 4)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 5, 1023, 4097, 102403])
+    def test_pattern_is_the_uint8_draw(self, length, seed):
+        # Pattern bytes feed the pinned chaos and bench digests: they
+        # must stay the bytes of a plain uint8 draw, whatever the
+        # word size the draw is taken in.
+        reference = np.random.default_rng(seed).integers(
+            0, 256, length, dtype=np.uint8)
+        assert Payload.pattern(length, seed).to_bytes() == reference.tobytes()
+
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             Payload.virtual(-1)

@@ -28,7 +28,8 @@ plan, the exception, or ``timeout``.
 
 ``--record`` writes ``docs/results/mutants.json`` and its table in
 ``docs/ANALYSIS.md``, keeping any column a judge no longer run left
-there: ``lint``, the verdict of ``csar-repro lint src --baseline
+there for each mutant unchanged since (``—`` for the others):
+``lint``, the verdict of ``csar-repro lint src --baseline
 tools/lint_baseline.json`` before that static checker was deleted.
 Naming mutants prints their rows and exits 1 when one of them survives
 every judge, which is how CI requires the Section 5.1 mutant to stay
@@ -114,6 +115,9 @@ CATALOGUE = [
     Mutant("lock-waiter-never-woken", "drop", "sim/resources.py",
            "Resource.release", "heappush(env._heap, (env._now, NORMAL, "
            "seq, nxt))", "pass"),
+    Mutant("rebuild-skips-overflow-mirror", "drop", "redundancy/recovery.py",
+           "repair", "yield from iod.replay(mirror, local, lo, content)",
+           "pass"),
     # -- lock ---------------------------------------------------------
     Mutant("rmw-upper-parity-read-ungated", "lock", "redundancy/base.py",
            "RedundancyScheme._rmw_chain", "gate = read_done", "pass"),
@@ -140,11 +144,15 @@ CATALOGUE = [
            "max((p.local_offset % unit + p.length for p in pieces))",
            "max((p.local_offset % unit + p.length - 1 for p in pieces))"),
     Mutant("rebuild-misses-last-row", "boundary", "redundancy/recovery.py",
-           "_server_local_size", "(total_blocks - server + lay.n - 1) "
-           "// lay.n", "(total_blocks - server) // lay.n"),
+           "_local_ranges", "-(-sr.local_end // unit) * unit",
+           "sr.local_end // unit * unit"),
     Mutant("rebuild-misses-last-group", "boundary",
-           "redundancy/recovery.py", "_rebuild_parity",
-           "-(-meta.size // lay.group_span)", "meta.size // lay.group_span"),
+           "redundancy/recovery.py", "repair",
+           "lay.group_of(end - 1) + 1", "lay.group_of(end - 1)"),
+    Mutant("repair-drops-round-out", "boundary", "redundancy/recovery.py",
+           "_local_ranges", "out.add(sr.local_start // unit * unit, "
+           "-(-sr.local_end // unit) * unit)",
+           "out.add(sr.local_start, sr.local_end)"),
     Mutant("stored-tail-shifted", "boundary", "storage/blockfile.py",
            "BlockFile._splice", "tail[hi - tail_at:]",
            "tail[hi - tail_at + 1:]"),
@@ -165,7 +173,7 @@ CATALOGUE = [
            "(yield from self._reconstruct(client, meta, sr))",
            "Payload.zeros(sr.length)"),
     Mutant("rebuild-skips-parity", "degraded", "redundancy/recovery.py",
-           "_rebuild_parity", "yield from iod.fs.write(red_file(name), "
+           "repair", "yield from iod.fs.write(red_file(name), "
            "lay.parity_local_offset(group), parity)", "pass"),
     Mutant("degraded-read-skips-overflow", "degraded", "redundancy/hybrid.py",
            "Hybrid.degraded_read", "out = out.overlay(lo - sr.local_start, "
@@ -316,14 +324,16 @@ def judge(mutant: Mutant, judges: Dict[str, Tuple[List[str], int, str]],
 
 def render(recorded: dict) -> str:
     """The markdown table docs/ANALYSIS.md carries."""
-    judges = list(recorded["mutants"][0]["kills"])
+    judges = list(dict.fromkeys(
+        judge for row in recorded["mutants"] for judge in row["kills"]))
     lines = ["| mutant | class | " + " | ".join(judges) + " |",
              "|---|---|" + "---|" * len(judges)]
     for row in recorded["mutants"]:
+        kills = row["kills"]
         lines.append(f"| `{row['id']}` | {row['kind']} | " + " | ".join(
-            "misses" if why is None
-            else "**kills** (timeout)" if why == "timeout" else "**kills**"
-            for why in row["kills"].values()) + " |")
+            "—" if judge not in kills else "misses" if kills[judge] is None
+            else "**kills** (timeout)" if kills[judge] == "timeout"
+            else "**kills**" for judge in judges) + " |")
     return "\n".join(lines)
 
 
@@ -341,12 +351,17 @@ def record(rows: Dict[str, Dict[str, Optional[str]]]) -> None:
     table of docs/ANALYSIS.md from it."""
     old = {}
     if RECORD.exists():
-        old = {row["id"]: row["kills"]
+        old = {row["id"]: row
                for row in json.loads(RECORD.read_text())["mutants"]}
-    recorded = {"kinds": KINDS, "mutants": [
-        {**mutant._asdict(),
-         "kills": {**old.get(mutant.id, {}), **rows[mutant.id]}}
-        for mutant in CATALOGUE]}
+    recorded = {"kinds": KINDS, "mutants": []}
+    for mutant in CATALOGUE:
+        # A column no judge runs any more judged the mutant as it was
+        # then: a new or changed mutant has none.
+        row = old.get(mutant.id, {"kills": {}})
+        same = {k: v for k, v in row.items() if k != "kills"} \
+            == mutant._asdict()
+        recorded["mutants"].append({**mutant._asdict(), "kills": {
+            **(row["kills"] if same else {}), **rows[mutant.id]}})
     RECORD.write_text(json.dumps(recorded, indent=1) + "\n")
     head, _, tail = split_analysis_md(ANALYSIS_MD.read_text())
     ANALYSIS_MD.write_text(head + render(recorded) + "\n" + tail)
