@@ -15,8 +15,8 @@ the redundancy invariants, and the zero-copy buffer discipline:
 
 A sanitizer reaches simulations only through :func:`sanitizer_scope`,
 which attaches it to the engine's ambient registry for the length of a
-block; the schedule explorer (:mod:`repro.analysis.explore`) searches
-tie orders under them.  See ``docs/ANALYSIS.md``.
+block; :mod:`repro.analysis.seeded_bugs` holds the deliberately-buggy
+schemes that prove them.  See ``docs/ANALYSIS.md``.
 """
 
 from __future__ import annotations

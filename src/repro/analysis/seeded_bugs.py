@@ -2,35 +2,30 @@
 
 Each class re-introduces a bug the paper's protocol (or the zero-copy
 buffer discipline) is designed to exclude, so tests can prove the
-schedule explorer (:mod:`repro.analysis.explore`), the sanitizers and
-the crash matrix catch it within a bounded budget.  What convicts each
-one (the conviction matrix of ``tests/analysis/test_conviction.py``):
+sanitizers and the crash matrix catch it.  What convicts each one:
 
-* :class:`DropReleaseRaid5` (a request mutator): the engine's deadlock,
-  LockSan's leak check;
-* :class:`InPlaceOverflowHybrid` (a plan mutator): ParitySan;
-* :class:`HelperReleaseRaid5` (wraps ``write``): the engine's deadlock,
-  LockSan's leak check;
-* :class:`DescendingLockRaid5` (wraps ``write``): LockSan;
-* :class:`ThawedViewRaid5` (wraps ``_rmw``): BufSan;
-* :class:`ScratchLeakHybrid` (wraps ``_mirrored``): BufSan;
-* :class:`CompensatingWritebackRaid5` (wraps ``_rmw``): crash matrix.
+* :class:`InPlaceOverflowHybrid` (a plan mutator): ParitySan
+  (``tests/redundancy/test_paritysan.py``, ``bench/negative_control.py``);
+* :class:`ThawedViewRaid5` (wraps ``_rmw``): BufSan
+  (``tests/analysis/test_bufsan.py``);
+* :class:`ScratchLeakHybrid` (wraps ``_mirrored``): BufSan
+  (``tests/analysis/test_bufsan.py``);
+* :class:`CompensatingWritebackRaid5` (wraps ``_rmw``): the crash
+  matrix's acked-byte oracle (``tests/faults/test_seeded_bug.py``,
+  ``chaos --smoke``).
 
 None needs a seam in the production write path: a plan mutator
 overrides :meth:`~repro.redundancy.base.RedundancyScheme.plan`; a
 handler wrap acts on what the real handler did (the RMW handler returns
 an :class:`~repro.redundancy.base.RmwOutcome`, and both RMW wraps share
-the production fold helper :func:`~repro.redundancy.base.rmw_patches`);
-a request mutator (``mutate(request)``) is installed on each client's
-``rpc`` by :func:`inject`.  No class is registered with the scheme
-registry — they impersonate their parent's ``name`` so existing
-metadata dispatch keeps working, and :func:`inject` swaps them into a
-built :class:`System` explicitly.
+the production fold helper :func:`~repro.redundancy.base.rmw_patches`).
+No class is registered with the scheme registry — they impersonate
+their parent's ``name`` so existing metadata dispatch keeps working,
+and :func:`inject` swaps them into a built :class:`System` explicitly.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Generator, Optional
 
 import numpy as np
@@ -43,33 +38,6 @@ from repro.redundancy.plan import Mirrored, Rmw, Stripe, WritePlan
 from repro.redundancy.raid5 import Raid5
 from repro.sim.engine import Event
 from repro.storage.payload import Payload
-
-
-class DropReleaseRaid5(Raid5):
-    """RAID5 whose N-th read-modify-write unlock is lost on the way.
-
-    The N-th ``ParityWriteReq(unlock=True)`` goes out as
-    ``unlock=False``: the next writer to that group queues forever,
-    which surfaces as the engine's :class:`~repro.errors.SimulationError`
-    deadlock.  The heap has drained by then, so ``run.complete`` fires
-    first and LockSan's leak check names the lock and its holder.
-    """
-
-    name = "raid5"  # impersonate: metadata still says "raid5"
-
-    def __init__(self, config: Any, drop_release_number: int = 2) -> None:
-        super().__init__(config)
-        self.drop_release_number = drop_release_number
-        self._unlocks = 0
-
-    def mutate(self, request: Any) -> Any:
-        """The request a client actually sends for ``request``."""
-        if type(request) is msg.ParityWriteReq and request.unlock:
-            self._unlocks += 1
-            if self._unlocks == self.drop_release_number:
-                # the bug: lock acquired, never released
-                return dataclasses.replace(request, unlock=False)
-        return request
 
 
 class InPlaceOverflowHybrid(Hybrid):
@@ -89,85 +57,6 @@ class InPlaceOverflowHybrid(Hybrid):
         return plan._replace(portions=tuple(
             Stripe(p.lo, p.hi) if type(p) is Mirrored else p
             for p in plan.portions))
-
-
-class HelperReleaseRaid5(Raid5):
-    """RAID5 with a per-write lease split across acquire/release helpers.
-
-    The N-th write's :meth:`_drop_lease` silently skips the release, so
-    the lease lock leaks.  Neither helper alone shows it —
-    :meth:`_take_lease` acquires a lock another function releases, just
-    like the real I/O daemon's protocol-carried parity lock, and
-    :meth:`_drop_lease` releases a lock it never acquired — so only the
-    run sees it: the next write on the lease blocks forever.
-    """
-
-    name = "raid5"  # impersonate: metadata still says "raid5"
-
-    #: lease pseudo-group, far above any real parity group number
-    LEASE_GROUP = 1 << 20
-
-    def __init__(self, config: Any, drop_release_number: int = 2) -> None:
-        super().__init__(config)
-        self.drop_release_number = drop_release_number
-        self._writes = 0
-
-    def write(self, client, meta, offset: int,
-              payload: Payload) -> Generator[Event, Any, None]:
-        iod = client.iods[0]
-        xid = client.next_xid()
-        yield from self._take_lease(iod, meta.name, xid)
-        yield from super().write(client, meta, offset, payload)
-        self._drop_lease(iod, meta.name, xid)
-
-    def _take_lease(self, iod, name: str,
-                    xid: int) -> Generator[Event, Any, None]:
-        yield from iod.locks.acquire(
-            name, self.LEASE_GROUP, xid)
-
-    def _drop_lease(self, iod, name: str, xid: int) -> None:
-        self._writes += 1
-        if self._writes == self.drop_release_number:
-            return  # the bug: this write's lease is never released
-        iod.locks.release(name, self.LEASE_GROUP, xid)
-
-
-class DescendingLockRaid5(Raid5):
-    """RAID5 that locks every group a write touches, highest-first.
-
-    The descending ``range`` loop inverts the Section 5.1 ascending
-    acquisition order.  Each acquire is matched by a release in the
-    ``finally`` block, so nothing leaks, and the loop bounds are
-    symbolic, so no literal group order is visible in the source —
-    LockSan's runtime inversion check sees the bug.  The locks are taken
-    directly on the parity servers' tables under one xid, so the
-    xid-keyed sanitizer observes the acquisition order.  The
-    wrapped write's own read-modify-writes lock under their own xids,
-    so a write with a partial group waits on itself: drive it with
-    whole groups.
-    """
-
-    name = "raid5"  # impersonate: metadata still says "raid5"
-
-    def write(self, client, meta, offset: int,
-              payload: Payload) -> Generator[Event, Any, None]:
-        return self._strict_write(client, meta, offset, payload)
-
-    def _strict_write(self, client, meta, offset: int,
-                      payload: Payload) -> Generator[Event, Any, None]:
-        lay = meta.layout
-        first = lay.group_of(offset)
-        last = lay.group_of(offset + payload.length - 1)
-        xid = client.next_xid()
-        for group in range(last, first - 1, -1):  # the bug: descending
-            yield from client.iods[lay.parity_server(group)].locks.acquire(
-                meta.name, group, xid)
-        try:
-            yield from super().write(client, meta, offset, payload)
-        finally:
-            for group in range(first, last + 1):
-                client.iods[lay.parity_server(group)].locks.release(
-                    meta.name, group, xid)
 
 
 class ThawedViewRaid5(Raid5):
@@ -320,18 +209,13 @@ def inject(system: Any, scheme: Any) -> Any:
 
     The replacement must impersonate the configured scheme's ``name``
     (clients dispatch per-file via ``meta.scheme == self.scheme.name``).
-    A scheme with a ``mutate(request)`` method also gets it installed on
-    every client's ``rpc``.  Returns ``system`` for chaining.
+    Returns ``system`` for chaining.
     """
     expected = system.config.scheme
     if scheme.name != expected:
         raise ValueError(
             f"seeded scheme impersonates {scheme.name!r} but the system "
             f"is configured for {expected!r}")
-    mutate = getattr(scheme, "mutate", None)
     for client in system.clients:
         client.scheme = scheme
-        if mutate is not None:
-            client.rpc = (lambda target, request, rpc=client.rpc:
-                          rpc(target, mutate(request)))
     return system

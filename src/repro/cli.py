@@ -10,12 +10,8 @@
     csar-repro run fig3 --csv-dir out/csv
     csar-repro report --ledger docs/results/experiments.json
     csar-repro report --diff old.json docs/results/experiments.json
-    csar-repro explore --smoke --sched-dir out/sched
-    csar-repro explore race-lock-order --strategy pct --budget 128
-    csar-repro explore --replay out/race-lock-order.sched
     csar-repro chaos --seeds 0:8 --plan-dir out/chaos
     csar-repro chaos --replay out/chaos/seed3-raid5.json
-    csar-repro explore --replay out/chaos/seed3-raid5.json
     csar-repro chaos --smoke
     csar-repro chaos --matrix
 """
@@ -105,7 +101,7 @@ def _cmd_run(ids: List[str], scale: Optional[float],
 
 
 def _cmd_replay(path: str) -> int:
-    """``chaos --replay`` and ``explore --replay``: one replay file."""
+    """``chaos --replay``: re-run one replay file."""
     from repro.faults import campaign
 
     if _missing("replay file", [path]):
@@ -116,54 +112,9 @@ def _cmd_replay(path: str) -> int:
         print(f"replayed {path}: reproduced — {got}")
         return 0
     kind = (recording.get("failure") or {}).get("kind")
-    why = (f"drifted: {outcome.drifted} forced tie pick(s) out of range "
-           f"were clamped" if outcome.drifted else
-           f"did NOT reproduce the recorded outcome [{kind}]")
-    print(f"replay of {path} {why}; got: {got}", file=sys.stderr)
+    print(f"replay of {path} did NOT reproduce the recorded outcome "
+          f"[{kind}]; got: {got}", file=sys.stderr)
     return 1
-
-
-def _cmd_explore(scenario: Optional[str], strategy: str, budget: int,
-                 depth: int, seed: int, smoke: bool,
-                 sched_dir: Optional[str], list_scenarios: bool) -> int:
-    from repro.analysis import explore
-    from repro.faults import campaign
-
-    if list_scenarios:
-        width = max(len(name) for name in explore.SCENARIOS)
-        for name, scen in sorted(explore.SCENARIOS.items()):
-            tag = " [seeded bug]" if scen.seeded_bug else ""
-            print(f"{name.ljust(width)}  {scen.description}{tag}")
-        return 0
-    if smoke:
-        try:
-            found = explore.explore_smoke(budget, depth, sched_dir)
-        except AssertionError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
-        for name, schedules, outcome in found:
-            print(f"{name}: caught [{outcome.failure_kind}] "
-                  f"{outcome.failure} after {schedules} schedule(s); "
-                  f"replay deterministic")
-    elif scenario not in explore.SCENARIOS:
-        print(f"error: unknown scenario {scenario!r}; give one of "
-              f"{', '.join(sorted(explore.SCENARIOS))}, --smoke, "
-              f"--replay, or --list", file=sys.stderr)
-        return 2
-    else:
-        schedules, outcome = explore.explore(scenario, strategy, budget,
-                                             depth, seed)
-        found = [(scenario, schedules, outcome)] if outcome else []
-        print(f"{scenario}: " + (
-            f"violation after {schedules} schedule(s) ({strategy}): "
-            f"[{outcome.failure_kind}] {outcome.failure}" if outcome else
-            f"no violation in {schedules} schedule(s) ({strategy})"))
-        if outcome and sched_dir is not None:
-            os.makedirs(sched_dir, exist_ok=True)
-            path = os.path.join(sched_dir, f"{scenario}.sched")
-            campaign.save(path, outcome, scenario=scenario)
-            print(f"wrote {path}")
-    return 1 if found and not smoke else 0
 
 
 def _cmd_chaos(seeds: List[int], schemes: List[str], num_ops: int,
@@ -255,8 +206,7 @@ def _scheme_list(text: str) -> List[str]:
 
 
 def _positive_int(text: str) -> int:
-    """The argparse type of ``--ops`` and ``--budget``: an integer above
-    zero."""
+    """The argparse type of ``--ops``: an integer above zero."""
     try:
         value = int(text)
         if value > 0:
@@ -306,37 +256,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="run nothing: list every claim value, "
                                "verdict and table cell that differs "
                                "between two ledger files (exit 1 if any)")
-    explore_p = sub.add_parser(
-        "explore", help="systematically explore event schedules for "
-                        "protocol violations (see docs/ANALYSIS.md)")
-    explore_p.add_argument("scenario", nargs="?", default=None,
-                           help="registered scenario name (see --list)")
-    explore_p.add_argument("--strategy", choices=("dfs", "pct"),
-                           default="dfs",
-                           help="dfs = bounded systematic, pct = seeded "
-                                "randomized (default: dfs)")
-    explore_p.add_argument("--budget", type=_positive_int, default=64,
-                           help="max schedules to execute (default 64)")
-    explore_p.add_argument("--depth", type=int, default=12,
-                           help="dfs: max decision points branched on "
-                                "(default 12)")
-    explore_p.add_argument("--seed", type=int, default=0,
-                           help="pct: base random seed (default 0)")
-    explore_p.add_argument("--smoke", action="store_true",
-                           help="run every seeded-bug scenario; exit 1 "
-                                "unless all are caught and replay "
-                                "deterministically (the CI gate)")
-    explore_p.add_argument("--sched-dir", default=None,
-                           help="write violating schedules as .sched "
-                                "files into this directory")
-    explore_p.add_argument("--replay", default=None, dest="replay_path",
-                           metavar="FILE",
-                           help="re-run a saved replay file (.sched or "
-                                "fault plan) and verify the recorded "
-                                "outcome reproduces")
-    explore_p.add_argument("--list", action="store_true",
-                           dest="list_scenarios",
-                           help="print every registered scenario and exit")
     chaos_p = sub.add_parser(
         "chaos", help="run seed-deterministic fault-injection campaigns "
                       "with a differential oracle (see docs/FAULTS.md)")
@@ -357,9 +276,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "replayable JSON into this directory")
     chaos_p.add_argument("--replay", default=None, dest="replay_path",
                          metavar="FILE",
-                         help="re-run a saved replay file (fault plan "
-                              "or .sched) and verify the recorded outcome "
-                              "reproduces")
+                         help="re-run a saved fault plan and verify the "
+                              "recorded outcome reproduces")
     chaos_p.add_argument("--smoke", action="store_true",
                          help="verify the verifier: the seeded mid-RMW "
                               "bug is caught and runs are deterministic "
@@ -381,16 +299,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if text:
             print(text)
         return 0 if ok else 1
-    if args.command in ("chaos", "explore") and args.replay_path:
-        return _cmd_replay(args.replay_path)
     if args.command == "chaos":
+        if args.replay_path:
+            return _cmd_replay(args.replay_path)
         return _cmd_chaos(args.seeds or [args.seed], args.schemes,
                           args.num_ops, args.plan_dir, args.smoke,
                           args.matrix)
-    if args.command == "explore":
-        return _cmd_explore(args.scenario, args.strategy, args.budget,
-                            args.depth, args.seed, args.smoke,
-                            args.sched_dir, args.list_scenarios)
     return _cmd_run(args.ids, args.scale, args.csv_dir, args.sanitize)
 
 

@@ -1,10 +1,10 @@
 """The campaign engine: one run under perturbations, judged one way.
 
 A fault plan (:mod:`repro.faults.plan`) and a tie order
-(:class:`ForcedTieBreaker`, :class:`RandomTieBreaker`) are perturbations
-of one run.  Both attach through the engine's ambient registry, so
-:func:`run` applies either or both, runs the workload under LockSan,
-BufSan and ParitySan, and attributes the result in one order: a raised
+(:class:`RandomTieBreaker`) are perturbations of one run.  Both attach
+through the engine's ambient registry, so :func:`run` applies either or
+both, runs the workload under LockSan, BufSan and ParitySan, and
+attributes the result in one order: a raised
 :class:`~repro.errors.ReproError` or ``AssertionError``
 (``exception:<Class>``), then the sanitizer reports in scope order
 (``locksan:<kind>``, ``bufsan:<kind>``, ``paritysan:<kind>``; a
@@ -12,12 +12,11 @@ sanitizer points closer to the root cause than the bytes it let
 through), then the acked-byte :class:`Oracle` (``differential``).
 
 Its callers differ only in their workloads: :mod:`repro.faults.runner`
-(sampled plans over a seeded op stream), :mod:`repro.faults.matrix` (a
-crash at every protocol step and victim) and
-:mod:`repro.analysis.explore` (tie schedules over scenarios).  Each run
-ends in one :class:`Outcome`, faulted servers come back through one
-:func:`recover`, and a run saves to one replay file (:func:`save`,
-:func:`replay`).
+(sampled plans over a seeded op stream) and :mod:`repro.faults.matrix`
+(a crash at every protocol step and victim).  Each run ends in one
+:class:`Outcome`, faulted servers come back through one
+:func:`recover`, and a failing chaos run saves to one replay file
+(:func:`save`, :func:`replay`).
 """
 
 from __future__ import annotations
@@ -32,42 +31,17 @@ import numpy as np
 
 from repro.errors import DataLoss, ReproError, ServerFailed
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import PLAN_SCHEMA_VERSION, FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.sim import engine as _engine
 
 Decisions = Tuple[Tuple[int, int], ...]
 
 
-class ForcedTieBreaker:
-    """Follow a forced decision prefix, then the default (index 0).
-
-    Records every decision as ``(n_choices, chosen)`` so the run's full
-    schedule can be re-forced later (replay) or expanded (DFS).  A forced
-    pick beyond the choices a tie offers is clamped to the last one and
-    counted in ``drifted``: the run no longer follows its recording.
-    """
-
-    def __init__(self, forced: Tuple[int, ...] = ()) -> None:
-        self.forced = tuple(forced)
-        self.decisions: List[Tuple[int, int]] = []
-        self.drifted = 0
-
-    def choose(self, when: float, priority: int,
-               events: List[Any]) -> Optional[int]:
-        n = len(events)
-        i = len(self.decisions)
-        pick = self.forced[i] if i < len(self.forced) else 0
-        if pick >= n:
-            pick = n - 1
-            self.drifted += 1
-        self.decisions.append((n, pick))
-        return pick
-
-
 class RandomTieBreaker:
-    """Pick uniformly among observable tied events, from a fixed seed."""
+    """Pick uniformly among observable tied events, from a fixed seed.
 
-    drifted = 0
+    Records every decision as ``(n_choices, chosen)``; the decisions
+    enter the run's digest."""
 
     def __init__(self, seed: int) -> None:
         self._rng = random.Random(seed)
@@ -200,8 +174,6 @@ class Outcome:
     ops_failed: int = 0
     #: the tie decisions, ``None`` when no tie breaker was attached
     decisions: Optional[Decisions] = None
-    #: forced tie picks that were out of range and clamped
-    drifted: int = 0
     plan: Optional[FaultPlan] = None
 
     def format(self) -> str:
@@ -267,21 +239,14 @@ def run(workload: Callable[[], Any], faults: Optional[FaultPlan] = None,
             json.dumps(doc, sort_keys=True).encode()).hexdigest(),
         fired=fired, ops_acked=acked,
         ops_failed=len(oracle.outcomes) - acked, decisions=decisions,
-        drifted=ties.drifted if ties is not None else 0, plan=faults)
+        plan=faults)
 
 
-def save(path: str, outcome: Outcome, scenario: Optional[str] = None,
-         ) -> None:
-    """Write ``outcome`` as a replay file: the fault plan's JSON (when a
-    plan was armed), the explorer ``scenario`` that was the workload
-    (else the chaos op stream of the plan), the tie ``decisions`` (when
-    a tie breaker was attached), the ``failure`` and the ``digest``."""
-    data = (outcome.plan.to_json() if outcome.plan is not None
-            else {"schema_version": PLAN_SCHEMA_VERSION})
-    if scenario is not None:
-        data["scenario"] = scenario
-    if outcome.decisions is not None:
-        data["decisions"] = [list(d) for d in outcome.decisions]
+def save(path: str, outcome: Outcome) -> None:
+    """Write ``outcome`` as a replay file: its fault plan's JSON (the
+    chaos op stream derives from the plan), the ``failure`` and the
+    ``digest``."""
+    data = outcome.plan.to_json()
     data["failure"] = {"kind": outcome.failure_kind,
                        "description": outcome.failure}
     data["digest"] = outcome.digest
@@ -290,48 +255,22 @@ def save(path: str, outcome: Outcome, scenario: Optional[str] = None,
         handle.write("\n")
 
 
-def load(path: str) -> Dict[str, Any]:
-    """Read a replay file.  A ``.sched`` file written before the engine
-    carries ``violation`` and names an exception by its bare class; it
-    reads as ``failure`` with the ``exception:`` prefix."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    version = data.get("schema_version")
-    if version != PLAN_SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported replay schema_version "
-                         f"{version!r} (expected {PLAN_SCHEMA_VERSION})")
-    if "violation" in data:
-        kind = data["violation"]["kind"]
-        data["failure"] = {
-            "kind": kind if ":" in kind else f"exception:{kind}",
-            "description": data.pop("violation")["description"]}
-    return data
-
-
 def replay(path: str) -> Tuple[bool, Outcome, Dict[str, Any]]:
     """Re-run a replay file: ``(reproduced, outcome, recording)``.
 
     With a recorded digest the run reproduces only if the digest
     matches; without one, if the failure kind does (or the run is clean
-    when none was recorded).  A run whose forced tie picks drifted out
-    of range never counts as reproduced.
+    when none was recorded).
     """
-    data = load(path)
-    plan = FaultPlan.from_json(data) if "faults" in data else None
-    ties = (ForcedTieBreaker(tuple(c for _n, c in data["decisions"]))
-            if "decisions" in data else None)
-    if data.get("scenario") is not None:
-        from repro.analysis.explore import SCENARIOS
+    from repro.faults.runner import workload
 
-        workload = SCENARIOS[data["scenario"]].run
-    else:
-        from repro.faults.runner import workload as chaos_workload
-
-        workload = chaos_workload(plan)
-    outcome = run(workload, faults=plan, ties=ties)
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    plan = FaultPlan.from_json(data)
+    outcome = run(workload(plan), faults=plan)
     if data.get("digest") is not None:
         reproduced = outcome.digest == data["digest"]
     else:
         reproduced = outcome.failure_kind == (data.get("failure")
                                               or {}).get("kind")
-    return reproduced and not outcome.drifted, outcome, data
+    return reproduced, outcome, data

@@ -153,12 +153,15 @@ def repair(system, client, name: str, extents,
     """Process body: regenerate what ``server`` stores for the logical
     byte ranges ``extents`` (``(start, end)`` pairs) of file ``name``
     from the other servers, through ``client`` (see the module notes).
-    Nothing else may write the extents meanwhile: the server is failed
-    (:func:`rebuild_server`) or the caller has quiesced them.
+    Each extent is clipped to the file, so nothing past its end is
+    written.  Nothing else may write the extents meanwhile: the server
+    is failed (:func:`rebuild_server`) or the caller has quiesced them.
     """
     lay = system.layout
     iod: IOD = system.iods[server]
     meta = system.manager.files[name]
+    extents = [(max(start, 0), min(end, meta.size))
+               for start, end in extents]
     if meta.scheme == "raid0":
         # Nothing to rebuild from: the file's share on this server is
         # gone (PVFS semantics).  Reads will raise DataLoss.

@@ -65,7 +65,7 @@ from repro.probes import PROBES
 
 #: The ambient registry: ``key -> build``.  Every new
 #: :class:`Environment` hangs ``build(env)`` on itself as attribute
-#: ``key`` — how a sanitizer, a fault injector or the explorer's
+#: ``key`` — how a sanitizer, a fault injector or a campaign's
 #: tie-breaker gets into environments that code it does not control
 #: creates.  What is built subscribes itself to the probes it wants
 #: (:meth:`Environment.subscribe`), so the engine never imports a tool.
@@ -364,10 +364,10 @@ class Environment:
     #: decision (``link_action`` / ``disk_action`` / ``torn_action``);
     #: ``None`` unless a plan is armed.
     faults: Optional[Any] = None
-    #: Tie-break scheduler for schedule exploration
-    #: (:mod:`repro.analysis.explore`): ``choose(when, priority,
-    #: events)`` picks which same-``(time, priority)`` event to dispatch
-    #: next.  ``None`` keeps the deterministic seq order and the
+    #: Tie-break scheduler of a campaign run
+    #: (:class:`repro.faults.campaign.RandomTieBreaker`):
+    #: ``choose(when, priority, events)`` picks which
+    #: same-``(time, priority)`` event to dispatch next.  ``None`` keeps the deterministic seq order and the
     #: zero-overhead dispatch loops.
     _tie_breaker: Optional[Any] = None
 
@@ -556,7 +556,7 @@ class Environment:
             self.emit("run.complete")
         return None
 
-    # -- schedule exploration ---------------------------------------------
+    # -- tie-broken dispatch ---------------------------------------------
     def _step_tie(self) -> None:
         """One dispatch under the tie-break scheduler.
 

@@ -2,12 +2,11 @@
 the one replay file.
 
 ``chaos_digests.json`` holds the ``run_chaos`` digests of seeds 0–11
-under the four schemes, recorded before the chaos runner, the crash
-matrix and the explorer were folded into :mod:`repro.faults.campaign`;
-a change that moves one changes what a chaos run does.  ``fixtures/``
-holds a failing plan written by ``chaos --plan-dir`` and a ``.sched``
-written by ``explore --sched-dir`` before the fold, in their original
-formats.  The plan is seed 53/hybrid, the
+under the four schemes, recorded before the chaos runner and the crash
+matrix were folded into :mod:`repro.faults.campaign`; a change that
+moves one changes what a chaos run does.  ``fixtures/`` holds a failing
+plan written by ``chaos --plan-dir`` before the fold, in its original
+format.  The plan is seed 53/hybrid, the
 dropped-link suspicion defect of ROADMAP item 11: once that is fixed,
 the plan stops failing and its fixture must be re-recorded.  Its digest
 was re-recorded once already, when a run that raised began to keep its
@@ -17,8 +16,6 @@ fired faults and op rows.
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.cli import main
 from repro.faults import campaign
 from repro.faults.matrix import matrix_steps, run_cell
@@ -27,7 +24,6 @@ from repro.faults.plan import sample_plan
 
 HERE = Path(__file__).parent
 PLAN = HERE / "fixtures" / "seed53-hybrid.json"
-SCHED = HERE / "fixtures" / "race-lock-order.sched"
 
 
 def test_chaos_digests_are_pinned():
@@ -66,10 +62,22 @@ def test_faults_and_tie_orders_compose():
     assert bad == []
 
 
+class DefaultPicks:
+    """A tie-breaker that records every decision and always picks the
+    default (index 0)."""
+
+    def __init__(self):
+        self.decisions = []
+
+    def choose(self, when, priority, events):
+        self.decisions.append((len(events), 0))
+        return 0
+
+
 def test_a_tie_order_changes_the_digest_not_the_verdict():
     plan = sample_plan(2, "raid5", 5, 10)
     plain = run_plan(plan)
-    forced = run_plan(plan, ties=campaign.ForcedTieBreaker())
+    forced = run_plan(plan, ties=DefaultPicks())
     # The default picks replay the plain schedule; only the recorded
     # decisions enter the digest.
     assert forced.ok and plain.ok
@@ -93,51 +101,14 @@ def test_a_run_that_raised_keeps_its_record():
     assert "fault(s) fired, 0 acked" not in outcome.format()
 
 
-def test_a_pre_engine_sched_file_replays_by_failure_kind():
-    reproduced, outcome, recording = campaign.replay(str(SCHED))
-    assert "digest" not in recording
-    # The bare exception class of the old format reads with its prefix.
-    assert recording["failure"]["kind"] == "exception:SimulationError"
-    assert reproduced
-    assert outcome.decisions == ((2, 0), (2, 1), (2, 0))
-
-
 def test_both_verbs_replay_both_formats(capsys):
-    for verb in ("chaos", "explore"):
-        for path in (PLAN, SCHED):
-            assert main([verb, "--replay", str(path)]) == 0
-            assert "reproduced" in capsys.readouterr().out
+    assert main(["chaos", "--replay", str(PLAN)]) == 0
+    assert "reproduced" in capsys.readouterr().out
 
 
 def test_a_saved_outcome_round_trips(tmp_path):
     outcome = run_chaos(3, "hybrid")
     path = str(tmp_path / "plan.json")
     campaign.save(path, outcome)
-    reproduced, again, recording = campaign.replay(path)
+    reproduced, again, _recording = campaign.replay(path)
     assert reproduced and again.digest == outcome.digest
-    assert "decisions" not in recording and "scenario" not in recording
-
-
-@pytest.fixture
-def drifted(tmp_path):
-    """The fixture .sched with its second forced pick out of range: the
-    clamp turns it back into the recorded pick, so the failure kind
-    still matches."""
-    data = json.loads(SCHED.read_text())
-    data["decisions"][1] = [2, 5]
-    path = tmp_path / "drifted.sched"
-    path.write_text(json.dumps(data))
-    return str(path)
-
-
-def test_a_drifted_replay_is_not_reproduced(drifted):
-    reproduced, outcome, recording = campaign.replay(drifted)
-    assert outcome.failure_kind == recording["failure"]["kind"]
-    assert outcome.drifted == 1
-    assert not reproduced
-
-
-def test_the_cli_reports_drift(drifted, capsys):
-    assert main(["explore", "--replay", drifted]) == 1
-    assert "drifted: 1 forced tie pick(s) out of range" \
-        in capsys.readouterr().err

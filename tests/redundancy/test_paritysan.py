@@ -1,13 +1,13 @@
 """ParitySan (repro.analysis.paritysan): the runtime redundancy-invariant
 sanitizer — clean schemes stay silent, seeded/injected corruption is
-reported, and recovery/scrub hold up under explored schedules."""
+reported, and recovery/scrub hold up under random tie orders."""
 
 import pytest
 
 from repro import CSARConfig, Payload, System
 from repro.analysis import sanitizer_scope, seeded_bugs
-from repro.analysis.explore import RandomTieBreaker
 from repro.analysis.paritysan import ParitySanReport
+from repro.faults.campaign import RandomTieBreaker
 from repro.pvfs.iod import red_file
 from repro.redundancy import scrub
 from repro.redundancy.recovery import rebuild_server

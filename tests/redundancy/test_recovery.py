@@ -212,6 +212,31 @@ class TestRepair:
                           [(start, start + 100)], 2))
         assert scrub.scrub(system, "f") == []
 
+    @pytest.mark.parametrize("scheme", ["raid1", "raid5", "hybrid"])
+    def test_repair_past_the_end_keeps_every_file_size(self, scheme):
+        # The extent runs two groups past the end of a two-group file:
+        # only the file's bytes are repaired, so no file grows.
+        system = make_system(scheme)
+        span = system.layout.group_span
+        client = system.client()
+
+        def work():
+            yield from client.create("f")
+            yield from client.write("f", 0, Payload.pattern(2 * span, seed=1))
+
+        system.run(work())
+
+        def sizes():
+            return [{name: size for name, size in iod.fs.listing().items()
+                     if name in (data_file("f"), red_file("f"))}
+                    for iod in system.iods]
+
+        before = sizes()
+        for server in range(system.layout.n):
+            system.run(repair(system, client, "f", [(0, 4 * span)], server))
+        assert sizes() == before
+        assert scrub.scrub(system, "f") == []
+
     def test_repair_of_an_intact_extent_changes_no_byte(self):
         system = make_system("hybrid")
         expected = populate(system)

@@ -4,7 +4,7 @@ A heap entry is an :class:`Event` or a zero-argument callable
 (:meth:`Environment.call_later`, :meth:`FifoServer.hold_then`).  A bare
 entry must fire exactly where the ``Timeout``/``Hold`` carrying the same
 function as its one callback would: same time, same ``seq``, under every
-dispatch loop and under the explorer's tie-breaker.  And a process
+dispatch loop and under a seeded tie-breaker.  And a process
 whose end nobody waits for is processed on the spot instead of
 scheduling an end event.
 """
@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.explore import RandomTieBreaker
 from repro.errors import SimulationError
+from repro.faults.campaign import RandomTieBreaker
 from repro.sim import Environment
 from repro.sim.engine import Timeout
 from repro.sim.resources import FifoServer

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment, Interrupt, engine
 
 
 @pytest.fixture
@@ -290,3 +290,69 @@ class TestEnvironmentStats:
         assert after["dispatched"] == 3
         assert after["pending"] == 0
         assert after["now"] == 2.0
+
+
+class Forced:
+    """A tie-breaker stub: follows ``picks``, then the default (index 0),
+    and records every decision as ``(n_choices, chosen)``."""
+
+    def __init__(self, *picks):
+        self.picks = picks
+        self.decisions = []
+
+    def choose(self, when, priority, events):
+        i = len(self.decisions)
+        pick = self.picks[i] if i < len(self.picks) else 0
+        self.decisions.append((len(events), pick))
+        return pick
+
+
+class TestEngineTieBreak:
+    @staticmethod
+    def order_of_two_starts(tie_breaker=None):
+        """Start processes "a" then "b" at time 0 under ``tie_breaker``;
+        the order their zero timeouts fire in."""
+        if tie_breaker is not None:
+            engine.attach("_tie_breaker", lambda env: tie_breaker)
+        try:
+            env = Environment()
+            order = []
+
+            def proc(tag):
+                yield env.timeout(0)
+                order.append(tag)
+
+            env.process(proc("a"))
+            env.process(proc("b"))
+            env.run()
+        finally:
+            if tie_breaker is not None:
+                engine.detach("_tie_breaker")
+        return order
+
+    def test_default_order_without_tie_breaker(self):
+        assert self.order_of_two_starts() == ["a", "b"]
+
+    def test_forced_tie_breaker_reorders_same_time_events(self):
+        # Flip only the first tie (the two process-start events) and keep
+        # defaults after: "b" starts first, so its timeout fires first.
+        tb = Forced(1)
+        assert self.order_of_two_starts(tb) == ["b", "a"]
+        assert tb.decisions[0] == (2, 1)
+
+    def test_unobservable_events_consume_no_decision(self):
+        # Bare timeouts nobody waits on commute; only observed ties
+        # reach the tie-breaker.
+        tb = Forced()
+        engine.attach("_tie_breaker", lambda env: tb)
+        try:
+            env = Environment()
+            for _ in range(3):
+                env.timeout(1.0)
+            env.run()
+        finally:
+            engine.detach("_tie_breaker")
+        assert tb.decisions == []
+
+    def test_explored_run_same_result_as_default_when_forced_default(self):
+        assert self.order_of_two_starts(Forced()) == ["a", "b"]

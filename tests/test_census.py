@@ -47,13 +47,28 @@ def tier1(test: str) -> str:
     return f"tier-1 test: `{test}`"
 
 
+_ORDER = ("tests/analysis/test_bufsan.py::TestSanitizerRegistry::"
+          "test_scope_labels_reports_in_attribution_order")
+_CYCLE = ("tests/redundancy/test_locksan.py::TestDeadlock::"
+          "test_wait_for_cycle_raises_before_hang")
+_TIES = "tests/faults/test_campaign.py::test_faults_and_tie_orders_compose"
+
 #: def -> why it may stay unreached
 OWNED = {
     # Report paths.  A ``__repr__`` prints a failed assertion or an
-    # exception; ``Payload.__hash__`` raises on misuse.
+    # exception; ``Payload.__hash__`` raises on misuse; ``save`` writes
+    # a failing chaos run's plan.
+    "repro.analysis.bufsan:BufSan._report": VIOLATION,
+    "repro.analysis.bufsan:BufSanReport.format": VIOLATION,
+    "repro.analysis.bufsan:BufSanReport.format.<locals>._at": VIOLATION,
     "repro.analysis.locksan:LockSan._held_summary": VIOLATION,
+    "repro.analysis.locksan:LockSan._report": VIOLATION,
     "repro.analysis.locksan:LockSan.on_double_release": VIOLATION,
+    "repro.analysis.locksan:LockSanReport.format": VIOLATION,
+    "repro.analysis.paritysan:ParitySan._report": VIOLATION,
     "repro.analysis.paritysan:ParitySan.on_scrub": VIOLATION,
+    "repro.analysis.paritysan:ParitySanReport.format": VIOLATION,
+    "repro.faults.campaign:save": VIOLATION,
     "repro.hw.node:Node.__repr__": VIOLATION,
     "repro.sim.engine:Event.__repr__": VIOLATION,
     "repro.storage.blockfile:BlockFile.__repr__": VIOLATION,
@@ -63,20 +78,6 @@ OWNED = {
     "repro.util.intervals:Extent.__repr__": VIOLATION,
     "repro.util.intervals:ExtentMap.__repr__": VIOLATION,
     # Commands a person runs; CI runs none of them.
-    "repro.analysis.explore:_scenario_lock_ties": human(
-        "explore lock-ties"),
-    "repro.analysis.explore:_scenario_lock_ties.<locals>.body": human(
-        "explore lock-ties"),
-    "repro.analysis.explore:_scenario_lock_ties.<locals>.setup": human(
-        "explore lock-ties"),
-    "repro.analysis.explore:_scenario_race_lock_order": human(
-        "explore race-lock-order"),
-    "repro.analysis.explore:_scenario_race_lock_order.<locals>.hold":
-        human("explore race-lock-order"),
-    "repro.analysis.explore:_scenario_race_lock_order.<locals>.reader":
-        human("explore race-lock-order"),
-    "repro.analysis.explore:_scenario_race_lock_order.<locals>.writer":
-        human("explore race-lock-order"),
     "repro.cli:_cmd_list": human("list"),
     "repro.experiments.base:list_experiments": human("list"),
     "repro.experiments.base:ExpTable.to_csv": human("run --csv-dir"),
@@ -85,17 +86,46 @@ OWNED = {
     "repro.experiments.report:_change": human("report --diff"),
     "repro.experiments.report:diff_ledgers": human("report --diff"),
     "repro.cli:_cmd_replay": human("chaos --replay"),
-    "repro.faults.campaign:ForcedTieBreaker.choose": human(
-        "explore --replay"),
-    "repro.faults.campaign:load": human("chaos --replay"),
     "repro.faults.campaign:replay": human("chaos --replay"),
-    "repro.faults.campaign:RandomTieBreaker.__init__": human(
-        "explore --strategy pct"),
-    "repro.faults.campaign:RandomTieBreaker.choose": human(
-        "explore --strategy pct"),
     "repro.faults.plan:FaultPlan.from_json": human("chaos --replay"),
     "repro.faults.plan:FaultSpec.from_json": human("chaos --replay"),
     "repro.faults.plan:Trigger.from_json": human("chaos --replay"),
+    # A heap that drains: no CI command runs a System to exhaustion (the
+    # page-cache flusher reschedules forever), only bare environments.
+    "repro.analysis.bufsan:BufSan.on_run_complete": tier1(_ORDER),
+    "repro.analysis.locksan:LockSan.on_run_complete": tier1(_ORDER),
+    "repro.analysis.paritysan:ParitySan.on_run_complete": tier1(_ORDER),
+    # Parity-lock contention: no CI command makes two writers wait on
+    # one group.
+    "repro.analysis.locksan:LockSan.on_wait": tier1(_CYCLE),
+    "repro.analysis.locksan:LockSan._find_cycle": tier1(_CYCLE),
+    "repro.analysis.locksan:LockSan._find_cycle.<locals>.dfs":
+        tier1(_CYCLE),
+    "repro.analysis.locksan:LockSan._find_cycle.<locals>.edges":
+        tier1(_CYCLE),
+    "repro.analysis.locksan:LockSan.on_cancel": tier1(
+        "tests/redundancy/test_locksan.py::TestLeak::"
+        "test_interrupt_while_queued_leaves_no_leak"),
+    # The two buffer seeded bugs: BufSan's traps convict them.
+    **{f"repro.analysis.seeded_bugs:ThawedViewRaid5.{method}": tier1(
+        "tests/analysis/test_bufsan.py::TestSeededBugTraps::"
+        "test_thawed_view_drifts_the_parity_fingerprint")
+       for method in ("_rmw", "_fold_parity", "_fold_piece", "_thaw")},
+    **{f"repro.analysis.seeded_bugs:ScratchLeakHybrid.{method}": tier1(
+        "tests/analysis/test_bufsan.py::TestSeededBugTraps::"
+        "test_scratch_leak_drifts_the_mirror_fingerprint")
+       for method in ("__init__", "_mirrored", "_mirror_copy",
+                      "_fold_buffer", "_alloc_buffer")},
+    # A usage error of ``chaos --ops``; CI passes no --ops.
+    "repro.cli:_positive_int": tier1(
+        "tests/test_cli.py::TestRun::test_scale_must_be_positive"),
+    # Item 8's bands: the same run under seeded tie orders.
+    "repro.faults.campaign:RandomTieBreaker.__init__": tier1(_TIES),
+    "repro.faults.campaign:RandomTieBreaker.choose": tier1(_TIES),
+    "repro.sim.engine:Environment._dispatch": tier1(
+        "tests/sim/test_engine.py::TestEngineTieBreak"),
+    "repro.sim.engine:Environment._step_tie": tier1(
+        "tests/sim/test_engine.py::TestEngineTieBreak"),
     # The chaos workload never misses the page cache, so no injected disk
     # fault reaches a disk (item 4, the boundary of the fault model).
     "repro.faults.injector:FaultInjector.disk_action": item("4"),

@@ -103,7 +103,6 @@ class TestRun:
         ["chaos", "--ops", "0"],
         ["chaos", "--schemes", "raid9"],
         ["chaos", "--schemes", "raid5,raid9"],
-        ["explore", "lock-ties", "--budget", "0"],
     ])
     def test_scale_must_be_positive(self, argv, capsys):
         """An option value outside its domain is a usage error (exit 2)
@@ -116,7 +115,6 @@ class TestRun:
 
 @pytest.mark.parametrize("argv", [
     ["chaos", "--replay", "{missing}"],
-    ["explore", "--replay", "{missing}"],
     ["report", "--diff", "{missing}", "{missing}"],
 ])
 def test_a_missing_input_file_is_a_usage_error(argv, tmp_path, capsys):

@@ -18,10 +18,10 @@ The roots are what runs outside the tier-1 suite:
 
 * every command ``.github/workflows/ci.yml`` runs except tier-1
   ``pytest tests/`` and the mutant step (which runs a copy of the
-  tree): the examples, ``pytest benchmarks/``, ``explore --smoke``,
-  the ParitySan row's ``run ... --sanitize=all``, the three ``chaos``
-  runs, ``pytest bench/``, ``bench/negative_control.py`` and
-  ``bench/run.py``'s five workloads;
+  tree): the examples, ``pytest benchmarks/``, the ParitySan row's
+  ``run ... --sanitize=all``, the three ``chaos`` runs, ``pytest
+  bench/``, ``bench/negative_control.py`` and ``bench/run.py``'s five
+  workloads;
 * ``report --ledger``.
 
 The hook is ``sys.settrace``, not ``sys.setprofile``: ``bench/run.py
@@ -101,8 +101,6 @@ def _bench_workloads(tmp: str) -> int:
 ROOTS = [
     ("examples", _examples),
     ("pytest benchmarks/", _pytest("benchmarks/")),
-    ("explore --smoke", _cli("explore", "--smoke", "--budget", "64",
-                             "--sched-dir", "{tmp}/sched")),
     ("run ... --sanitize=all", _cli("run", "ext-recovery", "ext-scrub",
                                     "--scale", "0.05", "--sanitize=all")),
     ("chaos --smoke", _cli("chaos", "--smoke")),

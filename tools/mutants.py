@@ -21,10 +21,9 @@ id that no longer exists, no test collected) is the driver's fault, not
 a verdict: the run stops and exits 2.  The judges are the tier-1 suite
 without the pins (any schedule change fails a byte-identity pin, and
 any mutant fails ``tests/test_mutants.py``, so their kills are not
-evidence), ``csar-repro chaos --seeds 0:32`` (all three sanitizers
-armed) and ``csar-repro explore --smoke``.  A row records, per judge,
-``null`` for a survivor or a short reason: the first failing test or
-plan, the exception, or ``timeout``.
+evidence) and ``csar-repro chaos --seeds 0:32`` (all three sanitizers
+armed).  A row records, per judge, ``null`` for a survivor or a short
+reason: the first failing test or plan, the exception, or ``timeout``.
 
 ``--record`` writes ``docs/results/mutants.json`` and its table in
 ``docs/ANALYSIS.md``, keeping any column a judge no longer run left
@@ -194,8 +193,6 @@ JUDGES: Dict[str, Tuple[List[str], int, str]] = {
                "tests", *PINS], 300, r"^(FAILED|ERROR) "),
     "chaos": ([_PY, "-m", "repro", "chaos", "--seeds", "0:32"], 120,
               r"FAIL"),
-    "explore": ([_PY, "-m", "repro", "explore", "--smoke"], 60,
-                r"explore-smoke:"),
 }
 
 
