@@ -139,8 +139,7 @@ def _cmd_chaos(seeds: List[int], schemes: List[str], num_ops: int,
         return 1 if bad or STEP_NAMES - reached else 0
     if smoke:
         # Verify the verifier: the real scheme passes the cell that
-        # convicts the seeded mid-RMW bug by the acked-byte oracle alone,
-        # and a chaos run is digest-deterministic.
+        # convicts the seeded mid-RMW bug by the acked-byte oracle alone.
         from repro.analysis.seeded_bugs import CompensatingWritebackRaid5
 
         cell = ("raid5", "raid5.rmw.before_writeback", 1, 0)
@@ -154,13 +153,6 @@ def _cmd_chaos(seeds: List[int], schemes: List[str], num_ops: int,
         print(f"seeded bug caught: raid5 {cell[1]}#{cell[2]} "
               f"victim={cell[3]}: "
               f"{buggy.format()}: {buggy.failure}")
-        first, again = (runner.run_chaos(seeds[0], "raid5", num_ops=num_ops)
-                        for _ in range(2))
-        if first.digest != again.digest:
-            print("error: chaos run is not deterministic", file=sys.stderr)
-            return 1
-        print(f"chaos determinism: seed {seeds[0]} raid5 digest "
-              f"{first.digest[:12]} reproduces")
         return 0
     outcomes = runner.run_campaign(seeds, schemes, num_ops=num_ops,
                                    plan_dir=plan_dir)
@@ -280,8 +272,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "recorded outcome reproduces")
     chaos_p.add_argument("--smoke", action="store_true",
                          help="verify the verifier: the seeded mid-RMW "
-                              "bug is caught and runs are deterministic "
-                              "(the CI gate)")
+                              "bug is caught (the CI gate)")
     chaos_p.add_argument("--matrix", action="store_true",
                          help="run the full crash-consistency matrix "
                               "(every server x every protocol step) for "

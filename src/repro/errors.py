@@ -63,9 +63,3 @@ class FaultPlanError(ConfigError):
 
 class LockProtocolError(ProtocolError):
     """The distributed parity-lock protocol was used out of order."""
-
-
-class DeadlockError(ProtocolError):
-    """LockSan found a wait-for cycle among parity-lock waiters: the
-    simulation would hang.  Raised *before* the hang, naming the
-    processes involved."""

@@ -18,9 +18,6 @@ PROBES = {
     "run.complete": "(): Environment.run drained the event heap (also "
                     "just before a run(until=event) deadlock error)",
     # -- locks ----------------------------------------------------------
-    "parity_lock.wait": "(file, group, xid): xid queued behind the holder",
-    "parity_lock.cancel": "(file, group, xid): a queued acquire was "
-                          "interrupted and withdrawn",
     "parity_lock.acquired": "(file, group, xid): xid now holds the lock",
     "parity_lock.released": "(file, group, xid): xid gave the lock up",
     "parity_lock.double_release": "(file, group, xid): xid released a "

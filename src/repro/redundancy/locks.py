@@ -55,22 +55,18 @@ class ParityLockTable:
                 f"xid {xid} already holds parity lock {file}:{group}")
         lock = self._lock(file, group)
         t0 = self.env.now
-        emit = self.env.emit
         request = lock.request()
         try:
-            if not request.triggered:
-                emit("parity_lock.wait", file, group, xid)
             yield request
         except BaseException:
             # Interrupted (or killed) while queued: cancel the request so
             # the lock is not leaked; if the grant raced ahead of the
             # interrupt, this releases the just-granted slot instead.
             lock.release(request)
-            emit("parity_lock.cancel", file, group, xid)
             raise
         self.total_wait_time += self.env.now - t0
         self._held[key] = request
-        emit("parity_lock.acquired", file, group, xid)
+        self.env.emit("parity_lock.acquired", file, group, xid)
 
     def release(self, file: str, group: int, xid: int) -> None:
         """Release after the parity write; no-op when locking is off."""

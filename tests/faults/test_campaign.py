@@ -1,18 +1,21 @@
 """The campaign engine: pinned chaos digests, composed perturbations, and
 the one replay file.
 
-``chaos_digests.json`` holds the ``run_chaos`` digests of seeds 0–11
-under the four schemes, recorded before the chaos runner and the crash
-matrix were folded into :mod:`repro.faults.campaign`; a change that
-moves one changes what a chaos run does.  ``fixtures/`` holds a failing
-plan written by ``chaos --plan-dir`` before the fold, in its original
-format.  The plan is seed 53/hybrid, the
+The ``chaos`` and ``matrix`` sections of the schedule manifest
+(``docs/results/schedule.json``, written by ``tools/schedule.py``) pin
+the ``run_chaos`` digests and every crash-matrix cell's verdict and
+digest; seeds 0–11 of ``chaos`` were recorded before the chaos runner
+and the crash matrix were folded into :mod:`repro.faults.campaign`.  A
+change that moves one changes what a chaos run does.  ``fixtures/``
+holds a failing plan written by ``chaos --plan-dir`` before the fold, in
+its original format.  The plan is seed 53/hybrid, the
 dropped-link suspicion defect of ROADMAP item 11: once that is fixed,
 the plan stops failing and its fixture must be re-recorded.  Its digest
 was re-recorded once already, when a run that raised began to keep its
 fired faults and op rows.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -24,13 +27,17 @@ from repro.faults.plan import sample_plan
 
 HERE = Path(__file__).parent
 PLAN = HERE / "fixtures" / "seed53-hybrid.json"
+TOOL = HERE.parent.parent / "tools" / "schedule.py"
 
 
 def test_chaos_digests_are_pinned():
-    pinned = json.loads((HERE / "chaos_digests.json").read_text())
-    got = {seed: {scheme: run_chaos(int(seed), scheme).digest
-                  for scheme in CHAOS_SCHEMES} for seed in pinned}
-    assert got == pinned
+    spec = importlib.util.spec_from_file_location("schedule", TOOL)
+    schedule = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(schedule)
+    pinned = json.loads(schedule.MANIFEST.read_text())
+    chaos = schedule.chaos(range(12))
+    assert chaos == {seed: pinned["chaos"][seed] for seed in chaos}
+    assert schedule.matrix() == pinned["matrix"]
 
 
 def test_faults_and_tie_orders_compose():

@@ -37,10 +37,10 @@ class TestLockTable:
         def proc():
             yield from table.acquire("f", 0, xid=1)
             assert table._lock("f", 0).users
-            assert env.locksan._holder == {("f", 0): 1}
+            assert list(env.locksan._held_by_xid) == [1]
             table.release("f", 0, xid=1)
             assert not table._lock("f", 0).users
-            assert env.locksan._holder == {}
+            assert env.locksan._held_by_xid == {}
 
         env.process(proc())
         env.run()
@@ -62,7 +62,7 @@ class TestLockTable:
             env.process(writer(xid, hold=1.0))
         env.run()
         assert order == [0, 1, 2]
-        assert [xid for what, xid in events if what == "wait"] == [1, 2]
+        assert [xid for what, xid in events if what == "acquired"] == [0, 1, 2]
         assert table.total_wait_time == pytest.approx(1.0 + 2.0)
 
     def test_independent_groups_do_not_contend(self, env):
@@ -191,7 +191,7 @@ class TestLockTable:
         assert order == ["interrupted", ("locked", 5.0)]
         lock = table._lock("f", 0)
         assert not lock.users and not lock.queue
-        assert env.locksan._waiters == {("f", 0): []}
+        assert env.locksan._held_by_xid == {}
 
     def test_interrupt_before_acquire_starts_does_not_leak(self, env):
         from repro.sim.engine import Interrupt

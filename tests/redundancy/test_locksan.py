@@ -2,15 +2,14 @@
 
 Covers the lock-protocol edge cases the sanitizer formalizes:
 double-acquire by the same xid, release-without-hold, interrupt while
-queued, order inversion, wait-for cycles (true deadlock), and the leak
-check at the end of a run — plus a constructed two-client
-ascending-order scenario proving no wait-for cycle forms.
+queued, and the leak check at the end of a run — plus a constructed
+two-client ascending-order scenario that completes clean.
 """
 
 import pytest
 
 from repro.analysis import sanitizer_scope
-from repro.errors import DeadlockError, LockProtocolError
+from repro.errors import LockProtocolError
 from repro.redundancy.locks import ParityLockTable
 from repro.sim import Environment
 from repro.sim.engine import Interrupt
@@ -48,8 +47,8 @@ class TestCleanProtocol:
 
     def test_two_clients_ascending_order_no_cycle(self, env):
         # Both clients need groups {2, 7} and follow the Section 5.1
-        # rule (ascending): one serializes behind the other, the
-        # wait-for graph stays acyclic, and the run completes clean.
+        # rule (ascending): one serializes behind the other and the run
+        # completes clean.
         table = ParityLockTable(env)
         finished = []
 
@@ -68,137 +67,7 @@ class TestCleanProtocol:
         env.run()
         assert [x for x, _t in finished] == [1, 2]
         assert reports(env) == []
-        assert env.locksan._holder == {}
-        assert env.locksan._waiting_on == {}
-
-
-class TestInversion:
-    def test_descending_acquire_reports_inversion(self, env):
-        table = ParityLockTable(env)
-
-        def proc():
-            yield from table.acquire("f", 5, xid=1)
-            yield from table.acquire("f", 3, xid=1)
-            table.release("f", 3, xid=1)
-            table.release("f", 5, xid=1)
-
-        env.process(proc(), name="descender")
-        env.run()
-        inversions = reports(env, "order-inversion")
-        assert len(inversions) == 1
-        report = inversions[0]
-        assert report.file == "f"
-        assert report.group == 3
-        assert "5" in report.message
-        assert "descender" in report.processes
-
-    def test_ascending_acquire_is_clean(self, env):
-        table = ParityLockTable(env)
-
-        def proc():
-            yield from table.acquire("f", 3, xid=1)
-            yield from table.acquire("f", 5, xid=1)
-            table.release("f", 3, xid=1)
-            table.release("f", 5, xid=1)
-
-        env.process(proc())
-        env.run()
-        assert reports(env, "order-inversion") == []
-
-    def test_different_files_do_not_invert(self, env):
-        table = ParityLockTable(env)
-
-        def proc():
-            yield from table.acquire("a", 5, xid=1)
-            yield from table.acquire("b", 3, xid=1)
-            table.release("a", 5, xid=1)
-            table.release("b", 3, xid=1)
-
-        env.process(proc())
-        env.run()
-        assert reports(env) == []
-
-
-class TestDeadlock:
-    def test_wait_for_cycle_raises_before_hang(self, env):
-        # xid 1 holds g3 and wants g5; xid 2 holds g5 and wants g3.
-        # Without LockSan, env.run() would return with both processes
-        # parked forever; with it, the second wait edge closes the
-        # cycle and DeadlockError names both processes.
-        table = ParityLockTable(env)
-
-        def client(name, xid, first, second):
-            yield from table.acquire("f", first, xid=xid)
-            yield env.timeout(1.0)
-            yield from table.acquire("f", second, xid=xid)
-            table.release("f", first, xid=xid)
-            table.release("f", second, xid=xid)
-
-        env.process(client("c1", 1, 3, 5), name="c1")
-        env.process(client("c2", 2, 5, 3), name="c2")
-        with pytest.raises(DeadlockError) as exc:
-            env.run()
-        assert "c1" in str(exc.value)
-        assert "c2" in str(exc.value)
-        deadlocks = reports(env, "deadlock")
-        assert len(deadlocks) == 1
-        assert set(deadlocks[0].processes) == {"c1", "c2"}
-
-    def test_deadlock_report_lists_held_locks_with_times(self, env):
-        # The report must name what each participant already holds (and
-        # when it took it), not just who is in the cycle — that's the
-        # actionable half of a deadlock diagnosis.
-        table = ParityLockTable(env)
-
-        def client(xid, delay, first, second):
-            yield env.timeout(delay)
-            yield from table.acquire("f", first, xid=xid)
-            yield env.timeout(1.0)
-            yield from table.acquire("f", second, xid=xid)
-
-        env.process(client(1, 0.0, 3, 5), name="c1")
-        env.process(client(2, 0.25, 5, 3), name="c2")
-        with pytest.raises(DeadlockError) as exc:
-            env.run()
-        message = str(exc.value)
-        assert "held:" in message
-        assert "c1(xid 1) holds [f:3 (acquired t=0)]" in message
-        assert "c2(xid 2) holds [f:5 (acquired t=0.25)]" in message
-
-    def test_cross_table_cycle_detected(self, env):
-        # Each group's parity lives on a different server (its own
-        # ParityLockTable); the wait-for graph must span tables.
-        table_a = ParityLockTable(env)
-        table_b = ParityLockTable(env)
-
-        def client(xid, first, second):
-            ft, fg = first
-            st, sg = second
-            yield from ft.acquire("f", fg, xid=xid)
-            yield env.timeout(1.0)
-            yield from st.acquire("f", sg, xid=xid)
-
-        env.process(client(1, (table_a, 0), (table_b, 1)), name="west")
-        env.process(client(2, (table_b, 1), (table_a, 0)), name="east")
-        with pytest.raises(DeadlockError) as exc:
-            env.run()
-        assert "west" in str(exc.value) and "east" in str(exc.value)
-
-    def test_fifo_contention_is_not_a_cycle(self, env):
-        table = ParityLockTable(env)
-        order = []
-
-        def writer(xid):
-            yield from table.acquire("f", 0, xid=xid)
-            order.append(xid)
-            yield env.timeout(1.0)
-            table.release("f", 0, xid=xid)
-
-        for xid in range(4):
-            env.process(writer(xid))
-        env.run()
-        assert order == [0, 1, 2, 3]
-        assert reports(env) == []
+        assert env.locksan._held_by_xid == {}
 
 
 class TestDoubleReleaseAndDoubleAcquire:

@@ -49,8 +49,6 @@ def tier1(test: str) -> str:
 
 _ORDER = ("tests/analysis/test_bufsan.py::TestSanitizerRegistry::"
           "test_scope_labels_reports_in_attribution_order")
-_CYCLE = ("tests/redundancy/test_locksan.py::TestDeadlock::"
-          "test_wait_for_cycle_raises_before_hang")
 _TIES = "tests/faults/test_campaign.py::test_faults_and_tie_orders_compose"
 
 #: def -> why it may stay unreached
@@ -61,7 +59,6 @@ OWNED = {
     "repro.analysis.bufsan:BufSan._report": VIOLATION,
     "repro.analysis.bufsan:BufSanReport.format": VIOLATION,
     "repro.analysis.bufsan:BufSanReport.format.<locals>._at": VIOLATION,
-    "repro.analysis.locksan:LockSan._held_summary": VIOLATION,
     "repro.analysis.locksan:LockSan._report": VIOLATION,
     "repro.analysis.locksan:LockSan.on_double_release": VIOLATION,
     "repro.analysis.locksan:LockSanReport.format": VIOLATION,
@@ -95,17 +92,6 @@ OWNED = {
     "repro.analysis.bufsan:BufSan.on_run_complete": tier1(_ORDER),
     "repro.analysis.locksan:LockSan.on_run_complete": tier1(_ORDER),
     "repro.analysis.paritysan:ParitySan.on_run_complete": tier1(_ORDER),
-    # Parity-lock contention: no CI command makes two writers wait on
-    # one group.
-    "repro.analysis.locksan:LockSan.on_wait": tier1(_CYCLE),
-    "repro.analysis.locksan:LockSan._find_cycle": tier1(_CYCLE),
-    "repro.analysis.locksan:LockSan._find_cycle.<locals>.dfs":
-        tier1(_CYCLE),
-    "repro.analysis.locksan:LockSan._find_cycle.<locals>.edges":
-        tier1(_CYCLE),
-    "repro.analysis.locksan:LockSan.on_cancel": tier1(
-        "tests/redundancy/test_locksan.py::TestLeak::"
-        "test_interrupt_while_queued_leaves_no_leak"),
     # The two buffer seeded bugs: BufSan's traps convict them.
     **{f"repro.analysis.seeded_bugs:ThawedViewRaid5.{method}": tier1(
         "tests/analysis/test_bufsan.py::TestSeededBugTraps::"

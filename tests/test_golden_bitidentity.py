@@ -4,11 +4,10 @@ Each scenario runs a fixed input and reports ``env.now``, ``env.stats()``,
 ``Metrics.snapshot()`` and a sha256 over the dispatched
 ``(time, type(event).__name__)`` sequence (a bare continuation is
 labelled by the event kind it stands in for, :data:`BARE_KINDS`); the
-expected values live in
-``golden_bitidentity.json`` next to this file.  A change that is meant to
-alter the model re-records them and says so:
-
-    PYTHONPATH=src python tests/test_golden_bitidentity.py --record
+expected values are the ``golden`` section of the schedule manifest,
+``docs/results/schedule.json``.  A change that is meant to alter the
+model re-records the manifest (``python tools/schedule.py --record``)
+and explains its diff.
 
 The scenarios cover what the benchmark's heaviest workload leans on:
 extent-mode BTIO (stream pipeline, page cache, disk, parity locks), bare
@@ -21,9 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import sys
 from functools import partial
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -38,8 +36,8 @@ from repro.storage.payload import Payload
 from repro.units import KiB
 from repro.workloads import btio_benchmark
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "golden_bitidentity.json")
+MANIFEST = (Path(__file__).resolve().parent.parent / "docs" / "results"
+            / "schedule.json")
 
 
 #: The event kind each bare heap entry replaces (docs/PERF.md, "The
@@ -228,18 +226,8 @@ SCENARIOS = {
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_simulation_is_bit_identical_to_the_recorded_run(name, tx_claims):
-    with open(GOLDEN, encoding="utf-8") as fp:
-        expected = json.load(fp)[name]
+    expected = json.loads(MANIFEST.read_text())["golden"][name]
     # through JSON, so dict key types and int/float spelling match
     got = json.loads(json.dumps(SCENARIOS[name]()))
     assert got == expected
     assert tx_claims() == []  # no TX slot outlives the run
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit(__doc__)
-    with open(GOLDEN, "w", encoding="utf-8") as fp:
-        json.dump({name: SCENARIOS[name]() for name in sorted(SCENARIOS)},
-                  fp, indent=1, sort_keys=True)
-        fp.write("\n")

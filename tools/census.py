@@ -24,6 +24,11 @@ The roots are what runs outside the tier-1 suite:
   workloads;
 * ``report --ledger``.
 
+``python tools/schedule.py --check`` (the ``bench-smoke`` job) is not a
+root: its sections are the tier-1 golden scenarios, ``run_chaos`` and
+crash-matrix runs and the bench workloads, all of which the census and
+tier-1 already cover.
+
 The hook is ``sys.settrace``, not ``sys.setprofile``: ``bench/run.py
 --trace`` and the benchmark's smoke tests run cProfile, which takes the
 profile slot and would blind a census that shared it.  Needs Python
